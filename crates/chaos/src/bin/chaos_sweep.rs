@@ -2,7 +2,12 @@
 //! each against a fresh fleet, and fail loudly — with a shrunk,
 //! reproducible schedule and its why-chain — on the first broken
 //! invariant. A slice of seeds is also rerun to prove byte-identical
-//! decision-trace fingerprints (the determinism oracle).
+//! decision-trace fingerprints (the determinism oracle). The last line —
+//! `sweep digest: crc32=<hex> schedules=<n> transport=<t>`, the CRC-32 of
+//! every schedule's fingerprint concatenated in seed order — is the
+//! *cross-commit* oracle: run the same sweep at a parent commit and at a
+//! change and compare the two lines. (No golden is committed: libm
+//! last-ulp differences across runners would make one brittle.)
 //!
 //! Environment:
 //! * `KAIROS_CHAOS_SCHEDULES` — how many seeded schedules (default 25;
@@ -76,6 +81,7 @@ fn main() {
     let bounds = cfg.bounds();
 
     let mut total_faults = 0usize;
+    let mut fingerprints: Vec<u8> = Vec::new();
     for i in 0..schedules {
         let seed = base.wrapping_add(i);
         let schedule = generate(seed, &bounds);
@@ -84,6 +90,7 @@ fn main() {
         if outcome.violation.is_some() {
             fail(&schedule, &cfg, backend);
         }
+        fingerprints.extend_from_slice(&outcome.fingerprint);
         // Determinism spot-check: every 10th schedule reruns and must
         // fingerprint byte-identically.
         if i % 10 == 0 {
@@ -113,6 +120,11 @@ fn main() {
     println!(
         "chaos sweep ({}): {schedules} schedules green, {total_faults} faults applied, \
          invariants held on every tick",
+        backend.label()
+    );
+    println!(
+        "sweep digest: crc32={:08x} schedules={schedules} transport={}",
+        kairos_store::crc32(&fingerprints),
         backend.label()
     );
 }

@@ -8,16 +8,14 @@
 //! executes the resulting capacity-safe move list.
 //!
 //! The loop itself lives in [`crate::shard::ShardController`] — the unit
-//! the sharded control plane (`kairos-fleet`) replicates per shard.
-//! [`Controller`] is the single-fleet view: one shard, same behaviour.
+//! the sharded control plane (`kairos-fleet`) replicates per shard. A
+//! single fleet is one shard: [`Controller`] names that same type.
 
-use crate::drift::{DriftDetector, DriftReport};
-use crate::executor::{ExecutionReport, FleetExecutor};
-use crate::ingest::{TelemetryConfig, TelemetrySource};
-use crate::resolver::FleetPlacement;
+use crate::drift::DriftDetector;
+use crate::executor::ExecutionReport;
+use crate::ingest::TelemetryConfig;
 use crate::shard::ShardController;
-use kairos_core::ConsolidationEngine;
-use kairos_solver::{Evaluation, SolverConfig};
+use kairos_solver::SolverConfig;
 
 /// Loop tuning.
 #[derive(Debug, Clone, Copy)]
@@ -231,80 +229,6 @@ impl ShardMetrics {
     }
 }
 
-/// The online consolidation daemon — a single-shard fleet.
-pub struct Controller {
-    shard: ShardController,
-}
-
-impl Controller {
-    pub fn new(cfg: ControllerConfig, engine: ConsolidationEngine) -> Controller {
-        Controller {
-            shard: ShardController::new(cfg, engine),
-        }
-    }
-
-    /// Attach a workload's telemetry stream. Arrival of a new workload
-    /// after the initial plan triggers a membership re-plan once the
-    /// newcomer has enough observed windows.
-    pub fn add_workload(&mut self, source: Box<dyn TelemetrySource>) {
-        self.shard.add_workload(source);
-    }
-
-    /// Attach a replicated workload (`replicas` copies, distinct hosts).
-    pub fn add_workload_with_replicas(&mut self, source: Box<dyn TelemetrySource>, replicas: u32) {
-        self.shard.add_workload_with_replicas(source, replicas);
-    }
-
-    /// Declare that `a` and `b` must never share a machine.
-    pub fn add_anti_affinity(&mut self, a: &str, b: &str) {
-        self.shard.add_anti_affinity(a, b);
-    }
-
-    /// Detach a workload: telemetry dropped, tenant retired, and an
-    /// opportunistic repack scheduled (departures free capacity).
-    pub fn remove_workload(&mut self, name: &str) {
-        self.shard.remove_workload(name);
-    }
-
-    pub fn stats(&self) -> ControllerStats {
-        self.shard.stats()
-    }
-
-    pub fn placement(&self) -> &FleetPlacement {
-        self.shard.placement()
-    }
-
-    pub fn executor(&self) -> &FleetExecutor {
-        self.shard.executor()
-    }
-
-    pub fn workloads(&self) -> Vec<String> {
-        self.shard.workloads()
-    }
-
-    /// One monitoring interval: poll every source, then act.
-    pub fn tick(&mut self) -> TickOutcome {
-        self.shard.tick()
-    }
-
-    /// Re-evaluate the current placement against the current forecast —
-    /// the "is the plan still sound" check exposed for tests and reports.
-    /// `None` before the initial plan.
-    pub fn verify_current(&self) -> Option<Evaluation> {
-        self.shard.verify_current()
-    }
-
-    /// Latest drift reports without acting on them (observability hook).
-    pub fn drift_snapshot(&self) -> Vec<DriftReport> {
-        self.shard.drift_snapshot()
-    }
-
-    /// The underlying shard loop (summaries, handoff surface).
-    pub fn shard(&self) -> &ShardController {
-        &self.shard
-    }
-
-    pub fn shard_mut(&mut self) -> &mut ShardController {
-        &mut self.shard
-    }
-}
+/// The online consolidation daemon for a single fleet: one shard, driven
+/// directly — the loop needs no wrapper to run alone.
+pub type Controller = ShardController;

@@ -42,7 +42,8 @@
 //!   self-contained slice of a sharded fleet, with the summary /
 //!   reservation / evict / admit surface the `kairos-fleet` balancer
 //!   drives cross-shard handoffs through;
-//! * [`controller`] — the single-fleet wrapper around one shard.
+//! * [`controller`] — loop tuning, tick outcomes and counters; a
+//!   single-fleet deployment drives one shard directly ([`Controller`]).
 //!
 //! ## Quickstart
 //!
@@ -79,8 +80,8 @@ pub use ingest::{
 };
 pub use migration::{plan_migration, MigrationPlan, MigrationStep, Move};
 pub use resolver::{
-    forecast_profile, forecast_profile_flagged, forecast_profile_tail, forecast_series,
-    forecast_series_flagged, FleetPlacement, ReSolveOutcome, ReSolver,
+    add_anti_affinity_pair, forecast_profile, forecast_profile_flagged, forecast_profile_tail,
+    forecast_series, forecast_series_flagged, FleetPlacement, ReSolveOutcome, ReSolver,
 };
 pub use scenarios::{
     run_scenario, scenario_churn, scenario_diurnal_shift, scenario_flash_crowd,

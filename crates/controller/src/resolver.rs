@@ -110,6 +110,21 @@ impl ReSolveOutcome {
     }
 }
 
+/// Register the named anti-affinity pair `(a, b)` in `pairs` unless it is
+/// already there in either orientation — the one registration every
+/// layer (shard, in-process fleet, RPC balancer) goes through. A
+/// duplicated pair would double-count its violations and shift solver
+/// objectives, and idempotence lets a network balancer blindly re-assert
+/// the fleet list on a rejoined node.
+pub fn add_anti_affinity_pair(pairs: &mut Vec<(String, String)>, a: &str, b: &str) {
+    let known = pairs
+        .iter()
+        .any(|(x, y)| (x == a && y == b) || (x == b && y == a));
+    if !known {
+        pairs.push((a.to_string(), b.to_string()));
+    }
+}
+
 /// The re-solver: an engine (problem construction: target class, headroom,
 /// weights, disk combiner) plus warm-start solver tuning.
 pub struct ReSolver {

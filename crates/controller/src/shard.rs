@@ -2,9 +2,9 @@
 //!
 //! [`ShardController`] is the unit a sharded control plane replicates: it
 //! owns its tenants' telemetry, drift detection, warm re-solver,
-//! migration planner and executor, exactly like the single-fleet
-//! [`crate::Controller`] (which is now a thin wrapper around it). On top
-//! of the loop it exposes what a top-level balancer needs:
+//! migration planner and executor ([`crate::Controller`] is this type
+//! under its single-fleet name). On top of the loop it exposes what a
+//! top-level balancer needs:
 //!
 //! * [`ShardController::summary`] — aggregate load, machines used,
 //!   feasibility, and per-tenant peaks (the balancer's decision input);
@@ -23,7 +23,7 @@ use crate::drift::DriftReport;
 use crate::executor::FleetExecutor;
 use crate::ingest::{TelemetryIngester, TelemetrySketch, TelemetrySource, WorkloadTelemetry};
 use crate::migration::plan_migration;
-use crate::resolver::{FleetPlacement, ReSolver};
+use crate::resolver::{add_anti_affinity_pair, FleetPlacement, ReSolver};
 use crate::snapshot::{ShardSnapshot, TRACE_CHECKPOINT_CAP};
 use kairos_core::ConsolidationEngine;
 use kairos_obs::{DecisionEvent, DecisionLog, MetricsRegistry, SpanLog, TracedEvent};
@@ -358,22 +358,9 @@ impl ShardController {
 
     /// Declare that `a` and `b` must never share a machine. Applies to
     /// every subsequent solve; ignored in solves where either is absent.
-    /// Idempotent (either orientation): re-registering an existing pair
-    /// is a no-op, so a network balancer can blindly re-assert the
-    /// fleet list on a rejoined node without skewing the constraint set
-    /// (a duplicated pair would double-count its violations and shift
-    /// solver objectives).
+    /// Idempotent in either orientation ([`add_anti_affinity_pair`]).
     pub fn add_anti_affinity(&mut self, a: &str, b: &str) {
-        let known = self
-            .resolver
-            .anti_affinity
-            .iter()
-            .any(|(x, y)| (x == a && y == b) || (x == b && y == a));
-        if !known {
-            self.resolver
-                .anti_affinity
-                .push((a.to_string(), b.to_string()));
-        }
+        add_anti_affinity_pair(&mut self.resolver.anti_affinity, a, b);
     }
 
     /// Detach a workload: telemetry dropped, tenant retired (its dbsim

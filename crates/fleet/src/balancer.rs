@@ -434,19 +434,19 @@ pub fn run_balance_round<H: ShardHandle>(
             )
         });
         let _retry_span = span::install(retry_ctx);
-        match shards.get_mut(receiver).and_then(|r| r.owns(&tenant.name)) {
+        let name = tenant.name.clone();
+        let mut still_parked = |tenant| {
+            parked.push(ParkedHandoff {
+                donor,
+                receiver,
+                tenant,
+            });
+            "still-parked"
+        };
+        let resolution = match shards.get_mut(receiver).and_then(|r| r.owns(&name)) {
             // The original admit landed and only its response was
             // lost: surface the transfer so the caller re-routes.
             Some(true) => {
-                log.record(
-                    tick,
-                    DecisionEvent::ParkedRetried {
-                        tenant: tenant.name.clone(),
-                        donor,
-                        receiver,
-                        resolution: "completed-late".into(),
-                    },
-                );
                 records.push(HandoffRecord {
                     tenant: tenant.name,
                     from: donor,
@@ -454,92 +454,36 @@ pub fn run_balance_round<H: ShardHandle>(
                     tick,
                     outcome: HandoffOutcome::Completed,
                 });
+                "completed-late"
             }
             // Provably not at the receiver: safe to restore the donor.
             // Probe the donor first — a donor restored from a
             // pre-eviction checkpoint already holds the tenant, and a
             // blind re-admit would wedge the entry (no source left to
             // bind across a process boundary). Already home is done.
-            Some(false)
-                if shards.get_mut(donor).and_then(|d| d.owns(&tenant.name)) == Some(true) =>
-            {
-                log.record(
-                    tick,
-                    DecisionEvent::ParkedRetried {
-                        tenant: tenant.name.clone(),
-                        donor,
-                        receiver,
-                        resolution: "returned-to-donor".into(),
-                    },
-                );
+            Some(false) if shards.get_mut(donor).and_then(|d| d.owns(&name)) == Some(true) => {
+                "returned-to-donor"
             }
             Some(false) => match shards.get_mut(donor) {
-                Some(shard) => {
-                    let name = tenant.name.clone();
-                    match shard.admit(tenant) {
-                        Ok(()) => log.record(
-                            tick,
-                            DecisionEvent::ParkedRetried {
-                                tenant: name,
-                                donor,
-                                receiver,
-                                resolution: "returned-to-donor".into(),
-                            },
-                        ),
-                        Err(returned) => {
-                            log.record(
-                                tick,
-                                DecisionEvent::ParkedRetried {
-                                    tenant: name,
-                                    donor,
-                                    receiver,
-                                    resolution: "still-parked".into(),
-                                },
-                            );
-                            parked.push(ParkedHandoff {
-                                donor,
-                                receiver,
-                                tenant: returned,
-                            });
-                        }
-                    }
-                }
-                None => {
-                    log.record(
-                        tick,
-                        DecisionEvent::ParkedRetried {
-                            tenant: tenant.name.clone(),
-                            donor,
-                            receiver,
-                            resolution: "still-parked".into(),
-                        },
-                    );
-                    parked.push(ParkedHandoff {
-                        donor,
-                        receiver,
-                        tenant,
-                    });
-                }
+                Some(shard) => match shard.admit(tenant) {
+                    Ok(()) => "returned-to-donor",
+                    Err(returned) => still_parked(returned),
+                },
+                None => still_parked(tenant),
             },
             // Unknowable right now: keep waiting rather than risk a
             // duplicate.
-            None => {
-                log.record(
-                    tick,
-                    DecisionEvent::ParkedRetried {
-                        tenant: tenant.name.clone(),
-                        donor,
-                        receiver,
-                        resolution: "still-parked".into(),
-                    },
-                );
-                parked.push(ParkedHandoff {
-                    donor,
-                    receiver,
-                    tenant,
-                });
-            }
-        }
+            None => still_parked(tenant),
+        };
+        log.record(
+            tick,
+            DecisionEvent::ParkedRetried {
+                tenant: name,
+                donor,
+                receiver,
+                resolution: resolution.into(),
+            },
+        );
     }
     // A single-shard fleet has no possible receiver: proposing (and
     // counting) handoffs would only pollute the rejection stats, so
@@ -705,7 +649,56 @@ pub fn run_balance_round<H: ShardHandle>(
                 });
                 continue;
             };
-            match shards[to].admit(evicted) {
+            let mut park = |log: &mut DecisionLog, tenant: EvictedTenant| {
+                log.record(
+                    tick,
+                    DecisionEvent::HandoffParked {
+                        tenant: tenant.name.clone(),
+                        donor,
+                        receiver: to,
+                    },
+                );
+                parked.push(ParkedHandoff {
+                    donor,
+                    receiver: to,
+                    tenant,
+                });
+            };
+            // `Ok`: the tenant landed on the receiver. `Err`: the
+            // handshake failed — carrying whether the tenant is back on
+            // the donor.
+            let landed = match shards[to].admit(evicted) {
+                Ok(()) => Ok(()),
+                // The admit *reported* failure — but over a lossy
+                // transport the transfer may have applied with only
+                // the response lost. Ask before rolling back: a
+                // blind donor re-admit would duplicate the tenant.
+                Err(returned) => match shards[to].owns(&tenant) {
+                    Some(true) => Ok(()),
+                    // Provably not admitted: roll the tenant back onto
+                    // the donor so it is never stranded. The donor admit
+                    // reuses the same frame + source the eviction
+                    // produced, so the rollback is exact; if even that
+                    // fails (a second fault), park for the probe-first
+                    // retry.
+                    Some(false) => match shards[donor].admit(returned) {
+                        Ok(()) => Err(true),
+                        Err(orphan) => {
+                            park(log, orphan);
+                            Err(false)
+                        }
+                    },
+                    // The receiver cannot be asked right now — the
+                    // transfer may or may not have landed, and a blind
+                    // rollback could duplicate. Park; the next round
+                    // probes first.
+                    None => {
+                        park(log, returned);
+                        Err(false)
+                    }
+                },
+            };
+            match landed {
                 Ok(()) => {
                     moves_left -= 1;
                     log.record(
@@ -724,79 +717,7 @@ pub fn run_balance_round<H: ShardHandle>(
                         outcome: HandoffOutcome::Completed,
                     });
                 }
-                Err(returned) => {
-                    // The admit *reported* failure — but over a lossy
-                    // transport the transfer may have applied with only
-                    // the response lost. Ask before rolling back: a
-                    // blind donor re-admit would duplicate the tenant.
-                    let mut returned_to_donor = false;
-                    match shards[to].owns(&tenant) {
-                        Some(true) => {
-                            moves_left -= 1;
-                            log.record(
-                                tick,
-                                DecisionEvent::HandoffCompleted {
-                                    tenant: tenant.clone(),
-                                    donor,
-                                    receiver: to,
-                                },
-                            );
-                            records.push(HandoffRecord {
-                                tenant,
-                                from: donor,
-                                to: Some(to),
-                                tick,
-                                outcome: HandoffOutcome::Completed,
-                            });
-                            continue;
-                        }
-                        Some(false) => {
-                            // Provably not admitted: roll the tenant
-                            // back onto the donor so it is never
-                            // stranded. The donor admit reuses the same
-                            // frame + source the eviction produced, so
-                            // the rollback is exact; if even that fails
-                            // (a second fault), park for the
-                            // probe-first retry.
-                            match shards[donor].admit(returned) {
-                                Ok(()) => returned_to_donor = true,
-                                Err(orphan) => {
-                                    log.record(
-                                        tick,
-                                        DecisionEvent::HandoffParked {
-                                            tenant: tenant.clone(),
-                                            donor,
-                                            receiver: to,
-                                        },
-                                    );
-                                    parked.push(ParkedHandoff {
-                                        donor,
-                                        receiver: to,
-                                        tenant: orphan,
-                                    });
-                                }
-                            }
-                        }
-                        // The receiver cannot be asked right now — the
-                        // transfer may or may not have landed, and a
-                        // blind rollback could duplicate. Park; the
-                        // next round probes first.
-                        None => {
-                            log.record(
-                                tick,
-                                DecisionEvent::HandoffParked {
-                                    tenant: tenant.clone(),
-                                    donor,
-                                    receiver: to,
-                                },
-                            );
-                            parked.push(ParkedHandoff {
-                                donor,
-                                receiver: to,
-                                tenant: returned,
-                            });
-                        }
-                    }
+                Err(returned_to_donor) => {
                     rejections += 1;
                     log.record(
                         tick,

@@ -3,8 +3,8 @@
 //! [`FleetController`] owns N independent [`ShardController`]s — each
 //! with its own telemetry ingester, drift detector, warm re-solver,
 //! migration planner and executor over a disjoint slice of hosts — plus
-//! the [`crate::balancer`] policy that moves tenants between shards via
-//! the two-phase handoff of [`crate::handoff`]. One `tick()` advances
+//! the [`BalancePlane`] whose balance round moves tenants between shards
+//! via the two-phase handoff of [`crate::handoff`]. One `tick()` advances
 //! every shard one monitoring interval and, on the balance cadence, runs
 //! one balance round.
 //!
@@ -14,19 +14,17 @@
 //! summaries ([`kairos_traces::aggregate`] roll-ups), never per-tenant
 //! telemetry.
 
-use crate::balancer::{run_balance_round, BalanceGate, BalancerConfig, ParkedHandoff};
-use crate::handoff::{HandoffOutcome, HandoffRecord};
+use crate::balancer::BalancerConfig;
+use crate::handoff::HandoffRecord;
+use crate::plane::{fan_out, BalancePlane, FleetAudit, FleetMetrics};
 use crate::shardmap::ShardMap;
 use crate::snapshot::{FleetSnapshot, FLEET_SNAPSHOT_VERSION};
 use kairos_controller::{
-    ControllerConfig, ShardController, ShardSummary, TelemetrySource, TenantHandoff, TickOutcome,
-    TRACE_CHECKPOINT_CAP,
+    add_anti_affinity_pair, ControllerConfig, ShardController, ShardSummary, TelemetrySource,
+    TenantHandoff, TickOutcome, TRACE_CHECKPOINT_CAP,
 };
 use kairos_core::ConsolidationEngine;
-use kairos_obs::{
-    DecisionLog, HealthMonitor, MetricsRegistry, ParkedAges, SpanLog, SpanRecord, TracedEvent,
-};
-use kairos_solver::{evaluate, Assignment, ConsolidationProblem, Evaluation};
+use kairos_obs::{MetricsRegistry, SpanRecord};
 use kairos_store::StoreError;
 use kairos_types::WorkloadProfile;
 use std::path::Path;
@@ -75,121 +73,6 @@ impl Default for FleetConfig {
     }
 }
 
-/// Run `f` over `(job, out)` pairs, fanned across up to `threads` scoped
-/// worker threads in contiguous chunks. Each result lands in its own
-/// slot, so the merged `outs` is in job order regardless of which thread
-/// finished first — the invariant the determinism property tests pin
-/// down. `threads <= 1` runs inline with zero spawn overhead.
-fn fan_out<J: Send, O: Send>(
-    threads: usize,
-    jobs: &mut [J],
-    outs: &mut [O],
-    f: impl Fn(&mut J, &mut O) + Sync,
-) {
-    debug_assert_eq!(jobs.len(), outs.len());
-    let threads = threads.clamp(1, jobs.len().max(1));
-    if threads <= 1 {
-        for (job, out) in jobs.iter_mut().zip(outs.iter_mut()) {
-            f(job, out);
-        }
-        return;
-    }
-    let chunk = jobs.len().div_ceil(threads);
-    let f = &f;
-    std::thread::scope(|scope| {
-        for (job_chunk, out_chunk) in jobs.chunks_mut(chunk).zip(outs.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                for (job, out) in job_chunk.iter_mut().zip(out_chunk.iter_mut()) {
-                    f(job, out);
-                }
-            });
-        }
-    });
-}
-
-/// Fleet-level counters. Serializable: the tick counter drives the
-/// balance cadence, so a restored fleet must resume from the
-/// checkpointed counts.
-#[derive(Debug, Clone, Copy, Default, serde::Serialize, serde::Deserialize)]
-pub struct FleetStats {
-    pub ticks: u64,
-    pub balance_rounds: u64,
-    pub handoffs_completed: u64,
-    pub handoffs_rejected: u64,
-    /// Handoffs that failed mid-handshake and were rolled back onto the
-    /// donor ([`HandoffOutcome::Failed`]). Always 0 in-process; only a
-    /// real transport can damage or lose a frame between the phases.
-    pub handoffs_failed: u64,
-}
-
-/// The registry-backed live counters behind [`FleetStats`], plus the
-/// fleet-only instruments the compatibility view doesn't carry: tick
-/// wall-clock latency **split by what the tick did** (quiet
-/// poll-and-ingest vs. a tick that solved or moved tenants — the two
-/// populations whose conflation the old `tick_p99` hid) and the parked
-/// handoff lot's depth.
-///
-/// Same pattern as [`kairos_controller::ShardMetrics`]: one code path
-/// owns counting, [`FleetMetrics::stats`] assembles the serializable
-/// view on demand, and the `Metrics` exporters render the registry.
-pub struct FleetMetrics {
-    registry: MetricsRegistry,
-    pub ticks: kairos_obs::Counter,
-    pub balance_rounds: kairos_obs::Counter,
-    pub handoffs_completed: kairos_obs::Counter,
-    pub handoffs_rejected: kairos_obs::Counter,
-    pub handoffs_failed: kairos_obs::Counter,
-    /// Wall-clock latency of ticks where no shard solved and no tenant
-    /// moved — the steady-state polling cost.
-    pub poll_tick_usecs: kairos_obs::Histogram,
-    /// Wall-clock latency of ticks that bootstrapped, re-planned or
-    /// completed handoffs — the solver-dominated population.
-    pub solve_tick_usecs: kairos_obs::Histogram,
-    /// Current depth of the parked-handoff retry lot.
-    pub parked_depth: kairos_obs::FloatCell,
-}
-
-impl FleetMetrics {
-    pub fn new(registry: MetricsRegistry) -> FleetMetrics {
-        FleetMetrics {
-            ticks: registry.counter("kairos_fleet_ticks_total"),
-            balance_rounds: registry.counter("kairos_fleet_balance_rounds_total"),
-            handoffs_completed: registry.counter("kairos_fleet_handoffs_completed_total"),
-            handoffs_rejected: registry.counter("kairos_fleet_handoffs_rejected_total"),
-            handoffs_failed: registry.counter("kairos_fleet_handoffs_failed_total"),
-            poll_tick_usecs: registry.histogram("kairos_fleet_poll_tick_usecs"),
-            solve_tick_usecs: registry.histogram("kairos_fleet_solve_tick_usecs"),
-            parked_depth: registry.gauge("kairos_fleet_parked_depth"),
-            registry,
-        }
-    }
-
-    /// The registry these counters live in.
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
-    /// Assemble the compatibility view.
-    pub fn stats(&self) -> FleetStats {
-        FleetStats {
-            ticks: self.ticks.get(),
-            balance_rounds: self.balance_rounds.get(),
-            handoffs_completed: self.handoffs_completed.get(),
-            handoffs_rejected: self.handoffs_rejected.get(),
-            handoffs_failed: self.handoffs_failed.get(),
-        }
-    }
-
-    /// Seed the registry from a checkpointed view (restore path).
-    pub fn restore(&self, stats: &FleetStats) {
-        self.ticks.set(stats.ticks);
-        self.balance_rounds.set(stats.balance_rounds);
-        self.handoffs_completed.set(stats.handoffs_completed);
-        self.handoffs_rejected.set(stats.handoffs_rejected);
-        self.handoffs_failed.set(stats.handoffs_failed);
-    }
-}
-
 /// What one fleet tick did.
 #[derive(Debug)]
 pub struct FleetTickReport {
@@ -199,44 +82,9 @@ pub struct FleetTickReport {
     pub handoffs: Vec<HandoffRecord>,
 }
 
-/// Global placement audit: every shard's placement re-evaluated against
-/// the shard-local restriction of one global problem
-/// ([`kairos_solver::ConsolidationProblem::restrict`]).
-#[derive(Debug)]
-pub struct FleetAudit {
-    /// Per shard: `None` while bootstrapping (or mid-handoff tenants not
-    /// yet placed), otherwise the evaluation of its current placement.
-    pub per_shard: Vec<Option<Evaluation>>,
-    /// Machines in use per shard.
-    pub machines_used: Vec<usize>,
-}
-
-impl FleetAudit {
-    /// Every planned shard's placement is feasible — zero capacity
-    /// violations fleet-wide.
-    pub fn zero_violations(&self) -> bool {
-        self.per_shard
-            .iter()
-            .flatten()
-            .all(|e| e.feasible && e.violation == 0.0)
-    }
-
-    /// Every shard evaluated (none bootstrapping / mid-handoff).
-    pub fn complete(&self) -> bool {
-        self.per_shard.iter().all(|e| e.is_some())
-    }
-
-    /// All shards within the machine budget.
-    pub fn within_budget(&self, budget: usize) -> bool {
-        self.machines_used.iter().all(|&m| m <= budget)
-    }
-
-    pub fn total_machines(&self) -> usize {
-        self.machines_used.iter().sum()
-    }
-}
-
-/// The top-level control plane. See module docs.
+/// The top-level control plane, hosted in one process: the members and
+/// the tick threads are its own; everything around the balance round is
+/// the [`BalancePlane`] it derefs to. See module docs.
 pub struct FleetController {
     cfg: FleetConfig,
     shards: Vec<ShardController>,
@@ -244,42 +92,21 @@ pub struct FleetController {
     /// Fleet-wide anti-affinity pairs (by name); registered on every
     /// shard so they keep holding wherever a handoff lands a tenant.
     anti_affinity: Vec<(String, String)>,
-    handoff_log: Vec<HandoffRecord>,
-    /// Balance round at which each tenant was last probed for a handoff
-    /// (completed or rejected) — the hysteresis cooldown's memory.
-    probe_cooldown: std::collections::BTreeMap<String, u64>,
-    /// Parking lot for handoffs stranded mid-handshake (see
-    /// [`run_balance_round`]). In-process admits cannot fail, so this
-    /// stays empty here — the field exists because the shared round
-    /// owns the recovery contract — and is deliberately not
-    /// checkpointed (a live telemetry source cannot serialize; an
-    /// in-process fleet never has anything to persist in it).
-    parked: Vec<ParkedHandoff>,
-    /// Chaos-harness hook: skip/delay injections over the balance
-    /// cadence. Idle (the default) it is a pass-through.
-    gate: BalanceGate,
-    metrics: FleetMetrics,
-    /// Fleet-level decision trace: balancer-round events, recorded on
-    /// the tick thread (cross-shard work is single-threaded after the
-    /// fan-out join, so the stream is deterministic at any thread
-    /// count). Shard-loop events live in each shard's own log.
-    log: DecisionLog,
-    /// Balancer-side causal span log (`balance_round` roots plus
-    /// `handoff`/`parked_retry` children); shard-side spans live in each
-    /// shard's own log. Disabled by default.
-    spans: SpanLog,
-    /// The health watchdog, when armed via [`FleetController::set_health`].
-    /// Observed once per tick over the fleet + shard registries; newly
-    /// fired rules record [`kairos_obs::DecisionEvent::HealthFlagged`]
-    /// events. `None` (the default) costs nothing and keeps the decision
-    /// trace byte-identical to a watchdog-free run.
-    health: Option<HealthMonitor>,
-    /// First-seen balance round per parked tenant — feeds the
-    /// `kairos_fleet_parked_oldest_rounds` gauge the watchdog's
-    /// aged-parked-handoff rule watches. Kept out of
-    /// [`crate::balancer::BalancerSoftState`]: ages are derivable
-    /// observability, not resume state.
-    parked_ages: ParkedAges,
+    plane: BalancePlane,
+}
+
+impl std::ops::Deref for FleetController {
+    type Target = BalancePlane;
+
+    fn deref(&self) -> &BalancePlane {
+        &self.plane
+    }
+}
+
+impl std::ops::DerefMut for FleetController {
+    fn deref_mut(&mut self) -> &mut BalancePlane {
+        &mut self.plane
+    }
 }
 
 impl FleetController {
@@ -308,76 +135,45 @@ impl FleetController {
             cfg,
             shards,
             anti_affinity: Vec::new(),
-            handoff_log: Vec::new(),
-            probe_cooldown: std::collections::BTreeMap::new(),
-            parked: Vec::new(),
-            gate: BalanceGate::default(),
-            metrics: FleetMetrics::new(MetricsRegistry::new()),
-            log: DecisionLog::new(),
-            spans: SpanLog::new(kairos_obs::span::NODE_BALANCER),
-            health: None,
-            parked_ages: ParkedAges::new(),
+            plane: FleetController::fresh_plane(&cfg),
         }
+    }
+
+    fn fresh_plane(cfg: &FleetConfig) -> BalancePlane {
+        BalancePlane::new(
+            cfg.balancer,
+            FleetMetrics::new(MetricsRegistry::new()),
+            kairos_obs::span::NODE_BALANCER,
+        )
     }
 
     pub fn config(&self) -> &FleetConfig {
         &self.cfg
     }
 
-    pub fn stats(&self) -> FleetStats {
-        self.metrics.stats()
-    }
-
-    /// The fleet-level metrics registry (balancer counters, tick-latency
-    /// histograms split poll vs. solve, parked-lot depth). Per-shard
-    /// registries are reachable via
-    /// [`kairos_controller::ShardController::metrics_registry`]; the
-    /// render helpers below merge all of them.
-    pub fn metrics_registry(&self) -> &MetricsRegistry {
-        self.metrics.registry()
-    }
-
     /// Every registry in the control plane — fleet-level first, then one
-    /// per shard — rendered as one flat JSON object.
+    /// per shard.
+    fn registries(&self) -> Vec<&MetricsRegistry> {
+        std::iter::once(self.plane.metrics_registry())
+            .chain(self.shards.iter().map(|s| s.metrics_registry()))
+            .collect()
+    }
+
+    /// Every registry in the control plane rendered as one flat JSON
+    /// object.
     pub fn metrics_json(&self) -> String {
-        let shard_regs: Vec<&MetricsRegistry> =
-            self.shards.iter().map(|s| s.metrics_registry()).collect();
-        let mut all = vec![self.metrics.registry()];
-        all.extend(shard_regs);
-        kairos_obs::render_json_all(&all)
+        kairos_obs::render_json_all(&self.registries())
     }
 
     /// Every registry in the control plane in Prometheus text format.
     pub fn metrics_prometheus(&self) -> String {
-        let shard_regs: Vec<&MetricsRegistry> =
-            self.shards.iter().map(|s| s.metrics_registry()).collect();
-        let mut all = vec![self.metrics.registry()];
-        all.extend(shard_regs);
-        kairos_obs::render_prometheus_all(&all)
-    }
-
-    /// The fleet-level decision trace (balancer rounds).
-    pub fn decision_log(&self) -> &DecisionLog {
-        &self.log
-    }
-
-    /// The fleet trace's events, oldest first.
-    pub fn trace_events(&self) -> Vec<TracedEvent> {
-        self.log.to_vec()
-    }
-
-    /// The canonical fleet trace bytes (workspace codec) — the
-    /// byte-identity the net equivalence suite asserts against the RPC
-    /// balancer's trace.
-    pub fn trace_bytes(&self) -> Vec<u8> {
-        self.log.trace_bytes()
+        kairos_obs::render_prometheus_all(&self.registries())
     }
 
     /// Enable or disable decision tracing fleet-wide (the fleet log and
-    /// every shard's). Disabled, recording is a single branch per event —
-    /// the bench-overhead configuration.
+    /// every shard's).
     pub fn set_tracing(&mut self, enabled: bool) {
-        self.log.set_enabled(enabled);
+        self.plane.set_tracing(enabled);
         for shard in &mut self.shards {
             shard.set_tracing(enabled);
         }
@@ -385,55 +181,23 @@ impl FleetController {
 
     /// Enable or disable causal span tracing fleet-wide: the balancer's
     /// span log (node id `span::NODE_BALANCER`) and every shard's (node
-    /// id `span::node_for_shard(i)`). Disabled (the default) nothing
-    /// records, and RPC deployments emit span-free frames.
+    /// id `span::node_for_shard(i)`).
     pub fn set_span_tracing(&mut self, enabled: bool) {
-        self.spans.set_enabled(enabled);
+        self.plane.set_span_tracing(enabled);
         for (i, shard) in self.shards.iter_mut().enumerate() {
             shard.configure_spans(kairos_obs::span::node_for_shard(i), enabled);
         }
-    }
-
-    /// The balancer-side span log.
-    pub fn span_log(&self) -> &SpanLog {
-        &self.spans
-    }
-
-    /// Renumber the balancer-side span log's node id — a zone gives its
-    /// internal fleet balancer a zone-scoped id
-    /// (`span::node_for_zone_balancer`) so two zones' internal rounds
-    /// never collide in span-id space.
-    pub fn set_span_node(&mut self, node: u32) {
-        self.spans.set_node(node);
-    }
-
-    /// The balancer-side canonical span bytes (workspace codec).
-    pub fn span_bytes(&self) -> Vec<u8> {
-        self.spans.span_bytes()
     }
 
     /// Every span in the control plane — balancer first, then each
     /// shard's, in shard order. The flight-recorder query layer and the
     /// span-tree assembler consume this merged view.
     pub fn all_spans(&self) -> Vec<SpanRecord> {
-        let mut all = self.spans.to_vec();
+        let mut all = self.plane.span_log().to_vec();
         for shard in &self.shards {
             all.extend(shard.span_log().to_vec());
         }
         all
-    }
-
-    /// Arm the health watchdog with `monitor` (e.g.
-    /// `HealthMonitor::new()` for the default rule set). Observed once
-    /// per tick; newly fired rules land in the decision trace as
-    /// `HealthFlagged` events.
-    pub fn set_health(&mut self, monitor: Option<HealthMonitor>) {
-        self.health = monitor;
-    }
-
-    /// The watchdog's current report, if one is armed.
-    pub fn health_report(&self) -> Option<kairos_obs::HealthReport> {
-        self.health.as_ref().map(|m| m.report().clone())
     }
 
     pub fn map(&self) -> &ShardMap {
@@ -442,11 +206,6 @@ impl FleetController {
 
     pub fn shards(&self) -> &[ShardController] {
         &self.shards
-    }
-
-    /// All handoffs ever proposed (completed and rejected).
-    pub fn handoffs(&self) -> &[HandoffRecord] {
-        &self.handoff_log
     }
 
     /// Admit a new tenant, assigned to the least-populated shard.
@@ -479,18 +238,16 @@ impl FleetController {
         if let Some(shard) = self.map.remove(name) {
             self.shards[shard].remove_workload(name);
         }
-        self.probe_cooldown.remove(name);
-        // In-process handshakes never park, but a retired tenant must
-        // never be resurrectable from the lot either.
-        self.parked.retain(|p| p.tenant.name != name);
+        self.plane.forget(name);
     }
 
     /// Declare a fleet-wide anti-affinity pair. Holds inside whatever
     /// shard the tenants occupy, including after handoffs (every shard
     /// carries the full pair list; pairs split across shards are
-    /// trivially satisfied).
+    /// trivially satisfied). Idempotent in either orientation, like the
+    /// shard-level and RPC registrations.
     pub fn add_anti_affinity(&mut self, a: &str, b: &str) {
-        self.anti_affinity.push((a.to_string(), b.to_string()));
+        add_anti_affinity_pair(&mut self.anti_affinity, a, b);
         for s in &mut self.shards {
             s.add_anti_affinity(a, b);
         }
@@ -505,27 +262,6 @@ impl FleetController {
     /// observability).
     pub fn summaries(&self) -> Vec<ShardSummary> {
         self.shards.iter().map(|s| s.summary()).collect()
-    }
-
-    /// Chaos-harness injection: drop the next `n` due balance rounds.
-    pub fn skip_balance_rounds(&mut self, n: u64) {
-        self.gate.skip_rounds(n);
-    }
-
-    /// Chaos-harness injection: run each of the next `n` due balance
-    /// rounds one tick late.
-    pub fn delay_balance_rounds(&mut self, n: u64) {
-        self.gate.delay_rounds(n);
-    }
-
-    /// The parked-handoff lot as `(tenant, donor, receiver)` triples —
-    /// chaos-invariant introspection (an unowned-but-routed tenant must
-    /// appear here, and the lot must drain once faults heal).
-    pub fn parked_handoffs(&self) -> Vec<(String, usize, usize)> {
-        self.parked
-            .iter()
-            .map(|p| (p.tenant.name.clone(), p.donor, p.receiver))
-            .collect()
     }
 
     // ----- hierarchy surface (see `crate::hierarchy`) -----
@@ -547,8 +283,7 @@ impl FleetController {
         let shard = self.map.shard_of(name)?;
         let handoff = self.shards[shard].evict(name)?;
         self.map.remove(name);
-        self.probe_cooldown.remove(name);
-        self.parked.retain(|p| p.tenant.name != name);
+        self.plane.forget(name);
         let (wire, _source) = handoff.into_wire();
         Some(wire)
     }
@@ -566,8 +301,7 @@ impl FleetController {
     ) -> Result<(), StoreError> {
         let mut handoff = TenantHandoff::from_wire(frame, source)?;
         handoff.sketch = self.shards[shard].sketch_config();
-        self.map.assign(&handoff.name, shard);
-        self.shards[shard].admit(handoff);
+        self.admit_handoff(shard, handoff);
         Ok(())
     }
 
@@ -596,82 +330,38 @@ impl FleetController {
 
     /// One monitoring interval: every shard ticks — concurrently when
     /// `tick_threads > 1` — then, on the balance cadence, one balance
-    /// round runs **on the calling thread**. Shards share no state, so
-    /// the fan-out is embarrassingly parallel; everything that mutates
-    /// cross-shard structures (the `ShardMap`, handoff transfers, the
-    /// handoff log, fleet stats) stays single-threaded and runs after the
-    /// join, which is why reports are tick-for-tick identical at any
-    /// thread count.
+    /// round runs **on the calling thread**, driving the shards through
+    /// [`ShardController`]'s direct [`crate::balancer::ShardHandle`]
+    /// implementation. Shards share no state, so the fan-out is
+    /// embarrassingly parallel; everything that mutates cross-shard
+    /// structures (the `ShardMap`, handoff transfers, the handoff log,
+    /// fleet stats) stays single-threaded and runs after the join, which
+    /// is why reports are tick-for-tick identical at any thread count.
+    /// The watchdog, when armed, observes once per tick over the fleet +
+    /// shard registries.
     pub fn tick(&mut self) -> FleetTickReport {
         let started = Instant::now();
-        self.metrics.ticks.inc();
+        let tick = self.plane.begin_tick();
         let outcomes = self.tick_shards();
-
-        let on_cadence = self
-            .metrics
-            .ticks
-            .get()
-            .is_multiple_of(self.cfg.balancer.balance_every.max(1));
-        let all_planned = self.shards.iter().all(|s| s.planned_once());
-        let handoffs = if self.gate.admit(on_cadence && all_planned) {
-            self.balance_round()
+        let shards = &self.shards;
+        let handoffs = if self
+            .plane
+            .due(tick, || shards.iter().all(|s| s.planned_once()))
+        {
+            let records = self.plane.round(&mut self.shards, tick);
+            debug_assert!(
+                self.plane.parked_handoffs().is_empty(),
+                "in-process admits cannot fail, so nothing may park"
+            );
+            self.map.apply(&records);
+            records
         } else {
             Vec::new()
         };
-        // Tick latency, classified by what the tick actually did: quiet
-        // poll-and-ingest ticks and solver/handoff ticks are different
-        // populations by orders of magnitude, so one conflated histogram
-        // would report a meaningless p99 (the fleet_scale bench's old
-        // `tick_p99_usecs` did exactly that).
-        let solved = !handoffs.is_empty()
-            || outcomes.iter().any(|o| {
-                matches!(
-                    o,
-                    TickOutcome::InitialPlan { .. } | TickOutcome::Replanned(_)
-                )
-            });
-        let usecs = started.elapsed().as_micros() as u64;
-        if solved {
-            self.metrics.solve_tick_usecs.record(usecs);
-        } else {
-            self.metrics.poll_tick_usecs.record(usecs);
-        }
-        self.metrics.parked_depth.set(self.parked.len() as f64);
-        self.observe_health();
+        self.plane.finish_tick(started, &outcomes, &handoffs);
+        self.plane
+            .observe_health(self.shards.iter().map(|s| s.metrics_registry()));
         FleetTickReport { outcomes, handoffs }
-    }
-
-    /// One watchdog observation, when armed: refresh the parked-age
-    /// gauge, evaluate every rule over the fleet + shard registries, and
-    /// trace the rules that newly fired this tick.
-    fn observe_health(&mut self) {
-        let Some(mut monitor) = self.health.take() else {
-            return;
-        };
-        let parked_tenants: Vec<String> =
-            self.parked.iter().map(|p| p.tenant.name.clone()).collect();
-        let oldest = self.parked_ages.update(
-            self.metrics.balance_rounds.get(),
-            parked_tenants.iter().map(|s| s.as_str()),
-        );
-        self.metrics
-            .registry()
-            .gauge("kairos_fleet_parked_oldest_rounds")
-            .set(oldest as f64);
-        let tick = self.metrics.ticks.get();
-        let mut registries: Vec<&MetricsRegistry> = vec![self.metrics.registry()];
-        registries.extend(self.shards.iter().map(|s| s.metrics_registry()));
-        for finding in monitor.observe(tick, &registries) {
-            self.log.record(
-                tick,
-                kairos_obs::DecisionEvent::HealthFlagged {
-                    rule: finding.rule.clone(),
-                    metric: finding.metric.clone(),
-                    severity: finding.severity.name().to_string(),
-                },
-            );
-        }
-        self.health = Some(monitor);
     }
 
     /// Fan the per-shard ticks out across the configured worker threads.
@@ -703,43 +393,6 @@ impl FleetController {
             .collect()
     }
 
-    /// One balance round: donors shed their heaviest tenants to the
-    /// emptiest shards that can reserve capacity for them. The policy
-    /// itself is [`run_balance_round`] — the single code path shared
-    /// with the RPC balancer (`kairos-net`), driven here through
-    /// [`ShardController`]'s direct [`crate::balancer::ShardHandle`]
-    /// implementation.
-    fn balance_round(&mut self) -> Vec<HandoffRecord> {
-        self.metrics.balance_rounds.inc();
-        let records = run_balance_round(
-            &mut self.shards,
-            &self.cfg.balancer,
-            self.metrics.balance_rounds.get(),
-            self.metrics.ticks.get(),
-            &mut self.probe_cooldown,
-            &mut self.parked,
-            &mut self.log,
-            &mut self.spans,
-        );
-        debug_assert!(
-            self.parked.is_empty(),
-            "in-process admits cannot fail, so nothing may park"
-        );
-        for record in &records {
-            match record.outcome {
-                HandoffOutcome::Completed => {
-                    let to = record.to.expect("completed handoffs carry a destination");
-                    self.map.assign(&record.tenant, to);
-                    self.metrics.handoffs_completed.inc();
-                }
-                HandoffOutcome::NoReceiver => self.metrics.handoffs_rejected.inc(),
-                HandoffOutcome::Failed => self.metrics.handoffs_failed.inc(),
-            }
-        }
-        self.handoff_log.extend(records.iter().cloned());
-        records
-    }
-
     // ----- checkpoint / restore -----
 
     /// The whole control plane's state as one serializable snapshot:
@@ -754,8 +407,8 @@ impl FleetController {
     /// decisions), so checkpoint size must track *current* fleet state,
     /// not total handoffs ever performed.
     pub fn snapshot(&self) -> FleetSnapshot {
-        let log_tail = self
-            .handoff_log
+        let handoffs = self.plane.handoffs();
+        let log_tail = handoffs
             .len()
             .saturating_sub(crate::snapshot::HANDOFF_LOG_CHECKPOINT_CAP);
         FleetSnapshot {
@@ -766,11 +419,11 @@ impl FleetController {
                 .map(|(t, s)| (t.to_string(), s))
                 .collect(),
             anti_affinity: self.anti_affinity.clone(),
-            handoff_log: self.handoff_log[log_tail..].to_vec(),
-            probe_cooldown: self.probe_cooldown.clone(),
+            handoff_log: handoffs[log_tail..].to_vec(),
+            probe_cooldown: self.plane.cooldown().clone(),
             stats: self.stats(),
             trace: {
-                let events = self.log.to_vec();
+                let events = self.plane.trace_events();
                 let skip = events.len().saturating_sub(TRACE_CHECKPOINT_CAP);
                 events.into_iter().skip(skip).collect()
             },
@@ -854,22 +507,19 @@ impl FleetController {
                 .map_err(|e| StoreError::Inconsistent(e.to_string()))?;
             shards.push(shard);
         }
-        let metrics = FleetMetrics::new(MetricsRegistry::new());
-        metrics.restore(&snapshot.stats);
+        let mut plane = FleetController::fresh_plane(&cfg);
+        plane.restore(
+            &snapshot.stats,
+            snapshot.probe_cooldown,
+            snapshot.handoff_log,
+            snapshot.trace,
+        );
         Ok(FleetController {
             cfg,
             shards,
             map,
             anti_affinity: snapshot.anti_affinity,
-            handoff_log: snapshot.handoff_log,
-            probe_cooldown: snapshot.probe_cooldown,
-            parked: Vec::new(),
-            gate: BalanceGate::default(),
-            metrics,
-            log: DecisionLog::restore(snapshot.trace, kairos_obs::events::DEFAULT_TRACE_CAP, true),
-            spans: SpanLog::new(kairos_obs::span::NODE_BALANCER),
-            health: None,
-            parked_ages: ParkedAges::new(),
+            plane,
         })
     }
 
@@ -899,133 +549,30 @@ impl FleetController {
             .collect()
     }
 
-    /// Global audit: build one problem over every tenant's forecast,
-    /// restrict it shard-by-shard
-    /// ([`kairos_solver::ConsolidationProblem::restrict`]), and evaluate
-    /// each shard's current placement against its restriction. The
-    /// fleet-wide "are we violation-free" check the acceptance scenarios
-    /// assert on.
+    /// Global audit ([`BalancePlane::audit`]) over direct reads of every
+    /// shard, the global problem built by shard 0's real engine — every
+    /// shard carries the full fleet anti-affinity list, so the shard's
+    /// own constraint plumbing applies the pairs by name. The per-shard
+    /// evaluations fan out across the tick worker threads.
     pub fn audit(&self) -> FleetAudit {
-        let mut profiles: Vec<WorkloadProfile> = Vec::new();
-        let mut shard_indices: Vec<Vec<usize>> = Vec::with_capacity(self.shards.len());
-        for shard in &self.shards {
-            let fleet = shard.forecast_fleet();
-            let start = profiles.len();
-            shard_indices.push((start..start + fleet.len()).collect());
-            profiles.extend(fleet);
-        }
-        let machines_used: Vec<usize> = self
+        let members = self
             .shards
             .iter()
-            .map(|s| s.placement().machines_used())
+            .map(|s| (s.forecast_fleet(), Some(s.placement()), s.planned_once()))
             .collect();
-        if profiles.is_empty() {
-            return FleetAudit {
-                per_shard: vec![None; self.shards.len()],
-                machines_used,
-            };
-        }
-        // Build the global problem with shard 0's real engine (machine
-        // class, headroom, disk model) rather than a fresh default — the
-        // audit must judge placements by the capacities the shards
-        // actually solve under. Shards are assumed homogeneous (the
-        // global problem is only meaningful for one target class), and
-        // every shard carries the full fleet anti-affinity list, so the
-        // shard's own constraint plumbing applies the pairs by name.
-        let Ok(global) = self.shards[0].problem_for(&profiles) else {
-            return FleetAudit {
-                per_shard: vec![None; self.shards.len()],
-                machines_used,
-            };
-        };
-
-        // Phase 1 (serial): build each shard's restriction and read its
-        // placement into the restriction's slot order. Phase 2
-        // (parallel): the evaluations themselves — the expensive part,
-        // independent per shard — fan out across the tick worker
-        // threads, each consuming its prepared (sub-problem, assignment)
-        // pair.
-        let mut jobs: Vec<Option<(ConsolidationProblem, Assignment)>> =
-            Vec::with_capacity(self.shards.len());
-        for (shard, keep) in self.shards.iter().zip(&shard_indices) {
-            if keep.is_empty() || !shard.planned_once() {
-                jobs.push(None);
-                continue;
-            }
-            let sub = global.restrict(keep);
-            let slots = sub.slots();
-            let mut machine_of = Vec::with_capacity(slots.len());
-            let mut complete = true;
-            for slot in &slots {
-                let name = &sub.workloads[slot.workload].name;
-                match shard.placement().machine_of(name, slot.replica) {
-                    Some(m) => machine_of.push(m),
-                    None => {
-                        complete = false;
-                        break;
-                    }
-                }
-            }
-            jobs.push(if complete {
-                Some((sub, Assignment::new(machine_of)))
-            } else {
-                None
-            });
-        }
-
-        let mut per_shard: Vec<Option<Evaluation>> = Vec::new();
-        per_shard.resize_with(self.shards.len(), || None);
-        fan_out(
+        BalancePlane::audit(
+            members,
+            |profiles| self.shards[0].problem_for(profiles),
             self.cfg.tick_threads,
-            &mut jobs,
-            &mut per_shard,
-            |job, out| {
-                if let Some((sub, assignment)) = job.take() {
-                    *out = Some(evaluate(&sub, &assignment));
-                }
-            },
-        );
-        FleetAudit {
-            per_shard,
-            machines_used,
-        }
+        )
     }
 
-    /// Explain an audit in terms of the decision trace: for every shard
-    /// the audit flags (infeasible, violated, unevaluated, or over the
-    /// balancer budget), render the why-chain — the decision events from
-    /// the shard's last adopted plan forward, merged with the balancer
-    /// events that touched it ([`kairos_obs::render_why_chain`]). The
-    /// human-readable bridge from "the audit failed" to "here is the
-    /// sequence of decisions that got us here".
+    /// Explain an audit in terms of the decision trace
+    /// ([`BalancePlane::explain_audit`]), each flagged shard's events
+    /// read directly.
     pub fn explain_audit(&self, audit: &FleetAudit) -> String {
-        let budget = self.cfg.balancer.machines_per_shard;
-        let fleet_events = self.log.to_vec();
-        let mut out = String::new();
-        for (shard, eval) in audit.per_shard.iter().enumerate() {
-            let verdict = match eval {
-                None => "not evaluated (bootstrapping or mid-handoff)".to_string(),
-                Some(e) if !e.feasible || e.violation > 0.0 => {
-                    format!("infeasible (violation {:.3})", e.violation)
-                }
-                Some(_) if audit.machines_used[shard] > budget => format!(
-                    "over budget ({} machines > {budget})",
-                    audit.machines_used[shard]
-                ),
-                Some(_) => continue,
-            };
-            out.push_str(&format!("shard {shard}: {verdict}\n"));
-            out.push_str(&kairos_obs::render_why_chain(
-                shard,
-                &self.shards[shard].trace_events(),
-                &fleet_events,
-            ));
-        }
-        if out.is_empty() {
-            "audit clean: every planned shard feasible and within budget\n".to_string()
-        } else {
-            out
-        }
+        self.plane
+            .explain_audit(audit, |shard| self.shards[shard].trace_events())
     }
 }
 
@@ -1203,5 +750,27 @@ mod tests {
         fleet.remove_workload("t1");
         assert_eq!(fleet.map().shard_of("t1"), None);
         assert!(!fleet.shards()[shard].has_workload("t1"));
+    }
+
+    #[test]
+    fn repeated_anti_affinity_registers_one_pair() {
+        let mut fleet = FleetController::new(quick_cfg(2, 8));
+        for i in 0..4 {
+            fleet.add_workload(Box::new(flat(format!("t{i}"), 150.0)));
+        }
+        fleet.add_anti_affinity("t0", "t1");
+        let once = serde::to_bytes(&fleet.snapshot());
+        // Same pair again, in both orientations: a no-op at every layer.
+        fleet.add_anti_affinity("t0", "t1");
+        fleet.add_anti_affinity("t1", "t0");
+        assert_eq!(
+            fleet.anti_affinity(),
+            [("t0".to_string(), "t1".to_string())]
+        );
+        assert_eq!(
+            serde::to_bytes(&fleet.snapshot()),
+            once,
+            "a repeated registration must not grow the checkpoint"
+        );
     }
 }

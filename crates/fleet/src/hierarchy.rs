@@ -28,7 +28,7 @@
 //!    `groups`, not `tenants`, and its audit trail stays readable.
 //! 2. **A zone presents itself as one big shard.** [`Zone`] implements
 //!    [`ShardHandle`] — summary, reserve, evict, admit, owns — so
-//!    [`run_balance_round`] drives zones with the *identical* policy
+//!    [`crate::run_balance_round`] drives zones with the *identical* policy
 //!    code that drives shards. Its "summary" is a constant-size roll-up
 //!    of the per-shard summaries: counters sum, flags AND/OR, and the
 //!    aggregate series sum as sketches
@@ -47,15 +47,12 @@
 //! as shards multiply (the `"hierarchy"` section of `BENCH_fleet.json`
 //! pins this).
 
-use crate::balancer::{
-    run_balance_round, BalancerConfig, EvictedTenant, ParkedHandoff, ShardHandle,
-};
+use crate::balancer::{BalancerConfig, EvictedTenant, ShardHandle};
 use crate::fleet::FleetController;
-use crate::handoff::{HandoffOutcome, HandoffRecord};
+use crate::handoff::HandoffRecord;
+use crate::plane::{BalancePlane, FleetMetrics};
 use kairos_controller::{ShardSummary, TelemetrySource, TenantHandoff, TenantLoad};
-use kairos_obs::{
-    Counter, DecisionEvent, DecisionLog, Histogram, MetricsRegistry, SpanLog, TracedEvent,
-};
+use kairos_obs::{Counter, DecisionEvent, Histogram, MetricsRegistry, SpanLog};
 use kairos_traces::AggregateSketch;
 use kairos_types::{Bytes, DiskDemand, Rate, WorkloadProfile};
 use std::collections::BTreeMap;
@@ -135,7 +132,7 @@ pub type ZoneSourceBinder = Box<dyn FnMut(&str, u64) -> Option<Box<dyn Telemetry
 
 /// A zone: one [`FleetController`] plus the group bookkeeping that lets
 /// it stand in for "one big shard" under the root balancer. Implements
-/// [`ShardHandle`], so [`run_balance_round`] — unchanged — is the root
+/// [`ShardHandle`], so [`crate::run_balance_round`] — unchanged — is the root
 /// balance policy.
 pub struct Zone {
     id: usize,
@@ -526,65 +523,48 @@ impl Default for RootConfig {
     }
 }
 
-/// Counters and latency the root exposes, in its own registry so a
-/// mega-fleet's dashboards separate root rounds from zone internals.
-struct RootMetrics {
-    registry: MetricsRegistry,
-    rounds: Counter,
-    groups_moved: Counter,
-    moves_rejected: Counter,
-    moves_failed: Counter,
+/// The fleet-of-fleets balancer: the shared balance round over zone
+/// roll-ups, moving tenant groups. What is the root's own is the zone
+/// roll-up pass ([`DecisionEvent::ZoneSummarized`], group sizes for
+/// [`DecisionEvent::GroupMoved`]); the root-level soft state (group
+/// cooldowns, parked group handoffs), its decision trace (the ordinary
+/// balancer events with zones in the shard slots), its span log (node id
+/// `span::NODE_ROOT` — the top of the cross-zone group-move trace) and
+/// its `root_*` metrics registry are the [`BalancePlane`] it derefs to.
+pub struct RootBalancer {
+    cfg: RootConfig,
+    plane: BalancePlane,
     round_usecs: Histogram,
     summary_bytes: Counter,
 }
 
-impl RootMetrics {
-    fn new() -> RootMetrics {
-        let registry = MetricsRegistry::new();
-        RootMetrics {
-            rounds: registry.counter("root_balance_rounds"),
-            groups_moved: registry.counter("root_groups_moved"),
-            moves_rejected: registry.counter("root_moves_rejected"),
-            moves_failed: registry.counter("root_moves_failed"),
-            round_usecs: registry.histogram("root_round_usecs"),
-            summary_bytes: registry.counter("root_summary_bytes_total"),
-            registry,
-        }
+impl std::ops::Deref for RootBalancer {
+    type Target = BalancePlane;
+
+    fn deref(&self) -> &BalancePlane {
+        &self.plane
     }
 }
 
-/// The fleet-of-fleets balancer: [`run_balance_round`] over zone
-/// roll-ups, moving tenant groups. Owns the root-level soft state
-/// (group cooldowns, parked group handoffs), its own decision trace
-/// ([`DecisionEvent::ZoneSummarized`], [`DecisionEvent::GroupMoved`]
-/// plus the ordinary balancer events with zones in the shard slots),
-/// and its own metrics registry.
-pub struct RootBalancer {
-    cfg: RootConfig,
-    rounds: u64,
-    cooldown: BTreeMap<String, u64>,
-    parked: Vec<ParkedHandoff>,
-    log: DecisionLog,
-    moves: Vec<HandoffRecord>,
-    metrics: RootMetrics,
-    /// Root-level causal spans (`balance_round` roots with
-    /// `handoff`/`parked_retry` children, node id `span::NODE_ROOT`) —
-    /// the top of the cross-zone group-move trace.
-    spans: SpanLog,
+impl std::ops::DerefMut for RootBalancer {
+    fn deref_mut(&mut self) -> &mut BalancePlane {
+        &mut self.plane
+    }
 }
 
 impl RootBalancer {
     pub fn new(cfg: RootConfig) -> RootBalancer {
         assert!(cfg.groups > 0, "group count must be positive");
+        let registry = MetricsRegistry::new();
         RootBalancer {
             cfg,
-            rounds: 0,
-            cooldown: BTreeMap::new(),
-            parked: Vec::new(),
-            log: DecisionLog::new(),
-            moves: Vec::new(),
-            metrics: RootMetrics::new(),
-            spans: SpanLog::new(kairos_obs::span::NODE_ROOT),
+            round_usecs: registry.histogram("root_round_usecs"),
+            summary_bytes: registry.counter("root_summary_bytes_total"),
+            plane: BalancePlane::new(
+                cfg.balancer,
+                FleetMetrics::root(registry),
+                kairos_obs::span::NODE_ROOT,
+            ),
         }
     }
 
@@ -592,54 +572,8 @@ impl RootBalancer {
         &self.cfg
     }
 
-    /// Balance rounds run so far.
-    pub fn rounds(&self) -> u64 {
-        self.rounds
-    }
-
-    /// Every group move ever proposed (completed and rejected).
-    pub fn handoffs(&self) -> &[HandoffRecord] {
-        &self.moves
-    }
-
-    /// Root-level parked group handoffs as `(group, donor zone,
-    /// receiver zone)` — only a lossy transport can populate this.
-    pub fn parked(&self) -> Vec<(String, usize, usize)> {
-        self.parked
-            .iter()
-            .map(|p| (p.tenant.name.clone(), p.donor, p.receiver))
-            .collect()
-    }
-
-    pub fn metrics_registry(&self) -> &MetricsRegistry {
-        &self.metrics.registry
-    }
-
     pub fn metrics_json(&self) -> String {
-        self.metrics.registry.render_json()
-    }
-
-    pub fn decision_log(&self) -> &DecisionLog {
-        &self.log
-    }
-
-    pub fn trace_events(&self) -> Vec<TracedEvent> {
-        self.log.to_vec()
-    }
-
-    pub fn set_tracing(&mut self, enabled: bool) {
-        self.log.set_enabled(enabled);
-    }
-
-    /// Enable or disable the root's causal span tracing (the zones have
-    /// their own [`Zone::set_span_tracing`]).
-    pub fn set_span_tracing(&mut self, enabled: bool) {
-        self.spans.set_enabled(enabled);
-    }
-
-    /// The root's span log.
-    pub fn span_log(&self) -> &SpanLog {
-        &self.spans
+        self.plane.metrics_registry().render_json()
     }
 
     /// One root balance round at fleet tick `tick`: summarize every
@@ -649,8 +583,6 @@ impl RootBalancer {
     /// records with zones in the donor/receiver slots.
     pub fn run_round<Z: ShardHandle>(&mut self, zones: &mut [Z], tick: u64) -> Vec<HandoffRecord> {
         let started = Instant::now();
-        self.rounds += 1;
-        self.metrics.rounds.inc();
         // Pre-round roll-up pass: traces each zone's constant-size view
         // and remembers group sizes so completed moves can report them.
         // The balance round's own summary calls hit the zones' memos.
@@ -658,11 +590,11 @@ impl RootBalancer {
         for (i, zone) in zones.iter_mut().enumerate() {
             let summary = zone.summary();
             let bytes = serde::to_bytes(&summary).len();
-            self.metrics.summary_bytes.add(bytes as u64);
+            self.summary_bytes.add(bytes as u64);
             for load in &summary.tenant_loads {
                 *group_sizes.entry(load.name.clone()).or_insert(0) += load.replicas;
             }
-            self.log.record(
+            self.plane.record(
                 tick,
                 DecisionEvent::ZoneSummarized {
                     zone: i,
@@ -673,38 +605,19 @@ impl RootBalancer {
                 },
             );
         }
-        let records = run_balance_round(
-            zones,
-            &self.cfg.balancer,
-            self.rounds,
-            tick,
-            &mut self.cooldown,
-            &mut self.parked,
-            &mut self.log,
-            &mut self.spans,
-        );
-        for record in &records {
-            match record.outcome {
-                HandoffOutcome::Completed => {
-                    let to = record.to.expect("completed moves carry a destination");
-                    self.metrics.groups_moved.inc();
-                    self.log.record(
-                        tick,
-                        DecisionEvent::GroupMoved {
-                            group: record.tenant.clone(),
-                            tenants: group_sizes.get(&record.tenant).copied().unwrap_or(0) as usize,
-                            from_zone: record.from,
-                            to_zone: to,
-                        },
-                    );
-                }
-                HandoffOutcome::NoReceiver => self.metrics.moves_rejected.inc(),
-                HandoffOutcome::Failed => self.metrics.moves_failed.inc(),
-            }
+        let records = self.plane.round(zones, tick);
+        for record in records.iter().filter(|r| r.completed()) {
+            self.plane.record(
+                tick,
+                DecisionEvent::GroupMoved {
+                    group: record.tenant.clone(),
+                    tenants: group_sizes.get(&record.tenant).copied().unwrap_or(0) as usize,
+                    from_zone: record.from,
+                    to_zone: record.to.expect("completed moves carry a destination"),
+                },
+            );
         }
-        self.moves.extend(records.iter().cloned());
-        self.metrics
-            .round_usecs
+        self.round_usecs
             .record(started.elapsed().as_micros() as u64);
         records
     }
@@ -714,6 +627,7 @@ impl RootBalancer {
 mod tests {
     use super::*;
     use crate::fleet::FleetConfig;
+    use crate::handoff::HandoffOutcome;
     use kairos_controller::{ControllerConfig, SyntheticSource};
     use kairos_types::Bytes;
     use kairos_workloads::RatePattern;

@@ -25,10 +25,13 @@
 //!   summaries (machine budgets, headroom ordering);
 //! * [`handoff`] — the two-phase (reserve → evict → admit) capacity-safe
 //!   transfer protocol and its audit records;
+//! * [`plane`] — the [`BalancePlane`]: what every balance host owns
+//!   around a round (round state, counters, trace, spans, watchdog),
+//!   plus the global [`FleetAudit`] built by restricting one fleet-wide
+//!   problem member-by-member
+//!   ([`kairos_solver::ConsolidationProblem::restrict`]);
 //! * [`fleet`] — the [`FleetController`] driving N
-//!   [`kairos_controller::ShardController`]s, plus the global
-//!   [`fleet::FleetAudit`] built by restricting one fleet-wide problem
-//!   shard-by-shard ([`kairos_solver::ConsolidationProblem::restrict`]);
+//!   [`kairos_controller::ShardController`]s in one process;
 //! * [`sketch`] — fixed-size, peak-preserving quantile sketches of
 //!   rolling windows: the O(1) representation summaries and handoff
 //!   frames carry, independent of window length;
@@ -46,6 +49,7 @@ pub mod balancer;
 pub mod fleet;
 pub mod handoff;
 pub mod hierarchy;
+pub mod plane;
 pub mod shardmap;
 pub mod sketch;
 pub mod snapshot;
@@ -55,15 +59,13 @@ pub use balancer::{
     BalancerConfig, BalancerSoftState, EvictedTenant, ParkedHandoff, ShardHandle,
     SYNC_STATE_VERSION,
 };
-pub use fleet::{
-    default_tick_threads, FleetAudit, FleetConfig, FleetController, FleetMetrics, FleetStats,
-    FleetTickReport,
-};
+pub use fleet::{default_tick_threads, FleetConfig, FleetController, FleetTickReport};
 pub use handoff::{HandoffOutcome, HandoffRecord};
 pub use hierarchy::{
     group_index, group_name, group_of, RootBalancer, RootConfig, TenantGroup, Zone, ZoneRollup,
     ZoneSourceBinder, GROUP_WIRE_VERSION,
 };
+pub use plane::{BalancePlane, FleetAudit, FleetMetrics, FleetStats};
 pub use shardmap::ShardMap;
 pub use sketch::{AggregateSketch, SeriesSketch, SketchConfig, SKETCH_WIRE_VERSION};
 pub use snapshot::{FleetSnapshot, FLEET_SNAPSHOT_VERSION};

@@ -45,6 +45,16 @@ impl ShardMap {
         self.of.insert(tenant.to_string(), shard);
     }
 
+    /// Apply a balance round's records: every completed handoff
+    /// re-routes its tenant to the destination. Rejected and failed
+    /// handoffs leave the routing at the source.
+    pub fn apply(&mut self, records: &[crate::HandoffRecord]) {
+        for record in records.iter().filter(|r| r.completed()) {
+            let to = record.to.expect("completed handoffs carry a destination");
+            self.assign(&record.tenant, to);
+        }
+    }
+
     pub fn shard_of(&self, tenant: &str) -> Option<usize> {
         self.of.get(tenant).copied()
     }

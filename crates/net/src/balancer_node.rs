@@ -2,17 +2,17 @@
 //! purely over RPC.
 //!
 //! A [`BalancerNode`] owns what the fleet layer owns in-process — the
-//! [`ShardMap`] routing truth, the balance policy state (cooldowns,
-//! stats, the handoff audit log) — and *nothing* of what shards own
-//! (telemetry, placements, solvers). Every observation and every
-//! mutation of shard state crosses the [`crate::Transport`] as an RPC,
-//! and the balance round itself is
-//! [`kairos_fleet::balancer::run_balance_round`] — the **same** policy
-//! code path the in-process `FleetController` runs, driven through
-//! [`RemoteShard`] handles instead of direct `ShardController` access.
-//! That single-code-path design is what the loopback equivalence
-//! property test pins down: a fleet run over RPC is tick-for-tick
-//! identical to the in-process fleet.
+//! [`ShardMap`] routing truth and the [`BalancePlane`] (cooldowns,
+//! stats, the handoff audit log, the trace) — and *nothing* of what
+//! shards own (telemetry, placements, solvers). Every observation and
+//! every mutation of shard state crosses the [`crate::Transport`] as an
+//! RPC, and the balance round itself is the plane's — the **same**
+//! policy code path the in-process `FleetController` runs, driven
+//! through [`MemberLink`] handles instead of direct `ShardController`
+//! access. What is this role's own is the links, the leases and the
+//! standbys. That single-code-path design is what the loopback
+//! equivalence property test pins down: a fleet run over RPC is
+//! tick-for-tick identical to the in-process fleet.
 //!
 //! ## Leases and failure detection
 //!
@@ -59,21 +59,18 @@
 //! the fallback reconciliation — it catches whatever a lagging sync
 //! missed (e.g. a tenant parked after the last acked frame).
 
-use crate::frame;
+use crate::link::MemberLink;
 use crate::rpc::{self, Request, Response};
-use crate::transport::{Conn, Handler, NetError, ServerHandle, Transport};
-use kairos_controller::{ControllerStats, FleetPlacement, ReSolver, TenantHandoff, TickOutcome};
+use crate::transport::{NetError, ServerHandle, Transport};
+use kairos_controller::{
+    add_anti_affinity_pair, ControllerStats, FleetPlacement, ReSolver, TenantHandoff, TickOutcome,
+};
 use kairos_core::ConsolidationEngine;
 use kairos_fleet::{
-    run_balance_round, BalanceGate, BalancerSoftState, EvictedTenant, FleetAudit, FleetConfig,
-    FleetMetrics, FleetStats, HandoffOutcome, HandoffRecord, ParkedHandoff, ShardHandle, ShardMap,
+    BalancePlane, BalancerSoftState, EvictedTenant, FleetAudit, FleetConfig, FleetMetrics,
+    HandoffRecord, ParkedHandoff, ShardMap,
 };
-use kairos_obs::{
-    DecisionEvent, DecisionLog, HealthMonitor, MetricsRegistry, ParkedAges, SpanLog, TracedEvent,
-};
-use kairos_solver::{evaluate, Assignment};
-use kairos_traces::AggregateSketch;
-use kairos_types::WorkloadProfile;
+use kairos_obs::{DecisionEvent, HealthMonitor, MetricsRegistry};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -94,107 +91,6 @@ impl Default for LeaseConfig {
     }
 }
 
-/// Consecutive transport-level I/O failures after which the in-call
-/// redial-and-retry below stops — the link falls back to the lazy
-/// once-per-tick redial, so a genuinely dead node costs one connect
-/// attempt per tick, not two, while it runs down its lease.
-const LINK_IO_RETRY_LIMIT: u32 = 3;
-
-/// One shard's connection state. The connection is dialed lazily and
-/// redialed after any transport failure (a broken TCP stream never
-/// poisons the link permanently — the next call reconnects, which is
-/// also what makes [`BalancerNode::set_endpoint`] take effect on the
-/// very next RPC).
-struct ShardLink {
-    endpoint: String,
-    transport: Arc<dyn Transport>,
-    conn: Option<Box<dyn Conn>>,
-    missed: u32,
-    /// Consecutive transport-level I/O failures (TCP resets, closed
-    /// streams) — gates the bounded in-call retry.
-    io_fails: u32,
-}
-
-impl ShardLink {
-    fn new(endpoint: &str, transport: Arc<dyn Transport>) -> ShardLink {
-        ShardLink {
-            endpoint: endpoint.to_string(),
-            transport,
-            conn: None,
-            missed: 0,
-            io_fails: 0,
-        }
-    }
-
-    /// A transient stream-level failure worth one immediate redial: an
-    /// I/O error that is not a timeout. A broken TCP stream (server
-    /// restarted, connection reset, a corrupted frame closed the
-    /// socket) fails instantly and a fresh dial usually succeeds — but
-    /// a *timed-out* call may have been applied remotely, and blindly
-    /// replaying it would double-apply non-idempotent requests like
-    /// `Tick`. Injected faults (`Unreachable`, `Dropped`) are never
-    /// I/O errors, so the chaos harness's loopback fault accounting is
-    /// untouched by the retry.
-    fn transient_io(e: &NetError) -> bool {
-        matches!(
-            e,
-            NetError::Io(err) if !matches!(
-                err.kind(),
-                std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock
-            )
-        )
-    }
-
-    /// One dial-if-needed RPC attempt, no lease accounting.
-    fn attempt(&mut self, request: &Request) -> Result<Response, NetError> {
-        if self.conn.is_none() {
-            self.conn = Some(self.transport.connect(&self.endpoint)?);
-        }
-        let conn = self.conn.as_deref_mut().expect("just dialed");
-        let result = rpc::call(conn, request);
-        match &result {
-            Ok(_) | Err(NetError::Remote(_)) => {}
-            Err(_) => self.conn = None,
-        }
-        result
-    }
-
-    /// One RPC with lease accounting: success (or a *remote* error — the
-    /// peer answered, so it is alive) renews the lease; transport
-    /// failures count a miss and drop the connection for a redial. A
-    /// transient stream-level I/O failure gets one immediate
-    /// redial-and-retry (bounded by [`LINK_IO_RETRY_LIMIT`] consecutive
-    /// failures), so a single broken TCP stream costs zero lease misses
-    /// instead of one per in-flight call.
-    fn call(&mut self, request: &Request) -> Result<Response, NetError> {
-        let mut result = self.attempt(request);
-        if let Err(e) = &result {
-            if Self::transient_io(e) && self.io_fails < LINK_IO_RETRY_LIMIT {
-                result = self.attempt(request);
-            }
-        }
-        match &result {
-            Ok(_) | Err(NetError::Remote(_)) => {
-                self.missed = 0;
-                self.io_fails = 0;
-            }
-            Err(e) => {
-                self.missed = self.missed.saturating_add(1);
-                if Self::transient_io(e) {
-                    self.io_fails = self.io_fails.saturating_add(1);
-                } else {
-                    self.io_fails = 0;
-                }
-            }
-        }
-        result
-    }
-
-    fn down(&self, miss_limit: u32) -> bool {
-        self.missed >= miss_limit
-    }
-}
-
 /// What one balancer tick did.
 #[derive(Debug)]
 pub struct NetTickReport {
@@ -207,47 +103,34 @@ pub struct NetTickReport {
     pub down: Vec<usize>,
 }
 
-/// The RPC balancer. See module docs.
+/// The RPC balancer: links, leases and standbys around the
+/// [`BalancePlane`] it derefs to. See module docs.
 pub struct BalancerNode {
     cfg: FleetConfig,
     lease: LeaseConfig,
     transport: Arc<dyn Transport>,
-    links: Vec<ShardLink>,
+    links: Vec<MemberLink>,
     map: ShardMap,
     /// Replica counts by tenant — needed to re-seed a tenant lost to a
     /// pre-checkpoint node death.
     replicas: BTreeMap<String, u32>,
-    anti_affinity: Vec<(String, String)>,
-    cooldown: BTreeMap<String, u64>,
-    handoff_log: Vec<HandoffRecord>,
-    /// Parking lot for handoffs stranded mid-handshake by transport
-    /// faults; every balance round resolves it probe-first (see
-    /// [`run_balance_round`]), so a tenant is never silently dropped
-    /// and never blindly duplicated. The lot is this process's memory,
-    /// but it no longer dies with the balancer: a promoted standby
-    /// rebuilds it probe-first from shard ground truth (the evict
-    /// outboxes — see [`BalancerNode::recover_stray_tenants`]), so a
-    /// *triple* fault (double-fault parking followed by a balancer
-    /// death) recovers the tenant at promotion instead of stranding it
-    /// until a manual rejoin.
-    parked: Vec<ParkedHandoff>,
-    /// Chaos-harness hook: skip/delay injections over the balance
-    /// cadence — same gate as the in-process fleet, so both interpret a
-    /// chaos schedule identically. Idle by default.
-    gate: BalanceGate,
-    metrics: FleetMetrics,
+    /// The round state and its observability. Its parked lot is this
+    /// process's memory, but it does not die with the balancer: it
+    /// replicates to standbys, and a promoted standby also rebuilds it
+    /// probe-first from shard ground truth (the evict outboxes — see
+    /// [`BalancerNode::recover_stray_tenants`]), so a *triple* fault
+    /// (double-fault parking followed by a balancer death) recovers the
+    /// tenant at promotion instead of stranding it until a manual
+    /// rejoin. Its trace additionally carries the network-plane events
+    /// only this role can see (lease misses, shard down, rejoin
+    /// reconciliation, standby promotion).
+    plane: BalancePlane,
     /// Transport-level lease misses observed by the tick loop (the
     /// `Metrics` exporters render it alongside the fleet counters).
     lease_misses: kairos_obs::Counter,
-    /// Fleet-level decision trace: balancer-round events via the shared
-    /// [`run_balance_round`] (recorded on this thread — byte-identical
-    /// to the in-process `FleetController`'s trace by construction)
-    /// plus the network-plane events only this role can see (lease
-    /// misses, shard down, rejoin reconciliation, standby promotion).
-    log: DecisionLog,
     /// Builds the audit's global problem with a real engine (shards are
     /// assumed homogeneous, the same contract as
-    /// `FleetController::audit`) and the fleet anti-affinity list.
+    /// `FleetController::audit`) and holds the fleet anti-affinity list.
     audit_resolver: ReSolver,
     /// Mirror of the fleet tick counter for the served lease endpoint.
     lease_ticks: Arc<AtomicU64>,
@@ -263,28 +146,17 @@ pub struct BalancerNode {
     /// reconciled via [`BalancerNode::rejoin`]) at the top of each
     /// tick: `(shard, endpoint, generation)`.
     announce_inbox: Arc<Mutex<Vec<(u64, String, u64)>>>,
-    /// Authentication rejects observed by the lease endpoint's server
-    /// thread, drained into the decision trace on the tick thread (the
-    /// trace itself is single-writer).
-    auth_reject_notes: Arc<Mutex<Vec<String>>>,
-    /// Balancer-side causal span log (`balance_round` roots plus
-    /// `handoff`/`parked_retry` children); shard-side spans live on the
-    /// shard nodes and chain in via each RPC frame's span section.
-    spans: SpanLog,
-    /// The health watchdog, when armed ([`BalancerNode::set_health`]).
-    /// Observed once per **balance round** over the balancer +
-    /// process-global registries; newly fired rules trace as
-    /// `HealthFlagged`.
-    health: Option<HealthMonitor>,
-    /// Last balance round the watchdog observed — round cadence matters
-    /// because trend rules (sync-lag growth) watch gauges that only
-    /// move once per round; observing between rounds would read
-    /// plateaus and never see strict growth.
+    /// Events observed by this balancer's server threads —
+    /// authentication rejects on the lease and sync endpoints, sync
+    /// frames a standby applied — drained into the decision trace on
+    /// the tick/watch thread (the trace is single-writer, so the order
+    /// is deterministic).
+    server_notes: Arc<Mutex<Vec<DecisionEvent>>>,
+    /// Last balance round the watchdog observed. This host observes
+    /// once per **balance round**, not per tick: trend rules (sync-lag
+    /// growth) watch gauges that only move once per round; observing
+    /// between rounds would read plateaus and never see strict growth.
     health_round: Option<u64>,
-    /// First-seen balance round per parked tenant — feeds the
-    /// `kairos_fleet_parked_oldest_rounds` gauge the watchdog's
-    /// aged-parked-handoff rule watches.
-    parked_ages: ParkedAges,
     /// Last health report, shared with the lease endpoint's server
     /// thread so `Health` is answerable without crossing the balancer's
     /// mutable state (same discipline as the announce inbox).
@@ -294,13 +166,41 @@ pub struct BalancerNode {
     lease_spans: Arc<Mutex<Vec<u8>>>,
 }
 
+impl std::ops::Deref for BalancerNode {
+    type Target = BalancePlane;
+
+    fn deref(&self) -> &BalancePlane {
+        &self.plane
+    }
+}
+
+impl std::ops::DerefMut for BalancerNode {
+    fn deref_mut(&mut self) -> &mut BalancePlane {
+        &mut self.plane
+    }
+}
+
+/// Every live shard has produced its first plan (down shards are
+/// excluded — they read as unplanned in the round and can be neither
+/// donor nor receiver, so balancing the rest stays safe).
+fn all_live_planned(links: &mut [MemberLink]) -> bool {
+    let mut any_live = false;
+    for link in links.iter_mut().filter(|link| !link.down()) {
+        any_live = true;
+        match link.call(&Request::PlannedOnce) {
+            Ok(Response::PlannedOnce(true)) => {}
+            _ => return false,
+        }
+    }
+    any_live
+}
+
 /// Maximum sync-retry backoff, in balance rounds.
 const MAX_SYNC_BACKOFF_ROUNDS: u64 = 8;
 
 /// One standby's sync-replication state (primary side).
 struct StandbyLink {
-    endpoint: String,
-    conn: Option<Box<dyn Conn>>,
+    link: MemberLink,
     /// Highest round the standby has acked (`Synced { round }`).
     acked_round: u64,
     /// Consecutive failed syncs — drives the bounded deterministic
@@ -315,8 +215,9 @@ impl BalancerNode {
     /// Connect to one shard-node endpoint per configured shard. The
     /// audit judges placements with a default engine; use
     /// [`BalancerNode::set_audit_engine`] for custom machine classes.
-    /// (`cfg.tick_threads` is ignored: RPC dispatch is strictly serial —
-    /// that is what makes delivery order deterministic.)
+    /// (`cfg.tick_threads` only fans out the audit's local evaluations:
+    /// RPC dispatch is strictly serial — that is what makes delivery
+    /// order deterministic.)
     pub fn connect(
         cfg: FleetConfig,
         lease: LeaseConfig,
@@ -325,42 +226,43 @@ impl BalancerNode {
     ) -> Result<BalancerNode, NetError> {
         assert_eq!(endpoints.len(), cfg.shards, "one endpoint per shard");
         assert!(cfg.shards >= 1, "need at least one shard");
-        let mut links = Vec::with_capacity(endpoints.len());
-        for endpoint in endpoints {
-            let mut link = ShardLink::new(endpoint, transport.clone());
-            link.conn = Some(transport.connect(endpoint)?);
-            links.push(link);
-        }
         let metrics = FleetMetrics::new(MetricsRegistry::new());
         let lease_misses = metrics.registry().counter("kairos_net_lease_misses_total");
-        Ok(BalancerNode {
+        let mut node = BalancerNode {
             map: ShardMap::new(cfg.shards),
             cfg,
             lease,
             transport,
-            links,
+            links: Vec::new(),
             replicas: BTreeMap::new(),
-            anti_affinity: Vec::new(),
-            cooldown: BTreeMap::new(),
-            handoff_log: Vec::new(),
-            parked: Vec::new(),
-            gate: BalanceGate::default(),
-            metrics,
+            plane: BalancePlane::new(cfg.balancer, metrics, kairos_obs::span::NODE_BALANCER),
             lease_misses,
-            log: DecisionLog::new(),
             audit_resolver: ReSolver::new(ConsolidationEngine::builder().build()),
             lease_ticks: Arc::new(AtomicU64::new(0)),
             standbys: Vec::new(),
             sync_lag: None,
             announce_inbox: Arc::new(Mutex::new(Vec::new())),
-            auth_reject_notes: Arc::new(Mutex::new(Vec::new())),
-            spans: SpanLog::new(kairos_obs::span::NODE_BALANCER),
-            health: None,
+            server_notes: Arc::new(Mutex::new(Vec::new())),
             health_round: None,
-            parked_ages: ParkedAges::new(),
             lease_health: Arc::new(Mutex::new(kairos_obs::HealthReport::default())),
             lease_spans: Arc::new(Mutex::new(Vec::new())),
-        })
+        };
+        for endpoint in endpoints {
+            let mut link = node.link_to(endpoint);
+            link.conn = Some(node.transport.connect(endpoint)?);
+            node.links.push(link);
+        }
+        Ok(node)
+    }
+
+    /// A not-yet-dialed link to `endpoint` under this balancer's lease.
+    fn link_to(&self, endpoint: &str) -> MemberLink {
+        MemberLink::new(
+            endpoint,
+            Some(self.transport.clone()),
+            self.lease.miss_limit,
+            self.cfg.shard.telemetry.interval_secs,
+        )
     }
 
     /// Swap the engine the fleet audit builds its global problem with.
@@ -374,36 +276,23 @@ impl BalancerNode {
         &self.cfg
     }
 
-    pub fn stats(&self) -> FleetStats {
-        self.metrics.stats()
-    }
-
-    /// The balancer's metrics registry (fleet counters, tick-latency
-    /// histograms split poll vs. solve, lease misses, parked-lot depth).
-    pub fn metrics_registry(&self) -> &MetricsRegistry {
-        self.metrics.registry()
-    }
-
     /// This balancer's registries — fleet-level plus the process-global
     /// transport instruments — as one flat JSON object. Shard-side
     /// metrics are a `Metrics` RPC away ([`BalancerNode::shard_metrics`]).
     pub fn metrics_json(&self) -> String {
-        kairos_obs::render_json_all(&[self.metrics.registry(), kairos_obs::global()])
+        kairos_obs::render_json_all(&[self.plane.metrics_registry(), kairos_obs::global()])
     }
 
     /// [`BalancerNode::metrics_json`] in Prometheus text format.
     pub fn metrics_prometheus(&self) -> String {
-        kairos_obs::render_prometheus_all(&[self.metrics.registry(), kairos_obs::global()])
+        kairos_obs::render_prometheus_all(&[self.plane.metrics_registry(), kairos_obs::global()])
     }
 
     /// One shard node's rendered metrics `(json, prometheus)` over RPC;
     /// `None` for down shards.
     pub fn shard_metrics(&mut self, shard: usize) -> Option<(String, String)> {
-        if self.links[shard].down(self.lease.miss_limit) {
-            return None;
-        }
-        match self.links[shard].call(&Request::Metrics) {
-            Ok(Response::Metrics { json, prometheus }) => Some((json, prometheus)),
+        match self.links[shard].ask(&Request::Metrics)? {
+            Response::Metrics { json, prometheus } => Some((json, prometheus)),
             _ => None,
         }
     }
@@ -413,174 +302,38 @@ impl BalancerNode {
     /// `ShardController::trace_bytes` — the trace crosses the wire as
     /// the canonical codec encoding, untranslated.
     pub fn shard_trace(&mut self, shard: usize) -> Option<Vec<u8>> {
-        if self.links[shard].down(self.lease.miss_limit) {
-            return None;
-        }
-        match self.links[shard].call(&Request::Trace) {
-            Ok(Response::Trace(bytes)) => Some(bytes),
+        match self.links[shard].ask(&Request::Trace)? {
+            Response::Trace(bytes) => Some(bytes),
             _ => None,
         }
     }
 
-    /// The fleet-level decision trace (balancer rounds + network-plane
-    /// events).
-    pub fn decision_log(&self) -> &DecisionLog {
-        &self.log
-    }
-
-    /// The fleet trace's events, oldest first.
-    pub fn trace_events(&self) -> Vec<TracedEvent> {
-        self.log.to_vec()
-    }
-
-    /// The canonical fleet trace bytes (workspace codec).
-    pub fn trace_bytes(&self) -> Vec<u8> {
-        self.log.trace_bytes()
-    }
-
-    /// Chaos-harness injection: drop the next `n` due balance rounds.
-    pub fn skip_balance_rounds(&mut self, n: u64) {
-        self.gate.skip_rounds(n);
-    }
-
-    /// Chaos-harness injection: run each of the next `n` due balance
-    /// rounds one tick late.
-    pub fn delay_balance_rounds(&mut self, n: u64) {
-        self.gate.delay_rounds(n);
-    }
-
-    /// The parked-handoff lot as `(tenant, donor, receiver)` triples —
-    /// chaos-invariant introspection (an unowned-but-routed tenant must
-    /// appear here, and the lot must drain once faults heal).
-    pub fn parked_handoffs(&self) -> Vec<(String, usize, usize)> {
-        self.parked
-            .iter()
-            .map(|p| (p.tenant.name.clone(), p.donor, p.receiver))
-            .collect()
-    }
-
-    /// Enable or disable this balancer's decision tracing (shard-side
-    /// logs are owned by the shard nodes).
-    pub fn set_tracing(&mut self, enabled: bool) {
-        self.log.set_enabled(enabled);
-    }
-
-    /// Enable or disable this balancer's causal span tracing. Shard-side
-    /// span logs are owned by the shard nodes (enable them there with
-    /// `ShardController::configure_spans`); the context chains over RPC
-    /// through each frame's span section either way.
-    pub fn set_span_tracing(&mut self, enabled: bool) {
-        self.spans.set_enabled(enabled);
-    }
-
-    /// The balancer-side span log.
-    pub fn span_log(&self) -> &SpanLog {
-        &self.spans
-    }
-
-    /// The balancer-side canonical span bytes (workspace codec).
-    pub fn span_bytes(&self) -> Vec<u8> {
-        self.spans.span_bytes()
-    }
-
     /// One shard node's span-log bytes over RPC; `None` for down shards.
+    /// (Shard-side span logs are owned by the shard nodes — enable them
+    /// there with `ShardController::configure_spans`; the context chains
+    /// over RPC through each frame's span section either way.)
     pub fn shard_spans(&mut self, shard: usize) -> Option<Vec<u8>> {
-        if self.links[shard].down(self.lease.miss_limit) {
-            return None;
-        }
-        match self.links[shard].call(&Request::Spans) {
-            Ok(Response::Spans(bytes)) => Some(bytes),
+        match self.links[shard].ask(&Request::Spans)? {
+            Response::Spans(bytes) => Some(bytes),
             _ => None,
         }
     }
 
     /// Arm (or disarm, with `None`) the health watchdog. Observed once
-    /// per balance round; newly fired rules land in the decision trace
-    /// as `HealthFlagged` events, so an armed watchdog's trace is only
-    /// byte-identical across runs if the runs are healthy in the same
-    /// rounds — chaos fingerprint runs keep it disarmed.
+    /// per balance round, over the balancer + process-global registries.
     pub fn set_health(&mut self, monitor: Option<HealthMonitor>) {
-        self.health = monitor;
+        self.plane.set_health(monitor);
         self.health_round = None;
-    }
-
-    /// The watchdog's current report, if one is armed.
-    pub fn health_report(&self) -> Option<kairos_obs::HealthReport> {
-        self.health.as_ref().map(|m| m.report().clone())
-    }
-
-    /// One watchdog observation, when armed (see
-    /// [`FleetController::set_health`]'s in-process counterpart): refresh
-    /// the parked-age gauge, evaluate every rule over the balancer +
-    /// process-global registries, trace what newly fired.
-    fn observe_health(&mut self) {
-        if self.health.is_none() {
-            return;
-        }
-        // Round cadence: the gauges the trend rules watch (sync lag,
-        // parked ages) only move when a balance round runs, so
-        // per-tick observations between rounds would read plateaus.
-        let round = self.metrics.balance_rounds.get();
-        if self.health_round == Some(round) {
-            return;
-        }
-        self.health_round = Some(round);
-        let Some(mut monitor) = self.health.take() else {
-            return;
-        };
-        let parked_tenants: Vec<String> =
-            self.parked.iter().map(|p| p.tenant.name.clone()).collect();
-        let oldest = self
-            .parked_ages
-            .update(round, parked_tenants.iter().map(|s| s.as_str()));
-        self.metrics
-            .registry()
-            .gauge("kairos_fleet_parked_oldest_rounds")
-            .set(oldest as f64);
-        let tick = self.metrics.ticks.get();
-        let registries = [self.metrics.registry(), kairos_obs::global()];
-        for finding in monitor.observe(tick, &registries) {
-            self.log.record(
-                tick,
-                DecisionEvent::HealthFlagged {
-                    rule: finding.rule.clone(),
-                    metric: finding.metric.clone(),
-                    severity: finding.severity.name().to_string(),
-                },
-            );
-        }
-        *self.lease_health.lock().expect("lease health lock") = monitor.report().clone();
-        self.health = Some(monitor);
-    }
-
-    /// Capture this balancer's current soft state — exactly what a
-    /// `SyncState` push replicates. Diagnostics and tests (the
-    /// failover regression compares a promoted standby's resumed state
-    /// byte-for-byte against the dead primary's last capture).
-    pub fn soft_state(&self) -> BalancerSoftState {
-        BalancerSoftState::capture(
-            self.metrics.balance_rounds.get(),
-            self.metrics.ticks.get(),
-            &self.cooldown,
-            &self.parked,
-            &self.handoff_log,
-            self.gate,
-        )
     }
 
     pub fn map(&self) -> &ShardMap {
         &self.map
     }
 
-    /// All handoffs ever proposed (completed, rejected and failed).
-    pub fn handoffs(&self) -> &[HandoffRecord] {
-        &self.handoff_log
-    }
-
     /// Shards currently past their lease.
     pub fn down_shards(&self) -> Vec<usize> {
         (0..self.links.len())
-            .filter(|&i| self.links[i].down(self.lease.miss_limit))
+            .filter(|&i| self.links[i].down())
             .collect()
     }
 
@@ -615,7 +368,7 @@ impl BalancerNode {
     /// reconnect — dials it). This is how standbys learn about a node
     /// respawned on a new port before they ever take over.
     pub fn set_endpoint(&mut self, shard: usize, endpoint: &str) {
-        self.links[shard] = ShardLink::new(endpoint, self.transport.clone());
+        self.links[shard] = self.link_to(endpoint);
     }
 
     /// Operator override: re-assert that `tenant` lives on `shard` in
@@ -640,10 +393,7 @@ impl BalancerNode {
         })?;
         self.map.remove(tenant);
         self.replicas.remove(tenant);
-        self.cooldown.remove(tenant);
-        // A retired tenant must not be resurrected by the parked-handoff
-        // recovery path later.
-        self.parked.retain(|p| p.tenant.name != tenant);
+        self.plane.forget(tenant);
         Ok(())
     }
 
@@ -652,16 +402,7 @@ impl BalancerNode {
     /// layer — node-side registration skips known pairs — so a
     /// partially-failed call is safely retried whole.
     pub fn add_anti_affinity(&mut self, a: &str, b: &str) -> Result<(), NetError> {
-        let known = self
-            .anti_affinity
-            .iter()
-            .any(|(x, y)| (x == a && y == b) || (x == b && y == a));
-        if !known {
-            self.anti_affinity.push((a.to_string(), b.to_string()));
-            self.audit_resolver
-                .anti_affinity
-                .push((a.to_string(), b.to_string()));
-        }
+        add_anti_affinity_pair(&mut self.audit_resolver.anti_affinity, a, b);
         for link in &mut self.links {
             link.call(&Request::AddAntiAffinity {
                 a: a.to_string(),
@@ -672,19 +413,18 @@ impl BalancerNode {
     }
 
     /// One monitoring interval: tick every live shard over RPC, then, on
-    /// the balance cadence, one balance round — the shared
-    /// [`run_balance_round`] policy over [`RemoteShard`] handles.
+    /// the balance cadence, one balance round — the plane's shared policy
+    /// over the [`MemberLink`] handles.
     pub fn tick(&mut self) -> NetTickReport {
         let started = Instant::now();
-        self.metrics.ticks.inc();
-        let tick = self.metrics.ticks.get();
+        let tick = self.plane.begin_tick();
         self.lease_ticks.store(tick, Ordering::SeqCst);
         self.drain_announces(tick);
         let miss_limit = self.lease.miss_limit;
         let mut outcomes: Vec<Option<TickOutcome>> = Vec::new();
         outcomes.resize_with(self.links.len(), || None);
         for (shard, outcome_slot) in outcomes.iter_mut().enumerate() {
-            if self.links[shard].down(miss_limit) {
+            if self.links[shard].down() {
                 continue;
             }
             match self.links[shard].call(&Request::Tick) {
@@ -695,7 +435,7 @@ impl BalancerNode {
                 // moment the miss counter crosses the lease limit).
                 Err(_) => {
                     self.lease_misses.inc();
-                    self.log.record(
+                    self.plane.record(
                         tick,
                         DecisionEvent::LeaseMiss {
                             shard,
@@ -704,34 +444,19 @@ impl BalancerNode {
                         },
                     );
                     if self.links[shard].missed == miss_limit {
-                        self.log.record(tick, DecisionEvent::ShardDown { shard });
+                        self.plane.record(tick, DecisionEvent::ShardDown { shard });
                     }
                 }
             }
         }
-        let on_cadence = tick.is_multiple_of(self.cfg.balancer.balance_every.max(1));
-        let due = on_cadence && self.all_live_planned();
-        let handoffs = if self.gate.admit(due) {
-            self.balance_round()
+        let links = &mut self.links;
+        let handoffs = if self.plane.due(tick, || all_live_planned(links)) {
+            self.balance_round(tick)
         } else {
             Vec::new()
         };
-        // Same latency classification as the in-process fleet: quiet
-        // polling ticks vs. ticks that solved or moved tenants.
-        let solved = !handoffs.is_empty()
-            || outcomes.iter().flatten().any(|o| {
-                matches!(
-                    o,
-                    TickOutcome::InitialPlan { .. } | TickOutcome::Replanned(_)
-                )
-            });
-        let usecs = started.elapsed().as_micros() as u64;
-        if solved {
-            self.metrics.solve_tick_usecs.record(usecs);
-        } else {
-            self.metrics.poll_tick_usecs.record(usecs);
-        }
-        self.metrics.parked_depth.set(self.parked.len() as f64);
+        self.plane
+            .finish_tick(started, outcomes.iter().flatten(), &handoffs);
         self.observe_health();
         NetTickReport {
             outcomes,
@@ -740,62 +465,24 @@ impl BalancerNode {
         }
     }
 
-    /// Every live shard has produced its first plan (down shards are
-    /// excluded — they read as unplanned in the round and can be neither
-    /// donor nor receiver, so balancing the rest stays safe).
-    fn all_live_planned(&mut self) -> bool {
-        let miss_limit = self.lease.miss_limit;
-        let mut any_live = false;
-        for link in &mut self.links {
-            if link.down(miss_limit) {
-                continue;
-            }
-            any_live = true;
-            match link.call(&Request::PlannedOnce) {
-                Ok(Response::PlannedOnce(true)) => {}
-                _ => return false,
-            }
+    /// One watchdog observation per balance round, when armed (see
+    /// `health_round`); the report is mirrored for the lease endpoint.
+    fn observe_health(&mut self) {
+        let round = self.plane.stats().balance_rounds;
+        if self.health_round == Some(round) {
+            return;
         }
-        any_live
+        if let Some(report) = self.plane.observe_health([kairos_obs::global()]) {
+            *self.lease_health.lock().expect("lease health lock") = report.clone();
+            self.health_round = Some(round);
+        }
     }
 
-    fn balance_round(&mut self) -> Vec<HandoffRecord> {
-        self.metrics.balance_rounds.inc();
-        let miss_limit = self.lease.miss_limit;
-        let interval_secs = self.cfg.shard.telemetry.interval_secs;
-        let mut handles: Vec<RemoteShard> = self
-            .links
-            .iter_mut()
-            .map(|link| RemoteShard {
-                link,
-                miss_limit,
-                interval_secs,
-            })
-            .collect();
-        let records = run_balance_round(
-            &mut handles,
-            &self.cfg.balancer,
-            self.metrics.balance_rounds.get(),
-            self.metrics.ticks.get(),
-            &mut self.cooldown,
-            &mut self.parked,
-            &mut self.log,
-            &mut self.spans,
-        );
-        for record in &records {
-            match record.outcome {
-                HandoffOutcome::Completed => {
-                    let to = record.to.expect("completed handoffs carry a destination");
-                    self.map.assign(&record.tenant, to);
-                    self.metrics.handoffs_completed.inc();
-                }
-                HandoffOutcome::NoReceiver => self.metrics.handoffs_rejected.inc(),
-                HandoffOutcome::Failed => self.metrics.handoffs_failed.inc(),
-            }
-        }
-        self.handoff_log.extend(records.iter().cloned());
-        if self.spans.is_enabled() {
-            *self.lease_spans.lock().expect("lease spans lock") = self.spans.span_bytes();
+    fn balance_round(&mut self, tick: u64) -> Vec<HandoffRecord> {
+        let records = self.plane.round(&mut self.links, tick);
+        self.map.apply(&records);
+        if self.plane.span_log().is_enabled() {
+            *self.lease_spans.lock().expect("lease spans lock") = self.plane.span_bytes();
         }
         self.sync_to_standbys();
         records
@@ -809,14 +496,13 @@ impl BalancerNode {
     pub fn add_standby_sync(&mut self, endpoint: &str) {
         if self.sync_lag.is_none() {
             self.sync_lag = Some(
-                self.metrics
-                    .registry()
+                self.plane
+                    .metrics_registry()
                     .gauge("kairos_fleet_sync_lag_rounds"),
             );
         }
         self.standbys.push(StandbyLink {
-            endpoint: endpoint.to_string(),
-            conn: None,
+            link: self.link_to(endpoint),
             acked_round: 0,
             fails: 0,
             retry_at_round: 0,
@@ -833,42 +519,22 @@ impl BalancerNode {
         if self.standbys.is_empty() {
             return;
         }
-        let round = self.metrics.balance_rounds.get();
-        let state = BalancerSoftState::capture(
-            round,
-            self.metrics.ticks.get(),
-            &self.cooldown,
-            &self.parked,
-            &self.handoff_log,
-            self.gate,
-        );
-        let frame = state.to_frame();
+        let round = self.plane.stats().balance_rounds;
+        let frame = self.plane.soft_state().to_frame();
         for standby in &mut self.standbys {
             if round < standby.retry_at_round {
                 continue;
             }
-            if standby.conn.is_none() {
-                standby.conn = self.transport.connect(&standby.endpoint).ok();
-            }
-            let acked = standby.conn.as_deref_mut().and_then(|conn| {
-                match rpc::call(
-                    conn,
-                    &Request::SyncState {
-                        frame: frame.clone(),
-                    },
-                ) {
-                    Ok(Response::Synced { round }) => Some(round),
-                    _ => None,
-                }
+            let synced = standby.link.call(&Request::SyncState {
+                frame: frame.clone(),
             });
-            match acked {
-                Some(acked_round) => {
+            match synced {
+                Ok(Response::Synced { round: acked_round }) => {
                     standby.acked_round = standby.acked_round.max(acked_round);
                     standby.fails = 0;
                     standby.retry_at_round = 0;
                 }
-                None => {
-                    standby.conn = None;
+                _ => {
                     standby.fails = standby.fails.saturating_add(1);
                     let backoff = 1u64
                         .checked_shl(standby.fails)
@@ -896,14 +562,7 @@ impl BalancerNode {
     /// re-queued for the next tick — and the node keeps re-announcing
     /// on its own backoff, so neither side forgets.
     fn drain_announces(&mut self, tick: u64) {
-        let rejects: Vec<String> = {
-            let mut notes = self.auth_reject_notes.lock().expect("auth note lock");
-            std::mem::take(&mut *notes)
-        };
-        for endpoint in rejects {
-            self.log
-                .record(tick, DecisionEvent::AuthRejected { endpoint });
-        }
+        self.drain_server_notes();
         let pending: Vec<(u64, String, u64)> = {
             let mut inbox = self.announce_inbox.lock().expect("announce inbox lock");
             std::mem::take(&mut *inbox)
@@ -925,12 +584,11 @@ impl BalancerNode {
             }
             // A retry of an already-reconciled announce: the link
             // already points there and is healthy. Ignore.
-            if self.links[idx].endpoint == endpoint && !self.links[idx].down(self.lease.miss_limit)
-            {
+            if self.links[idx].endpoint == endpoint && !self.links[idx].down() {
                 continue;
             }
             match self.rejoin(idx, &endpoint) {
-                Ok(()) => self.log.record(
+                Ok(()) => self.plane.record(
                     tick,
                     DecisionEvent::NodeAnnounced {
                         shard: idx,
@@ -947,17 +605,26 @@ impl BalancerNode {
         }
     }
 
+    /// Move what the server threads noted into the decision trace, on
+    /// this thread, stamped with the current tick.
+    fn drain_server_notes(&mut self) {
+        let notes = std::mem::take(&mut *self.server_notes.lock().expect("server note lock"));
+        let tick = self.plane.stats().ticks;
+        for event in notes {
+            self.plane.record(tick, event);
+        }
+    }
+
     /// Command every live shard to checkpoint itself at
     /// `<dir>/shard-<i>.ksnp` (node-local paths — in the multi-process
     /// example all nodes share a filesystem; a real deployment would
     /// point each node at its own durable volume). Returns per-shard
     /// results; down shards are skipped with an error entry.
     pub fn checkpoint_shards(&mut self, dir: &str) -> Vec<Result<String, NetError>> {
-        let miss_limit = self.lease.miss_limit;
         let mut results = Vec::with_capacity(self.links.len());
         for (shard, link) in self.links.iter_mut().enumerate() {
             let path = format!("{dir}/shard-{shard}.ksnp");
-            if link.down(miss_limit) {
+            if link.down() {
                 results.push(Err(NetError::Unreachable(link.endpoint.clone())));
                 continue;
             }
@@ -1020,7 +687,7 @@ impl BalancerNode {
         // Constraints can postdate the checkpoint too: re-assert the
         // fleet anti-affinity list (idempotent node-side, so pairs the
         // checkpoint already carried are not duplicated).
-        for (a, b) in &self.anti_affinity {
+        for (a, b) in &self.audit_resolver.anti_affinity {
             rpc::call(
                 conn.as_mut(),
                 &Request::AddAntiAffinity {
@@ -1029,11 +696,11 @@ impl BalancerNode {
                 },
             )?;
         }
-        let mut link = ShardLink::new(endpoint, self.transport.clone());
+        let mut link = self.link_to(endpoint);
         link.conn = Some(conn);
         self.links[shard] = link;
-        self.log.record(
-            self.metrics.ticks.get(),
+        self.plane.record(
+            self.plane.stats().ticks,
             DecisionEvent::ShardRejoined {
                 shard,
                 retired,
@@ -1043,160 +710,76 @@ impl BalancerNode {
         Ok(())
     }
 
-    /// Global audit over RPC: pull every shard's forecasts and
-    /// placement, build one global problem (from the audit resolver's
-    /// engine and the fleet anti-affinity list), restrict it
-    /// shard-by-shard and evaluate each shard's placement against its
-    /// restriction — the same construction as `FleetController::audit`,
-    /// bit-identical when the engines match. Down shards audit as
-    /// `None`.
+    /// Global audit over RPC ([`BalancePlane::audit`]): pull every
+    /// shard's forecasts, placement and planned flag, and build the
+    /// global problem from the audit resolver's engine and the fleet
+    /// anti-affinity list — bit-identical to `FleetController::audit`
+    /// when the engines match. Down shards audit as `None`. The RPCs are
+    /// strictly serial; only the local evaluations fan out across
+    /// `cfg.tick_threads`.
     pub fn audit(&mut self) -> FleetAudit {
-        let miss_limit = self.lease.miss_limit;
-        let shards = self.links.len();
-        let mut profiles: Vec<WorkloadProfile> = Vec::new();
-        let mut shard_indices: Vec<Vec<usize>> = Vec::with_capacity(shards);
-        let mut placements: Vec<Option<FleetPlacement>> = Vec::with_capacity(shards);
-        let mut planned: Vec<bool> = Vec::with_capacity(shards);
-        for link in &mut self.links {
-            if link.down(miss_limit) {
-                shard_indices.push(Vec::new());
-                placements.push(None);
-                planned.push(false);
-                continue;
-            }
-            let fleet = match link.call(&Request::ForecastFleet) {
-                Ok(Response::Profiles(p)) => p,
-                _ => Vec::new(),
-            };
-            let start = profiles.len();
-            shard_indices.push((start..start + fleet.len()).collect());
-            profiles.extend(fleet);
-            placements.push(match link.call(&Request::Placement) {
-                Ok(Response::Placement(p)) => Some(p),
-                _ => None,
-            });
-            planned.push(matches!(
-                link.call(&Request::PlannedOnce),
-                Ok(Response::PlannedOnce(true))
-            ));
-        }
-        let machines_used: Vec<usize> = placements
-            .iter()
-            .map(|p| p.as_ref().map_or(0, |p| p.machines_used()))
+        let mut pulled: Vec<(Vec<_>, Option<FleetPlacement>, bool)> = self
+            .links
+            .iter_mut()
+            .map(|link| {
+                let forecasts = match link.ask(&Request::ForecastFleet) {
+                    Some(Response::Profiles(p)) => p,
+                    _ => Vec::new(),
+                };
+                let placement = match link.ask(&Request::Placement) {
+                    Some(Response::Placement(p)) => Some(p),
+                    _ => None,
+                };
+                let planned = matches!(
+                    link.ask(&Request::PlannedOnce),
+                    Some(Response::PlannedOnce(true))
+                );
+                (forecasts, placement, planned)
+            })
             .collect();
-        let empty_audit = |machines_used: Vec<usize>| FleetAudit {
-            per_shard: vec![None; shards],
-            machines_used,
-        };
-        if profiles.is_empty() {
-            return empty_audit(machines_used);
-        }
-        let Ok(global) = self.audit_resolver.problem(&profiles) else {
-            return empty_audit(machines_used);
-        };
-        let mut per_shard = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            let keep = &shard_indices[shard];
-            let (true, false, Some(placement)) =
-                (planned[shard], keep.is_empty(), placements[shard].as_ref())
-            else {
-                per_shard.push(None);
-                continue;
-            };
-            let sub = global.restrict(keep);
-            let slots = sub.slots();
-            let mut machine_of = Vec::with_capacity(slots.len());
-            let mut complete = true;
-            for slot in &slots {
-                let name = &sub.workloads[slot.workload].name;
-                match placement.machine_of(name, slot.replica) {
-                    Some(m) => machine_of.push(m),
-                    None => {
-                        complete = false;
-                        break;
-                    }
-                }
-            }
-            per_shard.push(if complete {
-                Some(evaluate(&sub, &Assignment::new(machine_of)))
-            } else {
-                None
-            });
-        }
-        FleetAudit {
-            per_shard,
-            machines_used,
-        }
+        let members = pulled
+            .iter_mut()
+            .map(|(forecasts, placement, planned)| {
+                (std::mem::take(forecasts), placement.as_ref(), *planned)
+            })
+            .collect();
+        BalancePlane::audit(
+            members,
+            |profiles| self.audit_resolver.problem(profiles),
+            self.cfg.tick_threads,
+        )
     }
 
-    /// Explain an audit in terms of the decision traces: same
-    /// construction as `FleetController::explain_audit`, with each
-    /// flagged shard's trace pulled over the `Trace` RPC and merged with
-    /// this balancer's own fleet-level log.
+    /// Explain an audit in terms of the decision traces
+    /// ([`BalancePlane::explain_audit`]), each flagged shard's trace
+    /// pulled over the `Trace` RPC.
     pub fn explain_audit(&mut self, audit: &FleetAudit) -> String {
-        let budget = self.cfg.balancer.machines_per_shard;
-        let fleet_events = self.log.to_vec();
-        let mut out = String::new();
-        for shard in 0..audit.per_shard.len() {
-            let verdict = match &audit.per_shard[shard] {
-                None => "not evaluated (bootstrapping, mid-handoff or down)".to_string(),
-                Some(e) if !e.feasible || e.violation > 0.0 => {
-                    format!("infeasible (violation {:.3})", e.violation)
-                }
-                Some(_) if audit.machines_used[shard] > budget => format!(
-                    "over budget ({} machines > {budget})",
-                    audit.machines_used[shard]
-                ),
-                Some(_) => continue,
-            };
-            let shard_events: Vec<TracedEvent> = self
-                .shard_trace(shard)
-                .and_then(|bytes| serde::from_bytes(&bytes).ok())
-                .unwrap_or_default();
-            out.push_str(&format!("shard {shard}: {verdict}\n"));
-            out.push_str(&kairos_obs::render_why_chain(
-                shard,
-                &shard_events,
-                &fleet_events,
-            ));
-        }
-        if out.is_empty() {
-            "audit clean: every planned shard feasible and within budget\n".to_string()
-        } else {
-            out
-        }
+        let links = &mut self.links;
+        self.plane
+            .explain_audit(audit, |shard| match links[shard].ask(&Request::Trace) {
+                Some(Response::Trace(bytes)) => serde::from_bytes(&bytes).unwrap_or_default(),
+                _ => Vec::new(),
+            })
     }
 
     /// Per-shard loop counters over RPC (`None` for down shards).
     pub fn shard_stats(&mut self) -> Vec<Option<ControllerStats>> {
-        let miss_limit = self.lease.miss_limit;
         self.links
             .iter_mut()
-            .map(|link| {
-                if link.down(miss_limit) {
-                    return None;
-                }
-                match link.call(&Request::Stats) {
-                    Ok(Response::Stats(s)) => Some(s),
-                    _ => None,
-                }
+            .map(|link| match link.ask(&Request::Stats)? {
+                Response::Stats(s) => Some(s),
+                _ => None,
             })
             .collect()
     }
 
     /// Tenant names per shard over RPC (`None` for down shards).
     pub fn shard_workloads(&mut self) -> Vec<Option<Vec<String>>> {
-        let miss_limit = self.lease.miss_limit;
         self.links
             .iter_mut()
-            .map(|link| {
-                if link.down(miss_limit) {
-                    return None;
-                }
-                match link.call(&Request::Workloads) {
-                    Ok(Response::Workloads(w)) => Some(w),
-                    _ => None,
-                }
+            .map(|link| match link.ask(&Request::Workloads)? {
+                Response::Workloads(w) => Some(w),
+                _ => None,
             })
             .collect()
     }
@@ -1224,58 +807,59 @@ impl BalancerNode {
     ) -> Result<ServerHandle, NetError> {
         let ticks = self.lease_ticks.clone();
         let inbox = self.announce_inbox.clone();
-        let reject_notes = self.auth_reject_notes.clone();
-        let registry = self.metrics.registry().clone();
+        let registry = self.plane.metrics_registry().clone();
         let health = self.lease_health.clone();
         let spans = self.lease_spans.clone();
-        let served = endpoint.to_string();
-        let handler: Handler = Arc::new(Mutex::new(move |request_frame: &[u8]| {
-            let key = crate::auth::process_key();
-            let response = match crate::auth::verify(request_frame, key) {
-                Ok(base) => match frame::decode_frame::<Request>(base) {
-                    Ok(Request::Ping) => Response::Pong {
-                        ticks: ticks.load(Ordering::SeqCst),
-                    },
-                    Ok(Request::Announce {
-                        shard,
-                        endpoint,
-                        generation,
-                    }) => {
-                        inbox
-                            .lock()
-                            .expect("announce inbox lock")
-                            .push((shard, endpoint, generation));
-                        Response::Done
-                    }
-                    Ok(Request::Metrics) => Response::Metrics {
-                        json: kairos_obs::render_json_all(&[&registry, kairos_obs::global()]),
-                        prometheus: kairos_obs::render_prometheus_all(&[
-                            &registry,
-                            kairos_obs::global(),
-                        ]),
-                    },
-                    Ok(Request::Health) => Response::Health(
-                        health.lock().expect("lease health lock").clone(),
-                    ),
-                    Ok(Request::Spans) => Response::Spans(
-                        spans.lock().expect("lease spans lock").clone(),
-                    ),
-                    Ok(other) => Response::Error(format!(
-                        "balancer lease endpoint answers Ping/Announce/Metrics/Health/Spans, got {other:?}"
-                    )),
-                    Err(e) => Response::Error(format!("bad request frame: {e}")),
+        rpc::serve(
+            transport,
+            endpoint,
+            self.note_auth_rejects(),
+            move |request| match request {
+                Request::Ping => Response::Pong {
+                    ticks: ticks.load(Ordering::SeqCst),
                 },
-                Err(_) => {
-                    reject_notes
+                Request::Announce {
+                    shard,
+                    endpoint,
+                    generation,
+                } => {
+                    inbox
                         .lock()
-                        .expect("auth note lock")
-                        .push(served.clone());
-                    Response::Error("unauthenticated frame".to_string())
+                        .expect("announce inbox lock")
+                        .push((shard, endpoint, generation));
+                    Response::Done
                 }
-            };
-            crate::auth::seal(frame::encode_frame(&response), key)
-        }));
-        transport.serve(endpoint, handler)
+                Request::Metrics => Response::Metrics {
+                    json: kairos_obs::render_json_all(&[&registry, kairos_obs::global()]),
+                    prometheus: kairos_obs::render_prometheus_all(&[
+                        &registry,
+                        kairos_obs::global(),
+                    ]),
+                },
+                Request::Health => {
+                    Response::Health(health.lock().expect("lease health lock").clone())
+                }
+                Request::Spans => Response::Spans(spans.lock().expect("lease spans lock").clone()),
+                other => Response::Error(format!(
+                    "balancer lease endpoint answers Ping/Announce/Metrics/Health/Spans, \
+                     got {other:?}"
+                )),
+            },
+        )
+    }
+
+    /// The `on_auth_reject` hook of this balancer's served endpoints:
+    /// note the rejection for the tick/watch thread to trace.
+    fn note_auth_rejects(&self) -> impl FnMut(&str) + Send + 'static {
+        let notes = self.server_notes.clone();
+        move |served| {
+            notes
+                .lock()
+                .expect("server note lock")
+                .push(DecisionEvent::AuthRejected {
+                    endpoint: served.to_string(),
+                })
+        }
     }
 
     /// Rebuild balancer state from the shards themselves — the promotion
@@ -1335,15 +919,10 @@ impl BalancerNode {
         }
         self.map = map;
         self.replicas = replicas;
-        let anti_affinity = anti_affinity.unwrap_or_default();
-        self.audit_resolver.anti_affinity = anti_affinity.clone();
-        self.anti_affinity = anti_affinity;
+        self.audit_resolver.anti_affinity = anti_affinity.unwrap_or_default();
         if let Some(state) = replicated {
             max_ticks = max_ticks.max(state.tick);
-            self.cooldown = state.cooldown.clone();
-            self.handoff_log = state.handoffs.clone();
-            self.gate = state.gate;
-            self.parked = state.parked_lot();
+            self.plane.adopt(state);
             // A parked tenant is owned by no shard (evicted at the
             // donor, never admitted at the receiver), so the ground-
             // truth rebuild above cannot route it. The dead primary's
@@ -1351,14 +930,13 @@ impl BalancerNode {
             // handoff — and the retry resolutions depend on that: a
             // `returned-to-donor` re-admit emits no re-routing record.
             // Restore the same routing for every replicated entry.
-            for entry in &self.parked {
-                if self.map.shard_of(&entry.tenant.name).is_none() {
-                    self.map.assign(&entry.tenant.name, entry.donor);
+            for (tenant, donor, _) in self.plane.parked_handoffs() {
+                if self.map.shard_of(&tenant).is_none() {
+                    self.map.assign(&tenant, donor);
                 }
             }
-            self.metrics.balance_rounds.set(state.round);
         }
-        self.metrics.ticks.set(max_ticks);
+        self.plane.set_ticks(max_ticks);
         self.lease_ticks.store(max_ticks, Ordering::SeqCst);
         self.recover_stray_tenants(max_ticks)?;
         Ok(())
@@ -1389,13 +967,18 @@ impl BalancerNode {
     /// pass does not have.
     fn recover_stray_tenants(&mut self, tick: u64) -> Result<(), NetError> {
         for shard in 0..self.links.len() {
+            // Re-read per shard: a tenant parked from an earlier shard's
+            // outbox must not be recovered a second time from a later one.
+            let parked: BTreeSet<String> = self
+                .plane
+                .parked_handoffs()
+                .into_iter()
+                .map(|(tenant, _, _)| tenant)
+                .collect();
             let stray: Vec<String> = match self.links[shard].call(&Request::EvictOutbox)? {
                 Response::Workloads(names) => names
                     .into_iter()
-                    .filter(|name| {
-                        self.map.shard_of(name).is_none()
-                            && !self.parked.iter().any(|p| &p.tenant.name == name)
-                    })
+                    .filter(|name| self.map.shard_of(name).is_none() && !parked.contains(name))
                     .collect(),
                 other => {
                     return Err(NetError::Protocol(format!(
@@ -1424,7 +1007,7 @@ impl BalancerNode {
                             self.replicas.insert(tenant.clone(), tenant_replicas);
                         }
                     }
-                    self.log.record(
+                    self.plane.record(
                         tick,
                         DecisionEvent::ParkedRetried {
                             tenant,
@@ -1434,7 +1017,7 @@ impl BalancerNode {
                         },
                     );
                 } else {
-                    self.log.record(
+                    self.plane.record(
                         tick,
                         DecisionEvent::HandoffParked {
                             tenant: tenant.clone(),
@@ -1442,7 +1025,7 @@ impl BalancerNode {
                             receiver: shard,
                         },
                     );
-                    self.parked.push(ParkedHandoff {
+                    self.plane.park(ParkedHandoff {
                         donor: shard,
                         receiver: shard,
                         tenant: EvictedTenant {
@@ -1471,125 +1054,6 @@ impl BalancerNode {
     }
 }
 
-/// A shard behind a transport, as the shared balance round drives it.
-/// Every trait method is one RPC; a down shard reads as an unplanned
-/// summary (never donor, never receiver) so a dead node degrades the
-/// round instead of wedging it.
-pub struct RemoteShard<'a> {
-    link: &'a mut ShardLink,
-    miss_limit: u32,
-    interval_secs: f64,
-}
-
-/// The summary a down/unreachable shard presents: unplanned, empty.
-/// `planned: false` excludes it from donor and receiver orders.
-pub(crate) fn offline_summary(interval_secs: f64) -> kairos_controller::ShardSummary {
-    kairos_controller::ShardSummary {
-        tenants: 0,
-        planned: false,
-        machines_used: 0,
-        feasible: true,
-        violation: 0.0,
-        resolve_failed: false,
-        drifting: 0,
-        aggregate: AggregateSketch::empty(interval_secs),
-        tenant_loads: Vec::new(),
-    }
-}
-
-impl ShardHandle for RemoteShard<'_> {
-    fn summary(&mut self) -> kairos_controller::ShardSummary {
-        if self.link.down(self.miss_limit) {
-            return offline_summary(self.interval_secs);
-        }
-        match self.link.call(&Request::Summary) {
-            Ok(Response::Summary(summary)) => summary,
-            _ => offline_summary(self.interval_secs),
-        }
-    }
-
-    fn pack_estimate_remaining(&mut self) -> Option<usize> {
-        match self.link.call(&Request::PackEstimate {
-            exclude: Vec::new(),
-        }) {
-            Ok(Response::PackEstimate(est)) => est,
-            _ => None,
-        }
-    }
-
-    fn forecast(&mut self, tenant: &str) -> Option<WorkloadProfile> {
-        match self.link.call(&Request::Forecast {
-            tenant: tenant.to_string(),
-        }) {
-            Ok(Response::Forecast(profile)) => profile,
-            _ => None,
-        }
-    }
-
-    fn can_admit(&mut self, incoming: &WorkloadProfile, budget: usize) -> bool {
-        matches!(
-            self.link.call(&Request::CanAdmit {
-                profile: incoming.clone(),
-                budget,
-            }),
-            Ok(Response::CanAdmit(true))
-        )
-    }
-
-    fn evict(&mut self, tenant: &str) -> Option<EvictedTenant> {
-        // Two attempts: an Evict whose *response* is lost has already
-        // removed the tenant node-side, and the node's evict outbox
-        // makes the retry idempotent — it hands the same frame out
-        // again, so a transient fault cannot strand the bytes between
-        // the shard and the balancer.
-        for _ in 0..2 {
-            match self.link.call(&Request::Evict {
-                tenant: tenant.to_string(),
-            }) {
-                Ok(Response::Evicted(Some(wire))) => {
-                    return Some(EvictedTenant {
-                        name: tenant.to_string(),
-                        wire,
-                        // The live source stays node-side: the
-                        // destination re-binds its own (escrow
-                        // in-process, factory across processes).
-                        source: None,
-                    });
-                }
-                Ok(_) => return None,
-                Err(_) => {}
-            }
-        }
-        // Both attempts failed at the transport. If the tenant is still
-        // hosted, nothing happened — safe. If it is not (eviction
-        // applied, both responses lost) the donor is effectively dying
-        // mid-round; its lease is about to expire and the rejoin
-        // reconciliation re-seeds map-routed tenants the node lost.
-        None
-    }
-
-    fn admit(&mut self, tenant: EvictedTenant) -> Result<(), EvictedTenant> {
-        match self.link.call(&Request::Admit {
-            frame: tenant.wire.clone(),
-        }) {
-            Ok(Response::Done) => Ok(()),
-            // Remote rejection (damaged frame, unbindable source) or a
-            // transport failure: hand the frame back for the donor-side
-            // rollback.
-            _ => Err(tenant),
-        }
-    }
-
-    fn owns(&mut self, tenant: &str) -> Option<bool> {
-        match self.link.call(&Request::Owns {
-            tenant: tenant.to_string(),
-        }) {
-            Ok(Response::Owns(owned)) => Some(owned),
-            _ => None,
-        }
-    }
-}
-
 /// Pacing outcome of one standby watch interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StandbyAction {
@@ -1601,18 +1065,12 @@ pub enum StandbyAction {
     Promote,
 }
 
-/// What a standby's sync endpoint observed for one applied frame:
-/// `(round, parked, cooldowns, log_events)` — the shape of the
-/// `StandbySynced` decision event it becomes once drained.
-type SyncNote = (u64, usize, usize, usize);
-
 /// A warm-standby balancer watching a primary's lease endpoint. See the
 /// module docs for the rank-ordered deterministic promotion rule.
 pub struct StandbyBalancer {
     node: BalancerNode,
     rank: u32,
-    primary_endpoint: String,
-    primary_conn: Option<Box<dyn Conn>>,
+    primary: MemberLink,
     missed: u32,
     /// Fleet progress at the previous over-threshold watch — the
     /// split-brain guard's memory (see [`StandbyBalancer::watch_tick`]).
@@ -1622,10 +1080,6 @@ pub struct StandbyBalancer {
     /// The newest [`BalancerSoftState`] the primary has streamed here
     /// (shared with the sync endpoint's server thread).
     replicated: Arc<Mutex<Option<BalancerSoftState>>>,
-    /// Notes queued by the sync server thread, drained into the
-    /// decision trace on the watch thread (single-writer trace,
-    /// deterministic ordering).
-    sync_notes: Arc<Mutex<Vec<SyncNote>>>,
     /// The serving handle for this standby's sync endpoint; stopped at
     /// promotion (a primary pushes sync, it does not receive it).
     sync_server: Option<ServerHandle>,
@@ -1644,15 +1098,13 @@ impl StandbyBalancer {
     pub fn new(node: BalancerNode, primary_endpoint: &str, rank: u32) -> StandbyBalancer {
         assert!(rank >= 1, "standby ranks start at 1");
         StandbyBalancer {
+            primary: node.link_to(primary_endpoint),
             node,
             rank,
-            primary_endpoint: primary_endpoint.to_string(),
-            primary_conn: None,
             missed: 0,
             fleet_ticks_seen: None,
             frozen_watches: 0,
             replicated: Arc::new(Mutex::new(None)),
-            sync_notes: Arc::new(Mutex::new(Vec::new())),
             sync_server: None,
         }
     }
@@ -1669,43 +1121,38 @@ impl StandbyBalancer {
         endpoint: &str,
     ) -> Result<(), NetError> {
         let cell = self.replicated.clone();
-        let notes = self.sync_notes.clone();
-        let handler: Handler = Arc::new(Mutex::new(move |request_frame: &[u8]| {
-            let key = crate::auth::process_key();
-            let response = match crate::auth::verify(request_frame, key) {
-                Ok(base) => match frame::decode_frame::<Request>(base) {
-                    Ok(Request::SyncState { frame: state_frame }) => {
-                        match BalancerSoftState::from_frame(&state_frame) {
-                            Ok(state) => {
-                                let mut cell = cell.lock().expect("replicated state lock");
-                                let newest = cell.as_ref().map_or(0, |s| s.round);
-                                if state.round >= newest {
-                                    notes.lock().expect("sync note lock").push((
-                                        state.round,
-                                        state.parked.len(),
-                                        state.cooldown.len(),
-                                        state.handoffs.len(),
-                                    ));
-                                    let round = state.round;
-                                    *cell = Some(state);
-                                    Response::Synced { round }
-                                } else {
-                                    Response::Synced { round: newest }
-                                }
-                            }
-                            Err(e) => Response::Error(format!("sync_state: damaged frame: {e}")),
+        let notes = self.node.server_notes.clone();
+        let dispatch = move |request| match request {
+            Request::SyncState { frame: state_frame } => {
+                match BalancerSoftState::from_frame(&state_frame) {
+                    Ok(state) => {
+                        let mut cell = cell.lock().expect("replicated state lock");
+                        let newest = cell.as_ref().map_or(0, |s| s.round);
+                        if state.round >= newest {
+                            notes.lock().expect("server note lock").push(
+                                DecisionEvent::StandbySynced {
+                                    sync_round: state.round,
+                                    parked: state.parked.len(),
+                                    cooldowns: state.cooldown.len(),
+                                    log_events: state.handoffs.len(),
+                                },
+                            );
+                            let round = state.round;
+                            *cell = Some(state);
+                            Response::Synced { round }
+                        } else {
+                            Response::Synced { round: newest }
                         }
                     }
-                    Ok(other) => Response::Error(format!(
-                        "standby sync endpoint answers SyncState only, got {other:?}"
-                    )),
-                    Err(e) => Response::Error(format!("bad request frame: {e}")),
-                },
-                Err(_) => Response::Error("unauthenticated frame".to_string()),
-            };
-            crate::auth::seal(frame::encode_frame(&response), key)
-        }));
-        self.sync_server = Some(transport.serve(endpoint, handler)?);
+                    Err(e) => Response::Error(format!("sync_state: damaged frame: {e}")),
+                }
+            }
+            other => Response::Error(format!(
+                "standby sync endpoint answers SyncState only, got {other:?}"
+            )),
+        };
+        let on_auth_reject = self.node.note_auth_rejects();
+        self.sync_server = Some(rpc::serve(transport, endpoint, on_auth_reject, dispatch)?);
         Ok(())
     }
 
@@ -1716,27 +1163,6 @@ impl StandbyBalancer {
             .expect("replicated state lock")
             .as_ref()
             .map(|s| s.round)
-    }
-
-    /// Move sync arrivals from the server thread into the decision
-    /// trace (on this thread — the trace is single-writer).
-    fn drain_sync_notes(&mut self) {
-        let notes: Vec<(u64, usize, usize, usize)> = {
-            let mut queued = self.sync_notes.lock().expect("sync note lock");
-            std::mem::take(&mut *queued)
-        };
-        let tick = self.node.metrics.ticks.get();
-        for (sync_round, parked, cooldowns, log_events) in notes {
-            self.node.log.record(
-                tick,
-                DecisionEvent::StandbySynced {
-                    sync_round,
-                    parked,
-                    cooldowns,
-                    log_events,
-                },
-            );
-        }
     }
 
     /// One watch interval: ping the primary's lease endpoint. Returns
@@ -1751,14 +1177,8 @@ impl StandbyBalancer {
     /// this standby's recent watches, someone is driving the fleet, and
     /// this standby keeps waiting.
     pub fn watch_tick(&mut self) -> StandbyAction {
-        self.drain_sync_notes();
-        if self.primary_conn.is_none() {
-            self.primary_conn = self.node.transport.connect(&self.primary_endpoint).ok();
-        }
-        let alive = match self.primary_conn.as_deref_mut() {
-            Some(conn) => matches!(rpc::call(conn, &Request::Ping), Ok(Response::Pong { .. })),
-            None => false,
-        };
+        self.node.drain_server_notes();
+        let alive = matches!(self.primary.call(&Request::Ping), Ok(Response::Pong { .. }));
         if alive {
             self.missed = 0;
             self.fleet_ticks_seen = None;
@@ -1766,7 +1186,6 @@ impl StandbyBalancer {
             return StandbyAction::Watching;
         }
         self.missed = self.missed.saturating_add(1);
-        self.primary_conn = None;
         let threshold = self.node.lease.miss_limit.saturating_mul(self.rank.max(1));
         if self.missed < threshold {
             return StandbyAction::Watching;
@@ -1806,7 +1225,7 @@ impl StandbyBalancer {
     /// [`SyncState`]: crate::Request::SyncState
     #[allow(clippy::result_large_err)] // self is handed back for retry
     pub fn promote(mut self) -> Result<BalancerNode, (Box<StandbyBalancer>, NetError)> {
-        self.drain_sync_notes();
+        self.node.drain_server_notes();
         let replicated = self
             .replicated
             .lock()
@@ -1817,8 +1236,8 @@ impl StandbyBalancer {
                 if let Some(handle) = self.sync_server.take() {
                     handle.stop();
                 }
-                let adopted_ticks = self.node.metrics.ticks.get();
-                self.node.log.record(
+                let adopted_ticks = self.node.stats().ticks;
+                self.node.record(
                     adopted_ticks,
                     DecisionEvent::StandbyPromoted {
                         rank: u64::from(self.rank),

@@ -43,8 +43,10 @@
 //!   [`SourceBinder`] supplying the live telemetry sources bytes cannot
 //!   carry (escrow in-process, factory across processes — the PR 4
 //!   `attach_source` surface driven from the network);
+//! * [`link`] — [`MemberLink`]: the client side of one member endpoint
+//!   (lease accounting, redial) and the one `ShardHandle` over RPC;
 //! * [`balancer_node`] — [`BalancerNode`]: balance rounds over RPC
-//!   through the shared `run_balance_round` policy, tick-based leases,
+//!   through the shared `kairos_fleet::BalancePlane`, tick-based leases,
 //!   shard failure detection with checkpoint-restore rejoin, and
 //!   deterministic standby promotion for a dead balancer.
 //!
@@ -53,15 +55,17 @@
 //! **tick-for-tick identical** to the in-process
 //! [`kairos_fleet::FleetController`]: same outcome signatures, same
 //! handoff logs, bit-identical audit objectives. One policy code path,
-//! two deployment shapes. `examples/fleet_over_tcp.rs` runs the same
-//! roles as real child processes over TCP, surviving a shard-node kill
-//! (checkpoint rejoin) and a balancer kill (standby promotion) mid-run.
+//! one [`kairos_fleet::BalancePlane`] around it, whichever host runs it.
+//! `examples/fleet_over_tcp.rs` runs the same roles as real child
+//! processes over TCP, surviving a shard-node kill (checkpoint rejoin)
+//! and a balancer kill (standby promotion) mid-run.
 
 pub mod auth;
 pub mod balancer_node;
 pub mod fault;
 pub mod faulted;
 pub mod frame;
+pub mod link;
 pub mod loopback;
 pub mod node;
 pub mod rpc;
@@ -70,12 +74,11 @@ pub mod transport;
 pub mod zone_node;
 
 pub use auth::{AuthKey, AUTH_TAG_LEN};
-pub use balancer_node::{
-    BalancerNode, LeaseConfig, NetTickReport, RemoteShard, StandbyAction, StandbyBalancer,
-};
+pub use balancer_node::{BalancerNode, LeaseConfig, NetTickReport, StandbyAction, StandbyBalancer};
 pub use fault::{Fault, FaultInjector, FaultPlan, FaultVerdict};
 pub use faulted::FaultedTransport;
 pub use frame::{MAX_PAYLOAD_LEN, NET_MAGIC, RPC_WIRE_VERSION};
+pub use link::MemberLink;
 pub use loopback::LoopbackTransport;
 pub use node::{ShardNode, SourceBinder, SourceEscrow, SourceFactory, SourceMaker};
 pub use rpc::{Request, Response};

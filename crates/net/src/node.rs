@@ -24,9 +24,8 @@
 //! and zero state change — a shard never admits a tenant from bytes it
 //! cannot prove intact (mid-handshake corruption is property-tested).
 
-use crate::frame;
 use crate::rpc::{self, Request, Response};
-use crate::transport::{Handler, NetError, ServerHandle, Transport};
+use crate::transport::{NetError, ServerHandle, Transport};
 use kairos_controller::{
     ControllerConfig, ShardController, ShardSnapshot, TelemetrySource, TenantHandoff,
     SHARD_SNAPSHOT_VERSION,
@@ -261,40 +260,21 @@ impl ShardNode {
         transport: &dyn Transport,
         endpoint: &str,
     ) -> Result<ServerHandle, NetError> {
+        let rejecting = self.state.clone();
         let state = self.state.clone();
-        let served = endpoint.to_string();
-        let handler: Handler = Arc::new(Mutex::new(move |request_frame: &[u8]| {
-            let key = crate::auth::process_key();
-            let response = match crate::auth::verify(request_frame, key) {
-                Ok(base) => match frame::decode_frame_with_span::<Request>(base) {
-                    Ok((request, span)) => {
-                        // Install the caller's span context (if the frame
-                        // carried one) for the dispatch: the shard's
-                        // evict/admit spans then chain under the
-                        // balancer's handoff span across the process
-                        // boundary. Span-free frames install nothing.
-                        let _span = kairos_obs::span::install(span);
-                        dispatch(&state, request)
-                    }
-                    // A damaged request frame touches no state —
-                    // validation precedes dispatch, always.
-                    Err(e) => Response::Error(format!("bad request frame: {e}")),
-                },
-                // Unauthenticated: counted by the auth layer; traced
-                // here; zero shard-state change.
-                Err(_) => {
-                    let mut state = state.lock().expect("node state lock");
-                    state
-                        .shard
-                        .record_event(kairos_obs::DecisionEvent::AuthRejected {
-                            endpoint: served.clone(),
-                        });
-                    Response::Error("unauthenticated frame".into())
-                }
-            };
-            crate::auth::seal(frame::encode_frame(&response), key)
-        }));
-        transport.serve(endpoint, handler)
+        rpc::serve(
+            transport,
+            endpoint,
+            move |served| {
+                let mut state = rejecting.lock().expect("node state lock");
+                state
+                    .shard
+                    .record_event(kairos_obs::DecisionEvent::AuthRejected {
+                        endpoint: served.to_string(),
+                    });
+            },
+            move |request| dispatch(&state, request),
+        )
     }
 
     /// Configure self-healing membership: announce `(shard, endpoint,

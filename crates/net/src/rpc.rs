@@ -16,10 +16,11 @@
 //! caller turns them into `NetError::Remote`.
 
 use crate::frame;
-use crate::transport::{Conn, NetError};
+use crate::transport::{Conn, Handler, NetError, ServerHandle, Transport};
 use kairos_controller::{ControllerStats, FleetPlacement, ShardSummary, TickOutcome};
 use kairos_types::WorkloadProfile;
 use serde::{Deserialize, Serialize};
+use std::sync::{Arc, Mutex};
 
 /// What a balancer asks a shard node.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -232,6 +233,42 @@ pub fn call(conn: &mut dyn Conn, request: &Request) -> Result<Response, NetError
         Response::Error(msg) => Err(NetError::Remote(msg)),
         ok => Ok(ok),
     }
+}
+
+/// The one server envelope every role serves behind: authenticate the
+/// request frame, validate and decode it, install the caller's span
+/// context (if the frame carried one — nested work then chains under the
+/// caller's span across the process boundary; span-free frames install
+/// nothing), `dispatch`, and seal the response. Validation precedes
+/// dispatch, always: a damaged or unauthenticated frame touches no
+/// state. An unauthenticated frame is counted by the auth layer and
+/// reported to `on_auth_reject` with the served endpoint, so every role
+/// traces it; both callbacks run on the transport's server thread.
+pub fn serve(
+    transport: &dyn Transport,
+    endpoint: &str,
+    mut on_auth_reject: impl FnMut(&str) + Send + 'static,
+    mut dispatch: impl FnMut(Request) -> Response + Send + 'static,
+) -> Result<ServerHandle, NetError> {
+    let served = endpoint.to_string();
+    let handler: Handler = Arc::new(Mutex::new(move |request_frame: &[u8]| {
+        let key = crate::auth::process_key();
+        let response = match crate::auth::verify(request_frame, key) {
+            Ok(base) => match frame::decode_frame_with_span::<Request>(base) {
+                Ok((request, span)) => {
+                    let _span = kairos_obs::span::install(span);
+                    dispatch(request)
+                }
+                Err(e) => Response::Error(format!("bad request frame: {e}")),
+            },
+            Err(_) => {
+                on_auth_reject(&served);
+                Response::Error("unauthenticated frame".into())
+            }
+        };
+        crate::auth::seal(frame::encode_frame(&response), key)
+    }));
+    transport.serve(endpoint, handler)
 }
 
 #[cfg(test)]

@@ -9,18 +9,17 @@
 //! tenant frames, and `Owns` probes group residency. The node type
 //! determines the level; the messages, the envelope (auth, CRC,
 //! version) and the decode-before-touch discipline are identical. That
-//! is the point of the [`ShardHandle`] reuse: [`RemoteZone`] is to the
-//! root balancer exactly what `RemoteShard` is to a zone's balancer,
-//! so `run_balance_round` drives zones across a transport with the
-//! same policy code path it drives in-process.
+//! is the point of the [`ShardHandle`] reuse: [`RemoteZone`] is the
+//! very link type a balancer holds to a shard node, so
+//! `run_balance_round` drives zones across a transport with the same
+//! policy code path it drives in-process.
 
-use crate::frame;
-use crate::rpc::{Request, Response};
-use crate::transport::{Conn, Handler, NetError, ServerHandle, Transport};
+use crate::link::MemberLink;
+use crate::rpc::{self, Request, Response};
+use crate::transport::{NetError, ServerHandle, Transport};
 use kairos_fleet::balancer::{EvictedTenant, ShardHandle};
 use kairos_fleet::hierarchy::Zone;
 use kairos_fleet::GROUP_WIRE_VERSION;
-use kairos_types::WorkloadProfile;
 use std::sync::{Arc, Mutex};
 
 struct ZoneNodeState {
@@ -55,24 +54,24 @@ impl ZoneNode {
         transport: &dyn Transport,
         endpoint: &str,
     ) -> Result<ServerHandle, NetError> {
+        let rejecting = self.state.clone();
         let state = self.state.clone();
-        let handler: Handler = Arc::new(Mutex::new(move |request_frame: &[u8]| {
-            let key = crate::auth::process_key();
-            let response = match crate::auth::verify(request_frame, key) {
-                Ok(base) => match frame::decode_frame_with_span::<Request>(base) {
-                    Ok((request, span)) => {
-                        // The root's handoff span context (when the frame
-                        // carries one) parents this zone's spans.
-                        let _span = kairos_obs::span::install(span);
-                        dispatch(&state, request)
-                    }
-                    Err(e) => Response::Error(format!("bad request frame: {e}")),
-                },
-                Err(_) => Response::Error("unauthenticated frame".into()),
-            };
-            crate::auth::seal(frame::encode_frame(&response), key)
-        }));
-        transport.serve(endpoint, handler)
+        rpc::serve(
+            transport,
+            endpoint,
+            move |served| {
+                let mut state = rejecting.lock().expect("zone state lock");
+                let fleet = state.zone.fleet_mut();
+                let tick = fleet.stats().ticks;
+                fleet.record(
+                    tick,
+                    kairos_obs::DecisionEvent::AuthRejected {
+                        endpoint: served.to_string(),
+                    },
+                );
+            },
+            move |request| dispatch(&state, request),
+        )
     }
 
     /// Run `f` against the zone (tests, examples, local maintenance).
@@ -141,16 +140,14 @@ fn dispatch(state: &Arc<Mutex<ZoneNodeState>>, request: Request) -> Response {
         Request::Owns { tenant } => {
             Response::Owns(ShardHandle::owns(zone, &tenant).unwrap_or(false))
         }
-        Request::Workloads => {
-            let mut tenants: Vec<String> = zone
-                .fleet()
+        // The routing map iterates in sorted tenant order.
+        Request::Workloads => Response::Workloads(
+            zone.fleet()
                 .map()
                 .entries()
                 .map(|(t, _)| t.to_string())
-                .collect();
-            tenants.sort();
-            Response::Workloads(tenants)
-        }
+                .collect(),
+        ),
         Request::Metrics => Response::Metrics {
             json: zone.fleet().metrics_json(),
             prometheus: zone.fleet().metrics_prometheus(),
@@ -177,17 +174,15 @@ fn dispatch(state: &Arc<Mutex<ZoneNodeState>>, request: Request) -> Response {
     }
 }
 
-/// The root balancer's handle to one zone behind a transport —
-/// [`ShardHandle`] over RPC, so [`kairos_fleet::RootBalancer::run_round`]
-/// drives remote zones with the unchanged balance policy. Transport
-/// failures degrade the same way `RemoteShard`'s do: an unreachable
-/// zone presents the offline (unplanned, empty) summary and answers
-/// `None`/`false` to probes, so the round routes around it instead of
-/// wedging.
-pub struct RemoteZone {
-    conn: Box<dyn Conn>,
-    interval_secs: f64,
-}
+/// The root balancer's handle to one zone behind a transport: the same
+/// [`MemberLink`] a balancer holds to a shard node — so
+/// [`kairos_fleet::RootBalancer::run_round`] drives remote zones with
+/// the unchanged balance policy through the one `ShardHandle`-over-RPC
+/// implementation — opened lease-free: the root keeps no leases, so a
+/// zone never reads as down; an unreachable zone presents the offline
+/// (unplanned, empty) summary and answers `None`/`false` to probes, so
+/// the round routes around it instead of wedging.
+pub type RemoteZone = MemberLink;
 
 impl RemoteZone {
     /// Connect to a zone node. `interval_secs` shapes the offline
@@ -197,14 +192,9 @@ impl RemoteZone {
         endpoint: &str,
         interval_secs: f64,
     ) -> Result<RemoteZone, NetError> {
-        Ok(RemoteZone {
-            conn: transport.connect(endpoint)?,
-            interval_secs,
-        })
-    }
-
-    fn call(&mut self, request: &Request) -> Result<Response, NetError> {
-        crate::rpc::call(self.conn.as_mut(), request)
+        let mut link = MemberLink::new(endpoint, None, u32::MAX, interval_secs);
+        link.conn = Some(transport.connect(endpoint)?);
+        Ok(link)
     }
 
     /// Advance the remote zone one monitoring interval.
@@ -212,79 +202,6 @@ impl RemoteZone {
         match self.call(&Request::Tick)? {
             Response::Done => Ok(()),
             other => Err(NetError::Remote(format!("tick answered {other:?}"))),
-        }
-    }
-
-    /// The endpoint this handle targets.
-    pub fn endpoint(&self) -> &str {
-        self.conn.endpoint()
-    }
-}
-
-impl ShardHandle for RemoteZone {
-    fn summary(&mut self) -> kairos_controller::ShardSummary {
-        match self.call(&Request::Summary) {
-            Ok(Response::Summary(summary)) => summary,
-            _ => crate::balancer_node::offline_summary(self.interval_secs),
-        }
-    }
-
-    fn pack_estimate_remaining(&mut self) -> Option<usize> {
-        match self.call(&Request::PackEstimate {
-            exclude: Vec::new(),
-        }) {
-            Ok(Response::PackEstimate(est)) => est,
-            _ => None,
-        }
-    }
-
-    fn forecast(&mut self, tenant: &str) -> Option<WorkloadProfile> {
-        match self.call(&Request::Forecast {
-            tenant: tenant.to_string(),
-        }) {
-            Ok(Response::Forecast(profile)) => profile,
-            _ => None,
-        }
-    }
-
-    fn can_admit(&mut self, incoming: &WorkloadProfile, budget: usize) -> bool {
-        matches!(
-            self.call(&Request::CanAdmit {
-                profile: incoming.clone(),
-                budget,
-            }),
-            Ok(Response::CanAdmit(true))
-        )
-    }
-
-    fn evict(&mut self, tenant: &str) -> Option<EvictedTenant> {
-        match self.call(&Request::Evict {
-            tenant: tenant.to_string(),
-        }) {
-            Ok(Response::Evicted(Some(wire))) => Some(EvictedTenant {
-                name: tenant.to_string(),
-                wire,
-                source: None,
-            }),
-            _ => None,
-        }
-    }
-
-    fn admit(&mut self, tenant: EvictedTenant) -> Result<(), EvictedTenant> {
-        match self.call(&Request::Admit {
-            frame: tenant.wire.clone(),
-        }) {
-            Ok(Response::Done) => Ok(()),
-            _ => Err(tenant),
-        }
-    }
-
-    fn owns(&mut self, tenant: &str) -> Option<bool> {
-        match self.call(&Request::Owns {
-            tenant: tenant.to_string(),
-        }) {
-            Ok(Response::Owns(owned)) => Some(owned),
-            _ => None,
         }
     }
 }

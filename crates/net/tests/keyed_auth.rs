@@ -2,8 +2,9 @@
 //! runs its full RPC control plane — connect, registration, ticks,
 //! balance rounds, audits — over sealed frames, and an unsealed frame
 //! from an unkeyed peer is rejected with zero state change, counted in
-//! `kairos_net_auth_failures_total`, and explained in the shard's
-//! decision trace.
+//! `kairos_net_auth_failures_total`, and explained in the decision trace
+//! of whichever role served the endpoint — shard node, zone node, or a
+//! standby's sync endpoint (all four roles share one server envelope).
 //!
 //! This lives in its own test binary because the process key is read
 //! exactly once ([`kairos_net::auth::process_key`] is a `OnceLock`):
@@ -11,9 +12,10 @@
 //! and no other test in the binary may expect unkeyed frames.
 
 use kairos_controller::{ControllerConfig, SyntheticSource};
-use kairos_fleet::{BalancerConfig, FleetConfig};
+use kairos_fleet::{BalancerConfig, FleetConfig, FleetController, Zone};
 use kairos_net::{
-    BalancerNode, LeaseConfig, LoopbackTransport, ShardNode, SourceEscrow, Transport,
+    BalancerNode, LeaseConfig, LoopbackTransport, ShardNode, SourceEscrow, StandbyBalancer,
+    Transport, ZoneNode,
 };
 use kairos_types::Bytes;
 use kairos_workloads::RatePattern;
@@ -155,10 +157,51 @@ fn keyed_fleet_runs_sealed_and_rejects_bare_frames_with_zero_state_change() {
     ));
     assert_eq!(kairos_net::auth::auth_failures().get(), failures_before + 2);
 
+    // The zone node and the standby sync endpoint sit behind the same
+    // envelope, so they trace the rejection too.
+    let auth_rejected_at = |events: Vec<kairos_obs::TracedEvent>, served: &str| {
+        events.iter().any(|e| {
+            matches!(
+                &e.event,
+                kairos_obs::DecisionEvent::AuthRejected { endpoint } if endpoint == served
+            )
+        })
+    };
+    let zone_node = ZoneNode::new(Zone::new(
+        0,
+        FleetController::new(fleet_cfg()),
+        4,
+        Box::new(|_: &str, _: u64| None),
+    ));
+    let zone_handle = zone_node
+        .serve(transport.as_ref(), "zone-0")
+        .expect("zone serves");
+    let mut zone_conn = transport.connect("zone-0").expect("connects");
+    zone_conn.call(&bare).expect("delivered");
+    assert!(
+        zone_node.with_zone(|z| auth_rejected_at(z.fleet().trace_events(), "zone-0")),
+        "the zone's decision trace explains the rejection"
+    );
+
+    let standby_node = BalancerNode::connect(fleet_cfg(), lease, transport.clone(), &endpoints)
+        .expect("standby connects");
+    let mut standby = StandbyBalancer::new(standby_node, "no-lease-served", 1);
+    standby
+        .serve_sync(transport.as_ref(), "sync-0")
+        .expect("sync endpoint serves");
+    let mut sync_conn = transport.connect("sync-0").expect("connects");
+    sync_conn.call(&bare).expect("delivered");
+    standby.watch_tick();
+    assert!(
+        auth_rejected_at(standby.node().trace_events(), "sync-0"),
+        "the standby's decision trace explains the rejection"
+    );
+    assert_eq!(kairos_net::auth::auth_failures().get(), failures_before + 4);
+
     // And the keyed fleet keeps running clean after the noise.
     for _ in 0..8 {
         let report = balancer.tick();
         assert!(report.down.is_empty());
     }
-    drop(handles);
+    drop((handles, zone_handle));
 }
