@@ -63,12 +63,15 @@ fn bench_direct(c: &mut Criterion) {
 }
 
 fn bench_polish(c: &mut Criterion) {
-    let p = problem(60, 48);
-    let start = Assignment::new((0..60).collect());
-    c.bench_function("local/polish_60w_48win", |b| {
+    // The probe shape that dominated a cold SecondLife solve: 97 slots
+    // over a day of 5-minute windows, spread across far more machines
+    // than the plan ends on, so most destinations start or become empty.
+    let p = problem(97, 288);
+    let start = Assignment::new((0..97).map(|i| i % 56).collect());
+    c.bench_function("local/polish_97w_288win_k56", |b| {
         b.iter_batched(
             || start.clone(),
-            |s| black_box(polish(&p, &s, 12, 20).assignment),
+            |s| black_box(polish(&p, &s, 56, 20).assignment),
             BatchSize::SmallInput,
         )
     });

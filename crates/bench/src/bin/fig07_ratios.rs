@@ -5,16 +5,32 @@
 //! * Kairos (DIRECT + K' bounding + polish),
 //! * the fractional/idealized lower bound.
 //!
-//! Expected shape: Kairos matches the idealized bound almost everywhere,
-//! beats greedy, and lands in the paper's 5.5:1–17:1 ratio band.
+//! Expected shape: Kairos matches the idealized bound almost everywhere
+//! and beats greedy. The bin checks that claim and exits non-zero when it
+//! breaks (CI's `check` job runs it): every Kairos plan is feasible, uses
+//! no more machines than greedy where greedy finds a plan, and no more
+//! than the counts recorded in [`MACHINES_TODAY`]. The paper's 5.5:1–17:1
+//! ratio band is reported, not asserted: SecondLife sits at 4.8:1 today
+//! (20 machines against a fractional 16).
 
 use kairos_bench::{dataset_profiles, fleet_engine, last_day_profiles, print_table, section};
 use kairos_core::PlanStrategy;
 use kairos_traces::{generate_all, Dataset, FleetConfig};
 
+/// Machines each Kairos plan uses today (generator seed `0x5EED`): a plan
+/// that needs more is a plan-quality regression.
+const MACHINES_TODAY: [(&str, usize); 5] = [
+    ("Internal", 2),
+    ("Wikia", 3),
+    ("Wikipedia", 7),
+    ("SecondLife", 20),
+    ("ALL", 29),
+];
+
 fn main() {
     let engine = fleet_engine();
     let mut rows = Vec::new();
+    let mut broken: Vec<String> = Vec::new();
 
     let mut run = |label: &str, profiles: Vec<kairos_types::WorkloadProfile>| {
         let n = profiles.len();
@@ -38,6 +54,25 @@ fn main() {
                 .unwrap_or_else(|_| "n/a".into()),
             frac
         );
+        let used = kairos.machines_used();
+        if !kairos.report.evaluation.feasible {
+            broken.push(format!("{label}: the kairos plan is infeasible"));
+        }
+        if let Ok(g) = &greedy {
+            if used > g.machines_used() {
+                broken.push(format!(
+                    "{label}: kairos uses {used} machines, greedy {}",
+                    g.machines_used()
+                ));
+            }
+        }
+        match MACHINES_TODAY.iter().find(|(l, _)| *l == label) {
+            Some(&(_, today)) if used > today => {
+                broken.push(format!("{label}: kairos uses {used} machines, was {today}"))
+            }
+            Some(_) => {}
+            None => broken.push(format!("{label}: no recorded machine count")),
+        }
         rows.push(vec![
             label.to_string(),
             n.to_string(),
@@ -69,5 +104,14 @@ fn main() {
         ],
         &rows,
     );
-    println!("\npaper band: 5.5:1 to 17:1; kairos ~= frac/ideal and >= greedy everywhere");
+    println!(
+        "\npaper band: 5.5:1 to 17:1 (SecondLife is below it: 20 machines against a \
+         fractional 16); checked: every kairos plan feasible, <= greedy, <= recorded count"
+    );
+    if !broken.is_empty() {
+        for line in &broken {
+            eprintln!("FAILED {line}");
+        }
+        std::process::exit(1);
+    }
 }

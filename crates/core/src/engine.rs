@@ -184,11 +184,22 @@ impl ConsolidationEngine {
             .collect();
         let slots: usize = specs.iter().map(|s| s.replicas.max(1) as usize).sum();
         let max_machines = self.max_machines.unwrap_or(slots).max(1);
-        Ok(
+        let problem =
             ConsolidationProblem::new(specs, self.target, max_machines, self.disk.clone())
                 .with_headroom(self.headroom)
-                .with_weights(self.weights),
-        )
+                .with_weights(self.weights);
+        // Profiles come from outside (monitors, decoded snapshots) and a
+        // NaN sample would panic the solver's orderings mid-solve. Every
+        // plan needs the slot cache anyway, and building it walks every
+        // sample once: build it now and fail as bad input instead.
+        let series = problem.slot_series();
+        if let Some(slot) = series.non_finite {
+            let name = &problem.workloads[series.slots[slot].workload].name;
+            return Err(KairosError::InvalidInput(format!(
+                "workload {name:?} has a NaN or infinite sample"
+            )));
+        }
+        Ok(problem)
     }
 
     /// Produce a consolidation plan with the requested strategy.
@@ -329,6 +340,32 @@ mod tests {
         let plan = engine.consolidate(&[p]).unwrap();
         assert_eq!(plan.placements.len(), 2);
         assert_ne!(plan.placements[0].machine, plan.placements[1].machine);
+    }
+
+    #[test]
+    fn non_finite_sample_is_invalid_input_not_a_panic() {
+        // One NaN in one window used to reach DIRECT's candidate ordering
+        // (`expect("NaN objective")`) and abort the process.
+        let engine = ConsolidationEngine::builder().build();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut profiles = vec![
+                profile("a", 2.0, 8.0, 300.0),
+                profile("b", 3.0, 8.0, 300.0),
+                profile("c", 1.0, 8.0, 300.0),
+            ];
+            let mut cpu = profiles[1].cpu_cores.values().to_vec();
+            cpu[3] = bad;
+            profiles[1].cpu_cores = kairos_types::TimeSeries::new(300.0, cpu);
+            for strategy in [PlanStrategy::Kairos, PlanStrategy::Greedy] {
+                match engine.consolidate_with(&profiles, strategy) {
+                    Err(KairosError::InvalidInput(msg)) => {
+                        assert!(msg.contains("\"b\""), "must name the workload: {msg}")
+                    }
+                    other => panic!("expected InvalidInput for {bad}, got {other:?}"),
+                }
+            }
+            assert!(engine.fractional_bound(&profiles).is_err());
+        }
     }
 
     #[test]

@@ -63,21 +63,51 @@ fn half_diagonal(levels: &[u16]) -> f64 {
     0.5 * sum.sqrt()
 }
 
+/// What DIRECT minimizes. Any `FnMut(&[f64]) -> f64` is one. An objective
+/// that can score a point cheaply when it differs from a known point in
+/// one coordinate — which is every point DIRECT samples after the first —
+/// implements [`rebase`](DirectObjective::rebase) and
+/// [`eval_axis`](DirectObjective::eval_axis) as well.
+pub trait DirectObjective {
+    /// Value at `x`.
+    fn eval(&mut self, x: &[f64]) -> f64;
+
+    /// `centre` is the point the following `eval_axis` calls sample around.
+    fn rebase(&mut self, _centre: &[f64]) {}
+
+    /// Value at `x`, which equals the last `rebase`d centre in every
+    /// coordinate but `axis`. Must return exactly what `eval(x)` would.
+    fn eval_axis(&mut self, x: &[f64], _axis: usize) -> f64 {
+        self.eval(x)
+    }
+}
+
+impl<F: FnMut(&[f64]) -> f64> DirectObjective for F {
+    fn eval(&mut self, x: &[f64]) -> f64 {
+        self(x)
+    }
+}
+
 /// Minimize `f` over the unit cube `[0,1]^dims`.
 pub fn direct_minimize(
     dims: usize,
     cfg: &DirectConfig,
     mut f: impl FnMut(&[f64]) -> f64,
 ) -> DirectResult {
-    assert!(dims > 0, "need at least one dimension");
-    let mut evals = 0usize;
-    let mut eval = |x: &[f64], evals: &mut usize| -> f64 {
-        *evals += 1;
-        f(x)
-    };
+    direct_minimize_objective(dims, cfg, &mut f)
+}
 
+/// [`direct_minimize`] over any [`DirectObjective`]. (A separate entry
+/// point only so that closure arguments keep their inferred types.)
+pub fn direct_minimize_objective(
+    dims: usize,
+    cfg: &DirectConfig,
+    f: &mut impl DirectObjective,
+) -> DirectResult {
+    assert!(dims > 0, "need at least one dimension");
     let center = vec![0.5; dims];
-    let f0 = eval(&center, &mut evals);
+    let f0 = f.eval(&center);
+    let mut evals = 1usize;
     let mut rects = vec![Rect {
         center,
         f: f0,
@@ -115,6 +145,7 @@ pub fn direct_minimize(
             // (dimension, f(c−δ), f(c+δ), c−δ, c+δ).
             type AxisSample = (usize, f64, f64, Vec<f64>, Vec<f64>);
             let mut samples: Vec<AxisSample> = Vec::new();
+            f.rebase(&rects[ri].center);
             for &i in &long_dims {
                 if evals + 2 > cfg.max_evals {
                     break;
@@ -123,8 +154,9 @@ pub fn direct_minimize(
                 let mut hi = rects[ri].center.clone();
                 lo[i] = (lo[i] - delta).clamp(0.0, 1.0);
                 hi[i] = (hi[i] + delta).clamp(0.0, 1.0);
-                let f_lo = eval(&lo, &mut evals);
-                let f_hi = eval(&hi, &mut evals);
+                let f_lo = f.eval_axis(&lo, i);
+                let f_hi = f.eval_axis(&hi, i);
+                evals += 2;
                 if f_lo < best_f {
                     best_f = f_lo;
                     best_x = lo.clone();
@@ -334,6 +366,46 @@ mod tests {
         );
         assert!(r.best_f < 0.5);
         assert!(count < 1000, "should stop early, used {count}");
+    }
+
+    #[test]
+    fn axis_samples_move_one_coordinate_off_the_rebased_centre() {
+        // An objective that checks DIRECT's side of the contract and
+        // answers exactly as the plain closure does.
+        struct Checked {
+            centre: Vec<f64>,
+            axis_samples: usize,
+        }
+        fn bowl(x: &[f64]) -> f64 {
+            (x[0] - 0.21).powi(2) + (x[1] - 0.77).powi(2) + x[2].sin()
+        }
+        impl DirectObjective for Checked {
+            fn eval(&mut self, x: &[f64]) -> f64 {
+                bowl(x)
+            }
+            fn rebase(&mut self, centre: &[f64]) {
+                self.centre = centre.to_vec();
+            }
+            fn eval_axis(&mut self, x: &[f64], axis: usize) -> f64 {
+                for (i, (a, b)) in x.iter().zip(&self.centre).enumerate() {
+                    assert_eq!(a == b, i != axis, "coordinate {i}, axis {axis}");
+                }
+                self.axis_samples += 1;
+                bowl(x)
+            }
+        }
+        let cfg = DirectConfig {
+            max_evals: 3000,
+            ..Default::default()
+        };
+        let mut checked = Checked {
+            centre: Vec::new(),
+            axis_samples: 0,
+        };
+        let a = direct_minimize_objective(3, &cfg, &mut checked);
+        let b = direct_minimize(3, &cfg, bowl);
+        assert_eq!(checked.axis_samples + 1, a.evals);
+        assert_eq!((a.best_x, a.best_f, a.evals), (b.best_x, b.best_f, b.evals));
     }
 
     #[test]

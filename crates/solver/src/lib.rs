@@ -8,10 +8,16 @@
 //! * the problem/assignment model ([`problem`]) with replication,
 //!   pinning, and anti-affinity constraints;
 //! * the objective and constraint evaluator ([`objective`]) — the Fig 5
-//!   landscape, penalty spike included;
-//! * a from-scratch **DIRECT** global optimizer ([`direct`]);
-//! * deterministic **local-search polish** with incremental evaluation
-//!   ([`local`]);
+//!   landscape, penalty spike included. One per-machine scoring primitive
+//!   sits under `evaluate`, under DIRECT's inner loop ([`CentreScorer`]:
+//!   a one-slot move re-scores the two machines it touches, bit for bit
+//!   what `evaluate` reports) and under the local search;
+//!   [`evaluate_reference`] is the independent copy tests compare against;
+//! * a from-scratch **DIRECT** global optimizer ([`direct`]), which tells
+//!   its objective each rectangle's centre before sampling around it
+//!   ([`DirectObjective`]);
+//! * deterministic **local-search polish** ([`local`]) that scores each
+//!   candidate move once, without mutating its state;
 //! * the §7.3 baselines: single-resource **greedy** first-fit
 //!   ([`greedy`]) and the **fractional/idealized** lower bound
 //!   ([`bounds`]);
@@ -33,12 +39,13 @@ pub mod problem;
 pub mod search;
 
 pub use bounds::{fractional_lower_bound, identity_assignment, upper_bound};
-pub use direct::{direct_minimize, DirectConfig, DirectResult};
+pub use direct::{
+    direct_minimize, direct_minimize_objective, DirectConfig, DirectObjective, DirectResult,
+};
 pub use greedy::{greedy_pack, GreedyReport, GreedyResource};
 pub use local::{polish, PolishReport};
 pub use objective::{
-    evaluate, evaluate_objective, evaluate_reference, evaluate_with_series, EvalScratch,
-    Evaluation, WindowLoad,
+    evaluate, evaluate_reference, evaluate_with_series, CentreScorer, Evaluation, WindowLoad,
 };
 pub use problem::{
     Assignment, ConsolidationProblem, DiskCombiner, LinearDiskCombiner, MigrationCost,

@@ -3,40 +3,70 @@
 //! §6: once K′ is fixed, "this allows us to parametrize the DIRECT
 //! algorithm in favor of local searches to increase the quality of the
 //! final solution". We complement DIRECT's coarse global structure with a
-//! deterministic best-move hill climber over slot→machine moves, using
-//! cached per-machine load series so each candidate move costs O(windows)
-//! rather than a full re-evaluation.
+//! deterministic best-move hill climber over slot→machine moves and
+//! whole-machine merges.
 //!
-//! Two layers of caching keep the neighborhood scan cheap:
+//! A candidate is scored **once and without touching the state**: the
+//! search keeps each machine's summed series and its share of the
+//! objective, a move changes two machines, and the candidate's objective
+//! is the in-order machine sum with those two shares substituted. Both
+//! shares come from the crate's one scoring primitive
+//! (`objective::score_machine`) run over scratch sums:
 //!
-//! * per-slot series come from the problem's structure-of-arrays cache
-//!   ([`crate::problem::SlotSeries`]) — no per-window bounds-checked
-//!   lookups in the inner loops;
-//! * per-machine extrema (peak CPU/RAM over the horizon) feed a sound
-//!   **lower-bound pruner**: candidate moves whose best-case objective
-//!   delta provably cannot beat the incumbent are skipped without
-//!   touching the load series. Pruning never changes the chosen move —
-//!   only moves that could not have won are skipped — so polish results
-//!   are identical with pruning on or off.
+//! * the source machine without the slot is the same for every
+//!   destination, so it is scored once per slot;
+//! * each destination is scored once with the slot added to its cached
+//!   sums; a merge adds the source machine's slots to the destination's
+//!   sums in list order and is scored once;
+//! * all empty machines give a slot the same objective and a later
+//!   candidate must beat the best so far by 1e-12, so only the
+//!   lowest-indexed empty machine is scored — except the slot's own
+//!   baseline machine, which wins back one move's migration cost and is
+//!   scored whenever it is empty.
+//!
+//! Per-machine extrema (peak CPU/RAM over the horizon) feed a sound
+//! **lower-bound pruner**: candidate moves whose best-case objective
+//! delta provably cannot beat the incumbent are skipped without touching
+//! the load series. Neither kind of skip changes the chosen move — only
+//! candidates that could not have won are skipped.
 
-use crate::objective::{evaluate, Evaluation};
+use crate::objective::{
+    evaluate, migration_delta, score_machine, Evaluation, MachineSums, PENALTY,
+};
 use crate::problem::{Assignment, ConsolidationProblem, SlotSeries};
 use std::sync::Arc;
 
-const PENALTY: f64 = 1e4;
-
-struct MachineState {
-    slots: Vec<usize>,
-    cpu: Vec<f64>,
-    ram: Vec<f64>,
-    ws: Vec<f64>,
-    rate: Vec<f64>,
-    /// Objective contribution (mean-exp) — 0 when empty.
+/// One machine's share of the objective.
+#[derive(Debug, Clone, Copy, Default)]
+struct Share {
+    /// Mean-exp contribution — 0 when empty.
     contrib: f64,
     /// Resource-excess + co-location violations on this machine.
     violation: f64,
+}
+
+/// Score a machine holding `members` whose series sum to `sums`.
+fn share_of(
+    problem: &ConsolidationProblem,
+    series: &SlotSeries,
+    members: &[usize],
+    sums: &MachineSums,
+    excess: &mut Vec<f64>,
+) -> Share {
+    excess.clear();
+    let score = score_machine(problem, &series.slots, members, sums, excess, |_| {});
+    Share {
+        contrib: score.contrib,
+        violation: excess.iter().sum::<f64>() + score.colocation,
+    }
+}
+
+struct MachineState {
+    slots: Vec<usize>,
+    sums: MachineSums,
+    share: Share,
     /// Peak CPU / RAM over the horizon (pruning bounds; refreshed with
-    /// the score).
+    /// the share).
     cpu_peak: f64,
     ram_peak: f64,
 }
@@ -50,8 +80,12 @@ struct SearchState<'a> {
     /// Slots currently off the migration baseline (0 without a baseline);
     /// kept incrementally so the cached objective matches `evaluate`.
     mig_moves: usize,
-    /// Moves skipped by the lower-bound pruner (observability).
+    /// Candidates skipped unscored (see [`PolishReport::pruned`]).
     pruned: usize,
+    // Scratch a candidate's touched machines are scored in.
+    sums: MachineSums,
+    members: Vec<usize>,
+    excess: Vec<f64>,
 }
 
 impl<'a> SearchState<'a> {
@@ -61,16 +95,11 @@ impl<'a> SearchState<'a> {
         k: usize,
     ) -> SearchState<'a> {
         let series = problem.slot_series().clone();
-        let windows = problem.windows;
         let mut machines: Vec<MachineState> = (0..k)
             .map(|_| MachineState {
                 slots: Vec::new(),
-                cpu: vec![0.0; windows],
-                ram: vec![0.0; windows],
-                ws: vec![0.0; windows],
-                rate: vec![0.0; windows],
-                contrib: 0.0,
-                violation: 0.0,
+                sums: MachineSums::default(),
+                share: Share::default(),
                 cpu_peak: 0.0,
                 ram_peak: 0.0,
             })
@@ -91,11 +120,7 @@ impl<'a> SearchState<'a> {
             }
             machines[*m].slots.push(s);
         }
-        let mig_moves = problem
-            .migration
-            .as_ref()
-            .map(|m| m.moves(&asg))
-            .unwrap_or(0);
+        let mig_moves = problem.moves_from_baseline(&asg);
         let mut state = SearchState {
             problem,
             series,
@@ -103,94 +128,49 @@ impl<'a> SearchState<'a> {
             assignment: asg,
             mig_moves,
             pruned: 0,
+            sums: MachineSums::default(),
+            members: Vec::new(),
+            excess: Vec::new(),
         };
         for m in 0..k {
-            state.recompute_sums(m);
+            let ms = &mut state.machines[m];
+            ms.sums.sum_of(&state.series, &ms.slots);
             state.refresh(m);
         }
         state
     }
 
-    fn recompute_sums(&mut self, m: usize) {
-        let windows = self.problem.windows;
-        let ms = &mut self.machines[m];
-        ms.cpu[..windows].fill(0.0);
-        ms.ram[..windows].fill(0.0);
-        ms.ws[..windows].fill(0.0);
-        ms.rate[..windows].fill(0.0);
-        for i in 0..ms.slots.len() {
-            let s = ms.slots[i];
-            let base = s * windows;
-            for t in 0..windows {
-                ms.cpu[t] += self.series.cpu[base + t];
-                ms.ram[t] += self.series.ram[base + t];
-                ms.ws[t] += self.series.ws[base + t];
-                ms.rate[t] += self.series.rate[base + t];
-            }
-        }
-    }
-
-    /// Recompute the cached contribution and violation of machine `m`.
+    /// Recompute the cached share and peaks of machine `m` from its sums.
     fn refresh(&mut self, m: usize) {
-        let (contrib, violation) = self.score_machine(m);
-        let windows = self.problem.windows;
         let ms = &mut self.machines[m];
-        ms.contrib = contrib;
-        ms.violation = violation;
+        ms.share = share_of(
+            self.problem,
+            &self.series,
+            &ms.slots,
+            &ms.sums,
+            &mut self.excess,
+        );
         if ms.slots.is_empty() {
             ms.cpu_peak = 0.0;
             ms.ram_peak = 0.0;
         } else {
-            ms.cpu_peak = ms.cpu[..windows].iter().copied().fold(0.0, f64::max);
-            ms.ram_peak = ms.ram[..windows].iter().copied().fold(0.0, f64::max);
+            ms.cpu_peak = ms.sums.cpu.iter().copied().fold(0.0, f64::max);
+            ms.ram_peak = ms.sums.ram.iter().copied().fold(0.0, f64::max);
         }
     }
 
-    fn score_machine(&self, m: usize) -> (f64, f64) {
-        let ms = &self.machines[m];
-        if ms.slots.is_empty() {
-            return (0.0, 0.0);
+    /// The objective with each machine in `subs` holding the share given
+    /// there instead of its cached one and `mig_moves` slots off the
+    /// baseline: the in-order sum over machines.
+    fn total_with(&self, subs: &[(usize, Share)], mig_moves: usize) -> f64 {
+        let (mut contrib, mut violation) = (0.0, 0.0);
+        for (m, ms) in self.machines.iter().enumerate() {
+            let share = subs.iter().find(|s| s.0 == m).map_or(ms.share, |s| s.1);
+            contrib += share.contrib;
+            violation += share.violation;
         }
-        let p = self.problem;
-        let cap = p.machine;
-        let weights = p.weights;
-        let wsum = weights.total().max(1e-12);
-        let mut exp_sum = 0.0;
-        let mut violation = 0.0;
-        for t in 0..p.windows {
-            let cpu = ms.cpu[t] / cap.cpu_cores;
-            let ram = ms.ram[t] / cap.ram_bytes;
-            let disk = p.disk.utilization(ms.ws[t], ms.rate[t]);
-            for u in [cpu, ram, disk] {
-                if u > p.headroom {
-                    violation += u - p.headroom;
-                }
-            }
-            let norm = (weights.cpu * cpu + weights.ram * ram + weights.disk * disk) / wsum;
-            exp_sum += norm.clamp(0.0, 1.0).exp();
-        }
-        // Co-location violations among this machine's slots.
-        for (i, &a) in ms.slots.iter().enumerate() {
-            for &b in &ms.slots[i + 1..] {
-                let (sa, sb) = (self.series.slots[a], self.series.slots[b]);
-                if sa.workload == sb.workload {
-                    violation += 1.0;
-                }
-                if p.anti_affinity.iter().any(|&(x, y)| {
-                    (x, y) == (sa.workload, sb.workload) || (y, x) == (sa.workload, sb.workload)
-                }) {
-                    violation += 1.0;
-                }
-            }
-        }
-        (exp_sum / p.windows as f64, violation)
-    }
-
-    fn total_objective(&self) -> f64 {
-        let mut contrib: f64 = self.machines.iter().map(|m| m.contrib).sum();
-        let violation: f64 = self.machines.iter().map(|m| m.violation).sum();
         if let Some(m) = &self.problem.migration {
-            contrib += m.cost_per_move * self.mig_moves as f64;
+            contrib += m.cost_per_move * mig_moves as f64;
         }
         if violation > 0.0 {
             contrib + PENALTY * (1.0 + violation)
@@ -199,8 +179,17 @@ impl<'a> SearchState<'a> {
         }
     }
 
+    fn total_objective(&self) -> f64 {
+        self.total_with(&[], self.mig_moves)
+    }
+
     fn total_violation(&self) -> f64 {
-        self.machines.iter().map(|m| m.violation).sum()
+        self.machines.iter().map(|m| m.share.violation).sum()
+    }
+
+    fn is_pinned(&self, slot: usize) -> bool {
+        let s = self.series.slots[slot];
+        s.replica == 0 && self.problem.workloads[s.workload].pinned.is_some()
     }
 
     /// Apply `slot → dst`, updating caches.
@@ -209,57 +198,165 @@ impl<'a> SearchState<'a> {
         if src == dst {
             return;
         }
-        let windows = self.problem.windows;
-        let base = slot * windows;
-        let pos = self.machines[src]
+        let from = &mut self.machines[src];
+        let pos = from
             .slots
             .iter()
             .position(|&s| s == slot)
             .expect("slot tracked on its machine");
-        self.machines[src].slots.swap_remove(pos);
-        {
-            let ms = &mut self.machines[src];
-            for t in 0..windows {
-                ms.cpu[t] -= self.series.cpu[base + t];
-                ms.ram[t] -= self.series.ram[base + t];
-                ms.ws[t] -= self.series.ws[base + t];
-                ms.rate[t] -= self.series.rate[base + t];
-            }
+        from.slots.swap_remove(pos);
+        if from.slots.is_empty() {
+            // No subtraction residue: every empty machine is the same.
+            from.sums.clear(self.problem.windows);
+        } else {
+            from.sums.sub(&self.series, slot);
         }
-        self.machines[dst].slots.push(slot);
-        {
-            let ms = &mut self.machines[dst];
-            for t in 0..windows {
-                ms.cpu[t] += self.series.cpu[base + t];
-                ms.ram[t] += self.series.ram[base + t];
-                ms.ws[t] += self.series.ws[base + t];
-                ms.rate[t] += self.series.rate[base + t];
-            }
-        }
-        if let Some(m) = &self.problem.migration {
-            if let Some(&Some(base)) = m.baseline.get(slot) {
-                if src == base && dst != base {
-                    self.mig_moves += 1;
-                } else if src != base && dst == base {
-                    self.mig_moves -= 1;
-                }
-            }
-        }
+        let to = &mut self.machines[dst];
+        to.slots.push(slot);
+        to.sums.add(&self.series, slot);
+        self.mig_moves =
+            (self.mig_moves as isize + migration_delta(self.problem, slot, src, dst)) as usize;
         self.assignment[slot] = dst;
         self.refresh(src);
         self.refresh(dst);
     }
 
-    /// Objective if `slot` moved to `dst` (without committing).
-    fn probe_move(&mut self, slot: usize, dst: usize) -> f64 {
-        let src = self.assignment[slot];
-        if src == dst {
-            return self.total_objective();
+    /// Share of `slot`'s machine once the slot has left it.
+    fn share_without(&mut self, slot: usize) -> Share {
+        let from = &self.machines[self.assignment[slot]];
+        self.members.clear();
+        self.members
+            .extend(from.slots.iter().filter(|&&s| s != slot));
+        self.sums.copy_from(&from.sums);
+        self.sums.sub(&self.series, slot);
+        share_of(
+            self.problem,
+            &self.series,
+            &self.members,
+            &self.sums,
+            &mut self.excess,
+        )
+    }
+
+    /// Share of machine `dst` once `extra` (slots of another machine, in
+    /// the order they would be moved) have joined it.
+    fn share_with(&mut self, dst: usize, extra: &[usize]) -> Share {
+        let to = &self.machines[dst];
+        self.members.clear();
+        self.members.extend_from_slice(&to.slots);
+        self.members.extend_from_slice(extra);
+        self.sums.copy_from(&to.sums);
+        for &s in extra {
+            self.sums.add(&self.series, s);
         }
-        self.apply_move(slot, dst);
-        let obj = self.total_objective();
-        self.apply_move(slot, src);
-        obj
+        share_of(
+            self.problem,
+            &self.series,
+            &self.members,
+            &self.sums,
+            &mut self.excess,
+        )
+    }
+
+    /// `mig_moves` after moving `slots` from `src` to `dst`.
+    fn mig_moves_after(&self, slots: &[usize], src: usize, dst: usize) -> usize {
+        let delta: isize = slots
+            .iter()
+            .map(|&s| migration_delta(self.problem, s, src, dst))
+            .sum();
+        (self.mig_moves as isize + delta) as usize
+    }
+
+    /// The machine that strictly improves the objective most when `slot`
+    /// alone moves to it, if any.
+    fn best_move(&mut self, slot: usize) -> Option<usize> {
+        let k = self.machines.len();
+        let current = self.total_objective();
+        let src = self.assignment[slot];
+        // Lower-bound pruning (sound only from a violation-free state,
+        // where any new violation costs ≥ PENALTY): if the best case —
+        // source contribution collapsing to its floor, destinations
+        // absorbing the slot for free, one migration move recovered —
+        // cannot improve on the incumbent, no destination needs scoring.
+        let feasible_now = self.total_violation() == 0.0 && current < PENALTY;
+        if feasible_now && current - self.single_move_gain_bound(slot) >= current - 1e-12 {
+            self.pruned += k - 1;
+            return None;
+        }
+        let home = self.problem.home_of(slot);
+        let without = self.share_without(slot);
+        let mut best = (current, src);
+        let mut empty_scored = false;
+        for dst in 0..k {
+            if dst == src {
+                continue;
+            }
+            // Empty machines are interchangeable, bar the slot's baseline
+            // home: the first one scored stands for the rest.
+            if self.machines[dst].slots.is_empty() && home != Some(dst) {
+                if empty_scored {
+                    self.pruned += 1;
+                    continue;
+                }
+                empty_scored = true;
+            }
+            // Capacity pruning: the cached destination peak plus the
+            // slot's minimum already exceeds CPU or RAM capacity, so the
+            // move is certainly infeasible and cannot beat a feasible
+            // incumbent.
+            if feasible_now && self.dst_certainly_violates(slot, dst) {
+                self.pruned += 1;
+                continue;
+            }
+            let with = self.share_with(dst, &[slot]);
+            let mig_moves = self.mig_moves_after(&[slot], src, dst);
+            let obj = self.total_with(&[(src, without), (dst, with)], mig_moves);
+            if obj < best.0 - 1e-12 {
+                best = (obj, dst);
+            }
+        }
+        (best.1 != src).then_some(best.1)
+    }
+
+    /// The occupied machine that strictly improves the objective most when
+    /// all of `src`'s slots are folded into it, if any. Relocating a whole
+    /// machine at once captures the "+1 per server" gain that single moves
+    /// cannot see (the first slot moved off a balanced pair looks like a
+    /// loss).
+    fn best_merge(&mut self, src: usize) -> Option<usize> {
+        let src_slots = self.machines[src].slots.clone();
+        if src_slots.is_empty() || src_slots.iter().any(|&s| self.is_pinned(s)) {
+            return None;
+        }
+        let current = self.total_objective();
+        let feasible_now = self.total_violation() == 0.0 && current < PENALTY;
+        let min_of = |v: &[f64]| v.iter().copied().fold(f64::INFINITY, f64::min);
+        let src_cpu_min = min_of(&self.machines[src].sums.cpu);
+        let src_ram_min = min_of(&self.machines[src].sums.ram);
+        let cap = self.problem.machine;
+        let headroom = self.problem.headroom;
+        let mut best: Option<(f64, usize)> = None;
+        for dst in 0..self.machines.len() {
+            if dst == src || self.machines[dst].slots.is_empty() {
+                continue;
+            }
+            // Same peak+min capacity bound, applied to the whole source
+            // machine being folded into `dst`.
+            if feasible_now
+                && (self.machines[dst].cpu_peak + src_cpu_min > cap.cpu_cores * headroom
+                    || self.machines[dst].ram_peak + src_ram_min > cap.ram_bytes * headroom)
+            {
+                self.pruned += src_slots.len();
+                continue;
+            }
+            let merged = self.share_with(dst, &src_slots);
+            let mig_moves = self.mig_moves_after(&src_slots, src, dst);
+            let obj = self.total_with(&[(src, Share::default()), (dst, merged)], mig_moves);
+            if obj < current - 1e-12 && best.as_ref().is_none_or(|b| obj < b.0) {
+                best = Some((obj, dst));
+            }
+        }
+        best.map(|b| b.1)
     }
 
     /// Upper bound on what moving `slot` anywhere could gain, valid when
@@ -274,14 +371,11 @@ impl<'a> SearchState<'a> {
         let src = self.assignment[slot];
         let ms = &self.machines[src];
         let floor = if ms.slots.len() > 1 { 1.0 } else { 0.0 };
-        let mig_relief = match &self.problem.migration {
-            Some(m) => match m.baseline.get(slot) {
-                Some(&Some(b)) if b != src => m.cost_per_move,
-                _ => 0.0,
-            },
-            None => 0.0,
+        let mig_relief = match (&self.problem.migration, self.problem.home_of(slot)) {
+            (Some(m), Some(home)) if home != src => m.cost_per_move,
+            _ => 0.0,
         };
-        (ms.contrib - floor) + mig_relief
+        (ms.share.contrib - floor) + mig_relief
     }
 
     /// Would placing `slot` on `dst` provably violate a CPU or RAM
@@ -309,9 +403,10 @@ pub struct PolishReport {
     pub evaluation: Evaluation,
     pub moves: usize,
     pub rounds: usize,
-    /// Candidate moves skipped by the lower-bound pruner (they provably
-    /// could not beat the incumbent; skipping them never changes the
-    /// result).
+    /// Candidate moves skipped unscored: those the lower-bound pruner
+    /// proved could not beat the incumbent, and empty destinations
+    /// interchangeable with a lower-indexed empty machine already scored.
+    /// Skipping them never changes the result.
     pub pruned: usize,
 }
 
@@ -322,6 +417,18 @@ pub fn polish(
     k: usize,
     max_rounds: usize,
 ) -> PolishReport {
+    polish_observed(problem, start, k, max_rounds, |_| {})
+}
+
+/// [`polish`], calling `applied` with the state after every applied single
+/// move and merge and once more at exit.
+fn polish_observed(
+    problem: &ConsolidationProblem,
+    start: &Assignment,
+    k: usize,
+    max_rounds: usize,
+    mut applied: impl FnMut(&SearchState),
+) -> PolishReport {
     assert!(k >= 1);
     let mut state = SearchState::new(problem, start, k);
     let n_slots = state.series.slots.len();
@@ -331,114 +438,34 @@ pub fn polish(
     for _ in 0..max_rounds {
         rounds += 1;
         let mut improved = false;
-        // Single-slot moves.
         for slot in 0..n_slots {
             // Pinned replica-0 slots stay put.
-            let s = state.series.slots[slot];
-            if s.replica == 0 && problem.workloads[s.workload].pinned.is_some() {
+            if state.is_pinned(slot) {
                 continue;
             }
-            let current = state.total_objective();
-            let src = state.assignment[slot];
-            // Lower-bound pruning (sound only from a violation-free
-            // state, where any new violation costs ≥ PENALTY): if the
-            // best case — source contribution collapsing to its floor,
-            // destinations absorbing the slot for free, one migration
-            // move recovered — cannot improve on the incumbent, no
-            // destination needs probing.
-            let feasible_now = state.total_violation() == 0.0 && current < PENALTY;
-            if feasible_now && current - state.single_move_gain_bound(slot) >= current - 1e-12 {
-                state.pruned += k - 1;
-                continue;
-            }
-            let mut best = (current, src);
-            for dst in 0..k {
-                if dst == src {
-                    continue;
-                }
-                // Capacity pruning: the cached destination peak plus the
-                // slot's minimum already exceeds CPU or RAM capacity, so
-                // the move is certainly infeasible and cannot beat a
-                // feasible incumbent.
-                if feasible_now && state.dst_certainly_violates(slot, dst) {
-                    state.pruned += 1;
-                    continue;
-                }
-                let obj = state.probe_move(slot, dst);
-                if obj < best.0 - 1e-12 {
-                    best = (obj, dst);
-                }
-            }
-            if best.1 != src {
-                state.apply_move(slot, best.1);
+            if let Some(dst) = state.best_move(slot) {
+                state.apply_move(slot, dst);
                 moves += 1;
                 improved = true;
+                applied(&state);
             }
         }
-        // Machine-merge moves: relocating a whole machine's slots at once
-        // captures the "+1 per server" gain that single moves cannot see
-        // (the first slot moved off a balanced pair looks like a loss).
         for src in 0..k {
-            let src_slots: Vec<usize> = state.machines[src].slots.clone();
-            if src_slots.is_empty() {
-                continue;
-            }
-            if src_slots.iter().any(|&s| {
-                let slot = state.series.slots[s];
-                slot.replica == 0 && problem.workloads[slot.workload].pinned.is_some()
-            }) {
-                continue;
-            }
-            let current = state.total_objective();
-            let feasible_now = state.total_violation() == 0.0 && current < PENALTY;
-            let src_cpu_min: f64 = state.machines[src].cpu[..problem.windows]
-                .iter()
-                .copied()
-                .fold(f64::INFINITY, f64::min);
-            let src_ram_min: f64 = state.machines[src].ram[..problem.windows]
-                .iter()
-                .copied()
-                .fold(f64::INFINITY, f64::min);
-            let cap = problem.machine;
-            let mut best: Option<(f64, usize)> = None;
-            for dst in 0..k {
-                if dst == src || state.machines[dst].slots.is_empty() {
-                    continue;
-                }
-                // Same peak+min capacity bound, applied to the whole
-                // source machine being folded into `dst`.
-                if feasible_now
-                    && (state.machines[dst].cpu_peak + src_cpu_min
-                        > cap.cpu_cores * problem.headroom
-                        || state.machines[dst].ram_peak + src_ram_min
-                            > cap.ram_bytes * problem.headroom)
-                {
-                    state.pruned += src_slots.len();
-                    continue;
-                }
-                for &s in &src_slots {
-                    state.apply_move(s, dst);
-                }
-                let obj = state.total_objective();
-                if obj < current - 1e-12 && best.as_ref().is_none_or(|b| obj < b.0) {
-                    best = Some((obj, dst));
-                }
-                for &s in &src_slots {
-                    state.apply_move(s, src);
-                }
-            }
-            if let Some((_, dst)) = best {
+            if let Some(dst) = state.best_merge(src) {
+                let src_slots = state.machines[src].slots.clone();
                 for &s in &src_slots {
                     state.apply_move(s, dst);
                 }
                 moves += src_slots.len();
                 improved = true;
+                applied(&state);
             }
         }
         if !improved {
             break;
         }
     }
+    applied(&state);
 
     let assignment = Assignment::new(state.assignment.clone());
     let evaluation = evaluate(problem, &assignment);
@@ -552,5 +579,64 @@ mod tests {
         let a = polish(&p, &start, 8, 50);
         let b = polish(&p, &start, 8, 50);
         assert_eq!(a.assignment, b.assignment);
+    }
+
+    #[test]
+    fn slot_moves_home_past_a_lower_indexed_empty_machine() {
+        // Slot 0 sits beside slot 1 on machine 0; its baseline home is
+        // machine 3. Machines 1, 2 and 3 are all empty. A new machine
+        // costs about 1 and a move home wins back 2, so home is the only
+        // improving destination — and it is not the first empty machine.
+        let p = problem(2, 1.0).with_migration(vec![Some(3), Some(0)], 2.0);
+        let report = polish(&p, &Assignment::new(vec![0, 0]), 4, 50);
+        assert_eq!(report.assignment.machine_of, vec![3, 0]);
+        assert_eq!(report.evaluation.moves_from_baseline, 0);
+        // Machines 1 and 2 stood in for each other once per round.
+        assert!(report.pruned >= 1, "pruned {}", report.pruned);
+    }
+
+    #[test]
+    fn spare_machines_are_free() {
+        // An overloaded two-machine start that has to spread out: how many
+        // more empty machines there are to spread into changes nothing.
+        let p = problem(8, 4.0);
+        let start = Assignment::new(vec![0, 0, 0, 0, 1, 1, 1, 1]);
+        let tight = polish(&p, &start, 6, 50);
+        let roomy = polish(&p, &start, 6 + 8, 50);
+        assert!(tight.evaluation.feasible);
+        assert_eq!(tight.assignment, roomy.assignment);
+        assert_eq!(tight.rounds, roomy.rounds);
+        assert_eq!(tight.moves, roomy.moves);
+        assert!(roomy.pruned > tight.pruned);
+    }
+
+    #[test]
+    fn cached_total_tracks_evaluate_through_every_applied_move() {
+        // A violating start priced by a migration term (repaired by single
+        // moves), and balanced pairs only merges can consolidate.
+        let violating = problem(4, 5.0).with_migration(vec![Some(0); 4], 0.1);
+        let pairs = problem(6, 1.0).with_migration(
+            vec![Some(0), Some(0), Some(1), None, Some(2), Some(2)],
+            0.05,
+        );
+        for (p, start, k, machines) in [
+            (&violating, vec![0, 0, 0, 0], 4, 2),
+            (&pairs, vec![0, 0, 1, 1, 2, 2], 3, 1),
+        ] {
+            let mut checks = 0;
+            let report = polish_observed(p, &Assignment::new(start), k, 50, |state| {
+                let full = evaluate(p, &Assignment::new(state.assignment.clone()));
+                assert!(
+                    (state.total_objective() - full.objective).abs() < 1e-9,
+                    "cached {} vs full {}",
+                    state.total_objective(),
+                    full.objective
+                );
+                checks += 1;
+            });
+            assert!(checks >= 2, "no move was applied");
+            assert!(report.evaluation.feasible);
+            assert_eq!(report.assignment.machines_used(), machines);
+        }
     }
 }

@@ -9,7 +9,7 @@
 //! assignment the minimum — exactly the landscape Fig 5 sketches,
 //! including the constraint-violation penalty spike.
 
-use crate::problem::{Assignment, ConsolidationProblem, SlotSeries};
+use crate::problem::{Assignment, ConsolidationProblem, Slot, SlotSeries};
 
 /// Per-machine, per-window utilization triple (fractions of capacity).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -44,7 +44,202 @@ pub struct Evaluation {
 
 /// Scale of the infeasibility penalty — large enough that any feasible
 /// solution beats any infeasible one (Fig 5's spike).
-const PENALTY: f64 = 1e4;
+pub(crate) const PENALTY: f64 = 1e4;
+
+/// One machine's per-window resource sums.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct MachineSums {
+    pub cpu: Vec<f64>,
+    pub ram: Vec<f64>,
+    pub ws: Vec<f64>,
+    pub rate: Vec<f64>,
+}
+
+impl MachineSums {
+    /// All-zero sums over `windows` windows.
+    pub fn clear(&mut self, windows: usize) {
+        for v in [&mut self.cpu, &mut self.ram, &mut self.ws, &mut self.rate] {
+            v.clear();
+            v.resize(windows, 0.0);
+        }
+    }
+
+    pub fn copy_from(&mut self, other: &MachineSums) {
+        self.cpu.clone_from(&other.cpu);
+        self.ram.clone_from(&other.ram);
+        self.ws.clone_from(&other.ws);
+        self.rate.clone_from(&other.rate);
+    }
+
+    /// Apply `f` to every (accumulator, sample) pair of `slot`'s series.
+    fn zip(&mut self, series: &SlotSeries, slot: usize, f: impl Fn(&mut f64, f64)) {
+        for (acc, src) in [
+            (&mut self.cpu, series.cpu_of(slot)),
+            (&mut self.ram, series.ram_of(slot)),
+            (&mut self.ws, series.ws_of(slot)),
+            (&mut self.rate, series.rate_of(slot)),
+        ] {
+            for (a, &v) in acc.iter_mut().zip(src) {
+                f(a, v);
+            }
+        }
+    }
+
+    pub fn add(&mut self, series: &SlotSeries, slot: usize) {
+        self.zip(series, slot, |a, v| *a += v);
+    }
+
+    pub fn sub(&mut self, series: &SlotSeries, slot: usize) {
+        self.zip(series, slot, |a, v| *a -= v);
+    }
+
+    /// Sum `members`' series from zero, in list order: the order every
+    /// bit-identity promise of this module is stated in.
+    pub fn sum_of(&mut self, series: &SlotSeries, members: &[usize]) {
+        self.clear(series.windows);
+        for &s in members {
+            self.add(series, s);
+        }
+    }
+}
+
+/// What one machine adds to the objective, beside the resource-excess
+/// terms [`score_machine`] appends.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct MachineScore {
+    /// Mean over the windows of `e^load`; 0 for an empty machine.
+    pub contrib: f64,
+    /// Co-located replica and anti-affinity pairs (integer-valued).
+    pub colocation: f64,
+}
+
+/// **The per-machine scoring primitive**: the one place outside
+/// [`evaluate_reference`] that turns per-window sums into utilization,
+/// excess and `e^load`. From a machine's occupants and their summed series
+/// it returns the mean-exp contribution and the co-location count, appends
+/// the resource-excess terms to `excess` in (window; cpu, ram, disk) order
+/// and hands every window's load to `on_window`. [`evaluate`], DIRECT's
+/// [`CentreScorer`] and `polish` all score through it; they differ only in
+/// how they form `sums` and in how they add the parts up.
+pub(crate) fn score_machine(
+    problem: &ConsolidationProblem,
+    slots: &[Slot],
+    occupants: &[usize],
+    sums: &MachineSums,
+    excess: &mut Vec<f64>,
+    mut on_window: impl FnMut(WindowLoad),
+) -> MachineScore {
+    if occupants.is_empty() {
+        return MachineScore::default();
+    }
+    let windows = problem.windows;
+    let weights = problem.weights;
+    let wsum = weights.total().max(1e-12);
+    let cap = problem.machine;
+    let headroom = problem.headroom;
+    let (cpu, ram) = (&sums.cpu[..windows], &sums.ram[..windows]);
+    let (ws, rate) = (&sums.ws[..windows], &sums.rate[..windows]);
+    let mut exp_sum = 0.0;
+    for t in 0..windows {
+        let load = WindowLoad {
+            cpu: cpu[t] / cap.cpu_cores,
+            ram: ram[t] / cap.ram_bytes,
+            disk: problem.disk.utilization(ws[t], rate[t]),
+        };
+        for u in [load.cpu, load.ram, load.disk] {
+            if u > headroom {
+                excess.push(u - headroom);
+            }
+        }
+        let norm =
+            (weights.cpu * load.cpu + weights.ram * load.ram + weights.disk * load.disk) / wsum;
+        exp_sum += norm.clamp(0.0, 1.0).exp();
+        on_window(load);
+    }
+    MachineScore {
+        contrib: exp_sum / windows as f64,
+        colocation: colocation_violations(problem, slots, occupants),
+    }
+}
+
+/// Form the objective from per-machine parts in [`evaluate_reference`]'s
+/// accumulation order: the integer-valued violations (machine count,
+/// co-location, pins: exact in any order), then the excess terms machine
+/// by machine, then the contributions machine by machine, then the
+/// migration term, then the penalty. Returns `(objective, violation)`.
+fn total_objective(
+    problem: &ConsolidationProblem,
+    integer_violation: f64,
+    contribs: impl Iterator<Item = f64>,
+    excess: impl Iterator<Item = f64>,
+    moves_from_baseline: usize,
+) -> (f64, f64) {
+    let violation = excess.fold(integer_violation, |v, e| v + e);
+    let mut objective = contribs.fold(0.0, |o, c| o + c);
+    if let Some(m) = &problem.migration {
+        objective += m.cost_per_move * moves_from_baseline as f64;
+    }
+    if violation != 0.0 {
+        objective += PENALTY * (1.0 + violation);
+    }
+    (objective, violation)
+}
+
+/// Machine-count violation of using machine `m` at all.
+fn overflow_violation(problem: &ConsolidationProblem, m: usize) -> f64 {
+    if m >= problem.max_machines {
+        1.0 + (m - problem.max_machines) as f64
+    } else {
+        0.0
+    }
+}
+
+/// Pin violation of `slot` on `machine`. The paper pins a workload to a
+/// node; we interpret it as "replica 0 must sit on the pinned machine".
+fn pin_violation(problem: &ConsolidationProblem, slot: Slot, machine: usize) -> f64 {
+    match problem.workloads[slot.workload].pinned {
+        Some(pin) if slot.replica == 0 && machine != pin => 1.0,
+        _ => 0.0,
+    }
+}
+
+/// Change in the moves-off-baseline count when `slot` goes `src → dst`.
+pub(crate) fn migration_delta(
+    problem: &ConsolidationProblem,
+    slot: usize,
+    src: usize,
+    dst: usize,
+) -> isize {
+    match problem.home_of(slot) {
+        Some(b) if src == b && dst != b => 1,
+        Some(b) if src != b && dst == b => -1,
+        _ => 0,
+    }
+}
+
+/// Co-location violations (replica + explicit anti-affinity) among the
+/// slots sharing one machine.
+fn colocation_violations(
+    problem: &ConsolidationProblem,
+    slots: &[Slot],
+    slot_ids: &[usize],
+) -> f64 {
+    let mut violation = 0.0;
+    for (a_pos, &a) in slot_ids.iter().enumerate() {
+        for &b in &slot_ids[a_pos + 1..] {
+            let (sa, sb) = (slots[a], slots[b]);
+            if sa.workload == sb.workload {
+                violation += 1.0;
+            }
+            if problem.anti_affinity.iter().any(|&(x, y)| {
+                (x, y) == (sa.workload, sb.workload) || (y, x) == (sa.workload, sb.workload)
+            }) {
+                violation += 1.0;
+            }
+        }
+    }
+    violation
+}
 
 /// Evaluate `assignment` under `problem`, through the problem's
 /// structure-of-arrays slot cache (built on first use; see
@@ -69,103 +264,44 @@ pub fn evaluate_with_series(
         assignment.machine_of.len(),
         "assignment must cover every placement slot"
     );
-    let windows = problem.windows;
-    let weights = problem.weights;
-    let wsum = weights.total().max(1e-12);
-    let cap = problem.machine;
-    let headroom = problem.headroom;
-
     let by_machine = assignment.by_machine();
-    let mut violation = 0.0;
-    let mut objective = 0.0;
+    let mut integer_violation: f64 = slots
+        .iter()
+        .zip(&assignment.machine_of)
+        .map(|(&slot, &m)| pin_violation(problem, slot, m))
+        .sum();
+    let mut sums = MachineSums::default();
+    let mut excess = Vec::new();
+    let mut contribs = Vec::with_capacity(by_machine.len());
     let mut loads = Vec::with_capacity(by_machine.len());
-
-    // Machine-count constraint.
-    for (&m, _) in by_machine.iter() {
-        if m >= problem.max_machines {
-            violation += 1.0 + (m - problem.max_machines) as f64;
-        }
-    }
-
-    // Replica anti-affinity: two replicas of one workload cannot share a
-    // machine; explicit anti-affinity pairs likewise.
-    for (_, slot_ids) in by_machine.iter() {
-        violation += colocation_violations(problem, slots, slot_ids);
-    }
-
-    // Pinning: every replica of a pinned workload's slots... the paper pins
-    // a workload to a node; we interpret it as "replica 0 must sit on the
-    // pinned machine".
-    for (s, slot) in slots.iter().enumerate() {
-        if slot.replica == 0 {
-            if let Some(pin) = problem.workloads[slot.workload].pinned {
-                if assignment.machine_of[s] != pin {
-                    violation += 1.0;
-                }
-            }
-        }
-    }
-
-    // Resource constraints + objective, per used machine. Sums run
-    // slot-major over the cached series: each window accumulator receives
-    // its contributions in the same slot order the reference path uses,
-    // so the floating-point results are identical.
-    let mut cpu_sum = vec![0.0f64; windows];
-    let mut ram_sum = vec![0.0f64; windows];
-    let mut ws_sum = vec![0.0f64; windows];
-    let mut rate_sum = vec![0.0f64; windows];
+    // Per used machine, slot-major over the cached series: each window
+    // accumulator receives its contributions in the same slot order the
+    // reference path uses, so the floating-point results are identical.
     for (&m, slot_ids) in by_machine.iter() {
-        cpu_sum.fill(0.0);
-        ram_sum.fill(0.0);
-        ws_sum.fill(0.0);
-        rate_sum.fill(0.0);
-        for &s in slot_ids {
-            add_series(&mut cpu_sum, series.cpu_of(s));
-            add_series(&mut ram_sum, series.ram_of(s));
-            add_series(&mut ws_sum, series.ws_of(s));
-            add_series(&mut rate_sum, series.rate_of(s));
-        }
-        let mut window_loads = Vec::with_capacity(windows);
-        let mut exp_sum = 0.0;
-        for t in 0..windows {
-            let load = WindowLoad {
-                cpu: cpu_sum[t] / cap.cpu_cores,
-                ram: ram_sum[t] / cap.ram_bytes,
-                disk: problem.disk.utilization(ws_sum[t], rate_sum[t]),
-            };
-            for u in [load.cpu, load.ram, load.disk] {
-                if u > headroom {
-                    violation += u - headroom;
-                }
-            }
-            let norm =
-                (weights.cpu * load.cpu + weights.ram * load.ram + weights.disk * load.disk) / wsum;
-            exp_sum += norm.clamp(0.0, 1.0).exp();
-            window_loads.push(load);
-        }
-        objective += exp_sum / windows as f64;
+        sums.sum_of(series, slot_ids);
+        let mut window_loads = Vec::with_capacity(problem.windows);
+        let score = score_machine(problem, slots, slot_ids, &sums, &mut excess, |load| {
+            window_loads.push(load)
+        });
+        integer_violation += overflow_violation(problem, m) + score.colocation;
+        contribs.push(score.contrib);
         loads.push((m, window_loads));
     }
 
     // Migration-cost term (§ online re-solve): each slot moved off its
     // baseline machine costs a fixed objective increment, so plans with
     // small placement deltas win among near-equals.
-    let moves_from_baseline = problem
-        .migration
-        .as_ref()
-        .map(|m| m.moves(&assignment.machine_of))
-        .unwrap_or(0);
-    if let Some(m) = &problem.migration {
-        objective += m.cost_per_move * moves_from_baseline as f64;
-    }
-
-    let feasible = violation == 0.0;
-    if !feasible {
-        objective += PENALTY * (1.0 + violation);
-    }
+    let moves_from_baseline = problem.moves_from_baseline(&assignment.machine_of);
+    let (objective, violation) = total_objective(
+        problem,
+        integer_violation,
+        contribs.into_iter(),
+        excess.into_iter(),
+        moves_from_baseline,
+    );
     Evaluation {
         objective,
-        feasible,
+        feasible: violation == 0.0,
         violation,
         machines_used: by_machine.len(),
         moves_from_baseline,
@@ -173,35 +309,192 @@ pub fn evaluate_with_series(
     }
 }
 
-#[inline]
-fn add_series(acc: &mut [f64], src: &[f64]) {
-    for (a, &v) in acc.iter_mut().zip(src) {
-        *a += v;
+/// A machine's score with its ordered excess terms.
+#[derive(Debug, Clone, Default)]
+struct Scored {
+    score: MachineScore,
+    excess: Vec<f64>,
+}
+
+impl Scored {
+    /// Score a machine holding exactly `members`, summed from zero in list
+    /// order.
+    fn rescore(
+        &mut self,
+        problem: &ConsolidationProblem,
+        series: &SlotSeries,
+        members: &[usize],
+        sums: &mut MachineSums,
+    ) {
+        self.excess.clear();
+        sums.sum_of(series, members);
+        self.score = score_machine(
+            problem,
+            &series.slots,
+            members,
+            sums,
+            &mut self.excess,
+            |_| {},
+        );
     }
 }
 
-/// Co-location violations (replica + explicit anti-affinity) among the
-/// slots sharing one machine.
-fn colocation_violations(
-    problem: &ConsolidationProblem,
-    slots: &[crate::problem::Slot],
-    slot_ids: &[usize],
-) -> f64 {
-    let mut violation = 0.0;
-    for (a_pos, &a) in slot_ids.iter().enumerate() {
-        for &b in &slot_ids[a_pos + 1..] {
-            let (sa, sb) = (slots[a], slots[b]);
-            if sa.workload == sb.workload {
-                violation += 1.0;
-            }
-            if problem.anti_affinity.iter().any(|&(x, y)| {
-                (x, y) == (sa.workload, sb.workload) || (y, x) == (sa.workload, sb.workload)
-            }) {
-                violation += 1.0;
-            }
+/// Objective of every placement one slot move away from a *centre*
+/// placement, bit for bit what [`evaluate`] reports, without re-scoring
+/// the machines the move does not touch. This is what DIRECT's inner loop
+/// asks for: each of its samples is a rectangle's centre with one
+/// coordinate changed, i.e. at most one slot on another machine.
+///
+/// [`rebase`](CentreScorer::rebase) scores the centre once and keeps, per
+/// machine, the occupants (ascending slot index), the contribution, the
+/// co-location count and the ordered excess terms.
+/// [`moved`](CentreScorer::moved) re-sums only the source and the
+/// destination machine — **from zero, in ascending slot order**, exactly
+/// as `evaluate` sums them — and re-forms the total in `evaluate`'s order
+/// with those two entries substituted.
+///
+/// Updating the source machine by subtraction (`sums − slot`) instead is
+/// about 5× cheaper per sample and was measured and rejected: it differs
+/// from the from-zero sum in the last ulp, and the search is chaotic
+/// enough that on one SecondLife draw the binary search then probed
+/// K′ = 21 instead of 20 and the plan used one machine more. Do not retry
+/// it without an answer to that.
+#[derive(Default)]
+pub struct CentreScorer {
+    machine_of: Vec<usize>,
+    /// Per machine, ascending slot index. Sized to the largest machine
+    /// index seen so far; a reused scorer only ever grows.
+    occupants: Vec<Vec<usize>>,
+    scored: Vec<Scored>,
+    /// The centre's machine-count + co-location + pin violations.
+    integer_violation: f64,
+    moves_from_baseline: usize,
+    centre: f64,
+    // Scratch for the two machines a move touches. `src` is kept across
+    // calls: DIRECT samples each axis twice, and the source machine
+    // without the slot is the same both times.
+    sums: MachineSums,
+    members: Vec<usize>,
+    src: Scored,
+    src_without: Option<usize>,
+    dst: Scored,
+}
+
+impl CentreScorer {
+    fn grow(&mut self, machines: usize) {
+        if self.occupants.len() < machines {
+            self.occupants.resize_with(machines, Vec::new);
+            self.scored.resize_with(machines, Scored::default);
         }
     }
-    violation
+
+    /// Make `machine_of` the centre and return its objective.
+    pub fn rebase(
+        &mut self,
+        problem: &ConsolidationProblem,
+        series: &SlotSeries,
+        machine_of: &[usize],
+    ) -> f64 {
+        debug_assert_eq!(series.slots.len(), machine_of.len());
+        for occ in &mut self.occupants {
+            occ.clear();
+        }
+        self.grow(machine_of.iter().max().map_or(0, |m| m + 1));
+        self.machine_of.clear();
+        self.machine_of.extend_from_slice(machine_of);
+        self.src_without = None;
+        self.integer_violation = 0.0;
+        for (s, &m) in machine_of.iter().enumerate() {
+            self.occupants[m].push(s);
+            self.integer_violation += pin_violation(problem, series.slots[s], m);
+        }
+        for m in 0..self.occupants.len() {
+            let occ = &self.occupants[m];
+            self.scored[m].rescore(problem, series, occ, &mut self.sums);
+            if !occ.is_empty() {
+                self.integer_violation += overflow_violation(problem, m);
+            }
+            self.integer_violation += self.scored[m].score.colocation;
+        }
+        self.moves_from_baseline = problem.moves_from_baseline(machine_of);
+        self.centre = total_objective(
+            problem,
+            self.integer_violation,
+            self.scored.iter().map(|m| m.score.contrib),
+            self.scored.iter().flat_map(|m| m.excess.iter().copied()),
+            self.moves_from_baseline,
+        )
+        .0;
+        self.centre
+    }
+
+    /// The centre's objective.
+    pub fn centre(&self) -> f64 {
+        self.centre
+    }
+
+    /// Objective of the centre with `slot` on machine `dst` instead; the
+    /// centre itself is unchanged. `problem` and `series` must be the ones
+    /// last passed to [`rebase`](CentreScorer::rebase).
+    pub fn moved(
+        &mut self,
+        problem: &ConsolidationProblem,
+        series: &SlotSeries,
+        slot: usize,
+        dst: usize,
+    ) -> f64 {
+        let src = self.machine_of[slot];
+        if src == dst {
+            return self.centre;
+        }
+        self.grow(dst + 1);
+        if self.src_without != Some(slot) {
+            self.members.clear();
+            self.members
+                .extend(self.occupants[src].iter().filter(|&&s| s != slot));
+            self.src
+                .rescore(problem, series, &self.members, &mut self.sums);
+            self.src_without = Some(slot);
+        }
+        let occ = &self.occupants[dst];
+        let at = occ.partition_point(|&s| s < slot);
+        self.members.clear();
+        self.members.extend_from_slice(&occ[..at]);
+        self.members.push(slot);
+        self.members.extend_from_slice(&occ[at..]);
+        self.dst
+            .rescore(problem, series, &self.members, &mut self.sums);
+
+        let mut integer_violation = self.integer_violation
+            + (pin_violation(problem, series.slots[slot], dst)
+                - pin_violation(problem, series.slots[slot], src))
+            + (self.src.score.colocation - self.scored[src].score.colocation)
+            + (self.dst.score.colocation - self.scored[dst].score.colocation);
+        if self.occupants[src].len() == 1 {
+            integer_violation -= overflow_violation(problem, src);
+        }
+        if self.occupants[dst].is_empty() {
+            integer_violation += overflow_violation(problem, dst);
+        }
+        let moves = self.moves_from_baseline as isize + migration_delta(problem, slot, src, dst);
+        let pick = |m: usize| {
+            if m == src {
+                &self.src
+            } else if m == dst {
+                &self.dst
+            } else {
+                &self.scored[m]
+            }
+        };
+        total_objective(
+            problem,
+            integer_violation,
+            (0..self.scored.len()).map(|m| pick(m).score.contrib),
+            (0..self.scored.len()).flat_map(|m| pick(m).excess.iter().copied()),
+            moves as usize,
+        )
+        .0
+    }
 }
 
 /// The original, cache-free evaluation path: slot list re-expanded and
@@ -302,125 +595,6 @@ pub fn evaluate_reference(problem: &ConsolidationProblem, assignment: &Assignmen
         moves_from_baseline,
         loads,
     }
-}
-
-/// Reusable buffers for [`evaluate_objective`] — the allocation-free
-/// scoring path DIRECT's inner loop runs thousands of times per re-solve.
-#[derive(Default)]
-pub struct EvalScratch {
-    /// Per-machine slot lists (capacity retained across calls).
-    occupants: Vec<Vec<usize>>,
-    cpu: Vec<f64>,
-    ram: Vec<f64>,
-    ws: Vec<f64>,
-    rate: Vec<f64>,
-}
-
-/// Objective-only evaluation: the same score [`evaluate`] reports, with
-/// zero steady-state allocation. Used by DIRECT's inner loop where the
-/// full [`Evaluation`] (per-machine load series, feasibility breakdown)
-/// would be discarded anyway. Feasibility decisions (`violation > 0`)
-/// agree with [`evaluate`]; the final authority on any returned plan is
-/// still a full `evaluate` call.
-pub fn evaluate_objective(
-    problem: &ConsolidationProblem,
-    series: &SlotSeries,
-    machine_of: &[usize],
-    scratch: &mut EvalScratch,
-) -> f64 {
-    let slots = &series.slots;
-    debug_assert_eq!(slots.len(), machine_of.len());
-    let windows = problem.windows;
-    let weights = problem.weights;
-    let wsum = weights.total().max(1e-12);
-    let cap = problem.machine;
-    let headroom = problem.headroom;
-
-    let k = machine_of.iter().copied().max().map_or(0, |m| m + 1);
-    if scratch.occupants.len() < k {
-        scratch.occupants.resize_with(k, Vec::new);
-    }
-    for occ in scratch.occupants.iter_mut().take(k) {
-        occ.clear();
-    }
-    for (s, &m) in machine_of.iter().enumerate() {
-        scratch.occupants[m].push(s);
-    }
-    if scratch.cpu.len() < windows {
-        scratch.cpu.resize(windows, 0.0);
-        scratch.ram.resize(windows, 0.0);
-        scratch.ws.resize(windows, 0.0);
-        scratch.rate.resize(windows, 0.0);
-    }
-
-    let mut violation = 0.0;
-    let mut objective = 0.0;
-
-    for (m, occ) in scratch.occupants.iter().enumerate().take(k) {
-        if occ.is_empty() {
-            continue;
-        }
-        if m >= problem.max_machines {
-            violation += 1.0 + (m - problem.max_machines) as f64;
-        }
-    }
-    for occ in scratch.occupants.iter().take(k) {
-        if occ.len() > 1 {
-            violation += colocation_violations(problem, slots, occ);
-        }
-    }
-    for (s, slot) in slots.iter().enumerate() {
-        if slot.replica == 0 {
-            if let Some(pin) = problem.workloads[slot.workload].pinned {
-                if machine_of[s] != pin {
-                    violation += 1.0;
-                }
-            }
-        }
-    }
-
-    for m in 0..k {
-        // Swap the occupant list out so the accumulators can be borrowed
-        // mutably alongside it without re-allocating.
-        let occ = std::mem::take(&mut scratch.occupants[m]);
-        if occ.is_empty() {
-            scratch.occupants[m] = occ;
-            continue;
-        }
-        scratch.cpu[..windows].fill(0.0);
-        scratch.ram[..windows].fill(0.0);
-        scratch.ws[..windows].fill(0.0);
-        scratch.rate[..windows].fill(0.0);
-        for &s in &occ {
-            add_series(&mut scratch.cpu[..windows], series.cpu_of(s));
-            add_series(&mut scratch.ram[..windows], series.ram_of(s));
-            add_series(&mut scratch.ws[..windows], series.ws_of(s));
-            add_series(&mut scratch.rate[..windows], series.rate_of(s));
-        }
-        let mut exp_sum = 0.0;
-        for t in 0..windows {
-            let cpu = scratch.cpu[t] / cap.cpu_cores;
-            let ram = scratch.ram[t] / cap.ram_bytes;
-            let disk = problem.disk.utilization(scratch.ws[t], scratch.rate[t]);
-            for u in [cpu, ram, disk] {
-                if u > headroom {
-                    violation += u - headroom;
-                }
-            }
-            let norm = (weights.cpu * cpu + weights.ram * ram + weights.disk * disk) / wsum;
-            exp_sum += norm.clamp(0.0, 1.0).exp();
-        }
-        objective += exp_sum / windows as f64;
-        scratch.occupants[m] = occ;
-    }
-
-    if let Some(mig) = &problem.migration {
-        objective += mig.cost_per_move * mig.moves(machine_of) as f64;
-    }
-    if violation > 0.0 {
-        objective += PENALTY * (1.0 + violation);
-    }
-    objective
 }
 
 #[cfg(test)]
@@ -604,7 +778,7 @@ mod tests {
     }
 
     #[test]
-    fn lean_scorer_matches_full_evaluation() {
+    fn centre_scorer_matches_full_evaluation() {
         let mut p = problem(6, 1.7).with_anti_affinity(vec![(1, 2)]);
         p.workloads[0].replicas = 2;
         let p = p.with_migration(
@@ -612,19 +786,31 @@ mod tests {
             0.1,
         );
         let series = p.slot_series().clone();
-        let mut scratch = EvalScratch::default();
+        // One scorer across centres of different widths: it only grows.
+        let mut scorer = CentreScorer::default();
         for a in [
             vec![0, 1, 2, 3, 4, 5, 0],
             vec![0, 0, 0, 0, 0, 0, 0],
             vec![2, 1, 2, 1, 2, 1, 2],
         ] {
             let full = evaluate(&p, &Assignment::new(a.clone()));
-            let lean = evaluate_objective(&p, &series, &a, &mut scratch);
-            assert!(
-                (full.objective - lean).abs() < 1e-9,
-                "full {} vs lean {lean}",
-                full.objective
-            );
+            let centre = scorer.rebase(&p, &series, &a);
+            assert_eq!(centre.to_bits(), full.objective.to_bits());
+            assert_eq!(scorer.centre().to_bits(), centre.to_bits());
+            for slot in 0..a.len() {
+                for dst in 0..8 {
+                    let mut moved = a.clone();
+                    moved[slot] = dst;
+                    let full = evaluate(&p, &Assignment::new(moved));
+                    let lean = scorer.moved(&p, &series, slot, dst);
+                    assert_eq!(
+                        lean.to_bits(),
+                        full.objective.to_bits(),
+                        "slot {slot} -> {dst} from {a:?}: {lean} vs {}",
+                        full.objective
+                    );
+                }
+            }
         }
     }
 

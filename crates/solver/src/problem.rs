@@ -239,6 +239,11 @@ pub struct SlotSeries {
     pub ram_max: Vec<f64>,
     pub ws_max: Vec<f64>,
     pub rate_max: Vec<f64>,
+    /// The first slot with a NaN or infinite sample, if any. The solver
+    /// orders candidates by objective and cannot order NaN: whoever builds
+    /// problems from outside data rejects such a problem here, before a
+    /// solve (see `ConsolidationEngine::problem`).
+    pub non_finite: Option<usize>,
 }
 
 impl SlotSeries {
@@ -260,6 +265,7 @@ impl SlotSeries {
             ram_max: Vec::with_capacity(n),
             ws_max: Vec::with_capacity(n),
             rate_max: Vec::with_capacity(n),
+            non_finite: None,
         };
         for i in 0..n {
             let w = &problem.workloads[out.slots[i].workload];
@@ -271,8 +277,10 @@ impl SlotSeries {
             ];
             let mut ws_mx = f64::NEG_INFINITY;
             let mut rate_mx = f64::NEG_INFINITY;
+            let mut finite = true;
             for t in 0..windows {
                 let (c, r, s, q) = (w.cpu_at(t), w.ram_at(t), w.ws_at(t), w.rate_at(t));
+                finite &= c.is_finite() && r.is_finite() && s.is_finite() && q.is_finite();
                 out.cpu.push(c);
                 out.ram.push(r);
                 out.ws.push(s);
@@ -290,6 +298,9 @@ impl SlotSeries {
             out.ram_max.push(ext[3]);
             out.ws_max.push(ws_mx);
             out.rate_max.push(rate_mx);
+            if !finite && out.non_finite.is_none() {
+                out.non_finite = Some(i);
+            }
         }
         out
     }
@@ -436,6 +447,19 @@ impl ConsolidationProblem {
             cost_per_move,
         });
         self
+    }
+
+    /// The machine `slot` sits on in the migration baseline, if there is a
+    /// baseline and it places the slot.
+    pub(crate) fn home_of(&self, slot: usize) -> Option<usize> {
+        let m = self.migration.as_ref()?;
+        m.baseline.get(slot).copied().flatten()
+    }
+
+    /// Slots `machine_of` places off their baseline machine (0 without a
+    /// migration term).
+    pub(crate) fn moves_from_baseline(&self, machine_of: &[usize]) -> usize {
+        self.migration.as_ref().map_or(0, |m| m.moves(machine_of))
     }
 
     /// Extract the shard-local sub-problem over `keep` (workload indices

@@ -7,27 +7,37 @@
 //! of K′ servers [...]. Limiting the number of possible servers reduces
 //! the number of variables, and thus explores a much smaller solution
 //! space."
+//!
+//! DIRECT does not see the decoded objective as a black box. Every sample
+//! it takes is a rectangle's centre with one coordinate moved, which
+//! decodes to at most one slot on another machine, so `DecodedObjective`
+//! scores the centre once and each sample as that one-slot move
+//! ([`CentreScorer`]): bit for bit the value a full `evaluate` of the
+//! decoded point reports, so the search takes the trajectory a
+//! from-scratch scorer would.
 
 use crate::bounds::{fractional_lower_bound, identity_assignment, upper_bound};
-use crate::direct::{direct_minimize, DirectConfig};
+use crate::direct::{direct_minimize_objective, DirectConfig, DirectObjective};
 use crate::local::polish;
-use crate::objective::{evaluate, evaluate_objective, EvalScratch, Evaluation};
-use crate::problem::{Assignment, ConsolidationProblem};
+use crate::objective::{evaluate, CentreScorer, Evaluation, PENALTY};
+use crate::problem::{Assignment, ConsolidationProblem, Slot, SlotSeries};
 use kairos_types::{KairosError, Result};
 
 /// Reusable allocation arena for repeated solves. An online re-solver
 /// calls [`solve_warm_with`] every drift event against similarly-sized
 /// problems; holding one `SolveScratch` across calls means the DIRECT
-/// inner loop (thousands of decode+score evaluations per solve) performs
-/// no steady-state allocation.
+/// inner loop (thousands of samples per solve) performs no steady-state
+/// allocation. It holds the [`CentreScorer`]'s per-machine buffers.
 #[derive(Default)]
 pub struct SolveScratch {
-    eval: EvalScratch,
+    scorer: CentreScorer,
     decode_buf: Vec<usize>,
+    /// DIRECT dimension → slot index (pinned replica-0 slots have none).
+    free_slots: Vec<usize>,
 }
 
 /// Any objective below this is feasible (the infeasibility penalty floor).
-const FEASIBLE_BELOW: f64 = 1e4;
+const FEASIBLE_BELOW: f64 = PENALTY;
 
 /// Solver tuning.
 #[derive(Debug, Clone, Copy)]
@@ -108,22 +118,84 @@ pub fn decode_into(problem: &ConsolidationProblem, k: usize, x: &[f64], out: &mu
         match pinned {
             Some(p) => out.push(p.min(k - 1)),
             None => {
-                let v = x[xi].clamp(0.0, 1.0);
+                out.push(decode_coord(x[xi], k));
                 xi += 1;
-                out.push(((v * k as f64).floor() as usize).min(k - 1));
             }
         }
     }
     debug_assert_eq!(xi, free_dims(problem));
 }
 
+/// The machine one free coordinate decodes to.
+fn decode_coord(v: f64, k: usize) -> usize {
+    ((v.clamp(0.0, 1.0) * k as f64).floor() as usize).min(k - 1)
+}
+
+/// The decoded objective as DIRECT sees it: a point is decoded and scored
+/// in full once per rectangle (`rebase`); each of the rectangle's samples
+/// moves one coordinate, so at most one slot, and is scored by
+/// [`CentreScorer::moved`] — bit for bit `evaluate(decode(x)).objective`.
+struct DecodedObjective<'a> {
+    problem: &'a ConsolidationProblem,
+    series: &'a SlotSeries,
+    k: usize,
+    scratch: &'a mut SolveScratch,
+}
+
+impl<'a> DecodedObjective<'a> {
+    fn new(
+        problem: &'a ConsolidationProblem,
+        series: &'a SlotSeries,
+        k: usize,
+        scratch: &'a mut SolveScratch,
+    ) -> DecodedObjective<'a> {
+        let free = (0..series.slots.len()).filter(|&s| is_free(problem, &series.slots[s]));
+        scratch.free_slots.clear();
+        scratch.free_slots.extend(free);
+        DecodedObjective {
+            problem,
+            series,
+            k,
+            scratch,
+        }
+    }
+}
+
+impl DirectObjective for DecodedObjective<'_> {
+    fn eval(&mut self, x: &[f64]) -> f64 {
+        self.rebase(x);
+        self.scratch.scorer.centre()
+    }
+
+    fn rebase(&mut self, centre: &[f64]) {
+        let SolveScratch {
+            scorer, decode_buf, ..
+        } = &mut *self.scratch;
+        decode_into(self.problem, self.k, centre, decode_buf);
+        scorer.rebase(self.problem, self.series, decode_buf);
+    }
+
+    fn eval_axis(&mut self, x: &[f64], axis: usize) -> f64 {
+        // With every slot pinned DIRECT still gets one (ignored) dimension.
+        let Some(&slot) = self.scratch.free_slots.get(axis) else {
+            return self.scratch.scorer.centre();
+        };
+        let dst = decode_coord(x[axis], self.k);
+        self.scratch
+            .scorer
+            .moved(self.problem, self.series, slot, dst)
+    }
+}
+
+/// Is `slot` a decision variable? Pinned replica-0 slots are not.
+fn is_free(problem: &ConsolidationProblem, slot: &Slot) -> bool {
+    !(slot.replica == 0 && problem.workloads[slot.workload].pinned.is_some())
+}
+
 /// Number of free decision variables (unpinned slots).
 pub fn free_dims(problem: &ConsolidationProblem) -> usize {
-    problem
-        .slots()
-        .iter()
-        .filter(|s| !(s.replica == 0 && problem.workloads[s.workload].pinned.is_some()))
-        .count()
+    let slots = problem.slots();
+    slots.iter().filter(|s| is_free(problem, s)).count()
 }
 
 /// Solve at a fixed machine count `k`: DIRECT over the decoded encoding,
@@ -149,9 +221,9 @@ pub fn solve_at_k(
 }
 
 /// [`solve_at_k`] with a caller-held scratch arena: DIRECT's inner loop
-/// decodes into a reused buffer and scores through the allocation-free
-/// [`evaluate_objective`] path instead of materializing a full
-/// [`Evaluation`] per point.
+/// scores each sample as a one-slot move off its rectangle's centre
+/// (see [`CentreScorer`]) instead of materializing a full [`Evaluation`]
+/// per point.
 pub fn solve_at_k_with(
     problem: &ConsolidationProblem,
     k: usize,
@@ -174,10 +246,11 @@ pub fn solve_at_k_with(
         },
     };
     let series = problem.slot_series().clone();
-    let result = direct_minimize(dims, &cfg, |x| {
-        decode_into(problem, k, x, &mut scratch.decode_buf);
-        evaluate_objective(problem, &series, &scratch.decode_buf, &mut scratch.eval)
-    });
+    let result = direct_minimize_objective(
+        dims,
+        &cfg,
+        &mut DecodedObjective::new(problem, &series, k, scratch),
+    );
     let direct_best = decode(problem, k, &result.best_x);
     if polish_rounds > 0 {
         let polished = polish(problem, &direct_best, k, polish_rounds);
@@ -423,6 +496,28 @@ mod tests {
         assert_eq!(free_dims(&p), 2);
         let a = decode(&p, 3, &[0.1, 0.9]);
         assert_eq!(a.machine_of, vec![0, 2, 2]);
+    }
+
+    #[test]
+    fn direct_axis_samples_score_as_the_decoded_point_evaluates() {
+        // Workload 1 is pinned, so DIRECT's axes are slots 0, 2, 3 and 4.
+        let mut p = problem(&[5.0, 1.0, 6.0, 2.0, 4.0]);
+        p.workloads[1].pinned = Some(2);
+        let series = p.slot_series().clone();
+        let k = 3;
+        let mut scratch = SolveScratch::default();
+        let mut f = DecodedObjective::new(&p, &series, k, &mut scratch);
+        let exact = |x: &[f64]| evaluate(&p, &decode(&p, k, x)).objective.to_bits();
+        for centre in [[0.5; 4], [0.1, 0.9, 0.5, 0.5], [0.17, 0.5, 0.83, 0.0]] {
+            assert_eq!(f.eval(&centre).to_bits(), exact(&centre));
+            for axis in 0..4 {
+                for v in [0.0, 1.0 / 6.0, 0.5, 5.0 / 6.0, 1.0] {
+                    let mut x = centre;
+                    x[axis] = v;
+                    assert_eq!(f.eval_axis(&x, axis).to_bits(), exact(&x), "{x:?}");
+                }
+            }
+        }
     }
 
     #[test]

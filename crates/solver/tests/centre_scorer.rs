@@ -1,0 +1,128 @@
+//! The incremental scorer *is* the objective, bit for bit.
+//!
+//! DIRECT's inner loop scores a sample as "the rectangle's centre with one
+//! slot moved" through [`CentreScorer`], which re-scores only the two
+//! machines the move touches. The search is chaotic in the last ulp of an
+//! objective value (a different ulp has changed which K′ the binary search
+//! probes), so "close" is not good enough: on random problems, for a random
+//! centre and **every** (free slot, destination), the scorer must return
+//! exactly `evaluate(..).objective` — feasible and infeasible points alike
+//! — and a move to the slot's own machine must return the centre's value.
+//!
+//! Cases come from a seeded [`SplitMix64`] stream
+//! ([`SplitMix64::from_env`]; CI sweeps `KAIROS_TEST_SEED`).
+
+use kairos_solver::{
+    evaluate, Assignment, CentreScorer, ConsolidationProblem, LinearDiskCombiner, TargetMachine,
+    WorkloadSpec,
+};
+use kairos_types::SplitMix64;
+use std::sync::Arc;
+
+/// 3–9 workloads over 1–6 windows with series of uneven length (a short
+/// series reads as zero), some replicated, workload 2 pinned, workloads 0
+/// and 1 anti-affine, and a migration baseline with `None` entries. Loads
+/// are sized so that random centres land on both sides of feasibility.
+fn random_problem(rng: &mut SplitMix64) -> ConsolidationProblem {
+    let n = 3 + rng.next_range(7) as usize;
+    let windows = 1 + rng.next_range(6) as usize;
+    let heavy = rng.next_range(2) == 0;
+    let workloads: Vec<WorkloadSpec> = (0..n)
+        .map(|i| {
+            let mut len = || 1 + rng.next_range(windows as u64) as usize;
+            let (c, r, q) = (len(), len(), len());
+            let cpu_hi = if heavy { 5.0 } else { 1.2 };
+            let mut w = WorkloadSpec::flat(format!("w{i}"), 0, 0.0, 0.0, 0.0, 0.0);
+            w.cpu = (0..c).map(|_| rng.next_in(0.1, cpu_hi)).collect();
+            w.ram = (0..r).map(|_| rng.next_in(1e9, 12e9)).collect();
+            w.ws = w.ram.iter().map(|r| r * 0.3).collect();
+            w.rate = (0..q).map(|_| rng.next_in(10.0, 1_500.0)).collect();
+            if rng.next_range(4) == 0 {
+                w.replicas = 2;
+            }
+            w
+        })
+        .collect();
+    let max_machines = 2 + rng.next_range(n as u64) as usize;
+    let mut p = ConsolidationProblem::new(
+        workloads,
+        TargetMachine::paper_target(),
+        max_machines,
+        Arc::new(LinearDiskCombiner::default()),
+    )
+    .with_anti_affinity(vec![(0, 1)]);
+    p.workloads[2].pinned = Some(rng.next_range(max_machines as u64) as usize);
+    let baseline = (0..p.slots().len())
+        .map(|_| match rng.next_range(3) {
+            0 => None,
+            _ => Some(rng.next_range(max_machines as u64) as usize),
+        })
+        .collect();
+    p.with_migration(baseline, rng.next_in(0.05, 0.5))
+}
+
+#[test]
+fn every_one_slot_move_scores_exactly_as_evaluate() {
+    let mut rng = SplitMix64::from_env(0xD1_4EC7);
+    // One scorer throughout, as one `SolveScratch` serves a whole solve.
+    let mut scorer = CentreScorer::default();
+    let (mut feasible, mut infeasible) = (0usize, 0usize);
+    for case in 0..60 {
+        let p = random_problem(&mut rng);
+        let series = p.slot_series().clone();
+        let slots = p.slots();
+        for _ in 0..3 {
+            // The centre spreads over `spread` machines and destinations
+            // range over `k`: above and below the machines in use, and
+            // past `max_machines` so the machine-count term moves too.
+            let spread = 1 + rng.next_range(p.max_machines as u64 + 2);
+            let k = 1 + rng.next_range(p.max_machines as u64 + 3) as usize;
+            let centre: Vec<usize> = slots
+                .iter()
+                .map(|s| match p.workloads[s.workload].pinned {
+                    Some(pin) if s.replica == 0 => pin,
+                    _ => rng.next_range(spread) as usize,
+                })
+                .collect();
+            let at_centre = evaluate(&p, &Assignment::new(centre.clone()));
+            let scored = scorer.rebase(&p, &series, &centre);
+            assert_eq!(
+                scored.to_bits(),
+                at_centre.objective.to_bits(),
+                "case {case}: centre {centre:?}: {scored} vs {}",
+                at_centre.objective
+            );
+            for (slot, s) in slots.iter().enumerate() {
+                if s.replica == 0 && p.workloads[s.workload].pinned.is_some() {
+                    continue;
+                }
+                for dst in 0..k {
+                    let mut moved = centre.clone();
+                    moved[slot] = dst;
+                    let full = evaluate(&p, &Assignment::new(moved));
+                    let lean = scorer.moved(&p, &series, slot, dst);
+                    assert_eq!(
+                        lean.to_bits(),
+                        full.objective.to_bits(),
+                        "case {case}: slot {slot} -> {dst} from {centre:?}: {lean} vs {}",
+                        full.objective
+                    );
+                    if dst == centre[slot] {
+                        assert_eq!(lean.to_bits(), scorer.centre().to_bits());
+                    }
+                    if full.feasible {
+                        feasible += 1;
+                    } else {
+                        infeasible += 1;
+                    }
+                }
+            }
+            // Scoring moves never moved the centre.
+            assert_eq!(scorer.centre().to_bits(), at_centre.objective.to_bits());
+        }
+    }
+    assert!(
+        feasible > 100 && infeasible > 100,
+        "one-sided sweep: {feasible} feasible, {infeasible} infeasible points"
+    );
+}
