@@ -1,900 +1,448 @@
-//! Sharded-control-plane scaling benchmark: tick latency and per-shard
-//! re-solve time vs. shard count, under weak scaling (fixed tenants per
-//! shard, so the fleet grows with the shard count), plus a strong-scaling
-//! section comparing `tick_threads = 1` against the machine's full
-//! parallelism at the largest fleet. The hierarchical claim under test:
-//! per-shard re-solve cost stays flat as the fleet grows (each re-solver
-//! only ever sees its own shard), and with enough cores the steady tick
-//! stays near-flat too, because shard ticks fan out across threads.
-//! Emits a JSON baseline on stdout (recorded as `BENCH_fleet.json`).
+//! The scale sweep: the two fleet measurements `kbench` cannot make
+//! (it pins itself to one processor and fixes its sizes), each checked
+//! against its own claim.
+//!
+//! * **Strong scaling** — the largest flat fleet under a regional spike,
+//!   `tick_threads = 1` against the machine's parallelism, alternating
+//!   sides, median of [`RUNS_PER_SIDE`] runs with the spread beside it.
+//!   The speed-up is reported, not gated (read it next to `cores`); what
+//!   is gated is that both sides made the same decisions.
+//! * **The hierarchy** — [`ZONES`] zones behind loopback RPC under one
+//!   [`RootBalancer`], shards per zone 10 → 40 (250 → 1,000 shards).
+//!   Zone 0 runs hot and the root budget sits between its machine count
+//!   and the others', so every timed round moves tenant groups. The
+//!   claims: a zone's roll-up frame does not grow with the shards
+//!   beneath it, and the root's round costs at most twice as much at
+//!   1,000 shards as at 250.
+//!
+//! Prints the environment line and one table per part, then every
+//! finding of [`check`]; exits non-zero when there is one.
 //!
 //! ```text
-//! cargo run --release -p kairos-bench --bin fleet_scale > BENCH_fleet.json
 //! KAIROS_QUICK=1 cargo run --release -p kairos-bench --bin fleet_scale
 //! KAIROS_FLEET_THREADS=4 cargo run --release -p kairos-bench --bin fleet_scale
 //! ```
 
-use kairos_bench::quick;
-use kairos_controller::{ControllerConfig, SyntheticSource, TelemetryConfig, TickOutcome};
+use kairos_bench::{print_table, quick, section};
+use kairos_controller::{ControllerConfig, SyntheticSource, TelemetryConfig, TelemetrySource};
+use kairos_fleet::balancer::ShardHandle;
 use kairos_fleet::{
     default_tick_threads, BalancerConfig, FleetConfig, FleetController, RootBalancer, RootConfig,
     Zone,
 };
-use kairos_net::{
-    rpc, LoopbackTransport, RemoteZone, Request, Response, ShardNode, SourceEscrow, Transport,
-    ZoneNode,
-};
+use kairos_net::{LoopbackTransport, RemoteZone, ZoneNode};
 use kairos_types::Bytes;
 use kairos_workloads::RatePattern;
+use std::process::ExitCode;
 use std::time::Instant;
 
+/// Machines a shard may use, in the flat fleet and inside every zone.
 const BUDGET: usize = 8;
+const RUNS_PER_SIDE: usize = 3;
+const ZONES: usize = 25;
+/// Few enough groups that every zone hosts all of them at both scales,
+/// which is what keeps the roll-up the same size.
+const GROUPS: usize = 64;
+const SHARDS_PER_ZONE: [usize; 2] = [10, 40];
+const HIER_TENANTS_PER_SHARD: usize = 25;
+const MAX_ROLLUP_BYTES_RATIO: f64 = 1.10;
+const MAX_ROOT_COST_RATIO: f64 = 2.0;
 
-/// Sort a sample set once; percentiles then read via the workspace's
-/// shared linear-interpolated definition
-/// (`kairos_types::percentile_of_sorted`, the same convention
-/// `TimeSeries::percentile` reports).
-fn sorted(samples: &[f64]) -> Vec<f64> {
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite sample"));
-    sorted
+/// One run of the flat fleet.
+#[derive(Debug, Clone, Copy)]
+struct FlatRun {
+    /// Every tick of the run, bootstrap and re-solves included — the
+    /// ticks the thread fan-out exists for.
+    wall_ms: f64,
+    /// What the run decided — `(resolves, handoffs_completed,
+    /// total_machines)` — identical at every thread count.
+    decisions: (u64, u64, usize),
+    /// The final audit found no violation and no shard over [`BUDGET`].
+    audit_clean: bool,
 }
 
-/// p-th percentile over an already-sorted sample set; 0 for no samples.
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
+/// One shard count of the hierarchy.
+#[derive(Debug, Clone, Copy)]
+struct HierarchyScale {
+    shards_per_zone: usize,
+    root_round_mean_usecs: f64,
+    root_round_max_usecs: f64,
+    /// The zones' own per-round roll-up refresh, O(shards beneath each);
+    /// zones do it concurrently in a deployment, so it is reported
+    /// beside the root's round, not inside it.
+    zone_refresh_mean_usecs: f64,
+    /// Mean encoded size of one zone's roll-up.
+    zone_rollup_bytes: f64,
+    groups_moved: u64,
+}
+
+struct Report {
+    serial: Vec<FlatRun>,
+    threaded: Vec<FlatRun>,
+    hierarchy: Vec<HierarchyScale>,
+}
+
+impl Report {
+    /// Largest scale over smallest, of `f`; infinite when there is no
+    /// base to divide by, so a check on it fails.
+    fn hierarchy_ratio(&self, f: impl Fn(&HierarchyScale) -> f64) -> f64 {
+        match (self.hierarchy.first(), self.hierarchy.last()) {
+            (Some(base), Some(last)) if f(base) > 0.0 => f(last) / f(base),
+            _ => f64::INFINITY,
+        }
     }
-    kairos_types::percentile_of_sorted(sorted, p)
+
+    fn root_cost_ratio(&self) -> f64 {
+        self.hierarchy_ratio(|h| h.root_round_mean_usecs)
+    }
+
+    fn rollup_bytes_ratio(&self) -> f64 {
+        self.hierarchy_ratio(|h| h.zone_rollup_bytes)
+    }
 }
 
-struct ScaleResult {
-    shards: usize,
-    tenants: usize,
-    ticks: u64,
-    tick_threads: usize,
-    steady_tick_usecs: f64,
-    steady_tick_p50_usecs: f64,
-    steady_tick_p99_usecs: f64,
-    /// All ticks, including solves and balance rounds — the latency the
-    /// control plane actually exhibits. Kept for baseline continuity,
-    /// but it conflates two populations that differ by orders of
-    /// magnitude; read the registry-sourced poll/solve split below.
-    tick_p50_usecs: f64,
-    tick_p99_usecs: f64,
-    /// The fleet registry's own tick-latency split: quiet
-    /// poll-and-ingest ticks vs. ticks that solved or moved tenants
-    /// (`kairos_fleet_{poll,solve}_tick_usecs`). Log-bucketed
-    /// upper-bound percentiles (≤25% bucket error) — the honest
-    /// replacement for the conflated `tick_p99_usecs`.
-    poll_ticks: u64,
-    poll_tick_p50_usecs: f64,
-    poll_tick_p99_usecs: f64,
-    solve_ticks: u64,
-    solve_tick_p50_usecs: f64,
-    solve_tick_p99_usecs: f64,
-    /// Mean wall-clock per solve (bootstrap + re-solves), averaged over
-    /// shards — the quantity that must stay flat under weak scaling, and
-    /// the figure comparable with pre-overhaul baselines.
-    mean_resolve_ms: f64,
-    /// Warm re-solves only (drift/membership replans — the online hot
-    /// path the solver overhaul targets).
-    mean_warm_resolve_ms: f64,
-    resolve_p50_ms: f64,
-    resolve_p99_ms: f64,
-    /// One-time cold bootstrap solves (one per shard).
-    mean_bootstrap_ms: f64,
-    resolves: u64,
-    handoffs_completed: u64,
-    handoffs_rejected: u64,
-    total_machines: usize,
-    zero_violations: bool,
-    within_budget: bool,
+/// Every claim of the sweep (see the module header) that `report`
+/// breaks; empty means it holds.
+fn check(report: &Report) -> Vec<String> {
+    let mut findings = Vec::new();
+    let flat = || report.serial.iter().chain(&report.threaded);
+    if !flat().all(|r| r.audit_clean) {
+        findings.push("audit: a flat fleet is not clean".to_string());
+    }
+    let mut decisions = flat().map(|r| r.decisions);
+    let first = decisions.next();
+    if let Some(other) = decisions.find(|d| Some(*d) != first) {
+        findings.push(format!("determinism: runs decided {first:?} and {other:?}"));
+    }
+    for h in report.hierarchy.iter().filter(|h| h.groups_moved == 0) {
+        findings.push(format!(
+            "groups_moved 0 at {} shards per zone",
+            h.shards_per_zone
+        ));
+    }
+    let (cost, bytes) = (report.root_cost_ratio(), report.rollup_bytes_ratio());
+    if bytes > MAX_ROLLUP_BYTES_RATIO {
+        findings.push(format!(
+            "rollup_bytes_ratio {bytes:.3} > {MAX_ROLLUP_BYTES_RATIO}"
+        ));
+    }
+    if cost > MAX_ROOT_COST_RATIO {
+        findings.push(format!("root_cost_ratio {cost:.3} > {MAX_ROOT_COST_RATIO}"));
+    }
+    findings
 }
 
-fn run_scale(
-    shards: usize,
-    tenants_per_shard: usize,
-    ticks: u64,
-    tick_threads: usize,
-    tracing: bool,
-    spans: bool,
-) -> ScaleResult {
-    let cfg = FleetConfig {
+/// The one fleet shape of the sweep, flat or inside a zone.
+fn fleet_config(shards: usize, tick_threads: usize) -> FleetConfig {
+    FleetConfig {
         shards,
         shard: ControllerConfig {
-            horizon: 12,
+            horizon: 6,
             check_every: 4,
-            cooldown_ticks: 12,
+            cooldown_ticks: 8,
+            // Short windows keep 25k tenants in memory; a roll-up would
+            // be the same size at the default 288.
+            telemetry: TelemetryConfig {
+                window_capacity: 48,
+                ..TelemetryConfig::default()
+            },
             ..ControllerConfig::default()
         },
         balancer: BalancerConfig {
             machines_per_shard: BUDGET,
             balance_every: 6,
-            max_moves_per_round: 4,
+            max_moves_per_round: 2,
             ..BalancerConfig::default()
         },
         tick_threads,
-    };
-    let mut fleet = FleetController::new(cfg);
-    if !tracing {
-        // Disabled-sink run: decision recording becomes a branch and
-        // nothing else — the overhead section compares this against the
-        // traced default.
-        fleet.set_tracing(false);
     }
-    if spans {
-        // Spans-on run: every balance round opens a root span, handoffs
-        // chain balancer → shard child spans, and each shard's evict and
-        // admit record into its log — the full causal-tracing hot path.
-        fleet.set_span_tracing(true);
-    }
-    let spike_start = ticks / 3;
-    let spike_end = (2 * ticks) / 3;
+}
+
+/// The flat fleet: shard 0 takes a regional spike in the middle third of
+/// the run, the rest stay flat, so the run has re-solves and handoffs
+/// for the threads to share.
+fn run_flat(shards: usize, tenants_per_shard: usize, ticks: u64, tick_threads: usize) -> FlatRun {
+    let mut fleet = FleetController::new(fleet_config(shards, tick_threads));
     for shard in 0..shards {
         for i in 0..tenants_per_shard {
             let base = 190.0 + 10.0 * (i % 4) as f64;
-            let name = format!("s{shard}-t{i:02}");
-            // Shard 0 takes a regional spike; the rest stay flat — the
-            // balancer's cross-shard work scales with the fleet.
-            let src = if shard == 0 && i < tenants_per_shard * 2 / 5 {
-                SyntheticSource::new(name, 300.0, Bytes::gib(4), RatePattern::Flat { tps: base })
-                    .then_at(spike_start, RatePattern::Flat { tps: 640.0 })
-                    .then_at(spike_end, RatePattern::Flat { tps: base })
-            } else {
-                SyntheticSource::new(name, 300.0, Bytes::gib(4), RatePattern::Flat { tps: base })
-            };
+            let flat = RatePattern::Flat { tps: base };
+            let mut src =
+                SyntheticSource::new(format!("s{shard}-t{i:02}"), 300.0, Bytes::gib(4), flat);
+            if shard == 0 && i < tenants_per_shard * 2 / 5 {
+                src = src
+                    .then_at(ticks / 3, RatePattern::Flat { tps: 640.0 })
+                    .then_at(2 * ticks / 3, RatePattern::Flat { tps: base });
+            }
             fleet.add_workload_to(shard, Box::new(src));
         }
     }
-
-    let mut steady_usecs: Vec<f64> = Vec::with_capacity(ticks as usize);
-    let mut all_usecs: Vec<f64> = Vec::with_capacity(ticks as usize);
-    let mut resolve_ms: Vec<f64> = Vec::new();
-    let mut bootstrap_ms: Vec<f64> = Vec::new();
+    let t0 = Instant::now();
     for _ in 0..ticks {
-        let t0 = Instant::now();
-        let report = fleet.tick();
-        let wall = t0.elapsed().as_secs_f64();
-        all_usecs.push(wall * 1e6);
-        let mut eventful = report.handoffs.iter().any(|h| h.completed());
-        for o in &report.outcomes {
-            match o {
-                TickOutcome::InitialPlan { solve_secs, .. } => {
-                    eventful = true;
-                    bootstrap_ms.push(solve_secs * 1e3);
-                }
-                TickOutcome::Replanned(r) => {
-                    eventful = true;
-                    resolve_ms.push(r.solve_secs * 1e3);
-                }
-                _ => {}
-            }
-        }
-        if !eventful {
-            steady_usecs.push(wall * 1e6);
-        }
+        fleet.tick();
     }
-
-    let mut resolves = 0u64;
-    for s in fleet.shards() {
-        resolves += s.stats().resolves;
-    }
+    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let audit = fleet.audit();
-    let stats = fleet.stats();
-    let mean = |v: &[f64]| {
-        if v.is_empty() {
-            0.0
-        } else {
-            v.iter().sum::<f64>() / v.len() as f64
-        }
-    };
-    let steady_sorted = sorted(&steady_usecs);
-    let all_sorted = sorted(&all_usecs);
-    let resolve_sorted = sorted(&resolve_ms);
-    // The registry's own split of the same tick population: handles are
-    // get-or-register, so fetching by name reads the live histograms the
-    // fleet recorded into.
-    let poll_hist = fleet
-        .metrics_registry()
-        .histogram("kairos_fleet_poll_tick_usecs");
-    let solve_hist = fleet
-        .metrics_registry()
-        .histogram("kairos_fleet_solve_tick_usecs");
-    ScaleResult {
-        shards,
-        tenants: shards * tenants_per_shard,
-        ticks,
-        tick_threads,
-        steady_tick_usecs: mean(&steady_usecs),
-        steady_tick_p50_usecs: percentile(&steady_sorted, 50.0),
-        steady_tick_p99_usecs: percentile(&steady_sorted, 99.0),
-        tick_p50_usecs: percentile(&all_sorted, 50.0),
-        tick_p99_usecs: percentile(&all_sorted, 99.0),
-        poll_ticks: poll_hist.count(),
-        poll_tick_p50_usecs: poll_hist.percentile(0.50) as f64,
-        poll_tick_p99_usecs: poll_hist.percentile(0.99) as f64,
-        solve_ticks: solve_hist.count(),
-        solve_tick_p50_usecs: solve_hist.percentile(0.50) as f64,
-        solve_tick_p99_usecs: solve_hist.percentile(0.99) as f64,
-        mean_resolve_ms: {
-            let all: Vec<f64> = bootstrap_ms.iter().chain(&resolve_ms).copied().collect();
-            mean(&all)
-        },
-        mean_warm_resolve_ms: mean(&resolve_ms),
-        resolve_p50_ms: percentile(&resolve_sorted, 50.0),
-        resolve_p99_ms: percentile(&resolve_sorted, 99.0),
-        mean_bootstrap_ms: mean(&bootstrap_ms),
-        resolves,
-        handoffs_completed: stats.handoffs_completed,
-        handoffs_rejected: stats.handoffs_rejected,
-        total_machines: audit.total_machines(),
-        zero_violations: audit.zero_violations(),
-        within_budget: audit.within_budget(BUDGET),
-    }
-}
-
-fn result_json(r: &ScaleResult) -> String {
-    format!(
-        concat!(
-            "{{\"shards\":{},\"tenants\":{},\"ticks\":{},\"tick_threads\":{},",
-            "\"steady_tick_usecs\":{:.2},\"steady_tick_p50_usecs\":{:.2},\"steady_tick_p99_usecs\":{:.2},",
-            "\"tick_p50_usecs\":{:.2},\"tick_p99_usecs\":{:.2},",
-            "\"poll_ticks\":{},\"poll_tick_p50_usecs\":{:.2},\"poll_tick_p99_usecs\":{:.2},",
-            "\"solve_ticks\":{},\"solve_tick_p50_usecs\":{:.2},\"solve_tick_p99_usecs\":{:.2},",
-            "\"mean_resolve_ms\":{:.3},\"mean_warm_resolve_ms\":{:.3},\"resolve_p50_ms\":{:.3},\"resolve_p99_ms\":{:.3},\"mean_bootstrap_ms\":{:.3},\"resolves\":{},",
-            "\"handoffs_completed\":{},\"handoffs_rejected\":{},",
-            "\"total_machines\":{},\"zero_violations\":{},\"within_budget\":{}}}"
+    let resolves = fleet.shards().iter().map(|s| s.stats().resolves).sum();
+    FlatRun {
+        wall_ms,
+        decisions: (
+            resolves,
+            fleet.stats().handoffs_completed,
+            audit.total_machines(),
         ),
-        r.shards,
-        r.tenants,
-        r.ticks,
-        r.tick_threads,
-        r.steady_tick_usecs,
-        r.steady_tick_p50_usecs,
-        r.steady_tick_p99_usecs,
-        r.tick_p50_usecs,
-        r.tick_p99_usecs,
-        r.poll_ticks,
-        r.poll_tick_p50_usecs,
-        r.poll_tick_p99_usecs,
-        r.solve_ticks,
-        r.solve_tick_p50_usecs,
-        r.solve_tick_p99_usecs,
-        r.mean_resolve_ms,
-        r.mean_warm_resolve_ms,
-        r.resolve_p50_ms,
-        r.resolve_p99_ms,
-        r.mean_bootstrap_ms,
-        r.resolves,
-        r.handoffs_completed,
-        r.handoffs_rejected,
-        r.total_machines,
-        r.zero_violations,
-        r.within_budget,
-    )
-}
-
-/// RPC latency of the network plane (`kairos-net`), measured over the
-/// deterministic loopback (the same dispatch path TCP wraps, minus the
-/// socket): the Ping floor and the full two-phase handoff round trip
-/// (forecast → reserve → evict → admit, a tenant ping-ponged between
-/// two planned shard nodes with its telemetry as the real wire frame).
-/// A TCP Ping over localhost records the socket floor alongside. The
-/// loopback handoff figure is what `bench_gate` holds the boundary to.
-struct NetResult {
-    ping_rpc_usecs: f64,
-    ping_rpc_p99_usecs: f64,
-    handoff_rpc_roundtrip_usecs: f64,
-    handoff_rpc_roundtrip_p99_usecs: f64,
-    /// The same two-phase handoff with causal span tracing armed end to
-    /// end: the caller holds an open root span, every frame carries the
-    /// 28-byte span section, and both shard nodes record child spans.
-    handoff_rpc_roundtrip_spans_usecs: f64,
-    handoff_frame_bytes: usize,
-    /// Localhost TCP Ping mean; negative when the bind failed (no
-    /// loopback networking in the sandbox).
-    tcp_ping_rpc_usecs: f64,
-}
-
-fn run_net_bench() -> NetResult {
-    let cfg = ControllerConfig {
-        horizon: 8,
-        check_every: 4,
-        cooldown_ticks: 8,
-        ..ControllerConfig::default()
-    };
-    let transport = LoopbackTransport::new();
-    let escrow = SourceEscrow::new();
-    let mut nodes = Vec::new();
-    let mut handles = Vec::new();
-    for shard in 0..2 {
-        let node = ShardNode::new(
-            cfg,
-            kairos_core::ConsolidationEngine::builder().build(),
-            Box::new(escrow.clone()),
-        );
-        handles.push(
-            node.serve(&transport, &format!("shard-{shard}"))
-                .expect("loopback serves"),
-        );
-        nodes.push(node);
-    }
-    for (shard, node) in nodes.iter().enumerate() {
-        node.with_shard(|s| {
-            for i in 0..8 {
-                s.add_workload(Box::new(
-                    SyntheticSource::new(
-                        format!("n{shard}-t{i:02}"),
-                        300.0,
-                        Bytes::gib(4),
-                        RatePattern::Flat { tps: 200.0 },
-                    )
-                    .with_noise(0.0),
-                ));
-            }
-            for _ in 0..20 {
-                if let TickOutcome::InitialPlan { .. } = s.tick() {
-                    break;
-                }
-            }
-        });
-    }
-    let mut conns: Vec<_> = (0..2)
-        .map(|s| transport.connect(&format!("shard-{s}")).expect("connects"))
-        .collect();
-
-    // Ping floor.
-    let mut ping_usecs = Vec::with_capacity(2000);
-    for _ in 0..2000 {
-        let t0 = Instant::now();
-        let response = rpc::call(conns[0].as_mut(), &Request::Ping).expect("ping");
-        ping_usecs.push(t0.elapsed().as_secs_f64() * 1e6);
-        assert!(matches!(response, Response::Pong { .. }));
-    }
-
-    // The two-phase handoff, ping-ponged: donor forecasts the tenant,
-    // the receiver certifies the reservation, then evict + admit carry
-    // the telemetry as its checksummed wire frame.
-    let tenant = "n0-t00".to_string();
-    let mut handoff_usecs = Vec::with_capacity(64);
-    let mut frame_bytes = 0usize;
-    for round in 0..64u64 {
-        let donor = (round % 2) as usize;
-        let receiver = 1 - donor;
-        let t0 = Instant::now();
-        let Response::Forecast(Some(profile)) = rpc::call(
-            conns[donor].as_mut(),
-            &Request::Forecast {
-                tenant: tenant.clone(),
-            },
-        )
-        .expect("forecast") else {
-            panic!("tenant must forecast on its current shard");
-        };
-        let Response::CanAdmit(true) = rpc::call(
-            conns[receiver].as_mut(),
-            &Request::CanAdmit {
-                profile,
-                budget: 16,
-            },
-        )
-        .expect("reserve") else {
-            panic!("reservation must hold at a loose budget");
-        };
-        let Response::Evicted(Some(wire)) = rpc::call(
-            conns[donor].as_mut(),
-            &Request::Evict {
-                tenant: tenant.clone(),
-            },
-        )
-        .expect("evict") else {
-            panic!("tenant must evict");
-        };
-        frame_bytes = wire.len();
-        let response =
-            rpc::call(conns[receiver].as_mut(), &Request::Admit { frame: wire }).expect("admit");
-        assert!(matches!(response, Response::Done));
-        handoff_usecs.push(t0.elapsed().as_secs_f64() * 1e6);
-    }
-
-    // The same handshake with span tracing armed: shard logs record
-    // evict/admit child spans, and the bench holds an open root so every
-    // frame pays the span section. bench_gate holds the spans-on mean to
-    // 1.15× of the plain figure above.
-    for (shard, node) in nodes.iter().enumerate() {
-        node.with_shard(|s| {
-            s.configure_spans(kairos_obs::span::node_for_shard(shard), true);
-        });
-    }
-    let mut bench_spans = kairos_obs::SpanLog::new(kairos_obs::span::NODE_BALANCER);
-    bench_spans.set_enabled(true);
-    let mut handoff_spans_usecs = Vec::with_capacity(64);
-    for round in 0..64u64 {
-        let donor = (round % 2) as usize;
-        let receiver = 1 - donor;
-        let root = bench_spans.open_root("bench_handoff", round, &[("tenant", &tenant)]);
-        let _guard = kairos_obs::span::install(root);
-        let t0 = Instant::now();
-        let Response::Forecast(Some(profile)) = rpc::call(
-            conns[donor].as_mut(),
-            &Request::Forecast {
-                tenant: tenant.clone(),
-            },
-        )
-        .expect("forecast") else {
-            panic!("tenant must forecast on its current shard");
-        };
-        let Response::CanAdmit(true) = rpc::call(
-            conns[receiver].as_mut(),
-            &Request::CanAdmit {
-                profile,
-                budget: 16,
-            },
-        )
-        .expect("reserve") else {
-            panic!("reservation must hold at a loose budget");
-        };
-        let Response::Evicted(Some(wire)) = rpc::call(
-            conns[donor].as_mut(),
-            &Request::Evict {
-                tenant: tenant.clone(),
-            },
-        )
-        .expect("evict") else {
-            panic!("tenant must evict");
-        };
-        let response =
-            rpc::call(conns[receiver].as_mut(), &Request::Admit { frame: wire }).expect("admit");
-        assert!(matches!(response, Response::Done));
-        handoff_spans_usecs.push(t0.elapsed().as_secs_f64() * 1e6);
-    }
-
-    // Socket floor: the same Ping over a real localhost TCP connection.
-    let tcp_ping_rpc_usecs = (|| -> Option<f64> {
-        let tcp = kairos_net::TcpTransport::new();
-        let handle = nodes[0].serve(&tcp, "127.0.0.1:0").ok()?;
-        let mut conn = tcp.connect(&handle.endpoint).ok()?;
-        let mut usecs = Vec::with_capacity(1000);
-        for _ in 0..1000 {
-            let t0 = Instant::now();
-            rpc::call(conn.as_mut(), &Request::Ping).ok()?;
-            usecs.push(t0.elapsed().as_secs_f64() * 1e6);
-        }
-        Some(usecs.iter().sum::<f64>() / usecs.len() as f64)
-    })()
-    .unwrap_or(-1.0);
-
-    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
-    let ping_sorted = sorted(&ping_usecs);
-    let handoff_sorted = sorted(&handoff_usecs);
-    NetResult {
-        ping_rpc_usecs: mean(&ping_usecs),
-        ping_rpc_p99_usecs: percentile(&ping_sorted, 99.0),
-        handoff_rpc_roundtrip_usecs: mean(&handoff_usecs),
-        handoff_rpc_roundtrip_p99_usecs: percentile(&handoff_sorted, 99.0),
-        handoff_rpc_roundtrip_spans_usecs: mean(&handoff_spans_usecs),
-        handoff_frame_bytes: frame_bytes,
-        tcp_ping_rpc_usecs,
+        audit_clean: audit.zero_violations() && audit.within_budget(BUDGET),
     }
 }
 
-/// The hierarchy section: a fixed population of zones behind loopback
-/// RPC ([`ZoneNode`] / [`RemoteZone`]), the root balancer running
-/// [`RootBalancer::run_round`] against their constant-size roll-ups.
-/// Shards per zone scale 10 → 40 (250 → 1,000 shards) while the zone
-/// count stays fixed, so the flat-cost claim is directly testable: the
-/// root's per-round work is O(zones), and the sketched roll-up keeps
-/// each zone's answer the same size no matter how many shards (or how
-/// long a telemetry window) sit beneath it. Measured rounds are steady
-/// state (balanced load, no group moves) — the cost floor every round
-/// pays; group moves are covered by the hierarchy test suites.
-struct HierarchyScale {
-    shards_per_zone: usize,
-    shards: usize,
-    tenants: usize,
-    warmup_ticks: u64,
-    rounds: u64,
-    root_round_mean_usecs: f64,
-    root_round_max_usecs: f64,
-    /// Mean wall time of the zone-side roll-up refresh per round — the
-    /// per-zone work (O(shards beneath it)) that deployments run
-    /// concurrently inside each zone's tick, reported separately so the
-    /// root's own O(zones) cost is what the flatness ratio gates.
-    zone_refresh_mean_usecs: f64,
-    /// Bytes of zone-summary roll-up the root ingested per round
-    /// (`root_summary_bytes_total / rounds`).
-    summary_bytes_per_round: u64,
-    /// Mean encoded size of one zone's roll-up frame.
-    zone_rollup_bytes: f64,
-    groups_moved: u64,
-}
-
-/// Deterministic flat source for hierarchy-bench tenants: rate keyed
-/// off the name's digits only, so zone binders rebuild it from the
-/// wire name alone and every zone carries the same balanced load.
-fn hier_source(name: &str) -> Box<dyn kairos_controller::TelemetrySource> {
+/// A hierarchy tenant's source, from its name alone (`z03s07t11`), so
+/// whichever zone admits a moved tenant rebuilds the same stream. Zone 0
+/// runs at twice the others' rate.
+fn hier_source(name: &str) -> Box<dyn TelemetrySource> {
     let digits: u64 = name
         .bytes()
         .filter(u8::is_ascii_digit)
         .fold(0, |acc, b| acc * 10 + u64::from(b - b'0'));
-    let tps = 190.0 + 10.0 * (digits % 4) as f64;
+    let heat = if name.starts_with("z00") { 2.0 } else { 1.0 };
+    let tps = heat * (23.0 + (digits % 4) as f64);
     Box::new(
-        SyntheticSource::new(name, 300.0, Bytes::gib(4), RatePattern::Flat { tps }).with_noise(0.0),
+        SyntheticSource::new(name, 300.0, Bytes::gib(2), RatePattern::Flat { tps }).with_noise(0.0),
     )
 }
 
 fn run_hierarchy(
-    zones: usize,
     shards_per_zone: usize,
-    tenants_per_shard: usize,
-    groups: usize,
     warmup_ticks: u64,
     rounds: u64,
     tick_threads: usize,
 ) -> HierarchyScale {
     let transport = LoopbackTransport::new();
-    let mut nodes = Vec::new();
-    let mut handles = Vec::new();
-    let mut remotes = Vec::new();
-    for z in 0..zones {
-        let cfg = FleetConfig {
-            shards: shards_per_zone,
-            shard: ControllerConfig {
-                horizon: 6,
-                check_every: 4,
-                cooldown_ticks: 8,
-                // Short windows keep 25k tenants in memory; the roll-up
-                // size would be the same at capacity 288 — that is the
-                // sketch's point.
-                telemetry: TelemetryConfig {
-                    window_capacity: 48,
-                    ..TelemetryConfig::default()
-                },
-                ..ControllerConfig::default()
-            },
-            balancer: BalancerConfig {
-                machines_per_shard: BUDGET,
-                balance_every: 6,
-                max_moves_per_round: 2,
-                ..BalancerConfig::default()
-            },
-            tick_threads,
-        };
-        let mut fleet = FleetController::new(cfg);
+    let (mut nodes, mut handles, mut remotes) = (Vec::new(), Vec::new(), Vec::new());
+    for z in 0..ZONES {
+        let mut fleet = FleetController::new(fleet_config(shards_per_zone, tick_threads));
         fleet.set_tracing(false);
         for s in 0..shards_per_zone {
-            for i in 0..tenants_per_shard {
+            for i in 0..HIER_TENANTS_PER_SHARD {
                 fleet.add_workload_to(s, hier_source(&format!("z{z:02}s{s:02}t{i:02}")));
             }
         }
-        let zone = Zone::new(
-            z,
-            fleet,
-            groups,
-            Box::new(|name: &str, _tick: u64| Some(hier_source(name))),
-        );
-        let node = ZoneNode::new(zone);
+        let binder = Box::new(|name: &str, _tick: u64| Some(hier_source(name)));
+        let node = ZoneNode::new(Zone::new(z, fleet, GROUPS, binder));
         let handle = node
             .serve(&transport, &format!("hz-{z}"))
             .expect("zone serves on loopback");
-        let remote =
-            RemoteZone::connect(&transport, &handle.endpoint, 300.0).expect("root connects");
+        let remote = RemoteZone::connect(&transport, &handle.endpoint, 300.0);
+        remotes.push(remote.expect("root connects"));
         nodes.push(node);
         handles.push(handle);
-        remotes.push(remote);
     }
-
     for _ in 0..warmup_ticks {
         for remote in &mut remotes {
             remote.tick().expect("zone ticks over rpc");
         }
     }
 
+    // A cool zone packs one machine per shard and the hot zone two, so
+    // the hot zone alone is over the root's budget and sheds groups
+    // until what remains packs within the low watermark.
     let mut root = RootBalancer::new(RootConfig {
         balancer: BalancerConfig {
-            // `machines_per_shard` reads as machines per *zone* here.
-            machines_per_shard: BUDGET * shards_per_zone,
+            machines_per_shard: shards_per_zone * 3 / 2,
             balance_every: 1,
             max_moves_per_round: 2,
-            low_watermark: 0,
+            low_watermark: shards_per_zone * 5 / 4,
             cooldown_rounds: 1,
         },
-        groups,
+        groups: GROUPS,
     });
-    let mut round_usecs: Vec<f64> = Vec::with_capacity(rounds as usize);
-    let mut refresh_usecs: Vec<f64> = Vec::with_capacity(rounds as usize);
+    let (mut round_usecs, mut refresh_usecs) = (Vec::new(), Vec::new());
     for round in 1..=rounds {
         for remote in &mut remotes {
             remote.tick().expect("zone ticks over rpc");
         }
-        // Zone-side roll-up refresh, timed separately: each zone
-        // recomputes its roll-up memo for the new tick. This work is
-        // zone-local — in a deployment the zones do it concurrently as
-        // part of their own tick — so it is reported, not folded into
-        // the root's per-round cost.
         let t0 = Instant::now();
         for remote in &mut remotes {
-            let _ = kairos_fleet::balancer::ShardHandle::summary(remote);
+            let _ = remote.summary();
         }
         refresh_usecs.push(t0.elapsed().as_secs_f64() * 1e6);
-        // The root's own round: O(zones) summary RPCs against the warm
-        // memos (constant-size frames) plus the balance decision.
+        // The root's own round: one summary RPC per zone against the
+        // memo just refreshed, the balance decision, and its group moves.
         let t0 = Instant::now();
         root.run_round(&mut remotes, warmup_ticks + round);
         round_usecs.push(t0.elapsed().as_secs_f64() * 1e6);
     }
 
+    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
     let rollup_bytes: Vec<f64> = nodes
         .iter()
         .map(|n| n.with_zone(|z| z.rollup().encoded_len() as f64))
         .collect();
-    let mean = |v: &[f64]| {
-        if v.is_empty() {
-            0.0
-        } else {
-            v.iter().sum::<f64>() / v.len() as f64
-        }
-    };
-    let metrics = root.metrics_registry();
-    let result = HierarchyScale {
+    HierarchyScale {
         shards_per_zone,
-        shards: zones * shards_per_zone,
-        tenants: zones * shards_per_zone * tenants_per_shard,
-        warmup_ticks,
-        rounds,
         root_round_mean_usecs: mean(&round_usecs),
         root_round_max_usecs: round_usecs.iter().copied().fold(0.0, f64::max),
         zone_refresh_mean_usecs: mean(&refresh_usecs),
-        summary_bytes_per_round: metrics.counter("root_summary_bytes_total").get() / rounds.max(1),
         zone_rollup_bytes: mean(&rollup_bytes),
-        groups_moved: metrics.counter("root_groups_moved").get(),
-    };
-    for handle in handles {
-        handle.stop();
+        groups_moved: root.metrics_registry().counter("root_groups_moved").get(),
     }
-    result
 }
 
-fn hierarchy_json(r: &HierarchyScale) -> String {
-    format!(
-        concat!(
-            "{{\"shards_per_zone\":{},\"shards\":{},\"tenants\":{},",
-            "\"warmup_ticks\":{},\"rounds\":{},",
-            "\"root_round_mean_usecs\":{:.2},\"root_round_max_usecs\":{:.2},",
-            "\"zone_refresh_mean_usecs\":{:.2},",
-            "\"summary_bytes_per_round\":{},\"zone_rollup_bytes\":{:.1},\"groups_moved\":{}}}"
-        ),
-        r.shards_per_zone,
-        r.shards,
-        r.tenants,
-        r.warmup_ticks,
-        r.rounds,
-        r.root_round_mean_usecs,
-        r.root_round_max_usecs,
-        r.zone_refresh_mean_usecs,
-        r.summary_bytes_per_round,
-        r.zone_rollup_bytes,
-        r.groups_moved,
-    )
+/// `(median, min, max)` of the runs' wall times.
+fn wall_spread(runs: &[FlatRun]) -> (f64, f64, f64) {
+    let mut walls: Vec<f64> = runs.iter().map(|r| r.wall_ms).collect();
+    walls.sort_by(f64::total_cmp);
+    let median = kairos_types::percentile_of_sorted(&walls, 50.0);
+    (median, walls[0], walls[walls.len() - 1])
 }
 
-fn main() {
-    let (scales, tenants_per_shard, ticks): (&[usize], usize, u64) = if quick() {
-        (&[1, 2, 4], 12, 90)
+fn main() -> ExitCode {
+    let (shards, tenants_per_shard, ticks, warmup_ticks, rounds) = if quick() {
+        (4, 12, 90, 12, 4)
     } else {
-        (&[1, 2, 4, 8], 25, 150)
+        (8, 25, 150, 16, 10)
     };
-    let threads = default_tick_threads();
-    let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    // At least two threads, so the scoped fan-out is what runs even
+    // where the machine offers one core.
+    let threads = default_tick_threads().max(cores).max(2);
 
-    let results: Vec<ScaleResult> = scales
+    let (mut serial, mut threaded) = (Vec::new(), Vec::new());
+    for _ in 0..RUNS_PER_SIDE {
+        serial.push(run_flat(shards, tenants_per_shard, ticks, 1));
+        threaded.push(run_flat(shards, tenants_per_shard, ticks, threads));
+    }
+    let hierarchy = SHARDS_PER_ZONE
         .iter()
-        .map(|&s| run_scale(s, tenants_per_shard, ticks, threads, true, false))
+        .map(|&spz| run_hierarchy(spz, warmup_ticks, rounds, threads))
         .collect();
+    let report = Report {
+        serial,
+        threaded,
+        hierarchy,
+    };
 
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"fleet_scale\",\n");
-    out.push_str(&format!(
-        "  \"config\": {{\"tenants_per_shard\":{tenants_per_shard},\"ticks\":{ticks},\"machines_per_shard\":{BUDGET},\"tick_threads\":{threads},\"available_parallelism\":{parallelism},\"quick\":{}}},\n",
-        quick()
-    ));
-    out.push_str("  \"scales\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str("    ");
-        out.push_str(&result_json(r));
-        out.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ],\n");
-    // The weak-scaling headline: per-shard re-solve time at the largest
-    // scale relative to one shard (must stay within ~2x for the
-    // hierarchical decomposition to be doing its job).
-    let max_shards = *scales.last().expect("non-empty scales");
-    let base = results.first().map(|r| r.mean_resolve_ms).unwrap_or(0.0);
-    let last = results.last().map(|r| r.mean_resolve_ms).unwrap_or(0.0);
-    let ratio = if base > 0.0 { last / base } else { 0.0 };
-    let warm_base = results
-        .first()
-        .map(|r| r.mean_warm_resolve_ms)
-        .unwrap_or(0.0);
-    let warm_last = results
-        .last()
-        .map(|r| r.mean_warm_resolve_ms)
-        .unwrap_or(0.0);
-    let warm_ratio = if warm_base > 0.0 {
-        warm_last / warm_base
+    let profile = if cfg!(debug_assertions) {
+        "debug"
     } else {
-        0.0
+        "release"
     };
-    // Steady tick normalized per shard: the serial poll/ingest work is
-    // inherently O(tenants), so the hierarchical claim is that the
-    // *per-shard* cost stays flat as shards multiply.
-    let steady_base = results.first().map(|r| r.steady_tick_usecs).unwrap_or(0.0);
-    let steady_last = results.last().map(|r| r.steady_tick_usecs).unwrap_or(0.0);
-    let per_shard_ratio = if steady_base > 0.0 && max_shards > 0 {
-        (steady_last / max_shards as f64) / steady_base
-    } else {
-        0.0
-    };
-    out.push_str(&format!(
-        "  \"weak_scaling\": {{\"resolve_ms_at_1_shard\":{base:.3},\"resolve_ms_at_max_shards\":{last:.3},\"ratio\":{ratio:.3},\"warm_resolve_ms_at_1_shard\":{warm_base:.3},\"warm_resolve_ms_at_max_shards\":{warm_last:.3},\"warm_ratio\":{warm_ratio:.3},\"steady_tick_per_shard_ratio\":{per_shard_ratio:.3}}},\n"
+    let quick = quick();
+    println!("env: cores={cores} tick_threads={threads} profile={profile} quick={quick}");
+    section(&format!(
+        "strong scaling: {shards} shards x {tenants_per_shard} tenants, {ticks} ticks, median of {RUNS_PER_SIDE}"
     ));
+    // Headers and rows are written as space-separated lines.
+    let cells = |line: &str| line.split(' ').map(str::to_string).collect::<Vec<_>>();
+    let (serial_ms, ..) = wall_spread(&report.serial);
+    let rows = [(1, &report.serial), (threads, &report.threaded)].map(|(n, runs)| {
+        let (median, min, max) = wall_spread(runs);
+        let (resolves, handoffs, machines) = runs[0].decisions;
+        let speedup = serial_ms / median;
+        cells(&format!(
+            "{n} {median:.1} {min:.1}..{max:.1} {speedup:.2} {resolves} {handoffs} {machines}"
+        ))
+    });
+    let header =
+        "tick_threads run_wall_ms min..max speedup resolves handoffs_completed total_machines";
+    print_table(&header.split(' ').collect::<Vec<_>>(), &rows);
 
-    // Strong scaling: the largest fleet, serial ticks vs. the full
-    // thread fan-out. On a many-core box the threaded steady tick should
-    // approach the 1-shard figure; on a 1-core box the two runs are the
-    // same work and the ratio records that honestly (see
-    // available_parallelism in config).
-    let serial = run_scale(max_shards, tenants_per_shard, ticks, 1, true, false);
-    // At least 2 threads so the scoped fan-out path is genuinely
-    // measured even where the machine offers one core.
-    let threaded = run_scale(
-        max_shards,
-        tenants_per_shard,
-        ticks,
-        threads.max(parallelism).max(2),
-        true,
-        false,
-    );
-    let speedup = if threaded.steady_tick_usecs > 0.0 {
-        serial.steady_tick_usecs / threaded.steady_tick_usecs
-    } else {
-        0.0
-    };
-    let one_shard_steady = results.first().map(|r| r.steady_tick_usecs).unwrap_or(0.0);
-    let vs_one_shard = if one_shard_steady > 0.0 {
-        threaded.steady_tick_usecs / one_shard_steady
-    } else {
-        0.0
-    };
-    out.push_str("  \"strong_scaling\": {\n");
-    out.push_str(&format!("    \"shards\": {max_shards},\n"));
-    out.push_str(&format!("    \"serial\": {},\n", result_json(&serial)));
-    out.push_str(&format!("    \"threaded\": {},\n", result_json(&threaded)));
-    out.push_str(&format!(
-        "    \"steady_tick_speedup\": {speedup:.3},\n    \"threaded_steady_vs_1_shard\": {vs_one_shard:.3}\n"
+    section(&format!(
+        "hierarchy: {ZONES} zones x {GROUPS} groups over loopback RPC, {HIER_TENANTS_PER_SHARD} tenants per shard, {rounds} rounds"
     ));
-    out.push_str("  },\n");
-
-    // Decision-trace overhead: the 1-shard scale run back-to-back with
-    // the sink enabled and disabled (adjacent runs, so process warm-up
-    // does not bias the pair). Recording is a branch plus a ring push on
-    // rare events, so the traced steady tick should sit within noise of
-    // the disabled run (the acceptance envelope is 10% on p50).
-    let traced = run_scale(scales[0], tenants_per_shard, ticks, threads, true, false);
-    let untraced = run_scale(scales[0], tenants_per_shard, ticks, threads, false, false);
-    let overhead_ratio = if untraced.steady_tick_p50_usecs > 0.0 {
-        traced.steady_tick_p50_usecs / untraced.steady_tick_p50_usecs
-    } else {
-        0.0
-    };
-    // Span-tracing overhead, same discipline: the spans-on run against
-    // the traced default (spans are the increment over tracing, not over
-    // a fully disabled sink). A steady tick opens no spans at all —
-    // roots only open on balance rounds — so the p50 must sit within
-    // noise; bench_gate holds the ratio to 1.15×.
-    let spanned = run_scale(scales[0], tenants_per_shard, ticks, threads, true, true);
-    let spans_ratio = if traced.steady_tick_p50_usecs > 0.0 {
-        spanned.steady_tick_p50_usecs / traced.steady_tick_p50_usecs
-    } else {
-        0.0
-    };
-    out.push_str(&format!(
-        concat!(
-            "  \"obs_overhead\": {{\"shards\":{},",
-            "\"steady_tick_p50_traced_usecs\":{:.2},",
-            "\"steady_tick_p50_disabled_usecs\":{:.2},",
-            "\"traced_over_disabled_p50_ratio\":{:.3},",
-            "\"steady_tick_p50_spans_usecs\":{:.2},",
-            "\"spans_over_plain_p50_ratio\":{:.3}}},\n"
-        ),
-        scales[0],
-        traced.steady_tick_p50_usecs,
-        untraced.steady_tick_p50_usecs,
-        overhead_ratio,
-        spanned.steady_tick_p50_usecs,
-        spans_ratio,
-    ));
-
-    // The network plane: RPC latency floors and the two-phase handoff
-    // round trip — gated by bench_gate so the new process boundary is
-    // perf-guarded from day one.
-    let net = run_net_bench();
-    out.push_str(&format!(
-        concat!(
-            "  \"net\": {{\"transport\":\"loopback\",",
-            "\"ping_rpc_usecs\":{:.2},\"ping_rpc_p99_usecs\":{:.2},",
-            "\"handoff_rpc_roundtrip_usecs\":{:.2},\"handoff_rpc_roundtrip_p99_usecs\":{:.2},",
-            "\"handoff_rpc_roundtrip_spans_usecs\":{:.2},",
-            "\"handoff_spans_over_plain_ratio\":{:.3},",
-            "\"handoff_frame_bytes\":{},\"tcp_ping_rpc_usecs\":{:.2}}}"
-        ),
-        net.ping_rpc_usecs,
-        net.ping_rpc_p99_usecs,
-        net.handoff_rpc_roundtrip_usecs,
-        net.handoff_rpc_roundtrip_p99_usecs,
-        net.handoff_rpc_roundtrip_spans_usecs,
-        if net.handoff_rpc_roundtrip_usecs > 0.0 {
-            net.handoff_rpc_roundtrip_spans_usecs / net.handoff_rpc_roundtrip_usecs
-        } else {
-            0.0
-        },
-        net.handoff_frame_bytes,
-        net.tcp_ping_rpc_usecs,
-    ));
-
-    // The mega-fleet: a fixed zone population behind loopback RPC,
-    // shards per zone scaling 250 → 1,000 total shards under the root
-    // balancer. The gated claim is the flat per-round root cost
-    // (root_cost_ratio, O(zones) work against constant-size sketched
-    // roll-ups) and that a zone's roll-up frame does not grow with the
-    // shard count beneath it (rollup_bytes_ratio).
-    const ZONES: usize = 25;
-    const GROUPS: usize = 64;
-    let (hier_tenants_per_shard, hier_warmup, hier_rounds) =
-        if quick() { (25, 12, 4) } else { (25, 16, 10) };
-    let hier_threads = threads.max(parallelism);
-    let hier: Vec<HierarchyScale> = [10usize, 40]
+    let rows: Vec<Vec<String>> = report
+        .hierarchy
         .iter()
-        .map(|&spz| {
-            run_hierarchy(
-                ZONES,
-                spz,
-                hier_tenants_per_shard,
-                GROUPS,
-                hier_warmup,
-                hier_rounds,
-                hier_threads,
-            )
+        .map(|h| {
+            cells(&format!(
+                "{} {:.0} {:.0} {:.0} {:.1} {}",
+                ZONES * h.shards_per_zone,
+                h.root_round_mean_usecs,
+                h.root_round_max_usecs,
+                h.zone_refresh_mean_usecs,
+                h.zone_rollup_bytes,
+                h.groups_moved,
+            ))
         })
         .collect();
-    let base = &hier[0];
-    let last = &hier[hier.len() - 1];
-    let root_cost_ratio = if base.root_round_mean_usecs > 0.0 {
-        last.root_round_mean_usecs / base.root_round_mean_usecs
-    } else {
-        0.0
-    };
-    let rollup_bytes_ratio = if base.zone_rollup_bytes > 0.0 {
-        last.zone_rollup_bytes / base.zone_rollup_bytes
-    } else {
-        0.0
-    };
-    out.push_str(",\n  \"hierarchy\": {\n");
-    out.push_str(&format!(
-        "    \"zones\": {ZONES}, \"groups\": {GROUPS}, \"tenants_per_shard\": {hier_tenants_per_shard},\n"
-    ));
-    out.push_str("    \"scales\": [\n");
-    for (i, r) in hier.iter().enumerate() {
-        out.push_str("      ");
-        out.push_str(&hierarchy_json(r));
-        out.push_str(if i + 1 < hier.len() { ",\n" } else { "\n" });
+    let header = "shards root_round_mean_usecs root_round_max_usecs zone_refresh_mean_usecs zone_rollup_bytes groups_moved";
+    print_table(&header.split(' ').collect::<Vec<_>>(), &rows);
+    println!(
+        "root_cost_ratio {:.3} (<= {MAX_ROOT_COST_RATIO})  rollup_bytes_ratio {:.3} (<= {MAX_ROLLUP_BYTES_RATIO})",
+        report.root_cost_ratio(),
+        report.rollup_bytes_ratio()
+    );
+
+    let findings = check(&report);
+    println!();
+    for finding in &findings {
+        println!("FAIL {finding}");
     }
-    out.push_str("    ],\n");
-    out.push_str(&format!(
-        "    \"root_cost_ratio\": {root_cost_ratio:.3},\n    \"rollup_bytes_ratio\": {rollup_bytes_ratio:.3}\n"
-    ));
-    out.push_str("  }\n");
-    out.push_str("}\n");
-    print!("{out}");
+    if findings.is_empty() {
+        println!("ok: every check holds");
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn passing() -> Report {
+        let run = FlatRun {
+            wall_ms: 40.0,
+            decisions: (3, 2, 12),
+            audit_clean: true,
+        };
+        let scale = |shards_per_zone, root_round_mean_usecs, zone_rollup_bytes| HierarchyScale {
+            shards_per_zone,
+            root_round_mean_usecs,
+            root_round_max_usecs: 2.0 * root_round_mean_usecs,
+            zone_refresh_mean_usecs: 1_000.0,
+            zone_rollup_bytes,
+            groups_moved: 8,
+        };
+        Report {
+            serial: vec![run; RUNS_PER_SIDE],
+            threaded: vec![run; RUNS_PER_SIDE],
+            hierarchy: vec![scale(10, 2_000.0, 3_600.0), scale(40, 3_000.0, 3_690.0)],
+        }
+    }
+
+    #[test]
+    fn a_report_within_every_bound_passes() {
+        assert_eq!(check(&passing()), Vec::<String>::new());
+    }
+
+    #[test]
+    fn each_broken_claim_yields_exactly_its_finding() {
+        type Break = fn(&mut Report);
+        let cases: [(Break, &str); 8] = [
+            (|r| r.hierarchy[1].groups_moved = 0, "groups_moved 0 at 40"),
+            (
+                |r| r.hierarchy[1].zone_rollup_bytes = 4_320.0,
+                "rollup_bytes_ratio 1.200 ",
+            ),
+            (
+                |r| r.hierarchy[1].root_round_mean_usecs = 5_000.0,
+                "root_cost_ratio 2.500 ",
+            ),
+            (
+                |r| r.hierarchy[0].root_round_mean_usecs = 0.0,
+                "root_cost_ratio inf ",
+            ),
+            (|r| r.threaded[2].audit_clean = false, "audit: a flat"),
+            (|r| r.threaded[1].decisions.0 += 1, "determinism: "),
+            (|r| r.threaded[0].decisions.1 += 1, "determinism: "),
+            (|r| r.serial[2].decisions.2 += 1, "determinism: "),
+        ];
+        for (break_it, finding) in cases {
+            let mut report = passing();
+            break_it(&mut report);
+            let findings = check(&report);
+            assert_eq!(findings.len(), 1, "{findings:?}");
+            assert!(findings[0].starts_with(finding), "{findings:?}");
+        }
+    }
 }

@@ -82,7 +82,7 @@ impl ChaosBackend {
     fn transport(self, seed: u64) -> FaultedTransport {
         match self {
             ChaosBackend::Loopback => {
-                FaultedTransport::new(Arc::new(LoopbackTransport::with_seed(seed)), seed)
+                FaultedTransport::new(Arc::new(LoopbackTransport::new()), seed)
             }
             ChaosBackend::Tcp => FaultedTransport::over_tcp(seed),
         }

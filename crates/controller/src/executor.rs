@@ -210,7 +210,7 @@ impl FleetExecutor {
         step: &MigrationStep,
         problem: &ConsolidationProblem,
     ) -> (f64, f64, f64) {
-        let slot = problem.slots()[step.mv.slot];
+        let slot = problem.slot_series().slots[step.mv.slot];
         let spec = &problem.workloads[slot.workload];
         // Size the physical copy by the tenant's peak working set.
         let ws_peak = spec.ws.iter().copied().fold(0.0f64, f64::max).max(1.0);
@@ -361,6 +361,31 @@ mod tests {
         assert!(exec.hosts()[0].instance(0).pool_resident_pages() < resident_before);
         assert_eq!(exec.hosts()[1].instance(0).live_databases().count(), 1);
         assert_eq!(exec.machine_of("w1", 0), Some(1));
+    }
+
+    #[test]
+    fn every_step_of_a_replicated_plan_sizes_and_routes_its_own_tenant() {
+        // With replicas a slot index is not a workload index, so each
+        // step must find its workload through the problem's slot list.
+        let mut p = problem(3);
+        for (w, (replicas, ws)) in [(2, 128e6), (1, 512e6), (3, 256e6)].into_iter().enumerate() {
+            p.workloads[w].replicas = replicas;
+            p.workloads[w].ws = vec![ws; 2];
+        }
+        let to = Assignment::new(vec![0, 1, 2, 3, 4, 5]);
+        let mut exec = FleetExecutor::new();
+        let report = exec.execute(&plan_migration(&p, &[None; 6], &to), &p);
+        assert_eq!(report.steps, 6);
+        let rows = |ws: f64| (ws / ROW_BYTES as f64).ceil() as u64;
+        let expected: Vec<(String, u32, usize, u64)> = vec![
+            ("w0".into(), 0, 0, rows(128e6)),
+            ("w0".into(), 1, 1, rows(128e6)),
+            ("w1".into(), 0, 2, rows(512e6)),
+            ("w2".into(), 0, 3, rows(256e6)),
+            ("w2".into(), 1, 4, rows(256e6)),
+            ("w2".into(), 2, 5, rows(256e6)),
+        ];
+        assert_eq!(exec.routing_snapshot(), expected);
     }
 
     #[test]

@@ -36,8 +36,8 @@
 //! * [`executor`] — executes the moves step-by-step against simulated
 //!   [`kairos_dbsim::Host`]s;
 //! * [`scenarios`] — deterministic drift scenarios (diurnal shift, flash
-//!   crowd, workload churn, stationary control) shared by the example,
-//!   the integration tests and the `controller_loop` bench;
+//!   crowd, workload churn, stationary control) shared by the example
+//!   and the integration tests;
 //! * [`shard`] — the loop itself as a reusable [`ShardController`]: one
 //!   self-contained slice of a sharded fleet, with the summary /
 //!   reservation / evict / admit surface the `kairos-fleet` balancer

@@ -126,7 +126,7 @@ pub fn plan_migration(
     from: &[Option<usize>],
     to: &Assignment,
 ) -> MigrationPlan {
-    let slots = problem.slots();
+    let slots = &problem.slot_series().slots;
     assert_eq!(from.len(), slots.len(), "baseline must cover every slot");
     assert_eq!(
         to.machine_of.len(),

@@ -221,7 +221,10 @@ impl ReSolver {
         current: &FleetPlacement,
     ) -> Result<ReSolveOutcome> {
         let problem = self.problem(profiles)?;
-        let slots = problem.slots();
+        // Held by `Arc`: the problem is moved into its migration-priced
+        // form below and the cache travels with it.
+        let series = problem.slot_series().clone();
+        let slots = &series.slots;
         let k = problem.max_machines;
 
         // The baseline records where each tenant *physically* runs — never
@@ -231,7 +234,7 @@ impl ReSolver {
         // it; clamping would silently relabel it and desynchronize the
         // placement map from the executor's routing.
         let mut baseline: Vec<Option<usize>> = Vec::with_capacity(slots.len());
-        for slot in &slots {
+        for slot in slots {
             let name = &problem.workloads[slot.workload].name;
             baseline.push(current.machine_of(name, slot.replica));
         }

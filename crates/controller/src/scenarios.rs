@@ -1,5 +1,5 @@
-//! Deterministic drift scenarios shared by the example, the integration
-//! tests and the `controller_loop` bench.
+//! Deterministic drift scenarios shared by the example and the
+//! integration tests.
 //!
 //! Each scenario is a fleet of [`SyntheticSource`]s — analytic telemetry
 //! generators built on the workload crate's [`RatePattern`] schedules —

@@ -505,7 +505,7 @@ impl ShardController {
         self.metrics.solve_secs_total.add(solve_secs);
         self.metrics.solve_usecs.record((solve_secs * 1e6) as u64);
 
-        let slots = problem.slots();
+        let slots = &problem.slot_series().slots;
         let from = vec![None; slots.len()];
         let migration = plan_migration(&problem, &from, &report.assignment);
         let exec = self.executor.execute(&migration, &problem);
@@ -806,9 +806,9 @@ impl ShardController {
             return None;
         }
         let problem = self.resolver.problem(profiles).ok()?;
-        let slots = problem.slots();
+        let slots = &problem.slot_series().slots;
         let mut machine_of = Vec::with_capacity(slots.len());
-        for slot in &slots {
+        for slot in slots {
             let name = &problem.workloads[slot.workload].name;
             machine_of.push(self.placement.machine_of(name, slot.replica)?);
         }

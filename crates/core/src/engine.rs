@@ -209,7 +209,7 @@ impl ConsolidationEngine {
         strategy: PlanStrategy,
     ) -> Result<ConsolidationPlan> {
         let problem = self.problem(profiles)?;
-        let slots = problem.slots();
+        let slots = &problem.slot_series().slots;
         let report = match strategy {
             PlanStrategy::Kairos => solve(&problem, &self.solver)?,
             PlanStrategy::Greedy => {

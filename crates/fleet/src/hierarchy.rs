@@ -43,9 +43,10 @@
 //!
 //! The root never sees a tenant's telemetry, a shard's summary, or a
 //! per-tenant forecast: its inputs are zone roll-ups and group-level
-//! peak envelopes only, which is what keeps the per-round root cost flat
-//! as shards multiply (the `"hierarchy"` section of `BENCH_fleet.json`
-//! pins this).
+//! peak envelopes only, which is what keeps a *steady* root round flat as
+//! shards multiply; a round that moves a group also pays for the group's
+//! members (`fleet_scale` times that round at 250 and 1,000 shards and
+//! checks the ratio).
 
 use crate::balancer::{BalancerConfig, EvictedTenant, ShardHandle};
 use crate::fleet::FleetController;

@@ -588,30 +588,30 @@ impl BalancePlane {
             };
         };
 
-        // Phase 1 (serial): build each member's restriction and read its
-        // placement into the restriction's slot order. Phase 2
-        // (parallel): the evaluations themselves — the expensive part,
-        // independent per member — fan out across the worker threads,
-        // each consuming its prepared (sub-problem, assignment) pair.
-        let mut jobs: Vec<Option<(ConsolidationProblem, Assignment)>> = members
+        // Phase 1 (serial): build each member's restriction. Phase 2
+        // (parallel): read its placement into the restriction's slot
+        // order and evaluate it — the expensive part, independent per
+        // member — fanned out across the worker threads.
+        let mut jobs: Vec<Option<(ConsolidationProblem, &FleetPlacement)>> = members
             .iter()
             .zip(&member_indices)
             .map(|((_, placement, planned), keep)| {
                 let placement = placement.filter(|_| *planned && !keep.is_empty())?;
-                let sub = global.restrict(keep);
-                let machine_of = sub
-                    .slots()
-                    .iter()
-                    .map(|slot| {
-                        placement.machine_of(&sub.workloads[slot.workload].name, slot.replica)
-                    })
-                    .collect::<Option<Vec<usize>>>()?;
-                Some((sub, Assignment::new(machine_of)))
+                Some((global.restrict(keep), placement))
             })
             .collect();
         fan_out(threads, &mut jobs, &mut per_shard, |job, out| {
-            if let Some((sub, assignment)) = job.take() {
-                *out = Some(evaluate(&sub, &assignment));
+            let Some((sub, placement)) = job.take() else {
+                return;
+            };
+            let machine_of = sub
+                .slot_series()
+                .slots
+                .iter()
+                .map(|slot| placement.machine_of(&sub.workloads[slot.workload].name, slot.replica))
+                .collect::<Option<Vec<usize>>>();
+            if let Some(machine_of) = machine_of {
+                *out = Some(evaluate(&sub, &Assignment::new(machine_of)));
             }
         });
         FleetAudit {

@@ -1,8 +1,6 @@
 //! The unified fault-injection surface.
 //!
-//! Before the chaos harness, each loopback fault was its own ad-hoc
-//! method with its own private state and an *implicit* interaction
-//! order. [`FaultPlan`] makes the whole per-endpoint fault state one
+//! [`FaultPlan`] is the whole per-endpoint fault state as one
 //! declarative value with one documented precedence, so a schedule
 //! interpreter (`kairos-chaos`) can inject any mix of faults and
 //! reason about exactly which call fails how.
@@ -155,11 +153,11 @@ impl FaultPlan {
     }
 }
 
-/// The shared named-fault surface: everything that owns a [`FaultPlan`]
-/// (the loopback's in-memory registry, the [`crate::FaultedTransport`]
-/// decorator over any backend) exposes the same injection verbs, so a
-/// schedule interpreter (`kairos-chaos`) is generic over *where* the
-/// faults land — in-memory dispatch or a real TCP socket.
+/// The named-fault surface of whatever owns a [`FaultPlan`] — the
+/// [`crate::FaultedTransport`] decorator, over any backend — so a
+/// schedule interpreter (`kairos-chaos`) and the failure suites inject
+/// by verb and need not know *where* the faults land: in-memory
+/// dispatch or a real TCP socket.
 pub trait FaultInjector {
     /// Arm one [`Fault`] against `endpoint` on the owned [`FaultPlan`].
     fn inject_fault(&self, endpoint: &str, fault: Fault);

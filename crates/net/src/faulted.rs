@@ -1,26 +1,30 @@
 //! Fault injection below the loopback layer: a [`Transport`] decorator
-//! that applies the declarative [`FaultPlan`] to *any* backend.
+//! that applies the declarative [`FaultPlan`] to *any* backend, and the
+//! only injector there is — the loopback is a plain registry, the TCP
+//! backend real sockets, and neither owns anything injectable.
 //!
-//! The loopback transport owns a fault plan because it owns dispatch;
-//! the TCP backend is real sockets and owns nothing injectable. This
-//! decorator moves the exact same fault model one layer up: it routes
-//! **logical endpoint names** (`"shard-0"`) to whatever endpoint the
-//! inner transport actually serves (a kernel-assigned `127.0.0.1:port`
-//! for TCP), and consults the shared [`FaultPlan`] — same precedence
-//! contract, partition ≻ drop ≻ corrupt, heal cancels one-shots — on
-//! every outbound call before the frame touches the inner connection.
-//! Corruption flips one seeded bit, drawn from the same
-//! [`SplitMix64`] stream discipline the loopback uses, so a chaos
-//! schedule replays bit-for-bit against real TCP.
+//! The decorator routes **logical endpoint names** (`"shard-0"`) to
+//! whatever endpoint the inner transport actually serves (the name
+//! itself over loopback, a kernel-assigned `127.0.0.1:port` for TCP),
+//! and consults the shared [`FaultPlan`] — partition ≻ drop ≻ corrupt,
+//! heal cancels one-shots (see [`crate::fault`]) — on every outbound
+//! call before the frame touches the inner connection:
 //!
-//! What stays different from loopback — deliberately — is what the
-//! *far side* does with an injected fault: a corrupted frame over TCP
-//! is rejected by the server's stream reader and the connection
-//! closes (the client sees an I/O error and redials), whereas loopback
-//! hands the damaged frame to the handler which answers an error
-//! response. Both are legal transport behaviours; the chaos invariants
-//! hold under either, and same-seed fingerprints are byte-identical
-//! per backend.
+//! * **partition** — the endpoint is unreachable until healed (a dead
+//!   or isolated node; heartbeat misses accumulate);
+//! * **drop** — the next N calls vanish ([`NetError::Dropped`]);
+//! * **corrupt** — the next call's request frame has one bit flipped
+//!   in flight, its position drawn from one seeded [`SplitMix64`]
+//!   stream, so a chaos schedule or a failure test replays bit-for-bit
+//!   over either backend.
+//!
+//! What differs between backends — deliberately — is what the *far
+//! side* does with an injected fault: a corrupted frame over TCP is
+//! rejected by the server's stream reader and the connection closes
+//! (the client sees an I/O error and redials), whereas loopback hands
+//! the damaged frame to the handler which answers an error response.
+//! Both are legal transport behaviours; the chaos invariants hold under
+//! either, and same-seed fingerprints are byte-identical per backend.
 
 use crate::fault::{Fault, FaultInjector, FaultPlan, FaultVerdict};
 use crate::transport::{Conn, Handler, NetError, ServerHandle, Transport};
@@ -182,7 +186,8 @@ impl Conn for FaultedConn {
         // before the (possibly slow, blocking) inner call.
         let corrupt = {
             let mut state = self.state.lock().expect("faulted state lock");
-            // Payload tag rides at frame bytes 16..20 (see loopback).
+            // The payload tag (request enum variant index) rides at
+            // frame bytes 16..20; shorter frames carry no tag.
             let tag = (frame.len() >= 20)
                 .then(|| u32::from_le_bytes(frame[16..20].try_into().expect("sized slice")));
             match state.faults.next_call(&self.endpoint, tag) {
@@ -271,8 +276,8 @@ mod tests {
     #[test]
     fn corruption_flips_exactly_one_bit_in_flight() {
         // Over a pass-through backend the damaged frame is observable:
-        // exactly one seeded bit differs, same as the loopback contract.
-        let t = FaultedTransport::new(Arc::new(LoopbackTransport::with_seed(0)), 11);
+        // exactly one seeded bit differs.
+        let t = FaultedTransport::new(Arc::new(LoopbackTransport::new()), 11);
         let _h = t.serve("a", echo()).expect("serves");
         let mut conn = t.connect("a").expect("connects");
         let msg = frame::encode_frame(&(String::from("x"), 9u32));
@@ -289,12 +294,11 @@ mod tests {
 
     #[test]
     fn same_seed_corrupts_the_same_bit_over_any_backend() {
-        // The decorator draws from the same seeded stream discipline as
-        // the loopback, so a schedule's corruption lands identically
-        // run over run.
+        // One seeded stream decides the bit, so a schedule's corruption
+        // lands identically run over run.
         let msg = frame::encode_frame(&(String::from("payload"), 1234u64));
         let run = |seed: u64| {
-            let t = FaultedTransport::new(Arc::new(LoopbackTransport::with_seed(0)), seed);
+            let t = FaultedTransport::new(Arc::new(LoopbackTransport::new()), seed);
             let _h = t.serve("a", echo()).expect("serves");
             let mut conn = t.connect("a").expect("connects");
             t.corrupt_next_calls("a", 1);
@@ -302,5 +306,24 @@ mod tests {
         };
         assert_eq!(run(42), run(42), "same seed, same damage");
         assert_ne!(run(42), run(43), "different seed, different damage");
+    }
+
+    #[test]
+    fn matching_corruption_rules_queue_per_endpoint() {
+        let t = FaultedTransport::new(Arc::new(LoopbackTransport::new()), 11);
+        let _h = t.serve("a", echo()).expect("serves");
+        let mut conn = t.connect("a").expect("connects");
+        // Two different request kinds, armed up front.
+        let ping = frame::encode_frame(&crate::rpc::Request::Ping);
+        let tick = frame::encode_frame(&crate::rpc::Request::Tick);
+        let ping_tag = crate::rpc::wire_tag(&crate::rpc::Request::Ping);
+        let tick_tag = crate::rpc::wire_tag(&crate::rpc::Request::Tick);
+        t.corrupt_next_calls_matching("a", ping_tag, 1);
+        t.corrupt_next_calls_matching("a", tick_tag, 1);
+        // Tick fires its rule even though Ping's queued first.
+        assert_ne!(conn.call(&tick).expect("damaged"), tick);
+        assert_ne!(conn.call(&ping).expect("damaged"), ping);
+        assert_eq!(conn.call(&ping).expect("clean"), ping);
+        assert_eq!(conn.call(&tick).expect("clean"), tick);
     }
 }

@@ -84,6 +84,33 @@ fn parse_span_section(bytes: &[u8]) -> SpanContext {
     }
 }
 
+/// Validate the fixed 16-byte header — magic, then version (with
+/// [`SPAN_FLAG`] masked off), then the length cap — and return the span
+/// section's length and the payload's.
+fn parse_header(header: &[u8]) -> Result<(usize, u64), NetError> {
+    if header[..4] != NET_MAGIC {
+        return Err(NetError::BadMagic);
+    }
+    let version_field = u32::from_le_bytes(header[4..8].try_into().expect("sized slice"));
+    let version = version_field & !SPAN_FLAG;
+    if version != RPC_WIRE_VERSION {
+        return Err(NetError::UnsupportedVersion {
+            found: version,
+            expected: RPC_WIRE_VERSION,
+        });
+    }
+    let span_len = if version_field & SPAN_FLAG != 0 {
+        SPAN_SECTION_LEN
+    } else {
+        0
+    };
+    let payload_len = u64::from_le_bytes(header[8..16].try_into().expect("sized slice"));
+    if payload_len > MAX_PAYLOAD_LEN {
+        return Err(NetError::Oversized(payload_len));
+    }
+    Ok((span_len, payload_len))
+}
+
 /// Encode `value` into a complete frame (header + payload + CRC).
 pub fn encode_frame<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
     encode_frame_with_span(value, None)
@@ -127,26 +154,7 @@ pub fn decode_frame_with_span<T: Deserialize>(
     if bytes.len() < HEADER_LEN + TRAILER_LEN {
         return Err(NetError::Truncated);
     }
-    if bytes[..4] != NET_MAGIC {
-        return Err(NetError::BadMagic);
-    }
-    let version_field = u32::from_le_bytes(bytes[4..8].try_into().expect("sized slice"));
-    let version = version_field & !SPAN_FLAG;
-    if version != RPC_WIRE_VERSION {
-        return Err(NetError::UnsupportedVersion {
-            found: version,
-            expected: RPC_WIRE_VERSION,
-        });
-    }
-    let span_len = if version_field & SPAN_FLAG != 0 {
-        SPAN_SECTION_LEN
-    } else {
-        0
-    };
-    let payload_len = u64::from_le_bytes(bytes[8..16].try_into().expect("sized slice"));
-    if payload_len > MAX_PAYLOAD_LEN {
-        return Err(NetError::Oversized(payload_len));
-    }
+    let (span_len, payload_len) = parse_header(&bytes[..HEADER_LEN])?;
     let expected_total = (HEADER_LEN as u64 + span_len as u64)
         .checked_add(payload_len)
         .and_then(|n| n.checked_add(TRAILER_LEN as u64));
@@ -190,26 +198,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, NetError> {
 pub fn read_frame_with_trailer(r: &mut impl Read, extra: usize) -> Result<Vec<u8>, NetError> {
     let mut header = [0u8; HEADER_LEN];
     r.read_exact(&mut header)?;
-    if header[..4] != NET_MAGIC {
-        return Err(NetError::BadMagic);
-    }
-    let version_field = u32::from_le_bytes(header[4..8].try_into().expect("sized slice"));
-    let version = version_field & !SPAN_FLAG;
-    if version != RPC_WIRE_VERSION {
-        return Err(NetError::UnsupportedVersion {
-            found: version,
-            expected: RPC_WIRE_VERSION,
-        });
-    }
-    let span_len = if version_field & SPAN_FLAG != 0 {
-        SPAN_SECTION_LEN
-    } else {
-        0
-    };
-    let payload_len = u64::from_le_bytes(header[8..16].try_into().expect("sized slice"));
-    if payload_len > MAX_PAYLOAD_LEN {
-        return Err(NetError::Oversized(payload_len));
-    }
+    let (span_len, payload_len) = parse_header(&header)?;
     let rest = span_len + payload_len as usize + TRAILER_LEN + extra;
     let mut frame = Vec::with_capacity(HEADER_LEN + rest);
     frame.extend_from_slice(&header);

@@ -17,7 +17,7 @@
 //!   │ShardNode│ │ShardNode│ │ShardNode│    each: Arc<Mutex<ShardController>>
 //!   └────┬────┘ └────┬────┘ └────┬────┘    + a SourceBinder for live telemetry
 //!        └───────────┴───────────┘
-//!          Transport: loopback (deterministic, fault-injectable)
+//!          Transport: loopback (deterministic, in-memory)
 //!                     or TCP (blocking std::net, thread per conn)
 //! ```
 //!
@@ -33,9 +33,11 @@
 //!   state with a normative precedence (partition ≻ drop ≻ corrupt;
 //!   heal cancels pending faults) that the chaos harness schedules
 //!   against;
-//! * [`loopback`] — deterministic in-memory backend with injectable
-//!   drops, partitions and bit-flip corruption (seeded), all routed
-//!   through the shared [`FaultPlan`];
+//! * [`loopback`] — deterministic in-memory backend: a registry and
+//!   call-order dispatch;
+//! * [`faulted`] — [`FaultedTransport`], the one fault injector: a
+//!   decorator applying the [`FaultPlan`] (seeded bit flips included)
+//!   to either backend;
 //! * [`tcp`] — `std::net` blocking sockets, one thread per connection —
 //!   no async runtime, matching the workspace's `std::thread::scope`
 //!   architecture;

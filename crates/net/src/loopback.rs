@@ -6,167 +6,54 @@
 //! loopback-vs-in-process equivalence tests lean on (no threads, no
 //! queues, no timing).
 //!
-//! Faults are injected through the one declarative [`FaultPlan`]
-//! surface (see [`crate::fault`] for the normative precedence:
-//! partition ≻ drop ≻ corrupt, and **heal cancels pending one-shot
-//! faults**), plus one seeded [`SplitMix64`] stream deciding corruption
-//! bit positions — so failure tests replay exactly under
-//! `KAIROS_TEST_SEED`:
-//!
-//! * **partition** — the endpoint becomes unreachable until healed
-//!   (models a dead or isolated node; heartbeat misses accumulate);
-//! * **drop** — the next N calls to the endpoint vanish
-//!   ([`NetError::Dropped`] — models transient loss);
-//! * **corrupt** — the next call's request frame has one seeded bit
-//!   flipped in flight (models wire damage; the server's frame
-//!   validation must reject it).
-//!
-//! The named methods ([`partition`](LoopbackTransport::partition),
-//! [`drop_next_calls`](LoopbackTransport::drop_next_calls), …) are thin
-//! wrappers over [`inject`](LoopbackTransport::inject) — kept because
-//! the failure suites read better with them, but there is exactly one
-//! fault state underneath.
+//! It injects no faults itself: partitions, drops and bit flips come
+//! from wrapping it in [`crate::FaultedTransport`], the one injector
+//! every backend shares.
 
-use crate::fault::{Fault, FaultInjector, FaultPlan, FaultVerdict};
 use crate::transport::{Conn, Handler, NetError, ServerHandle, Transport};
-use kairos_types::SplitMix64;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-#[derive(Default)]
-struct LoopbackState {
-    endpoints: BTreeMap<String, Handler>,
-    faults: FaultPlan,
-}
+type Registry = Arc<Mutex<BTreeMap<String, Handler>>>;
 
-/// The in-memory transport. `Clone` shares the registry (and the fault
-/// plan), so tests hold one handle while nodes hold others.
-#[derive(Clone)]
+/// The in-memory transport. `Clone` shares the registry, so tests hold
+/// one handle while nodes hold others.
+#[derive(Clone, Default)]
 pub struct LoopbackTransport {
-    state: Arc<Mutex<LoopbackState>>,
-    rng: Arc<Mutex<SplitMix64>>,
-}
-
-impl Default for LoopbackTransport {
-    fn default() -> LoopbackTransport {
-        LoopbackTransport::new()
-    }
+    endpoints: Registry,
 }
 
 impl LoopbackTransport {
     pub fn new() -> LoopbackTransport {
-        LoopbackTransport::with_seed(0x100B_BAC4)
-    }
-
-    /// Seed only feeds fault injection (corruption bit positions); a
-    /// fault-free loopback is deterministic regardless.
-    pub fn with_seed(seed: u64) -> LoopbackTransport {
-        LoopbackTransport {
-            state: Arc::new(Mutex::new(LoopbackState::default())),
-            rng: Arc::new(Mutex::new(SplitMix64::new(seed))),
-        }
-    }
-
-    /// Arm one [`Fault`] against `endpoint` on the shared [`FaultPlan`].
-    pub fn inject(&self, endpoint: &str, fault: Fault) {
-        self.state
-            .lock()
-            .expect("loopback state lock")
-            .faults
-            .inject(endpoint, fault);
-    }
-
-    /// Make `endpoint` unreachable (calls fail with
-    /// [`NetError::Unreachable`]) until [`LoopbackTransport::heal`].
-    pub fn partition(&self, endpoint: &str) {
-        self.inject(endpoint, Fault::Partition);
-    }
-
-    /// Undo a [`LoopbackTransport::partition`] — and, per the
-    /// [`crate::fault`] contract, cancel every pending one-shot fault
-    /// on the endpoint: it comes back clean.
-    pub fn heal(&self, endpoint: &str) {
-        self.state
-            .lock()
-            .expect("loopback state lock")
-            .faults
-            .heal(endpoint);
-    }
-
-    /// Heal every endpoint (a chaos schedule's end-of-faults barrier).
-    pub fn heal_all(&self) {
-        self.state
-            .lock()
-            .expect("loopback state lock")
-            .faults
-            .heal_all();
-    }
-
-    /// Drop the next `n` calls to `endpoint` ([`NetError::Dropped`]).
-    pub fn drop_next_calls(&self, endpoint: &str, n: u64) {
-        self.inject(endpoint, Fault::DropNext(n));
-    }
-
-    /// Flip one seeded bit in the next `n` request frames sent to
-    /// `endpoint` — in-flight corruption the server must reject.
-    pub fn corrupt_next_calls(&self, endpoint: &str, n: u64) {
-        self.inject(endpoint, Fault::CorruptNext(n));
-    }
-
-    /// Flip one seeded bit in the next `n` request frames to `endpoint`
-    /// **whose payload tag matches** (see [`crate::rpc::wire_tag`]) —
-    /// targeted mid-handshake damage: reservations and ticks flow clean,
-    /// the `Admit` arrives broken. Rules queue per endpoint, so a test
-    /// can arm `Admit` and `Owns` corruption before the round starts.
-    pub fn corrupt_next_calls_matching(&self, endpoint: &str, tag: u32, n: u64) {
-        self.inject(endpoint, Fault::CorruptNextMatching { tag, n });
+        LoopbackTransport::default()
     }
 
     /// Endpoints currently served (diagnostics).
     pub fn endpoints(&self) -> Vec<String> {
-        self.state
+        self.endpoints
             .lock()
-            .expect("loopback state lock")
-            .endpoints
+            .expect("loopback registry lock")
             .keys()
             .cloned()
             .collect()
     }
 }
 
-/// The generic fault surface (see [`crate::fault::FaultInjector`]):
-/// delegates to the inherent methods so the chaos harness can drive the
-/// loopback and the [`crate::FaultedTransport`] decorator identically.
-impl FaultInjector for LoopbackTransport {
-    fn inject_fault(&self, endpoint: &str, fault: Fault) {
-        self.inject(endpoint, fault);
-    }
-
-    fn heal(&self, endpoint: &str) {
-        LoopbackTransport::heal(self, endpoint);
-    }
-
-    fn heal_all(&self) {
-        LoopbackTransport::heal_all(self);
-    }
-}
-
 impl Transport for LoopbackTransport {
     fn serve(&self, endpoint: &str, handler: Handler) -> Result<ServerHandle, NetError> {
-        let mut state = self.state.lock().expect("loopback state lock");
-        if state.endpoints.contains_key(endpoint) {
+        let mut endpoints = self.endpoints.lock().expect("loopback registry lock");
+        if endpoints.contains_key(endpoint) {
             return Err(NetError::Protocol(format!(
                 "endpoint {endpoint} already served"
             )));
         }
-        state.endpoints.insert(endpoint.to_string(), handler);
-        let registry = self.state.clone();
+        endpoints.insert(endpoint.to_string(), handler);
+        let registry = self.endpoints.clone();
         let unbind = endpoint.to_string();
         Ok(ServerHandle::new(endpoint.to_string(), move || {
             registry
                 .lock()
-                .expect("loopback state lock")
-                .endpoints
+                .expect("loopback registry lock")
                 .remove(&unbind);
         }))
     }
@@ -175,61 +62,35 @@ impl Transport for LoopbackTransport {
         // Connections are lazy (like TCP reconnection logic, resolution
         // happens per call), but fail fast here if nothing is served so
         // misconfigured tests surface immediately.
-        let state = self.state.lock().expect("loopback state lock");
-        if !state.endpoints.contains_key(endpoint) {
+        let endpoints = self.endpoints.lock().expect("loopback registry lock");
+        if !endpoints.contains_key(endpoint) {
             return Err(NetError::Unreachable(endpoint.to_string()));
         }
         Ok(Box::new(LoopbackConn {
             endpoint: endpoint.to_string(),
-            state: self.state.clone(),
-            rng: self.rng.clone(),
+            endpoints: self.endpoints.clone(),
         }))
     }
 }
 
 struct LoopbackConn {
     endpoint: String,
-    state: Arc<Mutex<LoopbackState>>,
-    rng: Arc<Mutex<SplitMix64>>,
+    endpoints: Registry,
 }
 
 impl Conn for LoopbackConn {
     fn call(&mut self, frame: &[u8]) -> Result<Vec<u8>, NetError> {
-        // Resolve faults and the handler under the registry lock, then
-        // release it before dispatching — the handler may itself hold
-        // long-running locks (a shard mid-solve) and must not serialize
-        // against registry mutations.
-        let (handler, corrupt) = {
-            let mut state = self.state.lock().expect("loopback state lock");
-            // The payload tag (request enum variant index) rides at
-            // frame bytes 16..20; shorter frames carry no tag.
-            let tag = (frame.len() >= 20)
-                .then(|| u32::from_le_bytes(frame[16..20].try_into().expect("sized slice")));
-            let corrupt = match state.faults.next_call(&self.endpoint, tag) {
-                FaultVerdict::Unreachable => {
-                    return Err(NetError::Unreachable(self.endpoint.clone()))
-                }
-                FaultVerdict::Drop => return Err(NetError::Dropped),
-                FaultVerdict::Deliver { corrupt } => corrupt,
-            };
-            let handler = state
-                .endpoints
-                .get(&self.endpoint)
-                .cloned()
-                .ok_or_else(|| NetError::Unreachable(self.endpoint.clone()))?;
-            (handler, corrupt)
-        };
-        let mut owned;
-        let frame = if corrupt {
-            owned = frame.to_vec();
-            let mut rng = self.rng.lock().expect("loopback rng lock");
-            let byte = rng.next_range(owned.len() as u64) as usize;
-            let bit = rng.next_range(8) as u8;
-            owned[byte] ^= 1 << bit;
-            owned.as_slice()
-        } else {
-            frame
-        };
+        // Resolve the handler under the registry lock, then release it
+        // before dispatching — the handler may itself hold long-running
+        // locks (a shard mid-solve) and must not serialize against
+        // registry mutations.
+        let handler = self
+            .endpoints
+            .lock()
+            .expect("loopback registry lock")
+            .get(&self.endpoint)
+            .cloned()
+            .ok_or_else(|| NetError::Unreachable(self.endpoint.clone()))?;
         let mut handler = handler.lock().expect("loopback handler lock");
         Ok(handler(frame))
     }
@@ -257,79 +118,5 @@ mod tests {
         assert_eq!(conn.call(&msg).expect("echoes"), msg);
         handle.stop();
         assert!(matches!(conn.call(&msg), Err(NetError::Unreachable(_))));
-    }
-
-    #[test]
-    fn partition_and_heal() {
-        let t = LoopbackTransport::new();
-        let _h = t.serve("a", echo_handler()).expect("serves");
-        let mut conn = t.connect("a").expect("connects");
-        t.partition("a");
-        assert!(matches!(conn.call(b"x"), Err(NetError::Unreachable(_))));
-        t.heal("a");
-        assert!(conn.call(b"x").is_ok());
-    }
-
-    #[test]
-    fn drops_are_counted() {
-        let t = LoopbackTransport::new();
-        let _h = t.serve("a", echo_handler()).expect("serves");
-        let mut conn = t.connect("a").expect("connects");
-        t.drop_next_calls("a", 2);
-        assert!(matches!(conn.call(b"x"), Err(NetError::Dropped)));
-        assert!(matches!(conn.call(b"x"), Err(NetError::Dropped)));
-        assert!(conn.call(b"x").is_ok());
-    }
-
-    #[test]
-    fn heal_cancels_drops_scheduled_before_the_partition() {
-        // The satellite bug: drops armed before a partition used to
-        // survive the heal and fire arbitrarily later. The documented
-        // precedence says a heal cancels them.
-        let t = LoopbackTransport::new();
-        let _h = t.serve("a", echo_handler()).expect("serves");
-        let mut conn = t.connect("a").expect("connects");
-        t.drop_next_calls("a", 3);
-        t.partition("a");
-        assert!(matches!(conn.call(b"x"), Err(NetError::Unreachable(_))));
-        t.heal("a");
-        assert!(conn.call(b"x").is_ok(), "healed endpoint comes back clean");
-        assert!(conn.call(b"x").is_ok());
-    }
-
-    #[test]
-    fn corruption_flips_exactly_one_bit() {
-        let t = LoopbackTransport::new();
-        let _h = t.serve("a", echo_handler()).expect("serves");
-        let mut conn = t.connect("a").expect("connects");
-        t.corrupt_next_calls("a", 1);
-        let msg = frame::encode_frame(&(String::from("x"), 3u32));
-        let echoed = conn.call(&msg).expect("delivered, damaged");
-        let diff: u32 = msg
-            .iter()
-            .zip(&echoed)
-            .map(|(a, b)| (a ^ b).count_ones())
-            .sum();
-        assert_eq!(diff, 1, "exactly one bit flipped in flight");
-        assert_eq!(conn.call(&msg).expect("clean again"), msg);
-    }
-
-    #[test]
-    fn matching_corruption_rules_queue_per_endpoint() {
-        let t = LoopbackTransport::new();
-        let _h = t.serve("a", echo_handler()).expect("serves");
-        let mut conn = t.connect("a").expect("connects");
-        // Two different request kinds, armed up front.
-        let ping = frame::encode_frame(&crate::rpc::Request::Ping);
-        let tick = frame::encode_frame(&crate::rpc::Request::Tick);
-        let ping_tag = crate::rpc::wire_tag(&crate::rpc::Request::Ping);
-        let tick_tag = crate::rpc::wire_tag(&crate::rpc::Request::Tick);
-        t.corrupt_next_calls_matching("a", ping_tag, 1);
-        t.corrupt_next_calls_matching("a", tick_tag, 1);
-        // Tick fires its rule even though Ping's queued first.
-        assert_ne!(conn.call(&tick).expect("damaged"), tick);
-        assert_ne!(conn.call(&ping).expect("damaged"), ping);
-        assert_eq!(conn.call(&ping).expect("clean"), ping);
-        assert_eq!(conn.call(&tick).expect("clean"), tick);
     }
 }

@@ -43,7 +43,7 @@ pub enum NetError {
     Decode(serde::Error),
     /// The endpoint is not being served (or is partitioned away).
     Unreachable(String),
-    /// The message was dropped by injected fault (loopback testing).
+    /// The message was dropped by an injected fault (`FaultedTransport`).
     Dropped,
     /// The peer answered with an error response.
     Remote(String),

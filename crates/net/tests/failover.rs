@@ -18,8 +18,8 @@
 use kairos_controller::{ControllerConfig, SyntheticSource};
 use kairos_fleet::{BalancerConfig, FleetConfig};
 use kairos_net::{
-    BalancerNode, LeaseConfig, LoopbackTransport, ShardNode, SourceEscrow, StandbyAction,
-    StandbyBalancer, Transport,
+    BalancerNode, FaultInjector, FaultedTransport, LeaseConfig, LoopbackTransport, ShardNode,
+    SourceEscrow, StandbyAction, StandbyBalancer, Transport,
 };
 use kairos_types::{Bytes, SplitMix64};
 use kairos_workloads::RatePattern;
@@ -73,7 +73,7 @@ fn tps_of(name: &str, base: f64) -> f64 {
 }
 
 struct Cluster {
-    transport: Arc<LoopbackTransport>,
+    transport: Arc<FaultedTransport>,
     escrow: SourceEscrow,
     nodes: Vec<ShardNode>,
     handles: Vec<kairos_net::ServerHandle>,
@@ -85,7 +85,10 @@ fn cluster(lease: LeaseConfig) -> Cluster {
 }
 
 fn cluster_with(lease: LeaseConfig, cfg: FleetConfig) -> Cluster {
-    let transport = Arc::new(LoopbackTransport::new());
+    let transport = Arc::new(FaultedTransport::new(
+        Arc::new(LoopbackTransport::new()),
+        0x100B_BAC4,
+    ));
     let escrow = SourceEscrow::new();
     let mut nodes = Vec::new();
     let mut handles = Vec::new();

@@ -12,8 +12,8 @@
 
 use kairos_controller::{ControllerConfig, SyntheticSource, TickOutcome};
 use kairos_net::{
-    frame, BalancerNode, LeaseConfig, LoopbackTransport, NetError, Request, Response, ShardNode,
-    SourceEscrow, Transport,
+    frame, BalancerNode, FaultInjector, FaultedTransport, LeaseConfig, LoopbackTransport, NetError,
+    Request, Response, ShardNode, SourceEscrow, Transport,
 };
 use kairos_types::{Bytes, SplitMix64, WorkloadProfile};
 use kairos_workloads::RatePattern;
@@ -252,7 +252,10 @@ fn damaged_admit_frame_is_never_admitted_and_rolls_back() {
 /// donor keeps the tenant, the receiver never sees it.
 #[test]
 fn transport_corruption_mid_round_records_failed_handoff_and_keeps_ownership() {
-    let transport = Arc::new(LoopbackTransport::new());
+    let transport = Arc::new(FaultedTransport::new(
+        Arc::new(LoopbackTransport::new()),
+        0x100B_BAC4,
+    ));
     let escrow = SourceEscrow::new();
     let mut nodes = Vec::new();
     let mut handles = Vec::new();
