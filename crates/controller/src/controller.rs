@@ -1,7 +1,7 @@
 //! The control loop: poll telemetry, detect drift, re-plan, migrate.
 //!
-//! One [`Controller::tick`] = one monitoring interval of the whole fleet.
-//! The loop bootstraps by observing every workload for a full planning
+//! One [`ShardController::tick`](crate::shard::ShardController::tick) =
+//! one monitoring interval of the whole fleet. The loop bootstraps by observing every workload for a full planning
 //! horizon, plans once (cold solve + provisioning), then stays quiet
 //! until either the drift detector trips or fleet membership changes —
 //! at which point it re-solves *warm* with a migration-cost objective and
@@ -9,12 +9,11 @@
 //!
 //! The loop itself lives in [`crate::shard::ShardController`] — the unit
 //! the sharded control plane (`kairos-fleet`) replicates per shard. A
-//! single fleet is one shard: [`Controller`] names that same type.
+//! single fleet is one shard, driven directly.
 
 use crate::drift::DriftDetector;
 use crate::executor::ExecutionReport;
 use crate::ingest::TelemetryConfig;
-use crate::shard::ShardController;
 use kairos_solver::SolverConfig;
 
 /// Loop tuning.
@@ -228,7 +227,3 @@ impl ShardMetrics {
         self.profile_refreshes.set(stats.profile_refreshes);
     }
 }
-
-/// The online consolidation daemon for a single fleet: one shard, driven
-/// directly — the loop needs no wrapper to run alone.
-pub type Controller = ShardController;

@@ -9,7 +9,7 @@
 //!
 //! ```text
 //!        ┌────────────────────────────────────────────────────────┐
-//!        │                     Controller::tick                   │
+//!        │                 ShardController::tick                  │
 //!        │                                                        │
 //!   telemetry → [ingest] → rolling RRD windows → [drift] ─ no ─►  │ (keep plan)
 //!        │                                          │             │
@@ -43,7 +43,7 @@
 //!   reservation / evict / admit surface the `kairos-fleet` balancer
 //!   drives cross-shard handoffs through;
 //! * [`controller`] — loop tuning, tick outcomes and counters; a
-//!   single-fleet deployment drives one shard directly ([`Controller`]).
+//!   single-fleet deployment drives one shard directly.
 //!
 //! ## Quickstart
 //!
@@ -69,8 +69,7 @@ pub mod shard;
 pub mod snapshot;
 
 pub use controller::{
-    Controller, ControllerConfig, ControllerStats, ReplanReason, ReplanSummary, ShardMetrics,
-    TickOutcome,
+    ControllerConfig, ControllerStats, ReplanReason, ReplanSummary, ShardMetrics, TickOutcome,
 };
 pub use drift::{DriftDetector, DriftReport, ResourceDrift};
 pub use executor::{ExecutionReport, FleetExecutor};
@@ -92,7 +91,7 @@ pub use snapshot::{ShardSnapshot, SHARD_SNAPSHOT_VERSION, TRACE_CHECKPOINT_CAP};
 
 /// Convenience re-exports for downstream users and doc examples.
 pub mod prelude {
-    pub use crate::controller::{Controller, ControllerConfig, TickOutcome};
+    pub use crate::controller::{ControllerConfig, TickOutcome};
     pub use crate::drift::DriftDetector;
     pub use crate::scenarios::{
         run_scenario, scenario_churn, scenario_diurnal_shift, scenario_flash_crowd,

@@ -4,11 +4,12 @@
 //! Each scenario is a fleet of [`SyntheticSource`]s — analytic telemetry
 //! generators built on the workload crate's [`RatePattern`] schedules —
 //! plus optional membership events. A [`run_scenario`] call drives a
-//! [`Controller`] through the whole thing and reports what happened:
+//! [`ShardController`] through the whole thing and reports what happened:
 //! re-solve count, per-re-solve churn, migration traffic, loop latency.
 
-use crate::controller::{Controller, ControllerConfig, TickOutcome};
+use crate::controller::{ControllerConfig, TickOutcome};
 use crate::ingest::TelemetrySource;
+use crate::shard::ShardController;
 use kairos_core::ConsolidationEngine;
 use kairos_monitor::MonitorSample;
 use kairos_types::{Bytes, SplitMix64};
@@ -182,7 +183,7 @@ impl ScenarioReport {
 /// Drive a controller through a scenario.
 pub fn run_scenario(cfg: &ControllerConfig, scenario: Scenario) -> ScenarioReport {
     let engine = ConsolidationEngine::builder().build();
-    let mut controller = Controller::new(*cfg, engine);
+    let mut controller = ShardController::new(*cfg, engine);
     for s in scenario.sources {
         controller.add_workload(Box::new(s));
     }

@@ -2,8 +2,7 @@
 //!
 //! [`ShardController`] is the unit a sharded control plane replicates: it
 //! owns its tenants' telemetry, drift detection, warm re-solver,
-//! migration planner and executor ([`crate::Controller`] is this type
-//! under its single-fleet name). On top of the loop it exposes what a
+//! migration planner and executor. On top of the loop it exposes what a
 //! top-level balancer needs:
 //!
 //! * [`ShardController::summary`] — aggregate load, machines used,

@@ -5,7 +5,7 @@
 
 use kairos_controller::prelude::*;
 use kairos_controller::{scenario_stationary, ControllerConfig, TickOutcome};
-use kairos_controller::{Controller, SyntheticSource};
+use kairos_controller::{ShardController, SyntheticSource};
 use kairos_types::Bytes;
 use kairos_workloads::RatePattern;
 
@@ -41,7 +41,7 @@ fn load_spike_triggers_exactly_one_feasible_resolve() {
     // exactly one re-solve happens.
     let cfg = quick_config();
     let engine = ConsolidationEngine::builder().build();
-    let mut controller = Controller::new(cfg, engine);
+    let mut controller = ShardController::new(cfg, engine);
     for i in 0..8 {
         let s = SyntheticSource::new(
             format!("w{i}"),
@@ -107,7 +107,7 @@ fn spike_resolve_outperforms_cold_resolve_on_churn() {
         let mut cfg = quick_config();
         cfg.cold_resolves = cold;
         let engine = ConsolidationEngine::builder().build();
-        let mut controller = Controller::new(cfg, engine);
+        let mut controller = ShardController::new(cfg, engine);
         for i in 0..8 {
             let s = SyntheticSource::new(
                 format!("w{i}"),

@@ -5,7 +5,7 @@
 //! through a load spike and asserts the constraints hold at every plan —
 //! bootstrap, drift re-solve, and the executor's physical routing.
 
-use kairos_controller::{Controller, ControllerConfig, SyntheticSource, TickOutcome};
+use kairos_controller::{ControllerConfig, ShardController, SyntheticSource, TickOutcome};
 use kairos_types::Bytes;
 use kairos_workloads::RatePattern;
 
@@ -21,7 +21,7 @@ fn quick_config() -> ControllerConfig {
 /// Both replicas of `name` run, on distinct machines, in both the
 /// placement map and the executor's physical routing — and the two views
 /// agree.
-fn assert_replicas_separated(controller: &Controller, name: &str) {
+fn assert_replicas_separated(controller: &ShardController, name: &str) {
     let m0 = controller
         .placement()
         .machine_of(name, 0)
@@ -39,7 +39,7 @@ fn assert_replicas_separated(controller: &Controller, name: &str) {
     assert_eq!(controller.executor().machine_of(name, 1), Some(m1));
 }
 
-fn assert_pair_separated(controller: &Controller, a: &str, b: &str) {
+fn assert_pair_separated(controller: &ShardController, a: &str, b: &str) {
     let ma = controller.placement().machine_of(a, 0).expect("placed");
     let mb = controller.placement().machine_of(b, 0).expect("placed");
     assert_ne!(ma, mb, "anti-affine pair {a}/{b} must not share a host");
@@ -48,7 +48,7 @@ fn assert_pair_separated(controller: &Controller, a: &str, b: &str) {
 #[test]
 fn replicas_and_anti_affinity_survive_a_drift_resolve() {
     let engine = kairos_core::ConsolidationEngine::builder().build();
-    let mut controller = Controller::new(quick_config(), engine);
+    let mut controller = ShardController::new(quick_config(), engine);
 
     // Six tenants at ~2 cores each; w0 runs 2 replicas, w1/w2 must stay
     // apart (think: two halves of the same logical service).
@@ -119,7 +119,7 @@ fn anti_affinity_is_enforced_even_when_packing_would_prefer_one_host() {
     // Two tiny tenants that would trivially share one machine — the
     // anti-affinity pair must force a second host from the first plan.
     let engine = kairos_core::ConsolidationEngine::builder().build();
-    let mut controller = Controller::new(quick_config(), engine);
+    let mut controller = ShardController::new(quick_config(), engine);
     for i in 0..2 {
         controller.add_workload(Box::new(
             SyntheticSource::new(

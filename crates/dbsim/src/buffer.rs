@@ -11,7 +11,6 @@
 //! getting evicted and re-read — visible as physical reads.
 
 use crate::pages::PageId;
-use std::collections::{BTreeSet, HashMap};
 
 /// Result of touching a page in the cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,15 +50,154 @@ impl CacheStats {
     }
 }
 
+/// Pages per page-table chunk: one 4 KiB block of frame indices.
+const CHUNK_PAGES: usize = 1024;
+/// Exclusive bound on page ids. A [`crate::pages::PageAllocator`] hands ids
+/// out densely from 0, so 2^32 pages (64 TiB at 16 KiB) is far past any
+/// simulated instance; an id beyond it is a caller bug, and refusing it
+/// keeps a stray id from sizing the chunk directory.
+const PAGE_ID_LIMIT: u64 = 1 << 32;
+const ABSENT: u32 = u32::MAX;
+
+#[derive(Debug)]
+struct Chunk {
+    /// Frame index of each page of the chunk, or [`ABSENT`].
+    slots: [u32; CHUNK_PAGES],
+    /// Slots that are not [`ABSENT`].
+    live: u32,
+}
+
+/// Page id → frame index as a two-level dense table: a directory with one
+/// entry per [`CHUNK_PAGES`] ids up to the highest id ever resident, and a
+/// chunk allocated when its first page becomes resident. Eviction leaves
+/// an emptied chunk in place (its pages tend to come back); discarding —
+/// a dropped table — frees it.
+#[derive(Debug, Default)]
+struct PageTable {
+    chunks: Vec<Option<Box<Chunk>>>,
+}
+
+fn split(page: PageId) -> (usize, usize) {
+    let id = page.0 as usize;
+    (id / CHUNK_PAGES, id % CHUNK_PAGES)
+}
+
+impl PageTable {
+    fn get(&self, page: PageId) -> Option<u32> {
+        let (c, slot) = split(page);
+        let idx = self.chunks.get(c)?.as_ref()?.slots[slot];
+        (idx != ABSENT).then_some(idx)
+    }
+
+    /// Point `page` at frame `idx`, whether or not it was resident.
+    fn set(&mut self, page: PageId, idx: u32) {
+        let (c, slot) = split(page);
+        if c >= self.chunks.len() {
+            self.chunks.resize_with(c + 1, || None);
+        }
+        let chunk = self.chunks[c].get_or_insert_with(|| {
+            Box::new(Chunk {
+                slots: [ABSENT; CHUNK_PAGES],
+                live: 0,
+            })
+        });
+        chunk.live += u32::from(chunk.slots[slot] == ABSENT);
+        chunk.slots[slot] = idx;
+    }
+
+    /// Resident pages in chunk `c` of the directory.
+    fn live(&self, c: usize) -> u32 {
+        self.chunks[c].as_ref().map_or(0, |chunk| chunk.live)
+    }
+
+    fn remove(&mut self, page: PageId) -> Option<u32> {
+        let (c, slot) = split(page);
+        let chunk = self.chunks.get_mut(c)?.as_mut()?;
+        let idx = std::mem::replace(&mut chunk.slots[slot], ABSENT);
+        (idx != ABSENT).then(|| {
+            chunk.live -= 1;
+            idx
+        })
+    }
+}
+
+/// The dirty set as a bitmap over page ids (one bit per page up to the
+/// highest id ever dirtied) with a summary level — one bit per bitmap word
+/// — so the flusher's ascending walk skips clean stretches 4,096 pages at
+/// a time.
+#[derive(Debug, Default)]
+struct DirtyBits {
+    words: Vec<u64>,
+    summary: Vec<u64>,
+    count: usize,
+}
+
+impl DirtyBits {
+    fn contains(&self, page: PageId) -> bool {
+        let w = (page.0 / 64) as usize;
+        self.words
+            .get(w)
+            .is_some_and(|x| x >> (page.0 % 64) & 1 == 1)
+    }
+
+    /// Set the bit of a page known to be clean.
+    fn insert(&mut self, page: PageId) {
+        let w = (page.0 / 64) as usize;
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
+            self.summary.resize(w / 64 + 1, 0);
+        }
+        self.words[w] |= 1 << (page.0 % 64);
+        self.summary[w / 64] |= 1 << (w % 64);
+        self.count += 1;
+    }
+
+    /// Clear the bit of a page known to be dirty.
+    fn remove(&mut self, page: PageId) {
+        let w = (page.0 / 64) as usize;
+        self.words[w] &= !(1 << (page.0 % 64));
+        if self.words[w] == 0 {
+            self.summary[w / 64] &= !(1 << (w % 64));
+        }
+        self.count -= 1;
+    }
+
+    /// Lowest dirty page with id ≥ `from`.
+    fn next_from(&self, from: u64) -> Option<PageId> {
+        let w = (from / 64) as usize;
+        let rest = self.words.get(w)? & (!0 << (from % 64));
+        if rest != 0 {
+            return Some(PageId(w as u64 * 64 + u64::from(rest.trailing_zeros())));
+        }
+        // Next non-empty word, through the summary.
+        let mut s = (w + 1) / 64;
+        let mut bits = self.summary.get(s)? & (!0 << ((w + 1) % 64));
+        while bits == 0 {
+            s += 1;
+            bits = *self.summary.get(s)?;
+        }
+        let w = s * 64 + bits.trailing_zeros() as usize;
+        let bit = u64::from(self.words[w].trailing_zeros());
+        Some(PageId(w as u64 * 64 + bit))
+    }
+}
+
 /// Fixed-capacity clock cache with optional dirty tracking.
+///
+/// Indexed by page id, not hashed: ids must come from a
+/// [`crate::pages::PageAllocator`] (dense from 0). Memory is 4 B per page
+/// of each 1,024-page chunk that has held a resident page, 8 B of
+/// directory per chunk of id space, and one dirty bit per page up to the
+/// highest id dirtied — nothing in proportion to `capacity` or to
+/// allocated-but-untouched pages. Making an id ≥ 2^32 resident panics.
 #[derive(Debug)]
 pub struct ClockCache {
     capacity: usize,
     frames: Vec<Frame>,
-    map: HashMap<PageId, u32>,
+    table: PageTable,
     hand: usize,
-    /// Dirty pages in sorted order — the flusher's elevator queue.
-    dirty: BTreeSet<PageId>,
+    /// Dirty pages, walked in page-id order — the flusher's elevator queue.
+    dirty: DirtyBits,
     stats: CacheStats,
 }
 
@@ -67,20 +205,21 @@ impl ClockCache {
     /// Create a cache holding `capacity` pages.
     ///
     /// # Panics
-    /// Panics if `capacity` is zero.
+    /// Panics if `capacity` is zero or does not fit a frame index.
     pub fn new(capacity: usize) -> ClockCache {
         assert!(capacity > 0, "cache capacity must be positive");
+        assert!(capacity < ABSENT as usize, "cache capacity too large");
         // Pre-allocate only a modest prefix: consolidated pools are
         // sized in the hundreds of thousands of frames, but most hosts
         // in a simulated fleet never come close to filling them, and
         // eagerly mapping tens of MB per instance dominates fleet-scale
-        // runs. The containers grow on demand past this.
+        // runs. The frames grow on demand past this.
         ClockCache {
             capacity,
             frames: Vec::with_capacity(capacity.min(1 << 14)),
-            map: HashMap::with_capacity(capacity.min(1 << 14)),
+            table: PageTable::default(),
             hand: 0,
-            dirty: BTreeSet::new(),
+            dirty: DirtyBits::default(),
             stats: CacheStats::default(),
         }
     }
@@ -94,12 +233,12 @@ impl ClockCache {
     }
 
     pub fn dirty_count(&self) -> usize {
-        self.dirty.len()
+        self.dirty.count
     }
 
     /// Fraction of capacity occupied by dirty pages.
     pub fn dirty_fraction(&self) -> f64 {
-        self.dirty.len() as f64 / self.capacity as f64
+        self.dirty.count as f64 / self.capacity as f64
     }
 
     pub fn stats(&self) -> CacheStats {
@@ -107,23 +246,17 @@ impl ClockCache {
     }
 
     pub fn contains(&self, page: PageId) -> bool {
-        self.map.contains_key(&page)
+        self.table.get(page).is_some()
     }
 
     pub fn is_dirty(&self, page: PageId) -> bool {
-        self.dirty.contains(&page)
+        self.dirty.contains(page)
     }
 
     /// Access `page`, inserting it if absent; `make_dirty` marks it dirty
     /// (an update). Returns whether this was a hit and any eviction.
     pub fn touch(&mut self, page: PageId, make_dirty: bool) -> Touch {
-        if let Some(&idx) = self.map.get(&page) {
-            let f = &mut self.frames[idx as usize];
-            f.refbit = true;
-            if make_dirty && !f.dirty {
-                f.dirty = true;
-                self.dirty.insert(page);
-            }
+        if self.rereference(page, make_dirty) {
             self.stats.hits += 1;
             return Touch::Hit;
         }
@@ -132,24 +265,45 @@ impl ClockCache {
         Touch::Miss { evicted }
     }
 
+    /// If `page` is resident, set its reference bit (and dirty it on
+    /// request) and return true.
+    fn rereference(&mut self, page: PageId, make_dirty: bool) -> bool {
+        let Some(idx) = self.table.get(page) else {
+            return false;
+        };
+        let f = &mut self.frames[idx as usize];
+        f.refbit = true;
+        if make_dirty && !f.dirty {
+            f.dirty = true;
+            self.dirty.insert(page);
+        }
+        true
+    }
+
     /// Insert a page known to be absent. Returns the eviction victim, if
     /// any, with its dirty flag.
     fn insert_new(&mut self, page: PageId, dirty: bool) -> Option<(PageId, bool)> {
-        debug_assert!(!self.map.contains_key(&page));
+        debug_assert!(!self.contains(page));
+        // The one way in: refuse a stray id before the dirty bitmap or the
+        // chunk directory is sized from it.
+        assert!(
+            page.0 < PAGE_ID_LIMIT,
+            "{page:?} was not handed out by a PageAllocator"
+        );
+        // Fresh pages enter cold (refbit clear), InnoDB-midpoint style:
+        // a page must be re-referenced to survive a sweep, which keeps
+        // one-shot scans from polluting the pool.
+        let fresh = Frame {
+            page,
+            refbit: false,
+            dirty,
+        };
+        if dirty {
+            self.dirty.insert(page);
+        }
         if self.frames.len() < self.capacity {
-            let idx = self.frames.len() as u32;
-            // Fresh pages enter cold (refbit clear), InnoDB-midpoint style:
-            // a page must be re-referenced to survive a sweep, which keeps
-            // one-shot scans from polluting the pool.
-            self.frames.push(Frame {
-                page,
-                refbit: false,
-                dirty,
-            });
-            self.map.insert(page, idx);
-            if dirty {
-                self.dirty.insert(page);
-            }
+            self.table.set(page, self.frames.len() as u32);
+            self.frames.push(fresh);
             return None;
         }
         // Clock sweep: clear ref bits until a victim with refbit == false.
@@ -163,22 +317,14 @@ impl ClockCache {
                 break i;
             }
         };
-        let victim = self.frames[victim_idx];
-        self.map.remove(&victim.page);
+        let victim = std::mem::replace(&mut self.frames[victim_idx], fresh);
+        self.table.remove(victim.page);
         if victim.dirty {
-            self.dirty.remove(&victim.page);
+            self.dirty.remove(victim.page);
             self.stats.dirty_evictions += 1;
         }
         self.stats.evictions += 1;
-        self.frames[victim_idx] = Frame {
-            page,
-            refbit: false,
-            dirty,
-        };
-        self.map.insert(page, victim_idx as u32);
-        if dirty {
-            self.dirty.insert(page);
-        }
+        self.table.set(page, victim_idx as u32);
         Some((victim.page, victim.dirty))
     }
 
@@ -186,13 +332,7 @@ impl ClockCache {
     /// counted). If the page is somehow already resident it is simply
     /// (re)marked. Returns the eviction victim, if any.
     pub fn insert(&mut self, page: PageId, dirty: bool) -> Option<(PageId, bool)> {
-        if let Some(&idx) = self.map.get(&page) {
-            let f = &mut self.frames[idx as usize];
-            f.refbit = true;
-            if dirty && !f.dirty {
-                f.dirty = true;
-                self.dirty.insert(page);
-            }
+        if self.rereference(page, dirty) {
             return None;
         }
         self.insert_new(page, dirty)
@@ -200,10 +340,10 @@ impl ClockCache {
 
     /// Mark a page clean (after write-back). No-op if absent or clean.
     pub fn mark_clean(&mut self, page: PageId) {
-        if self.dirty.remove(&page) {
-            if let Some(&idx) = self.map.get(&page) {
-                self.frames[idx as usize].dirty = false;
-            }
+        if self.dirty.contains(page) {
+            self.dirty.remove(page);
+            let idx = self.table.get(page).expect("a dirty page is resident");
+            self.frames[idx as usize].dirty = false;
         }
     }
 
@@ -211,38 +351,68 @@ impl ClockCache {
     /// batch for write-back. The pages are marked clean immediately; the
     /// caller charges the disk for them.
     pub fn take_dirty_batch(&mut self, n: usize) -> Vec<PageId> {
-        let batch: Vec<PageId> = self.dirty.iter().take(n).copied().collect();
-        for &p in &batch {
-            self.mark_clean(p);
+        let mut batch = Vec::with_capacity(n.min(self.dirty.count));
+        let mut from = 0;
+        while batch.len() < n {
+            let Some(page) = self.dirty.next_from(from) else {
+                break;
+            };
+            self.mark_clean(page);
+            batch.push(page);
+            from = page.0 + 1;
         }
         batch
     }
 
-    /// Count of dirty pages whose id falls in `[start, end)` — used to
-    /// estimate per-table clean fractions for coalescing math.
-    pub fn dirty_in_range(&self, start: PageId, end: PageId) -> usize {
-        self.dirty.range(start..end).count()
+    /// Drop every page of `[start, end)` from the cache (table drop),
+    /// leaving the clock exactly as discarding them one by one in
+    /// ascending order would. Chunks of the page table with no resident
+    /// page cost one directory read, and chunks left empty are freed.
+    /// Returns the number of pages that were resident.
+    pub fn discard_range(&mut self, start: PageId, end: PageId) -> usize {
+        let end = (end.0).min((self.table.chunks.len() * CHUNK_PAGES) as u64);
+        let before = self.frames.len();
+        let mut next = start.0;
+        while next < end {
+            let c = next as usize / CHUNK_PAGES;
+            let chunk_end = end.min(((c + 1) * CHUNK_PAGES) as u64);
+            for id in next..chunk_end {
+                if self.table.live(c) == 0 {
+                    break;
+                }
+                if let Some(idx) = self.table.remove(PageId(id)) {
+                    self.remove_frame(idx as usize);
+                }
+            }
+            if self.table.live(c) == 0 {
+                self.table.chunks[c] = None;
+            }
+            next = chunk_end;
+        }
+        before - self.frames.len()
     }
 
-    /// Drop a page from the cache entirely (table drop). Returns whether it
-    /// was resident.
-    pub fn discard(&mut self, page: PageId) -> bool {
-        if let Some(idx) = self.map.remove(&page) {
-            self.dirty.remove(&page);
-            let last = self.frames.len() - 1;
-            self.frames.swap(idx as usize, last);
-            let moved = self.frames[idx as usize].page;
-            if idx as usize != last {
-                self.map.insert(moved, idx);
-            }
-            self.frames.pop();
-            if self.hand >= self.frames.len() && !self.frames.is_empty() {
-                self.hand = 0;
-            }
-            true
-        } else {
-            false
+    /// Swap-remove the frame at `idx`, whose page has left the table.
+    fn remove_frame(&mut self, idx: usize) {
+        let gone = self.frames.swap_remove(idx);
+        if gone.dirty {
+            self.dirty.remove(gone.page);
         }
+        if let Some(moved) = self.frames.get(idx) {
+            self.table.set(moved.page, idx as u32);
+        }
+        if self.hand >= self.frames.len() && !self.frames.is_empty() {
+            self.hand = 0;
+        }
+    }
+
+    /// Page-table chunks allocated for ids in `[start, end)`.
+    #[cfg(test)]
+    pub(crate) fn table_chunks(&self, start: PageId, end: PageId) -> usize {
+        let chunks = split(start).0..(end.0 as usize).div_ceil(CHUNK_PAGES);
+        chunks
+            .filter(|&c| matches!(self.table.chunks.get(c), Some(Some(_))))
+            .count()
     }
 }
 
@@ -339,16 +509,6 @@ mod tests {
     }
 
     #[test]
-    fn dirty_in_range_counts_only_range() {
-        let mut c = ClockCache::new(10);
-        for i in 0..6 {
-            c.touch(p(i), true);
-        }
-        assert_eq!(c.dirty_in_range(p(2), p(5)), 3);
-        assert_eq!(c.dirty_in_range(p(8), p(20)), 0);
-    }
-
-    #[test]
     fn insert_counts_no_miss_but_can_evict() {
         let mut c = ClockCache::new(1);
         c.insert(p(1), true);
@@ -367,12 +527,12 @@ mod tests {
         let mut c = ClockCache::new(4);
         c.touch(p(1), true);
         c.touch(p(2), false);
-        assert!(c.discard(p(1)));
+        assert_eq!(c.discard_range(p(1), p(2)), 1);
         assert!(!c.contains(p(1)));
         assert_eq!(c.dirty_count(), 0);
         assert_eq!(c.resident(), 1);
-        assert!(!c.discard(p(1)));
-        // Map stays consistent after swap_remove relocation.
+        assert_eq!(c.discard_range(p(1), p(2)), 0);
+        // Table stays consistent after swap_remove relocation.
         assert!(c.contains(p(2)));
         assert_eq!(c.touch(p(2), false), Touch::Hit);
     }

@@ -369,25 +369,24 @@ impl DbmsInstance {
         let tables = std::mem::take(&mut self.databases[dbi].tables);
         let mut reclaimed_pages = 0u64;
         for t in &tables {
-            let ti = t.0 as usize;
-            let segments = std::mem::take(&mut self.tables[ti].segments);
-            for seg in &segments {
-                for i in 0..seg.len {
-                    let page = seg.page(i);
-                    self.pool.discard(page);
-                    if let Some(os) = self.os_cache.as_mut() {
-                        os.discard(page);
-                    }
+            let td = &mut self.tables[t.0 as usize];
+            for seg in std::mem::take(&mut td.segments) {
+                self.pool.discard_range(seg.start, seg.end());
+                if let Some(os) = self.os_cache.as_mut() {
+                    os.discard_range(seg.start, seg.end());
                 }
                 reclaimed_pages += seg.len;
             }
-            self.segment_index.retain(|&(_, tid)| tid != t.0);
-            let td = &mut self.tables[ti];
             td.pages = 0;
             td.rows = 0.0;
             td.dirty_pages = 0;
             td.dirty_carry = 0.0;
         }
+        // Only a table with pages has index entries, and only the dropped
+        // ones have just lost their segments.
+        let live = &self.tables;
+        self.segment_index
+            .retain(|&(_, t)| !live[t as usize].segments.is_empty());
         self.databases[dbi].dropped = true;
         Ok(Bytes(reclaimed_pages * self.config.page_size.0))
     }
@@ -461,14 +460,28 @@ impl DbmsInstance {
         let current = self.tables[ti].pages;
         if needed > current {
             let seg = self.allocator.allocate(needed - current);
-            self.segment_index.push((seg.start.0, table.0));
+            // Nothing else allocated since this table last grew: one
+            // contiguous run stays one segment (and one index entry).
+            let extends = self.tables[ti]
+                .segments
+                .last()
+                .is_some_and(|last| last.end() == seg.start);
+            // The index must know the new run before the inserts: one of
+            // them can evict a page of this very run (new pages enter cold),
+            // and `on_evicted` attributes the victim through it.
+            if !extends {
+                self.segment_index.push((seg.start.0, table.0));
+            }
             for i in 0..seg.len {
                 if let Some((victim, was_dirty)) = self.pool.insert(seg.page(i), true) {
                     self.on_evicted(victim, was_dirty, 1.0);
                 }
             }
             let t = &mut self.tables[ti];
-            t.segments.push(seg);
+            match t.segments.last_mut() {
+                Some(last) if extends => last.len += seg.len,
+                _ => t.segments.push(seg),
+            }
             t.pages = needed;
             t.dirty_pages += seg.len;
         }
@@ -493,16 +506,34 @@ impl DbmsInstance {
     /// Load only the first `pages` pages of a table into memory — warming
     /// the working-set prefix of a table much larger than RAM.
     pub fn prewarm_pages(&mut self, table: TableId, pages: u64) {
-        let ti = table.0 as usize;
-        let pages = pages.min(self.tables[ti].pages);
-        for i in 0..pages {
-            let page = self.tables[ti].page_at(i);
-            if let Some((victim, was_dirty)) = self.pool.insert(page, false) {
-                self.on_evicted(victim, was_dirty, 1.0);
+        self.for_prefix_pages(table, pages, |inst, page| {
+            if let Some((victim, was_dirty)) = inst.pool.insert(page, false) {
+                inst.on_evicted(victim, was_dirty, 1.0);
             }
-            if let Some(os) = self.os_cache.as_mut() {
+            if let Some(os) = inst.os_cache.as_mut() {
                 os.insert(page, false);
             }
+        });
+    }
+
+    /// Call `f` on each of the first `pages` pages of `table` (clamped to
+    /// its size) in logical order, walking its segments.
+    fn for_prefix_pages(
+        &mut self,
+        table: TableId,
+        pages: u64,
+        mut f: impl FnMut(&mut DbmsInstance, PageId),
+    ) {
+        let ti = table.0 as usize;
+        let mut left = pages.min(self.tables[ti].pages);
+        let mut segment = 0;
+        while left > 0 {
+            let run = self.tables[ti].segments[segment].prefix(left);
+            for i in 0..run.len {
+                f(self, run.page(i));
+            }
+            left -= run.len;
+            segment += 1;
         }
     }
 
@@ -520,10 +551,9 @@ impl DbmsInstance {
             (pages, rows, t.row_bytes)
         };
         let _ = row_bytes;
-        for i in 0..pages {
-            let page = self.tables[ti].page_at(i);
-            self.touch_page(page, false, 1.0);
-        }
+        self.for_prefix_pages(table, pages, |inst, page| {
+            inst.touch_page(page, false, 1.0);
+        });
         self.pending_cpu += pages as f64 * SCAN_CPU_PER_PAGE;
         self.stats.rows_read += rows as f64;
         rows
@@ -961,6 +991,61 @@ mod tests {
     }
 
     #[test]
+    fn contiguous_growth_extends_the_last_segment() {
+        let mut inst = small_instance();
+        let db = inst.create_database("app");
+        let page = inst.page_size().0;
+        let t = inst.create_table(db, 4, page).unwrap();
+        for _ in 0..10 {
+            inst.append_rows(t, 3.0);
+        }
+        let ti = t.0 as usize;
+        assert_eq!(inst.tables[ti].segments, [PageRange::new(PageId(0), 34)]);
+        assert_eq!(inst.segment_index, [(0, t.0)]);
+        // Another table's allocation in between starts a new run.
+        let other = inst.create_table(db, 2, page).unwrap();
+        inst.append_rows(t, 5.0);
+        assert_eq!(inst.tables[ti].segments.len(), 2);
+        assert_eq!(inst.segment_index, [(0, t.0), (34, other.0), (36, t.0)]);
+        assert_eq!(inst.tables[ti].page_at(34), PageId(36));
+        assert_eq!(inst.table_of(PageId(33)), Some(ti));
+        assert_eq!(inst.table_of(PageId(35)), Some(other.0 as usize));
+        assert_eq!(inst.table_pages(t), 39);
+    }
+
+    #[test]
+    fn a_growth_step_that_evicts_its_own_page_charges_its_own_table() {
+        let mut inst = small_instance();
+        let db = inst.create_database("app");
+        let page = inst.page_size().0;
+        let cap = inst.pool.capacity() as u64;
+        // `a` is allocated first, so its next run starts past `b`'s pages.
+        let a = inst.create_table(db, 1, page).unwrap();
+        let b = inst.create_table(db, 0, page).unwrap();
+        // `b` fills the pool with dirty pages 1..=cap (frame i holds page
+        // i + 1), all made hot except the one under the clock hand.
+        inst.append_rows(b, cap as f64);
+        assert_eq!(inst.pool_resident_pages() as u64, cap);
+        for id in 2..=cap {
+            inst.pool.touch(PageId(id), false);
+        }
+        // Two new pages: the first takes the cold frame and enters cold;
+        // the sweep for the second clears every other frame and comes back
+        // round to it — the run evicts its own fresh, dirty page.
+        inst.append_rows(a, 2.0);
+        assert!(!inst.pool.contains(PageId(1)));
+        assert!(!inst.pool.contains(PageId(cap + 1)));
+        assert!(inst.pool.contains(PageId(cap + 2)));
+        assert_eq!(inst.pending_evict_writes, 2.0);
+        // One of `b`'s pages left the pool, so one comes off its count; the
+        // other victim is `a`'s (its count saturates at 0 mid-step, then
+        // the step adds its two pages).
+        assert_eq!(inst.tables[b.0 as usize].dirty_pages, cap - 1);
+        assert_eq!(inst.tables[a.0 as usize].dirty_pages, 2);
+        assert_eq!(inst.pool_dirty_pages() as u64, cap);
+    }
+
+    #[test]
     fn updates_dirty_pages_with_coalescing() {
         let mut inst = small_instance();
         let db = inst.create_database("app");
@@ -1153,6 +1238,38 @@ mod tests {
         // Double drop and DDL on a dropped database are errors.
         assert!(inst.drop_database(drop_db).is_err());
         assert!(inst.create_table(drop_db, 10, 100).is_err());
+    }
+
+    #[test]
+    fn drop_of_a_huge_sparse_table_frees_its_page_table_and_spares_the_neighbour() {
+        let mut inst = DbmsInstance::new(DbmsConfig::postgres(Bytes::mib(256), Bytes::mib(256)));
+        let page = inst.page_size().0;
+        // 4 Mi pages (32 GiB), of which only the first 4,096 are resident.
+        let big_db = inst.create_database("big");
+        let big_t = inst.create_table(big_db, 4 << 20, page).unwrap();
+        assert_eq!(inst.table_pages(big_t), 4 << 20);
+        inst.prewarm_pages(big_t, 4096);
+        let keep_db = inst.create_database("keep");
+        let keep_t = inst.create_table(keep_db, 2_000, page).unwrap();
+        inst.prewarm_table(keep_t);
+        let (start, end) = (PageId(0), PageId(4 << 20));
+        assert!(inst.pool.table_chunks(start, end) > 0);
+        assert_eq!(inst.pool_resident_pages(), 4096 + 2_000);
+
+        let reclaimed = inst.drop_database(big_db).unwrap();
+        assert_eq!(reclaimed, Bytes((4 << 20) * page));
+        let os = inst.os_cache.as_ref().expect("buffered configuration");
+        for cache in [&inst.pool, os] {
+            assert_eq!(cache.resident(), 2_000);
+            assert_eq!(cache.table_chunks(start, end), 0);
+            assert!(!cache.contains(PageId(0)) && !cache.contains(PageId(4095)));
+        }
+        // The neighbour never left memory: a full scan is all hits.
+        let before = inst.stats();
+        inst.scan_count(keep_t, 2_000);
+        let after = inst.stats();
+        assert_eq!(after.bp_misses, before.bp_misses);
+        assert_eq!(after.bp_hits, before.bp_hits + 2_000.0);
     }
 
     #[test]
