@@ -10,7 +10,18 @@
 //! the knob §6 tunes ("a parameter of DIRECT that determines the ratio of
 //! time spent in local versus global search").
 //!
+//! Selection costs O(diameter classes), not O(rectangles): every
+//! rectangle is filed in a min-heap of `(f, index)` under its diameter
+//! class (`ClassHeaps`), so a class's best rectangle is its heap's top.
+//! A divided rectangle shrinks into another class and is filed there
+//! again; the entry it leaves behind is dropped when it surfaces. The
+//! rectangles picked are exactly those a scan over all of them picks
+//! (minimum `f`, lowest index on ties): the scan is the tests' reference.
+//!
 //! The search is fully deterministic.
+
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// Configuration for a DIRECT run.
 #[derive(Debug, Clone, Copy)]
@@ -63,6 +74,54 @@ fn half_diagonal(levels: &[u16]) -> f64 {
     0.5 * sum.sqrt()
 }
 
+/// Diameter class of a rectangle: `d` quantized, so that the same side
+/// lengths summed in another order land in one class. Ascending in `d`.
+fn class_of(d: f64) -> u64 {
+    (d * 1e12).round() as u64
+}
+
+/// `f` as an integer that orders as `f` does (no NaN; `-0.0` as `0.0`, as
+/// `<` has them), so that `(f, index)` is a heap key.
+fn ordered_bits(f: f64) -> i64 {
+    let bits = (f + 0.0).to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// One min-heap of `(f, index)` per diameter class. An entry is live while
+/// its rectangle is still of the heap's class; a rectangle only ever
+/// shrinks, so it never returns to a class it left.
+#[derive(Default)]
+struct ClassHeaps {
+    classes: BTreeMap<u64, BinaryHeap<Reverse<(i64, usize)>>>,
+}
+
+impl ClassHeaps {
+    /// `rects[index]` is new, or has just changed diameter.
+    fn file(&mut self, rects: &[Rect], index: usize) {
+        let Rect { f, d, .. } = rects[index];
+        let heap = self.classes.entry(class_of(d)).or_default();
+        heap.push(Reverse((ordered_bits(f), index)));
+    }
+
+    /// Per class in ascending diameter, `(d, index)` of its rectangle
+    /// with the least `f`, the lowest index among equals.
+    fn best_per_class(&mut self, rects: &[Rect]) -> Vec<(f64, usize)> {
+        let mut best = Vec::with_capacity(self.classes.len());
+        self.classes.retain(|&class, heap| {
+            while let Some(&Reverse((_, index))) = heap.peek() {
+                let d = rects[index].d;
+                if class_of(d) == class {
+                    best.push((d, index));
+                    return true;
+                }
+                heap.pop();
+            }
+            false
+        });
+        best
+    }
+}
+
 /// What DIRECT minimizes. Any `FnMut(&[f64]) -> f64` is one. An objective
 /// that can score a point cheaply when it differs from a known point in
 /// one coordinate — which is every point DIRECT samples after the first —
@@ -104,6 +163,17 @@ pub fn direct_minimize_objective(
     cfg: &DirectConfig,
     f: &mut impl DirectObjective,
 ) -> DirectResult {
+    minimize_selecting(dims, cfg, f, ClassHeaps::best_per_class)
+}
+
+/// DIRECT, reading each class's best rectangle through `best_per_class`
+/// (a parameter so that tests can run the search over the scan).
+fn minimize_selecting(
+    dims: usize,
+    cfg: &DirectConfig,
+    f: &mut impl DirectObjective,
+    mut best_per_class: impl FnMut(&mut ClassHeaps, &[Rect]) -> Vec<(f64, usize)>,
+) -> DirectResult {
     assert!(dims > 0, "need at least one dimension");
     let center = vec![0.5; dims];
     let f0 = f.eval(&center);
@@ -114,6 +184,8 @@ pub fn direct_minimize_objective(
         levels: vec![0; dims],
         d: half_diagonal(&vec![0; dims]),
     }];
+    let mut heaps = ClassHeaps::default();
+    heaps.file(&rects, 0);
     let mut best_f = f0;
     let mut best_x = rects[0].center.clone();
     let mut iterations = 0usize;
@@ -124,7 +196,8 @@ pub fn direct_minimize_objective(
     // search cannot make progress.
     'outer: while iterations < cfg.max_iters && evals + 2 <= cfg.max_evals && !stop_hit(best_f) {
         iterations += 1;
-        let selected = potentially_optimal(&rects, best_f, cfg.epsilon);
+        let best = best_per_class(&mut heaps, &rects);
+        let selected = potentially_optimal(&rects, &best, best_f, cfg.epsilon);
         if selected.is_empty() {
             break;
         }
@@ -178,22 +251,20 @@ pub fn direct_minimize_objective(
             });
             for (i, f_lo, f_hi, lo, hi) in samples {
                 rects[ri].levels[i] += 1;
-                let levels = rects[ri].levels.clone();
-                let d = half_diagonal(&levels);
-                rects.push(Rect {
-                    center: lo,
-                    f: f_lo,
-                    levels: levels.clone(),
-                    d,
-                });
-                rects.push(Rect {
-                    center: hi,
-                    f: f_hi,
-                    levels,
-                    d,
-                });
+                let d = half_diagonal(&rects[ri].levels);
+                for (center, f) in [(lo, f_lo), (hi, f_hi)] {
+                    let levels = rects[ri].levels.clone();
+                    rects.push(Rect {
+                        center,
+                        f,
+                        levels,
+                        d,
+                    });
+                    heaps.file(&rects, rects.len() - 1);
+                }
             }
             rects[ri].d = half_diagonal(&rects[ri].levels);
+            heaps.file(&rects, ri);
         }
     }
 
@@ -206,29 +277,17 @@ pub fn direct_minimize_objective(
 }
 
 /// Indices of potentially-optimal rectangles: the lower-right convex hull
-/// of (d, f), ε-filtered.
-fn potentially_optimal(rects: &[Rect], f_min: f64, epsilon: f64) -> Vec<usize> {
-    // Min-f representative per diameter class, keyed by quantized d so the
-    // grouping is O(rects) rather than O(rects × classes).
-    let mut by_class: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
-    for (i, r) in rects.iter().enumerate() {
-        let key = (r.d * 1e12).round() as u64;
-        by_class
-            .entry(key)
-            .and_modify(|bi| {
-                if r.f < rects[*bi].f {
-                    *bi = i;
-                }
-            })
-            .or_insert(i);
-    }
-    let mut best_per_d: Vec<(f64, usize)> =
-        by_class.into_values().map(|i| (rects[i].d, i)).collect();
-    best_per_d.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("NaN diameter"));
-
+/// of (d, f) over each diameter class's best rectangle (`best_per_class`,
+/// ascending `d`), ε-filtered.
+fn potentially_optimal(
+    rects: &[Rect],
+    best_per_class: &[(f64, usize)],
+    f_min: f64,
+    epsilon: f64,
+) -> Vec<usize> {
     // Lower convex hull over ascending d.
     let mut hull: Vec<(f64, usize)> = Vec::new();
-    for &(d, i) in &best_per_d {
+    for &(d, i) in best_per_class {
         let fi = rects[i].f;
         while hull.len() >= 2 {
             let (d1, i1) = hull[hull.len() - 2];
@@ -279,16 +338,85 @@ fn potentially_optimal(rects: &[Rect], f_min: f64, epsilon: f64) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kairos_types::SplitMix64;
 
-    fn run(dims: usize, evals: usize, f: impl FnMut(&[f64]) -> f64) -> DirectResult {
-        direct_minimize(
-            dims,
-            &DirectConfig {
-                max_evals: evals,
-                ..Default::default()
-            },
-            f,
-        )
+    /// The selection [`ClassHeaps`] replaced — one pass over every
+    /// rectangle per call — kept as its reference.
+    fn scan(rects: &[Rect]) -> Vec<(f64, usize)> {
+        let mut by_class: std::collections::HashMap<u64, usize> = Default::default();
+        for (i, r) in rects.iter().enumerate() {
+            by_class
+                .entry(class_of(r.d))
+                .and_modify(|bi| {
+                    if r.f < rects[*bi].f {
+                        *bi = i;
+                    }
+                })
+                .or_insert(i);
+        }
+        let mut best: Vec<(f64, usize)> = by_class.into_values().map(|i| (rects[i].d, i)).collect();
+        best.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("NaN diameter"));
+        best
+    }
+
+    #[test]
+    fn heaps_track_the_scan_through_ties_and_reclassing() {
+        // Five values of `f`, signed zeros among them, and level multisets
+        // that repeat in another order: ties in `f`, ties in `d`, and
+        // classes that hold one diameter under two bit patterns.
+        let mut rng = SplitMix64::from_env(0xD1_EC7);
+        let mut selected = 0usize;
+        for _ in 0..40 {
+            let dims = 2 + rng.next_range(3) as usize;
+            let mut heaps = ClassHeaps::default();
+            let mut rects: Vec<Rect> = Vec::new();
+            for step in 0..200 {
+                let i = if rects.is_empty() || rng.next_range(3) > 0 {
+                    let levels: Vec<u16> = (0..dims).map(|_| rng.next_range(4) as u16).collect();
+                    rects.push(Rect {
+                        center: vec![0.5; dims],
+                        f: [-0.5, -0.0, 0.0, 0.25, 1.0][rng.next_range(5) as usize],
+                        d: half_diagonal(&levels),
+                        levels,
+                    });
+                    rects.len() - 1
+                } else {
+                    // Divide: a rectangle shrinks into another class.
+                    let i = rng.next_range(rects.len() as u64) as usize;
+                    rects[i].levels[rng.next_range(dims as u64) as usize] += 1;
+                    rects[i].d = half_diagonal(&rects[i].levels);
+                    i
+                };
+                heaps.file(&rects, i);
+                if step % 3 == 0 {
+                    let best = heaps.best_per_class(&rects);
+                    assert_eq!(best, scan(&rects));
+                    selected += potentially_optimal(&rects, &best, -0.5, 1e-4).len();
+                }
+            }
+        }
+        assert!(selected > 1000, "{selected} rectangles selected");
+    }
+
+    /// DIRECT over `f`, twice: over the scan, with the heaps held to its
+    /// answer at every iteration, and over the heaps. Same run, bit for bit.
+    fn run(dims: usize, evals: usize, mut f: impl FnMut(&[f64]) -> f64) -> DirectResult {
+        let cfg = DirectConfig {
+            max_evals: evals,
+            ..Default::default()
+        };
+        let by_scan = minimize_selecting(dims, &cfg, &mut f, |heaps, rects| {
+            let best = scan(rects);
+            assert_eq!(heaps.best_per_class(rects), best);
+            best
+        });
+        let by_heaps = direct_minimize(dims, &cfg, f);
+        let told = |r: &DirectResult| {
+            let x: Vec<u64> = r.best_x.iter().map(|v| v.to_bits()).collect();
+            (x, r.best_f.to_bits(), r.evals, r.iterations)
+        };
+        assert_eq!(told(&by_heaps), told(&by_scan));
+        by_heaps
     }
 
     #[test]

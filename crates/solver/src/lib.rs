@@ -9,13 +9,13 @@
 //!   pinning, and anti-affinity constraints;
 //! * the objective and constraint evaluator ([`objective`]) — the Fig 5
 //!   landscape, penalty spike included. One per-machine scoring primitive
-//!   sits under `evaluate`, under DIRECT's inner loop ([`CentreScorer`]:
-//!   a one-slot move re-scores the two machines it touches, bit for bit
-//!   what `evaluate` reports) and under the local search;
-//!   [`evaluate_reference`] is the independent copy tests compare against;
-//! * a from-scratch **DIRECT** global optimizer ([`direct`]), which tells
-//!   its objective each rectangle's centre before sampling around it
-//!   ([`DirectObjective`]);
+//!   sits under `evaluate`, under DIRECT's inner loop ([`CentreScorer`]: a
+//!   one-slot move scores the two machines it touches, each distinct
+//!   machine once per solve, bit for bit what `evaluate` reports) and under
+//!   the local search; [`evaluate_reference`] is the tests' independent copy;
+//! * a from-scratch **DIRECT** global optimizer ([`direct`]), which picks
+//!   rectangles from per-size heaps and tells its objective each
+//!   rectangle's centre before sampling around it ([`DirectObjective`]);
 //! * deterministic **local-search polish** ([`local`]) that scores each
 //!   candidate move once, without mutating its state;
 //! * the §7.3 baselines: single-resource **greedy** first-fit
@@ -45,13 +45,14 @@ pub use direct::{
 pub use greedy::{greedy_pack, GreedyReport, GreedyResource};
 pub use local::{polish, PolishReport};
 pub use objective::{
-    evaluate, evaluate_reference, evaluate_with_series, CentreScorer, Evaluation, WindowLoad,
+    evaluate, evaluate_reference, evaluate_with_series, CentreScorer, Evaluation, Scoring,
+    WindowLoad,
 };
 pub use problem::{
     Assignment, ConsolidationProblem, DiskCombiner, LinearDiskCombiner, MigrationCost,
     ResourceWeights, Slot, SlotSeries, TargetMachine, WorkloadSpec,
 };
 pub use search::{
-    decode, decode_into, free_dims, solve, solve_at_k, solve_at_k_with, solve_unbounded,
-    solve_warm, solve_warm_with, solve_with, SolveReport, SolveScratch, SolverConfig,
+    decode, decode_into, free_dims, solve, solve_at_k, solve_unbounded, solve_warm,
+    solve_warm_with, solve_with, SolveReport, SolveScratch, SolverConfig,
 };

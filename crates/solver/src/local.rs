@@ -31,40 +31,17 @@
 //! candidates that could not have won are skipped.
 
 use crate::objective::{
-    evaluate, migration_delta, score_machine, Evaluation, MachineSums, PENALTY,
+    evaluate, migration_delta, score_machine, total_objective, Evaluation, MachineScore,
+    MachineSums, PENALTY,
 };
 use crate::problem::{Assignment, ConsolidationProblem, SlotSeries};
 use std::sync::Arc;
 
-/// One machine's share of the objective.
-#[derive(Debug, Clone, Copy, Default)]
-struct Share {
-    /// Mean-exp contribution — 0 when empty.
-    contrib: f64,
-    /// Resource-excess + co-location violations on this machine.
-    violation: f64,
-}
-
-/// Score a machine holding `members` whose series sum to `sums`.
-fn share_of(
-    problem: &ConsolidationProblem,
-    series: &SlotSeries,
-    members: &[usize],
-    sums: &MachineSums,
-    excess: &mut Vec<f64>,
-) -> Share {
-    excess.clear();
-    let score = score_machine(problem, &series.slots, members, sums, excess, |_| {});
-    Share {
-        contrib: score.contrib,
-        violation: excess.iter().sum::<f64>() + score.colocation,
-    }
-}
-
 struct MachineState {
     slots: Vec<usize>,
     sums: MachineSums,
-    share: Share,
+    /// This machine's share of the objective.
+    share: MachineScore,
     /// Peak CPU / RAM over the horizon (pruning bounds; refreshed with
     /// the share).
     cpu_peak: f64,
@@ -85,7 +62,6 @@ struct SearchState<'a> {
     // Scratch a candidate's touched machines are scored in.
     sums: MachineSums,
     members: Vec<usize>,
-    excess: Vec<f64>,
 }
 
 impl<'a> SearchState<'a> {
@@ -99,7 +75,7 @@ impl<'a> SearchState<'a> {
             .map(|_| MachineState {
                 slots: Vec::new(),
                 sums: MachineSums::default(),
-                share: Share::default(),
+                share: MachineScore::default(),
                 cpu_peak: 0.0,
                 ram_peak: 0.0,
             })
@@ -130,7 +106,6 @@ impl<'a> SearchState<'a> {
             pruned: 0,
             sums: MachineSums::default(),
             members: Vec::new(),
-            excess: Vec::new(),
         };
         for m in 0..k {
             let ms = &mut state.machines[m];
@@ -143,12 +118,12 @@ impl<'a> SearchState<'a> {
     /// Recompute the cached share and peaks of machine `m` from its sums.
     fn refresh(&mut self, m: usize) {
         let ms = &mut self.machines[m];
-        ms.share = share_of(
+        ms.share = score_machine(
             self.problem,
-            &self.series,
+            &self.series.slots,
             &ms.slots,
             &ms.sums,
-            &mut self.excess,
+            |_| {},
         );
         if ms.slots.is_empty() {
             ms.cpu_peak = 0.0;
@@ -162,29 +137,23 @@ impl<'a> SearchState<'a> {
     /// The objective with each machine in `subs` holding the share given
     /// there instead of its cached one and `mig_moves` slots off the
     /// baseline: the in-order sum over machines.
-    fn total_with(&self, subs: &[(usize, Share)], mig_moves: usize) -> f64 {
-        let (mut contrib, mut violation) = (0.0, 0.0);
-        for (m, ms) in self.machines.iter().enumerate() {
-            let share = subs.iter().find(|s| s.0 == m).map_or(ms.share, |s| s.1);
-            contrib += share.contrib;
-            violation += share.violation;
-        }
-        if let Some(m) = &self.problem.migration {
-            contrib += m.cost_per_move * mig_moves as f64;
-        }
-        if violation > 0.0 {
-            contrib + PENALTY * (1.0 + violation)
-        } else {
-            contrib
-        }
+    fn total_with(&self, subs: &[(usize, MachineScore)], mig_moves: usize) -> f64 {
+        let shares = self
+            .machines
+            .iter()
+            .enumerate()
+            .map(|(m, ms)| subs.iter().find(|s| s.0 == m).map_or(ms.share, |s| s.1));
+        // Pins are forced and every machine is below `k`: no placement term.
+        total_objective(self.problem, 0.0, shares, mig_moves).0
     }
 
     fn total_objective(&self) -> f64 {
         self.total_with(&[], self.mig_moves)
     }
 
-    fn total_violation(&self) -> f64 {
-        self.machines.iter().map(|m| m.share.violation).sum()
+    fn violation_free(&self) -> bool {
+        let clean = |m: &MachineState| m.share.excess == 0.0 && m.share.colocation == 0.0;
+        self.machines.iter().all(clean)
     }
 
     fn is_pinned(&self, slot: usize) -> bool {
@@ -222,25 +191,25 @@ impl<'a> SearchState<'a> {
     }
 
     /// Share of `slot`'s machine once the slot has left it.
-    fn share_without(&mut self, slot: usize) -> Share {
+    fn share_without(&mut self, slot: usize) -> MachineScore {
         let from = &self.machines[self.assignment[slot]];
         self.members.clear();
         self.members
             .extend(from.slots.iter().filter(|&&s| s != slot));
         self.sums.copy_from(&from.sums);
         self.sums.sub(&self.series, slot);
-        share_of(
+        score_machine(
             self.problem,
-            &self.series,
+            &self.series.slots,
             &self.members,
             &self.sums,
-            &mut self.excess,
+            |_| {},
         )
     }
 
     /// Share of machine `dst` once `extra` (slots of another machine, in
     /// the order they would be moved) have joined it.
-    fn share_with(&mut self, dst: usize, extra: &[usize]) -> Share {
+    fn share_with(&mut self, dst: usize, extra: &[usize]) -> MachineScore {
         let to = &self.machines[dst];
         self.members.clear();
         self.members.extend_from_slice(&to.slots);
@@ -249,12 +218,12 @@ impl<'a> SearchState<'a> {
         for &s in extra {
             self.sums.add(&self.series, s);
         }
-        share_of(
+        score_machine(
             self.problem,
-            &self.series,
+            &self.series.slots,
             &self.members,
             &self.sums,
-            &mut self.excess,
+            |_| {},
         )
     }
 
@@ -278,7 +247,7 @@ impl<'a> SearchState<'a> {
         // source contribution collapsing to its floor, destinations
         // absorbing the slot for free, one migration move recovered —
         // cannot improve on the incumbent, no destination needs scoring.
-        let feasible_now = self.total_violation() == 0.0 && current < PENALTY;
+        let feasible_now = self.violation_free() && current < PENALTY;
         if feasible_now && current - self.single_move_gain_bound(slot) >= current - 1e-12 {
             self.pruned += k - 1;
             return None;
@@ -329,7 +298,7 @@ impl<'a> SearchState<'a> {
             return None;
         }
         let current = self.total_objective();
-        let feasible_now = self.total_violation() == 0.0 && current < PENALTY;
+        let feasible_now = self.violation_free() && current < PENALTY;
         let min_of = |v: &[f64]| v.iter().copied().fold(f64::INFINITY, f64::min);
         let src_cpu_min = min_of(&self.machines[src].sums.cpu);
         let src_ram_min = min_of(&self.machines[src].sums.ram);
@@ -351,7 +320,7 @@ impl<'a> SearchState<'a> {
             }
             let merged = self.share_with(dst, &src_slots);
             let mig_moves = self.mig_moves_after(&src_slots, src, dst);
-            let obj = self.total_with(&[(src, Share::default()), (dst, merged)], mig_moves);
+            let obj = self.total_with(&[(src, MachineScore::default()), (dst, merged)], mig_moves);
             if obj < current - 1e-12 && best.as_ref().is_none_or(|b| obj < b.0) {
                 best = Some((obj, dst));
             }

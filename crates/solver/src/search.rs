@@ -15,25 +15,30 @@
 //! ([`CentreScorer`]): bit for bit the value a full `evaluate` of the
 //! decoded point reports, so the search takes the trajectory a
 //! from-scratch scorer would.
+//!
+//! The search pays once for each thing it learns. A machine's score does
+//! not depend on K, so one memo of them serves every probe and the final
+//! run of a solve and is dropped when the solve returns. A feasible probe
+//! at K whose plan uses fewer than K machines has shown that count
+//! feasible, so it lowers the binary search's upper end to the count, not
+//! just to K. And at K = 1 every point decodes to the same placement, so
+//! it is scored, not searched for.
 
 use crate::bounds::{fractional_lower_bound, identity_assignment, upper_bound};
 use crate::direct::{direct_minimize_objective, DirectConfig, DirectObjective};
 use crate::local::polish;
-use crate::objective::{evaluate, CentreScorer, Evaluation, PENALTY};
-use crate::problem::{Assignment, ConsolidationProblem, Slot, SlotSeries};
+use crate::objective::{evaluate, CentreScorer, Evaluation, Scoring, PENALTY};
+use crate::problem::{Assignment, ConsolidationProblem, Slot};
 use kairos_types::{KairosError, Result};
 
-/// Reusable allocation arena for repeated solves. An online re-solver
-/// calls [`solve_warm_with`] every drift event against similarly-sized
-/// problems; holding one `SolveScratch` across calls means the DIRECT
-/// inner loop (thousands of samples per solve) performs no steady-state
-/// allocation. It holds the [`CentreScorer`]'s per-machine buffers.
+/// What an online re-solver keeps between solves: it calls
+/// [`solve_warm_with`] every drift event against similarly-sized problems,
+/// and one `SolveScratch` held across them keeps the [`CentreScorer`]'s
+/// per-machine buffers. Its memo of machine scores is as large as a search
+/// was long, so it is *not* kept: it is released before a solve returns.
 #[derive(Default)]
 pub struct SolveScratch {
     scorer: CentreScorer,
-    decode_buf: Vec<usize>,
-    /// DIRECT dimension → slot index (pinned replica-0 slots have none).
-    free_slots: Vec<usize>,
 }
 
 /// Any objective below this is feasible (the infeasibility penalty floor).
@@ -134,56 +139,47 @@ fn decode_coord(v: f64, k: usize) -> usize {
 /// The decoded objective as DIRECT sees it: a point is decoded and scored
 /// in full once per rectangle (`rebase`); each of the rectangle's samples
 /// moves one coordinate, so at most one slot, and is scored by
-/// [`CentreScorer::moved`] — bit for bit `evaluate(decode(x)).objective`.
-struct DecodedObjective<'a> {
-    problem: &'a ConsolidationProblem,
-    series: &'a SlotSeries,
+/// [`Scoring::moved`] — bit for bit `evaluate(decode(x)).objective`.
+struct DecodedObjective<'a, 'p> {
     k: usize,
-    scratch: &'a mut SolveScratch,
+    scoring: &'a mut Scoring<'p>,
+    decode_buf: Vec<usize>,
+    /// DIRECT dimension → slot index (pinned replica-0 slots have none).
+    free_slots: Vec<usize>,
 }
 
-impl<'a> DecodedObjective<'a> {
-    fn new(
-        problem: &'a ConsolidationProblem,
-        series: &'a SlotSeries,
-        k: usize,
-        scratch: &'a mut SolveScratch,
-    ) -> DecodedObjective<'a> {
-        let free = (0..series.slots.len()).filter(|&s| is_free(problem, &series.slots[s]));
-        scratch.free_slots.clear();
-        scratch.free_slots.extend(free);
+impl<'a, 'p> DecodedObjective<'a, 'p> {
+    fn new(k: usize, scoring: &'a mut Scoring<'p>) -> DecodedObjective<'a, 'p> {
+        let slots = &scoring.series.slots;
+        let free_slots = (0..slots.len())
+            .filter(|&s| is_free(scoring.problem, &slots[s]))
+            .collect();
         DecodedObjective {
-            problem,
-            series,
             k,
-            scratch,
+            scoring,
+            decode_buf: Vec::new(),
+            free_slots,
         }
     }
 }
 
-impl DirectObjective for DecodedObjective<'_> {
+impl DirectObjective for DecodedObjective<'_, '_> {
     fn eval(&mut self, x: &[f64]) -> f64 {
         self.rebase(x);
-        self.scratch.scorer.centre()
+        self.scoring.centre()
     }
 
     fn rebase(&mut self, centre: &[f64]) {
-        let SolveScratch {
-            scorer, decode_buf, ..
-        } = &mut *self.scratch;
-        decode_into(self.problem, self.k, centre, decode_buf);
-        scorer.rebase(self.problem, self.series, decode_buf);
+        decode_into(self.scoring.problem, self.k, centre, &mut self.decode_buf);
+        self.scoring.rebase(&self.decode_buf);
     }
 
     fn eval_axis(&mut self, x: &[f64], axis: usize) -> f64 {
         // With every slot pinned DIRECT still gets one (ignored) dimension.
-        let Some(&slot) = self.scratch.free_slots.get(axis) else {
-            return self.scratch.scorer.centre();
+        let Some(&slot) = self.free_slots.get(axis) else {
+            return self.scoring.centre();
         };
-        let dst = decode_coord(x[axis], self.k);
-        self.scratch
-            .scorer
-            .moved(self.problem, self.series, slot, dst)
+        self.scoring.moved(slot, decode_coord(x[axis], self.k))
     }
 }
 
@@ -209,55 +205,45 @@ pub fn solve_at_k(
     polish_rounds: usize,
     stop_on_feasible: bool,
 ) -> (Assignment, Evaluation, usize) {
-    solve_at_k_with(
-        problem,
-        k,
-        evals,
-        epsilon,
-        polish_rounds,
-        stop_on_feasible,
-        &mut SolveScratch::default(),
-    )
+    let mut scorer = CentreScorer::default();
+    let scoring = &mut scorer.on(problem);
+    solve_at_k_on(scoring, k, evals, epsilon, polish_rounds, stop_on_feasible)
 }
 
-/// [`solve_at_k`] with a caller-held scratch arena: DIRECT's inner loop
-/// scores each sample as a one-slot move off its rectangle's centre
-/// (see [`CentreScorer`]) instead of materializing a full [`Evaluation`]
-/// per point.
-pub fn solve_at_k_with(
-    problem: &ConsolidationProblem,
+/// [`solve_at_k`] on a [`Scoring`] the caller may hold across calls (a
+/// machine's score does not depend on `k`). DIRECT's inner loop scores each
+/// sample as a one-slot move off its rectangle's centre.
+fn solve_at_k_on(
+    scoring: &mut Scoring,
     k: usize,
     evals: usize,
     epsilon: f64,
     polish_rounds: usize,
     stop_on_feasible: bool,
-    scratch: &mut SolveScratch,
 ) -> (Assignment, Evaluation, usize) {
+    let problem = scoring.problem;
     assert!(k >= 1);
     let dims = free_dims(problem).max(1);
-    let cfg = DirectConfig {
-        max_evals: evals,
-        max_iters: usize::MAX,
-        epsilon,
-        stop_below: if stop_on_feasible {
-            Some(FEASIBLE_BELOW)
-        } else {
-            None
-        },
+    let (best_x, evals_used) = if k == 1 {
+        // Every point decodes to the one placement there is: no search.
+        (vec![0.5; dims], 1)
+    } else {
+        let cfg = DirectConfig {
+            max_evals: evals,
+            max_iters: usize::MAX,
+            epsilon,
+            stop_below: stop_on_feasible.then_some(FEASIBLE_BELOW),
+        };
+        let result = direct_minimize_objective(dims, &cfg, &mut DecodedObjective::new(k, scoring));
+        (result.best_x, result.evals)
     };
-    let series = problem.slot_series().clone();
-    let result = direct_minimize_objective(
-        dims,
-        &cfg,
-        &mut DecodedObjective::new(problem, &series, k, scratch),
-    );
-    let direct_best = decode(problem, k, &result.best_x);
+    let direct_best = decode(problem, k, &best_x);
     if polish_rounds > 0 {
         let polished = polish(problem, &direct_best, k, polish_rounds);
-        (polished.assignment, polished.evaluation, result.evals)
+        (polished.assignment, polished.evaluation, evals_used)
     } else {
         let eval = evaluate(problem, &direct_best);
-        (direct_best, eval, result.evals)
+        (direct_best, eval, evals_used)
     }
 }
 
@@ -312,6 +298,9 @@ fn solve_inner(
     warm: Option<&Assignment>,
     scratch: &mut SolveScratch,
 ) -> Result<SolveReport> {
+    // One memo of machine scores under every probe and the final run; it
+    // is dropped, memory and all, on every way out of this function.
+    let scoring = &mut scratch.scorer.on(problem);
     let lower = fractional_lower_bound(problem);
     let (ub_assignment, mut upper) = upper_bound(problem);
     let mut evals_used = 0usize;
@@ -386,19 +375,21 @@ fn solve_inner(
     let (mut lo, mut hi) = (lower, upper.max(lower));
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        let (a, eval, used) = solve_at_k_with(
-            problem,
+        let (a, eval, used) = solve_at_k_on(
+            scoring,
             mid,
             cfg.probe_evals,
             cfg.epsilon,
             cfg.polish_rounds.min(40),
             true,
-            scratch,
         );
         evals_used += used;
         let feasible = eval.feasible;
         probes.push((mid, feasible));
         if feasible {
+            // The plan is feasible at the machine count it uses, which
+            // DIRECT and polish may have brought below `mid`.
+            hi = mid.min(eval.machines_used);
             // The objective is the sole authority: without a migration
             // term it already orders fewer machines first; with one, an
             // equal-machine-count plan that relocates half the fleet must
@@ -406,7 +397,6 @@ fn solve_inner(
             if eval.objective < incumbent.1.objective {
                 incumbent = (a, eval);
             }
-            hi = mid;
         } else {
             lo = mid + 1;
         }
@@ -414,14 +404,13 @@ fn solve_inner(
     let k_final = lo;
 
     // Final, well-funded solve at K′ with local-search emphasis.
-    let (a, eval, used) = solve_at_k_with(
-        problem,
+    let (a, eval, used) = solve_at_k_on(
+        scoring,
         k_final,
         cfg.final_evals,
         cfg.epsilon,
         cfg.polish_rounds,
         false,
-        scratch,
     );
     evals_used += used;
     if eval.feasible && eval.objective < incumbent.1.objective {
@@ -503,20 +492,45 @@ mod tests {
         // Workload 1 is pinned, so DIRECT's axes are slots 0, 2, 3 and 4.
         let mut p = problem(&[5.0, 1.0, 6.0, 2.0, 4.0]);
         p.workloads[1].pinned = Some(2);
-        let series = p.slot_series().clone();
-        let k = 3;
         let mut scratch = SolveScratch::default();
-        let mut f = DecodedObjective::new(&p, &series, k, &mut scratch);
-        let exact = |x: &[f64]| evaluate(&p, &decode(&p, k, x)).objective.to_bits();
-        for centre in [[0.5; 4], [0.1, 0.9, 0.5, 0.5], [0.17, 0.5, 0.83, 0.0]] {
-            assert_eq!(f.eval(&centre).to_bits(), exact(&centre));
-            for axis in 0..4 {
-                for v in [0.0, 1.0 / 6.0, 0.5, 5.0 / 6.0, 1.0] {
-                    let mut x = centre;
-                    x[axis] = v;
-                    assert_eq!(f.eval_axis(&x, axis).to_bits(), exact(&x), "{x:?}");
+        let mut scoring = scratch.scorer.on(&p);
+        // One memo under every K, as under the probes of one solve: cold
+        // at 3, then warm at 2 and at 3 again.
+        for k in [3, 2, 3] {
+            let mut f = DecodedObjective::new(k, &mut scoring);
+            let exact = |x: &[f64]| evaluate(&p, &decode(&p, k, x)).objective.to_bits();
+            for centre in [[0.5; 4], [0.1, 0.9, 0.5, 0.5], [0.17, 0.5, 0.83, 0.0]] {
+                assert_eq!(f.eval(&centre).to_bits(), exact(&centre));
+                for axis in 0..4 {
+                    for v in [0.0, 1.0 / 6.0, 0.5, 5.0 / 6.0, 1.0] {
+                        let mut x = centre;
+                        x[axis] = v;
+                        assert_eq!(f.eval_axis(&x, axis).to_bits(), exact(&x), "k {k}: {x:?}");
+                    }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn one_scratch_serves_different_problems_and_keeps_nothing() {
+        // The same six slots under three loads, the last unplaceable:
+        // every occupant set recurs with another score.
+        let problems = [
+            problem(&[2.0, 3.0, 1.0, 4.0, 2.0, 3.0]),
+            problem(&[5.0, 5.5, 6.0, 4.0, 5.0, 3.0]),
+            problem(&[2.0, 3.0, 50.0, 4.0, 2.0, 3.0]),
+        ];
+        let cfg = SolverConfig::default();
+        let told = |r: Result<SolveReport>| {
+            r.ok()
+                .map(|r| (r.assignment, r.evaluation.objective.to_bits(), r.probes))
+        };
+        let mut scratch = SolveScratch::default();
+        for p in problems.iter().chain(problems.iter().rev()) {
+            let reused = solve_with(p, &cfg, &mut scratch);
+            assert_eq!(scratch.scorer.memo_capacity(), 0, "memo outlived its solve");
+            assert_eq!(told(reused), told(solve(p, &cfg)));
         }
     }
 

@@ -84,13 +84,26 @@ fn assert_bit_identical(p: &ConsolidationProblem, a: &Assignment, case: usize) {
 #[test]
 fn cached_evaluate_matches_reference_on_random_problems() {
     let mut rng = SplitMix64::from_env(0xCAC4E);
+    // Both sides of feasibility: an infeasible objective is where the two
+    // paths' excess arithmetic (a subtotal per machine, those summed from
+    // zero) could part ways.
+    let (mut feasible, mut infeasible) = (0, 0);
     for case in 0..40 {
         let p = random_problem(&mut rng);
         for _ in 0..4 {
             let a = random_assignment(&mut rng, &p);
             assert_bit_identical(&p, &a, case);
+            if evaluate(&p, &a).feasible {
+                feasible += 1;
+            } else {
+                infeasible += 1;
+            }
         }
     }
+    assert!(
+        feasible >= 10 && infeasible >= 10,
+        "one-sided: {feasible} feasible, {infeasible} infeasible"
+    );
 }
 
 #[test]

@@ -9,6 +9,13 @@
 //! exactly `evaluate(..).objective` — feasible and infeasible points alike
 //! — and a move to the slot's own machine must return the centre's value.
 //!
+//! The scorer memoizes machine scores by occupant set for as long as one
+//! [`Scoring`](kairos_solver::Scoring) lives, so every sweep below runs
+//! twice: once filling the memo, once answered from it. One scorer serves
+//! every problem in turn, as one `SolveScratch` serves a shard's solves —
+//! the same occupant sets come round again under other loads, and a score
+//! that outlived its problem would show as a wrong bit.
+//!
 //! Cases come from a seeded [`SplitMix64`] stream
 //! ([`SplitMix64::from_env`]; CI sweeps `KAIROS_TEST_SEED`).
 
@@ -64,65 +71,107 @@ fn random_problem(rng: &mut SplitMix64) -> ConsolidationProblem {
 #[test]
 fn every_one_slot_move_scores_exactly_as_evaluate() {
     let mut rng = SplitMix64::from_env(0xD1_4EC7);
-    // One scorer throughout, as one `SolveScratch` serves a whole solve.
+    // One scorer throughout, as one `SolveScratch` serves a whole shard.
     let mut scorer = CentreScorer::default();
     let (mut feasible, mut infeasible) = (0usize, 0usize);
     for case in 0..60 {
         let p = random_problem(&mut rng);
-        let series = p.slot_series().clone();
         let slots = p.slots();
-        for _ in 0..3 {
-            // The centre spreads over `spread` machines and destinations
-            // range over `k`: above and below the machines in use, and
-            // past `max_machines` so the machine-count term moves too.
-            let spread = 1 + rng.next_range(p.max_machines as u64 + 2);
-            let k = 1 + rng.next_range(p.max_machines as u64 + 3) as usize;
-            let centre: Vec<usize> = slots
-                .iter()
-                .map(|s| match p.workloads[s.workload].pinned {
-                    Some(pin) if s.replica == 0 => pin,
-                    _ => rng.next_range(spread) as usize,
-                })
-                .collect();
-            let at_centre = evaluate(&p, &Assignment::new(centre.clone()));
-            let scored = scorer.rebase(&p, &series, &centre);
-            assert_eq!(
-                scored.to_bits(),
-                at_centre.objective.to_bits(),
-                "case {case}: centre {centre:?}: {scored} vs {}",
-                at_centre.objective
-            );
-            for (slot, s) in slots.iter().enumerate() {
-                if s.replica == 0 && p.workloads[s.workload].pinned.is_some() {
-                    continue;
-                }
-                for dst in 0..k {
-                    let mut moved = centre.clone();
-                    moved[slot] = dst;
-                    let full = evaluate(&p, &Assignment::new(moved));
-                    let lean = scorer.moved(&p, &series, slot, dst);
-                    assert_eq!(
-                        lean.to_bits(),
-                        full.objective.to_bits(),
-                        "case {case}: slot {slot} -> {dst} from {centre:?}: {lean} vs {}",
-                        full.objective
-                    );
-                    if dst == centre[slot] {
-                        assert_eq!(lean.to_bits(), scorer.centre().to_bits());
+        // Each centre spreads over `spread` machines and destinations
+        // range over `k`: above and below the machines in use, and past
+        // `max_machines` so the machine-count term moves too.
+        let centres: Vec<(Vec<usize>, usize)> = (0..3)
+            .map(|_| {
+                let spread = 1 + rng.next_range(p.max_machines as u64 + 2);
+                let k = 1 + rng.next_range(p.max_machines as u64 + 3) as usize;
+                let centre = slots
+                    .iter()
+                    .map(|s| match p.workloads[s.workload].pinned {
+                        Some(pin) if s.replica == 0 => pin,
+                        _ => rng.next_range(spread) as usize,
+                    })
+                    .collect();
+                (centre, k)
+            })
+            .collect();
+        let mut scoring = scorer.on(&p);
+        for pass in ["cold", "warm"] {
+            for (centre, k) in &centres {
+                let at_centre = evaluate(&p, &Assignment::new(centre.clone()));
+                let scored = scoring.rebase(centre);
+                assert_eq!(
+                    scored.to_bits(),
+                    at_centre.objective.to_bits(),
+                    "case {case} ({pass}): centre {centre:?}: {scored} vs {}",
+                    at_centre.objective
+                );
+                for (slot, s) in slots.iter().enumerate() {
+                    if s.replica == 0 && p.workloads[s.workload].pinned.is_some() {
+                        continue;
                     }
-                    if full.feasible {
-                        feasible += 1;
-                    } else {
-                        infeasible += 1;
+                    for dst in 0..*k {
+                        let mut moved = centre.clone();
+                        moved[slot] = dst;
+                        let full = evaluate(&p, &Assignment::new(moved));
+                        let lean = scoring.moved(slot, dst);
+                        assert_eq!(
+                            lean.to_bits(),
+                            full.objective.to_bits(),
+                            "case {case} ({pass}): slot {slot} -> {dst} from {centre:?}: {lean} vs {}",
+                            full.objective
+                        );
+                        if dst == centre[slot] {
+                            assert_eq!(lean.to_bits(), scoring.centre().to_bits());
+                        }
+                        if full.feasible {
+                            feasible += 1;
+                        } else {
+                            infeasible += 1;
+                        }
                     }
                 }
+                // Scoring moves never moved the centre.
+                assert_eq!(scoring.centre().to_bits(), at_centre.objective.to_bits());
             }
-            // Scoring moves never moved the centre.
-            assert_eq!(scorer.centre().to_bits(), at_centre.objective.to_bits());
         }
     }
     assert!(
         feasible > 100 && infeasible > 100,
         "one-sided sweep: {feasible} feasible, {infeasible} infeasible points"
     );
+}
+
+#[test]
+fn the_memo_lives_and_dies_with_its_scoring() {
+    // Two problems of one shape under different loads: every occupant set
+    // of the first is an occupant set of the second, with another score.
+    let shape = |cpu: f64| {
+        let w = (0..6)
+            .map(|i| WorkloadSpec::flat(format!("w{i}"), 4, cpu, 2e9, 2e8, 40.0))
+            .collect();
+        ConsolidationProblem::new(
+            w,
+            TargetMachine::paper_target(),
+            6,
+            Arc::new(LinearDiskCombiner::default()),
+        )
+    };
+    let centre = [0, 0, 1, 1, 2, 2];
+    let mut scorer = CentreScorer::default();
+    assert_eq!(scorer.memo_capacity(), 0);
+    let mut seen = Vec::new();
+    for p in [shape(1.0), shape(5.5)] {
+        let mut scoring = scorer.on(&p);
+        let exact = |a: &[usize]| evaluate(&p, &Assignment::new(a.to_vec())).objective;
+        assert_eq!(scoring.rebase(&centre).to_bits(), exact(&centre).to_bits());
+        assert_eq!(
+            scoring.moved(4, 0).to_bits(),
+            exact(&[0, 0, 1, 1, 0, 2]).to_bits()
+        );
+        seen.push(scoring.centre());
+        drop(scoring);
+        // Entries and memory both: a fleet keeps one scorer per shard.
+        assert_eq!(scorer.memo_capacity(), 0);
+    }
+    assert_ne!(seen[0], seen[1]);
 }
