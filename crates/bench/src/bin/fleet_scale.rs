@@ -23,7 +23,7 @@
 //! KAIROS_FLEET_THREADS=4 cargo run --release -p kairos-bench --bin fleet_scale
 //! ```
 
-use kairos_bench::{print_table, quick, section};
+use kairos_bench::{print_table, section};
 use kairos_controller::{ControllerConfig, SyntheticSource, TelemetryConfig, TelemetrySource};
 use kairos_fleet::balancer::ShardHandle;
 use kairos_fleet::{
@@ -296,7 +296,9 @@ fn wall_spread(runs: &[FlatRun]) -> (f64, f64, f64) {
 }
 
 fn main() -> ExitCode {
-    let (shards, tenants_per_shard, ticks, warmup_ticks, rounds) = if quick() {
+    // `KAIROS_QUICK=1` trims ticks and rounds, not the hierarchy.
+    let quick = std::env::var("KAIROS_QUICK").is_ok_and(|v| !v.is_empty() && v != "0");
+    let (shards, tenants_per_shard, ticks, warmup_ticks, rounds) = if quick {
         (4, 12, 90, 12, 4)
     } else {
         (8, 25, 150, 16, 10)
@@ -326,46 +328,41 @@ fn main() -> ExitCode {
     } else {
         "release"
     };
-    let quick = quick();
     println!("env: cores={cores} tick_threads={threads} profile={profile} quick={quick}");
     section(&format!(
         "strong scaling: {shards} shards x {tenants_per_shard} tenants, {ticks} ticks, median of {RUNS_PER_SIDE}"
     ));
-    // Headers and rows are written as space-separated lines.
-    let cells = |line: &str| line.split(' ').map(str::to_string).collect::<Vec<_>>();
     let (serial_ms, ..) = wall_spread(&report.serial);
     let rows = [(1, &report.serial), (threads, &report.threaded)].map(|(n, runs)| {
         let (median, min, max) = wall_spread(runs);
         let (resolves, handoffs, machines) = runs[0].decisions;
         let speedup = serial_ms / median;
-        cells(&format!(
-            "{n} {median:.1} {min:.1}..{max:.1} {speedup:.2} {resolves} {handoffs} {machines}"
-        ))
+        format!("{n}|{median:.1}|{min:.1}..{max:.1}|{speedup:.2}|{resolves}|{handoffs}|{machines}")
     });
     let header =
-        "tick_threads run_wall_ms min..max speedup resolves handoffs_completed total_machines";
-    print_table(&header.split(' ').collect::<Vec<_>>(), &rows);
+        "tick_threads|run_wall_ms|min..max|speedup|resolves|handoffs_completed|total_machines";
+    print_table(header, &rows);
 
     section(&format!(
         "hierarchy: {ZONES} zones x {GROUPS} groups over loopback RPC, {HIER_TENANTS_PER_SHARD} tenants per shard, {rounds} rounds"
     ));
-    let rows: Vec<Vec<String>> = report
+    let rows: Vec<String> = report
         .hierarchy
         .iter()
         .map(|h| {
-            cells(&format!(
-                "{} {:.0} {:.0} {:.0} {:.1} {}",
+            format!(
+                "{}|{:.0}|{:.0}|{:.0}|{:.1}|{}",
                 ZONES * h.shards_per_zone,
                 h.root_round_mean_usecs,
                 h.root_round_max_usecs,
                 h.zone_refresh_mean_usecs,
                 h.zone_rollup_bytes,
                 h.groups_moved,
-            ))
+            )
         })
         .collect();
-    let header = "shards root_round_mean_usecs root_round_max_usecs zone_refresh_mean_usecs zone_rollup_bytes groups_moved";
-    print_table(&header.split(' ').collect::<Vec<_>>(), &rows);
+    let header = "shards|root_round_mean_usecs|root_round_max_usecs|zone_refresh_mean_usecs|zone_rollup_bytes|groups_moved";
+    print_table(header, &rows);
     println!(
         "root_cost_ratio {:.3} (<= {MAX_ROOT_COST_RATIO})  rollup_bytes_ratio {:.3} (<= {MAX_ROLLUP_BYTES_RATIO})",
         report.root_cost_ratio(),

@@ -7,7 +7,7 @@
 //! Here both runs spend the same evaluation budget, so what bounding buys
 //! shows as quality, not wall: the raw run finds no feasible plan on three
 //! of the four cases. The bin checks its own claims and exits non-zero
-//! when one breaks (CI's `check` job runs it under `KAIROS_QUICK=1`):
+//! when one breaks (CI's `check` job runs it):
 //!
 //! * every bounded solve is feasible, and uses no more machines than the
 //!   raw run wherever that finds a plan at all;
@@ -17,7 +17,7 @@
 //!   "no slower" is not true of equal budgets);
 //! * the 100-workload case solves inside [`BUDGET_100_S`].
 
-use kairos_bench::{dataset_profiles, print_table, quick, section};
+use kairos_bench::{dataset_profiles, print_table, section};
 use kairos_core::ConsolidationEngine;
 use kairos_solver::{solve, solve_unbounded, SolverConfig};
 use kairos_traces::Dataset;
@@ -138,42 +138,32 @@ fn synthetic_profiles(n: usize) -> Vec<WorkloadProfile> {
 fn main() -> ExitCode {
     section("solver performance: K'-bounded pipeline vs raw full-space DIRECT");
     // The paper's 45x example dataset: Wikia.
-    let mut cases = vec![bench_case(WIKIA, &dataset_profiles(Dataset::Wikia, 0x5EED))];
-    if !quick() {
-        cases.push(bench_case(
-            "Wikipedia",
-            &dataset_profiles(Dataset::Wikipedia, 0x5EED),
-        ));
-    }
-    // The paper's scalability target: 100 workloads, ~20 output servers.
-    cases.push(bench_case("synthetic-50", &synthetic_profiles(50)));
-    cases.push(bench_case(SYNTHETIC_100, &synthetic_profiles(100)));
+    let cases = vec![
+        bench_case(WIKIA, &dataset_profiles(Dataset::Wikia, 0x5EED)),
+        bench_case("Wikipedia", &dataset_profiles(Dataset::Wikipedia, 0x5EED)),
+        // The paper's scalability target: 100 workloads, ~20 output servers.
+        bench_case("synthetic-50", &synthetic_profiles(50)),
+        bench_case(SYNTHETIC_100, &synthetic_profiles(100)),
+    ];
 
     section("summary");
-    let rows: Vec<Vec<String>> = cases
+    let rows: Vec<String> = cases
         .iter()
         .map(|c| {
-            vec![
-                c.label.to_string(),
-                c.workloads.to_string(),
-                format!("{:.2}", c.bounded_s),
-                c.bounded_machines.to_string(),
-                format!("{:.2}", c.unbounded_s),
+            format!(
+                "{}|{}|{:.2}|{}|{:.2}|{}|{:.1}x",
+                c.label,
+                c.workloads,
+                c.bounded_s,
+                c.bounded_machines,
+                c.unbounded_s,
                 raw_machines(c),
-                format!("{:.1}x", c.unbounded_s / c.bounded_s.max(1e-9)),
-            ]
+                c.unbounded_s / c.bounded_s.max(1e-9)
+            )
         })
         .collect();
     print_table(
-        &[
-            "dataset",
-            "workloads",
-            "bounded s",
-            "machines",
-            "unbounded s",
-            "machines",
-            "speedup",
-        ],
+        "dataset|workloads|bounded s|machines|unbounded s|machines|speedup",
         &rows,
     );
     println!(

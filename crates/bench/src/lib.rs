@@ -1,26 +1,20 @@
 //! # kairos-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper's evaluation (see DESIGN.md's
-//! per-experiment index). Each binary prints the same rows/series the
-//! paper reports, so EXPERIMENTS.md can record paper-vs-measured shape
-//! comparisons. Run e.g.:
+//! Four binaries share these helpers: `paper` regenerates the paper's
+//! tables and figures and checks each against the claim the paper makes
+//! of it (`src/bin/paper/claims.rs`); `solver_perf` checks §6's claims for
+//! the K′-bounded search; `fleet_scale` is the self-checking scale sweep;
+//! `kbench` (its own package under `src/bin/kbench/`, declared by
+//! `/BENCHMARK.json`) is the one timing benchmark. Run e.g.:
 //!
 //! ```text
-//! cargo run --release -p kairos-bench --bin fig07_ratios
-//! KAIROS_QUICK=1 cargo run --release -p kairos-bench --bin fig04_disk_profile
+//! cargo run --release -p kairos-bench --bin paper          # every figure
+//! cargo run --release -p kairos-bench --bin paper fig04    # one of them
 //! ```
-//!
-//! `KAIROS_QUICK=1` shrinks grids/horizons for smoke runs.
 
 use kairos_core::{ConsolidationEngine, EngineBuilder};
-use kairos_diskmodel::{run_profiler, DiskModel, ProfilerConfig};
 use kairos_traces::{generate_fleet, Dataset, FleetConfig, ServerTrace};
-use kairos_types::{Bytes, WorkloadProfile};
-
-/// Whether to run in quick (smoke) mode.
-pub fn quick() -> bool {
-    std::env::var("KAIROS_QUICK").is_ok_and(|v| !v.is_empty() && v != "0")
-}
+use kairos_types::WorkloadProfile;
 
 /// Print a section header.
 pub fn section(title: &str) {
@@ -28,28 +22,28 @@ pub fn section(title: &str) {
     println!("== {title} ==");
 }
 
-/// Render an aligned text table.
-pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
+/// Render an aligned text table. The header and every row are one line of
+/// `|`-separated cells, so a row is written as one format string.
+pub fn print_table(headers: &str, rows: &[String]) {
+    let split = |line: &str| line.split('|').map(str::to_string).collect::<Vec<_>>();
+    let headers = split(headers);
+    let rows: Vec<Vec<String>> = rows.iter().map(|row| split(row)).collect();
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
+    for row in &rows {
+        for (width, cell) in widths.iter_mut().zip(row) {
+            *width = (*width).max(cell.len());
         }
     }
-    let line = |cells: Vec<String>| {
+    let line = |cells: &[String]| {
         let mut out = String::new();
-        for (i, c) in cells.iter().enumerate() {
-            out.push_str(&format!("{:>w$}  ", c, w = widths[i]));
+        for (cell, width) in cells.iter().zip(&widths) {
+            out.push_str(&format!("{cell:>width$}  "));
         }
         println!("{}", out.trim_end());
     };
-    line(headers.iter().map(|h| h.to_string()).collect());
-    line(widths.iter().map(|w| "-".repeat(*w)).collect());
-    for row in rows {
-        line(row.clone());
-    }
+    line(&headers);
+    line(&widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>());
+    rows.iter().for_each(|row| line(row));
 }
 
 /// Format bytes/s as MB/s.
@@ -94,34 +88,6 @@ pub fn last_day_profiles(fleet: &[ServerTrace]) -> Vec<WorkloadProfile> {
         .collect()
 }
 
-/// Fit a disk model suitable for the controlled experiments (working sets
-/// up to ~13 GB, the Table 1 co-location range).
-pub fn fit_wide_disk_model() -> DiskModel {
-    let cfg = if quick() {
-        ProfilerConfig {
-            ws_points: vec![Bytes::gib(2), Bytes::gib(6), Bytes::gib(13)],
-            rate_points: vec![2_000.0, 6_000.0, 12_000.0],
-            buffer_pool: Bytes::gib(16),
-            settle_secs: 30.0,
-            measure_secs: 10.0,
-            ..ProfilerConfig::paper_like()
-        }
-    } else {
-        ProfilerConfig {
-            ws_points: (1..=6)
-                .map(|i| Bytes::gib(i * 2) + Bytes::mib(256))
-                .collect(),
-            rate_points: (1..=8).map(|i| i as f64 * 1_800.0).collect(),
-            buffer_pool: Bytes::gib(16),
-            settle_secs: 60.0,
-            measure_secs: 20.0,
-            ..ProfilerConfig::paper_like()
-        }
-    };
-    let profile = run_profiler(&cfg);
-    DiskModel::fit(&profile).expect("wide profile fits")
-}
-
 /// Engine wired the way the real-world experiments use it.
 pub fn fleet_engine() -> ConsolidationEngine {
     EngineBuilder::default().headroom(0.95).build()
@@ -133,10 +99,7 @@ mod tests {
 
     #[test]
     fn table_renders_without_panicking() {
-        print_table(
-            &["a", "b"],
-            &[vec!["1".into(), "2".into()], vec!["333".into(), "4".into()]],
-        );
+        print_table("a|b", &["1|2".to_string(), "333|4".to_string()]);
     }
 
     #[test]
