@@ -19,7 +19,7 @@
 //! finding of [`check`]; exits non-zero when there is one.
 //!
 //! ```text
-//! KAIROS_QUICK=1 cargo run --release -p kairos-bench --bin fleet_scale
+//! cargo run --release -p kairos-bench --bin fleet_scale
 //! KAIROS_FLEET_THREADS=4 cargo run --release -p kairos-bench --bin fleet_scale
 //! ```
 
@@ -39,12 +39,18 @@ use std::time::Instant;
 /// Machines a shard may use, in the flat fleet and inside every zone.
 const BUDGET: usize = 8;
 const RUNS_PER_SIDE: usize = 3;
+const FLAT_SHARDS: usize = 8;
+const FLAT_TENANTS_PER_SHARD: usize = 25;
+const FLAT_TICKS: u64 = 150;
 const ZONES: usize = 25;
 /// Few enough groups that every zone hosts all of them at both scales,
 /// which is what keeps the roll-up the same size.
 const GROUPS: usize = 64;
 const SHARDS_PER_ZONE: [usize; 2] = [10, 40];
 const HIER_TENANTS_PER_SHARD: usize = 25;
+/// Ticks before the root's first round, then its timed rounds.
+const HIER_WARMUP_TICKS: u64 = 16;
+const HIER_ROUNDS: u64 = 10;
 const MAX_ROLLUP_BYTES_RATIO: f64 = 1.10;
 const MAX_ROOT_COST_RATIO: f64 = 2.0;
 
@@ -161,24 +167,24 @@ fn fleet_config(shards: usize, tick_threads: usize) -> FleetConfig {
 /// The flat fleet: shard 0 takes a regional spike in the middle third of
 /// the run, the rest stay flat, so the run has re-solves and handoffs
 /// for the threads to share.
-fn run_flat(shards: usize, tenants_per_shard: usize, ticks: u64, tick_threads: usize) -> FlatRun {
-    let mut fleet = FleetController::new(fleet_config(shards, tick_threads));
-    for shard in 0..shards {
-        for i in 0..tenants_per_shard {
+fn run_flat(tick_threads: usize) -> FlatRun {
+    let mut fleet = FleetController::new(fleet_config(FLAT_SHARDS, tick_threads));
+    for shard in 0..FLAT_SHARDS {
+        for i in 0..FLAT_TENANTS_PER_SHARD {
             let base = 190.0 + 10.0 * (i % 4) as f64;
             let flat = RatePattern::Flat { tps: base };
             let mut src =
                 SyntheticSource::new(format!("s{shard}-t{i:02}"), 300.0, Bytes::gib(4), flat);
-            if shard == 0 && i < tenants_per_shard * 2 / 5 {
+            if shard == 0 && i < FLAT_TENANTS_PER_SHARD * 2 / 5 {
                 src = src
-                    .then_at(ticks / 3, RatePattern::Flat { tps: 640.0 })
-                    .then_at(2 * ticks / 3, RatePattern::Flat { tps: base });
+                    .then_at(FLAT_TICKS / 3, RatePattern::Flat { tps: 640.0 })
+                    .then_at(2 * FLAT_TICKS / 3, RatePattern::Flat { tps: base });
             }
             fleet.add_workload_to(shard, Box::new(src));
         }
     }
     let t0 = Instant::now();
-    for _ in 0..ticks {
+    for _ in 0..FLAT_TICKS {
         fleet.tick();
     }
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -210,12 +216,7 @@ fn hier_source(name: &str) -> Box<dyn TelemetrySource> {
     )
 }
 
-fn run_hierarchy(
-    shards_per_zone: usize,
-    warmup_ticks: u64,
-    rounds: u64,
-    tick_threads: usize,
-) -> HierarchyScale {
+fn run_hierarchy(shards_per_zone: usize, tick_threads: usize) -> HierarchyScale {
     let transport = LoopbackTransport::new();
     let (mut nodes, mut handles, mut remotes) = (Vec::new(), Vec::new(), Vec::new());
     for z in 0..ZONES {
@@ -236,7 +237,7 @@ fn run_hierarchy(
         nodes.push(node);
         handles.push(handle);
     }
-    for _ in 0..warmup_ticks {
+    for _ in 0..HIER_WARMUP_TICKS {
         for remote in &mut remotes {
             remote.tick().expect("zone ticks over rpc");
         }
@@ -256,7 +257,7 @@ fn run_hierarchy(
         groups: GROUPS,
     });
     let (mut round_usecs, mut refresh_usecs) = (Vec::new(), Vec::new());
-    for round in 1..=rounds {
+    for round in 1..=HIER_ROUNDS {
         for remote in &mut remotes {
             remote.tick().expect("zone ticks over rpc");
         }
@@ -268,7 +269,7 @@ fn run_hierarchy(
         // The root's own round: one summary RPC per zone against the
         // memo just refreshed, the balance decision, and its group moves.
         let t0 = Instant::now();
-        root.run_round(&mut remotes, warmup_ticks + round);
+        root.run_round(&mut remotes, HIER_WARMUP_TICKS + round);
         round_usecs.push(t0.elapsed().as_secs_f64() * 1e6);
     }
 
@@ -296,13 +297,6 @@ fn wall_spread(runs: &[FlatRun]) -> (f64, f64, f64) {
 }
 
 fn main() -> ExitCode {
-    // `KAIROS_QUICK=1` trims ticks and rounds, not the hierarchy.
-    let quick = std::env::var("KAIROS_QUICK").is_ok_and(|v| !v.is_empty() && v != "0");
-    let (shards, tenants_per_shard, ticks, warmup_ticks, rounds) = if quick {
-        (4, 12, 90, 12, 4)
-    } else {
-        (8, 25, 150, 16, 10)
-    };
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     // At least two threads, so the scoped fan-out is what runs even
     // where the machine offers one core.
@@ -310,12 +304,12 @@ fn main() -> ExitCode {
 
     let (mut serial, mut threaded) = (Vec::new(), Vec::new());
     for _ in 0..RUNS_PER_SIDE {
-        serial.push(run_flat(shards, tenants_per_shard, ticks, 1));
-        threaded.push(run_flat(shards, tenants_per_shard, ticks, threads));
+        serial.push(run_flat(1));
+        threaded.push(run_flat(threads));
     }
     let hierarchy = SHARDS_PER_ZONE
         .iter()
-        .map(|&spz| run_hierarchy(spz, warmup_ticks, rounds, threads))
+        .map(|&spz| run_hierarchy(spz, threads))
         .collect();
     let report = Report {
         serial,
@@ -328,9 +322,9 @@ fn main() -> ExitCode {
     } else {
         "release"
     };
-    println!("env: cores={cores} tick_threads={threads} profile={profile} quick={quick}");
+    println!("env: cores={cores} tick_threads={threads} profile={profile}");
     section(&format!(
-        "strong scaling: {shards} shards x {tenants_per_shard} tenants, {ticks} ticks, median of {RUNS_PER_SIDE}"
+        "strong scaling: {FLAT_SHARDS} shards x {FLAT_TENANTS_PER_SHARD} tenants, {FLAT_TICKS} ticks, median of {RUNS_PER_SIDE}"
     ));
     let (serial_ms, ..) = wall_spread(&report.serial);
     let rows = [(1, &report.serial), (threads, &report.threaded)].map(|(n, runs)| {
@@ -344,7 +338,7 @@ fn main() -> ExitCode {
     print_table(header, &rows);
 
     section(&format!(
-        "hierarchy: {ZONES} zones x {GROUPS} groups over loopback RPC, {HIER_TENANTS_PER_SHARD} tenants per shard, {rounds} rounds"
+        "hierarchy: {ZONES} zones x {GROUPS} groups over loopback RPC, {HIER_TENANTS_PER_SHARD} tenants per shard, {HIER_ROUNDS} rounds"
     ));
     let rows: Vec<String> = report
         .hierarchy

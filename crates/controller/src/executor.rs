@@ -1,42 +1,41 @@
-//! Migration execution against the simulated fleet.
+//! Migration execution: a routing ledger plus copy-cost arithmetic.
 //!
-//! Each target machine is a [`kairos_dbsim::Host`] running one
-//! consolidated [`DbmsInstance`] (the configuration Kairos recommends).
-//! Executing a [`MigrationStep`] materializes the tenant on its
-//! destination — database + table sized to the workload's working set,
-//! bounded prewarm — and retires the source copy from the routing table.
-//! Copy time is estimated from the tenant's bytes over the disk's
-//! sequential bandwidth (reader and writer share the spindle, so half
-//! bandwidth each way), the dominant cost of a physical-copy migration.
-//!
-//! After the destination copy materializes, the source copy is garbage
-//! collected: [`kairos_dbsim::Host::remove_database`] drops the tenant's
-//! database, discarding its pages from the source buffer pool and
-//! reclaiming its disk footprint — so long-running fleets' hosts stay
-//! faithful to the placement map instead of accumulating ghost tenants.
+//! The control plane works from telemetry, not from inside the engine, so
+//! executing a [`MigrationStep`] records where the tenant now lives and
+//! what moving it cost; no simulated host sits underneath. A tenant
+//! occupies whole pages of a table sized to its peak working set. Copy
+//! time is those bytes over the disk's sequential bandwidth (reader and
+//! writer share the spindle, so half bandwidth each way), the dominant
+//! cost of a physical-copy migration, and the source copy's bytes are
+//! reported as reclaimed once the destination is live.
 
 use crate::migration::{MigrationPlan, MigrationStep};
-use kairos_dbsim::{DbmsConfig, DbmsInstance, Host};
 use kairos_solver::ConsolidationProblem;
 use kairos_types::{Bytes, MachineSpec};
 use std::collections::BTreeMap;
 
-/// Rows in simulated tenant tables match the paper's ~164-byte rows.
+/// Tenant tables match the paper's ~164-byte rows.
 const ROW_BYTES: u64 = 164;
-/// Prewarm at most this many pages per migrated tenant (bounded warm-up).
-const PREWARM_PAGES_CAP: u64 = 4096;
+/// Page size of the consolidated (MySQL-style) instance every target
+/// machine runs: a tenant's footprint is rounded up to whole pages.
+const PAGE_SIZE: Bytes = Bytes::kib(16);
 
 /// One tenant's current physical location.
 #[derive(Debug, Clone, Copy)]
 struct Tenant {
     machine: usize,
-    db: kairos_dbsim::DatabaseId,
-    bytes: Bytes,
-    /// Rows the tenant table was created with — recorded so a restored
-    /// executor can re-materialize the identical table (same pages, same
-    /// byte accounting) instead of re-deriving rows from page-rounded
-    /// bytes.
+    /// Rows the tenant table was sized to. Checkpointed (rather than the
+    /// page-rounded bytes) because the snapshot format has always carried
+    /// it and [`Tenant::bytes`] is a function of it.
     rows: u64,
+}
+
+impl Tenant {
+    /// On-disk footprint: the table's rows rounded up to whole pages.
+    fn bytes(&self) -> f64 {
+        let pages = Bytes(self.rows * ROW_BYTES).pages(PAGE_SIZE);
+        (pages * PAGE_SIZE.0) as f64
+    }
 }
 
 /// What executing a plan did. Serializable: it rides inside
@@ -58,44 +57,20 @@ pub struct ExecutionReport {
     pub bytes_reclaimed: f64,
 }
 
-/// The simulated fleet executor.
+/// The fleet executor: which machine serves each tenant replica, and
+/// what each move costs on the paper's consolidation-target machines.
 pub struct FleetExecutor {
-    machine_class: MachineSpec,
-    consolidated_pool: Bytes,
-    hosts: Vec<Host>,
+    /// Bytes per second one direction of a physical copy gets.
+    copy_bytes_per_sec: f64,
     routing: BTreeMap<(String, u32), Tenant>,
 }
 
 impl FleetExecutor {
-    /// A fleet of the paper's consolidation-target machines.
     pub fn new() -> FleetExecutor {
-        FleetExecutor::with_machine(MachineSpec::consolidation_target(), Bytes::gib(8))
-    }
-
-    /// A fleet of a custom machine class, each host running one
-    /// consolidated instance with the given buffer pool.
-    pub fn with_machine(machine_class: MachineSpec, consolidated_pool: Bytes) -> FleetExecutor {
         FleetExecutor {
-            machine_class,
-            consolidated_pool,
-            hosts: Vec::new(),
+            copy_bytes_per_sec: MachineSpec::consolidation_target().disk.seq_bytes_per_sec / 2.0,
             routing: BTreeMap::new(),
         }
-    }
-
-    fn ensure_host(&mut self, machine: usize) {
-        while self.hosts.len() <= machine {
-            let mut spec = self.machine_class.clone();
-            spec.name = format!("{}-{}", self.machine_class.name, self.hosts.len());
-            let mut host = Host::new(spec);
-            host.add_instance(DbmsInstance::new(DbmsConfig::mysql(self.consolidated_pool)));
-            self.hosts.push(host);
-        }
-    }
-
-    /// Hosts provisioned so far.
-    pub fn hosts(&self) -> &[Host] {
-        &self.hosts
     }
 
     /// Machine currently serving a tenant.
@@ -105,83 +80,10 @@ impl FleetExecutor {
             .map(|t| t.machine)
     }
 
-    /// Tenants currently routed to `machine`.
-    pub fn tenants_on(&self, machine: usize) -> usize {
-        self.routing
-            .values()
-            .filter(|t| t.machine == machine)
-            .count()
-    }
-
-    /// Retire a tenant that left the fleet: routing entries dropped and
-    /// every replica's database garbage-collected from its host.
+    /// Retire a tenant that left the fleet: every replica's routing entry
+    /// is dropped.
     pub fn retire(&mut self, workload: &str) {
-        let gone: Vec<Tenant> = self
-            .routing
-            .iter()
-            .filter(|((w, _), _)| w == workload)
-            .map(|(_, t)| *t)
-            .collect();
         self.routing.retain(|(w, _), _| w != workload);
-        for t in gone {
-            self.gc_tenant(&t);
-        }
-    }
-
-    /// Drop a retired copy's database from its host (tenant GC). Bytes
-    /// reclaimed, or 0.0 when the host never materialized it.
-    fn gc_tenant(&mut self, tenant: &Tenant) -> f64 {
-        match self.hosts.get_mut(tenant.machine) {
-            Some(host) => host
-                .remove_database(0, tenant.db)
-                .map(|b| b.as_f64())
-                .unwrap_or(0.0),
-            None => 0.0,
-        }
-    }
-
-    /// Materialize one tenant on `machine` (database + working-set-sized
-    /// table + bounded prewarm). Returns the tenant bytes.
-    fn materialize(
-        &mut self,
-        workload: &str,
-        replica: u32,
-        machine: usize,
-        ws_bytes: f64,
-    ) -> Bytes {
-        let rows = (ws_bytes / ROW_BYTES as f64).ceil().max(1.0) as u64;
-        self.materialize_rows(workload, replica, machine, rows)
-    }
-
-    /// [`FleetExecutor::materialize`] with an explicit row count — the
-    /// restore path re-creates checkpointed tenants through this, so the
-    /// rebuilt tables match the originals page-for-page.
-    fn materialize_rows(
-        &mut self,
-        workload: &str,
-        replica: u32,
-        machine: usize,
-        rows: u64,
-    ) -> Bytes {
-        self.ensure_host(machine);
-        let inst = self.hosts[machine].instance_mut(0);
-        let db = inst.create_database(format!("{workload}#{replica}"));
-        let table = inst
-            .create_table(db, rows, ROW_BYTES)
-            .expect("tenant table on a freshly ensured database");
-        let pages = inst.table_pages(table);
-        inst.prewarm_pages(table, pages.min(PREWARM_PAGES_CAP));
-        let bytes = inst.table_bytes(table);
-        self.routing.insert(
-            (workload.to_string(), replica),
-            Tenant {
-                machine,
-                db,
-                bytes,
-                rows,
-            },
-        );
-        bytes
     }
 
     /// The routing table as checkpointable entries:
@@ -193,18 +95,20 @@ impl FleetExecutor {
             .collect()
     }
 
-    /// Rebuild the executor's fleet from checkpointed routing entries:
-    /// every tenant is re-materialized on its machine with its original
-    /// row count (fresh database ids, bounded prewarm — the same state a
-    /// real restart would rebuild from a physical copy).
+    /// Reinstall checkpointed routing entries. Nothing is rebuilt or
+    /// prewarmed: the ledger is the whole of the executor's state.
     pub fn restore_routing(&mut self, entries: &[(String, u32, usize, u64)]) {
         for (workload, replica, machine, rows) in entries {
-            self.materialize_rows(workload, *replica, *machine, *rows);
+            let tenant = Tenant {
+                machine: *machine,
+                rows: *rows,
+            };
+            self.routing.insert((workload.clone(), *replica), tenant);
         }
     }
 
-    /// Execute one step. Returns (bytes copied, est seconds, bytes GC'd
-    /// from the source host once the destination copy was live).
+    /// Execute one step. Returns (bytes copied, est seconds, source-copy
+    /// bytes reclaimed once the destination copy was live).
     fn execute_step(
         &mut self,
         step: &MigrationStep,
@@ -214,25 +118,21 @@ impl FleetExecutor {
         let spec = &problem.workloads[slot.workload];
         // Size the physical copy by the tenant's peak working set.
         let ws_peak = spec.ws.iter().copied().fold(0.0f64, f64::max).max(1.0);
-        let old = self
+        let tenant = Tenant {
+            machine: step.mv.to,
+            rows: (ws_peak / ROW_BYTES as f64).ceil().max(1.0) as u64,
+        };
+        // The entry this one replaces is the source copy: dropped in
+        // full, whichever machine it was on.
+        let reclaimed = self
             .routing
-            .get(&(step.mv.workload.clone(), step.mv.replica))
-            .copied();
-        let moved_bytes = old.map(|t| t.bytes.as_f64()).unwrap_or(0.0);
-        let bytes = self
-            .materialize(&step.mv.workload, step.mv.replica, step.mv.to, ws_peak)
-            .as_f64();
-        // The move is complete: drop the source copy (DROP DATABASE) so
-        // the old host's pool and disk footprint shrink accordingly. The
-        // destination copy is always a fresh database, so the old one is
-        // garbage even on a same-machine re-materialization.
-        let reclaimed = old.map(|t| self.gc_tenant(&t)).unwrap_or(0.0);
+            .insert((step.mv.workload.clone(), step.mv.replica), tenant)
+            .map_or(0.0, |old| old.bytes());
         if step.mv.is_provision() {
             (0.0, 0.0, reclaimed)
         } else {
-            let copied = moved_bytes.max(bytes);
-            let half_bw = self.machine_class.disk.seq_bytes_per_sec / 2.0;
-            (copied, copied / half_bw.max(1.0), reclaimed)
+            let copied = reclaimed.max(tenant.bytes());
+            (copied, copied / self.copy_bytes_per_sec, reclaimed)
         }
     }
 
@@ -287,8 +187,13 @@ mod tests {
         )
     }
 
+    /// Machine of every routed replica, in key order.
+    fn machines(exec: &FleetExecutor) -> Vec<usize> {
+        exec.routing_snapshot().iter().map(|e| e.2).collect()
+    }
+
     #[test]
-    fn provisioning_creates_tenants_on_hosts() {
+    fn provisioning_routes_every_tenant() {
         let p = problem(3);
         let from = vec![None, None, None];
         let to = Assignment::new(vec![0, 0, 1]);
@@ -298,12 +203,8 @@ mod tests {
         assert_eq!(report.provisions, 3);
         assert_eq!(report.moves, 0);
         assert_eq!(report.bytes_copied, 0.0, "provisions copy nothing");
-        assert_eq!(exec.tenants_on(0), 2);
-        assert_eq!(exec.tenants_on(1), 1);
+        assert_eq!(machines(&exec), [0, 0, 1]);
         assert_eq!(exec.machine_of("w2", 0), Some(1));
-        // The dbsim hosts really carry the databases.
-        assert_eq!(exec.hosts()[0].instance(0).databases().len(), 2);
-        assert_eq!(exec.hosts()[1].instance(0).databases().len(), 1);
     }
 
     #[test]
@@ -327,26 +228,13 @@ mod tests {
     }
 
     #[test]
-    fn retire_drops_routing() {
-        let p = problem(1);
-        let mut exec = FleetExecutor::new();
-        exec.execute(&plan_migration(&p, &[None], &Assignment::new(vec![0])), &p);
-        assert_eq!(exec.tenants_on(0), 1);
-        exec.retire("w0");
-        assert_eq!(exec.tenants_on(0), 0);
-    }
-
-    #[test]
-    fn migration_gcs_source_copy() {
+    fn migration_reclaims_the_source_copy() {
         let p = problem(2);
         let mut exec = FleetExecutor::new();
         exec.execute(
             &plan_migration(&p, &[None, None], &Assignment::new(vec![0, 0])),
             &p,
         );
-        assert_eq!(exec.hosts()[0].instance(0).live_databases().count(), 2);
-        let resident_before = exec.hosts()[0].instance(0).pool_resident_pages();
-        assert!(resident_before > 0, "prewarm must populate the pool");
 
         let plan = plan_migration(&p, &[Some(0), Some(0)], &Assignment::new(vec![0, 1]));
         let report = exec.execute(&plan, &p);
@@ -355,12 +243,12 @@ mod tests {
             "source copy must be reclaimed, got {}",
             report.bytes_reclaimed
         );
-        // The ghost tenant is gone from the source host: one live
-        // database and a smaller resident working set.
-        assert_eq!(exec.hosts()[0].instance(0).live_databases().count(), 1);
-        assert!(exec.hosts()[0].instance(0).pool_resident_pages() < resident_before);
-        assert_eq!(exec.hosts()[1].instance(0).live_databases().count(), 1);
-        assert_eq!(exec.machine_of("w1", 0), Some(1));
+        assert_eq!(
+            report.bytes_reclaimed, report.bytes_copied,
+            "an unchanged working set is reclaimed byte for byte"
+        );
+        // No ghost of the tenant stays behind on the source machine.
+        assert_eq!(machines(&exec), [0, 1]);
     }
 
     #[test]
@@ -389,13 +277,50 @@ mod tests {
     }
 
     #[test]
-    fn retire_gcs_all_replicas() {
-        let p = problem(1);
+    fn retire_drops_every_replica_and_nothing_else() {
+        let mut p = problem(2);
+        p.workloads[0].replicas = 2;
         let mut exec = FleetExecutor::new();
-        exec.execute(&plan_migration(&p, &[None], &Assignment::new(vec![0])), &p);
-        assert_eq!(exec.hosts()[0].instance(0).live_databases().count(), 1);
+        let to = Assignment::new(vec![0, 1, 1]);
+        exec.execute(&plan_migration(&p, &[None; 3], &to), &p);
+        assert_eq!(machines(&exec), [0, 1, 1]);
         exec.retire("w0");
-        assert_eq!(exec.hosts()[0].instance(0).live_databases().count(), 0);
-        assert_eq!(exec.hosts()[0].instance(0).pool_resident_pages(), 0);
+        assert_eq!(machines(&exec), [1]);
+        assert_eq!(exec.machine_of("w1", 0), Some(1));
+    }
+
+    #[test]
+    fn byte_arithmetic_is_what_the_dbsim_backed_executor_produced() {
+        // Recorded by running this sequence on the executor that built a
+        // dbsim `Host` per machine (commit 2455d19): the ledger must keep
+        // dbsim's page rounding to the bit, or every `TickOutcome`,
+        // decision trace and chaos fingerprint moves.
+        let mut p = problem(3);
+        for (w, ws) in [128e6, 300_000_001.0, 512e6].into_iter().enumerate() {
+            p.workloads[w].ws = vec![ws; 2];
+        }
+        let mut exec = FleetExecutor::new();
+        let to = Assignment::new(vec![0, 0, 1]);
+        let provisioned = exec.execute(&plan_migration(&p, &[None; 3], &to), &p);
+        assert_eq!(
+            (provisioned.bytes_copied, provisioned.bytes_reclaimed),
+            (0.0, 0.0)
+        );
+        let from = [Some(0), Some(0), Some(1)];
+        let to = Assignment::new(vec![0, 1, 1]);
+        let moved = exec.execute(&plan_migration(&p, &from, &to), &p);
+        assert_eq!((moved.steps, moved.moves), (1, 1));
+        assert_eq!(moved.bytes_copied.to_bits(), 0x41b1_e1c0_0000_0000); // 300,007,424
+        assert_eq!(moved.est_migration_secs.to_bits(), 0x4014_ced6_1bed_61bf); // 5.2019…
+        assert_eq!(moved.bytes_reclaimed.to_bits(), 0x41b1_e1c0_0000_0000);
+        let mut expected: Vec<(String, u32, usize, u64)> = vec![
+            ("w0".into(), 0, 0, 780_488),
+            ("w1".into(), 0, 1, 1_829_269),
+            ("w2".into(), 0, 1, 3_121_952),
+        ];
+        assert_eq!(exec.routing_snapshot(), expected);
+        exec.retire("w2");
+        expected.pop();
+        assert_eq!(exec.routing_snapshot(), expected);
     }
 }

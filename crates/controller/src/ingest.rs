@@ -1,11 +1,11 @@
 //! Streaming telemetry ingestion.
 //!
-//! Each workload's [`MonitorSample`] stream lands in four parallel
-//! rolling [`Rrd`] stores (CPU cores, RAM bytes, disk working set, disk
-//! row-update rate) with the same multi-resolution layout the paper's
-//! production fleets used (§7.1). The finest archive is the *rolling
-//! window* the drift detector reads; the coarser archives retain history
-//! for forecasting the next planning horizon.
+//! Each workload's [`MonitorSample`] stream lands in three parallel
+//! rolling [`Rrd`] stores (CPU cores, RAM bytes — which doubles as the
+//! disk working set — and disk row-update rate). Each holds the one
+//! archive the plane reads: the *rolling window* at monitoring
+//! resolution, input to the drift detector, the forecasts and the
+//! handoff sketches alike.
 
 use kairos_monitor::MonitorSample;
 use kairos_traces::{ArchiveSpec, Consolidation, Rrd, SeriesSketch, SketchConfig};
@@ -77,28 +77,14 @@ impl Default for TelemetryConfig {
 }
 
 impl TelemetryConfig {
+    /// The rolling window itself, and nothing coarser: no reader of a
+    /// consolidated archive exists.
     fn layout(&self) -> Vec<ArchiveSpec> {
-        vec![
-            // Fine: the rolling window itself.
-            ArchiveSpec {
-                step: 1,
-                capacity: self.window_capacity,
-                cf: Consolidation::Average,
-            },
-            // Coarse: ~12× consolidation, enough history for horizon
-            // forecasting (mean of past horizons).
-            ArchiveSpec {
-                step: 12,
-                capacity: self.window_capacity,
-                cf: Consolidation::Average,
-            },
-            // Peaks for capacity reviews.
-            ArchiveSpec {
-                step: 12,
-                capacity: self.window_capacity,
-                cf: Consolidation::Max,
-            },
-        ]
+        vec![ArchiveSpec {
+            step: 1,
+            capacity: self.window_capacity,
+            cf: Consolidation::Average,
+        }]
     }
 }
 
@@ -424,5 +410,56 @@ mod tests {
         let sk = t.sketch(&SketchConfig::lossless_for(cfg.window_capacity));
         let back = WorkloadTelemetry::from_sketch(&sk);
         assert_eq!(back.history(), t.history());
+    }
+    #[test]
+    fn a_three_archive_checkpoint_restores_to_the_same_plane() {
+        // Checkpoints written while the layout still had two coarse
+        // archives carry them inside each `Rrd`; restored, they must read
+        // and ingest exactly like telemetry that never had them.
+        let cfg = TelemetryConfig {
+            window_capacity: 32,
+            ..Default::default()
+        };
+        let three_archives = || {
+            let spec = |step, cf| ArchiveSpec {
+                step,
+                capacity: cfg.window_capacity,
+                cf,
+            };
+            let layout = vec![
+                spec(1, Consolidation::Average),
+                spec(12, Consolidation::Average),
+                spec(12, Consolidation::Max),
+            ];
+            Rrd::new(cfg.interval_secs, layout)
+        };
+        let mut old = WorkloadTelemetry {
+            cfg,
+            cpu: three_archives(),
+            ram: three_archives(),
+            rate: three_archives(),
+            samples_seen: 0,
+        };
+        let mut new = WorkloadTelemetry::new(cfg);
+        assert_eq!((old.cpu.archives(), new.cpu.archives()), (3, 1));
+        // 50 samples wrap the 32-slot window and leave the old layout's
+        // 12-sample buckets part-filled.
+        let nth = |i: u64| sample(0.3 + (i % 11) as f64 * 0.07, 1024 + 3 * i, 20.0 * i as f64);
+        for i in 0..50 {
+            old.ingest(&nth(i));
+            new.ingest(&nth(i));
+        }
+        let mut restored: WorkloadTelemetry =
+            serde::from_bytes(&serde::to_bytes(&old)).expect("an old checkpoint decodes");
+        let sketch_cfg = SketchConfig { marks: 9, tail: 8 };
+        for i in 50..53 {
+            assert_eq!(restored.samples_seen(), new.samples_seen());
+            assert_eq!(restored.window_len(), new.window_len());
+            assert_eq!(restored.live_profile("w", 12), new.live_profile("w", 12));
+            assert_eq!(restored.history(), new.history());
+            assert_eq!(restored.sketch(&sketch_cfg), new.sketch(&sketch_cfg));
+            restored.ingest(&nth(i));
+            new.ingest(&nth(i));
+        }
     }
 }

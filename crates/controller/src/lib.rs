@@ -19,7 +19,7 @@
 //!        │                                          ▼             │
 //!        │        [migration] ordered capacity-safe move list     │
 //!        │                                          ▼             │
-//!        │        [executor]  apply moves to the simulated fleet  │
+//!        │        [executor]  route the moves, cost the copies    │
 //!        └────────────────────────────────────────────────────────┘
 //! ```
 //!
@@ -33,8 +33,8 @@
 //!   among near-equals;
 //! * [`migration`] — diffs consecutive assignments into an ordered move
 //!   list where every intermediate fleet state respects capacity;
-//! * [`executor`] — executes the moves step-by-step against simulated
-//!   [`kairos_dbsim::Host`]s;
+//! * [`executor`] — executes the moves step-by-step on a routing
+//!   ledger, estimating copy traffic and migration time;
 //! * [`scenarios`] — deterministic drift scenarios (diurnal shift, flash
 //!   crowd, workload churn, stationary control) shared by the example
 //!   and the integration tests;

@@ -362,9 +362,9 @@ impl ShardController {
         add_anti_affinity_pair(&mut self.resolver.anti_affinity, a, b);
     }
 
-    /// Detach a workload: telemetry dropped, tenant retired (its dbsim
-    /// databases garbage-collected), and an opportunistic repack
-    /// scheduled (departures free capacity).
+    /// Detach a workload: telemetry dropped, tenant retired from the
+    /// executor's routing, and an opportunistic repack scheduled
+    /// (departures free capacity).
     pub fn remove_workload(&mut self, name: &str) {
         self.sources.remove(name);
         self.ingester.deregister(name);
@@ -891,8 +891,8 @@ impl ShardController {
     }
 
     /// Rebuild a shard from a [`ShardSnapshot`]: telemetry windows are
-    /// re-installed, the executor re-materializes every routed tenant on
-    /// its machine, and all loop state (placement, planned profiles,
+    /// re-installed, the executor's routing entries are reinstated,
+    /// and all loop state (placement, planned profiles,
     /// counters, caches) is restored verbatim. Internally inconsistent
     /// snapshots (placements or routing for tenants with no telemetry)
     /// are rejected — a partial restore must never come up half-silent.

@@ -20,7 +20,7 @@
 //! * **balancer view** — the staleness-bounded summary cache, so the
 //!   fleet balancer sees the same (possibly cached) roll-up after resume;
 //! * **physical routing** — the executor's tenant → machine table with
-//!   original row counts, so hosts re-materialize page-for-page.
+//!   each copy's row count, from which its bytes follow.
 //!
 //! What a snapshot deliberately does **not** carry: the shard's
 //! configuration and engine (supplied fresh on restore, so tuning can
@@ -99,7 +99,7 @@ pub struct ShardSnapshot {
     pub summary_cache: Option<(u64, u64, ShardSummary)>,
     pub stats: ControllerStats,
     /// Executor routing: `(workload, replica, machine, rows)` per
-    /// materialized tenant copy.
+    /// tenant copy.
     pub routing: Vec<(String, u32, usize, u64)>,
     /// The decision trace's most recent [`TRACE_CHECKPOINT_CAP`] events.
     /// Restore resumes the sequence counter after the last entry, so the

@@ -16,13 +16,14 @@
 //! * every intermediate state is capacity-safe: intra-shard migrations
 //!   report zero forced steps, and handoffs only complete after the
 //!   destination certified capacity;
-//! * migrated-away tenants are garbage-collected from their source hosts
-//!   (`DROP DATABASE`), so live database counts match the routing truth.
+//! * the executor's routing ledger matches the placement entry for
+//!   entry: no migrated-away or departed tenant leaves a ghost behind.
 
 use kairos::controller::{ControllerConfig, SyntheticSource};
 use kairos::fleet::{BalancerConfig, FleetConfig, FleetController};
 use kairos::types::Bytes;
 use kairos::workloads::RatePattern;
+use std::collections::BTreeMap;
 
 const INTERVAL: f64 = 300.0;
 const BUDGET: usize = 12;
@@ -73,21 +74,35 @@ fn show(label: &str, fleet: &FleetController) {
     );
 }
 
-/// Every tenant the routing map knows is really materialized on exactly
-/// its shard's hosts, and sources carry no ghost databases.
-fn assert_hosts_faithful(fleet: &FleetController) {
+/// Every shard's executor routes each replica to the machine the
+/// placement names, and routes exactly the shard's tenants — no ghosts
+/// of migrated-away or departed ones.
+fn assert_routing_faithful(fleet: &FleetController) {
     for shard in fleet.shards() {
-        let routed = shard.workloads().len();
-        let live: usize = shard
+        let routed: Vec<(String, u32, usize)> = shard
             .executor()
-            .hosts()
+            .routing_snapshot()
+            .into_iter()
+            .map(|(tenant, replica, machine, _rows)| (tenant, replica, machine))
+            .collect();
+        let placed: Vec<(String, u32, usize)> = shard
+            .placement()
             .iter()
-            .map(|h| h.instance(0).live_databases().count())
-            .sum();
-        assert_eq!(
-            live, routed,
-            "live databases must match routed tenants (tenant GC)"
-        );
+            .map(|((tenant, replica), machine)| (tenant.clone(), *replica, *machine))
+            .collect();
+        assert_eq!(routed, placed, "routing ledger must match the placement");
+
+        let replicas: BTreeMap<String, u32> = shard.replica_counts().into_iter().collect();
+        let owned: Vec<(String, u32)> = shard
+            .workloads()
+            .into_iter()
+            .flat_map(|tenant| {
+                let copies = replicas.get(&tenant).copied().unwrap_or(1);
+                (0..copies).map(move |replica| (tenant.clone(), replica))
+            })
+            .collect();
+        let routed_keys: Vec<(String, u32)> = routed.into_iter().map(|(t, r, _)| (t, r)).collect();
+        assert_eq!(routed_keys, owned, "every replica of every tenant, once");
     }
 }
 
@@ -143,7 +158,7 @@ fn flash_crowd() {
     for h in fleet.handoffs() {
         assert_eq!(h.completed(), h.to.is_some());
     }
-    assert_hosts_faithful(&fleet);
+    assert_routing_faithful(&fleet);
 
     // The observability face of the same run: the decision trace names
     // every balancer choice, and the metrics registry serves both
@@ -225,7 +240,7 @@ fn churn() {
     }
     let forced: u64 = fleet.shards().iter().map(|s| s.stats().forced_steps).sum();
     assert_eq!(forced, 0, "churn must stay capacity-safe");
-    assert_hosts_faithful(&fleet);
+    assert_routing_faithful(&fleet);
 }
 
 fn main() {

@@ -81,8 +81,8 @@
 //!   [`solver::MigrationCost`]: plans that move less win among near-equals;
 //! * [`controller::plan_migration`] — diff two placements into an ordered
 //!   move list whose every intermediate state respects capacity;
-//! * [`controller::FleetExecutor`] — applies the moves to simulated
-//!   [`dbsim::Host`]s, estimating copy traffic and migration time.
+//! * [`controller::FleetExecutor`] — applies the moves to its routing
+//!   ledger, estimating copy traffic and migration time.
 
 pub use kairos_controller as controller;
 pub use kairos_core as core;
