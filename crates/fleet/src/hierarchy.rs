@@ -56,6 +56,7 @@ use kairos_controller::{ShardSummary, TelemetrySource, TenantHandoff, TenantLoad
 use kairos_obs::{Counter, DecisionEvent, Histogram, MetricsRegistry, SpanLog};
 use kairos_traces::AggregateSketch;
 use kairos_types::{Bytes, DiskDemand, Rate, WorkloadProfile};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -140,9 +141,11 @@ pub struct Zone {
     fleet: FleetController,
     groups: usize,
     binder: ZoneSourceBinder,
-    /// Roll-up memo for the current fleet tick: the root's event pass
-    /// and the balance round both ask for the summary each round, and
-    /// the underlying per-shard summaries are themselves cached.
+    /// Roll-up memo for the current fleet tick: the root's one summary
+    /// request per round, the group `forecast`s its round makes and a
+    /// node's `PlannedOnce` all read one computation until the next tick
+    /// or an evict/admit. The per-shard summaries beneath it are cached
+    /// too.
     rollup_cache: Option<(u64, ZoneRollup)>,
     /// Zone-level causal spans (`zone_evict`/`zone_admit`, node id
     /// `span::node_for_zone(id)`): the middle layer of the cross-zone
@@ -537,6 +540,9 @@ pub struct RootBalancer {
     plane: BalancePlane,
     round_usecs: Histogram,
     summary_bytes: Counter,
+    /// Reused encode buffer: the roll-up pass measures each summary's
+    /// encoded size without allocating a fresh buffer per zone.
+    encode_buf: Vec<u8>,
 }
 
 impl std::ops::Deref for RootBalancer {
@@ -561,6 +567,7 @@ impl RootBalancer {
             cfg,
             round_usecs: registry.histogram("root_round_usecs"),
             summary_bytes: registry.counter("root_summary_bytes_total"),
+            encode_buf: Vec::new(),
             plane: BalancePlane::new(
                 cfg.balancer,
                 FleetMetrics::root(registry),
@@ -586,11 +593,15 @@ impl RootBalancer {
         let started = Instant::now();
         // Pre-round roll-up pass: traces each zone's constant-size view
         // and remembers group sizes so completed moves can report them.
-        // The balance round's own summary calls hit the zones' memos.
+        // The balance round then reads these same roll-ups (see
+        // `Prefetched`): one summary request per zone per round.
         let mut group_sizes: BTreeMap<String, u32> = BTreeMap::new();
+        let mut prefetched = Vec::with_capacity(zones.len());
         for (i, zone) in zones.iter_mut().enumerate() {
             let summary = zone.summary();
-            let bytes = serde::to_bytes(&summary).len();
+            self.encode_buf.clear();
+            summary.encode_to(&mut self.encode_buf);
+            let bytes = self.encode_buf.len();
             self.summary_bytes.add(bytes as u64);
             for load in &summary.tenant_loads {
                 *group_sizes.entry(load.name.clone()).or_insert(0) += load.replicas;
@@ -605,8 +616,12 @@ impl RootBalancer {
                     summary_bytes: bytes,
                 },
             );
+            prefetched.push(Prefetched {
+                zone,
+                summary: Some(summary),
+            });
         }
-        let records = self.plane.round(zones, tick);
+        let records = self.plane.round(&mut prefetched, tick);
         for record in records.iter().filter(|r| r.completed()) {
             self.plane.record(
                 tick,
@@ -624,9 +639,55 @@ impl RootBalancer {
     }
 }
 
+/// A zone as the root's balance round sees it: the roll-up the pre-round
+/// pass already fetched stands in for the round's own summary request.
+/// An evict or admit the round makes on the zone first (a parked retry
+/// re-admitting on its donor, a rollback) may change what the zone would
+/// answer, so either drops it and the zone is asked afresh.
+struct Prefetched<'a, Z> {
+    zone: &'a mut Z,
+    summary: Option<ShardSummary>,
+}
+
+impl<Z: ShardHandle> ShardHandle for Prefetched<'_, Z> {
+    fn summary(&mut self) -> ShardSummary {
+        match self.summary.take() {
+            Some(summary) => summary,
+            None => self.zone.summary(),
+        }
+    }
+
+    fn pack_estimate_remaining(&mut self) -> Option<usize> {
+        self.zone.pack_estimate_remaining()
+    }
+
+    fn forecast(&mut self, tenant: &str) -> Option<WorkloadProfile> {
+        self.zone.forecast(tenant)
+    }
+
+    fn can_admit(&mut self, incoming: &WorkloadProfile, budget: usize) -> bool {
+        self.zone.can_admit(incoming, budget)
+    }
+
+    fn evict(&mut self, tenant: &str) -> Option<EvictedTenant> {
+        self.summary = None;
+        self.zone.evict(tenant)
+    }
+
+    fn admit(&mut self, tenant: EvictedTenant) -> Result<(), EvictedTenant> {
+        self.summary = None;
+        self.zone.admit(tenant)
+    }
+
+    fn owns(&mut self, tenant: &str) -> Option<bool> {
+        self.zone.owns(tenant)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::balancer::ParkedHandoff;
     use crate::fleet::FleetConfig;
     use crate::handoff::HandoffOutcome;
     use kairos_controller::{ControllerConfig, SyntheticSource};
@@ -767,5 +828,77 @@ mod tests {
             .iter()
             .any(|e| matches!(e.event, DecisionEvent::GroupMoved { .. })));
         assert!(root.metrics_json().contains("root_groups_moved"));
+    }
+
+    /// A zone that counts the summary requests it answers.
+    struct Counting {
+        zone: Zone,
+        summaries: usize,
+    }
+
+    impl ShardHandle for Counting {
+        fn summary(&mut self) -> ShardSummary {
+            self.summaries += 1;
+            self.zone.summary()
+        }
+        fn pack_estimate_remaining(&mut self) -> Option<usize> {
+            self.zone.pack_estimate_remaining()
+        }
+        fn forecast(&mut self, tenant: &str) -> Option<WorkloadProfile> {
+            self.zone.forecast(tenant)
+        }
+        fn can_admit(&mut self, incoming: &WorkloadProfile, budget: usize) -> bool {
+            self.zone.can_admit(incoming, budget)
+        }
+        fn evict(&mut self, tenant: &str) -> Option<EvictedTenant> {
+            self.zone.evict(tenant)
+        }
+        fn admit(&mut self, tenant: EvictedTenant) -> Result<(), EvictedTenant> {
+            self.zone.admit(tenant)
+        }
+        fn owns(&mut self, tenant: &str) -> Option<bool> {
+            self.zone.owns(tenant)
+        }
+    }
+
+    #[test]
+    fn root_asks_each_zone_once_unless_the_round_changed_it() {
+        let mut zones: Vec<Counting> = [
+            zone_with(0, &["t0", "t1", "t2", "t3"], 16),
+            zone_with(1, &[], 16),
+        ]
+        .into_iter()
+        .map(|zone| Counting { zone, summaries: 0 })
+        .collect();
+        // A budget nobody exceeds: no donors, no moves.
+        let mut root = RootBalancer::new(RootConfig {
+            balancer: BalancerConfig {
+                machines_per_shard: 64,
+                balance_every: 1,
+                ..BalancerConfig::default()
+            },
+            groups: 8,
+        });
+        let asked = |zones: &[Counting]| zones.iter().map(|z| z.summaries).collect::<Vec<_>>();
+        root.run_round(&mut zones, 1);
+        assert_eq!(asked(&zones), [1, 1]);
+
+        // A parked group the round re-admits on its donor before reading
+        // summaries: the donor's pre-round roll-up is stale by then, so
+        // the round must ask it again — and only it.
+        let g = group_name(zones[0].zone.resident_groups()[0].index);
+        let tenant = ShardHandle::evict(&mut zones[0].zone, &g).expect("group evicts");
+        root.park(ParkedHandoff {
+            donor: 0,
+            receiver: 1,
+            tenant,
+        });
+        for zone in &mut zones {
+            zone.summaries = 0;
+        }
+        root.run_round(&mut zones, 2);
+        assert!(root.parked_handoffs().is_empty());
+        assert_eq!(ShardHandle::owns(&mut zones[0].zone, &g), Some(true));
+        assert_eq!(asked(&zones), [2, 1]);
     }
 }

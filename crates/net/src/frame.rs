@@ -122,17 +122,18 @@ pub fn encode_frame_with_span<T: Serialize + ?Sized>(
     value: &T,
     span: Option<SpanContext>,
 ) -> Vec<u8> {
-    let payload = serde::to_bytes(value);
-    let span_len = if span.is_some() { SPAN_SECTION_LEN } else { 0 };
-    let mut out = Vec::with_capacity(HEADER_LEN + span_len + payload.len() + TRAILER_LEN);
+    let mut out = Vec::with_capacity(HEADER_LEN + SPAN_SECTION_LEN + TRAILER_LEN);
     out.extend_from_slice(&NET_MAGIC);
     let version = RPC_WIRE_VERSION | if span.is_some() { SPAN_FLAG } else { 0 };
     out.extend_from_slice(&version.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    out.extend_from_slice(&[0; 8]); // payload length, patched in below
     if let Some(ctx) = &span {
         out.extend_from_slice(&span_section(ctx));
     }
-    out.extend_from_slice(&payload);
+    let payload_start = out.len();
+    value.encode_to(&mut out);
+    let payload_len = (out.len() - payload_start) as u64;
+    out[8..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
     let crc = kairos_store::crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
     out
@@ -200,9 +201,8 @@ pub fn read_frame_with_trailer(r: &mut impl Read, extra: usize) -> Result<Vec<u8
     r.read_exact(&mut header)?;
     let (span_len, payload_len) = parse_header(&header)?;
     let rest = span_len + payload_len as usize + TRAILER_LEN + extra;
-    let mut frame = Vec::with_capacity(HEADER_LEN + rest);
-    frame.extend_from_slice(&header);
-    frame.resize(HEADER_LEN + rest, 0);
+    let mut frame = vec![0u8; HEADER_LEN + rest];
+    frame[..HEADER_LEN].copy_from_slice(&header);
     r.read_exact(&mut frame[HEADER_LEN..])?;
     let body_end = HEADER_LEN + span_len + payload_len as usize;
     let crc_bytes: [u8; TRAILER_LEN] = frame[body_end..body_end + TRAILER_LEN]

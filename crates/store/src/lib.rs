@@ -102,10 +102,13 @@ impl From<serde::Error> for StoreError {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) lookup table,
-/// built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) slicing-by-8
+/// tables, built at compile time. `CRC_TABLES[0]` is the classic bytewise
+/// table; `CRC_TABLES[k][b]` is the CRC register after byte `b` followed
+/// by `k` zero bytes, so eight table lookups advance the CRC by eight
+/// input bytes at once.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -118,29 +121,56 @@ const CRC_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
-/// CRC-32 (IEEE) of `bytes`.
+/// CRC-32 (IEEE) of `bytes`, eight bytes per step (slicing-by-8) with a
+/// bytewise tail. Same polynomial and output as the one-lookup-per-byte
+/// loop, which the tests keep as the reference.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes(chunk[..4].try_into().expect("8-byte chunk"));
+        let hi = u32::from_le_bytes(chunk[4..].try_into().expect("8-byte chunk"));
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     crc ^ 0xFFFF_FFFF
 }
 
 /// Encode `value` into a complete frame (header + payload + CRC trailer).
 pub fn encode_frame<T: Serialize + ?Sized>(version: u32, value: &T) -> Vec<u8> {
-    let payload = serde::to_bytes(value);
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + TRAILER_LEN);
+    let mut out = Vec::with_capacity(HEADER_LEN + TRAILER_LEN);
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&version.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&payload);
+    out.extend_from_slice(&[0; 8]); // payload length, patched in below
+    value.encode_to(&mut out);
+    let payload_len = (out.len() - HEADER_LEN) as u64;
+    out[8..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
     let crc = crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
     out
@@ -224,11 +254,42 @@ fn tmp_path(path: &Path) -> std::path::PathBuf {
 mod tests {
     use super::*;
 
+    /// The one-lookup-per-byte CRC the slicing-by-8 loop replaced.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        crc ^ 0xFFFF_FFFF
+    }
+
     #[test]
     fn crc32_matches_known_vector() {
         // The classic IEEE test vector.
         assert_eq!(crc32(b"123456789"), 0xCBF43926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF43926);
+        // Every length 0..=1024 at every start offset 0..8 (so every
+        // alignment and every tail length), against the bytewise loop.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let data: Vec<u8> = (0..1024 + 8)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect();
+        for start in 0..8 {
+            for len in 0..=1024 {
+                let bytes = &data[start..start + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bytewise(bytes),
+                    "start {start} len {len}"
+                );
+            }
+        }
     }
 
     #[test]

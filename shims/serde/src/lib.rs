@@ -23,6 +23,16 @@
 //! real serde later means re-deriving against it and re-encoding
 //! persisted state (the file format version in `kairos-store` gates
 //! that migration).
+//!
+//! Sequences of fixed-width scalars (`Vec`/`VecDeque` of `f64` and the
+//! fixed-width integers) take a bulk path: [`Serialize::encode_all`]
+//! grows the buffer once and writes the run in one pass, and
+//! [`Deserialize::decode_all`] takes the whole run with one
+//! length-checked read and splits it with `chunks_exact`. The bytes are
+//! exactly the per-element ones — a run of little-endian values back to
+//! back is what the per-element loop wrote too — so the format, the
+//! derive shim and every persisted frame are unchanged; only the
+//! per-element call and growth check are gone.
 
 pub use serde_derive_shim::{Deserialize, Serialize};
 
@@ -51,12 +61,36 @@ impl std::error::Error for Error {}
 /// Encode to the shim's little-endian wire format.
 pub trait Serialize {
     fn encode_to(&self, out: &mut Vec<u8>);
+
+    /// Encode `items` back to back — a sequence's elements, after its
+    /// length prefix. Fixed-width scalars override this with a bulk pass
+    /// that writes the same bytes.
+    fn encode_all(items: &[Self], out: &mut Vec<u8>)
+    where
+        Self: Sized,
+    {
+        for item in items {
+            item.encode_to(out);
+        }
+    }
 }
 
 /// Decode from the shim's wire format, consuming from the front of
 /// `input`. Implementations must never panic on malformed bytes.
 pub trait Deserialize: Sized {
     fn decode_from(input: &mut &[u8]) -> Result<Self, Error>;
+
+    /// Decode `n` values encoded back to back — a sequence's elements,
+    /// its length prefix already read. Fixed-width scalars override this
+    /// with one length-checked read of the whole run, so a short input
+    /// fails before anything is allocated.
+    fn decode_all(n: usize, input: &mut &[u8]) -> Result<Vec<Self>, Error> {
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(Self::decode_from(input)?);
+        }
+        Ok(out)
+    }
 }
 
 /// Encode `value` into a fresh buffer.
@@ -97,17 +131,57 @@ fn decode_len(input: &mut &[u8]) -> Result<usize, Error> {
     Ok(n as usize)
 }
 
+/// The bulk encode of a fixed-width run: grow `out` once, then write
+/// each value's `N` little-endian bytes into its own slot.
+fn encode_fixed<T: Copy, const N: usize>(
+    items: &[T],
+    out: &mut Vec<u8>,
+    to_le: impl Fn(T) -> [u8; N],
+) {
+    let start = out.len();
+    out.resize(start + items.len() * N, 0);
+    for (slot, &item) in out[start..].chunks_exact_mut(N).zip(items) {
+        slot.copy_from_slice(&to_le(item));
+    }
+}
+
+/// The bulk decode of a fixed-width run: one bounds-checked `take` of
+/// all `n * N` bytes (before any allocation), then one exactly sized
+/// collect over `chunks_exact`.
+fn decode_fixed<T, const N: usize>(
+    n: usize,
+    input: &mut &[u8],
+    from_le: impl Fn([u8; N]) -> T,
+) -> Result<Vec<T>, Error> {
+    let len = n
+        .checked_mul(N)
+        .ok_or(Error::msg("length prefix exceeds remaining input"))?;
+    let raw = take(input, len)?;
+    Ok(raw
+        .chunks_exact(N)
+        .map(|chunk| from_le(chunk.try_into().expect("exact chunk")))
+        .collect())
+}
+
 macro_rules! int_impl {
     ($t:ty, $n:expr) => {
         impl Serialize for $t {
             fn encode_to(&self, out: &mut Vec<u8>) {
                 out.extend_from_slice(&self.to_le_bytes());
             }
+
+            fn encode_all(items: &[Self], out: &mut Vec<u8>) {
+                encode_fixed(items, out, <$t>::to_le_bytes);
+            }
         }
         impl Deserialize for $t {
             fn decode_from(input: &mut &[u8]) -> Result<Self, Error> {
                 let raw = take(input, $n)?;
                 Ok(<$t>::from_le_bytes(raw.try_into().expect("sized take")))
+            }
+
+            fn decode_all(n: usize, input: &mut &[u8]) -> Result<Vec<Self>, Error> {
+                decode_fixed(n, input, <$t>::from_le_bytes)
             }
         }
     };
@@ -137,11 +211,19 @@ impl Serialize for f64 {
     fn encode_to(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.to_bits().to_le_bytes());
     }
+
+    fn encode_all(items: &[Self], out: &mut Vec<u8>) {
+        encode_fixed(items, out, |v| v.to_bits().to_le_bytes());
+    }
 }
 
 impl Deserialize for f64 {
     fn decode_from(input: &mut &[u8]) -> Result<Self, Error> {
         Ok(f64::from_bits(u64::decode_from(input)?))
+    }
+
+    fn decode_all(n: usize, input: &mut &[u8]) -> Result<Vec<Self>, Error> {
+        decode_fixed(n, input, |raw| f64::from_bits(u64::from_le_bytes(raw)))
     }
 }
 
@@ -208,29 +290,23 @@ impl<T: Deserialize> Deserialize for Option<T> {
 impl<T: Serialize> Serialize for Vec<T> {
     fn encode_to(&self, out: &mut Vec<u8>) {
         (self.len() as u64).encode_to(out);
-        for v in self {
-            v.encode_to(out);
-        }
+        T::encode_all(self, out);
     }
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
     fn decode_from(input: &mut &[u8]) -> Result<Self, Error> {
         let n = decode_len(input)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(T::decode_from(input)?);
-        }
-        Ok(out)
+        T::decode_all(n, input)
     }
 }
 
 impl<T: Serialize> Serialize for VecDeque<T> {
     fn encode_to(&self, out: &mut Vec<u8>) {
         (self.len() as u64).encode_to(out);
-        for v in self {
-            v.encode_to(out);
-        }
+        let (front, back) = self.as_slices();
+        T::encode_all(front, out);
+        T::encode_all(back, out);
     }
 }
 
@@ -345,10 +421,48 @@ mod tests {
         assert_eq!(back.to_bits(), nan_bits);
     }
 
+    /// The per-element encoding a bulk path must reproduce byte for byte.
+    fn per_element<T: Serialize>(items: &[T]) -> Vec<u8> {
+        let mut out = to_bytes(&(items.len() as u64));
+        for item in items {
+            item.encode_to(&mut out);
+        }
+        out
+    }
+
+    /// Round-trip a scalar vector, and check its bulk encode against the
+    /// per-element one (and its `VecDeque` twin, which encodes both ring
+    /// halves through the same path).
+    fn roundtrip_bulk<T: Serialize + Deserialize + PartialEq + Clone + std::fmt::Debug>(v: Vec<T>) {
+        assert_eq!(to_bytes(&v), per_element(&v));
+        let mut ring: VecDeque<T> = v.iter().cloned().collect();
+        if let Some(first) = ring.pop_front() {
+            ring.push_back(first);
+        }
+        assert_eq!(to_bytes(&ring), per_element(&Vec::from(ring.clone())));
+        roundtrip(ring);
+        roundtrip(v);
+    }
+
     #[test]
     fn containers_roundtrip() {
         roundtrip(String::from("kairos"));
-        roundtrip(vec![1.0f64, -2.5, f64::INFINITY]);
+        roundtrip_bulk(vec![1.0f64, -2.5, f64::INFINITY, -0.0, f64::MIN_POSITIVE]);
+        roundtrip_bulk(vec![0u64, 1, u64::MAX, 0x0102_0304_0506_0708]);
+        roundtrip_bulk(vec![7u32, u32::MAX, 0]);
+        roundtrip_bulk((0..=255u8).collect::<Vec<u8>>());
+        roundtrip_bulk(vec![i64::MIN, -1, 0, i64::MAX]);
+        roundtrip_bulk(Vec::<f64>::new());
+        // NaN bit patterns inside a vector survive the bulk paths exactly.
+        let nans = [
+            0x7FF8_0000_0000_0001u64,
+            0xFFF0_0000_0000_0002,
+            0x7FF4_0000_DEAD_BEEF,
+        ];
+        let v: Vec<f64> = nans.iter().map(|&b| f64::from_bits(b)).collect();
+        assert_eq!(to_bytes(&v), per_element(&v));
+        let back: Vec<f64> = from_bytes(&to_bytes(&v)).unwrap();
+        assert_eq!(back.iter().map(|f| f.to_bits()).collect::<Vec<_>>(), nans);
         roundtrip(Option::<u64>::None);
         roundtrip(Some(vec![String::from("a"), String::new()]));
         roundtrip(VecDeque::from(vec![1u32, 2, 3]));
@@ -360,19 +474,39 @@ mod tests {
 
     #[test]
     fn truncated_input_errors_cleanly() {
-        let bytes = to_bytes(&vec![1u64, 2, 3]);
-        for cut in 0..bytes.len() {
-            let r: Result<Vec<u64>, Error> = from_bytes(&bytes[..cut]);
-            assert!(r.is_err(), "truncation at {cut} must fail");
+        fn every_cut_fails<T: Serialize + Deserialize>(v: Vec<T>) {
+            let bytes = to_bytes(&v);
+            for cut in 0..bytes.len() {
+                let r: Result<Vec<T>, Error> = from_bytes(&bytes[..cut]);
+                assert!(r.is_err(), "truncation at {cut} must fail");
+            }
         }
+        every_cut_fails(vec![1u64, 2, 3]);
+        every_cut_fails(vec![1.5f64, f64::NAN, -3.0]);
+        every_cut_fails(vec![1u32, 2, 3]);
+        every_cut_fails(vec![1u8, 2, 3]);
+        every_cut_fails(vec![-1i64, 2, -3]);
     }
 
     #[test]
     fn oversized_length_prefix_rejected_without_allocating() {
+        fn rejected<T: Deserialize>(bytes: &[u8]) {
+            assert!(from_bytes::<Vec<T>>(bytes).is_err());
+        }
         // Claims u64::MAX elements with no data behind it.
         let bytes = to_bytes(&u64::MAX);
-        let r: Result<Vec<f64>, Error> = from_bytes(&bytes);
-        assert!(r.is_err());
+        rejected::<f64>(&bytes);
+        rejected::<u64>(&bytes);
+        rejected::<u32>(&bytes);
+        rejected::<u8>(&bytes);
+        rejected::<i64>(&bytes);
+        // Claims as many elements as there are bytes left — past the
+        // per-element length check, short of the bulk run's `n * width`.
+        let bytes = to_bytes(&(3u64, 0u8, 0u8, 0u8));
+        rejected::<f64>(&bytes);
+        rejected::<u64>(&bytes);
+        rejected::<u32>(&bytes);
+        rejected::<i64>(&bytes);
     }
 
     #[test]
