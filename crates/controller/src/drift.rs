@@ -17,7 +17,8 @@
 //! conservative envelope for a new regime sits *above* the live load, and
 //! must not itself read as drift.
 
-use kairos_types::WorkloadProfile;
+use kairos_traces::RollingWindow;
+use kairos_types::{TimeSeries, WorkloadProfile};
 
 /// One resource's one-sided relative errors.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -81,23 +82,42 @@ impl DriftDetector {
         live: &WorkloadProfile,
         now_index: u64,
     ) -> DriftReport {
+        let live_windows = [
+            &live.cpu_cores,
+            &live.ram_bytes,
+            &live.disk_working_set_bytes,
+            &live.disk_update_rows_per_sec,
+        ]
+        .map(RollingWindow::of);
+        let mut report = self.check_windows(planned, live_windows, now_index);
+        report.workload = live.name.clone();
+        report
+    }
+
+    /// [`DriftDetector::check`] over live windows read in place, given as
+    /// `[cpu, ram, working-set, rate]` — the one drift kernel. The report's
+    /// `workload` is left empty (allocated by whoever keeps the report).
+    #[inline]
+    pub(crate) fn check_windows(
+        &self,
+        planned: &WorkloadProfile,
+        live: [RollingWindow<'_>; 4],
+        now_index: u64,
+    ) -> DriftReport {
         let horizon = planned.windows().max(1);
-        let m = live.windows();
+        let m = live.iter().map(|w| w.len()).max().unwrap_or(0);
         // Phase of the live window's first sample within the planned cycle.
-        let start = (now_index + 1).saturating_sub(m as u64);
-        let planned_at = |series: &kairos_types::TimeSeries, i: usize| {
-            let idx = ((start + i as u64) % horizon as u64) as usize;
-            series.values().get(idx).copied().unwrap_or(0.0)
-        };
-        let drift_of = |planned_s: &kairos_types::TimeSeries, live_s: &kairos_types::TimeSeries| {
+        let start = ((now_index + 1).saturating_sub(m as u64) % horizon as u64) as usize;
+        let drift_of = |planned_s: &TimeSeries, live_s: RollingWindow<'_>| {
             let n = live_s.len();
             if n == 0 {
                 return ResourceDrift::default();
             }
             let (mut over_sq, mut under_sq) = (0.0f64, 0.0f64);
-            for (i, &v) in live_s.values().iter().enumerate() {
-                let p = planned_at(planned_s, i);
-                let d = v - p;
+            let mut p = start;
+            for &v in live_s.older.iter().chain(live_s.newer) {
+                let d = v - planned_s.values().get(p).copied().unwrap_or(0.0);
+                p = if p + 1 == horizon { 0 } else { p + 1 };
                 if d > 0.0 {
                     over_sq += d * d;
                 } else {
@@ -111,16 +131,11 @@ impl DriftDetector {
             }
         };
 
-        let cpu = drift_of(&planned.cpu_cores, &live.cpu_cores);
-        let ram = drift_of(&planned.ram_bytes, &live.ram_bytes);
-        let working_set = drift_of(
-            &planned.disk_working_set_bytes,
-            &live.disk_working_set_bytes,
-        );
-        let update_rate = drift_of(
-            &planned.disk_update_rows_per_sec,
-            &live.disk_update_rows_per_sec,
-        );
+        let [cpu, ram, working_set, update_rate] = live;
+        let cpu = drift_of(&planned.cpu_cores, cpu);
+        let ram = drift_of(&planned.ram_bytes, ram);
+        let working_set = drift_of(&planned.disk_working_set_bytes, working_set);
+        let update_rate = drift_of(&planned.disk_update_rows_per_sec, update_rate);
         let max_overload = cpu
             .overload
             .max(ram.overload)
@@ -132,7 +147,7 @@ impl DriftDetector {
             .max(working_set.slack)
             .max(update_rate.slack);
         DriftReport {
-            workload: live.name.clone(),
+            workload: String::new(),
             cpu,
             ram,
             working_set,

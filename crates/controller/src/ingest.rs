@@ -8,8 +8,11 @@
 //! handoff sketches alike.
 
 use kairos_monitor::MonitorSample;
-use kairos_traces::{ArchiveSpec, Consolidation, Rrd, SeriesSketch, SketchConfig};
-use kairos_types::{Bytes, TimeSeries, WorkloadProfile};
+use kairos_traces::{
+    sum_tail_aligned_refs, AggregateSketch, ArchiveSpec, Consolidation, RollingWindow, Rrd,
+    SeriesSketch, SketchConfig,
+};
+use kairos_types::{Bytes, TimeSeries};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -141,32 +144,18 @@ impl WorkloadTelemetry {
         self.cpu.rolling_len()
     }
 
-    /// The live profile over the last `windows` samples (fewer if less
-    /// history exists). `None` until at least one sample arrived.
-    pub fn live_profile(&self, name: &str, windows: usize) -> Option<WorkloadProfile> {
-        if self.window_len() == 0 {
-            return None;
-        }
-        Some(WorkloadProfile::new(
-            name,
-            self.cpu.rolling_window(windows),
-            self.ram.rolling_window(windows),
-            self.ram.rolling_window(windows),
-            self.rate.rolling_window(windows),
-        ))
+    /// The last `n` samples of each stored series, read in place, as
+    /// `[cpu, ram, rate]` — the drift detector's live window. RAM is also
+    /// the working-set series (see the field note), so a reader that
+    /// needs both reads RAM once.
+    pub(crate) fn windows(&self, n: usize) -> [RollingWindow<'_>; 3] {
+        [self.cpu.window(n), self.ram.window(n), self.rate.window(n)]
     }
 
-    /// Long-horizon history per series (fine archive, full capacity) —
-    /// the forecasting input, as `[cpu, ram, working-set, rate]` (the
-    /// working-set series mirrors RAM; see the field note).
-    pub fn history(&self) -> [TimeSeries; 4] {
-        let full = self.cfg.window_capacity;
-        [
-            self.cpu.rolling_window(full),
-            self.ram.rolling_window(full),
-            self.ram.rolling_window(full),
-            self.rate.rolling_window(full),
-        ]
+    /// [`WorkloadTelemetry::windows`] over the full rolling window — what
+    /// the forecasts and the shard summary's roll-up read.
+    pub fn history(&self) -> [RollingWindow<'_>; 3] {
+        self.windows(self.cfg.window_capacity)
     }
 
     /// Compress the transportable telemetry to a [`TelemetrySketch`]:
@@ -174,12 +163,14 @@ impl WorkloadTelemetry {
     /// window is. What a sketched handoff frame carries instead of the
     /// full RRD rings.
     pub fn sketch(&self, sketch_cfg: &SketchConfig) -> TelemetrySketch {
-        let full = self.cfg.window_capacity;
+        let [cpu, ram, rate] = self
+            .history()
+            .map(|w| SeriesSketch::of(&w.to_series(), sketch_cfg));
         TelemetrySketch {
             cfg: self.cfg,
-            cpu: SeriesSketch::of(&self.cpu.rolling_window(full), sketch_cfg),
-            ram: SeriesSketch::of(&self.ram.rolling_window(full), sketch_cfg),
-            rate: SeriesSketch::of(&self.rate.rolling_window(full), sketch_cfg),
+            cpu,
+            ram,
+            rate,
             samples_seen: self.samples_seen,
         }
     }
@@ -281,8 +272,27 @@ impl TelemetryIngester {
 
     /// Iterate telemetry in canonical (sorted-name) order without
     /// allocating — the per-tick readiness checks' accessor.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &WorkloadTelemetry)> {
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &WorkloadTelemetry)> + Clone {
         self.workloads.iter().map(|(k, v)| (k.as_str(), v))
+    }
+
+    /// Every workload's full rolling window summed tail-aligned per
+    /// resource and sketched under `cfg` — the shard summary's roll-up,
+    /// reading each ring in place. RAM is the working set, so its sum
+    /// and sketch serve both.
+    pub(crate) fn rollup(&self, fallback_interval: f64, cfg: &SketchConfig) -> AggregateSketch {
+        let sketch_sum = |r: usize| {
+            let windows = self.iter().map(move |(_, t)| t.history()[r]);
+            SeriesSketch::of(&sum_tail_aligned_refs(windows, fallback_interval), cfg)
+        };
+        let ram = sketch_sum(1);
+        AggregateSketch {
+            cpu_cores: sketch_sum(0),
+            ram_bytes: ram.clone(),
+            ws_bytes: ram,
+            rate_rows: sketch_sum(2),
+            tenants: self.len(),
+        }
     }
 
     pub fn len(&self) -> usize {
@@ -312,20 +322,25 @@ mod tests {
         }
     }
 
+    /// `[cpu, ram, rate]` copied out of their rings.
+    fn copied(windows: [RollingWindow<'_>; 3]) -> [TimeSeries; 3] {
+        windows.map(|w| w.to_series())
+    }
+
     #[test]
-    fn ingest_builds_live_profile() {
+    fn ingest_fills_the_live_window() {
         let mut t = WorkloadTelemetry::new(TelemetryConfig::default());
         for i in 0..10 {
             t.ingest(&sample(0.5 + i as f64 * 0.1, 2048, 100.0));
         }
         assert_eq!(t.samples_seen(), 10);
-        let p = t.live_profile("w", 4).expect("profile");
-        assert_eq!(p.windows(), 4);
+        let [cpu, ram, rate] = copied(t.windows(4));
+        assert_eq!((cpu.len(), ram.len(), rate.len()), (4, 4, 4));
         // Last 4 cpu samples: 1.1, 1.2, 1.3, 1.4.
-        assert!((p.cpu_cores.values()[0] - 1.1).abs() < 1e-9);
-        assert!((p.window(3).cpu_cores - 1.4).abs() < 1e-9);
-        assert_eq!(p.window(0).ram, Bytes::mib(2048));
-        assert!((p.window(0).disk.update_rows_per_sec.as_f64() - 100.0).abs() < 1e-9);
+        assert!((cpu.values()[0] - 1.1).abs() < 1e-9);
+        assert!((cpu.values()[3] - 1.4).abs() < 1e-9);
+        assert_eq!(ram.values()[0], Bytes::mib(2048).as_f64());
+        assert!((rate.values()[0] - 100.0).abs() < 1e-9);
     }
 
     #[test]
@@ -336,15 +351,14 @@ mod tests {
         };
         let mut t = WorkloadTelemetry::new(cfg);
         t.ingest(&sample(0.2, 8192, 10.0));
-        let p = t.live_profile("w", 1).unwrap();
-        assert_eq!(p.window(0).ram, Bytes::mib(256));
-        assert_eq!(p.window(0).disk.working_set, Bytes::mib(256));
+        let [_, ram, _] = copied(t.windows(1));
+        assert_eq!(ram.values(), &[Bytes::mib(256).as_f64()]);
     }
 
     #[test]
-    fn empty_telemetry_has_no_profile() {
+    fn empty_telemetry_has_an_empty_window() {
         let t = WorkloadTelemetry::new(TelemetryConfig::default());
-        assert!(t.live_profile("w", 4).is_none());
+        assert!(t.windows(4).iter().all(|w| w.is_empty()));
     }
 
     #[test]
@@ -387,8 +401,8 @@ mod tests {
         let back = WorkloadTelemetry::from_sketch(&sk);
         assert_eq!(back.samples_seen(), 200, "phase alignment survives");
         assert_eq!(back.window_len(), t.window_len());
-        let [cpu_a, ram_a, _, rate_a] = t.history();
-        let [cpu_b, ram_b, _, rate_b] = back.history();
+        let [cpu_a, ram_a, rate_a] = copied(t.history());
+        let [cpu_b, ram_b, rate_b] = copied(back.history());
         assert_eq!(cpu_b.max(), cpu_a.max(), "peak is exact");
         assert_eq!(ram_b.max(), ram_a.max());
         assert_eq!(rate_b.max(), rate_a.max());
@@ -409,8 +423,9 @@ mod tests {
         }
         let sk = t.sketch(&SketchConfig::lossless_for(cfg.window_capacity));
         let back = WorkloadTelemetry::from_sketch(&sk);
-        assert_eq!(back.history(), t.history());
+        assert_eq!(copied(back.history()), copied(t.history()));
     }
+
     #[test]
     fn a_three_archive_checkpoint_restores_to_the_same_plane() {
         // Checkpoints written while the layout still had two coarse
@@ -455,8 +470,8 @@ mod tests {
         for i in 50..53 {
             assert_eq!(restored.samples_seen(), new.samples_seen());
             assert_eq!(restored.window_len(), new.window_len());
-            assert_eq!(restored.live_profile("w", 12), new.live_profile("w", 12));
-            assert_eq!(restored.history(), new.history());
+            assert_eq!(copied(restored.windows(12)), copied(new.windows(12)));
+            assert_eq!(copied(restored.history()), copied(new.history()));
             assert_eq!(restored.sketch(&sketch_cfg), new.sketch(&sketch_cfg));
             restored.ingest(&nth(i));
             new.ingest(&nth(i));

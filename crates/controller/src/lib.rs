@@ -63,6 +63,8 @@ pub mod drift;
 pub mod executor;
 pub mod ingest;
 pub mod migration;
+#[cfg(test)]
+mod reference;
 pub mod resolver;
 pub mod scenarios;
 pub mod shard;

@@ -22,6 +22,7 @@ use kairos_solver::{
     solve_warm_with, solve_with, Assignment, ConsolidationProblem, SolveReport, SolveScratch,
     SolverConfig,
 };
+use kairos_traces::RollingWindow;
 use kairos_types::{Result, TimeSeries, WorkloadProfile};
 use std::collections::BTreeMap;
 
@@ -339,38 +340,63 @@ pub fn forecast_series_flagged(
     horizon: usize,
     start_index: u64,
 ) -> (TimeSeries, bool) {
+    forecast_window(RollingWindow::of(history), horizon, start_index)
+}
+
+/// Add `values` into the per-phase sums and counts, `values[0]` at phase
+/// `p`; returns the phase after the last value. Each run up to the end of
+/// the horizon is one element-wise add, and every phase still receives
+/// its values in sample order.
+fn add_by_phase(sum: &mut [f64], count: &mut [usize], values: &[f64], mut p: usize) -> usize {
+    let mut rest = values;
+    while !rest.is_empty() {
+        let (run, tail) = rest.split_at((sum.len() - p).min(rest.len()));
+        for ((s, c), v) in sum[p..].iter_mut().zip(&mut count[p..]).zip(run) {
+            *s += v;
+            *c += 1;
+        }
+        p = (p + run.len()) % sum.len();
+        rest = tail;
+    }
+    p
+}
+
+/// [`forecast_series_flagged`] over a window read in place — the one
+/// forecasting kernel.
+fn forecast_window(
+    history: RollingWindow<'_>,
+    horizon: usize,
+    start_index: u64,
+) -> (TimeSeries, bool) {
     assert!(horizon > 0);
-    let interval = history.interval_secs();
-    let vals = history.values();
-    if vals.is_empty() {
+    let interval = history.interval_secs;
+    if history.is_empty() {
         return (TimeSeries::constant(interval, 0.0, horizon), false);
     }
+    let phase_of = |index: u64| (index % horizon as u64) as usize;
 
     // Per-phase occurrence means.
     let mut sum = vec![0.0f64; horizon];
     let mut count = vec![0usize; horizon];
-    for (i, &v) in vals.iter().enumerate() {
-        let p = ((start_index + i as u64) % horizon as u64) as usize;
-        sum[p] += v;
-        count[p] += 1;
+    let mut p = phase_of(start_index);
+    for half in [history.older, history.newer] {
+        p = add_by_phase(&mut sum, &mut count, half, p);
     }
-    let overall_mean = vals.iter().sum::<f64>() / vals.len() as f64;
-    let phase_mean: Vec<f64> = sum
-        .iter()
-        .zip(&count)
-        .map(|(&s, &c)| if c > 0 { s / c as f64 } else { overall_mean })
-        .collect();
+    let overall_mean = history.iter().sum::<f64>() / history.len() as f64;
+    for (s, &c) in sum.iter_mut().zip(&count) {
+        *s = if c > 0 { *s / c as f64 } else { overall_mean };
+    }
+    let phase_mean = sum;
 
     // Regime test: the most recent (≤ horizon) samples against the
     // phase-mean prediction.
-    let tail = &vals[vals.len().saturating_sub(horizon)..];
-    let tail_start = start_index + (vals.len() - tail.len()) as u64;
+    let tail = history.last(horizon);
+    let mut p = phase_of(start_index + (history.len() - tail.len()) as u64);
     let sq: f64 = tail
         .iter()
-        .enumerate()
-        .map(|(i, &v)| {
-            let p = ((tail_start + i as u64) % horizon as u64) as usize;
+        .map(|v| {
             let d = v - phase_mean[p];
+            p = if p + 1 == horizon { 0 } else { p + 1 };
             d * d
         })
         .sum();
@@ -380,7 +406,7 @@ pub fn forecast_series_flagged(
     if rmse / mean_abs <= REGIME_CHANGE_THRESHOLD {
         (TimeSeries::new(interval, phase_mean), false)
     } else {
-        let peak = tail.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let peak = tail.iter().fold(f64::NEG_INFINITY, f64::max);
         (TimeSeries::constant(interval, peak, horizon), true)
     }
 }
@@ -402,16 +428,23 @@ pub fn forecast_profile_flagged(
     telemetry: &WorkloadTelemetry,
     horizon: usize,
 ) -> (WorkloadProfile, bool) {
-    let [cpu, ram, ws, rate] = telemetry.history();
-    let start = telemetry.samples_seen().saturating_sub(cpu.len() as u64);
-    let (cpu, e0) = forecast_series_flagged(&cpu, horizon, start);
-    let (ram, e1) = forecast_series_flagged(&ram, horizon, start);
-    let (ws, e2) = forecast_series_flagged(&ws, horizon, start);
-    let (rate, e3) = forecast_series_flagged(&rate, horizon, start);
-    (
-        WorkloadProfile::new(name, cpu, ram, ws, rate),
-        e0 || e1 || e2 || e3,
-    )
+    forecast_windows(name, telemetry.history(), telemetry.samples_seen(), horizon)
+}
+
+/// Forecast `[cpu, ram, rate]` windows whose newest sample is number
+/// `samples_seen`. RAM is the working set, so its forecast is used twice.
+fn forecast_windows(
+    name: &str,
+    [cpu, ram, rate]: [RollingWindow<'_>; 3],
+    samples_seen: u64,
+    horizon: usize,
+) -> (WorkloadProfile, bool) {
+    let start = samples_seen.saturating_sub(cpu.len() as u64);
+    let (cpu, e_cpu) = forecast_window(cpu, horizon, start);
+    let (ram, e_ram) = forecast_window(ram, horizon, start);
+    let (rate, e_rate) = forecast_window(rate, horizon, start);
+    let profile = WorkloadProfile::new(name, cpu, ram.clone(), ram, rate);
+    (profile, e_cpu || e_ram || e_rate)
 }
 
 /// Forecast the next horizon from the most recent `tail_len` samples
@@ -429,20 +462,8 @@ pub fn forecast_profile_tail(
     horizon: usize,
     tail_len: usize,
 ) -> WorkloadProfile {
-    let [cpu, ram, ws, rate] = telemetry.history();
-    let tail_of = |s: &TimeSeries| {
-        let keep = tail_len.min(s.len());
-        TimeSeries::new(s.interval_secs(), s.values()[s.len() - keep..].to_vec())
-    };
-    let (cpu, ram, ws, rate) = (tail_of(&cpu), tail_of(&ram), tail_of(&ws), tail_of(&rate));
-    let start = telemetry.samples_seen().saturating_sub(cpu.len() as u64);
-    WorkloadProfile::new(
-        name,
-        forecast_series(&cpu, horizon, start),
-        forecast_series(&ram, horizon, start),
-        forecast_series(&ws, horizon, start),
-        forecast_series(&rate, horizon, start),
-    )
+    let tail = telemetry.history().map(|w| w.last(tail_len));
+    forecast_windows(name, tail, telemetry.samples_seen(), horizon).0
 }
 
 #[cfg(test)]

@@ -27,7 +27,7 @@ use crate::snapshot::{ShardSnapshot, TRACE_CHECKPOINT_CAP};
 use kairos_core::ConsolidationEngine;
 use kairos_obs::{DecisionEvent, DecisionLog, MetricsRegistry, SpanLog, TracedEvent};
 use kairos_solver::{evaluate, greedy_pack, Assignment, Evaluation};
-use kairos_traces::{AggregateSketch, ShardAggregate, SketchConfig};
+use kairos_traces::{AggregateSketch, SketchConfig};
 use kairos_types::{KairosError, WorkloadProfile};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -547,7 +547,10 @@ impl ShardController {
 
     /// Forecast one workload's next horizon. `None` if unknown.
     pub fn forecast_workload(&self, name: &str) -> Option<WorkloadProfile> {
-        Some(self.forecast_workload_flagged(name)?.0)
+        Some(
+            self.forecast_workload_flagged(name, self.ingester.get(name)?)
+                .0,
+        )
     }
 
     /// [`ShardController::forecast_workload`] plus whether the forecast
@@ -555,26 +558,27 @@ impl ShardController {
     /// forecasting path every caller (planning, summaries, the
     /// ForecastFleet RPC, the audit) goes through, so the flagged and
     /// unflagged views can never drift apart.
-    fn forecast_workload_flagged(&self, name: &str) -> Option<(WorkloadProfile, bool)> {
-        let telemetry = self.ingester.get(name)?;
+    fn forecast_workload_flagged(
+        &self,
+        name: &str,
+        telemetry: &WorkloadTelemetry,
+    ) -> (WorkloadProfile, bool) {
         let (mut profile, envelope) =
             crate::resolver::forecast_profile_flagged(name, telemetry, self.cfg.horizon);
         profile.replicas = self.replicas.get(name).copied().unwrap_or(1);
-        Some((profile, envelope))
+        (profile, envelope)
     }
 
     /// [`ShardController::forecast_fleet`] plus the names whose forecast
     /// fell back to the conservative flat envelope — the scheduled
     /// horizon refresh's worklist.
     fn forecast_fleet_flagged(&self) -> (Vec<WorkloadProfile>, Vec<String>) {
-        let mut profiles = Vec::new();
+        let mut profiles = Vec::with_capacity(self.ingester.len());
         let mut envelopes = Vec::new();
-        for name in self.ingester.names() {
-            let (profile, envelope) = self
-                .forecast_workload_flagged(&name)
-                .expect("registered workload");
+        for (name, telemetry) in self.ingester.iter() {
+            let (profile, envelope) = self.forecast_workload_flagged(name, telemetry);
             if envelope {
-                envelopes.push(name);
+                envelopes.push(name.to_string());
             }
             profiles.push(profile);
         }
@@ -661,29 +665,34 @@ impl ShardController {
         }
     }
 
+    /// Each planned tenant's live window against its planned profile,
+    /// read in place, in canonical order. A workload with telemetry but
+    /// no plan yet (arrival still warming up) is membership, not drift,
+    /// and one with no samples has no verdict. The reports' `workload` is
+    /// empty: a caller names only what it keeps.
+    fn drift_reports(&self) -> impl Iterator<Item = (&str, DriftReport)> + '_ {
+        self.ingester.iter().filter_map(|(name, telemetry)| {
+            let planned = self.planned.get(name)?;
+            if telemetry.window_len() == 0 {
+                return None;
+            }
+            let [cpu, ram, rate] = telemetry.windows(self.cfg.horizon);
+            let now = telemetry.samples_seen().saturating_sub(1);
+            let live = [cpu, ram, ram, rate];
+            Some((name, self.cfg.detector.check_windows(planned, live, now)))
+        })
+    }
+
     /// Compare each live window against its planned profile.
     fn check_drift(&mut self) -> TickOutcome {
         self.metrics.drift_checks.inc();
         let mut drifted: Vec<String> = Vec::new();
         let (mut max_overload, mut max_slack) = (0.0f64, 0.0f64);
-        for name in self.ingester.names() {
-            let Some(planned) = self.planned.get(&name) else {
-                // A workload with telemetry but no plan yet (arrival still
-                // warming up) is membership, not drift.
-                continue;
-            };
-            let telemetry = self.ingester.get(&name).expect("registered");
-            let Some(live) = telemetry.live_profile(&name, self.cfg.horizon) else {
-                continue;
-            };
-            let report =
-                self.cfg
-                    .detector
-                    .check(planned, &live, telemetry.samples_seen().saturating_sub(1));
+        for (name, report) in self.drift_reports() {
             if report.drifted {
                 max_overload = max_overload.max(report.max_overload);
                 max_slack = max_slack.max(report.max_slack);
-                drifted.push(report.workload);
+                drifted.push(name.to_string());
             }
         }
         if drifted.is_empty() {
@@ -824,26 +833,6 @@ impl ShardController {
         profiles: &[WorkloadProfile],
     ) -> kairos_types::Result<kairos_solver::ConsolidationProblem> {
         self.resolver.problem(profiles)
-    }
-
-    /// Latest drift reports without acting on them (observability hook).
-    pub fn drift_snapshot(&self) -> Vec<DriftReport> {
-        let mut out = Vec::new();
-        for name in self.ingester.names() {
-            let (Some(planned), Some(telemetry)) =
-                (self.planned.get(&name), self.ingester.get(&name))
-            else {
-                continue;
-            };
-            if let Some(live) = telemetry.live_profile(&name, self.cfg.horizon) {
-                out.push(self.cfg.detector.check(
-                    planned,
-                    &live,
-                    telemetry.samples_seen().saturating_sub(1),
-                ));
-            }
-        }
-        out
     }
 
     // ----- checkpoint / restore -----
@@ -1012,13 +1001,9 @@ impl ShardController {
     /// load (via [`kairos_traces::aggregate`]), machines in use,
     /// placement health, and per-tenant forecast peaks.
     pub fn summary(&self) -> ShardSummary {
-        let names = self.ingester.names();
-        let windows: Vec<[kairos_types::TimeSeries; 4]> = names
-            .iter()
-            .filter_map(|n| self.ingester.get(n).map(|t| t.history()))
-            .collect();
-        let full = ShardAggregate::from_windows(windows.iter(), self.cfg.telemetry.interval_secs);
-        let aggregate = AggregateSketch::of(&full, &self.cfg.sketch);
+        let aggregate = self
+            .ingester
+            .rollup(self.cfg.telemetry.interval_secs, &self.cfg.sketch);
         // One forecast pass feeds both the placement check and the
         // per-tenant peaks (forecasting every tenant is the expensive
         // part of a summary).
@@ -1046,13 +1031,13 @@ impl ShardController {
             })
             .collect();
         ShardSummary {
-            tenants: names.len(),
+            tenants: self.ingester.len(),
             planned: self.planned_once,
             machines_used: self.placement.machines_used(),
             feasible,
             violation,
             resolve_failed: self.last_resolve_failed,
-            drifting: self.drift_snapshot().iter().filter(|d| d.drifted).count(),
+            drifting: self.drift_reports().filter(|(_, d)| d.drifted).count(),
             aggregate,
             tenant_loads,
         }

@@ -12,6 +12,7 @@
 //! windows relate across tenants with different amounts of history (a
 //! newly admitted tenant contributes only to the recent suffix).
 
+use crate::rrd::RollingWindow;
 use kairos_types::TimeSeries;
 use serde::{Deserialize, Serialize};
 
@@ -21,26 +22,29 @@ use serde::{Deserialize, Serialize};
 /// contributes zero to buckets older than its history. Empty input (or
 /// all-empty series) yields an empty series at `fallback_interval`.
 pub fn sum_tail_aligned(series: &[TimeSeries], fallback_interval: f64) -> TimeSeries {
-    let refs: Vec<&TimeSeries> = series.iter().collect();
-    sum_tail_aligned_refs(&refs, fallback_interval)
+    sum_tail_aligned_refs(series.iter().map(RollingWindow::of), fallback_interval)
 }
 
-/// [`sum_tail_aligned`] over borrowed series — the sharded control
+/// [`sum_tail_aligned`] over borrowed windows — the sharded control
 /// plane's summary path aggregates every tenant's rolling window each
-/// balance round, so the roll-up must not deep-copy its inputs first.
-pub fn sum_tail_aligned_refs(series: &[&TimeSeries], fallback_interval: f64) -> TimeSeries {
-    let len = series.iter().map(|s| s.len()).max().unwrap_or(0);
-    let interval = series
-        .iter()
-        .find(|s| !s.is_empty())
-        .map(|s| s.interval_secs())
-        .unwrap_or(fallback_interval);
+/// balance round, reading each `Rrd` ring in place rather than copying
+/// it first. Each bucket adds its inputs in iteration order.
+pub fn sum_tail_aligned_refs<'a, I>(windows: I, fallback_interval: f64) -> TimeSeries
+where
+    I: IntoIterator<Item = RollingWindow<'a>>,
+    I::IntoIter: Clone,
+{
+    let windows = windows.into_iter();
+    let len = windows.clone().map(|w| w.len()).max().unwrap_or(0);
+    let interval = windows
+        .clone()
+        .find(|w| !w.is_empty())
+        .map_or(fallback_interval, |w| w.interval_secs);
     let mut out = vec![0.0f64; len];
-    for s in series {
-        let offset = len - s.len();
-        for (i, &v) in s.values().iter().enumerate() {
-            out[offset + i] += v;
-        }
+    for w in windows {
+        let (older, newer) = out[len - w.len()..].split_at_mut(w.older.len());
+        older.iter_mut().zip(w.older).for_each(|(o, v)| *o += v);
+        newer.iter_mut().zip(w.newer).for_each(|(o, v)| *o += v);
     }
     TimeSeries::new(interval, out)
 }
@@ -59,29 +63,22 @@ pub struct ShardAggregate {
 
 impl ShardAggregate {
     /// Aggregate per-tenant windows, each given as
-    /// `[cpu, ram, working-set, rate]` (the layout
-    /// `WorkloadTelemetry::history` reports).
+    /// `[cpu, ram, working-set, rate]`.
     pub fn from_windows<'a, I>(windows: I, fallback_interval: f64) -> ShardAggregate
     where
         I: IntoIterator<Item = &'a [TimeSeries; 4]>,
     {
-        let mut cpu = Vec::new();
-        let mut ram = Vec::new();
-        let mut ws = Vec::new();
-        let mut rate = Vec::new();
-        for w in windows {
-            cpu.push(&w[0]);
-            ram.push(&w[1]);
-            ws.push(&w[2]);
-            rate.push(&w[3]);
-        }
-        let tenants = cpu.len();
+        let windows: Vec<&[TimeSeries; 4]> = windows.into_iter().collect();
+        let sum = |r: usize| {
+            let series = windows.iter().map(|w| RollingWindow::of(&w[r]));
+            sum_tail_aligned_refs(series, fallback_interval)
+        };
         ShardAggregate {
-            cpu_cores: sum_tail_aligned_refs(&cpu, fallback_interval),
-            ram_bytes: sum_tail_aligned_refs(&ram, fallback_interval),
-            ws_bytes: sum_tail_aligned_refs(&ws, fallback_interval),
-            rate_rows: sum_tail_aligned_refs(&rate, fallback_interval),
-            tenants,
+            cpu_cores: sum(0),
+            ram_bytes: sum(1),
+            ws_bytes: sum(2),
+            rate_rows: sum(3),
+            tenants: windows.len(),
         }
     }
 

@@ -29,7 +29,7 @@ pub use fleet::{
     fleet_mean_utilization, generate_all, generate_fleet, Dataset, FleetConfig, ServerTrace,
 };
 pub use predict::{fleet_total_cpu, predict_last_period, Prediction};
-pub use rrd::{ArchiveSpec, Consolidation, Rrd};
+pub use rrd::{ArchiveSpec, Consolidation, RollingWindow, Rrd};
 pub use sketch::{
     AggregateSketch, SeriesSketch, SketchConfig, MAX_SKETCH_MARKS, MAX_SKETCH_TAIL,
     SKETCH_WIRE_VERSION,

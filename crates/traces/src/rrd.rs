@@ -90,6 +90,61 @@ fn initial_acc(cf: Consolidation) -> f64 {
     }
 }
 
+/// A run of consecutive samples borrowed in place, oldest first: an
+/// [`Rrd`] ring's two contiguous halves (`newer` is empty when the ring
+/// has not wrapped, or for a window over one [`TimeSeries`]). Readers
+/// walk `older` then `newer`, so every sum runs in the order a copied
+/// series would have and yields the same bits.
+#[derive(Debug, Clone, Copy)]
+pub struct RollingWindow<'a> {
+    pub interval_secs: f64,
+    pub older: &'a [f64],
+    pub newer: &'a [f64],
+}
+
+impl<'a> RollingWindow<'a> {
+    /// The whole of `series`.
+    pub fn of(series: &'a TimeSeries) -> RollingWindow<'a> {
+        RollingWindow {
+            interval_secs: series.interval_secs(),
+            older: series.values(),
+            newer: &[],
+        }
+    }
+
+    pub fn len(&self) -> usize {
+        self.older.len() + self.newer.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The samples, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = f64> + 'a {
+        self.older.iter().chain(self.newer).copied()
+    }
+
+    /// The most recent `n` samples (all of them if fewer).
+    pub fn last(self, n: usize) -> RollingWindow<'a> {
+        let skip = self.len() - n.min(self.len());
+        let (older, newer) = match skip.checked_sub(self.older.len()) {
+            Some(past_older) => (&self.newer[past_older..], &[][..]),
+            None => (&self.older[skip..], self.newer),
+        };
+        RollingWindow {
+            older,
+            newer,
+            ..self
+        }
+    }
+
+    /// Copy out as a [`TimeSeries`].
+    pub fn to_series(&self) -> TimeSeries {
+        TimeSeries::new(self.interval_secs, self.iter().collect())
+    }
+}
+
 /// The multi-archive store.
 #[derive(Debug, Clone, Serialize)]
 pub struct Rrd {
@@ -221,17 +276,17 @@ impl Rrd {
     }
 
     /// The most recent `n` base-resolution points (fewer if the finest
-    /// archive holds less history) — the *rolling window* an online drift
-    /// detector compares against the planned profile. Oldest first.
-    pub fn rolling_window(&self, n: usize) -> TimeSeries {
-        let idx = self.finest_idx();
-        let a = &self.archives[idx];
-        let take = n.min(a.ring.len());
-        let skip = a.ring.len() - take;
-        TimeSeries::new(
-            self.base_interval_secs * a.spec.step as f64,
-            a.ring.iter().skip(skip).copied().collect(),
-        )
+    /// archive holds less history), read in place — the *rolling window*
+    /// the drift detector, the forecasts and the summary roll-up read.
+    pub fn window(&self, n: usize) -> RollingWindow<'_> {
+        let a = &self.archives[self.finest_idx()];
+        let (older, newer) = a.ring.as_slices();
+        RollingWindow {
+            interval_secs: self.base_interval_secs * a.spec.step as f64,
+            older,
+            newer,
+        }
+        .last(n)
     }
 
     /// Number of points currently held by the finest archive — how much
@@ -399,10 +454,27 @@ mod tests {
         rrd.extend((0..8).map(|i| i as f64));
         // Finest archive caps at 5 points: values 3..8.
         assert_eq!(rrd.rolling_len(), 5);
-        assert_eq!(rrd.rolling_window(3).values(), &[5.0, 6.0, 7.0]);
+        assert_eq!(rrd.window(3).to_series().values(), &[5.0, 6.0, 7.0]);
         // Asking for more than held returns what exists.
-        assert_eq!(rrd.rolling_window(99).values(), &[3.0, 4.0, 5.0, 6.0, 7.0]);
-        assert_eq!(rrd.rolling_window(3).interval_secs(), 1.0);
+        let all = rrd.window(99).to_series();
+        assert_eq!(all.values(), &[3.0, 4.0, 5.0, 6.0, 7.0]);
+        assert_eq!(rrd.window(3).interval_secs, 1.0);
+    }
+
+    #[test]
+    fn window_reads_a_wrapped_ring_in_order_at_every_length() {
+        for pushed in 0..12usize {
+            let mut rrd = Rrd::new(1.0, vec![avg_archive(1, 5)]);
+            rrd.extend((0..pushed).map(|i| i as f64));
+            let held: Vec<f64> = (pushed.saturating_sub(5)..pushed)
+                .map(|i| i as f64)
+                .collect();
+            for n in 0..=7 {
+                let w = rrd.window(n);
+                assert_eq!(w.len(), n.min(held.len()));
+                assert_eq!(w.iter().collect::<Vec<_>>(), held[held.len() - w.len()..]);
+            }
+        }
     }
 
     #[test]
@@ -451,10 +523,10 @@ mod tests {
 
     #[test]
     fn rolling_window_uses_finest_archive_regardless_of_order() {
-        // Coarse archive listed first: rolling_window must still pick the
+        // Coarse archive listed first: the window must still read the
         // fine one.
         let mut rrd = Rrd::new(1.0, vec![avg_archive(10, 10), avg_archive(1, 5)]);
         rrd.extend((0..20).map(|i| i as f64));
-        assert_eq!(rrd.rolling_window(2).values(), &[18.0, 19.0]);
+        assert_eq!(rrd.window(2).to_series().values(), &[18.0, 19.0]);
     }
 }

@@ -175,7 +175,7 @@ impl SeriesSketch {
             return SeriesSketch::empty(series.interval_secs());
         }
         let mut sorted = values.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in telemetry series"));
+        sort_as_stable(&mut sorted, values);
         let m = cfg.marks as usize;
         let mut marks = Vec::with_capacity(m);
         for i in 0..m {
@@ -328,6 +328,21 @@ impl SeriesSketch {
             tail,
         }
     }
+}
+
+/// Sort `sorted` (a copy of `values`) ascending into exactly what a
+/// stable sort returns, without a stable sort's scratch buffer (on the
+/// heap past 512 samples). Only ±0.0 compare equal with different bits,
+/// so an unstable sort can differ only in the order of the zero run,
+/// which is refilled in input order.
+fn sort_as_stable(sorted: &mut [f64], values: &[f64]) {
+    sorted.sort_unstable_by(|a, b| a.partial_cmp(b).expect("NaN in telemetry series"));
+    let zeros = sorted.partition_point(|&v| v < 0.0);
+    let in_order = values.iter().filter(|&&v| v == 0.0);
+    sorted[zeros..]
+        .iter_mut()
+        .zip(in_order)
+        .for_each(|(slot, &zero)| *slot = zero);
 }
 
 /// The sketched counterpart of [`ShardAggregate`]: the four summed
@@ -533,6 +548,28 @@ mod tests {
                     sk.marks()
                 );
             }
+        }
+    }
+
+    #[test]
+    fn sort_as_stable_is_a_stable_sort_bit_for_bit() {
+        let mut rng = kairos_types::SplitMix64::from_env(0x50_27);
+        for case in 0..500 {
+            let len = rng.next_range(if case % 2 == 0 { 24 } else { 1_500 }) as usize;
+            let values: Vec<f64> = (0..len)
+                .map(|_| match rng.next_range(6) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => f64::from_bits(1 + rng.next_range(1 << 52)) * [1.0, -1.0][case % 2],
+                    _ => rng.next_in(-2.0, 2.0).round(),
+                })
+                .collect();
+            let mut stable = values.clone();
+            stable.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+            let mut sorted = values.clone();
+            sort_as_stable(&mut sorted, &values);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&sorted), bits(&stable), "case {case}");
         }
     }
 
