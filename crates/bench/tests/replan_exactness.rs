@@ -1,0 +1,211 @@
+//! The warm re-plan, pinned step by step.
+//!
+//! `fig07_exactness.rs` holds the cold solve to its trajectory; this suite
+//! does the same for the solve the online plane runs on every drift trip:
+//! `solve_warm` on a migration-priced problem, under the online re-solver's
+//! budgets (`ReSolver::new`). In five cases a seeded 24-tenant fleet is
+//! planned cold, then drifts, and the drifted problem is re-solved warm
+//! from that plan with the plan as its migration baseline; the sixth starts
+//! from a plan the drift overloaded. Per case it pins the evaluations used,
+//! the probes, K′, the plan returned and the bits of its objective.
+//!
+//! Two cases are there for the path they take, and check it: `mild_rise`
+//! is accepted on the fast path (the polished warm plan already sits at
+//! the machine-count lower bound: no probe, no DIRECT), and `overloaded`'s
+//! warm polish loses to the greedy upper bound, so the search runs from
+//! greedy's incumbent. `hot_pair`'s bounds meet, so it runs the final
+//! DIRECT without a probe.
+//!
+//! Every value was recorded at the commit before DIRECT's rectangles became
+//! flat rows and the score memo was keyed off the centre's bitsets.
+
+use kairos_bench::fleet_engine;
+use kairos_solver::{
+    evaluate, polish, solve, solve_warm, upper_bound, Assignment, ConsolidationProblem,
+    SolverConfig,
+};
+use kairos_types::{SplitMix64, TimeSeries, WorkloadProfile};
+use std::f64::consts::TAU;
+
+/// FNV-1a over 64-bit words.
+fn fnv(words: impl Iterator<Item = u64>) -> u64 {
+    words.fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn plan_hash(machine_of: &[usize]) -> u64 {
+    fnv(machine_of.iter().map(|&m| m as u64))
+}
+
+const TENANTS: usize = 24;
+const WINDOWS: usize = 12;
+
+/// The online re-solver's budgets.
+fn online() -> SolverConfig {
+    SolverConfig {
+        probe_evals: 400,
+        final_evals: 2_000,
+        polish_rounds: 60,
+        accept_warm_at_bound: true,
+        ..Default::default()
+    }
+}
+
+/// `TENANTS` diurnal tenants from `seed`, tenant `i`'s CPU scaled by
+/// `scale(i)`, over a 12-window horizon.
+fn fleet(seed: u64, scale: impl Fn(usize) -> f64) -> ConsolidationProblem {
+    let mut rng = SplitMix64::new(seed);
+    let profiles: Vec<WorkloadProfile> = (0..TENANTS)
+        .map(|i| {
+            let (cpu, ram) = (rng.next_in(0.4, 2.8), rng.next_in(2e9, 9e9));
+            let (rate, phase) = (rng.next_in(40.0, 900.0), rng.next_in(0.0, TAU));
+            let wave =
+                |amp: f64, t: usize| 1.0 + amp * (phase + TAU * t as f64 / WINDOWS as f64).sin();
+            let series =
+                |f: &dyn Fn(usize) -> f64| TimeSeries::new(300.0, (0..WINDOWS).map(f).collect());
+            WorkloadProfile::new(
+                format!("t{i:02}"),
+                series(&|t| cpu * scale(i) * wave(0.4, t)),
+                series(&|_| ram),
+                series(&|_| 0.3 * ram),
+                series(&|t| rate * wave(0.3, t)),
+            )
+        })
+        .collect();
+    fleet_engine().problem(&profiles).expect("finite profiles")
+}
+
+/// What one warm re-plan does.
+#[derive(Debug, PartialEq)]
+struct Pinned {
+    evals_used: usize,
+    probes: Vec<(usize, bool)>,
+    k_final: usize,
+    plan: u64,
+    objective_bits: u64,
+}
+
+/// Re-plan `drifted` warm from `warm`, priced against it as the baseline.
+fn replan(drifted: ConsolidationProblem, warm: &Assignment) -> (ConsolidationProblem, Pinned) {
+    let baseline = warm.machine_of.iter().map(|&m| Some(m)).collect();
+    let problem = drifted.with_migration(baseline, 0.25);
+    let report = solve_warm(&problem, &online(), warm).expect("a feasible plan");
+    assert!(report.evaluation.feasible);
+    let pinned = Pinned {
+        evals_used: report.evals_used,
+        probes: report.probes,
+        k_final: report.k_final,
+        plan: plan_hash(&report.assignment.machine_of),
+        objective_bits: report.evaluation.objective.to_bits(),
+    };
+    (problem, pinned)
+}
+
+/// Cold-plan `seed`'s fleet, drift it by `scale`, re-plan warm.
+fn drift(seed: u64, scale: impl Fn(usize) -> f64) -> Pinned {
+    let cold = solve(&fleet(seed, |_| 1.0), &online()).expect("a cold plan");
+    replan(fleet(seed, scale), &cold.assignment).1
+}
+
+#[test]
+fn stationary() {
+    assert_eq!(
+        drift(0x5EED, |_| 1.0),
+        Pinned {
+            evals_used: 2_398,
+            probes: vec![(3, false)],
+            k_final: 4,
+            plan: 10_099_120_174_374_951_926,
+            objective_bits: 4_618_866_038_824_962_014,
+        }
+    );
+}
+
+#[test]
+fn flash_crowd() {
+    assert_eq!(
+        drift(0x5EED, |i| if (4..8).contains(&i) { 2.5 } else { 1.0 }),
+        Pinned {
+            evals_used: 2_398,
+            probes: vec![(4, false)],
+            k_final: 5,
+            plan: 4_138_107_763_091_628_135,
+            objective_bits: 4_621_170_717_510_980_417,
+        }
+    );
+}
+
+#[test]
+fn mild_rise() {
+    let observed = drift(7, |i| if i % 3 == 0 { 1.4 } else { 1.0 });
+    assert_eq!(
+        (observed.evals_used, observed.probes.len()),
+        (0, 0),
+        "the polished warm plan is accepted on the fast path"
+    );
+    assert_eq!(
+        observed,
+        Pinned {
+            evals_used: 0,
+            probes: vec![],
+            k_final: 5,
+            plan: 3_106_105_735_386_259_734,
+            objective_bits: 4_621_313_240_219_666_902,
+        }
+    );
+}
+
+#[test]
+fn cooling() {
+    assert_eq!(
+        drift(11, |i| if i < 12 { 0.35 } else { 1.0 }),
+        Pinned {
+            evals_used: 2_398,
+            probes: vec![(3, false)],
+            k_final: 4,
+            plan: 11_750_425_742_890_836_784,
+            objective_bits: 4_619_026_292_771_087_043,
+        }
+    );
+}
+
+#[test]
+fn hot_pair() {
+    assert_eq!(
+        drift(23, |i| if i == 3 || i == 17 { 2.5 } else { 1.0 }),
+        Pinned {
+            evals_used: 1_999,
+            probes: vec![],
+            k_final: 4,
+            plan: 11_701_485_428_667_807_247,
+            objective_bits: 4_621_022_132_060_202_019,
+        }
+    );
+}
+
+#[test]
+fn overloaded() {
+    // A six-machine plan under 2.5× the CPU it was packed for: the warm
+    // polish repairs it, but into more machines than greedy packs.
+    let problem = fleet(7, |_| 2.5);
+    let warm = Assignment::new((0..TENANTS).map(|i| i % 6).collect());
+    let (priced, observed) = replan(problem, &warm);
+    let greedy = evaluate(&priced, &upper_bound(&priced).0);
+    let polished = polish(&priced, &warm, priced.max_machines, online().polish_rounds);
+    assert!(greedy.feasible);
+    assert!(
+        !(polished.evaluation.feasible && polished.evaluation.objective < greedy.objective),
+        "the greedy bound beats the warm polish"
+    );
+    assert_eq!(
+        observed,
+        Pinned {
+            evals_used: 2_398,
+            probes: vec![(10, false)],
+            k_final: 11,
+            plan: 14_657_905_460_258_280_927,
+            objective_bits: 4_627_013_418_379_610_167,
+        }
+    );
+}

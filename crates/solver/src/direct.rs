@@ -18,6 +18,12 @@
 //! rectangles picked are exactly those a scan over all of them picks
 //! (minimum `f`, lowest index on ties): the scan is the tests' reference.
 //!
+//! Bookkeeping allocates nothing per rectangle or per sample: rectangles
+//! are rows of flat arrays (`Rects`), a child copies its parent's row and
+//! moves one coordinate, and a sample patches one probe point in place. A
+//! half-diagonal sums squared sides from a table of the `powi` values it
+//! once computed per call (`SideSquares`), so every `d` keeps its bits.
+//!
 //! The search is fully deterministic.
 
 use std::cmp::Reverse;
@@ -59,19 +65,35 @@ pub struct DirectResult {
     pub iterations: usize,
 }
 
-#[derive(Debug, Clone)]
-struct Rect {
-    center: Vec<f64>,
-    f: f64,
-    /// Trisection count per dimension; side length = 3^-level.
+/// Rectangle `i`: centre `centres[i * dims..][..dims]`, trisections per
+/// dimension `levels[i * dims..][..dims]` (side 3^-level), value `f[i]`,
+/// half-diagonal (size) `d[i]`.
+struct Rects {
+    centres: Vec<f64>,
     levels: Vec<u16>,
-    /// Cached half-diagonal (the "size" d).
-    d: f64,
+    f: Vec<f64>,
+    d: Vec<f64>,
 }
 
-fn half_diagonal(levels: &[u16]) -> f64 {
-    let sum: f64 = levels.iter().map(|&l| 3f64.powi(-2 * l as i32)).sum();
-    0.5 * sum.sqrt()
+/// `(3^-l)²` per level `l`, each the `powi` call it stands for, made at run
+/// time (`black_box`: never constant-folded into other bits); the table
+/// grows a level at a time as the search goes deeper.
+#[derive(Default)]
+struct SideSquares(Vec<f64>);
+
+impl SideSquares {
+    /// Make sure `level` has an entry.
+    fn cover(&mut self, level: u16) {
+        while self.0.len() <= level as usize {
+            let l = self.0.len() as i32;
+            self.0.push(3f64.powi(std::hint::black_box(-2 * l)));
+        }
+    }
+
+    fn half_diagonal(&self, levels: &[u16]) -> f64 {
+        let sum: f64 = levels.iter().map(|&l| self.0[l as usize]).sum();
+        0.5 * sum.sqrt()
+    }
 }
 
 /// Diameter class of a rectangle: `d` quantized, so that the same side
@@ -96,20 +118,19 @@ struct ClassHeaps {
 }
 
 impl ClassHeaps {
-    /// `rects[index]` is new, or has just changed diameter.
-    fn file(&mut self, rects: &[Rect], index: usize) {
-        let Rect { f, d, .. } = rects[index];
-        let heap = self.classes.entry(class_of(d)).or_default();
-        heap.push(Reverse((ordered_bits(f), index)));
+    /// Rectangle `index` is new, or has just changed diameter.
+    fn file(&mut self, rects: &Rects, index: usize) {
+        let heap = self.classes.entry(class_of(rects.d[index])).or_default();
+        heap.push(Reverse((ordered_bits(rects.f[index]), index)));
     }
 
-    /// Per class in ascending diameter, `(d, index)` of its rectangle
-    /// with the least `f`, the lowest index among equals.
-    fn best_per_class(&mut self, rects: &[Rect]) -> Vec<(f64, usize)> {
-        let mut best = Vec::with_capacity(self.classes.len());
+    /// Into `best`, per class in ascending diameter, `(d, index)` of its
+    /// rectangle with the least `f`, the lowest index among equals.
+    fn best_per_class(&mut self, rects: &Rects, best: &mut Vec<(f64, usize)>) {
+        best.clear();
         self.classes.retain(|&class, heap| {
             while let Some(&Reverse((_, index))) = heap.peek() {
-                let d = rects[index].d;
+                let d = rects.d[index];
                 if class_of(d) == class {
                     best.push((d, index));
                     return true;
@@ -118,7 +139,6 @@ impl ClassHeaps {
             }
             false
         });
-        best
     }
 }
 
@@ -172,23 +192,30 @@ fn minimize_selecting(
     dims: usize,
     cfg: &DirectConfig,
     f: &mut impl DirectObjective,
-    mut best_per_class: impl FnMut(&mut ClassHeaps, &[Rect]) -> Vec<(f64, usize)>,
+    mut best_per_class: impl FnMut(&mut ClassHeaps, &Rects, &mut Vec<(f64, usize)>),
 ) -> DirectResult {
     assert!(dims > 0, "need at least one dimension");
-    let center = vec![0.5; dims];
-    let f0 = f.eval(&center);
+    // The one point every sample is taken at: a centre, patched in place.
+    let mut probe = vec![0.5; dims];
+    let f0 = f.eval(&probe);
     let mut evals = 1usize;
-    let mut rects = vec![Rect {
-        center,
-        f: f0,
+    let mut squares = SideSquares::default();
+    squares.cover(0);
+    let mut rects = Rects {
+        centres: probe.clone(),
         levels: vec![0; dims],
-        d: half_diagonal(&vec![0; dims]),
-    }];
+        f: vec![f0],
+        d: Vec::new(),
+    };
+    rects.d.push(squares.half_diagonal(&rects.levels));
     let mut heaps = ClassHeaps::default();
     heaps.file(&rects, 0);
     let mut best_f = f0;
-    let mut best_x = rects[0].center.clone();
+    let mut best_x = probe.clone();
     let mut iterations = 0usize;
+    // Reused by every iteration and division.
+    let (mut best, mut hull, mut selected) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut long_dims, mut samples) = (Vec::new(), Vec::new());
 
     let stop_hit = |best: f64| cfg.stop_below.is_some_and(|s| best < s);
 
@@ -196,74 +223,84 @@ fn minimize_selecting(
     // search cannot make progress.
     'outer: while iterations < cfg.max_iters && evals + 2 <= cfg.max_evals && !stop_hit(best_f) {
         iterations += 1;
-        let best = best_per_class(&mut heaps, &rects);
-        let selected = potentially_optimal(&rects, &best, best_f, cfg.epsilon);
+        best_per_class(&mut heaps, &rects, &mut best);
+        potentially_optimal(
+            &rects.f,
+            &best,
+            best_f,
+            cfg.epsilon,
+            &mut hull,
+            &mut selected,
+        );
         if selected.is_empty() {
             break;
         }
-        // Indices must be processed largest-first so splits appending new
-        // rects don't disturb earlier indices; collect first.
+        // Largest index first; a division only appends rectangles.
         for &ri in selected.iter().rev() {
             if evals >= cfg.max_evals || stop_hit(best_f) {
                 break 'outer;
             }
             // Longest sides = dimensions at the minimum level.
-            let min_level = *rects[ri].levels.iter().min().expect("non-empty");
-            let long_dims: Vec<usize> = (0..dims)
-                .filter(|&i| rects[ri].levels[i] == min_level)
-                .collect();
+            let row = ri * dims;
+            let levels = &rects.levels[row..row + dims];
+            let min_level = *levels.iter().min().expect("non-empty");
+            long_dims.clear();
+            long_dims.extend((0..dims).filter(|&i| levels[i] == min_level));
             let delta = 3f64.powi(-(min_level as i32 + 1));
 
             // Sample c ± δ e_i for every long dimension:
-            // (dimension, f(c−δ), f(c+δ), c−δ, c+δ).
-            type AxisSample = (usize, f64, f64, Vec<f64>, Vec<f64>);
-            let mut samples: Vec<AxisSample> = Vec::new();
-            f.rebase(&rects[ri].center);
+            // (dimension, f(c−δ), f(c+δ), c_i−δ, c_i+δ).
+            samples.clear();
+            probe.copy_from_slice(&rects.centres[row..row + dims]);
+            f.rebase(&probe);
             for &i in &long_dims {
                 if evals + 2 > cfg.max_evals {
                     break;
                 }
-                let mut lo = rects[ri].center.clone();
-                let mut hi = rects[ri].center.clone();
-                lo[i] = (lo[i] - delta).clamp(0.0, 1.0);
-                hi[i] = (hi[i] + delta).clamp(0.0, 1.0);
-                let f_lo = f.eval_axis(&lo, i);
-                let f_hi = f.eval_axis(&hi, i);
+                let c = probe[i];
+                let (lo, hi) = ((c - delta).clamp(0.0, 1.0), (c + delta).clamp(0.0, 1.0));
+                let mut sample = |x: f64| {
+                    probe[i] = x;
+                    let fx = f.eval_axis(&probe, i);
+                    if fx < best_f {
+                        best_f = fx;
+                        best_x.copy_from_slice(&probe);
+                    }
+                    fx
+                };
+                let (f_lo, f_hi) = (sample(lo), sample(hi));
+                probe[i] = c;
                 evals += 2;
-                if f_lo < best_f {
-                    best_f = f_lo;
-                    best_x = lo.clone();
-                }
-                if f_hi < best_f {
-                    best_f = f_hi;
-                    best_x = hi.clone();
-                }
                 samples.push((i, f_lo, f_hi, lo, hi));
             }
             if samples.is_empty() {
                 continue;
             }
-            // Divide in order of best sample value (Jones' rule).
-            samples.sort_by(|a, b| {
+            // Divide in order of best sample value (Jones' rule), ties in
+            // dimension order.
+            samples.sort_unstable_by(|a, b| {
                 a.1.min(a.2)
                     .partial_cmp(&b.1.min(b.2))
                     .expect("NaN objective")
+                    .then(a.0.cmp(&b.0))
             });
-            for (i, f_lo, f_hi, lo, hi) in samples {
-                rects[ri].levels[i] += 1;
-                let d = half_diagonal(&rects[ri].levels);
-                for (center, f) in [(lo, f_lo), (hi, f_hi)] {
-                    let levels = rects[ri].levels.clone();
-                    rects.push(Rect {
-                        center,
-                        f,
-                        levels,
-                        d,
-                    });
-                    heaps.file(&rects, rects.len() - 1);
+            let mut d = rects.d[ri];
+            for &(i, f_lo, f_hi, lo, hi) in &samples {
+                rects.levels[row + i] += 1;
+                squares.cover(rects.levels[row + i]);
+                d = squares.half_diagonal(&rects.levels[row..row + dims]);
+                // Each child: the parent's row, its `i` coordinate moved.
+                for (x, fx) in [(lo, f_lo), (hi, f_hi)] {
+                    let child = rects.f.len();
+                    rects.centres.extend_from_within(row..row + dims);
+                    rects.centres[child * dims + i] = x;
+                    rects.levels.extend_from_within(row..row + dims);
+                    rects.f.push(fx);
+                    rects.d.push(d);
+                    heaps.file(&rects, child);
                 }
             }
-            rects[ri].d = half_diagonal(&rects[ri].levels);
+            rects.d[ri] = d;
             heaps.file(&rects, ri);
         }
     }
@@ -276,23 +313,25 @@ fn minimize_selecting(
     }
 }
 
-/// Indices of potentially-optimal rectangles: the lower-right convex hull
-/// of (d, f) over each diameter class's best rectangle (`best_per_class`,
-/// ascending `d`), ε-filtered.
+/// Into `out`, the indices of potentially-optimal rectangles: the
+/// lower-right convex hull (built in `hull`) of (d, f) over each diameter
+/// class's best rectangle (`best_per_class`, ascending `d`), ε-filtered.
 fn potentially_optimal(
-    rects: &[Rect],
+    f: &[f64],
     best_per_class: &[(f64, usize)],
     f_min: f64,
     epsilon: f64,
-) -> Vec<usize> {
+    hull: &mut Vec<(f64, usize)>,
+    out: &mut Vec<usize>,
+) {
     // Lower convex hull over ascending d.
-    let mut hull: Vec<(f64, usize)> = Vec::new();
+    hull.clear();
     for &(d, i) in best_per_class {
-        let fi = rects[i].f;
+        let fi = f[i];
         while hull.len() >= 2 {
             let (d1, i1) = hull[hull.len() - 2];
             let (d2, i2) = hull[hull.len() - 1];
-            let (f1, f2) = (rects[i1].f, rects[i2].f);
+            let (f1, f2) = (f[i1], f[i2]);
             // Remove i2 if it lies above segment (d1,f1)-(d,fi).
             let cross = (d2 - d1) * (fi - f1) - (f2 - f1) * (d - d1);
             if cross <= 0.0 {
@@ -309,18 +348,18 @@ fn potentially_optimal(
     // Keep only the ascending-f tail from the global minimum onward
     // (smaller rectangles with worse f than a larger one are never
     // potentially optimal), then ε-filter.
-    let mut out = Vec::new();
+    out.clear();
     let n = hull.len();
     for (pos, &(d, i)) in hull.iter().enumerate() {
-        let fi = rects[i].f;
+        let fi = f[i];
         // Must be no larger-d hull point with smaller-or-equal f.
-        if hull[pos + 1..].iter().any(|&(_, j)| rects[j].f <= fi) && rects[hull[n - 1].1].f < fi {
+        if hull[pos + 1..].iter().any(|&(_, j)| f[j] <= fi) && f[hull[n - 1].1] < fi {
             continue;
         }
         // ε-condition against the right neighbour's slope.
         if pos + 1 < n {
             let (d2, j) = hull[pos + 1];
-            let slope = (rects[j].f - fi) / (d2 - d);
+            let slope = (f[j] - fi) / (d2 - d);
             let reachable = fi - slope * d;
             if reachable > f_min - epsilon * f_min.abs() {
                 continue;
@@ -332,7 +371,6 @@ fn potentially_optimal(
         // Always divide at least the largest rectangle.
         out.push(hull[n - 1].1);
     }
-    out
 }
 
 #[cfg(test)]
@@ -342,21 +380,37 @@ mod tests {
 
     /// The selection [`ClassHeaps`] replaced — one pass over every
     /// rectangle per call — kept as its reference.
-    fn scan(rects: &[Rect]) -> Vec<(f64, usize)> {
+    fn scan(rects: &Rects) -> Vec<(f64, usize)> {
         let mut by_class: std::collections::HashMap<u64, usize> = Default::default();
-        for (i, r) in rects.iter().enumerate() {
+        for (i, (&f, &d)) in rects.f.iter().zip(&rects.d).enumerate() {
             by_class
-                .entry(class_of(r.d))
+                .entry(class_of(d))
                 .and_modify(|bi| {
-                    if r.f < rects[*bi].f {
+                    if f < rects.f[*bi] {
                         *bi = i;
                     }
                 })
                 .or_insert(i);
         }
-        let mut best: Vec<(f64, usize)> = by_class.into_values().map(|i| (rects[i].d, i)).collect();
+        let mut best: Vec<(f64, usize)> = by_class.into_values().map(|i| (rects.d[i], i)).collect();
         best.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("NaN diameter"));
         best
+    }
+
+    #[test]
+    fn side_squares_are_the_powi_they_replace() {
+        // Past the underflow to zero (3^-800 < f64::MIN_POSITIVE).
+        let mut squares = SideSquares::default();
+        squares.cover(400);
+        for l in 0..=400i32 {
+            let direct = 3f64.powi(std::hint::black_box(-2 * l));
+            assert_eq!(
+                squares.0[l as usize].to_bits(),
+                direct.to_bits(),
+                "level {l}"
+            );
+        }
+        assert_eq!(squares.0[400], 0.0);
     }
 
     #[test]
@@ -369,29 +423,38 @@ mod tests {
         for _ in 0..40 {
             let dims = 2 + rng.next_range(3) as usize;
             let mut heaps = ClassHeaps::default();
-            let mut rects: Vec<Rect> = Vec::new();
+            let mut squares = SideSquares::default();
+            squares.cover(256);
+            let mut rects = Rects {
+                centres: Vec::new(),
+                levels: Vec::new(),
+                f: Vec::new(),
+                d: Vec::new(),
+            };
+            let (mut best, mut hull, mut out) = (Vec::new(), Vec::new(), Vec::new());
             for step in 0..200 {
-                let i = if rects.is_empty() || rng.next_range(3) > 0 {
+                let i = if rects.f.is_empty() || rng.next_range(3) > 0 {
                     let levels: Vec<u16> = (0..dims).map(|_| rng.next_range(4) as u16).collect();
-                    rects.push(Rect {
-                        center: vec![0.5; dims],
-                        f: [-0.5, -0.0, 0.0, 0.25, 1.0][rng.next_range(5) as usize],
-                        d: half_diagonal(&levels),
-                        levels,
-                    });
-                    rects.len() - 1
+                    rects.centres.extend(std::iter::repeat_n(0.5, dims));
+                    rects.d.push(squares.half_diagonal(&levels));
+                    rects.levels.extend(levels);
+                    rects
+                        .f
+                        .push([-0.5, -0.0, 0.0, 0.25, 1.0][rng.next_range(5) as usize]);
+                    rects.f.len() - 1
                 } else {
                     // Divide: a rectangle shrinks into another class.
-                    let i = rng.next_range(rects.len() as u64) as usize;
-                    rects[i].levels[rng.next_range(dims as u64) as usize] += 1;
-                    rects[i].d = half_diagonal(&rects[i].levels);
+                    let i = rng.next_range(rects.f.len() as u64) as usize;
+                    rects.levels[i * dims + rng.next_range(dims as u64) as usize] += 1;
+                    rects.d[i] = squares.half_diagonal(&rects.levels[i * dims..][..dims]);
                     i
                 };
                 heaps.file(&rects, i);
                 if step % 3 == 0 {
-                    let best = heaps.best_per_class(&rects);
+                    heaps.best_per_class(&rects, &mut best);
                     assert_eq!(best, scan(&rects));
-                    selected += potentially_optimal(&rects, &best, -0.5, 1e-4).len();
+                    potentially_optimal(&rects.f, &best, -0.5, 1e-4, &mut hull, &mut out);
+                    selected += out.len();
                 }
             }
         }
@@ -405,10 +468,11 @@ mod tests {
             max_evals: evals,
             ..Default::default()
         };
-        let by_scan = minimize_selecting(dims, &cfg, &mut f, |heaps, rects| {
-            let best = scan(rects);
-            assert_eq!(heaps.best_per_class(rects), best);
-            best
+        let by_scan = minimize_selecting(dims, &cfg, &mut f, |heaps, rects, best| {
+            heaps.best_per_class(rects, best);
+            let scanned = scan(rects);
+            assert_eq!(*best, scanned);
+            *best = scanned;
         });
         let by_heaps = direct_minimize(dims, &cfg, f);
         let told = |r: &DirectResult| {

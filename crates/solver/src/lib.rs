@@ -16,6 +16,7 @@
 //! * a from-scratch **DIRECT** global optimizer ([`direct`]), which picks
 //!   rectangles from per-size heaps and tells its objective each
 //!   rectangle's centre before sampling around it ([`DirectObjective`]);
+//!   rectangles are rows of flat arrays, with no allocation per rectangle;
 //! * deterministic **local-search polish** ([`local`]) that scores each
 //!   candidate move once, without mutating its state;
 //! * the §7.3 baselines: single-resource **greedy** first-fit

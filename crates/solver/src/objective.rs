@@ -10,7 +10,9 @@
 //! including the constraint-violation penalty spike.
 
 use crate::problem::{Assignment, ConsolidationProblem, Slot, SlotSeries};
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Per-machine, per-window utilization triple (fractions of capacity).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -316,39 +318,101 @@ pub fn evaluate_with_series(
     }
 }
 
-/// Machine scores already computed, keyed by occupant set as a slot bitset:
-/// exact (occupant lists are ascending, so set and list determine each
-/// other) and two words for 128 slots.
+/// A set of slots as a bitset: the memo's key. Every key of one memo is
+/// the same number of words, at least two, so a derived `Eq` is the words'
+/// and a two-word key is kept inline: on problems of at most 128 slots no
+/// key is ever allocated.
+#[derive(PartialEq, Eq)]
+enum SlotSet {
+    Inline([u64; 2]),
+    Boxed(Box<[u64]>),
+}
+
+/// A key is looked up by its words, so a lookup builds no `SlotSet`.
+impl Borrow<[u64]> for SlotSet {
+    fn borrow(&self) -> &[u64] {
+        match self {
+            SlotSet::Inline(words) => words,
+            SlotSet::Boxed(words) => words,
+        }
+    }
+}
+
+impl Hash for SlotSet {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        Borrow::<[u64]>::borrow(self).hash(state)
+    }
+}
+
+/// Multiply-rotate hashing of the memo's keys. They are bitsets the solver
+/// builds itself, so SipHash's guard against chosen keys buys nothing; the
+/// rotations carry every bit of a word, the high ones too, into the low
+/// bits a table indexes by.
+#[derive(Default)]
+struct WordHasher(u64);
+
+const WORD_MIX: u64 = 0x517c_c1b7_2722_0a95;
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(26) ^ word).wrapping_mul(WORD_MIX);
+    }
+
+    fn finish(&self) -> u64 {
+        let last = self.0.rotate_left(26).wrapping_mul(WORD_MIX);
+        last.rotate_left(26)
+    }
+}
+
+/// Machine scores already computed, by occupant set. Exact: a set and its
+/// ascending slot list determine each other, and a miss sums the list from
+/// zero in that order, as `evaluate` does.
 #[derive(Default)]
 struct ScoreMemo {
-    scores: HashMap<Box<[u64]>, MachineScore>,
-    key: Vec<u64>,
+    scores: HashMap<SlotSet, MachineScore, BuildHasherDefault<WordHasher>>,
+    /// Scratch: the slots of a set that missed.
+    members: Vec<usize>,
     sums: MachineSums,
 }
 
 impl ScoreMemo {
-    /// The score of a machine holding exactly `members` (ascending): looked
-    /// up, or summed from zero in list order, scored and kept.
+    /// The score of a machine holding exactly the slots of `set`: looked
+    /// up, or summed, scored and kept.
     fn score(
         &mut self,
         problem: &ConsolidationProblem,
         series: &SlotSeries,
-        members: &[usize],
+        set: &[u64],
     ) -> MachineScore {
-        if members.is_empty() {
+        if set.iter().all(|&word| word == 0) {
             return MachineScore::default();
         }
-        self.key.clear();
-        self.key.resize(series.slots.len().div_ceil(64), 0);
-        for &s in members {
-            self.key[s / 64] |= 1 << (s % 64);
-        }
-        if let Some(&known) = self.scores.get(&self.key[..]) {
+        if let Some(&known) = self.scores.get(set) {
             return known;
         }
-        self.sums.sum_of(series, members);
-        let score = score_machine(problem, &series.slots, members, &self.sums, |_| {});
-        self.scores.insert(self.key.as_slice().into(), score);
+        self.members.clear();
+        for (i, &word) in set.iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                self.members.push(i * 64 + rest.trailing_zeros() as usize);
+                rest &= rest - 1;
+            }
+        }
+        self.sums.sum_of(series, &self.members);
+        let score = score_machine(problem, &series.slots, &self.members, &self.sums, |_| {});
+        let key = match *set {
+            [a, b] => SlotSet::Inline([a, b]),
+            _ => SlotSet::Boxed(set.into()),
+        };
+        self.scores.insert(key, score);
         score
     }
 }
@@ -361,24 +425,27 @@ impl ScoreMemo {
 ///
 /// A scorer works [`on`](CentreScorer::on) one problem at a time.
 /// [`rebase`](Scoring::rebase) keeps, per machine, the centre's occupants
-/// (ascending slot index) and their score; [`moved`](Scoring::moved)
-/// scores the source and the destination machine and re-forms the total
-/// in `evaluate`'s order with those two entries substituted.
+/// as a slot bitset and their score; [`moved`](Scoring::moved) keys the
+/// source machine by its bitset with the slot's bit cleared and the
+/// destination by its bitset with the bit set, and re-forms the total in
+/// `evaluate`'s order with those two scores substituted.
 ///
-/// **Every machine is scored through a memo.** A machine's score depends
-/// on the problem and on which slots it holds — not on its index, on K, or
-/// on where the other slots sit — and a search scores the same few
-/// thousand occupant sets over and over: a sample's source machine is the
-/// same at both ends of an axis, a child rectangle's centre shares all but
-/// two machines with its parent's, and probes at different K revisit each
-/// other's machines almost exactly. So a score is computed once per
-/// distinct set (**summed from zero, in ascending slot order**, exactly as
-/// `evaluate` sums it) and then looked up. The memo lives exactly as long
-/// as one [`Scoring`]: it starts empty, every entry is scored against the
-/// one problem the `Scoring` borrows, and dropping the `Scoring` drops the
-/// entries *and their memory*. The search holds one `Scoring` per solve —
-/// every probe and the final run share it — so a scorer at rest holds its
-/// per-machine buffers and nothing that grew with a search.
+/// **Every machine is scored through a memo** keyed by that bitset. A
+/// machine's score depends on the problem and on which slots it holds —
+/// not on its index, on K, or on where the other slots sit — and a search
+/// scores the same few thousand occupant sets over and over: a sample's
+/// source machine is the same at both ends of an axis, a child rectangle's
+/// centre shares all but two machines with its parent's, and probes at
+/// different K revisit each other's machines almost exactly. So a score is
+/// computed once per distinct set (**summed from zero, in ascending slot
+/// order**, exactly as `evaluate` sums it) and then looked up; a lookup
+/// builds no slot list, and on a problem of at most 128 slots allocates
+/// nothing. The memo lives exactly as long as one [`Scoring`]: it starts
+/// empty, every entry is scored against the one problem the `Scoring`
+/// borrows, and dropping the `Scoring` drops the entries *and their
+/// memory*. The search holds one `Scoring` per solve — every probe and the
+/// final run share it — so a scorer at rest holds its per-machine buffers
+/// and nothing that grew with a search.
 ///
 /// Updating the source machine by subtraction (`sums − slot`) instead is
 /// about 5× cheaper per sample and was measured and rejected: it differs
@@ -389,31 +456,52 @@ impl ScoreMemo {
 #[derive(Default)]
 pub struct CentreScorer {
     machine_of: Vec<usize>,
-    /// Per machine, ascending slot index. Sized to the largest machine
-    /// index seen so far; a reused scorer only ever grows.
-    occupants: Vec<Vec<usize>>,
+    words: usize,
+    /// Per machine, its occupants as a bitset of `words` words (at least
+    /// two): machine `m`'s at `bits[m * words..]`. Sized to the largest
+    /// machine index seen on the problem; its capacity is reused.
+    bits: Vec<u64>,
     scored: Vec<MachineScore>,
     /// The centre's machine-count + pin violations.
     placement: f64,
     moves_from_baseline: usize,
     centre: f64,
-    /// Scratch: the occupants of a machine a move touches.
-    members: Vec<usize>,
     memo: ScoreMemo,
 }
 
 impl CentreScorer {
     fn grow(&mut self, machines: usize) {
-        if self.occupants.len() < machines {
-            self.occupants.resize_with(machines, Vec::new);
+        if self.scored.len() < machines {
             self.scored.resize(machines, MachineScore::default());
+            self.bits.resize(machines * self.words, 0);
         }
+    }
+
+    /// The score of `machine` with `slot` moved on or off it (the slot's
+    /// bit flipped, then back), and how many slots it then holds.
+    fn flipped(
+        &mut self,
+        problem: &ConsolidationProblem,
+        series: &SlotSeries,
+        machine: usize,
+        slot: usize,
+    ) -> (MachineScore, u32) {
+        let (row, bit) = (machine * self.words, 1 << (slot % 64));
+        self.bits[row + slot / 64] ^= bit;
+        let set = &self.bits[row..row + self.words];
+        let holds = set.iter().map(|word| word.count_ones()).sum();
+        let score = self.memo.score(problem, series, set);
+        self.bits[row + slot / 64] ^= bit;
+        (score, holds)
     }
 
     /// Score placements of `problem` until the returned [`Scoring`] drops.
     pub fn on<'a>(&'a mut self, problem: &'a ConsolidationProblem) -> Scoring<'a> {
         // Empty already, unless an earlier `Scoring` was leaked.
-        self.memo.scores = HashMap::new();
+        self.memo.scores = HashMap::default();
+        self.words = problem.slot_series().slots.len().div_ceil(64).max(2);
+        self.bits.clear();
+        self.scored.clear();
         Scoring {
             series: problem.slot_series(),
             problem,
@@ -439,20 +527,18 @@ impl Scoring<'_> {
     pub fn rebase(&mut self, machine_of: &[usize]) -> f64 {
         let (problem, series, sc) = (self.problem, self.series, &mut *self.scorer);
         debug_assert_eq!(series.slots.len(), machine_of.len());
-        for occ in &mut sc.occupants {
-            occ.clear();
-        }
         sc.grow(machine_of.iter().max().map_or(0, |m| m + 1));
+        sc.bits.fill(0);
         sc.machine_of.clear();
         sc.machine_of.extend_from_slice(machine_of);
         sc.placement = 0.0;
         for (s, &m) in machine_of.iter().enumerate() {
-            sc.occupants[m].push(s);
+            sc.bits[m * sc.words + s / 64] |= 1 << (s % 64);
             sc.placement += pin_violation(problem, series.slots[s], m);
         }
-        for (m, occ) in sc.occupants.iter().enumerate() {
+        for (m, occ) in sc.bits.chunks_exact(sc.words).enumerate() {
             sc.scored[m] = sc.memo.score(problem, series, occ);
-            if !occ.is_empty() {
+            if occ.iter().any(|&word| word != 0) {
                 sc.placement += overflow_violation(problem, m);
             }
         }
@@ -476,25 +562,16 @@ impl Scoring<'_> {
             return sc.centre;
         }
         sc.grow(dst + 1);
-        sc.members.clear();
-        sc.members
-            .extend(sc.occupants[src].iter().filter(|&&s| s != slot));
-        let src_score = sc.memo.score(problem, series, &sc.members);
-        let occ = &sc.occupants[dst];
-        let at = occ.partition_point(|&s| s < slot);
-        sc.members.clear();
-        sc.members.extend_from_slice(&occ[..at]);
-        sc.members.push(slot);
-        sc.members.extend_from_slice(&occ[at..]);
-        let dst_score = sc.memo.score(problem, series, &sc.members);
+        let (src_score, src_holds) = sc.flipped(problem, series, src, slot);
+        let (dst_score, dst_holds) = sc.flipped(problem, series, dst, slot);
 
         let mut placement = sc.placement
             + (pin_violation(problem, series.slots[slot], dst)
                 - pin_violation(problem, series.slots[slot], src));
-        if sc.occupants[src].len() == 1 {
+        if src_holds == 0 {
             placement -= overflow_violation(problem, src);
         }
-        if sc.occupants[dst].is_empty() {
+        if dst_holds == 1 {
             placement += overflow_violation(problem, dst);
         }
         let moves = sc.moves_from_baseline as isize + migration_delta(problem, slot, src, dst);
@@ -513,7 +590,7 @@ impl Scoring<'_> {
 
 impl Drop for Scoring<'_> {
     fn drop(&mut self) {
-        self.scorer.memo.scores = HashMap::new();
+        self.scorer.memo.scores = HashMap::default();
     }
 }
 

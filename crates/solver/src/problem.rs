@@ -398,10 +398,13 @@ impl ConsolidationProblem {
         // allows: mutating the pub fields (replica counts, series
         // lengths) after an evaluation has built it. Full bit-for-bit
         // value coherence is the cache_coherence property suite's job —
-        // rebuilding here would defeat the cache.
+        // rebuilding here would defeat the cache, and so would allocating.
         debug_assert_eq!(
             series.slots.len(),
-            self.slots().len(),
+            self.workloads
+                .iter()
+                .map(|w| w.replicas.max(1) as usize)
+                .sum(),
             "slot cache stale: workloads/replicas mutated after first evaluation"
         );
         debug_assert_eq!(

@@ -34,8 +34,9 @@ use kairos_types::{KairosError, Result};
 /// What an online re-solver keeps between solves: it calls
 /// [`solve_warm_with`] every drift event against similarly-sized problems,
 /// and one `SolveScratch` held across them keeps the [`CentreScorer`]'s
-/// per-machine buffers. Its memo of machine scores is as large as a search
+/// per-machine bitsets. Its memo of machine scores is as large as a search
 /// was long, so it is *not* kept: it is released before a solve returns.
+/// What a solve still allocates grows by doubling (`tests/solve_alloc.rs`).
 #[derive(Default)]
 pub struct SolveScratch {
     scorer: CentreScorer,
@@ -190,7 +191,7 @@ fn is_free(problem: &ConsolidationProblem, slot: &Slot) -> bool {
 
 /// Number of free decision variables (unpinned slots).
 pub fn free_dims(problem: &ConsolidationProblem) -> usize {
-    let slots = problem.slots();
+    let slots = &problem.slot_series().slots;
     slots.iter().filter(|s| is_free(problem, s)).count()
 }
 
@@ -276,8 +277,7 @@ pub fn solve_warm(
 }
 
 /// [`solve_warm`] with a caller-held scratch arena (see
-/// [`SolveScratch`]) — the online re-solver's zero-steady-state-
-/// allocation entry point.
+/// [`SolveScratch`]): the online re-solver's entry point.
 pub fn solve_warm_with(
     problem: &ConsolidationProblem,
     cfg: &SolverConfig,

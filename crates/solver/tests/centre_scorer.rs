@@ -16,6 +16,10 @@
 //! the same occupant sets come round again under other loads, and a score
 //! that outlived its problem would show as a wrong bit.
 //!
+//! The memo keys a machine by its occupants' slot bitset, two words kept
+//! inline up to 128 slots and boxed beyond, so one sweep runs problems of
+//! 60–200 slots and moves the slots either side of each word boundary.
+//!
 //! Cases come from a seeded [`SplitMix64`] stream
 //! ([`SplitMix64::from_env`]; CI sweeps `KAIROS_TEST_SEED`).
 
@@ -139,6 +143,63 @@ fn every_one_slot_move_scores_exactly_as_evaluate() {
         feasible > 100 && infeasible > 100,
         "one-sided sweep: {feasible} feasible, {infeasible} infeasible points"
     );
+}
+
+#[test]
+fn inline_and_boxed_keys_score_exactly_as_evaluate() {
+    // Slot counts either side of each word boundary, and moves of the slots
+    // that sit on one (63 | 64, 127 | 128) as well as of random ones, into
+    // every machine of a random K.
+    let mut rng = SplitMix64::from_env(0xB175E7);
+    let mut scorer = CentreScorer::default();
+    for n in [60, 64, 65, 100, 127, 128, 129, 160, 200] {
+        let windows = 1 + rng.next_range(4) as usize;
+        let workloads = (0..n)
+            .map(|i| {
+                let mut w = WorkloadSpec::flat(format!("w{i}"), 0, 0.0, 0.0, 0.0, 0.0);
+                w.cpu = (0..windows).map(|_| rng.next_in(0.05, 1.6)).collect();
+                w.ram = (0..windows).map(|_| rng.next_in(0.5e9, 6e9)).collect();
+                w.ws = w.ram.iter().map(|r| r * 0.3).collect();
+                w.rate = (0..windows).map(|_| rng.next_in(10.0, 400.0)).collect();
+                w
+            })
+            .collect();
+        let k = 4 + rng.next_range(12) as usize;
+        let p = ConsolidationProblem::new(
+            workloads,
+            TargetMachine::paper_target(),
+            k - 1,
+            Arc::new(LinearDiskCombiner::default()),
+        );
+        let baseline = (0..n).map(|_| Some(rng.next_range(k as u64) as usize));
+        let p = p.with_migration(baseline.collect(), 0.1);
+        let mut slots: Vec<usize> = [0, 63, 64, 127, 128, n - 1]
+            .into_iter()
+            .filter(|&s| s < n)
+            .collect();
+        slots.extend((0..6).map(|_| rng.next_range(n as u64) as usize));
+        let centres: Vec<Vec<usize>> = (0..2)
+            .map(|_| (0..n).map(|_| rng.next_range(k as u64) as usize).collect())
+            .collect();
+        let mut scoring = scorer.on(&p);
+        for pass in ["cold", "warm"] {
+            for centre in &centres {
+                let exact = |a: &[usize]| evaluate(&p, &Assignment::new(a.to_vec())).objective;
+                assert_eq!(scoring.rebase(centre).to_bits(), exact(centre).to_bits());
+                for &slot in &slots {
+                    for dst in 0..k {
+                        let mut moved = centre.clone();
+                        moved[slot] = dst;
+                        assert_eq!(
+                            scoring.moved(slot, dst).to_bits(),
+                            exact(&moved).to_bits(),
+                            "{n} slots ({pass}): slot {slot} -> {dst}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[test]
