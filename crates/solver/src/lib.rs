@@ -17,8 +17,8 @@
 //!   rectangles from per-size heaps and tells its objective each
 //!   rectangle's centre before sampling around it ([`DirectObjective`]);
 //!   rectangles are rows of flat arrays, with no allocation per rectangle;
-//! * deterministic **local-search polish** ([`local`]) that scores each
-//!   candidate move once, without mutating its state;
+//! * deterministic **local-search polish** ([`local`]) that scores a
+//!   candidate once per change to its machines and drops a sure loser early;
 //! * the §7.3 baselines: single-resource **greedy** first-fit
 //!   ([`greedy`]) and the **fractional/idealized** lower bound
 //!   ([`bounds`]);

@@ -6,46 +6,66 @@
 //! deterministic best-move hill climber over slot→machine moves and
 //! whole-machine merges.
 //!
-//! A candidate is scored **once and without touching the state**: the
-//! search keeps each machine's summed series and its share of the
-//! objective, a move changes two machines, and the candidate's objective
-//! is the in-order machine sum with those two shares substituted. Both
-//! shares come from the crate's one scoring primitive
-//! (`objective::score_machine`) run over scratch sums:
+//! A candidate is scored **without touching the state**: a move changes
+//! two machines, and its objective is the in-order machine sum with their
+//! shares substituted, each from the window kernel
+//! (`objective::score_windows`) fed a machine's cached sums minus the
+//! slot, or plus the moving slots in list order (the additions
+//! `MachineSums::add` on a copy would make: the same bits), and its cached
+//! co-location count adjusted by the moving slots' pairs (integers). Of
+//! the empty machines only the lowest-indexed (they tie, and a later
+//! candidate must win by 1e-12) and the slot's baseline home are scored.
 //!
-//! * the source machine without the slot is the same for every
-//!   destination, so it is scored once per slot;
-//! * each destination is scored once with the slot added to its cached
-//!   sums; a merge adds the source machine's slots to the destination's
-//!   sums in list order and is scored once;
-//! * all empty machines give a slot the same objective and a later
-//!   candidate must beat the best so far by 1e-12, so only the
-//!   lowest-indexed empty machine is scored — except the slot's own
-//!   baseline machine, which wins back one move's migration cost and is
-//!   scored whenever it is empty.
+//! **What no move has touched is not scored again.** `apply_move` bumps
+//! the stamps of the two machines it changes; three dense caches, fresh
+//! per polish, keep finished scores at their stamps: a destination with a
+//! slot added (`slot × k`), a slot's machine without it (per slot, at
+//! machine and stamp), a merge (`k × k`, at both stamps). Same stamp, same
+//! slots and sums: the same score.
+//!
+//! **A candidate that cannot win is abandoned** once the objective with
+//! its partial share (offered by the kernel every fixed stride of windows)
+//! reaches what the move had to beat: `best − 1e-12`, or for a merge the
+//! lower of `current − 1e-12` and the best merge so far. That is exact: no
+//! part of a partial share exceeds the finished one's (non-negative terms,
+//! monotone rounding), `total_objective` is monotone in every part, and a
+//! NaN reaches no threshold. Abandoned candidates are not kept.
 //!
 //! Per-machine extrema (peak CPU/RAM over the horizon) feed a sound
 //! **lower-bound pruner**: candidate moves whose best-case objective
 //! delta provably cannot beat the incumbent are skipped without touching
-//! the load series. Neither kind of skip changes the chosen move — only
-//! candidates that could not have won are skipped.
+//! the load series. No skip changes the chosen move.
 
 use crate::objective::{
-    evaluate, migration_delta, score_machine, total_objective, Evaluation, MachineScore,
-    MachineSums, PENALTY,
+    colocation_violations, evaluate, migration_delta, score_machine, score_windows,
+    total_objective, Evaluation, MachineScore, MachineSums, PENALTY,
 };
 use crate::problem::{Assignment, ConsolidationProblem, SlotSeries};
 use std::sync::Arc;
+
+#[cfg(test)]
+mod reference;
 
 struct MachineState {
     slots: Vec<usize>,
     sums: MachineSums,
     /// This machine's share of the objective.
     share: MachineScore,
+    /// Bumped whenever the machine gains or loses a slot.
+    stamp: u64,
     /// Peak CPU / RAM over the horizon (pruning bounds; refreshed with
     /// the share).
     cpu_peak: f64,
     ram_peak: f64,
+}
+
+/// The stamp no machine reaches: an empty cache entry.
+const NEVER: u64 = u64::MAX;
+
+/// `cache[i]`'s score, if it was kept at `at`.
+fn kept<K: PartialEq>(cache: &[(K, MachineScore)], i: usize, at: K) -> Option<MachineScore> {
+    let (key, score) = &cache[i];
+    (*key == at).then_some(*score)
 }
 
 struct SearchState<'a> {
@@ -57,11 +77,15 @@ struct SearchState<'a> {
     /// Slots currently off the migration baseline (0 without a baseline);
     /// kept incrementally so the cached objective matches `evaluate`.
     mig_moves: usize,
-    /// Candidates skipped unscored (see [`PolishReport::pruned`]).
+    /// Candidates skipped or abandoned (see [`PolishReport::pruned`]).
     pruned: usize,
-    // Scratch a candidate's touched machines are scored in.
-    sums: MachineSums,
-    members: Vec<usize>,
+    /// Kept scores: `dst` with `slot` added at `slot * k + dst`, `slot`'s
+    /// machine without it at `slot`, `dst` with all of `src` at `src * k + dst`.
+    with_slot: Vec<(u64, MachineScore)>,
+    without: Vec<((usize, u64), MachineScore)>,
+    merged: Vec<((u64, u64), MachineScore)>,
+    /// The slots of the merge being applied.
+    moving: Vec<usize>,
 }
 
 impl<'a> SearchState<'a> {
@@ -71,11 +95,13 @@ impl<'a> SearchState<'a> {
         k: usize,
     ) -> SearchState<'a> {
         let series = problem.slot_series().clone();
+        let n_slots = series.slots.len();
         let mut machines: Vec<MachineState> = (0..k)
             .map(|_| MachineState {
                 slots: Vec::new(),
                 sums: MachineSums::default(),
                 share: MachineScore::default(),
+                stamp: 0,
                 cpu_peak: 0.0,
                 ram_peak: 0.0,
             })
@@ -97,6 +123,7 @@ impl<'a> SearchState<'a> {
             machines[*m].slots.push(s);
         }
         let mig_moves = problem.moves_from_baseline(&asg);
+        let none = MachineScore::default();
         let mut state = SearchState {
             problem,
             series,
@@ -104,8 +131,10 @@ impl<'a> SearchState<'a> {
             assignment: asg,
             mig_moves,
             pruned: 0,
-            sums: MachineSums::default(),
-            members: Vec::new(),
+            with_slot: vec![(NEVER, none); n_slots * k],
+            without: vec![((0, NEVER), none); n_slots],
+            merged: vec![((NEVER, NEVER), none); k * k],
+            moving: Vec::new(),
         };
         for m in 0..k {
             let ms = &mut state.machines[m];
@@ -186,45 +215,86 @@ impl<'a> SearchState<'a> {
         self.mig_moves =
             (self.mig_moves as isize + migration_delta(self.problem, slot, src, dst)) as usize;
         self.assignment[slot] = dst;
-        self.refresh(src);
-        self.refresh(dst);
+        for m in [src, dst] {
+            self.machines[m].stamp += 1;
+            self.refresh(m);
+        }
     }
 
-    /// Share of `slot`'s machine once the slot has left it.
+    /// Share of `slot`'s machine once the slot has left it: kept, or scored
+    /// from the machine's sums minus the slot's series.
     fn share_without(&mut self, slot: usize) -> MachineScore {
-        let from = &self.machines[self.assignment[slot]];
-        self.members.clear();
-        self.members
-            .extend(from.slots.iter().filter(|&&s| s != slot));
-        self.sums.copy_from(&from.sums);
-        self.sums.sub(&self.series, slot);
-        score_machine(
-            self.problem,
-            &self.series.slots,
-            &self.members,
-            &self.sums,
-            |_| {},
-        )
+        let src = self.assignment[slot];
+        let from = &self.machines[src];
+        let at = (src, from.stamp);
+        if let Some(score) = kept(&self.without, slot, at) {
+            return score;
+        }
+        let (problem, series) = (self.problem, &*self.series);
+        let score = if from.slots.len() == 1 {
+            MachineScore::default()
+        } else {
+            let mut colocation = from.share.colocation;
+            for &b in from.slots.iter().filter(|&&b| b != slot) {
+                colocation -= colocation_violations(problem, &series.slots, &[slot, b]);
+            }
+            let (sums, first) = (&from.sums, slot * problem.windows);
+            let sum_at = |t: usize| {
+                let i = first + t;
+                [
+                    sums.cpu[t] - series.cpu[i],
+                    sums.ram[t] - series.ram[i],
+                    sums.ws[t] - series.ws[i],
+                    sums.rate[t] - series.rate[i],
+                ]
+            };
+            score_windows(problem, colocation, sum_at, |_| {}, |_| false)
+                .expect("a score that never gives up reaches its last window")
+        };
+        self.without[slot] = (at, score);
+        score
     }
 
     /// Share of machine `dst` once `extra` (slots of another machine, in
-    /// the order they would be moved) have joined it.
-    fn share_with(&mut self, dst: usize, extra: &[usize]) -> MachineScore {
+    /// the order they would be moved) have joined it, or `None` once
+    /// `give_up` accepts a partial share.
+    fn share_with(
+        &self,
+        dst: usize,
+        extra: &[usize],
+        give_up: impl FnMut(MachineScore) -> bool,
+    ) -> Option<MachineScore> {
+        let (problem, series) = (self.problem, &*self.series);
         let to = &self.machines[dst];
-        self.members.clear();
-        self.members.extend_from_slice(&to.slots);
-        self.members.extend_from_slice(extra);
-        self.sums.copy_from(&to.sums);
-        for &s in extra {
-            self.sums.add(&self.series, s);
+        let slots = &series.slots;
+        let mut colocation = to.share.colocation + colocation_violations(problem, slots, extra);
+        for &a in extra {
+            for &b in &to.slots {
+                colocation += colocation_violations(problem, slots, &[a, b]);
+            }
         }
-        score_machine(
-            self.problem,
-            &self.series.slots,
-            &self.members,
-            &self.sums,
-            |_| {},
-        )
+        let (sums, windows) = (&to.sums, problem.windows);
+        let sum_at = |t: usize| {
+            let mut sum = [sums.cpu[t], sums.ram[t], sums.ws[t], sums.rate[t]];
+            for &s in extra {
+                let i = s * windows + t;
+                sum[0] += series.cpu[i];
+                sum[1] += series.ram[i];
+                sum[2] += series.ws[i];
+                sum[3] += series.rate[i];
+            }
+            sum
+        };
+        score_windows(problem, colocation, sum_at, |_| {}, give_up)
+    }
+
+    /// The give-up test for a partial share (`subs[1]`): does the objective
+    /// with `subs` already reach `cutoff`? A share with no violation yet is
+    /// passed over unsummed: only its last windows' `e^load` could tip it,
+    /// and summing every machine each stride costs more than that saves.
+    fn loses(&self, subs: [(usize, MachineScore); 2], mig_moves: usize, cutoff: f64) -> bool {
+        let partial = subs[1].1;
+        partial.excess + partial.colocation > 0.0 && self.total_with(&subs, mig_moves) >= cutoff
     }
 
     /// `mig_moves` after moving `slots` from `src` to `dst`.
@@ -277,8 +347,21 @@ impl<'a> SearchState<'a> {
                 self.pruned += 1;
                 continue;
             }
-            let with = self.share_with(dst, &[slot]);
             let mig_moves = self.mig_moves_after(&[slot], src, dst);
+            let (i, at) = (slot * k + dst, self.machines[dst].stamp);
+            let with = match kept(&self.with_slot, i, at) {
+                Some(with) => with,
+                None => {
+                    let cutoff = best.0 - 1e-12;
+                    let give_up = |p| self.loses([(src, without), (dst, p)], mig_moves, cutoff);
+                    let Some(with) = self.share_with(dst, &[slot], give_up) else {
+                        self.pruned += 1;
+                        continue;
+                    };
+                    self.with_slot[i] = (at, with);
+                    with
+                }
+            };
             let obj = self.total_with(&[(src, without), (dst, with)], mig_moves);
             if obj < best.0 - 1e-12 {
                 best = (obj, dst);
@@ -293,8 +376,9 @@ impl<'a> SearchState<'a> {
     /// cannot see (the first slot moved off a balanced pair looks like a
     /// loss).
     fn best_merge(&mut self, src: usize) -> Option<usize> {
-        let src_slots = self.machines[src].slots.clone();
-        if src_slots.is_empty() || src_slots.iter().any(|&s| self.is_pinned(s)) {
+        let k = self.machines.len();
+        let n = self.machines[src].slots.len();
+        if n == 0 || self.machines[src].slots.iter().any(|&s| self.is_pinned(s)) {
             return None;
         }
         let current = self.total_objective();
@@ -305,7 +389,7 @@ impl<'a> SearchState<'a> {
         let cap = self.problem.machine;
         let headroom = self.problem.headroom;
         let mut best: Option<(f64, usize)> = None;
-        for dst in 0..self.machines.len() {
+        for dst in 0..k {
             if dst == src || self.machines[dst].slots.is_empty() {
                 continue;
             }
@@ -315,12 +399,28 @@ impl<'a> SearchState<'a> {
                 && (self.machines[dst].cpu_peak + src_cpu_min > cap.cpu_cores * headroom
                     || self.machines[dst].ram_peak + src_ram_min > cap.ram_bytes * headroom)
             {
-                self.pruned += src_slots.len();
+                self.pruned += n;
                 continue;
             }
-            let merged = self.share_with(dst, &src_slots);
-            let mig_moves = self.mig_moves_after(&src_slots, src, dst);
-            let obj = self.total_with(&[(src, MachineScore::default()), (dst, merged)], mig_moves);
+            let src_slots = &self.machines[src].slots;
+            let mig_moves = self.mig_moves_after(src_slots, src, dst);
+            let emptied = (src, MachineScore::default());
+            let i = src * k + dst;
+            let at = (self.machines[src].stamp, self.machines[dst].stamp);
+            let merged = match kept(&self.merged, i, at) {
+                Some(merged) => merged,
+                None => {
+                    let cutoff = best.map_or(current - 1e-12, |b| (current - 1e-12).min(b.0));
+                    let give_up = |p| self.loses([emptied, (dst, p)], mig_moves, cutoff);
+                    let Some(merged) = self.share_with(dst, src_slots, give_up) else {
+                        self.pruned += n;
+                        continue;
+                    };
+                    self.merged[i] = (at, merged);
+                    merged
+                }
+            };
+            let obj = self.total_with(&[emptied, (dst, merged)], mig_moves);
             if obj < current - 1e-12 && best.as_ref().is_none_or(|b| obj < b.0) {
                 best = Some((obj, dst));
             }
@@ -372,10 +472,12 @@ pub struct PolishReport {
     pub evaluation: Evaluation,
     pub moves: usize,
     pub rounds: usize,
-    /// Candidate moves skipped unscored: those the lower-bound pruner
-    /// proved could not beat the incumbent, and empty destinations
-    /// interchangeable with a lower-indexed empty machine already scored.
-    /// Skipping them never changes the result.
+    /// Candidate moves not scored to the end: those the lower-bound pruner
+    /// proved could not beat the incumbent, empty destinations
+    /// interchangeable with a lower-indexed empty one already scored, and
+    /// those abandoned part-way, once the objective with their partial
+    /// score reached what they had to beat (a merge counts once per slot).
+    /// Skipping them never changes the result; reused scores do not count.
     pub pruned: usize,
 }
 
@@ -421,11 +523,13 @@ fn polish_observed(
         }
         for src in 0..k {
             if let Some(dst) = state.best_merge(src) {
-                let src_slots = state.machines[src].slots.clone();
-                for &s in &src_slots {
+                let mut moving = std::mem::take(&mut state.moving);
+                moving.clone_from(&state.machines[src].slots);
+                for &s in &moving {
                     state.apply_move(s, dst);
                 }
-                moves += src_slots.len();
+                moves += moving.len();
+                state.moving = moving;
                 improved = true;
                 applied(&state);
             }

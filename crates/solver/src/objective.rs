@@ -67,13 +67,6 @@ impl MachineSums {
         }
     }
 
-    pub fn copy_from(&mut self, other: &MachineSums) {
-        self.cpu.clone_from(&other.cpu);
-        self.ram.clone_from(&other.ram);
-        self.ws.clone_from(&other.ws);
-        self.rate.clone_from(&other.rate);
-    }
-
     /// Apply `f` to every (accumulator, sample) pair of `slot`'s series.
     fn zip(&mut self, series: &SlotSeries, slot: usize, f: impl Fn(&mut f64, f64)) {
         for (acc, src) in [
@@ -124,31 +117,64 @@ pub(crate) struct MachineScore {
 /// excess and `e^load`. From a machine's occupants and their summed series
 /// it returns the machine's [`MachineScore`] and hands every window's load
 /// to `on_window`. [`evaluate`], DIRECT's [`CentreScorer`] and `polish` all
-/// score through it and add the parts up through [`total_objective`]; they
-/// differ only in how they form `sums`.
+/// score through its window kernel, [`score_windows`], and add the parts
+/// up through [`total_objective`]; they differ only in how they form a
+/// window's sums (`polish` forms them in place, from cached ones).
 pub(crate) fn score_machine(
     problem: &ConsolidationProblem,
     slots: &[Slot],
     occupants: &[usize],
     sums: &MachineSums,
-    mut on_window: impl FnMut(WindowLoad),
+    on_window: impl FnMut(WindowLoad),
 ) -> MachineScore {
     if occupants.is_empty() {
         return MachineScore::default();
     }
+    // Counted first: no call between the slicing below and the kernel's
+    // loop, so it knows every window is in bounds.
+    let colocation = colocation_violations(problem, slots, occupants);
+    let windows = problem.windows;
+    let (cpu, ram) = (&sums.cpu[..windows], &sums.ram[..windows]);
+    let (ws, rate) = (&sums.ws[..windows], &sums.rate[..windows]);
+    let sum_at = |t: usize| [cpu[t], ram[t], ws[t], rate[t]];
+    score_windows(problem, colocation, sum_at, on_window, |_| false)
+        .expect("a score that never gives up reaches its last window")
+}
+
+/// Windows [`score_windows`] scores between two offers to give up.
+pub(crate) const GIVE_UP_STRIDE: usize = 16;
+
+/// The window kernel: window `t`'s summed `[cpu, ram, ws, rate]`, from
+/// `sum_at(t)`, become a [`WindowLoad`] (handed to `on_window`), an excess
+/// and an `e^load`. Every [`GIVE_UP_STRIDE`] windows short of the last, the
+/// score so far (sums over the windows done, `e^load` divided by all of
+/// them) is offered to `give_up`, and `None` returned if it accepts. Every
+/// term added is non-negative and IEEE rounding is monotone, so no part of
+/// a partial score exceeds the finished one's.
+pub(crate) fn score_windows(
+    problem: &ConsolidationProblem,
+    colocation: f64,
+    sum_at: impl Fn(usize) -> [f64; 4],
+    mut on_window: impl FnMut(WindowLoad),
+    mut give_up: impl FnMut(MachineScore) -> bool,
+) -> Option<MachineScore> {
     let windows = problem.windows;
     let weights = problem.weights;
     let wsum = weights.total().max(1e-12);
     let cap = problem.machine;
     let headroom = problem.headroom;
-    let (cpu, ram) = (&sums.cpu[..windows], &sums.ram[..windows]);
-    let (ws, rate) = (&sums.ws[..windows], &sums.rate[..windows]);
     let (mut exp_sum, mut excess) = (0.0, 0.0);
+    let score = |exp_sum: f64, excess| MachineScore {
+        contrib: exp_sum / windows as f64,
+        colocation,
+        excess,
+    };
     for t in 0..windows {
+        let [cpu, ram, ws, rate] = sum_at(t);
         let load = WindowLoad {
-            cpu: cpu[t] / cap.cpu_cores,
-            ram: ram[t] / cap.ram_bytes,
-            disk: problem.disk.utilization(ws[t], rate[t]),
+            cpu: cpu / cap.cpu_cores,
+            ram: ram / cap.ram_bytes,
+            disk: problem.disk.utilization(ws, rate),
         };
         // Test first: the adds stay off the loop's dependency chain.
         if load.cpu > headroom || load.ram > headroom || load.disk > headroom {
@@ -162,12 +188,12 @@ pub(crate) fn score_machine(
             (weights.cpu * load.cpu + weights.ram * load.ram + weights.disk * load.disk) / wsum;
         exp_sum += norm.clamp(0.0, 1.0).exp();
         on_window(load);
+        let done = t + 1;
+        if done % GIVE_UP_STRIDE == 0 && done < windows && give_up(score(exp_sum, excess)) {
+            return None;
+        }
     }
-    MachineScore {
-        contrib: exp_sum / windows as f64,
-        colocation: colocation_violations(problem, slots, occupants),
-        excess,
-    }
+    Some(score(exp_sum, excess))
 }
 
 /// Form the objective from per-machine scores in [`evaluate_reference`]'s
@@ -230,8 +256,8 @@ pub(crate) fn migration_delta(
 }
 
 /// Co-location violations (replica + explicit anti-affinity) among the
-/// slots sharing one machine.
-fn colocation_violations(
+/// slots sharing one machine. Integer-valued, so exact in any order.
+pub(crate) fn colocation_violations(
     problem: &ConsolidationProblem,
     slots: &[Slot],
     slot_ids: &[usize],

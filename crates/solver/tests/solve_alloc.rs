@@ -9,11 +9,16 @@
 //! `Vec` per rectangle, or a boxed memo key per miss on a problem of at
 //! most 128 slots, fails this.
 //!
+//! Polish is held to the same rule on its own: sixty rounds from a stacked
+//! start allocate what one round does, give or take a slot list outgrowing
+//! its capacity. A copy of a machine's slot list per merge candidate fails
+//! this.
+//!
 //! Counts are per thread, so the harness's parallel tests do not see
 //! each other's allocations.
 
 use kairos_solver::{
-    solve_warm_with, Assignment, ConsolidationProblem, LinearDiskCombiner, SolveReport,
+    polish, solve_warm_with, Assignment, ConsolidationProblem, LinearDiskCombiner, SolveReport,
     SolveScratch, SolverConfig, TargetMachine, WorkloadSpec,
 };
 use kairos_types::SplitMix64;
@@ -125,4 +130,57 @@ fn a_warm_solves_allocations_do_not_follow_its_budget() {
         large * 4 <= small * 5,
         "allocations follow the budget: {small} at 2,000 evaluations, {large} at 8,000"
     );
+}
+
+/// 60 tenants over a 288-window day, each with its own diurnal peak, all
+/// stacked on machine k/2 — DIRECT's first centre decodes every slot there
+/// — so polish has everything to spread.
+fn stacked(k: usize) -> (ConsolidationProblem, Assignment) {
+    let mut rng = SplitMix64::new(0x57AC);
+    let workloads = (0..60)
+        .map(|i| {
+            let mut w = WorkloadSpec::flat(format!("t{i:02}"), 0, 0.0, 0.0, 0.0, 0.0);
+            let (cpu, peak) = (rng.next_in(0.3, 3.0), rng.next_in(0.0, 288.0));
+            let day = |t: usize| 1.0 + (std::f64::consts::TAU * (t as f64 - peak) / 288.0).cos();
+            w.cpu = (0..288)
+                .map(|t| cpu * day(t) * rng.next_in(0.8, 1.2))
+                .collect();
+            w.ram = vec![rng.next_in(2e9, 12e9); 288];
+            w.ws = w.ram.iter().map(|r| 0.3 * r).collect();
+            w.rate = (0..288)
+                .map(|t| rng.next_in(40.0, 900.0) * day(t))
+                .collect();
+            w
+        })
+        .collect();
+    let problem = ConsolidationProblem::new(
+        workloads,
+        TargetMachine::paper_target(),
+        60,
+        Arc::new(LinearDiskCombiner::default()),
+    );
+    (problem, Assignment::new(vec![k / 2; 60]))
+}
+
+#[test]
+fn a_polishs_allocations_do_not_follow_its_work() {
+    for k in [12, 18, 40] {
+        let (problem, start) = stacked(k);
+        // The slot cache is built once per problem, by whoever asks first.
+        problem.slot_series();
+        let (one, few) = allocations(|| polish(&problem, &start, k, 1));
+        let (all, many) = allocations(|| polish(&problem, &start, k, 60));
+        assert!(
+            all.rounds >= 4 && all.moves > one.moves,
+            "k {k}: the long polish did no more work ({} rounds)",
+            all.rounds
+        );
+        // A slot list or the merge buffer may outgrow its capacity once or
+        // twice more; nothing may allocate per round, machine or candidate.
+        assert!(
+            many <= few + 4,
+            "k {k}: {few} allocations in one round, {many} in {}",
+            all.rounds
+        );
+    }
 }
