@@ -70,6 +70,18 @@ pub struct ShardSummary {
     pub tenant_loads: Vec<TenantLoad>,
 }
 
+impl ShardSummary {
+    /// The summary's content digest: SipHash-2-4 under a fixed all-zero
+    /// key over its codec bytes. Equal bytes give equal digests, so a
+    /// member answers a caller that already holds this digest with the
+    /// digest alone, and the caller's copy is the one a full answer
+    /// would carry (up to a 2⁻⁶⁴ accidental collision). Zone roll-ups
+    /// are `ShardSummary`s too, so shard and zone nodes share the rule.
+    pub fn digest(&self) -> u64 {
+        kairos_store::siphash24(0, 0, &serde::to_bytes(self))
+    }
+}
+
 /// A tenant in flight between shards: its telemetry source plus the
 /// rolling history that lets the destination shard plan it immediately.
 pub struct TenantHandoff {
@@ -220,6 +232,10 @@ pub struct ShardController {
     /// shape change — a summary sketched with the old shape must never
     /// be served under a new one.
     summary_cache: Option<(u64, u64, ShardSummary)>,
+    /// [`ShardSummary::digest`] of the cached summary, computed on first
+    /// demand and dropped with every refill. Not checkpointed: a restored
+    /// shard recomputes it from the restored cache.
+    summary_digest: Option<u64>,
     /// Registry-backed live counters; [`ControllerStats`] is a view.
     metrics: ShardMetrics,
     /// The deterministic decision trace (tick-stamped, ring-buffered).
@@ -259,6 +275,7 @@ impl ShardController {
             replan_backoff_until: 0,
             last_resolve_failed: false,
             summary_cache: None,
+            summary_digest: None,
             metrics: ShardMetrics::new(MetricsRegistry::new()),
             log: DecisionLog::new(),
             spans: SpanLog::new(0),
@@ -330,6 +347,7 @@ impl ShardController {
     /// summary reflects (membership, handoffs, plans, solve failures).
     fn invalidate_summary(&mut self) {
         self.summary_cache = None;
+        self.summary_digest = None;
     }
 
     /// Attach a workload's telemetry stream. Arrival of a new workload
@@ -1055,24 +1073,40 @@ impl ShardController {
     /// detector (so no replan happens) is only reflected once the
     /// staleness bound expires.
     pub fn summary_cached(&mut self) -> ShardSummary {
+        self.summary_ref().clone()
+    }
+
+    /// [`ShardController::summary_cached`] by reference: the cached
+    /// summary, refilled first when stale, for readers that need only
+    /// some of its fields (a zone's roll-up, its choice of shard).
+    pub fn summary_ref(&mut self) -> &ShardSummary {
         let refresh = self.cfg.summary_refresh_ticks;
         let digest = self.cfg.sketch.digest();
-        if refresh > 0 {
-            if let Some((at, sketched_as, cached)) = &self.summary_cache {
-                // A cached summary sketched under a different shape is
-                // stale regardless of age (the shape can change between
-                // computation and use via `set_sketch_config` or a
-                // restore under a new config).
-                if *sketched_as == digest && self.ticks().saturating_sub(*at) < refresh {
-                    return cached.clone();
-                }
-            }
+        let now = self.ticks();
+        // A cached summary sketched under a different shape is stale
+        // regardless of age (the shape can change between computation
+        // and use via `set_sketch_config` or a restore under a new
+        // config). `refresh == 0` caches nothing: every read refills.
+        let fresh = matches!(
+            &self.summary_cache,
+            Some((at, sketched_as, _))
+                if refresh > 0 && *sketched_as == digest && now.saturating_sub(*at) < refresh
+        );
+        if !fresh {
+            self.summary_cache = Some((now, digest, self.summary()));
+            self.summary_digest = None;
         }
-        let fresh = self.summary();
-        if refresh > 0 {
-            self.summary_cache = Some((self.ticks(), digest, fresh.clone()));
-        }
-        fresh
+        &self.summary_cache.as_ref().expect("filled above").2
+    }
+
+    /// [`ShardSummary::digest`] of the summary
+    /// [`ShardController::summary_cached`] returns now, computed at most
+    /// once per cache fill — what a shard node answers `SummarySince`
+    /// from without cloning or encoding on a match.
+    pub fn summary_digest(&mut self) -> u64 {
+        self.summary_ref();
+        let cached = &self.summary_cache.as_ref().expect("just filled").2;
+        *self.summary_digest.get_or_insert_with(|| cached.digest())
     }
 
     /// The sketch shape this shard compresses summaries and handoff

@@ -46,7 +46,11 @@
 //! peak envelopes only, which is what keeps a *steady* root round flat as
 //! shards multiply; a round that moves a group also pays for the group's
 //! members (`fleet_scale` times that round at 250 and 1,000 shards and
-//! checks the ratio).
+//! checks the ratio). Over RPC, the round's one summary request per zone
+//! costs one small frame when the zone's roll-up has not changed since
+//! the root last read it: `kairos-net`'s link asks by the roll-up's
+//! [`ShardSummary::digest`] ([`Zone::rollup_digest`] answers), and a
+//! round that follows a tick's fan-out asks for bytes it already holds.
 
 use crate::balancer::{BalancerConfig, EvictedTenant, ShardHandle};
 use crate::fleet::FleetController;
@@ -141,12 +145,13 @@ pub struct Zone {
     fleet: FleetController,
     groups: usize,
     binder: ZoneSourceBinder,
-    /// Roll-up memo for the current fleet tick: the root's one summary
-    /// request per round, the group `forecast`s its round makes and a
-    /// node's `PlannedOnce` all read one computation until the next tick
-    /// or an evict/admit. The per-shard summaries beneath it are cached
-    /// too.
-    rollup_cache: Option<(u64, ZoneRollup)>,
+    /// Roll-up memo for the current fleet tick: the root's summary
+    /// requests, the group `forecast`s its round makes and a node's
+    /// `PlannedOnce` all read one computation until the next tick or an
+    /// evict/admit. Beside it, the roll-up's [`ShardSummary::digest`],
+    /// computed on first demand. The per-shard summaries beneath it are
+    /// cached too.
+    rollup_cache: Option<(u64, ZoneRollup, Option<u64>)>,
     /// Zone-level causal spans (`zone_evict`/`zone_admit`, node id
     /// `span::node_for_zone(id)`): the middle layer of the cross-zone
     /// group-move trace, between the root's `handoff` span and the
@@ -256,19 +261,37 @@ impl Zone {
     /// replicas). Everything derives from the shards' (cached) summaries
     /// — no per-tenant telemetry is touched.
     pub fn rollup(&mut self) -> ZoneRollup {
+        self.cached_rollup().clone()
+    }
+
+    /// [`ShardSummary::digest`] of the roll-up's summary, computed at most
+    /// once per roll-up — what a zone node answers `SummarySince` from
+    /// without cloning or encoding on a match.
+    pub fn rollup_digest(&mut self) -> u64 {
+        self.cached_rollup();
+        let (_, rollup, digest) = self.rollup_cache.as_mut().expect("just filled");
+        *digest.get_or_insert_with(|| rollup.summary.digest())
+    }
+
+    /// The memoized roll-up for the current tick, computed first if the
+    /// memo is empty or older.
+    fn cached_rollup(&mut self) -> &ZoneRollup {
         let tick = self.fleet.stats().ticks;
-        if let Some((at, cached)) = &self.rollup_cache {
-            if *at == tick {
-                return cached.clone();
-            }
+        if !matches!(&self.rollup_cache, Some((at, ..)) if *at == tick) {
+            let rollup = self.compute_rollup();
+            self.rollup_cache = Some((tick, rollup, None));
         }
+        &self.rollup_cache.as_ref().expect("filled above").1
+    }
+
+    fn compute_rollup(&mut self) -> ZoneRollup {
         let groups = self.groups;
         let interval = self.fleet.config().shard.telemetry.interval_secs;
-        let summaries: Vec<ShardSummary> = self
+        let summaries: Vec<&ShardSummary> = self
             .fleet
             .shards_mut()
             .iter_mut()
-            .map(|s| s.summary_cached())
+            .map(|s| s.summary_ref())
             .collect();
         let aggregate = AggregateSketch::sum(summaries.iter().map(|s| &s.aggregate), interval);
         let mut loads: BTreeMap<usize, TenantLoad> = BTreeMap::new();
@@ -290,7 +313,7 @@ impl Zone {
                 entry.rate_peak += t.rate_peak;
             }
         }
-        let rollup = ZoneRollup {
+        ZoneRollup {
             zone: self.id,
             shards: summaries.len(),
             tenants: summaries.iter().map(|s| s.tenants).sum(),
@@ -311,9 +334,7 @@ impl Zone {
                 aggregate,
                 tenant_loads: loads.into_values().collect(),
             },
-        };
-        self.rollup_cache = Some((tick, rollup.clone()));
-        rollup
+        }
     }
 
     /// The shard-level admission bar group admits certify against: the
@@ -326,13 +347,13 @@ impl Zone {
     /// Index of the emptiest planned shard (fewest machines in use),
     /// falling back to the least-populated unplanned shard — an empty
     /// shard has not bootstrapped yet, but admitting into it is exactly
-    /// how it starts.
+    /// how it starts. Reads the cached summaries in place.
     fn emptiest_shard(&mut self) -> Option<usize> {
-        let summaries: Vec<ShardSummary> = self
+        let summaries: Vec<&ShardSummary> = self
             .fleet
             .shards_mut()
             .iter_mut()
-            .map(|s| s.summary_cached())
+            .map(|s| s.summary_ref())
             .collect();
         (0..summaries.len())
             .filter(|&i| summaries[i].planned)
@@ -346,7 +367,7 @@ impl Zone {
 
 impl ShardHandle for Zone {
     fn summary(&mut self) -> ShardSummary {
-        self.rollup().summary
+        self.cached_rollup().summary.clone()
     }
 
     fn pack_estimate_remaining(&mut self) -> Option<usize> {
@@ -359,14 +380,14 @@ impl ShardHandle for Zone {
     /// this envelope certainly fits the group's true series — and O(1)
     /// in window length, like everything the root consumes.
     fn forecast(&mut self, tenant: &str) -> Option<WorkloadProfile> {
-        let rollup = self.rollup();
-        let load = rollup
+        let horizon = self.fleet.config().shard.horizon.max(1);
+        let interval = self.fleet.config().shard.telemetry.interval_secs;
+        let load = self
+            .cached_rollup()
             .summary
             .tenant_loads
             .iter()
             .find(|t| t.name == tenant)?;
-        let horizon = self.fleet.config().shard.horizon.max(1);
-        let interval = self.fleet.config().shard.telemetry.interval_secs;
         Some(WorkloadProfile::flat(
             tenant,
             interval,
@@ -539,10 +560,18 @@ pub struct RootBalancer {
     cfg: RootConfig,
     plane: BalancePlane,
     round_usecs: Histogram,
+    /// `root_summary_bytes_total`: the encoded size of every roll-up the
+    /// round reads — what a full `Summary` answer would carry, not the
+    /// bytes on the wire (a digest-only answer ships a few bytes and
+    /// still counts the whole roll-up here).
     summary_bytes: Counter,
     /// Reused encode buffer: the roll-up pass measures each summary's
     /// encoded size without allocating a fresh buffer per zone.
     encode_buf: Vec<u8>,
+    /// Reused group-size counts, indexed by [`group_index`]: the roll-up
+    /// pass sums each group's member replicas here for
+    /// [`DecisionEvent::GroupMoved`]. Grows on demand.
+    group_sizes: Vec<u32>,
 }
 
 impl std::ops::Deref for RootBalancer {
@@ -568,6 +597,7 @@ impl RootBalancer {
             round_usecs: registry.histogram("root_round_usecs"),
             summary_bytes: registry.counter("root_summary_bytes_total"),
             encode_buf: Vec::new(),
+            group_sizes: Vec::new(),
             plane: BalancePlane::new(
                 cfg.balancer,
                 FleetMetrics::root(registry),
@@ -592,10 +622,11 @@ impl RootBalancer {
     pub fn run_round<Z: ShardHandle>(&mut self, zones: &mut [Z], tick: u64) -> Vec<HandoffRecord> {
         let started = Instant::now();
         // Pre-round roll-up pass: traces each zone's constant-size view
-        // and remembers group sizes so completed moves can report them.
-        // The balance round then reads these same roll-ups (see
-        // `Prefetched`): one summary request per zone per round.
-        let mut group_sizes: BTreeMap<String, u32> = BTreeMap::new();
+        // and counts group sizes by index so completed moves can report
+        // them. The balance round then reads these same roll-ups (see
+        // `Prefetched`): one summary request per zone per round — over
+        // RPC a digest-only frame when the zone's roll-up is unchanged.
+        self.group_sizes.fill(0);
         let mut prefetched = Vec::with_capacity(zones.len());
         for (i, zone) in zones.iter_mut().enumerate() {
             let summary = zone.summary();
@@ -604,7 +635,12 @@ impl RootBalancer {
             let bytes = self.encode_buf.len();
             self.summary_bytes.add(bytes as u64);
             for load in &summary.tenant_loads {
-                *group_sizes.entry(load.name.clone()).or_insert(0) += load.replicas;
+                if let Some(g) = group_index(&load.name) {
+                    if g >= self.group_sizes.len() {
+                        self.group_sizes.resize(g + 1, 0);
+                    }
+                    self.group_sizes[g] += load.replicas;
+                }
             }
             self.plane.record(
                 tick,
@@ -627,7 +663,9 @@ impl RootBalancer {
                 tick,
                 DecisionEvent::GroupMoved {
                     group: record.tenant.clone(),
-                    tenants: group_sizes.get(&record.tenant).copied().unwrap_or(0) as usize,
+                    tenants: group_index(&record.tenant)
+                        .and_then(|g| self.group_sizes.get(g))
+                        .map_or(0, |&n| n as usize),
                     from_zone: record.from,
                     to_zone: record.to.expect("completed moves carry a destination"),
                 },

@@ -5,6 +5,14 @@
 //! method is one call on the link, so the shared balance round drives a
 //! member across a transport with the same policy code path it drives
 //! in-process.
+//!
+//! Summaries are asked by digest ([`Request::SummarySince`]): the link
+//! holds the last summary it received with its
+//! [`ShardSummary::digest`], and a member whose current summary has
+//! that digest answers with the digest alone — one small frame instead
+//! of a multi-KiB roll-up. "Unchanged" is decided by content, not by
+//! age, so a restarted member, a redial or a healed partition can never
+//! leave the link serving a summary the member would not send now.
 
 use crate::rpc::{self, Request, Response};
 use crate::transport::{Conn, NetError, Transport};
@@ -39,6 +47,9 @@ pub struct MemberLink {
     miss_limit: u32,
     /// Sampling interval of the offline summary's empty aggregate.
     interval_secs: f64,
+    /// The last summary the member sent and its digest; dropped on any
+    /// failed summary ask.
+    held: Option<(u64, ShardSummary)>,
 }
 
 /// The summary a down/unreachable member presents: unplanned, empty.
@@ -76,6 +87,7 @@ impl MemberLink {
             io_fails: 0,
             miss_limit,
             interval_secs,
+            held: None,
         }
     }
 
@@ -173,10 +185,32 @@ impl MemberLink {
 /// receiver) and answers `None`/`false` to probes, so a dead node
 /// degrades the round instead of wedging it.
 impl ShardHandle for MemberLink {
+    /// One `SummarySince` ask carrying the held copy's digest. A full
+    /// answer replaces the held copy; a digest-only answer matching it
+    /// returns the held copy (counted in
+    /// `kairos_net_summary_unchanged_total`). A down member, a failed
+    /// ask or an answer of any other shape drops the held copy — the
+    /// next ask then sends `seen: None` and gets the full summary.
     fn summary(&mut self) -> ShardSummary {
-        match self.ask(&Request::Summary) {
-            Some(Response::Summary(summary)) => summary,
-            _ => offline_summary(self.interval_secs),
+        let held = self.held.take();
+        let seen = held.as_ref().map(|(digest, _)| *digest);
+        self.held = match self.ask(&Request::SummarySince { seen }) {
+            Some(Response::SummarySince {
+                digest,
+                summary: Some(summary),
+            }) => Some((digest, summary)),
+            Some(Response::SummarySince {
+                digest,
+                summary: None,
+            }) if seen == Some(digest) => {
+                rpc::net_metrics().summary_unchanged.inc();
+                held
+            }
+            _ => None,
+        };
+        match &self.held {
+            Some((_, summary)) => summary.clone(),
+            None => offline_summary(self.interval_secs),
         }
     }
 

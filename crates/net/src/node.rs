@@ -369,6 +369,13 @@ fn dispatch(state: &Arc<Mutex<NodeState>>, request: Request) -> Response {
         }
         Request::PlannedOnce => Response::PlannedOnce(shard.planned_once()),
         Request::Summary => Response::Summary(shard.summary_cached()),
+        Request::SummarySince { seen } => {
+            let digest = shard.summary_digest();
+            Response::SummarySince {
+                digest,
+                summary: (seen != Some(digest)).then(|| shard.summary_cached()),
+            }
+        }
         Request::PackEstimate { exclude } => {
             let refs: Vec<&str> = exclude.iter().map(|s| s.as_str()).collect();
             Response::PackEstimate(shard.pack_estimate(&refs))

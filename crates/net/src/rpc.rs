@@ -121,6 +121,11 @@ pub enum Request {
     /// (`Vec<SpanRecord>` through the workspace codec) — the span
     /// counterpart of [`Request::Trace`].
     Spans,
+    /// The member's (cached) summary, unless the caller already holds
+    /// it: `seen` is the [`kairos_controller::ShardSummary::digest`] of
+    /// the caller's copy (`None`: it holds none). Answered with
+    /// [`Response::SummarySince`]; wire tag 29.
+    SummarySince { seen: Option<u64> },
 }
 
 /// What a shard node answers.
@@ -173,6 +178,14 @@ pub enum Response {
     Health(kairos_obs::HealthReport),
     /// The node's span log bytes (see [`Request::Spans`]).
     Spans(Vec<u8>),
+    /// The answer to [`Request::SummarySince`]: the current summary's
+    /// digest, and the summary itself unless its digest equals the
+    /// caller's `seen` — then the caller's copy is byte-for-byte the
+    /// summary a full answer would carry. Wire tag 22.
+    SummarySince {
+        digest: u64,
+        summary: Option<ShardSummary>,
+    },
 }
 
 /// The wire tag (enum variant index) a request encodes with — the first
@@ -186,21 +199,27 @@ pub fn wire_tag(request: &Request) -> u32 {
 
 /// Transport-layer instruments, registered once on the process-global
 /// [`kairos_obs::global`] registry: RPC count, frame bytes both ways,
-/// and wall-clock round-trip latency. Wall clocks are fine here —
-/// metrics are observability, never part of the decision trace.
-struct NetMetrics {
+/// wall-clock round-trip latency, and the summary asks a link answered
+/// from its held copy because the member reported it unchanged. Wall
+/// clocks are fine here — metrics are observability, never part of the
+/// decision trace.
+pub(crate) struct NetMetrics {
     rpcs: kairos_obs::Counter,
+    /// `kairos_net_summary_unchanged_total`: `SummarySince` answers that
+    /// carried only the digest (see [`crate::MemberLink`]).
+    pub(crate) summary_unchanged: kairos_obs::Counter,
     bytes_sent: kairos_obs::Counter,
     bytes_received: kairos_obs::Counter,
     rpc_usecs: kairos_obs::Histogram,
 }
 
-fn net_metrics() -> &'static NetMetrics {
+pub(crate) fn net_metrics() -> &'static NetMetrics {
     static NET: std::sync::OnceLock<NetMetrics> = std::sync::OnceLock::new();
     NET.get_or_init(|| {
         let registry = kairos_obs::global();
         NetMetrics {
             rpcs: registry.counter("kairos_net_rpcs_total"),
+            summary_unchanged: registry.counter("kairos_net_summary_unchanged_total"),
             bytes_sent: registry.counter("kairos_net_frame_bytes_sent_total"),
             bytes_received: registry.counter("kairos_net_frame_bytes_received_total"),
             rpc_usecs: registry.histogram("kairos_net_rpc_usecs"),
@@ -302,6 +321,23 @@ mod tests {
             let back: Request = frame::decode_frame(&bytes).expect("request roundtrips");
             assert_eq!(format!("{req:?}"), format!("{back:?}"));
         }
+    }
+
+    /// New variants append: the digest ask and its answer take the next
+    /// free tags, so every recorded frame keeps its meaning.
+    #[test]
+    fn summary_since_appends_its_wire_tags() {
+        assert_eq!(wire_tag(&Request::Spans), 28);
+        assert_eq!(wire_tag(&Request::SummarySince { seen: None }), 29);
+        let tag = |response: &Response| {
+            u32::from_le_bytes(serde::to_bytes(response)[..4].try_into().expect("tag"))
+        };
+        assert_eq!(tag(&Response::Spans(Vec::new())), 21);
+        let since = Response::SummarySince {
+            digest: 7,
+            summary: None,
+        };
+        assert_eq!(tag(&since), 22);
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //!
 //! The hierarchy needs **no new RPC catalog**: a zone presents itself
 //! through the same [`crate::rpc::Request`] surface a shard does —
-//! `Summary` answers with the zone's constant-size roll-up, `Forecast`
-//! with a *group's* peak envelope, `Evict`/`Admit` carry bundled
-//! [`kairos_fleet::GROUP_WIRE_VERSION`] group frames instead of single
-//! tenant frames, and `Owns` probes group residency. The node type
+//! `Summary` answers with the zone's constant-size roll-up (and
+//! `SummarySince` with its digest alone while the root already holds
+//! it), `Forecast` with a *group's* peak envelope, `Evict`/`Admit` carry
+//! bundled [`kairos_fleet::GROUP_WIRE_VERSION`] group frames instead of
+//! single tenant frames, and `Owns` probes group residency. The node type
 //! determines the level; the messages, the envelope (auth, CRC,
 //! version) and the decode-before-touch discipline are identical. That
 //! is the point of the [`ShardHandle`] reuse: [`RemoteZone`] is the
@@ -105,6 +106,13 @@ fn dispatch(state: &Arc<Mutex<ZoneNodeState>>, request: Request) -> Response {
         }
         Request::PlannedOnce => Response::PlannedOnce(ShardHandle::summary(zone).planned),
         Request::Summary => Response::Summary(ShardHandle::summary(zone)),
+        Request::SummarySince { seen } => {
+            let digest = zone.rollup_digest();
+            Response::SummarySince {
+                digest,
+                summary: (seen != Some(digest)).then(|| ShardHandle::summary(zone)),
+            }
+        }
         Request::PackEstimate { .. } => {
             Response::PackEstimate(ShardHandle::pack_estimate_remaining(zone))
         }

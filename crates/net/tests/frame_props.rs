@@ -20,7 +20,7 @@ use kairos_workloads::RatePattern;
 use std::sync::Arc;
 
 fn sample_request(rng: &mut SplitMix64) -> Request {
-    match rng.next_range(6) {
+    match rng.next_range(7) {
         0 => Request::Ping,
         1 => Request::Tick,
         2 => Request::PackEstimate {
@@ -40,9 +40,40 @@ fn sample_request(rng: &mut SplitMix64) -> Request {
         4 => Request::Admit {
             frame: (0..rng.next_range(64)).map(|v| v as u8).collect(),
         },
+        5 => Request::SummarySince {
+            seen: (rng.next_range(2) == 0).then(|| rng.next_u64()),
+        },
         _ => Request::Checkpoint {
             path: format!("/tmp/ckpt-{}.ksnp", rng.next_range(1000)),
         },
+    }
+}
+
+/// A `SummarySince` answer, digest-only or carrying a summary.
+fn sample_summary_since(rng: &mut SplitMix64) -> Response {
+    let summary = (rng.next_range(2) == 0).then(|| kairos_controller::ShardSummary {
+        tenants: rng.next_range(64) as usize,
+        planned: rng.next_range(2) == 0,
+        machines_used: rng.next_range(16) as usize,
+        feasible: rng.next_range(2) == 0,
+        violation: rng.next_in(0.0, 2.0),
+        resolve_failed: rng.next_range(2) == 0,
+        drifting: rng.next_range(8) as usize,
+        aggregate: kairos_traces::AggregateSketch::empty(300.0),
+        tenant_loads: (0..rng.next_range(4))
+            .map(|i| kairos_controller::TenantLoad {
+                name: format!("g{i}"),
+                replicas: 1 + rng.next_range(3) as u32,
+                cpu_peak: rng.next_in(0.0, 8.0),
+                ram_peak: rng.next_in(0.0, 1e10),
+                ws_peak: rng.next_in(0.0, 1e9),
+                rate_peak: rng.next_in(0.0, 500.0),
+            })
+            .collect(),
+    });
+    Response::SummarySince {
+        digest: rng.next_u64(),
+        summary,
     }
 }
 
@@ -50,13 +81,22 @@ fn sample_request(rng: &mut SplitMix64) -> Request {
 fn every_bit_flip_of_an_rpc_frame_is_rejected() {
     let mut rng = SplitMix64::from_env(0xF1A6_0001);
     let request = sample_request(&mut rng);
-    let encoded = frame::encode_frame(&request);
-    for byte in 0..encoded.len() {
-        for bit in 0..8 {
-            let mut bad = encoded.clone();
-            bad[byte] ^= 1 << bit;
-            let r = frame::decode_frame::<Request>(&bad);
-            assert!(r.is_err(), "bit flip at {byte}:{bit} must fail");
+    // The sampled request, and a digest ask whatever the sample drew.
+    let since = Request::SummarySince {
+        seen: Some(rng.next_u64()),
+    };
+    for request in [request, since] {
+        let encoded = frame::encode_frame(&request);
+        for byte in 0..encoded.len() {
+            for bit in 0..8 {
+                let mut bad = encoded.clone();
+                bad[byte] ^= 1 << bit;
+                let r = frame::decode_frame::<Request>(&bad);
+                assert!(
+                    r.is_err(),
+                    "{request:?}: bit flip at {byte}:{bit} must fail"
+                );
+            }
         }
     }
 }
@@ -65,20 +105,29 @@ fn every_bit_flip_of_an_rpc_frame_is_rejected() {
 fn every_truncation_of_an_rpc_frame_is_rejected() {
     let mut rng = SplitMix64::from_env(0xF1A6_0002);
     let request = sample_request(&mut rng);
-    let encoded = frame::encode_frame(&request);
-    for cut in 0..encoded.len() {
-        let r = frame::decode_frame::<Request>(&encoded[..cut]);
-        assert!(r.is_err(), "truncation at {cut} must fail");
+    let since = Request::SummarySince {
+        seen: Some(rng.next_u64()),
+    };
+    for request in [request, since] {
+        let encoded = frame::encode_frame(&request);
+        for cut in 0..encoded.len() {
+            let r = frame::decode_frame::<Request>(&encoded[..cut]);
+            assert!(r.is_err(), "{request:?}: truncation at {cut} must fail");
+        }
+        // Trailing garbage equally so.
+        let mut padded = encoded.clone();
+        padded.push(0);
+        assert!(frame::decode_frame::<Request>(&padded).is_err());
     }
-    // Trailing garbage equally so.
-    let mut padded = encoded.clone();
-    padded.push(0);
-    assert!(frame::decode_frame::<Request>(&padded).is_err());
 }
 
 #[test]
 fn random_messages_roundtrip_and_random_corruption_rejected() {
     let mut rng = SplitMix64::from_env(0xF1A6_0003);
+    // Responses draw from their own stream, so the requests are the
+    // ones the seed always drew.
+    let mut answers = SplitMix64::from_env(0xF1A6_0004);
+    let mut shapes = [0usize; 2];
     for round in 0..200 {
         let request = sample_request(&mut rng);
         let encoded = frame::encode_frame(&request);
@@ -107,7 +156,27 @@ fn random_messages_roundtrip_and_random_corruption_rejected() {
             frame::decode_frame::<Request>(&mutated).is_err(),
             "round {round}: corrupted frame must be rejected"
         );
+
+        // A `SummarySince` answer, with and without a summary.
+        let response = sample_summary_since(&mut answers);
+        if let Response::SummarySince { summary, .. } = &response {
+            shapes[usize::from(summary.is_some())] += 1;
+        }
+        let encoded = frame::encode_frame(&response);
+        let back: Response = frame::decode_frame(&encoded).expect("clean frame decodes");
+        assert_eq!(format!("{response:?}"), format!("{back:?}"));
+        let mut bad = encoded.clone();
+        let byte = answers.next_range(bad.len() as u64) as usize;
+        bad[byte] ^= 1 << answers.next_range(8);
+        assert!(
+            frame::decode_frame::<Response>(&bad).is_err(),
+            "round {round}: corrupted answer must be rejected"
+        );
     }
+    assert!(
+        shapes.iter().all(|&n| n > 0),
+        "digest-only and full answers both drawn: {shapes:?}"
+    );
 }
 
 // ----- the handshake-level guarantee ---------------------------------

@@ -162,6 +162,59 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     crc ^ 0xFFFF_FFFF
 }
 
+fn sipround(v: &mut [u64; 4]) {
+    v[0] = v[0].wrapping_add(v[1]);
+    v[1] = v[1].rotate_left(13);
+    v[1] ^= v[0];
+    v[0] = v[0].rotate_left(32);
+    v[2] = v[2].wrapping_add(v[3]);
+    v[3] = v[3].rotate_left(16);
+    v[3] ^= v[2];
+    v[0] = v[0].wrapping_add(v[3]);
+    v[3] = v[3].rotate_left(21);
+    v[3] ^= v[0];
+    v[2] = v[2].wrapping_add(v[1]);
+    v[1] = v[1].rotate_left(17);
+    v[1] ^= v[2];
+    v[2] = v[2].rotate_left(32);
+}
+
+/// SipHash-2-4 (Aumasson & Bernstein), the reference construction:
+/// 2 compression rounds per 8-byte block, 4 finalization rounds. The
+/// one implementation in the workspace: `kairos-net` keys frame tags
+/// with it, and a balancer summary's content digest
+/// (`ShardSummary::digest`) is it under a fixed key.
+pub fn siphash24(k0: u64, k1: u64, data: &[u8]) -> u64 {
+    let mut v = [
+        k0 ^ 0x736f_6d65_7073_6575,
+        k1 ^ 0x646f_7261_6e64_6f6d,
+        k0 ^ 0x6c79_6765_6e65_7261,
+        k1 ^ 0x7465_6462_7974_6573,
+    ];
+    let mut chunks = data.chunks_exact(8);
+    for chunk in &mut chunks {
+        let m = u64::from_le_bytes(chunk.try_into().expect("sized chunk"));
+        v[3] ^= m;
+        sipround(&mut v);
+        sipround(&mut v);
+        v[0] ^= m;
+    }
+    let rem = chunks.remainder();
+    let mut last = [0u8; 8];
+    last[..rem.len()].copy_from_slice(rem);
+    last[7] = (data.len() & 0xff) as u8;
+    let m = u64::from_le_bytes(last);
+    v[3] ^= m;
+    sipround(&mut v);
+    sipround(&mut v);
+    v[0] ^= m;
+    v[2] ^= 0xff;
+    for _ in 0..4 {
+        sipround(&mut v);
+    }
+    v[0] ^ v[1] ^ v[2] ^ v[3]
+}
+
 /// Encode `value` into a complete frame (header + payload + CRC trailer).
 pub fn encode_frame<T: Serialize + ?Sized>(version: u32, value: &T) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + TRAILER_LEN);
@@ -253,6 +306,33 @@ fn tmp_path(path: &Path) -> std::path::PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Reference SipHash-2-4 vectors from the SipHash paper (Appendix A):
+    /// key = 00 01 .. 0f, input = the first `i` bytes of 00 01 02 …
+    #[test]
+    fn siphash24_matches_reference_vectors() {
+        let k0 = 0x0706_0504_0302_0100u64;
+        let k1 = 0x0f0e_0d0c_0b0a_0908u64;
+        let input: Vec<u8> = (0u8..8).collect();
+        let expected: [u64; 9] = [
+            0x726f_db47_dd0e_0e31,
+            0x74f8_39c5_93dc_67fd,
+            0x0d6c_8009_d9a9_4f5a,
+            0x8567_6696_d7fb_7e2d,
+            0xcf27_94e0_2771_87b7,
+            0x1876_5564_cd99_a68d,
+            0xcbc9_466e_58fe_e3ce,
+            0xab02_00f5_8b01_d137,
+            0x93f5_f579_9a93_2462,
+        ];
+        for (len, want) in expected.iter().enumerate() {
+            assert_eq!(
+                siphash24(k0, k1, &input[..len]),
+                *want,
+                "vector {len} mismatch"
+            );
+        }
+    }
 
     /// The one-lookup-per-byte CRC the slicing-by-8 loop replaced.
     fn crc32_bytewise(bytes: &[u8]) -> u32 {
