@@ -46,7 +46,7 @@ use kairos_obs::why::render_event;
 use kairos_types::Bytes;
 use kairos_workloads::RatePattern;
 use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -795,11 +795,4 @@ fn restore_shard(
     slots[shard].endpoint = endpoint;
     slots[shard].crashed = false;
     announce(shard, transport, slots);
-}
-
-/// Checkpoint directory helper for tests that drive `run_in` shapes.
-pub fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("kairos-chaos-{}-{tag}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir
 }

@@ -33,13 +33,6 @@ pub struct ControllerConfig {
     pub detector: DriftDetector,
     /// Objective price per migrated slot on re-solves.
     pub cost_per_move: f64,
-    /// Max age, in ticks, of a cached balancer summary. The summary is
-    /// recomputed immediately whenever the shard's state actually changes
-    /// (plan, membership, handoff, failed solve); this bound only limits
-    /// how long the *forecast-derived* fields (feasibility, tenant
-    /// peaks, drift count) may coast on unchanged state between balance
-    /// rounds. `0` disables caching (every summary recomputes).
-    pub summary_refresh_ticks: u64,
     /// Warm re-solve budgets.
     pub solver: SolverConfig,
     /// Measurement mode: re-solve cold (no warm start, no migration
@@ -72,7 +65,6 @@ impl Default for ControllerConfig {
             cooldown_ticks: 24,
             detector: DriftDetector::default(),
             cost_per_move: 0.25,
-            summary_refresh_ticks: 24,
             solver: SolverConfig {
                 probe_evals: 400,
                 final_evals: 2_000,

@@ -16,8 +16,7 @@ use kairos_types::{Bytes, TimeSeries};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// Where live samples come from. Implemented by the simulated pipeline's
-/// observation stage ([`SessionSource`]) and by the synthetic drift
+/// Where live samples come from. Implemented by the synthetic drift
 /// scenarios ([`crate::scenarios::SyntheticSource`]); a production
 /// implementation would poll `SHOW STATUS` / `iostat` like §6 describes.
 ///
@@ -30,28 +29,6 @@ pub trait TelemetrySource: Send {
     fn name(&self) -> &str;
     /// Advance one monitoring interval and report it.
     fn poll(&mut self) -> MonitorSample;
-}
-
-/// [`kairos_core::ObservationSession`] as a telemetry source: real
-/// (simulated) DBMS instances feeding the controller.
-pub struct SessionSource {
-    session: kairos_core::ObservationSession,
-}
-
-impl SessionSource {
-    pub fn new(session: kairos_core::ObservationSession) -> SessionSource {
-        SessionSource { session }
-    }
-}
-
-impl TelemetrySource for SessionSource {
-    fn name(&self) -> &str {
-        self.session.name()
-    }
-
-    fn poll(&mut self) -> MonitorSample {
-        self.session.step()
-    }
 }
 
 /// Rolling-store layout.

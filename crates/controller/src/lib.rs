@@ -76,13 +76,12 @@ pub use controller::{
 pub use drift::{DriftDetector, DriftReport, ResourceDrift};
 pub use executor::{ExecutionReport, FleetExecutor};
 pub use ingest::{
-    SessionSource, TelemetryConfig, TelemetryIngester, TelemetrySketch, TelemetrySource,
-    WorkloadTelemetry,
+    TelemetryConfig, TelemetryIngester, TelemetrySketch, TelemetrySource, WorkloadTelemetry,
 };
 pub use migration::{plan_migration, MigrationPlan, MigrationStep, Move};
 pub use resolver::{
-    add_anti_affinity_pair, forecast_profile, forecast_profile_flagged, forecast_profile_tail,
-    forecast_series, forecast_series_flagged, FleetPlacement, ReSolveOutcome, ReSolver,
+    add_anti_affinity_pair, forecast_profile_flagged, forecast_profile_tail, FleetPlacement,
+    ReSolveOutcome, ReSolver,
 };
 pub use scenarios::{
     run_scenario, scenario_churn, scenario_diurnal_shift, scenario_flash_crowd,

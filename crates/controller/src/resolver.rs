@@ -17,7 +17,7 @@
 //! with less, the live window itself is tiled across the horizon.
 
 use crate::ingest::WorkloadTelemetry;
-use kairos_core::{ConsolidationEngine, ConsolidationPlan};
+use kairos_core::ConsolidationEngine;
 use kairos_solver::{
     solve_warm_with, solve_with, Assignment, ConsolidationProblem, SolveReport, SolveScratch,
     SolverConfig,
@@ -40,15 +40,6 @@ pub struct FleetPlacement {
 impl FleetPlacement {
     pub fn new() -> FleetPlacement {
         FleetPlacement::default()
-    }
-
-    /// Capture the placement a one-shot plan recommends.
-    pub fn from_plan(plan: &ConsolidationPlan) -> FleetPlacement {
-        let mut map = BTreeMap::new();
-        for p in &plan.placements {
-            map.insert((p.workload.clone(), p.replica), p.machine);
-        }
-        FleetPlacement { map }
     }
 
     pub fn machine_of(&self, workload: &str, replica: u32) -> Option<usize> {
@@ -309,35 +300,9 @@ impl ReSolver {
 /// default overload trip point).
 const REGIME_CHANGE_THRESHOLD: f64 = 0.25;
 
-/// Forecast the next planning horizon of one series from rolling history.
-///
-/// The forecast is built in *phase space*: `start_index` is the global
-/// sample index of `history`'s first value, so element `p` of the result
-/// always corresponds to global phase `p` within the horizon — the same
-/// convention the drift detector uses for phase alignment.
-///
-/// * **Stationary** (possibly periodic) series: the per-phase mean of all
-///   observed occurrences — the Fig 13 predictor
-///   (`kairos_traces::predict`'s model), which averages measurement noise
-///   out.
-/// * **Regime change** (the most recent horizon deviates from that
-///   prediction beyond [`REGIME_CHANGE_THRESHOLD`]): stale history would
-///   systematically mislead, and the recent window itself still mixes
-///   both regimes. The forecast falls back to a conservative flat
-///   envelope at the recent window's *peak* — scale-up provisioning for
-///   the regime that is arriving; the lazier slack side of the drift
-///   detector repacks later if the envelope proves too generous.
-pub fn forecast_series(history: &TimeSeries, horizon: usize, start_index: u64) -> TimeSeries {
-    forecast_series_flagged(history, horizon, start_index).0
-}
-
-/// [`forecast_series`] plus whether the forecast fell back to the
-/// conservative flat envelope (regime change detected). The flag is what
-/// schedules the controller's zero-move horizon refresh: an
-/// envelope-planned profile is deliberately loose, and should be
-/// tightened once enough post-drift history re-accumulates instead of
-/// waiting for slack drift to trip.
-pub fn forecast_series_flagged(
+/// [`forecast_window`] over an owned series.
+#[cfg(test)]
+pub(crate) fn forecast_series_flagged(
     history: &TimeSeries,
     horizon: usize,
     start_index: u64,
@@ -363,8 +328,32 @@ fn add_by_phase(sum: &mut [f64], count: &mut [usize], values: &[f64], mut p: usi
     p
 }
 
-/// [`forecast_series_flagged`] over a window read in place — the one
-/// forecasting kernel.
+/// Forecast the next planning horizon of one series from its rolling
+/// window, read in place — the one forecasting kernel.
+///
+/// The forecast is built in *phase space*: `start_index` is the global
+/// sample index of `history`'s first value, so element `p` of the result
+/// always corresponds to global phase `p` within the horizon — the same
+/// convention the drift detector uses for phase alignment.
+///
+/// * **Stationary** (possibly periodic) series: the per-phase mean of all
+///   observed occurrences — the Fig 13 predictor
+///   (`kairos_traces::predict`'s model), which averages measurement noise
+///   out.
+/// * **Regime change** (the most recent horizon deviates from that
+///   prediction beyond [`REGIME_CHANGE_THRESHOLD`]): stale history would
+///   systematically mislead, and the recent window itself still mixes
+///   both regimes. The forecast falls back to a conservative flat
+///   envelope at the recent window's *peak* — scale-up provisioning for
+///   the regime that is arriving; the lazier slack side of the drift
+///   detector repacks later if the envelope proves too generous.
+///
+/// The flag says whether the forecast fell back to the conservative
+/// flat envelope (regime change detected). The flag is what
+/// schedules the controller's zero-move horizon refresh: an
+/// envelope-planned profile is deliberately loose, and should be
+/// tightened once enough post-drift history re-accumulates instead of
+/// waiting for slack drift to trip.
 fn forecast_window(
     history: RollingWindow<'_>,
     horizon: usize,
@@ -414,17 +403,8 @@ fn forecast_window(
 }
 
 /// Forecast a whole workload profile for the next horizon (phase-aligned;
-/// see [`forecast_series`]).
-pub fn forecast_profile(
-    name: &str,
-    telemetry: &WorkloadTelemetry,
-    horizon: usize,
-) -> WorkloadProfile {
-    forecast_profile_flagged(name, telemetry, horizon).0
-}
-
-/// [`forecast_profile`] plus whether *any* resource series fell back to
-/// the conservative flat envelope (see [`forecast_series_flagged`]).
+/// see `forecast_window`), plus whether *any* resource series
+/// fell back to the conservative flat envelope.
 pub fn forecast_profile_flagged(
     name: &str,
     telemetry: &WorkloadTelemetry,
@@ -456,8 +436,8 @@ fn forecast_windows(
 /// regime forecast fell back to a flat envelope; once `tail_len` ticks of
 /// pure post-drift telemetry exist, their phase means are the tight,
 /// periodic profile the envelope was standing in for. Phase convention
-/// matches [`forecast_series`]: element `p` corresponds to global phase
-/// `p` within the horizon.
+/// matches `forecast_window`: element `p` corresponds to global phase `p`
+/// within the horizon.
 pub fn forecast_profile_tail(
     name: &str,
     telemetry: &WorkloadTelemetry,
@@ -471,7 +451,17 @@ pub fn forecast_profile_tail(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kairos_core::ConsolidationPlan;
     use kairos_types::{Bytes, DiskDemand, Rate};
+
+    /// The placement a one-shot plan recommends.
+    fn placement_of(plan: &ConsolidationPlan) -> FleetPlacement {
+        let mut placement = FleetPlacement::new();
+        for p in &plan.placements {
+            placement.set(&p.workload, p.replica, p.machine);
+        }
+        placement
+    }
 
     fn profile(name: &str, cpu: f64) -> WorkloadProfile {
         WorkloadProfile::flat(
@@ -491,7 +481,7 @@ mod tests {
         let engine = ConsolidationEngine::builder().build();
         let mut rs = ReSolver::new(engine);
         let cold = rs.engine.consolidate(&profiles).unwrap();
-        let current = FleetPlacement::from_plan(&cold);
+        let current = placement_of(&cold);
 
         let out = rs.resolve(&profiles, &current).unwrap();
         assert!(out.report.evaluation.feasible);
@@ -506,7 +496,7 @@ mod tests {
         let engine = ConsolidationEngine::builder().build();
         let mut rs = ReSolver::new(engine);
         let cold = rs.engine.consolidate(&profiles).unwrap();
-        let current = FleetPlacement::from_plan(&cold);
+        let current = placement_of(&cold);
 
         profiles.push(profile("w_new", 1.0));
         let out = rs.resolve(&profiles, &current).unwrap();
@@ -527,7 +517,7 @@ mod tests {
         let mut rs = ReSolver::new(engine);
         let cold = rs.engine.consolidate(&profiles).unwrap();
         assert_eq!(cold.machines_used(), 1);
-        let current = FleetPlacement::from_plan(&cold);
+        let current = placement_of(&cold);
 
         let mut drifted = profiles.clone();
         drifted[0] = profile("w0", 6.0);
@@ -550,7 +540,7 @@ mod tests {
         }
         vals[0] = 10.6; // mild noise in the first cycle
         let hist = TimeSeries::new(300.0, vals);
-        let f = forecast_series(&hist, 4, 0);
+        let f = forecast_series_flagged(&hist, 4, 0).0;
         assert_eq!(f.len(), 4);
         assert!((f.values()[0] - (10.6 + 10.0 + 10.0) / 3.0).abs() < 1e-9);
         assert!((f.values()[1] - 11.0).abs() < 1e-9);
@@ -562,7 +552,7 @@ mod tests {
         // value equals its phase. Element p of the forecast must be p.
         let vals = vec![2.0, 3.0, 0.0, 1.0, 2.0, 3.0, 0.0, 1.0];
         let hist = TimeSeries::new(300.0, vals);
-        let f = forecast_series(&hist, 4, 2);
+        let f = forecast_series_flagged(&hist, 4, 2).0;
         assert_eq!(f.values(), &[0.0, 1.0, 2.0, 3.0]);
     }
 
@@ -574,7 +564,7 @@ mod tests {
         let mut vals = vec![1.0; 8];
         vals.extend([2.5; 4]);
         let hist = TimeSeries::new(300.0, vals);
-        let f = forecast_series(&hist, 4, 0);
+        let f = forecast_series_flagged(&hist, 4, 0).0;
         assert_eq!(f.values(), &[2.5; 4]);
     }
 
@@ -583,7 +573,7 @@ mod tests {
         // Only 2 samples at phases 0 and 1: phases 2 and 3 fall back to
         // the overall mean (and the regime test sees no surprise).
         let hist = TimeSeries::new(300.0, vec![2.0, 3.0]);
-        let f = forecast_series(&hist, 4, 0);
+        let f = forecast_series_flagged(&hist, 4, 0).0;
         assert_eq!(f.len(), 4);
         assert_eq!(f.values()[0], 2.0);
         assert_eq!(f.values()[1], 3.0);

@@ -33,6 +33,13 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
+/// Max age, in ticks, of a cached balancer summary. The summary is
+/// recomputed immediately whenever the shard's state actually changes
+/// (plan, membership, handoff, failed solve); this bound only limits how
+/// long the *forecast-derived* fields (feasibility, tenant peaks, drift
+/// count) may coast on unchanged state between balance rounds.
+const SUMMARY_REFRESH_TICKS: u64 = 24;
+
 /// One tenant's forecast peaks — what the balancer weighs when choosing
 /// handoff candidates.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -227,10 +234,10 @@ pub struct ShardController {
     last_resolve_failed: bool,
     /// Cached balancer summary plus the tick it was computed at and the
     /// [`SketchConfig::digest`] it was sketched with; invalidated by
-    /// anything that changes what the balancer would see (see
-    /// [`ControllerConfig::summary_refresh_ticks`]) and by a sketch
-    /// shape change — a summary sketched with the old shape must never
-    /// be served under a new one.
+    /// anything that changes what the balancer would see, by age (see
+    /// [`SUMMARY_REFRESH_TICKS`]) and by a sketch shape change — a
+    /// summary sketched with the old shape must never be served under a
+    /// new one.
     summary_cache: Option<(u64, u64, ShardSummary)>,
     /// [`ShardSummary::digest`] of the cached summary, computed on first
     /// demand and dropped with every refill. Not checkpointed: a restored
@@ -292,11 +299,6 @@ impl ShardController {
     /// the fleet exporters render it).
     pub fn metrics_registry(&self) -> &MetricsRegistry {
         self.metrics.registry()
-    }
-
-    /// The shard's decision trace.
-    pub fn decision_log(&self) -> &DecisionLog {
-        &self.log
     }
 
     /// Record an externally-observed event (e.g. the serving layer's
@@ -1064,10 +1066,9 @@ impl ShardController {
     /// [`ShardController::summary`] through a staleness-bounded cache:
     /// recomputed whenever the shard's state actually changed (plan,
     /// membership, handoff, failed solve — see the invalidation hooks) or
-    /// when the cached copy is older than
-    /// [`ControllerConfig::summary_refresh_ticks`]. This is the balance
-    /// round's hot path: a quiet shard's summary is a clone, not a
-    /// fleet-wide forecast pass. Caveat: forecast-derived fields
+    /// when the cached copy is `SUMMARY_REFRESH_TICKS` old. This is the
+    /// balance round's hot path: a quiet shard's summary is a clone, not
+    /// a fleet-wide forecast pass. Caveat: forecast-derived fields
     /// (`feasible`, tenant peaks, `drifting`) have no invalidation hook
     /// of their own — telemetry that drifts without tripping the
     /// detector (so no replan happens) is only reflected once the
@@ -1080,17 +1081,16 @@ impl ShardController {
     /// summary, refilled first when stale, for readers that need only
     /// some of its fields (a zone's roll-up, its choice of shard).
     pub fn summary_ref(&mut self) -> &ShardSummary {
-        let refresh = self.cfg.summary_refresh_ticks;
         let digest = self.cfg.sketch.digest();
         let now = self.ticks();
         // A cached summary sketched under a different shape is stale
         // regardless of age (the shape can change between computation
         // and use via `set_sketch_config` or a restore under a new
-        // config). `refresh == 0` caches nothing: every read refills.
+        // config).
         let fresh = matches!(
             &self.summary_cache,
             Some((at, sketched_as, _))
-                if refresh > 0 && *sketched_as == digest && now.saturating_sub(*at) < refresh
+                if *sketched_as == digest && now.saturating_sub(*at) < SUMMARY_REFRESH_TICKS
         );
         if !fresh {
             self.summary_cache = Some((now, digest, self.summary()));

@@ -18,9 +18,7 @@ use std::sync::Arc;
 pub struct EngineBuilder {
     target: TargetMachine,
     headroom: f64,
-    weights: ResourceWeights,
     disk: Option<Arc<dyn DiskCombiner>>,
-    solver: SolverConfig,
     max_machines: Option<usize>,
 }
 
@@ -29,9 +27,7 @@ impl Default for EngineBuilder {
         EngineBuilder {
             target: TargetMachine::paper_target(),
             headroom: 0.95,
-            weights: ResourceWeights::default(),
             disk: None,
-            solver: SolverConfig::default(),
             max_machines: None,
         }
     }
@@ -53,27 +49,9 @@ impl EngineBuilder {
         self
     }
 
-    /// Balance weights for the objective's resource combination.
-    pub fn weights(mut self, weights: ResourceWeights) -> EngineBuilder {
-        self.weights = weights;
-        self
-    }
-
     /// Use a fitted empirical disk model (recommended).
     pub fn disk_model(mut self, model: Arc<DiskModel>) -> EngineBuilder {
         self.disk = Some(Arc::new(ModelDiskCombiner::new(model)));
-        self
-    }
-
-    /// Use a custom disk combiner.
-    pub fn disk_combiner(mut self, combiner: Arc<dyn DiskCombiner>) -> EngineBuilder {
-        self.disk = Some(combiner);
-        self
-    }
-
-    /// Solver budgets/knobs.
-    pub fn solver(mut self, solver: SolverConfig) -> EngineBuilder {
-        self.solver = solver;
         self
     }
 
@@ -88,11 +66,11 @@ impl EngineBuilder {
         ConsolidationEngine {
             target: self.target,
             headroom: self.headroom,
-            weights: self.weights,
+            weights: ResourceWeights::default(),
             disk: self
                 .disk
                 .unwrap_or_else(|| Arc::new(AnalyticDiskCombiner::default())),
-            solver: self.solver,
+            solver: SolverConfig::default(),
             max_machines: self.max_machines,
         }
     }

@@ -32,9 +32,7 @@ pub mod pipeline;
 pub use combiner::{AnalyticDiskCombiner, ModelDiskCombiner};
 pub use engine::{ConsolidationEngine, ConsolidationPlan, EngineBuilder, Placement, PlanStrategy};
 pub use estimator::{CombinedEstimate, CombinedLoadEstimator};
-pub use pipeline::{
-    Kairos, ObservationSession, PipelineConfig, VerifiedWorkload, WorkloadObservation,
-};
+pub use pipeline::{Kairos, PipelineConfig, VerifiedWorkload, WorkloadObservation};
 
 /// Convenience re-exports for downstream users and doc examples.
 pub mod prelude {

@@ -9,7 +9,7 @@
 
 use crate::engine::ConsolidationEngine;
 use kairos_dbsim::{DbmsConfig, DbmsInstance, Host};
-use kairos_monitor::{BufferGauge, GaugeParams, MonitorSample, ResourceMonitor, SimGaugeEnv};
+use kairos_monitor::{BufferGauge, GaugeParams, ResourceMonitor, SimGaugeEnv};
 use kairos_types::{Bytes, MachineSpec, TimeSeries, WorkloadProfile};
 use kairos_workloads::{Driver, Workload};
 
@@ -72,49 +72,6 @@ pub struct VerifiedWorkload {
     pub tps: f64,
     pub mean_latency_secs: f64,
     pub p95_latency_secs: f64,
-}
-
-/// A live, incremental observation of one workload on its dedicated
-/// source server — the pipeline's observation stage broken out of the
-/// one-shot [`Kairos::observe`] so online consumers (the controller's
-/// telemetry ingester) can pull samples as simulated time advances.
-pub struct ObservationSession {
-    name: String,
-    host: Host,
-    driver: Driver,
-    monitor: ResourceMonitor,
-}
-
-impl ObservationSession {
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    pub fn interval_secs(&self) -> f64 {
-        self.monitor.interval_secs()
-    }
-
-    /// Run the workload for one monitoring interval and sample it.
-    pub fn step(&mut self) -> MonitorSample {
-        let dt = self.monitor.interval_secs();
-        self.driver.run(&mut self.host, dt);
-        self.monitor.sample(self.host.instance(0))
-    }
-
-    /// All samples collected so far.
-    pub fn samples(&self) -> &[MonitorSample] {
-        self.monitor.samples()
-    }
-
-    /// Finish the session, converting everything observed into the
-    /// profile shape the planner consumes (no gauging correction: online
-    /// sources fall back to the OS RAM view unless the caller gauges
-    /// separately and passes the result here).
-    pub fn into_profile(self, gauged_working_set: Option<Bytes>) -> WorkloadProfile {
-        let overhead = self.host.instance(0).config().ram_overhead;
-        self.monitor
-            .into_profile(&self.name, gauged_working_set, overhead)
-    }
 }
 
 /// The pipeline runner.
@@ -216,30 +173,6 @@ impl Kairos {
         }
     }
 
-    /// Start a *streaming* observation of one workload on a dedicated
-    /// source server: the workload is bound and warmed up, then the caller
-    /// pulls one [`MonitorSample`] per monitoring interval with
-    /// [`ObservationSession::step`]. This is the pipeline's observation
-    /// stage exposed for reuse — the online controller's telemetry
-    /// ingester feeds on these sessions instead of the one-shot
-    /// [`Kairos::observe`].
-    pub fn observe_session(&self, workload: Box<dyn Workload>) -> ObservationSession {
-        let cfg = &self.config;
-        let name = workload.name().to_string();
-        let mut host = Host::new(cfg.source_machine.clone());
-        host.add_instance(DbmsInstance::new(DbmsConfig::mysql(cfg.source_buffer_pool)));
-        let mut driver = Driver::new();
-        driver.bind(&mut host, 0, workload);
-        driver.warmup(&mut host, cfg.warmup_secs);
-        let monitor = ResourceMonitor::new(cfg.monitor_interval_secs, host.instance(0));
-        ObservationSession {
-            name,
-            host,
-            driver,
-            monitor,
-        }
-    }
-
     /// Observe several workloads (each on its own dedicated server).
     pub fn observe_all(
         &self,
@@ -328,7 +261,7 @@ mod tests {
         assert!(obs.standalone_latency_secs > 0.0);
         assert!(obs.profile.windows() >= 4);
         // CPU profile reflects real usage, far below the 8-core machine.
-        assert!(obs.profile.peak_cpu() < 2.0);
+        assert!(obs.profile.cpu_cores.max() < 2.0);
         assert!(obs.observed_write_bytes.mean() > 0.0);
     }
 
@@ -352,22 +285,6 @@ mod tests {
         assert!((out[0].tps - 30.0).abs() < 3.0);
         assert!((out[1].tps - 60.0).abs() < 3.0);
         assert!(out[0].p95_latency_secs >= out[0].mean_latency_secs * 0.5);
-    }
-
-    #[test]
-    fn observation_session_streams_samples() {
-        let kairos = quick_pipeline(false);
-        let mut session = kairos.observe_session(workload("w", 64, 50.0));
-        assert_eq!(session.name(), "w");
-        for _ in 0..4 {
-            let s = session.step();
-            assert!((s.tps - 50.0).abs() < 5.0, "tps {}", s.tps);
-            assert!(s.cpu_cores > 0.0);
-        }
-        assert_eq!(session.samples().len(), 4);
-        let profile = session.into_profile(None);
-        assert_eq!(profile.windows(), 4);
-        assert!(profile.window(0).disk.update_rows_per_sec.as_f64() > 0.0);
     }
 
     #[test]

@@ -59,19 +59,13 @@ const CHUNK_PAGES: usize = 1024;
 const PAGE_ID_LIMIT: u64 = 1 << 32;
 const ABSENT: u32 = u32::MAX;
 
-#[derive(Debug)]
-struct Chunk {
-    /// Frame index of each page of the chunk, or [`ABSENT`].
-    slots: [u32; CHUNK_PAGES],
-    /// Slots that are not [`ABSENT`].
-    live: u32,
-}
+/// Frame index of each page of a chunk, or [`ABSENT`].
+type Chunk = [u32; CHUNK_PAGES];
 
 /// Page id → frame index as a two-level dense table: a directory with one
 /// entry per [`CHUNK_PAGES`] ids up to the highest id ever resident, and a
 /// chunk allocated when its first page becomes resident. Eviction leaves
-/// an emptied chunk in place (its pages tend to come back); discarding —
-/// a dropped table — frees it.
+/// an emptied chunk in place: its pages tend to come back.
 #[derive(Debug, Default)]
 struct PageTable {
     chunks: Vec<Option<Box<Chunk>>>,
@@ -85,7 +79,7 @@ fn split(page: PageId) -> (usize, usize) {
 impl PageTable {
     fn get(&self, page: PageId) -> Option<u32> {
         let (c, slot) = split(page);
-        let idx = self.chunks.get(c)?.as_ref()?.slots[slot];
+        let idx = self.chunks.get(c)?.as_ref()?[slot];
         (idx != ABSENT).then_some(idx)
     }
 
@@ -95,29 +89,15 @@ impl PageTable {
         if c >= self.chunks.len() {
             self.chunks.resize_with(c + 1, || None);
         }
-        let chunk = self.chunks[c].get_or_insert_with(|| {
-            Box::new(Chunk {
-                slots: [ABSENT; CHUNK_PAGES],
-                live: 0,
-            })
-        });
-        chunk.live += u32::from(chunk.slots[slot] == ABSENT);
-        chunk.slots[slot] = idx;
+        self.chunks[c].get_or_insert_with(|| Box::new([ABSENT; CHUNK_PAGES]))[slot] = idx;
     }
 
-    /// Resident pages in chunk `c` of the directory.
-    fn live(&self, c: usize) -> u32 {
-        self.chunks[c].as_ref().map_or(0, |chunk| chunk.live)
-    }
-
-    fn remove(&mut self, page: PageId) -> Option<u32> {
+    /// Forget a resident page.
+    fn remove(&mut self, page: PageId) {
         let (c, slot) = split(page);
-        let chunk = self.chunks.get_mut(c)?.as_mut()?;
-        let idx = std::mem::replace(&mut chunk.slots[slot], ABSENT);
-        (idx != ABSENT).then(|| {
-            chunk.live -= 1;
-            idx
-        })
+        self.chunks[c]
+            .as_mut()
+            .expect("a resident page has a chunk")[slot] = ABSENT;
     }
 }
 
@@ -363,57 +343,6 @@ impl ClockCache {
         }
         batch
     }
-
-    /// Drop every page of `[start, end)` from the cache (table drop),
-    /// leaving the clock exactly as discarding them one by one in
-    /// ascending order would. Chunks of the page table with no resident
-    /// page cost one directory read, and chunks left empty are freed.
-    /// Returns the number of pages that were resident.
-    pub fn discard_range(&mut self, start: PageId, end: PageId) -> usize {
-        let end = (end.0).min((self.table.chunks.len() * CHUNK_PAGES) as u64);
-        let before = self.frames.len();
-        let mut next = start.0;
-        while next < end {
-            let c = next as usize / CHUNK_PAGES;
-            let chunk_end = end.min(((c + 1) * CHUNK_PAGES) as u64);
-            for id in next..chunk_end {
-                if self.table.live(c) == 0 {
-                    break;
-                }
-                if let Some(idx) = self.table.remove(PageId(id)) {
-                    self.remove_frame(idx as usize);
-                }
-            }
-            if self.table.live(c) == 0 {
-                self.table.chunks[c] = None;
-            }
-            next = chunk_end;
-        }
-        before - self.frames.len()
-    }
-
-    /// Swap-remove the frame at `idx`, whose page has left the table.
-    fn remove_frame(&mut self, idx: usize) {
-        let gone = self.frames.swap_remove(idx);
-        if gone.dirty {
-            self.dirty.remove(gone.page);
-        }
-        if let Some(moved) = self.frames.get(idx) {
-            self.table.set(moved.page, idx as u32);
-        }
-        if self.hand >= self.frames.len() && !self.frames.is_empty() {
-            self.hand = 0;
-        }
-    }
-
-    /// Page-table chunks allocated for ids in `[start, end)`.
-    #[cfg(test)]
-    pub(crate) fn table_chunks(&self, start: PageId, end: PageId) -> usize {
-        let chunks = split(start).0..(end.0 as usize).div_ceil(CHUNK_PAGES);
-        chunks
-            .filter(|&c| matches!(self.table.chunks.get(c), Some(Some(_))))
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -520,21 +449,6 @@ mod tests {
         // Re-inserting a resident page only updates flags.
         assert!(c.insert(p(2), true).is_none());
         assert!(c.is_dirty(p(2)));
-    }
-
-    #[test]
-    fn discard_removes_page() {
-        let mut c = ClockCache::new(4);
-        c.touch(p(1), true);
-        c.touch(p(2), false);
-        assert_eq!(c.discard_range(p(1), p(2)), 1);
-        assert!(!c.contains(p(1)));
-        assert_eq!(c.dirty_count(), 0);
-        assert_eq!(c.resident(), 1);
-        assert_eq!(c.discard_range(p(1), p(2)), 0);
-        // Table stays consistent after swap_remove relocation.
-        assert!(c.contains(p(2)));
-        assert_eq!(c.touch(p(2), false), Touch::Hit);
     }
 
     #[test]

@@ -23,17 +23,11 @@ pub struct CpuTickServed {
 #[derive(Debug, Clone)]
 pub struct CpuDevice {
     spec: CpuSpec,
-    busy_core_secs: f64,
-    elapsed_secs: f64,
 }
 
 impl CpuDevice {
     pub fn new(spec: CpuSpec) -> CpuDevice {
-        CpuDevice {
-            spec,
-            busy_core_secs: 0.0,
-            elapsed_secs: 0.0,
-        }
+        CpuDevice { spec }
     }
 
     pub fn spec(&self) -> &CpuSpec {
@@ -47,7 +41,7 @@ impl CpuDevice {
 
     /// Serve `demand_core_secs` of work (in standardized core-seconds)
     /// during a tick of `dt` seconds.
-    pub fn serve(&mut self, dt: f64, demand_core_secs: f64) -> CpuTickServed {
+    pub fn serve(&self, dt: f64, demand_core_secs: f64) -> CpuTickServed {
         assert!(dt > 0.0, "tick length must be positive");
         assert!(demand_core_secs >= 0.0, "demand cannot be negative");
         let capacity = self.capacity_cores() * dt;
@@ -58,8 +52,6 @@ impl CpuDevice {
             served / demand_core_secs
         };
         let utilization = (served / capacity).clamp(0.0, 1.0);
-        self.busy_core_secs += served;
-        self.elapsed_secs += dt;
 
         // Processor-sharing response inflation, capped near saturation.
         let rho = utilization.min(0.98);
@@ -69,15 +61,6 @@ impl CpuDevice {
             fraction,
             utilization,
             latency_factor,
-        }
-    }
-
-    /// Lifetime average utilization in `[0, 1]`.
-    pub fn average_utilization(&self) -> f64 {
-        if self.elapsed_secs == 0.0 {
-            0.0
-        } else {
-            self.busy_core_secs / (self.elapsed_secs * self.capacity_cores())
         }
     }
 }
@@ -92,7 +75,7 @@ mod tests {
 
     #[test]
     fn under_load_everything_served() {
-        let mut c = cpu8();
+        let c = cpu8();
         let r = c.serve(1.0, 2.0);
         assert_eq!(r.fraction, 1.0);
         assert!((r.utilization - 0.25).abs() < 1e-12);
@@ -100,7 +83,7 @@ mod tests {
 
     #[test]
     fn overload_scales_fractionally() {
-        let mut c = cpu8();
+        let c = cpu8();
         let r = c.serve(1.0, 16.0);
         assert!((r.fraction - 0.5).abs() < 1e-12);
         assert!((r.utilization - 1.0).abs() < 1e-12);
@@ -108,7 +91,7 @@ mod tests {
 
     #[test]
     fn zero_demand_is_fully_served() {
-        let mut c = cpu8();
+        let c = cpu8();
         let r = c.serve(0.1, 0.0);
         assert_eq!(r.fraction, 1.0);
         assert_eq!(r.utilization, 0.0);
@@ -117,7 +100,7 @@ mod tests {
 
     #[test]
     fn latency_factor_grows_convexly() {
-        let mut c = cpu8();
+        let c = cpu8();
         let low = c.serve(1.0, 1.0).latency_factor;
         let mid = c.serve(1.0, 6.0).latency_factor;
         let high = c.serve(1.0, 7.8).latency_factor;
@@ -129,13 +112,5 @@ mod tests {
     fn clock_speed_raises_capacity() {
         let fast = CpuDevice::new(CpuSpec::new(8, kairos_types::spec::STANDARD_CORE_GHZ * 2.0));
         assert!((fast.capacity_cores() - 16.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn average_utilization_tracks_history() {
-        let mut c = cpu8();
-        c.serve(1.0, 8.0); // 100% of 8 cores for 1s
-        c.serve(1.0, 0.0); // idle 1s
-        assert!((c.average_utilization() - 0.5).abs() < 1e-12);
     }
 }

@@ -59,26 +59,11 @@ pub struct DiskTickServed {
 #[derive(Debug, Clone)]
 pub struct DiskDevice {
     spec: DiskSpec,
-    /// Cumulative counters (iostat equivalents).
-    total_bytes_written: f64,
-    total_bytes_read: f64,
-    total_pages_written: f64,
-    total_pages_read: f64,
-    busy_secs: f64,
-    elapsed_secs: f64,
 }
 
 impl DiskDevice {
     pub fn new(spec: DiskSpec) -> DiskDevice {
-        DiskDevice {
-            spec,
-            total_bytes_written: 0.0,
-            total_bytes_read: 0.0,
-            total_pages_written: 0.0,
-            total_pages_read: 0.0,
-            busy_secs: 0.0,
-            elapsed_secs: 0.0,
-        }
+        DiskDevice { spec }
     }
 
     pub fn spec(&self) -> &DiskSpec {
@@ -94,7 +79,7 @@ impl DiskDevice {
     }
 
     /// Serve one tick of length `dt` seconds.
-    pub fn serve(&mut self, dt: f64, demand: DiskTickDemand) -> DiskTickServed {
+    pub fn serve(&self, dt: f64, demand: DiskTickDemand) -> DiskTickServed {
         assert!(dt > 0.0, "tick length must be positive");
         let fg_secs = self.foreground_secs(demand.log_bytes, demand.log_forces, demand.read_pages);
 
@@ -122,13 +107,6 @@ impl DiskDevice {
         let bytes_written = demand.log_bytes * fg_fraction + wb_served * page_bytes;
         let bytes_read = demand.read_pages * fg_fraction * page_bytes;
 
-        self.total_bytes_written += bytes_written;
-        self.total_bytes_read += bytes_read;
-        self.total_pages_written += wb_served;
-        self.total_pages_read += demand.read_pages * fg_fraction;
-        self.busy_secs += used;
-        self.elapsed_secs += dt;
-
         // M/M/1-flavoured response time for a random read: service time
         // inflated by 1/(1-rho), capped to keep the model finite at
         // saturation.
@@ -145,38 +123,11 @@ impl DiskDevice {
             read_service_secs,
         }
     }
-
-    /// Cumulative bytes written (iostat `wkB/s` integral).
-    pub fn total_bytes_written(&self) -> f64 {
-        self.total_bytes_written
-    }
-
-    pub fn total_bytes_read(&self) -> f64 {
-        self.total_bytes_read
-    }
-
-    pub fn total_pages_written(&self) -> f64 {
-        self.total_pages_written
-    }
-
-    pub fn total_pages_read(&self) -> f64 {
-        self.total_pages_read
-    }
-
-    /// Lifetime average utilization.
-    pub fn average_utilization(&self) -> f64 {
-        if self.elapsed_secs == 0.0 {
-            0.0
-        } else {
-            self.busy_secs / self.elapsed_secs
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kairos_types::Bytes;
 
     fn dev() -> DiskDevice {
         DiskDevice::new(DiskSpec::sata_7200rpm())
@@ -184,7 +135,7 @@ mod tests {
 
     #[test]
     fn idle_tick_serves_everything() {
-        let mut d = dev();
+        let d = dev();
         let served = d.serve(
             1.0,
             DiskTickDemand {
@@ -202,7 +153,7 @@ mod tests {
 
     #[test]
     fn foreground_overload_scales_fraction() {
-        let mut d = dev();
+        let d = dev();
         // 10k random reads in one second vastly exceeds 120 IOPS.
         let served = d.serve(
             1.0,
@@ -218,7 +169,7 @@ mod tests {
 
     #[test]
     fn background_yields_to_foreground() {
-        let mut d = dev();
+        let d = dev();
         let quiet = d.serve(
             1.0,
             DiskTickDemand {
@@ -227,7 +178,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let mut d2 = dev();
+        let d2 = dev();
         let busy = d2.serve(
             1.0,
             DiskTickDemand {
@@ -243,7 +194,7 @@ mod tests {
 
     #[test]
     fn sorted_writeback_beats_random_rate() {
-        let mut d = dev();
+        let d = dev();
         let spec = *d.spec();
         let served = d.serve(
             1.0,
@@ -259,7 +210,7 @@ mod tests {
 
     #[test]
     fn log_forces_cost_time() {
-        let mut a = dev();
+        let a = dev();
         let few = a.serve(
             1.0,
             DiskTickDemand {
@@ -268,7 +219,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let mut b = dev();
+        let b = dev();
         let many = b.serve(
             1.0,
             DiskTickDemand {
@@ -282,7 +233,7 @@ mod tests {
 
     #[test]
     fn read_latency_grows_with_utilization() {
-        let mut d = dev();
+        let d = dev();
         let quiet = d.serve(
             1.0,
             DiskTickDemand {
@@ -301,27 +252,8 @@ mod tests {
     }
 
     #[test]
-    fn counters_accumulate() {
-        let mut d = dev();
-        let page = Bytes::kib(16).as_f64();
-        d.serve(
-            1.0,
-            DiskTickDemand {
-                read_pages: 10.0,
-                writeback_pages: 4.0,
-                writeback_batch: 4.0,
-                log_bytes: 1000.0,
-                log_forces: 1.0,
-            },
-        );
-        assert!((d.total_bytes_read() - 10.0 * page).abs() < 1e-6);
-        assert!((d.total_bytes_written() - (1000.0 + 4.0 * page)).abs() < 1e-6);
-        assert!(d.average_utilization() > 0.0);
-    }
-
-    #[test]
     fn zero_demand_is_free() {
-        let mut d = dev();
+        let d = dev();
         let served = d.serve(0.1, DiskTickDemand::default());
         assert_eq!(served.utilization, 0.0);
         assert_eq!(served.foreground_fraction, 1.0);

@@ -99,18 +99,10 @@ pub struct Database {
     pub id: DatabaseId,
     pub name: String,
     pub tables: Vec<TableId>,
-    /// `true` once the database has been dropped. Ids are positional, so
-    /// dropped databases leave a tombstone instead of shifting later ids.
-    pub dropped: bool,
 }
 
 #[derive(Debug, Clone)]
 struct TableDef {
-    #[allow(dead_code)]
-    id: TableId,
-    /// Owning database (kept for per-database attribution in reports).
-    #[allow(dead_code)]
-    db: DatabaseId,
     segments: Vec<PageRange>,
     pages: u64,
     rows: f64,
@@ -307,15 +299,6 @@ impl DbmsInstance {
         self.config.buffer_pool + self.config.ram_overhead
     }
 
-    /// RAM corresponding to currently-resident pages plus overhead.
-    pub fn ram_resident(&self) -> Bytes {
-        Bytes(self.pool.resident() as u64 * self.config.page_size.0) + self.config.ram_overhead
-    }
-
-    pub fn buffer_pool_pages(&self) -> usize {
-        self.pool.capacity()
-    }
-
     pub fn pool_resident_pages(&self) -> usize {
         self.pool.resident()
     }
@@ -324,16 +307,8 @@ impl DbmsInstance {
         self.pool.dirty_count()
     }
 
-    pub fn bp_miss_ratio(&self) -> f64 {
-        self.pool.stats().miss_ratio()
-    }
-
     pub fn page_size(&self) -> Bytes {
         self.config.page_size
-    }
-
-    pub fn databases(&self) -> &[Database] {
-        &self.databases
     }
 
     // ----- DDL / SQL surface (what the probing tool uses) -----
@@ -345,55 +320,8 @@ impl DbmsInstance {
             id,
             name: name.into(),
             tables: Vec::new(),
-            dropped: false,
         });
         id
-    }
-
-    /// `DROP DATABASE`: release every table of `db` — pages are discarded
-    /// from the buffer pool (and OS cache) without write-back (dropped
-    /// data needs no durability), dirty attribution is cleared, and the
-    /// database is tombstoned. Returns the on-disk bytes reclaimed.
-    ///
-    /// This is the tenant GC the migration executor relies on: without
-    /// it, migrated-away tenants linger in their old instance and the
-    /// host's memory/page accounting drifts from the placement truth.
-    pub fn drop_database(&mut self, db: DatabaseId) -> Result<Bytes> {
-        let dbi = db.0 as usize;
-        if dbi >= self.databases.len() {
-            return Err(KairosError::Sql(format!("unknown database {db:?}")));
-        }
-        if self.databases[dbi].dropped {
-            return Err(KairosError::Sql(format!("database {db:?} already dropped")));
-        }
-        let tables = std::mem::take(&mut self.databases[dbi].tables);
-        let mut reclaimed_pages = 0u64;
-        for t in &tables {
-            let td = &mut self.tables[t.0 as usize];
-            for seg in std::mem::take(&mut td.segments) {
-                self.pool.discard_range(seg.start, seg.end());
-                if let Some(os) = self.os_cache.as_mut() {
-                    os.discard_range(seg.start, seg.end());
-                }
-                reclaimed_pages += seg.len;
-            }
-            td.pages = 0;
-            td.rows = 0.0;
-            td.dirty_pages = 0;
-            td.dirty_carry = 0.0;
-        }
-        // Only a table with pages has index entries, and only the dropped
-        // ones have just lost their segments.
-        let live = &self.tables;
-        self.segment_index
-            .retain(|&(_, t)| !live[t as usize].segments.is_empty());
-        self.databases[dbi].dropped = true;
-        Ok(Bytes(reclaimed_pages * self.config.page_size.0))
-    }
-
-    /// Databases that have not been dropped.
-    pub fn live_databases(&self) -> impl Iterator<Item = &Database> {
-        self.databases.iter().filter(|d| !d.dropped)
     }
 
     /// Create a table pre-loaded with `rows` rows of `row_bytes` bytes.
@@ -402,15 +330,10 @@ impl DbmsInstance {
         if db.0 as usize >= self.databases.len() {
             return Err(KairosError::Sql(format!("unknown database {db:?}")));
         }
-        if self.databases[db.0 as usize].dropped {
-            return Err(KairosError::Sql(format!("database {db:?} was dropped")));
-        }
         assert!(row_bytes > 0, "rows must have a positive size");
         let id = TableId(self.tables.len() as u32);
         let pages = (rows as f64 * row_bytes as f64 / self.config.page_size.as_f64()).ceil() as u64;
         let mut table = TableDef {
-            id,
-            db,
             segments: Vec::new(),
             pages: 0,
             rows: rows as f64,
@@ -437,11 +360,6 @@ impl DbmsInstance {
     /// Pages currently allocated to a table.
     pub fn table_pages(&self, table: TableId) -> u64 {
         self.tables[table.0 as usize].pages
-    }
-
-    /// Bytes currently allocated to a table.
-    pub fn table_bytes(&self, table: TableId) -> Bytes {
-        Bytes(self.table_pages(table) * self.config.page_size.0)
     }
 
     /// Append `rows` rows to a table (INSERT). New pages enter the pool
@@ -1149,16 +1067,6 @@ mod tests {
     }
 
     #[test]
-    fn ram_views_differ() {
-        let mut inst = small_instance();
-        let db = inst.create_database("app");
-        let t = inst.create_table(db, 1000, 164).unwrap();
-        inst.scan_count(t, 1000);
-        assert!(inst.ram_allocated() > inst.ram_resident());
-        assert!(inst.ram_resident() > inst.config().ram_overhead);
-    }
-
-    #[test]
     fn wal_activity_reported_via_demand() {
         let mut inst = small_instance();
         let db = inst.create_database("app");
@@ -1184,92 +1092,6 @@ mod tests {
         let mut inst = small_instance();
         inst.prepare_tick(0.1, &[]);
         inst.prepare_tick(0.1, &[]);
-    }
-
-    #[test]
-    fn drop_database_reclaims_pages_and_pool_frames() {
-        let mut inst = small_instance();
-        let keep_db = inst.create_database("keep");
-        let keep_t = inst.create_table(keep_db, 5_000, 164).unwrap();
-        inst.prewarm_table(keep_t);
-        let drop_db = inst.create_database("drop");
-        let drop_t = inst.create_table(drop_db, 5_000, 164).unwrap();
-        inst.prewarm_table(drop_t);
-        // Dirty some of the doomed tenant's pages.
-        inst.prepare_tick(
-            0.1,
-            &[(
-                drop_db,
-                OpBatch {
-                    txns: 1.0,
-                    updates: vec![UpdateSpec {
-                        table: drop_t,
-                        prefix_pages: 0,
-                        rows: 1_000.0,
-                    }],
-                    ..Default::default()
-                },
-            )],
-        );
-        inst.complete_tick(
-            0.1,
-            DeviceGrant {
-                writeback_pages: 0.0,
-                ..full_grant()
-            },
-        );
-        let resident_before = inst.pool_resident_pages();
-        let dirty_before = inst.pool_dirty_pages();
-        assert!(dirty_before > 0);
-        let dropped_pages = inst.table_pages(drop_t);
-
-        let reclaimed = inst.drop_database(drop_db).unwrap();
-        assert_eq!(reclaimed, Bytes(dropped_pages * inst.page_size().0));
-        assert_eq!(inst.table_pages(drop_t), 0);
-        // Dirty pages of dropped data vanish without write-back; resident
-        // frames are freed for the surviving tenant.
-        assert_eq!(inst.pool_dirty_pages(), 0);
-        assert!(inst.pool_resident_pages() < resident_before);
-        assert_eq!(inst.live_databases().count(), 1);
-        assert_eq!(inst.databases().len(), 2, "tombstone keeps ids stable");
-        // The survivor is untouched and ids remain valid.
-        assert_eq!(inst.table_rows(keep_t), 5_000);
-        assert!(inst.scan_count(keep_t, 100) > 0);
-        // Double drop and DDL on a dropped database are errors.
-        assert!(inst.drop_database(drop_db).is_err());
-        assert!(inst.create_table(drop_db, 10, 100).is_err());
-    }
-
-    #[test]
-    fn drop_of_a_huge_sparse_table_frees_its_page_table_and_spares_the_neighbour() {
-        let mut inst = DbmsInstance::new(DbmsConfig::postgres(Bytes::mib(256), Bytes::mib(256)));
-        let page = inst.page_size().0;
-        // 4 Mi pages (32 GiB), of which only the first 4,096 are resident.
-        let big_db = inst.create_database("big");
-        let big_t = inst.create_table(big_db, 4 << 20, page).unwrap();
-        assert_eq!(inst.table_pages(big_t), 4 << 20);
-        inst.prewarm_pages(big_t, 4096);
-        let keep_db = inst.create_database("keep");
-        let keep_t = inst.create_table(keep_db, 2_000, page).unwrap();
-        inst.prewarm_table(keep_t);
-        let (start, end) = (PageId(0), PageId(4 << 20));
-        assert!(inst.pool.table_chunks(start, end) > 0);
-        assert_eq!(inst.pool_resident_pages(), 4096 + 2_000);
-
-        let reclaimed = inst.drop_database(big_db).unwrap();
-        assert_eq!(reclaimed, Bytes((4 << 20) * page));
-        let os = inst.os_cache.as_ref().expect("buffered configuration");
-        for cache in [&inst.pool, os] {
-            assert_eq!(cache.resident(), 2_000);
-            assert_eq!(cache.table_chunks(start, end), 0);
-            assert!(!cache.contains(PageId(0)) && !cache.contains(PageId(4095)));
-        }
-        // The neighbour never left memory: a full scan is all hits.
-        let before = inst.stats();
-        inst.scan_count(keep_t, 2_000);
-        let after = inst.stats();
-        assert_eq!(after.bp_misses, before.bp_misses);
-        assert_eq!(after.bp_hits, before.bp_hits + 2_000.0);
     }
 
     #[test]

@@ -125,39 +125,8 @@ impl Host {
         &mut self.instances[idx]
     }
 
-    /// `DROP DATABASE` on one of this host's instances: the tenant's
-    /// pages leave the instance's buffer pool (and OS cache) and its disk
-    /// footprint is reclaimed. Returns the bytes reclaimed. See
-    /// [`DbmsInstance::drop_database`].
-    pub fn remove_database(
-        &mut self,
-        instance: usize,
-        db: crate::pages::DatabaseId,
-    ) -> kairos_types::Result<kairos_types::Bytes> {
-        self.instances[instance].drop_database(db)
-    }
-
     pub fn instances(&self) -> &[DbmsInstance] {
         &self.instances
-    }
-
-    pub fn sim_secs(&self) -> f64 {
-        self.sim_secs
-    }
-
-    /// RAM committed by all instances (allocated view).
-    pub fn ram_committed(&self) -> kairos_types::Bytes {
-        self.instances.iter().map(|i| i.ram_allocated()).sum()
-    }
-
-    /// Average disk utilization since construction.
-    pub fn disk_average_utilization(&self) -> f64 {
-        self.disk.average_utilization()
-    }
-
-    /// Average CPU utilization since construction.
-    pub fn cpu_average_utilization(&self) -> f64 {
-        self.cpu.average_utilization()
     }
 
     /// Advance the host by one tick of `dt` seconds.
@@ -379,15 +348,6 @@ mod tests {
             c_hyper < c_plain * 0.97,
             "hypervisor should cost throughput: {c_hyper} vs {c_plain}"
         );
-    }
-
-    #[test]
-    fn ram_committed_sums_instances() {
-        let mut host = Host::new(MachineSpec::server1());
-        host.add_instance(DbmsInstance::new(DbmsConfig::mysql(Bytes::mib(100))));
-        host.add_instance(DbmsInstance::new(DbmsConfig::mysql(Bytes::mib(200))));
-        let committed = host.ram_committed();
-        assert!(committed > Bytes::mib(300));
     }
 
     #[test]

@@ -85,11 +85,6 @@ impl PageAllocator {
         self.next += len;
         PageRange { start, len }
     }
-
-    /// Total pages ever allocated.
-    pub fn allocated(&self) -> u64 {
-        self.next
-    }
 }
 
 #[cfg(test)]
@@ -119,7 +114,6 @@ mod tests {
         let r2 = a.allocate(3);
         assert_eq!(r1.start, PageId(0));
         assert_eq!(r2.start, PageId(10));
-        assert_eq!(a.allocated(), 13);
         assert!(!r1.contains(r2.start));
     }
 

@@ -43,16 +43,6 @@ pub struct InstanceStats {
 }
 
 impl InstanceStats {
-    /// Buffer-pool miss ratio over the lifetime.
-    pub fn bp_miss_ratio(&self) -> f64 {
-        let total = self.bp_hits + self.bp_misses;
-        if total == 0.0 {
-            0.0
-        } else {
-            self.bp_misses / total
-        }
-    }
-
     /// Mean transaction latency in seconds.
     pub fn mean_latency_secs(&self) -> f64 {
         if self.committed_txns == 0.0 {
@@ -83,25 +73,6 @@ impl InstanceStats {
         }
     }
 
-    /// Physical reads per second over a delta interval.
-    pub fn read_pages_per_sec(&self) -> f64 {
-        if self.sim_secs <= 0.0 {
-            0.0
-        } else {
-            self.physical_read_pages / self.sim_secs
-        }
-    }
-
-    /// Throughput in committed transactions per second over a delta
-    /// interval.
-    pub fn txns_per_sec(&self) -> f64 {
-        if self.sim_secs <= 0.0 {
-            0.0
-        } else {
-            self.committed_txns / self.sim_secs
-        }
-    }
-
     /// Disk bytes written per second (log + pages) over a delta interval,
     /// given the page size in bytes.
     pub fn write_bytes_per_sec(&self, page_bytes: f64) -> f64 {
@@ -111,35 +82,11 @@ impl InstanceStats {
             (self.log_bytes + self.physical_write_pages * page_bytes) / self.sim_secs
         }
     }
-
-    /// Average CPU load in standardized cores over a delta interval.
-    pub fn cpu_cores_avg(&self) -> f64 {
-        if self.sim_secs <= 0.0 {
-            0.0
-        } else {
-            self.cpu_core_secs / self.sim_secs
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn miss_ratio_zero_when_no_traffic() {
-        assert_eq!(InstanceStats::default().bp_miss_ratio(), 0.0);
-    }
-
-    #[test]
-    fn miss_ratio_computed() {
-        let s = InstanceStats {
-            bp_hits: 75.0,
-            bp_misses: 25.0,
-            ..Default::default()
-        };
-        assert!((s.bp_miss_ratio() - 0.25).abs() < 1e-12);
-    }
 
     #[test]
     fn delta_subtracts_every_counter() {
@@ -159,17 +106,12 @@ mod tests {
         assert_eq!(d.sim_secs, 6.0);
         assert_eq!(d.committed_txns, 60.0);
         assert_eq!(d.physical_read_pages, 30.0);
-        assert!((d.txns_per_sec() - 10.0).abs() < 1e-12);
-        assert!((d.read_pages_per_sec() - 5.0).abs() < 1e-12);
     }
 
     #[test]
     fn rates_are_zero_for_zero_interval() {
         let s = InstanceStats::default();
-        assert_eq!(s.txns_per_sec(), 0.0);
-        assert_eq!(s.read_pages_per_sec(), 0.0);
         assert_eq!(s.write_bytes_per_sec(16384.0), 0.0);
-        assert_eq!(s.cpu_cores_avg(), 0.0);
     }
 
     #[test]

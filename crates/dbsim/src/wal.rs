@@ -135,14 +135,6 @@ impl LogManager {
         reclaimed
     }
 
-    pub fn total_bytes(&self) -> f64 {
-        self.total_bytes
-    }
-
-    pub fn total_forces(&self) -> f64 {
-        self.total_forces
-    }
-
     /// Expected group-commit wait for one transaction: half the window
     /// when commits are being batched, otherwise negligible.
     pub fn commit_wait_secs(&self, commits_per_sec: f64) -> f64 {

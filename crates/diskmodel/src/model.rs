@@ -22,11 +22,9 @@ use kairos_types::{Bytes, DiskDemand, KairosError, Result};
 /// A hardware/DBMS-configuration-specific disk model.
 #[derive(Debug, Clone)]
 pub struct DiskModel {
-    machine: String,
     response: Poly2D,
     frontier: Quadratic,
-    /// Calibrated domain (for out-of-domain warnings).
-    ws_max: f64,
+    /// Highest profiled rate: the frontier's extrapolation cap.
     rate_max: f64,
     /// Largest write throughput seen during profiling.
     peak_write_bytes: f64,
@@ -74,11 +72,6 @@ impl DiskModel {
         } else {
             Quadratic::fit(&sat)?
         };
-        let ws_max = profile
-            .points
-            .iter()
-            .map(|p| p.ws_bytes)
-            .fold(0.0, f64::max);
         let rate_max = profile
             .points
             .iter()
@@ -90,17 +83,11 @@ impl DiskModel {
             .map(|p| p.write_bytes_per_sec)
             .fold(0.0, f64::max);
         Ok(DiskModel {
-            machine: profile.machine.clone(),
             response,
             frontier,
-            ws_max,
             rate_max,
             peak_write_bytes,
         })
-    }
-
-    pub fn machine(&self) -> &str {
-        &self.machine
     }
 
     /// Predicted disk write throughput (bytes/s) for a combined demand.
@@ -124,13 +111,6 @@ impl DiskModel {
             .clamp(0.0, self.rate_max * 1.2)
     }
 
-    /// Can this demand run within `max_util` (e.g. 0.9 for 10 % headroom)
-    /// of the disk's saturation frontier?
-    pub fn is_feasible(&self, demand: DiskDemand, max_util: f64) -> bool {
-        let cap = self.saturation_rate(demand.working_set) * max_util;
-        demand.update_rows_per_sec.as_f64() <= cap
-    }
-
     /// Disk "utilization" of a demand: offered rate over the saturation
     /// rate at that working set. >1 = infeasible.
     pub fn utilization(&self, demand: DiskDemand) -> f64 {
@@ -139,12 +119,6 @@ impl DiskModel {
             return f64::INFINITY;
         }
         demand.update_rows_per_sec.as_f64() / cap
-    }
-
-    /// Whether a demand lies inside the calibrated envelope.
-    pub fn in_domain(&self, demand: DiskDemand) -> bool {
-        demand.working_set.as_f64() <= self.ws_max * 1.05
-            && demand.update_rows_per_sec.as_f64() <= self.rate_max * 1.05
     }
 }
 
@@ -225,16 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn feasibility_respects_headroom() {
-        let model = DiskModel::fit(&synthetic_profile()).unwrap();
-        let ws = Bytes((1e9) as u64);
-        let sat = model.saturation_rate(ws);
-        assert!(model.is_feasible(DiskDemand::new(ws, Rate(sat * 0.5)), 0.9));
-        assert!(!model.is_feasible(DiskDemand::new(ws, Rate(sat * 0.95)), 0.9));
-        assert!(!model.is_feasible(DiskDemand::new(ws, Rate(sat * 2.0)), 0.9));
-    }
-
-    #[test]
     fn utilization_scales_linearly() {
         let model = DiskModel::fit(&synthetic_profile()).unwrap();
         let ws = Bytes((1e9) as u64);
@@ -274,12 +238,5 @@ mod tests {
             ],
         };
         assert!(DiskModel::fit(&profile).is_err());
-    }
-
-    #[test]
-    fn domain_check() {
-        let model = DiskModel::fit(&synthetic_profile()).unwrap();
-        assert!(model.in_domain(DiskDemand::new(Bytes((1e9) as u64), Rate(10_000.0))));
-        assert!(!model.in_domain(DiskDemand::new(Bytes((30e9) as u64), Rate(10_000.0))));
     }
 }

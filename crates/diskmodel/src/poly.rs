@@ -32,11 +32,6 @@ impl Poly2D {
         self.coeffs.iter().zip(b.iter()).map(|(c, v)| c * v).sum()
     }
 
-    /// Ordinary least-squares fit of `(x, y) → z` samples.
-    pub fn fit_least_squares(samples: &[(f64, f64, f64)]) -> Result<Poly2D> {
-        Self::fit_weighted(samples, &vec![1.0; samples.len()])
-    }
-
     /// Least-absolute-residuals fit via IRLS.
     pub fn fit_lar(samples: &[(f64, f64, f64)]) -> Result<Poly2D> {
         let mut w = vec![1.0; samples.len()];
@@ -149,6 +144,11 @@ mod tests {
         5.0 + 2.0 * x + 0.5 * y + 0.1 * x * x + 0.3 * x * y + 0.02 * y * y
     }
 
+    /// Ordinary least squares: the baseline LAR is compared against.
+    fn fit_least_squares(samples: &[(f64, f64, f64)]) -> Result<Poly2D> {
+        Poly2D::fit_weighted(samples, &vec![1.0; samples.len()])
+    }
+
     fn grid_samples() -> Vec<(f64, f64, f64)> {
         let mut out = Vec::new();
         for i in 0..12 {
@@ -163,7 +163,7 @@ mod tests {
 
     #[test]
     fn least_squares_recovers_exact_polynomial() {
-        let p = Poly2D::fit_least_squares(&grid_samples()).unwrap();
+        let p = fit_least_squares(&grid_samples()).unwrap();
         for &(x, y, z) in &grid_samples()[..20] {
             assert!((p.eval(x, y) - z).abs() < 1e-6, "at ({x},{y})");
         }
@@ -185,7 +185,7 @@ mod tests {
             samples[i * 20].2 += 500.0;
         }
         let lar = Poly2D::fit_lar(&samples).unwrap();
-        let lsq = Poly2D::fit_least_squares(&samples).unwrap();
+        let lsq = fit_least_squares(&samples).unwrap();
         let clean = grid_samples();
         let err = |p: &Poly2D| -> f64 {
             clean
@@ -254,6 +254,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty sample set")]
     fn empty_fit_panics() {
-        let _ = Poly2D::fit_least_squares(&[]);
+        let _ = fit_least_squares(&[]);
     }
 }

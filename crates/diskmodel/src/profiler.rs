@@ -13,7 +13,7 @@
 //! simulated sweep takes seconds for a few hundred.
 
 use kairos_dbsim::{DbmsConfig, DbmsInstance, Host};
-use kairos_types::{Bytes, KairosError, MachineSpec, Result};
+use kairos_types::{Bytes, MachineSpec};
 use kairos_workloads::{Driver, ProfileLoad, Workload};
 
 /// One measured point of the system-response map.
@@ -56,38 +56,6 @@ impl DiskProfile {
             ));
         }
         out
-    }
-
-    /// Parse the [`DiskProfile::to_csv`] format.
-    pub fn from_csv(machine: impl Into<String>, csv: &str) -> Result<DiskProfile> {
-        let mut points = Vec::new();
-        for (i, line) in csv.lines().enumerate() {
-            if i == 0 || line.trim().is_empty() {
-                continue;
-            }
-            let fields: Vec<&str> = line.split(',').collect();
-            if fields.len() != 4 {
-                return Err(KairosError::InvalidInput(format!(
-                    "line {i}: expected 4 fields, got {}",
-                    fields.len()
-                )));
-            }
-            let parse = |s: &str| -> Result<f64> {
-                s.trim()
-                    .parse()
-                    .map_err(|e| KairosError::InvalidInput(format!("line {i}: {e}")))
-            };
-            points.push(DiskPoint {
-                ws_bytes: parse(fields[0])?,
-                rows_per_sec: parse(fields[1])?,
-                write_bytes_per_sec: parse(fields[2])?,
-                achieved_fraction: parse(fields[3])?,
-            });
-        }
-        Ok(DiskProfile {
-            machine: machine.into(),
-            points,
-        })
     }
 
     /// Maximum achieved row rate per working-set size — the black circles
@@ -276,7 +244,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn csv_round_trip() {
+    fn csv_has_a_header_and_one_row_per_point() {
         let profile = DiskProfile {
             machine: "m".into(),
             points: vec![
@@ -294,15 +262,12 @@ mod tests {
                 },
             ],
         };
-        let csv = profile.to_csv();
-        let back = DiskProfile::from_csv("m", &csv).unwrap();
-        assert_eq!(profile, back);
-    }
-
-    #[test]
-    fn csv_rejects_malformed_lines() {
-        let bad = "h\n1,2,3\n";
-        assert!(DiskProfile::from_csv("m", bad).is_err());
+        assert_eq!(
+            profile.to_csv(),
+            "ws_bytes,rows_per_sec,write_bytes_per_sec,achieved_fraction\n\
+             1000000000,5000,3000000,1\n\
+             2000000000,9000,9000000,0.8\n"
+        );
     }
 
     #[test]

@@ -389,8 +389,8 @@ impl BalancerSoftState {
 /// proposals, outcomes, parked retries. Both callers pass their own log
 /// and record on the calling thread, so the in-process and RPC fleets
 /// produce byte-identical balancer traces by construction (same policy
-/// code, same recorder discipline). Pass a
-/// [`DecisionLog::disabled`] sink to trace nothing.
+/// code, same recorder discipline). Pass a log with recording switched
+/// off ([`DecisionLog::set_enabled`]) to trace nothing.
 ///
 /// `spans` is the balancer's causal span log. When enabled, the round
 /// opens a root `balance_round` span and installs its context for the
@@ -499,7 +499,7 @@ pub fn run_balance_round<H: ShardHandle>(
     // Plans, membership, handoffs and failed solves invalidate
     // immediately; the *forecast-derived* donor signal (a placement
     // drifting infeasible without tripping the detector) can lag up
-    // to `summary_refresh_ticks`. Admissions stay capacity-safe
+    // to the shard's 24-tick staleness bound. Admissions stay capacity-safe
     // regardless — `can_admit` always re-packs fresh.
     let summaries: Vec<ShardSummary> = shards.iter_mut().map(|s| s.summary()).collect();
     let mut moves_left = cfg.max_moves_per_round;

@@ -26,7 +26,6 @@ use kairos_controller::{
 use kairos_core::ConsolidationEngine;
 use kairos_obs::{MetricsRegistry, SpanRecord};
 use kairos_store::StoreError;
-use kairos_types::WorkloadProfile;
 use std::path::Path;
 use std::time::Instant;
 
@@ -288,37 +287,14 @@ impl FleetController {
         Some(wire)
     }
 
-    /// Admit a handoff frame into a specific shard, binding the given
-    /// destination-side source — the inverse of
-    /// [`FleetController::evict_tenant`]. Rejects damaged frames and a
-    /// source whose name disagrees with the frame before any state is
-    /// touched.
-    pub fn admit_frame(
-        &mut self,
-        shard: usize,
-        frame: &[u8],
-        source: Box<dyn TelemetrySource>,
-    ) -> Result<(), StoreError> {
-        let mut handoff = TenantHandoff::from_wire(frame, source)?;
-        handoff.sketch = self.shards[shard].sketch_config();
-        self.admit_handoff(shard, handoff);
-        Ok(())
-    }
-
     /// Admit an already-decoded handoff into a specific shard, updating
-    /// the routing map — the decoded-side counterpart of
-    /// [`FleetController::admit_frame`] (the hierarchy's group admit
-    /// binds all its members' sources *before* touching any state, so it
-    /// arrives here with handoffs already built).
+    /// the routing map — the inverse of [`FleetController::evict_tenant`]
+    /// (the hierarchy's group admit binds all its members' sources
+    /// *before* touching any state, so it arrives here with handoffs
+    /// already built).
     pub fn admit_handoff(&mut self, shard: usize, handoff: TenantHandoff) {
         self.map.assign(&handoff.name, shard);
         self.shards[shard].admit(handoff);
-    }
-
-    /// Forecast one tenant wherever it currently lives.
-    pub fn forecast_tenant(&self, name: &str) -> Option<WorkloadProfile> {
-        let shard = self.map.shard_of(name)?;
-        self.shards[shard].forecast_workload(name)
     }
 
     /// Summed greedy pack estimate across every shard — the zone-level

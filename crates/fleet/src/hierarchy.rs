@@ -176,11 +176,6 @@ impl Zone {
         self.id
     }
 
-    /// Fleet-wide tenant-group count this zone partitions by.
-    pub fn groups(&self) -> usize {
-        self.groups
-    }
-
     pub fn fleet(&self) -> &FleetController {
         &self.fleet
     }

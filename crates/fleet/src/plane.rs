@@ -310,11 +310,6 @@ impl BalancePlane {
         self.metrics.registry()
     }
 
-    /// The host-level decision trace (balancer rounds).
-    pub fn decision_log(&self) -> &DecisionLog {
-        &self.log
-    }
-
     /// The trace's events, oldest first.
     pub fn trace_events(&self) -> Vec<TracedEvent> {
         self.log.to_vec()

@@ -7,8 +7,7 @@
 //! Two halves:
 //!
 //! * [`monitor::ResourceMonitor`] — periodic sampling of OS-level (CPU,
-//!   RAM, iostat) and DBMS-level (buffer-pool, log) counters, plus the
-//!   §3 over-provisioning classifier, producing
+//!   RAM, iostat) and DBMS-level (buffer-pool, log) counters, producing
 //!   [`kairos_types::WorkloadProfile`]s for the consolidation engine;
 //! * [`gauge::BufferGauge`] — the buffer-pool gauging technique of §3.1
 //!   (Fig 3): grow a probe table inside the DBMS, keep it hot with
@@ -19,4 +18,4 @@ pub mod gauge;
 pub mod monitor;
 
 pub use gauge::{BufferGauge, GaugeEnv, GaugeOutcome, GaugeParams, GaugeStep, SimGaugeEnv};
-pub use monitor::{MemoryClass, MonitorSample, ResourceMonitor};
+pub use monitor::{MonitorSample, ResourceMonitor};

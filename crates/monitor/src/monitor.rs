@@ -1,4 +1,4 @@
-//! Periodic statistics collection and the over-provisioning classifier.
+//! Periodic statistics collection.
 //!
 //! The monitor differences [`kairos_dbsim::InstanceStats`] snapshots at a
 //! fixed interval — the simulator's equivalent of polling MySQL's `SHOW
@@ -8,43 +8,6 @@
 
 use kairos_dbsim::{DbmsInstance, InstanceStats};
 use kairos_types::{Bytes, TimeSeries, WorkloadProfile};
-
-/// §3's three-way memory classification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemoryClass {
-    /// (i) working set fits in the buffer pool: buffer-pool miss ratio is
-    /// close to zero. Gauging applies.
-    FitsBufferPool,
-    /// (ii) working set misses the buffer pool but fits the OS file
-    /// cache: high miss ratio yet few physical reads. Gauging applies
-    /// (the cache tier is what gets gauged).
-    FitsOsCache,
-    /// (iii) working set exceeds all memory: high miss ratio *and* many
-    /// physical reads. Memory is not over-provisioned; the machine's RAM
-    /// is genuinely needed.
-    DiskBound,
-}
-
-impl MemoryClass {
-    /// Classify an interval. `miss_ratio` is the buffer-pool miss ratio
-    /// and `reads_per_sec` the physical page-read rate over the interval.
-    pub fn classify(miss_ratio: f64, reads_per_sec: f64) -> MemoryClass {
-        const MISS_THRESHOLD: f64 = 0.02;
-        const READS_THRESHOLD: f64 = 8.0;
-        if miss_ratio < MISS_THRESHOLD {
-            MemoryClass::FitsBufferPool
-        } else if reads_per_sec < READS_THRESHOLD {
-            MemoryClass::FitsOsCache
-        } else {
-            MemoryClass::DiskBound
-        }
-    }
-
-    /// Whether buffer-pool gauging can shrink this workload's RAM claim.
-    pub fn gaugeable(self) -> bool {
-        self != MemoryClass::DiskBound
-    }
-}
 
 /// One monitoring interval's derived measurements.
 #[derive(Debug, Clone, Copy)]
@@ -136,13 +99,6 @@ impl ResourceMonitor {
         &self.samples
     }
 
-    /// Memory classification of the most recent interval.
-    pub fn memory_class(&self) -> Option<MemoryClass> {
-        self.samples
-            .last()
-            .map(|s| MemoryClass::classify(s.bp_miss_ratio, s.reads_per_sec))
-    }
-
     /// Build the consolidation-engine input. `gauged_working_set` replaces
     /// the OS RAM view when buffer-pool gauging ran (the §3.1 correction);
     /// pass `None` to fall back to the OS view (what the historical
@@ -211,19 +167,6 @@ mod tests {
     }
 
     #[test]
-    fn classify_matches_paper_cases() {
-        assert_eq!(
-            MemoryClass::classify(0.001, 0.0),
-            MemoryClass::FitsBufferPool
-        );
-        assert_eq!(MemoryClass::classify(0.30, 2.0), MemoryClass::FitsOsCache);
-        assert_eq!(MemoryClass::classify(0.30, 500.0), MemoryClass::DiskBound);
-        assert!(MemoryClass::FitsBufferPool.gaugeable());
-        assert!(MemoryClass::FitsOsCache.gaugeable());
-        assert!(!MemoryClass::DiskBound.gaugeable());
-    }
-
-    #[test]
     fn sample_computes_interval_rates() {
         let (mut inst, db, t) = busy_instance();
         let mut mon = ResourceMonitor::new(1.0, &inst);
@@ -247,27 +190,6 @@ mod tests {
         assert!((s.rows_updated_per_sec - 2000.0).abs() < 10.0);
         assert!(s.write_bytes_per_sec > 0.0);
         assert!(s.cpu_cores > 0.0);
-    }
-
-    #[test]
-    fn warm_instance_classifies_as_fits_buffer_pool() {
-        let (mut inst, db, t) = busy_instance();
-        let mut mon = ResourceMonitor::new(1.0, &inst);
-        for _ in 0..20 {
-            let batch = OpBatch {
-                txns: 10.0,
-                reads: vec![kairos_dbsim::AccessSpec {
-                    table: t,
-                    prefix_pages: 0,
-                    accesses: 100.0,
-                }],
-                ..Default::default()
-            };
-            inst.prepare_tick(0.1, &[(db, batch)]);
-            inst.complete_tick(0.1, grant());
-        }
-        mon.sample(&inst);
-        assert_eq!(mon.memory_class(), Some(MemoryClass::FitsBufferPool));
     }
 
     #[test]

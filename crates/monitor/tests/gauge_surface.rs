@@ -5,9 +5,7 @@
 //! profile pipeline driven end-to-end against the simulator.
 
 use kairos_dbsim::{DbmsConfig, DbmsInstance, Host};
-use kairos_monitor::{
-    BufferGauge, GaugeOutcome, GaugeParams, MemoryClass, ResourceMonitor, SimGaugeEnv,
-};
+use kairos_monitor::{BufferGauge, GaugeOutcome, GaugeParams, ResourceMonitor, SimGaugeEnv};
 use kairos_types::{Bytes, MachineSpec};
 use kairos_workloads::{Driver, TpccWorkload};
 
@@ -89,20 +87,6 @@ fn fixed_step_trace_is_monotone_and_bounded() {
 }
 
 #[test]
-fn memory_class_boundaries_are_exact() {
-    // The classifier thresholds: miss ratio 0.02, reads/s 8.0. Values on
-    // the threshold fall to the *colder* class (strict less-than).
-    assert_eq!(
-        MemoryClass::classify(0.0199, 1e9),
-        MemoryClass::FitsBufferPool
-    );
-    assert_eq!(MemoryClass::classify(0.02, 7.99), MemoryClass::FitsOsCache);
-    assert_eq!(MemoryClass::classify(0.02, 8.0), MemoryClass::DiskBound);
-    assert!(MemoryClass::FitsOsCache.gaugeable());
-    assert!(!MemoryClass::DiskBound.gaugeable());
-}
-
-#[test]
 fn monitor_profile_pipeline_runs_end_to_end() {
     let mut host = Host::new(MachineSpec::server1());
     host.add_instance(DbmsInstance::new(DbmsConfig::mysql(Bytes::mib(256))));
@@ -116,7 +100,6 @@ fn monitor_profile_pipeline_runs_end_to_end() {
         assert!(sample.tps > 0.0, "the workload must commit transactions");
     }
     assert_eq!(monitor.samples().len(), 6);
-    assert!(monitor.memory_class().is_some());
     let gauged = Bytes::mib(32);
     let profile = monitor.into_profile("tpcc-1", Some(gauged), Bytes::mib(190));
     assert_eq!(profile.windows(), 6);

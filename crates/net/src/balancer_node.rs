@@ -213,9 +213,7 @@ struct StandbyLink {
 
 impl BalancerNode {
     /// Connect to one shard-node endpoint per configured shard. The
-    /// audit judges placements with a default engine; use
-    /// [`BalancerNode::set_audit_engine`] for custom machine classes.
-    /// (`cfg.tick_threads` only fans out the audit's local evaluations:
+    /// audit judges placements with a default engine. (`cfg.tick_threads` only fans out the audit's local evaluations:
     /// RPC dispatch is strictly serial — that is what makes delivery
     /// order deterministic.)
     pub fn connect(
@@ -263,13 +261,6 @@ impl BalancerNode {
             self.lease.miss_limit,
             self.cfg.shard.telemetry.interval_secs,
         )
-    }
-
-    /// Swap the engine the fleet audit builds its global problem with.
-    pub fn set_audit_engine(&mut self, engine: ConsolidationEngine) {
-        let anti = self.audit_resolver.anti_affinity.clone();
-        self.audit_resolver = ReSolver::new(engine);
-        self.audit_resolver.anti_affinity = anti;
     }
 
     pub fn config(&self) -> &FleetConfig {

@@ -111,11 +111,6 @@ impl FaultPlan {
         self.corrupt_matching.clear();
     }
 
-    /// Is the endpoint currently partitioned?
-    pub fn is_partitioned(&self, endpoint: &str) -> bool {
-        self.partitioned.contains(endpoint)
-    }
-
     /// Decide the fate of one outbound call to `endpoint` whose payload
     /// tag is `tag` (`None` when the frame is too short to carry one).
     /// Burns at most one fault count, per the precedence contract.
@@ -268,9 +263,10 @@ mod tests {
             plan.next_call("b", None),
             FaultVerdict::Deliver { corrupt: false }
         );
-        assert!(plan.is_partitioned("a"));
-        assert!(!plan.is_partitioned("b"));
         plan.heal_all();
-        assert!(!plan.is_partitioned("a"));
+        assert_eq!(
+            plan.next_call("a", None),
+            FaultVerdict::Deliver { corrupt: false }
+        );
     }
 }

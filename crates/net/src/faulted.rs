@@ -86,17 +86,6 @@ impl FaultedTransport {
             "127.0.0.1:0",
         )
     }
-
-    /// Logical endpoints currently served (diagnostics).
-    pub fn endpoints(&self) -> Vec<String> {
-        self.state
-            .lock()
-            .expect("faulted state lock")
-            .routes
-            .keys()
-            .cloned()
-            .collect()
-    }
 }
 
 impl FaultInjector for FaultedTransport {
@@ -260,9 +249,9 @@ mod tests {
 
     #[test]
     fn corruption_over_tcp_is_rejected_by_the_stream_reader() {
-        // Over real sockets a damaged frame never reaches the handler:
-        // the server's read_frame fails CRC and closes the connection —
-        // the client sees an error and redials clean.
+        // Over real sockets a damaged frame never reaches the handler: the
+        // server's read_frame_with_trailer fails CRC and closes the
+        // connection — the client sees an error and redials clean.
         let t = FaultedTransport::over_tcp(11);
         let _h = t.serve("a", echo()).expect("serves");
         let mut conn = t.connect("a").expect("connects");

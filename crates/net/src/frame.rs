@@ -28,8 +28,8 @@
 //! durability and the network boundary; only the magic differs, so a
 //! snapshot file can never be mistaken for an RPC message or vice versa.
 //! The length prefix sits at a fixed offset, which is what lets a
-//! blocking stream reader ([`read_frame`]) recover message boundaries
-//! from a TCP byte stream.
+//! blocking stream reader ([`read_frame_with_trailer`]) recover message
+//! boundaries from a TCP byte stream.
 //!
 //! Every validation failure is a clean [`NetError`] — a frame is checked
 //! (magic, version, sane length, CRC) *before* any payload decoding, and
@@ -187,15 +187,12 @@ pub fn write_frame(w: &mut impl Write, frame: &[u8]) -> Result<(), NetError> {
 /// Returns the whole validated frame so callers can decode (or forward)
 /// it. The length is sanity-capped *before* the payload read, so a
 /// damaged prefix cannot make the reader allocate or block unboundedly.
-pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, NetError> {
-    read_frame_with_trailer(r, 0)
-}
-
-/// [`read_frame`] for streams whose frames carry `extra` trailer bytes
-/// *after* the CRC — the keyed-auth tag (see [`crate::auth`]). The CRC
-/// still covers exactly the header + payload; the extra trailer is read
-/// but left for the auth layer to verify, so framing stays recoverable
-/// from the byte stream whether or not a key is configured.
+///
+/// Frames carry `extra` trailer bytes *after* the CRC — the keyed-auth
+/// tag (see [`crate::auth`]), or none without a key. The CRC still covers
+/// exactly the header + payload; the extra trailer is read but left for
+/// the auth layer to verify, so framing stays recoverable from the byte
+/// stream whether or not a key is configured.
 pub fn read_frame_with_trailer(r: &mut impl Read, extra: usize) -> Result<Vec<u8>, NetError> {
     let mut header = [0u8; HEADER_LEN];
     r.read_exact(&mut header)?;
@@ -222,7 +219,7 @@ mod tests {
     fn roundtrip_through_a_stream() {
         let frame = encode_frame(&(String::from("tenant"), 7u64));
         let mut stream: &[u8] = &frame;
-        let read = read_frame(&mut stream).expect("valid frame reads");
+        let read = read_frame_with_trailer(&mut stream, 0).expect("valid frame reads");
         assert_eq!(read, frame);
         let back: (String, u64) = decode_frame(&read).expect("decodes");
         assert_eq!(back, (String::from("tenant"), 7));
@@ -234,7 +231,7 @@ mod tests {
         frame[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
         let mut stream: &[u8] = &frame;
         assert!(matches!(
-            read_frame(&mut stream),
+            read_frame_with_trailer(&mut stream, 0),
             Err(NetError::Oversized(_))
         ));
         assert!(matches!(

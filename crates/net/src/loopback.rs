@@ -27,16 +27,6 @@ impl LoopbackTransport {
     pub fn new() -> LoopbackTransport {
         LoopbackTransport::default()
     }
-
-    /// Endpoints currently served (diagnostics).
-    pub fn endpoints(&self) -> Vec<String> {
-        self.endpoints
-            .lock()
-            .expect("loopback registry lock")
-            .keys()
-            .cloned()
-            .collect()
-    }
 }
 
 impl Transport for LoopbackTransport {

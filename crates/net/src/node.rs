@@ -306,16 +306,6 @@ impl ShardNode {
         self.state.lock().expect("node state lock").announce = Some(announce);
     }
 
-    /// Is an announce still owed (undelivered)? Diagnostics and tests.
-    pub fn announce_pending(&self) -> bool {
-        self.state
-            .lock()
-            .expect("node state lock")
-            .announce
-            .as_ref()
-            .is_some_and(|a| a.pending)
-    }
-
     /// Run `f` against the shard (tests, examples, local maintenance).
     pub fn with_shard<R>(&self, f: impl FnOnce(&mut ShardController) -> R) -> R {
         f(&mut self.state.lock().expect("node state lock").shard)

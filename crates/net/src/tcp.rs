@@ -6,7 +6,7 @@
 //! plane's RPC fan-in is a handful of long-lived connections (one
 //! balancer per shard node), not ten thousand ephemeral ones. An accept
 //! thread hands each connection to its own reader thread; each reader
-//! loops `read_frame → handler → write_frame` until the peer hangs up.
+//! loops `read_frame_with_trailer → handler → write_frame` until the peer hangs up.
 //! The handler mutex serializes dispatch, so a node behaves identically
 //! whether one balancer or several clients are connected.
 //!

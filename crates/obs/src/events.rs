@@ -254,16 +254,6 @@ impl DecisionLog {
         }
     }
 
-    /// A no-op sink: `record` returns after one branch, nothing is kept.
-    pub fn disabled() -> Self {
-        DecisionLog {
-            events: VecDeque::new(),
-            cap: 1,
-            next_seq: 0,
-            enabled: false,
-        }
-    }
-
     pub fn is_enabled(&self) -> bool {
         self.enabled
     }
@@ -349,7 +339,8 @@ mod tests {
 
     #[test]
     fn disabled_log_records_nothing() {
-        let mut log = DecisionLog::disabled();
+        let mut log = DecisionLog::new();
+        log.set_enabled(false);
         log.record(1, ev("a"));
         assert!(log.is_empty());
         assert!(!log.is_enabled());

@@ -241,10 +241,6 @@ impl HealthMonitor {
         }
     }
 
-    pub fn rules(&self) -> &[HealthRule] {
-        &self.rules
-    }
-
     /// The report from the most recent [`HealthMonitor::observe`].
     pub fn report(&self) -> &HealthReport {
         &self.last

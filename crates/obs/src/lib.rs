@@ -46,8 +46,7 @@ pub mod why;
 pub use events::{DecisionEvent, DecisionLog, TracedEvent, TRACE_WIRE_VERSION};
 pub use health::{HealthFinding, HealthMonitor, HealthReport, HealthRule, ParkedAges, Severity};
 pub use metrics::{
-    global, render_json_all, render_prometheus_all, validate_exposition, Counter, FloatCell,
-    Histogram, MetricsRegistry,
+    global, render_json_all, render_prometheus_all, Counter, FloatCell, Histogram, MetricsRegistry,
 };
 pub use query::{assemble_trees, render_span_tree, run_query, QueryResult, SpanTree, TraceQuery};
 pub use span::{SpanContext, SpanLog, SpanRecord};

@@ -271,12 +271,6 @@ impl MetricsRegistry {
         render_json_all(&[self])
     }
 
-    /// Prometheus text exposition format (counters, gauges, and
-    /// summary-style quantiles for histograms).
-    pub fn render_prometheus(&self) -> String {
-        render_prometheus_all(&[self])
-    }
-
     fn collect_json(&self, out: &mut Vec<String>) {
         // Metric names may carry inline labels (`x{shard="0"}`); the
         // embedded quotes must escape or the JSON key is invalid.
@@ -387,14 +381,6 @@ pub fn validate_exposition_line(line: &str) -> Result<(), String> {
                 return Err(format!("unquoted label value {val:?} in {line:?}"));
             }
         }
-    }
-    Ok(())
-}
-
-/// [`validate_exposition_line`] over a whole document.
-pub fn validate_exposition(text: &str) -> Result<(), String> {
-    for line in text.lines() {
-        validate_exposition_line(line)?;
     }
     Ok(())
 }
@@ -546,7 +532,7 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.counter("kairos_resolves_total{shard=\"0\"}").inc();
         reg.histogram("tick_usecs{kind=\"poll\"}").record(7);
-        let text = reg.render_prometheus();
+        let text = render_prometheus_all(&[&reg]);
         assert!(text.contains("# TYPE kairos_resolves_total counter"));
         assert!(text.contains("kairos_resolves_total{shard=\"0\"} 1"));
         assert!(text.contains("# TYPE tick_usecs summary"));
@@ -564,7 +550,7 @@ mod tests {
         reg.histogram("plain_usecs").record(42);
         reg.histogram("labeled_usecs{kind=\"poll\",shard=\"1\"}")
             .record(7);
-        let text = reg.render_prometheus();
+        let text = render_prometheus_all(&[&reg]);
         for line in text.lines() {
             validate_exposition_line(line).unwrap_or_else(|e| panic!("{e}"));
         }
@@ -608,7 +594,7 @@ mod tests {
         assert_eq!(reg.counter_value("nope"), None);
         assert_eq!(reg.gauge_value("nope"), None);
         assert!(reg.histogram_view("nope").is_none());
-        assert!(!reg.render_prometheus().contains("nope"));
+        assert!(!render_prometheus_all(&[&reg]).contains("nope"));
         reg.counter("yes_total").add(7);
         assert_eq!(reg.counter_value("yes_total"), Some(7));
     }

@@ -47,16 +47,6 @@ impl TraceQuery {
         }
     }
 
-    /// Everything about one tenant in an inclusive tick range.
-    pub fn for_tenant(tenant: &str, tick_from: u64, tick_to: u64) -> TraceQuery {
-        TraceQuery {
-            tenant: Some(tenant.to_string()),
-            tick_from: Some(tick_from),
-            tick_to: Some(tick_to),
-            ..TraceQuery::default()
-        }
-    }
-
     fn tick_in_range(&self, tick: u64) -> bool {
         self.tick_from.is_none_or(|from| tick >= from) && self.tick_to.is_none_or(|to| tick <= to)
     }
@@ -342,14 +332,20 @@ mod tests {
     #[test]
     fn tenant_and_tick_filters_intersect() {
         let events = sample_events();
-        let got = run_query(&TraceQuery::for_tenant("t7", 0, 6), &events, &[]);
+        let for_tenant = |tenant: &str, tick_from, tick_to| TraceQuery {
+            tenant: Some(tenant.to_string()),
+            tick_from: Some(tick_from),
+            tick_to: Some(tick_to),
+            ..TraceQuery::default()
+        };
+        let got = run_query(&for_tenant("t7", 0, 6), &events, &[]);
         assert_eq!(got.events.len(), 1);
         assert!(matches!(
             &got.events[0].event,
             DecisionEvent::HandoffCompleted { tenant, .. } if tenant == "t7"
         ));
         // Same tenant, range excludes its tick.
-        assert!(run_query(&TraceQuery::for_tenant("t7", 6, 9), &events, &[]).is_empty());
+        assert!(run_query(&for_tenant("t7", 6, 9), &events, &[]).is_empty());
     }
 
     #[test]

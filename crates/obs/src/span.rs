@@ -16,9 +16,8 @@
 //!   is fully deterministic (ids are `node << 32 | serial`, never
 //!   random, never wall-clock) and joins the trace byte-identity
 //!   contract next to [`crate::events::DecisionLog`];
-//! * span **durations** are wall-clock and therefore live in the
-//!   metrics registry (`kairos_span_usecs{span="..."}` histograms on
-//!   [`crate::global`]), outside every fingerprint.
+//! * span **durations** are wall-clock and therefore never enter a
+//!   span record or any fingerprint.
 //!
 //! Propagation is thread-local: [`install`] puts a context on the
 //! current thread (a server handler installs the one the frame
@@ -260,24 +259,16 @@ pub fn current() -> Option<SpanContext> {
 }
 
 /// Scope guard for an installed span context: restores the previously
-/// active context (and, for timed entries, records the span's
-/// wall-clock duration into `kairos_span_usecs{span="..."}` on the
-/// global registry) when dropped.
+/// active context when dropped.
 pub struct ContextGuard {
     prev: Option<SpanContext>,
     installed: bool,
-    timer: Option<(String, std::time::Instant)>,
 }
 
 impl Drop for ContextGuard {
     fn drop(&mut self) {
         if self.installed {
             CURRENT.with(|c| c.set(self.prev));
-        }
-        if let Some((name, started)) = self.timer.take() {
-            crate::metrics::global()
-                .histogram(&format!("kairos_span_usecs{{span=\"{name}\"}}"))
-                .record(started.elapsed().as_micros() as u64);
         }
     }
 }
@@ -293,27 +284,13 @@ pub fn install(ctx: Option<SpanContext>) -> ContextGuard {
             ContextGuard {
                 prev,
                 installed: true,
-                timer: None,
             }
         }
         None => ContextGuard {
             prev: None,
             installed: false,
-            timer: None,
         },
     }
-}
-
-/// [`install`] plus a duration timer: while the guard lives, `ctx` is
-/// current; at drop the elapsed wall time lands in the
-/// `kairos_span_usecs{span="name"}` histogram (metrics territory —
-/// never in the deterministic record).
-pub fn enter(ctx: Option<SpanContext>, name: &str) -> ContextGuard {
-    let mut guard = install(ctx);
-    if guard.installed {
-        guard.timer = Some((name.to_string(), std::time::Instant::now()));
-    }
-    guard
 }
 
 #[cfg(test)]
@@ -377,7 +354,7 @@ mod tests {
             let _ga = install(Some(a));
             assert_eq!(current(), Some(a));
             {
-                let _gb = enter(Some(b), "inner");
+                let _gb = install(Some(b));
                 assert_eq!(current(), Some(b));
                 // None install is a pass-through, not a clear.
                 let _gn = install(None);

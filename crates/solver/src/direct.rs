@@ -168,16 +168,6 @@ impl<F: FnMut(&[f64]) -> f64> DirectObjective for F {
 }
 
 /// Minimize `f` over the unit cube `[0,1]^dims`.
-pub fn direct_minimize(
-    dims: usize,
-    cfg: &DirectConfig,
-    mut f: impl FnMut(&[f64]) -> f64,
-) -> DirectResult {
-    direct_minimize_objective(dims, cfg, &mut f)
-}
-
-/// [`direct_minimize`] over any [`DirectObjective`]. (A separate entry
-/// point only so that closure arguments keep their inferred types.)
 pub fn direct_minimize_objective(
     dims: usize,
     cfg: &DirectConfig,
@@ -377,6 +367,16 @@ fn potentially_optimal(
 mod tests {
     use super::*;
     use kairos_types::SplitMix64;
+
+    /// [`direct_minimize_objective`] over a closure, whose arguments keep
+    /// their inferred types this way.
+    fn direct_minimize(
+        dims: usize,
+        cfg: &DirectConfig,
+        mut f: impl FnMut(&[f64]) -> f64,
+    ) -> DirectResult {
+        direct_minimize_objective(dims, cfg, &mut f)
+    }
 
     /// The selection [`ClassHeaps`] replaced — one pass over every
     /// rectangle per call — kept as its reference.

@@ -40,9 +40,7 @@ pub mod problem;
 pub mod search;
 
 pub use bounds::{fractional_lower_bound, identity_assignment, upper_bound};
-pub use direct::{
-    direct_minimize, direct_minimize_objective, DirectConfig, DirectObjective, DirectResult,
-};
+pub use direct::{direct_minimize_objective, DirectConfig, DirectObjective, DirectResult};
 pub use greedy::{greedy_pack, GreedyReport, GreedyResource};
 pub use local::{polish, PolishReport};
 pub use objective::{

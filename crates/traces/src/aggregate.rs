@@ -16,19 +16,15 @@ use crate::rrd::RollingWindow;
 use kairos_types::TimeSeries;
 use serde::{Deserialize, Serialize};
 
-/// Element-wise sum of `series`, aligned at the most recent sample.
+/// Element-wise sum of borrowed windows, aligned at the most recent
+/// sample — the sharded control plane's summary path aggregates every
+/// tenant's rolling window each balance round, reading each `Rrd` ring in
+/// place rather than copying it first. Each bucket adds its inputs in
+/// iteration order.
 ///
 /// The result has the length of the longest input; a shorter input
 /// contributes zero to buckets older than its history. Empty input (or
-/// all-empty series) yields an empty series at `fallback_interval`.
-pub fn sum_tail_aligned(series: &[TimeSeries], fallback_interval: f64) -> TimeSeries {
-    sum_tail_aligned_refs(series.iter().map(RollingWindow::of), fallback_interval)
-}
-
-/// [`sum_tail_aligned`] over borrowed windows — the sharded control
-/// plane's summary path aggregates every tenant's rolling window each
-/// balance round, reading each `Rrd` ring in place rather than copying
-/// it first. Each bucket adds its inputs in iteration order.
+/// all-empty windows) yields an empty series at `fallback_interval`.
 pub fn sum_tail_aligned_refs<'a, I>(windows: I, fallback_interval: f64) -> TimeSeries
 where
     I: IntoIterator<Item = RollingWindow<'a>>,
@@ -107,6 +103,10 @@ mod tests {
 
     fn ts(vals: &[f64]) -> TimeSeries {
         TimeSeries::new(300.0, vals.to_vec())
+    }
+
+    fn sum_tail_aligned(series: &[TimeSeries], fallback_interval: f64) -> TimeSeries {
+        sum_tail_aligned_refs(series.iter().map(RollingWindow::of), fallback_interval)
     }
 
     #[test]

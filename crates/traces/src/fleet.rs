@@ -16,7 +16,6 @@
 //! * RAM reported as *allocated* (gauging unavailable on historical
 //!   statistics — the §6 RAM scaling factor applies downstream).
 
-use crate::rrd::{ArchiveSpec, Consolidation, Rrd};
 use kairos_types::{Bytes, SplitMix64, TimeSeries, WorkloadProfile};
 
 /// The four real-world datasets of §7.1.
@@ -185,16 +184,6 @@ pub struct ServerTrace {
 }
 
 impl ServerTrace {
-    /// Standardized-core capacity of this machine.
-    pub fn standardized_cores(&self) -> f64 {
-        self.cores as f64 * self.clock_ghz / kairos_types::spec::STANDARD_CORE_GHZ
-    }
-
-    /// Mean CPU utilization as a fraction of this machine.
-    pub fn mean_cpu_utilization(&self) -> f64 {
-        self.cpu.mean() / self.standardized_cores()
-    }
-
     /// Convert to the consolidation-engine input, applying the §6 RAM
     /// scaling factor (historical statistics cannot be gauged; the paper
     /// estimates ~30 % savings, i.e. a 0.7 factor).
@@ -206,23 +195,6 @@ impl ServerTrace {
             self.ws.clone(),
             self.rate.clone(),
         )
-    }
-
-    /// Replay this trace into an rrd store (exercises the monitoring
-    /// path the organizations actually used).
-    pub fn to_rrd(&self) -> Rrd {
-        let mut rrd = Rrd::new(
-            self.cpu.interval_secs(),
-            vec![ArchiveSpec {
-                step: 1,
-                capacity: self.cpu.len(),
-                cf: Consolidation::Average,
-            }],
-        );
-        for &v in self.cpu.values() {
-            rrd.push(v);
-        }
-        rrd
     }
 }
 
@@ -350,14 +322,6 @@ pub fn generate_all(cfg: &FleetConfig) -> Vec<ServerTrace> {
         .collect()
 }
 
-/// Fleet-wide mean CPU utilization (fraction of each machine, averaged).
-pub fn fleet_mean_utilization(fleet: &[ServerTrace]) -> f64 {
-    if fleet.is_empty() {
-        return 0.0;
-    }
-    fleet.iter().map(|s| s.mean_cpu_utilization()).sum::<f64>() / fleet.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -367,6 +331,16 @@ mod tests {
             weeks: 1,
             ..Default::default()
         }
+    }
+
+    /// Standardized-core capacity of a server.
+    fn standardized_cores(s: &ServerTrace) -> f64 {
+        s.cores as f64 * s.clock_ghz / kairos_types::spec::STANDARD_CORE_GHZ
+    }
+
+    /// Mean CPU utilization as a fraction of the server.
+    fn mean_cpu_utilization(s: &ServerTrace) -> f64 {
+        s.cpu.mean() / standardized_cores(s)
     }
 
     #[test]
@@ -383,7 +357,7 @@ mod tests {
     fn fleet_mean_utilization_below_four_percent() {
         // The paper's headline observation.
         let all = generate_all(&one_day());
-        let mean = fleet_mean_utilization(&all);
+        let mean = all.iter().map(mean_cpu_utilization).sum::<f64>() / all.len() as f64;
         assert!(mean < 0.04, "fleet mean utilization {mean:.4} >= 4%");
         assert!(mean > 0.002, "suspiciously idle fleet: {mean:.4}");
     }
@@ -463,18 +437,10 @@ mod tests {
             fleet.iter().map(|s| (s.cores, s.ram_total.0)).collect();
         assert!(distinct.len() >= 3, "expected a hardware mix");
         for s in &fleet {
-            assert!(s.standardized_cores() > 0.0);
+            assert!(standardized_cores(s) > 0.0);
             // Utilization in [0, 1] after normalization.
-            assert!(s.mean_cpu_utilization() <= 1.0);
+            assert!(mean_cpu_utilization(s) <= 1.0);
         }
-    }
-
-    #[test]
-    fn rrd_round_trip_preserves_mean() {
-        let fleet = generate_fleet(Dataset::Internal, &one_day());
-        let rrd = fleet[0].to_rrd();
-        let series = rrd.series(0);
-        assert!((series.mean() - fleet[0].cpu.mean()).abs() < 1e-9);
     }
 
     #[test]

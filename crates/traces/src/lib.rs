@@ -24,10 +24,8 @@ pub mod predict;
 pub mod rrd;
 pub mod sketch;
 
-pub use aggregate::{sum_tail_aligned, sum_tail_aligned_refs, ShardAggregate};
-pub use fleet::{
-    fleet_mean_utilization, generate_all, generate_fleet, Dataset, FleetConfig, ServerTrace,
-};
+pub use aggregate::{sum_tail_aligned_refs, ShardAggregate};
+pub use fleet::{generate_all, generate_fleet, Dataset, FleetConfig, ServerTrace};
 pub use predict::{fleet_total_cpu, predict_last_period, Prediction};
 pub use rrd::{ArchiveSpec, Consolidation, RollingWindow, Rrd};
 pub use sketch::{

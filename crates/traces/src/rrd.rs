@@ -304,28 +304,6 @@ impl Rrd {
             a.ring.iter().copied().collect(),
         )
     }
-
-    /// The finest archive that still covers `duration_secs` of history —
-    /// "the best compromise between length of observation and sampling
-    /// rates" (§7.1).
-    pub fn best_series_covering(&self, duration_secs: f64) -> TimeSeries {
-        let mut best: Option<usize> = None;
-        for (i, a) in self.archives.iter().enumerate() {
-            let span = self.base_interval_secs * a.spec.step as f64 * a.ring.len().max(1) as f64;
-            let covers = span >= duration_secs;
-            let finer = |j: usize| self.archives[j].spec.step;
-            if covers && best.is_none_or(|b| a.spec.step < finer(b)) {
-                best = Some(i);
-            }
-        }
-        // Fall back to the coarsest archive when nothing covers fully.
-        let idx = best.unwrap_or_else(|| {
-            (0..self.archives.len())
-                .max_by_key(|&i| self.archives[i].spec.step)
-                .expect("non-empty archives")
-        });
-        self.series(idx)
-    }
 }
 
 #[cfg(test)]
@@ -413,19 +391,6 @@ mod tests {
         assert_eq!(coarse.len(), 10);
         // Consolidation preserves the overall mean.
         assert!((fine.mean() - coarse.mean()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn best_series_prefers_finest_covering() {
-        let mut rrd = Rrd::new(1.0, vec![avg_archive(1, 10), avg_archive(5, 100)]);
-        for i in 0..200 {
-            rrd.push(i as f64);
-        }
-        // 10 s of fine history vs 500 s of coarse history.
-        assert_eq!(rrd.best_series_covering(8.0).interval_secs(), 1.0);
-        assert_eq!(rrd.best_series_covering(50.0).interval_secs(), 5.0);
-        // Nothing covers a year: fall back to coarsest.
-        assert_eq!(rrd.best_series_covering(1e7).interval_secs(), 5.0);
     }
 
     #[test]

@@ -256,11 +256,6 @@ impl SeriesSketch {
         &self.marks
     }
 
-    /// The verbatim recent samples.
-    pub fn tail(&self) -> &[f64] {
-        &self.tail
-    }
-
     /// Rebuild a same-length window: the tail verbatim at the end, the
     /// older prefix replayed from the quantile staircase with the exact
     /// maximum re-emitted first — so the reconstruction's peak always

@@ -23,7 +23,7 @@ pub use profile::{DiskDemand, ProfileWindow, WorkloadProfile};
 pub use rng::SplitMix64;
 pub use series::{percentile_of_sorted, TimeSeries};
 pub use spec::{CpuSpec, DiskSpec, MachineSpec, RamSpec};
-pub use units::{Bytes, Percent, Rate, Seconds};
+pub use units::{Bytes, Rate};
 
 /// Resources the consolidation engine reasons about.
 ///

@@ -130,12 +130,6 @@ impl WorkloadProfile {
         )
     }
 
-    pub fn with_replicas(mut self, replicas: u32) -> WorkloadProfile {
-        assert!(replicas >= 1, "a workload needs at least one replica");
-        self.replicas = replicas;
-        self
-    }
-
     pub fn pinned(mut self, machine: impl Into<String>) -> WorkloadProfile {
         self.pinned_to = Some(machine.into());
         self
@@ -165,26 +159,6 @@ impl WorkloadProfile {
                 Rate(get(&self.disk_update_rows_per_sec)),
             ),
         }
-    }
-
-    /// Peak CPU over the horizon (standardized cores).
-    pub fn peak_cpu(&self) -> f64 {
-        self.cpu_cores.max()
-    }
-
-    /// Peak RAM over the horizon.
-    pub fn peak_ram(&self) -> Bytes {
-        Bytes(self.ram_bytes.max().max(0.0) as u64)
-    }
-
-    /// Apply the user-defined RAM scaling factor of §6 ("linearly scales
-    /// down the measured RAM values", used when gauging is unavailable,
-    /// e.g. on the historical Wikipedia/Second Life statistics).
-    pub fn scale_ram(&self, factor: f64) -> WorkloadProfile {
-        assert!(factor >= 0.0, "RAM scaling factor must be non-negative");
-        let mut out = self.clone();
-        out.ram_bytes = self.ram_bytes.scale(factor);
-        out
     }
 }
 
@@ -220,13 +194,6 @@ mod tests {
     }
 
     #[test]
-    fn peaks() {
-        let p = demo();
-        assert_eq!(p.peak_cpu(), 1.5);
-        assert_eq!(p.peak_ram(), Bytes(2_000_000_000));
-    }
-
-    #[test]
     fn disk_demand_combines_additively() {
         let a = DiskDemand::new(Bytes::mib(100), Rate(50.0));
         let b = DiskDemand::new(Bytes::mib(200), Rate(75.0));
@@ -249,12 +216,6 @@ mod tests {
     }
 
     #[test]
-    fn ram_scaling() {
-        let p = demo().scale_ram(0.7);
-        assert!((p.ram_bytes.values()[0] - 0.7e9).abs() < 1.0);
-    }
-
-    #[test]
     fn flat_profile_shape() {
         let p = WorkloadProfile::flat(
             "f",
@@ -269,9 +230,8 @@ mod tests {
     }
 
     #[test]
-    fn replicas_builder() {
-        let p = demo().with_replicas(3).pinned("m1");
-        assert_eq!(p.replicas, 3);
+    fn pinned_builder() {
+        let p = demo().pinned("m1");
         assert_eq!(p.pinned_to.as_deref(), Some("m1"));
     }
 

@@ -82,11 +82,6 @@ impl TimeSeries {
         self.values.push(v);
     }
 
-    /// Total covered duration in seconds.
-    pub fn duration_secs(&self) -> f64 {
-        self.interval_secs * self.values.len() as f64
-    }
-
     /// Largest sample, or 0.0 for an empty series.
     pub fn max(&self) -> f64 {
         self.values.iter().copied().fold(0.0, f64::max)
@@ -271,7 +266,6 @@ mod tests {
         assert_eq!(ts.min(), 1.0);
         assert_eq!(ts.mean(), 2.5);
         assert_eq!(ts.len(), 4);
-        assert_eq!(ts.duration_secs(), 4.0);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! expressed as a percentage of one CPU core. [...] We first convert the
 //! percentages from heterogeneous machines to a 'standard' core by scaling
 //! based on clock speed. Then we convert the utilization to a fraction of a
-//! 'target' machine." [`CpuSpec::standardized_cores`] and
-//! [`MachineSpec::normalize_cpu_fraction`] implement exactly that.
+//! 'target' machine." [`CpuSpec::standardized_cores`] is the first step;
+//! the second is a division by the target's standardized cores.
 
 use crate::units::Bytes;
 use serde::{Deserialize, Serialize};
@@ -56,11 +56,6 @@ impl RamSpec {
     pub fn with_reserved(total: Bytes, reserved: Bytes) -> RamSpec {
         RamSpec { total, reserved }
     }
-
-    /// Memory available to database working sets.
-    pub fn usable(&self) -> Bytes {
-        self.total.saturating_sub(self.reserved)
-    }
 }
 
 /// Disk hardware description used by the disk device model.
@@ -104,11 +99,6 @@ impl DiskSpec {
         let depth_factor =
             1.0 + (self.elevator_gain - 1.0) * (1.0 + batch.max(0.0)).ln() / (1.0 + 512.0f64).ln();
         self.random_iops * depth_factor.min(self.elevator_gain)
-    }
-
-    /// Peak write-back throughput in bytes/sec when fully sorted.
-    pub fn max_sorted_writeback_bytes(&self) -> f64 {
-        self.random_iops * self.elevator_gain * self.page_size.as_f64()
     }
 }
 
@@ -154,13 +144,6 @@ impl MachineSpec {
             disk: DiskSpec::sata_7200rpm(),
         }
     }
-
-    /// Convert a CPU load expressed in standardized cores into a fraction
-    /// of this machine (§6's example: 250 % of one core on a 12-core target
-    /// becomes 2.5/12 = 0.208).
-    pub fn normalize_cpu_fraction(&self, standardized_cores_used: f64) -> f64 {
-        standardized_cores_used / self.cpu.standardized_cores()
-    }
 }
 
 #[cfg(test)]
@@ -171,27 +154,6 @@ mod tests {
     fn standardized_cores_scales_by_clock() {
         let cpu = CpuSpec::new(4, STANDARD_CORE_GHZ * 2.0);
         assert!((cpu.standardized_cores() - 8.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn paper_normalization_example() {
-        // §6: 250% of one standard core on the 12-core target = 0.208.
-        let target = MachineSpec::consolidation_target();
-        let frac = target.normalize_cpu_fraction(2.5);
-        assert!((frac - 2.5 / 12.0).abs() < 1e-12);
-        assert!((frac - 0.2083).abs() < 1e-3);
-    }
-
-    #[test]
-    fn ram_usable_subtracts_reserved() {
-        let ram = RamSpec::with_reserved(Bytes::gib(1), Bytes::mib(256));
-        assert_eq!(ram.usable(), Bytes::mib(1024 - 256));
-    }
-
-    #[test]
-    fn ram_usable_never_negative() {
-        let ram = RamSpec::with_reserved(Bytes::mib(100), Bytes::mib(256));
-        assert_eq!(ram.usable(), Bytes::ZERO);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Small unit newtypes.
 //!
 //! The simulator and models pass around a lot of raw numbers (bytes,
-//! rates, fractions). These wrappers keep the units straight at API
+//! rates). These wrappers keep the units straight at API
 //! boundaries while converting to `f64` freely for arithmetic-heavy model
 //! code.
 
@@ -104,10 +104,6 @@ pub struct Rate(pub f64);
 impl Rate {
     pub const ZERO: Rate = Rate(0.0);
 
-    pub fn per_second(v: f64) -> Rate {
-        Rate(v)
-    }
-
     pub fn as_f64(self) -> f64 {
         self.0
     }
@@ -123,46 +119,6 @@ impl std::ops::Add for Rate {
 impl std::iter::Sum for Rate {
     fn sum<I: Iterator<Item = Rate>>(iter: I) -> Rate {
         iter.fold(Rate::ZERO, |a, b| a + b)
-    }
-}
-
-/// A duration in (possibly fractional) seconds of *simulated* time.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-pub struct Seconds(pub f64);
-
-impl Seconds {
-    pub fn as_f64(self) -> f64 {
-        self.0
-    }
-
-    pub fn from_minutes(m: f64) -> Seconds {
-        Seconds(m * 60.0)
-    }
-
-    pub fn from_hours(h: f64) -> Seconds {
-        Seconds(h * 3600.0)
-    }
-}
-
-/// A fraction in `[0, 1]` (utilizations, ratios). Values are *not* clamped
-/// on construction: over-commitment (>1) is a meaningful state the
-/// consolidation engine must detect.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-pub struct Percent(pub f64);
-
-impl Percent {
-    /// From a 0–100 percentage value.
-    pub fn from_percentage(p: f64) -> Percent {
-        Percent(p / 100.0)
-    }
-
-    /// As a 0–100 percentage value.
-    pub fn as_percentage(self) -> f64 {
-        self.0 * 100.0
-    }
-
-    pub fn as_fraction(self) -> f64 {
-        self.0
     }
 }
 
@@ -204,19 +160,6 @@ mod tests {
     fn bytes_sum() {
         let total: Bytes = [Bytes::mib(1), Bytes::mib(2)].into_iter().sum();
         assert_eq!(total, Bytes::mib(3));
-    }
-
-    #[test]
-    fn percent_round_trips() {
-        let p = Percent::from_percentage(45.0);
-        assert!((p.as_fraction() - 0.45).abs() < 1e-12);
-        assert!((p.as_percentage() - 45.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn seconds_helpers() {
-        assert_eq!(Seconds::from_minutes(2.0).as_f64(), 120.0);
-        assert_eq!(Seconds::from_hours(1.5).as_f64(), 5400.0);
     }
 
     #[test]

@@ -91,7 +91,6 @@ impl WorkloadRunStats {
 pub struct Driver {
     bindings: Vec<Binding>,
     now: f64,
-    tick_secs: f64,
 }
 
 impl Default for Driver {
@@ -105,14 +104,7 @@ impl Driver {
         Driver {
             bindings: Vec::new(),
             now: 0.0,
-            tick_secs: DEFAULT_TICK_SECS,
         }
-    }
-
-    pub fn with_tick(mut self, tick_secs: f64) -> Driver {
-        assert!(tick_secs > 0.0);
-        self.tick_secs = tick_secs;
-        self
     }
 
     pub fn now(&self) -> f64 {
@@ -142,17 +134,17 @@ impl Driver {
             .map(|b| WorkloadRunStats::new(b.workload.name().to_string()))
             .collect();
 
-        let ticks = (secs / self.tick_secs).round() as usize;
+        let ticks = (secs / DEFAULT_TICK_SECS).round() as usize;
         for _ in 0..ticks {
             // Gather batches per instance.
             let mut loads: Vec<Vec<(DatabaseId, OpBatch)>> = vec![Vec::new(); n_inst];
             let mut offered: Vec<f64> = Vec::with_capacity(self.bindings.len());
             for b in self.bindings.iter_mut() {
-                let batch = b.workload.batch(&b.handle, self.now, self.tick_secs);
+                let batch = b.workload.batch(&b.handle, self.now, DEFAULT_TICK_SECS);
                 offered.push(batch.txns);
                 loads[b.instance].push((b.handle.db, batch));
             }
-            let report = host.tick(self.tick_secs, &loads);
+            let report = host.tick(DEFAULT_TICK_SECS, &loads);
             // Attribute per-db commits back to bindings.
             for (bi, b) in self.bindings.iter().enumerate() {
                 let inst_result = &report.per_instance[b.instance];
@@ -165,12 +157,12 @@ impl Driver {
                 let s = &mut stats[bi];
                 s.offered_txns += offered[bi];
                 s.committed_txns += committed;
-                s.secs += self.tick_secs;
+                s.secs += DEFAULT_TICK_SECS;
                 if committed > 0.0 {
                     s.latencies.push((inst_result.mean_latency_secs, committed));
                 }
             }
-            self.now += self.tick_secs;
+            self.now += DEFAULT_TICK_SECS;
         }
         stats
     }

@@ -101,19 +101,6 @@ impl RatePattern {
             } => (peak * burst_secs + base * (period_secs - burst_secs)) / period_secs,
         }
     }
-
-    /// Peak rate over one full period.
-    pub fn peak_rate(&self) -> f64 {
-        match *self {
-            RatePattern::Flat { tps } => tps,
-            RatePattern::Sinusoid {
-                mean, amplitude, ..
-            } => mean + amplitude.abs(),
-            RatePattern::Sawtooth { max, .. } => max,
-            RatePattern::Square { high, .. } => high,
-            RatePattern::Bursty { peak, .. } => peak,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -126,7 +113,6 @@ mod tests {
         assert_eq!(p.rate_at(0.0), 42.0);
         assert_eq!(p.rate_at(1e6), 42.0);
         assert_eq!(p.mean_rate(), 42.0);
-        assert_eq!(p.peak_rate(), 42.0);
     }
 
     #[test]
@@ -140,7 +126,6 @@ mod tests {
         assert!((p.rate_at(0.0) - 100.0).abs() < 1e-9);
         assert!((p.rate_at(25.0) - 150.0).abs() < 1e-9);
         assert!((p.rate_at(75.0) - 50.0).abs() < 1e-9);
-        assert_eq!(p.peak_rate(), 150.0);
     }
 
     #[test]

@@ -53,10 +53,6 @@ impl ProfileLoad {
         self.db_size = db_size;
         self
     }
-
-    pub fn rows_per_sec(&self) -> f64 {
-        self.rows_per_sec
-    }
 }
 
 impl Workload for ProfileLoad {

@@ -82,16 +82,8 @@ impl TpccWorkload {
         self
     }
 
-    pub fn warehouses(&self) -> u32 {
-        self.warehouses
-    }
-
     pub fn db_size(&self) -> Bytes {
         Bytes(self.warehouses as u64 * DB_BYTES_PER_WAREHOUSE)
-    }
-
-    pub fn profile(&self) -> &TpccTxnProfile {
-        &self.profile
     }
 }
 
