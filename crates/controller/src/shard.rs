@@ -25,11 +25,12 @@ use crate::migration::plan_migration;
 use crate::resolver::{add_anti_affinity_pair, FleetPlacement, ReSolver};
 use crate::snapshot::{ShardSnapshot, TRACE_CHECKPOINT_CAP};
 use kairos_core::ConsolidationEngine;
-use kairos_obs::{DecisionEvent, DecisionLog, MetricsRegistry, SpanLog, TracedEvent};
+use kairos_obs::{Counter, DecisionEvent, DecisionLog, MetricsRegistry, SpanLog, TracedEvent};
 use kairos_solver::{evaluate, greedy_pack, Assignment, Evaluation};
 use kairos_traces::{AggregateSketch, SketchConfig};
 use kairos_types::{KairosError, WorkloadProfile};
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -243,6 +244,14 @@ pub struct ShardController {
     /// demand and dropped with every refill. Not checkpointed: a restored
     /// shard recomputes it from the restored cache.
     summary_digest: Option<u64>,
+    /// [`ShardController::pack_estimate`]`(&[])` for the current samples
+    /// and membership: cleared by every tick and wherever the summary
+    /// is invalidated. Not checkpointed.
+    pack_memo: Cell<Option<Option<usize>>>,
+    /// `kairos_shard_pack_estimates_total`: greedy packs
+    /// [`ShardController::pack_estimate`] actually ran. Registry only —
+    /// not part of [`ControllerStats`] or the snapshot.
+    pack_estimates: Counter,
     /// Registry-backed live counters; [`ControllerStats`] is a view.
     metrics: ShardMetrics,
     /// The deterministic decision trace (tick-stamped, ring-buffered).
@@ -265,6 +274,7 @@ impl ShardController {
         resolver.solver = cfg.solver;
         resolver.cost_per_move = cfg.cost_per_move;
         resolver.cold = cfg.cold_resolves;
+        let registry = MetricsRegistry::new();
         ShardController {
             cfg,
             ingester: TelemetryIngester::new(),
@@ -283,7 +293,9 @@ impl ShardController {
             last_resolve_failed: false,
             summary_cache: None,
             summary_digest: None,
-            metrics: ShardMetrics::new(MetricsRegistry::new()),
+            pack_memo: Cell::new(None),
+            pack_estimates: registry.counter("kairos_shard_pack_estimates_total"),
+            metrics: ShardMetrics::new(registry),
             log: DecisionLog::new(),
             spans: SpanLog::new(0),
             last_objective_bits: 0,
@@ -345,11 +357,13 @@ impl ShardController {
         self.spans.span_bytes()
     }
 
-    /// Drop the cached balancer summary — called on every state change a
-    /// summary reflects (membership, handoffs, plans, solve failures).
+    /// Drop the cached balancer summary and pack estimate — called on
+    /// every state change a summary reflects (membership, handoffs,
+    /// plans, solve failures, anti-affinity pairs).
     fn invalidate_summary(&mut self) {
         self.summary_cache = None;
         self.summary_digest = None;
+        self.pack_memo.set(None);
     }
 
     /// Attach a workload's telemetry stream. Arrival of a new workload
@@ -380,6 +394,7 @@ impl ShardController {
     /// Idempotent in either orientation ([`add_anti_affinity_pair`]).
     pub fn add_anti_affinity(&mut self, a: &str, b: &str) {
         add_anti_affinity_pair(&mut self.resolver.anti_affinity, a, b);
+        self.invalidate_summary();
     }
 
     /// Detach a workload: telemetry dropped, tenant retired from the
@@ -456,6 +471,7 @@ impl ShardController {
     /// One monitoring interval: poll every source, then act.
     pub fn tick(&mut self) -> TickOutcome {
         self.metrics.ticks.inc();
+        self.pack_memo.set(None);
         for (name, source) in self.sources.iter_mut() {
             let sample = source.poll();
             self.ingester.ingest(name, &sample);
@@ -1147,18 +1163,33 @@ impl ShardController {
 
     /// Machines this shard would need (greedy estimate) if the named
     /// tenants were evicted. `None` when even greedy cannot pack what
-    /// remains; `Some(0)` when nothing remains.
+    /// remains; `Some(0)` when nothing remains. The estimate with nothing
+    /// excluded is packed at most once per tick and state change (the
+    /// summary's invalidation hooks): a zone's pack estimate asked again
+    /// after an evict repacks only the shards the evict touched.
     pub fn pack_estimate(&self, exclude: &[&str]) -> Option<usize> {
+        if exclude.is_empty() {
+            if let Some(memo) = self.pack_memo.get() {
+                return memo;
+            }
+        }
         let profiles: Vec<WorkloadProfile> = self
             .forecast_fleet()
             .into_iter()
             .filter(|p| !exclude.contains(&p.name.as_str()))
             .collect();
-        if profiles.is_empty() {
-            return Some(0);
+        let estimate = if profiles.is_empty() {
+            Some(0)
+        } else {
+            self.resolver.problem(&profiles).ok().and_then(|problem| {
+                self.pack_estimates.inc();
+                greedy_pack(&problem).map(|g| g.machines_used)
+            })
+        };
+        if exclude.is_empty() {
+            self.pack_memo.set(Some(estimate));
         }
-        let problem = self.resolver.problem(&profiles).ok()?;
-        greedy_pack(&problem).map(|g| g.machines_used)
+        estimate
     }
 
     /// Phase 2a of the handoff: remove a tenant from this shard,
@@ -1347,6 +1378,62 @@ mod tests {
         // A 10-core tenant cannot share the single allowed machine.
         assert!(!s.can_admit(&big, 1));
         assert!(s.can_admit(&big, 2));
+    }
+
+    #[test]
+    fn anti_affinity_added_after_a_summary_reads_at_once() {
+        let mut s = shard_with(5, 200.0); // ~2 cores each → one machine
+        run_until_planned(&mut s, 20);
+        assert!(s.summary_cached().feasible);
+        let names = s.workloads();
+        let machine = |name: &String| s.placement().machine_of(name, 0);
+        let (a, b) = names
+            .iter()
+            .enumerate()
+            .find_map(|(i, a)| {
+                let b = names[i + 1..].iter().find(|b| machine(b) == machine(a))?;
+                Some((a.clone(), b.clone()))
+            })
+            .expect("two tenants share a machine");
+        s.add_anti_affinity(&a, &b);
+        assert!(
+            !s.summary_cached().feasible,
+            "{a} and {b} share a machine, yet the summary reads feasible"
+        );
+    }
+
+    #[test]
+    fn pack_memo_matches_an_uncached_pack_after_every_change() {
+        fn packs(s: &ShardController) -> u64 {
+            s.metrics_registry()
+                .counter_value("kairos_shard_pack_estimates_total")
+                .unwrap_or(0)
+        }
+        fn check(s: &ShardController, after: &str) {
+            let before = packs(s);
+            let memo = s.pack_estimate(&[]);
+            assert_eq!(packs(s), before + 1, "after {after}: no fresh pack");
+            assert_eq!(s.pack_estimate(&[]), memo);
+            assert_eq!(packs(s), before + 1, "after {after}: packed twice");
+            // Excluding nobody by name bypasses the memo: the same pack,
+            // uncached.
+            assert_eq!(memo, s.pack_estimate(&["nobody"]), "after {after}");
+        }
+        let mut s = shard_with(6, 400.0);
+        run_until_planned(&mut s, 20);
+        check(&s, "the plan");
+        s.tick();
+        check(&s, "a tick");
+        let mut handoff = s.evict("t00").expect("resident");
+        check(&s, "an evict");
+        s.admit(handoff);
+        check(&s, "an admit");
+        handoff = s.evict("t01").expect("resident");
+        handoff.replicas = 3;
+        s.admit(handoff);
+        check(&s, "a replica change");
+        s.add_anti_affinity("t02", "t03");
+        check(&s, "an anti-affinity pair");
     }
 
     #[test]

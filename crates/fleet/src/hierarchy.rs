@@ -51,6 +51,9 @@
 //! the root last read it: `kairos-net`'s link asks by the roll-up's
 //! [`ShardSummary::digest`] ([`Zone::rollup_digest`] answers), and a
 //! round that follows a tick's fan-out asks for bytes it already holds.
+//! The zone itself recomputes the roll-up only when a shard summary
+//! beneath it changed: its memo is keyed by the member shards' summary
+//! digests, so a quiet tick serves the stored roll-up and digest.
 
 use crate::balancer::{BalancerConfig, EvictedTenant, ShardHandle};
 use crate::fleet::FleetController;
@@ -145,13 +148,18 @@ pub struct Zone {
     fleet: FleetController,
     groups: usize,
     binder: ZoneSourceBinder,
-    /// Roll-up memo for the current fleet tick: the root's summary
-    /// requests, the group `forecast`s its round makes and a node's
-    /// `PlannedOnce` all read one computation until the next tick or an
-    /// evict/admit. Beside it, the roll-up's [`ShardSummary::digest`],
-    /// computed on first demand. The per-shard summaries beneath it are
-    /// cached too.
-    rollup_cache: Option<(u64, ZoneRollup, Option<u64>)>,
+    /// Roll-up memo keyed by content: the member shards'
+    /// `summary_digest`s, in shard order, that the roll-up was computed
+    /// from. The roll-up is a pure function of those summaries, so the
+    /// root's summary requests, the group `forecast`s its round makes and
+    /// a node's `PlannedOnce` read one computation until a shard's
+    /// summary changes — whether by a tick, an evict/admit, or a change
+    /// made through [`Zone::fleet_mut`]. Beside it, the roll-up's
+    /// [`ShardSummary::digest`], computed on first demand.
+    rollup_cache: Option<(Vec<u64>, ZoneRollup, Option<u64>)>,
+    /// `kairos_fleet_zone_rollups_total` in the zone fleet's registry:
+    /// roll-ups actually computed (memo misses).
+    rollups: Counter,
     /// Zone-level causal spans (`zone_evict`/`zone_admit`, node id
     /// `span::node_for_zone(id)`): the middle layer of the cross-zone
     /// group-move trace, between the root's `handoff` span and the
@@ -162,12 +170,16 @@ pub struct Zone {
 impl Zone {
     pub fn new(id: usize, fleet: FleetController, groups: usize, binder: ZoneSourceBinder) -> Zone {
         assert!(groups > 0, "group count must be positive");
+        let rollups = fleet
+            .metrics_registry()
+            .counter("kairos_fleet_zone_rollups_total");
         Zone {
             id,
             fleet,
             groups,
             binder,
             rollup_cache: None,
+            rollups,
             spans: SpanLog::new(kairos_obs::span::node_for_zone(id)),
         }
     }
@@ -211,10 +223,8 @@ impl Zone {
     }
 
     /// One monitoring interval for the whole zone: every shard ticks and
-    /// the zone's own (shard-level) balance cadence runs. Invalidate the
-    /// roll-up memo — state moved.
+    /// the zone's own (shard-level) balance cadence runs.
     pub fn tick(&mut self) -> crate::fleet::FleetTickReport {
-        self.rollup_cache = None;
         self.fleet.tick()
     }
 
@@ -268,13 +278,26 @@ impl Zone {
         *digest.get_or_insert_with(|| rollup.summary.digest())
     }
 
-    /// The memoized roll-up for the current tick, computed first if the
-    /// memo is empty or older.
+    /// The memoized roll-up, computed first if any shard's summary
+    /// digest differs from the memo's key.
     fn cached_rollup(&mut self) -> &ZoneRollup {
-        let tick = self.fleet.stats().ticks;
-        if !matches!(&self.rollup_cache, Some((at, ..)) if *at == tick) {
+        let shards = self.fleet.shards_mut();
+        // No short circuit: every shard reads its summary on every call,
+        // hit or miss, so each refills on the ticks it always has.
+        let fresh = match &self.rollup_cache {
+            Some((key, ..)) if key.len() == shards.len() => shards
+                .iter_mut()
+                .zip(key)
+                .fold(true, |fresh, (shard, &digest)| {
+                    (shard.summary_digest() == digest) & fresh
+                }),
+            _ => false,
+        };
+        if !fresh {
+            let key = shards.iter_mut().map(|s| s.summary_digest()).collect();
             let rollup = self.compute_rollup();
-            self.rollup_cache = Some((tick, rollup, None));
+            self.rollups.inc();
+            self.rollup_cache = Some((key, rollup, None));
         }
         &self.rollup_cache.as_ref().expect("filled above").1
     }
@@ -442,7 +465,6 @@ impl ShardHandle for Zone {
                 .expect("resident member evicts");
             frames.push(frame);
         }
-        self.rollup_cache = None;
         let wire = kairos_store::encode_frame(GROUP_WIRE_VERSION, &(tenant.to_string(), frames));
         Some(EvictedTenant {
             name: tenant.to_string(),
@@ -501,7 +523,6 @@ impl ShardHandle for Zone {
                 },
             );
         }
-        self.rollup_cache = None;
         Ok(())
     }
 
@@ -724,7 +745,6 @@ mod tests {
     use crate::fleet::FleetConfig;
     use crate::handoff::HandoffOutcome;
     use kairos_controller::{ControllerConfig, SyntheticSource};
-    use kairos_types::Bytes;
     use kairos_workloads::RatePattern;
 
     fn source(name: &str, tps: f64) -> Box<dyn TelemetrySource> {
@@ -861,6 +881,167 @@ mod tests {
             .iter()
             .any(|e| matches!(e.event, DecisionEvent::GroupMoved { .. })));
         assert!(root.metrics_json().contains("root_groups_moved"));
+    }
+
+    /// The memo against a fresh computation after every step of a
+    /// seeded schedule: zone ticks (which run the zone's own balance
+    /// rounds), group moves through [`Zone`], and tenant moves made
+    /// through `fleet_mut()` that bypass it. A step that changes no
+    /// shard's summary recomputes no roll-up; one that changes any
+    /// recomputes it once.
+    #[test]
+    fn rollup_memo_matches_a_fresh_rollup_after_every_step() {
+        fn encoded(r: &ZoneRollup) -> (usize, usize, usize, usize, Vec<u8>) {
+            (
+                r.zone,
+                r.shards,
+                r.tenants,
+                r.groups,
+                serde::to_bytes(&r.summary),
+            )
+        }
+        fn shard_digests(zone: &mut Zone) -> Vec<u64> {
+            let shards = zone.fleet_mut().shards_mut();
+            shards.iter_mut().map(|s| s.summary_digest()).collect()
+        }
+        fn rollups(zone: &Zone) -> u64 {
+            let registry = zone.fleet().metrics_registry();
+            registry
+                .counter_value("kairos_fleet_zone_rollups_total")
+                .unwrap_or(0)
+        }
+        let names: Vec<String> = (0..10).map(|i| format!("t{i}")).collect();
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        let mut zones = [zone_with(0, &names[..7], 16), zone_with(1, &names[7..], 16)];
+        for zone in &mut zones {
+            // Noisy load, so summaries refilled by age differ.
+            let noisy = SyntheticSource::new(
+                format!("n{}", zone.id()),
+                300.0,
+                Bytes::gib(4),
+                RatePattern::Flat { tps: 80.0 },
+            );
+            zone.fleet_mut()
+                .add_workload(Box::new(noisy.with_noise(0.3)));
+            zone.rollup();
+        }
+        let mut seen: Vec<Vec<u64>> = zones.iter_mut().map(shard_digests).collect();
+        let mut rng = kairos_types::SplitMix64::from_env(0x2011_0B5E);
+        let (mut quiet, mut changed) = (0, 0);
+        for step in 0..60 {
+            let from = rng.next_range(2) as usize;
+            let [a, b] = &mut zones;
+            let (donor, receiver) = if from == 0 { (a, b) } else { (b, a) };
+            // The last 25 steps only tick, so the shards' summaries age
+            // past their refresh bound after the last move.
+            match if step < 35 { rng.next_range(8) } else { 0 } {
+                0..=4 => {
+                    donor.tick();
+                    receiver.tick();
+                }
+                5 => {
+                    let groups = donor.resident_groups();
+                    if let Some(g) = groups.get(rng.next_range(groups.len().max(1) as u64) as usize)
+                    {
+                        // A round's second estimate on its donor packs
+                        // only the shards the evict left changed.
+                        ShardHandle::pack_estimate_remaining(donor);
+                        let packed = |zone: &Zone| -> Vec<u64> {
+                            let shards = zone.fleet().shards().iter();
+                            shards
+                                .map(|s| {
+                                    s.metrics_registry()
+                                        .counter_value("kairos_shard_pack_estimates_total")
+                                        .unwrap_or(0)
+                                })
+                                .collect()
+                        };
+                        let before = packed(donor);
+                        let mut touched = vec![false; before.len()];
+                        for member in &g.members {
+                            touched[donor.fleet().map().shard_of(member).expect("routed")] = true;
+                        }
+                        let evicted = ShardHandle::evict(donor, &group_name(g.index))
+                            .expect("resident group");
+                        ShardHandle::pack_estimate_remaining(donor);
+                        for (i, (after, before)) in packed(donor).iter().zip(&before).enumerate() {
+                            let repacked =
+                                touched[i] && !donor.fleet().shards()[i].workloads().is_empty();
+                            assert_eq!(
+                                after - before,
+                                u64::from(repacked),
+                                "step {step}: shard {i}"
+                            );
+                        }
+                        assert!(ShardHandle::admit(receiver, evicted).is_ok());
+                    }
+                }
+                kind => {
+                    // A tenant moved through `fleet_mut()`, behind the
+                    // zones' backs: to the other zone, or to the donor
+                    // zone's other shard.
+                    let tenants: Vec<String> = donor
+                        .fleet()
+                        .map()
+                        .entries()
+                        .map(|(t, _)| t.to_string())
+                        .collect();
+                    if let Some(t) =
+                        tenants.get(rng.next_range(tenants.len().max(1) as u64) as usize)
+                    {
+                        let home = donor.fleet().map().shard_of(t).expect("routed");
+                        let wire = donor.fleet_mut().evict_tenant(t).expect("resident tenant");
+                        let handoff =
+                            TenantHandoff::from_wire(&wire, source(t, 50.0)).expect("intact frame");
+                        let (zone, shard) = if kind == 6 {
+                            (receiver, rng.next_range(2) as usize)
+                        } else {
+                            (donor, 1 - home)
+                        };
+                        zone.fleet_mut().admit_handoff(shard, handoff);
+                    }
+                }
+            }
+            for (zone, seen) in zones.iter_mut().zip(&mut seen) {
+                let before = rollups(zone);
+                let memo = zone.rollup();
+                let digest = zone.rollup_digest();
+                zone.rollup();
+                let fresh = zone.compute_rollup();
+                // Read last: reading a digest refills a stale summary,
+                // which the memo must have done on its own.
+                let digests = shard_digests(zone);
+                let id = zone.id();
+                assert!(
+                    encoded(&memo) == encoded(&fresh),
+                    "step {step}: zone {id} served a stale roll-up"
+                );
+                assert_eq!(
+                    digest,
+                    fresh.summary.digest(),
+                    "step {step}: zone {id} served a stale digest"
+                );
+                let recomputed = rollups(zone) - before;
+                if digests == *seen {
+                    quiet += 1;
+                    assert_eq!(
+                        recomputed, 0,
+                        "step {step}: zone {id} recomputed an unchanged roll-up"
+                    );
+                } else {
+                    changed += 1;
+                    assert_eq!(
+                        recomputed, 1,
+                        "step {step}: zone {id} recomputed {recomputed} times"
+                    );
+                }
+                *seen = digests;
+            }
+        }
+        assert!(
+            quiet > 0 && changed > 0,
+            "{quiet} quiet and {changed} changed steps"
+        );
     }
 
     /// A zone that counts the summary requests it answers.
