@@ -43,7 +43,7 @@ pub struct GreedyReport {
 /// cache, and per-machine total load is maintained incrementally instead
 /// of being re-summed inside every candidate-order comparison.
 fn pack_one(problem: &ConsolidationProblem, resource: GreedyResource) -> Assignment {
-    let series = problem.slot_series().clone();
+    let series = problem.slot_series();
     let slots = &series.slots;
     let windows = problem.windows;
     let k_max = problem.max_machines;
@@ -107,11 +107,7 @@ fn pack_one(problem: &ConsolidationProblem, resource: GreedyResource) -> Assignm
         let w = slot.workload;
         // Candidate machines ordered by current load (most loaded first);
         // pinned replica 0 goes straight to its pin.
-        let pinned = if slot.replica == 0 {
-            problem.workloads[w].pinned
-        } else {
-            None
-        };
+        let pinned = problem.pin_of(slot);
         let mut placed = false;
         let pick_list: Vec<usize> = match pinned {
             Some(p) => vec![p],

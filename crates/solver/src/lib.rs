@@ -8,11 +8,12 @@
 //! * the problem/assignment model ([`problem`]) with replication,
 //!   pinning, and anti-affinity constraints;
 //! * the objective and constraint evaluator ([`objective`]) — the Fig 5
-//!   landscape, penalty spike included. One per-machine scoring primitive
-//!   sits under `evaluate`, under DIRECT's inner loop ([`CentreScorer`]: a
-//!   one-slot move scores the two machines it touches, each distinct
-//!   machine once per solve, bit for bit what `evaluate` reports) and under
-//!   the local search; [`evaluate_reference`] is the tests' independent copy;
+//!   landscape, penalty spike included. One private machine table
+//!   (`machines`) and one per-machine scoring primitive sit under
+//!   `evaluate`, under DIRECT's inner loop ([`CentreScorer`]: a one-slot
+//!   move scores the two machines it touches, each distinct machine once
+//!   per solve, bit for bit what `evaluate` reports) and under the local
+//!   search; [`evaluate_reference`] is the tests' independent copy;
 //! * a from-scratch **DIRECT** global optimizer ([`direct`]), which picks
 //!   rectangles from per-size heaps and tells its objective each
 //!   rectangle's centre before sampling around it ([`DirectObjective`]);
@@ -35,6 +36,7 @@ pub mod bounds;
 pub mod direct;
 pub mod greedy;
 pub mod local;
+mod machines;
 pub mod objective;
 pub mod problem;
 pub mod search;

@@ -6,9 +6,11 @@
 //! deterministic best-move hill climber over slot→machine moves and
 //! whole-machine merges.
 //!
+//! The placement is a machine table (`machines::Machines`); beside it
+//! polish keeps each machine's summed series, its peaks and three caches.
 //! A candidate is scored **without touching the state**: a move changes
-//! two machines, and its objective is the in-order machine sum with their
-//! shares substituted, each from the window kernel
+//! two machines, and its objective is the table's in-order machine sum
+//! with their shares substituted, each from the window kernel
 //! (`objective::score_windows`) fed a machine's cached sums minus the
 //! slot, or plus the moving slots in list order (the additions
 //! `MachineSums::add` on a copy would make: the same bits), and its cached
@@ -16,8 +18,8 @@
 //! the empty machines only the lowest-indexed (they tie, and a later
 //! candidate must win by 1e-12) and the slot's baseline home are scored.
 //!
-//! **What no move has touched is not scored again.** `apply_move` bumps
-//! the stamps of the two machines it changes; three dense caches, fresh
+//! **What no move has touched is not scored again.** A move bumps the
+//! table's stamps of the two machines it changes; three dense caches, fresh
 //! per polish, keep finished scores at their stamps: a destination with a
 //! slot added (`slot × k`), a slot's machine without it (per slot, at
 //! machine and stamp), a merge (`k × k`, at both stamps). Same stamp, same
@@ -36,28 +38,15 @@
 //! delta provably cannot beat the incumbent are skipped without touching
 //! the load series. No skip changes the chosen move.
 
+use crate::machines::Machines;
 use crate::objective::{
-    colocation_violations, evaluate, migration_delta, score_machine, score_windows,
-    total_objective, Evaluation, MachineScore, MachineSums, PENALTY,
+    colocation_violations, evaluate, migration_delta, score_machine, score_windows, Evaluation,
+    MachineScore, MachineSums, PENALTY,
 };
 use crate::problem::{Assignment, ConsolidationProblem, SlotSeries};
-use std::sync::Arc;
 
 #[cfg(test)]
 mod reference;
-
-struct MachineState {
-    slots: Vec<usize>,
-    sums: MachineSums,
-    /// This machine's share of the objective.
-    share: MachineScore,
-    /// Bumped whenever the machine gains or loses a slot.
-    stamp: u64,
-    /// Peak CPU / RAM over the horizon (pruning bounds; refreshed with
-    /// the share).
-    cpu_peak: f64,
-    ram_peak: f64,
-}
 
 /// The stamp no machine reaches: an empty cache entry.
 const NEVER: u64 = u64::MAX;
@@ -71,12 +60,14 @@ fn kept<K: PartialEq>(cache: &[(K, MachineScore)], i: usize, at: K) -> Option<Ma
 struct SearchState<'a> {
     problem: &'a ConsolidationProblem,
     /// Shared slot cache; the slot list itself is `series.slots`.
-    series: Arc<SlotSeries>,
-    machines: Vec<MachineState>,
-    assignment: Vec<usize>,
-    /// Slots currently off the migration baseline (0 without a baseline);
-    /// kept incrementally so the cached objective matches `evaluate`.
-    mig_moves: usize,
+    series: &'a SlotSeries,
+    /// The placement: slot lists, shares, stamps, moves off the baseline.
+    table: Machines,
+    /// Per machine: its slots' summed series, added to and taken from as
+    /// slots move.
+    sums: Vec<MachineSums>,
+    /// Per machine: peak CPU / RAM over the horizon (pruning bounds).
+    peaks: Vec<(f64, f64)>,
     /// Candidates skipped or abandoned (see [`PolishReport::pruned`]).
     pruned: usize,
     /// Kept scores: `dst` with `slot` added at `slot * k + dst`, `slot`'s
@@ -89,47 +80,24 @@ struct SearchState<'a> {
 }
 
 impl<'a> SearchState<'a> {
-    fn new(
-        problem: &'a ConsolidationProblem,
-        assignment: &Assignment,
-        k: usize,
-    ) -> SearchState<'a> {
-        let series = problem.slot_series().clone();
+    fn new(problem: &'a ConsolidationProblem, start: &Assignment, k: usize) -> SearchState<'a> {
+        let series = problem.slot_series();
         let n_slots = series.slots.len();
-        let mut machines: Vec<MachineState> = (0..k)
-            .map(|_| MachineState {
-                slots: Vec::new(),
-                sums: MachineSums::default(),
-                share: MachineScore::default(),
-                stamp: 0,
-                cpu_peak: 0.0,
-                ram_peak: 0.0,
-            })
-            .collect();
-        let mut asg = assignment.machine_of.clone();
-        for (s, m) in asg.iter_mut().enumerate() {
-            // Clamp any out-of-range machine and force pins.
-            if *m >= k {
-                *m = k - 1;
-            }
-            let slot = series.slots[s];
-            if slot.replica == 0 {
-                if let Some(pin) = problem.workloads[slot.workload].pinned {
-                    if pin < k {
-                        *m = pin;
-                    }
-                }
-            }
-            machines[*m].slots.push(s);
+        // Out-of-range machines are clamped and pins forced.
+        let mut machine_of = start.machine_of.clone();
+        for (m, &slot) in machine_of.iter_mut().zip(&series.slots) {
+            let pin = problem.pin_of(slot).filter(|&pin| pin < k);
+            *m = pin.unwrap_or((*m).min(k - 1));
         }
-        let mig_moves = problem.moves_from_baseline(&asg);
+        let mut table = Machines::default();
+        table.place(problem, &machine_of, k);
         let none = MachineScore::default();
         let mut state = SearchState {
             problem,
             series,
-            machines,
-            assignment: asg,
-            mig_moves,
+            table,
+            sums: vec![MachineSums::default(); k],
+            peaks: vec![(0.0, 0.0); k],
             pruned: 0,
             with_slot: vec![(NEVER, none); n_slots * k],
             without: vec![((0, NEVER), none); n_slots],
@@ -137,100 +105,61 @@ impl<'a> SearchState<'a> {
             moving: Vec::new(),
         };
         for m in 0..k {
-            let ms = &mut state.machines[m];
-            ms.sums.sum_of(&state.series, &ms.slots);
+            state.sums[m].sum_of(series, &state.table[m].slots);
             state.refresh(m);
         }
         state
     }
 
-    /// Recompute the cached share and peaks of machine `m` from its sums.
+    /// Recompute the share and peaks of machine `m` from its sums.
     fn refresh(&mut self, m: usize) {
-        let ms = &mut self.machines[m];
-        ms.share = score_machine(
-            self.problem,
-            &self.series.slots,
-            &ms.slots,
-            &ms.sums,
-            |_| {},
-        );
-        if ms.slots.is_empty() {
-            ms.cpu_peak = 0.0;
-            ms.ram_peak = 0.0;
-        } else {
-            ms.cpu_peak = ms.sums.cpu.iter().copied().fold(0.0, f64::max);
-            ms.ram_peak = ms.sums.ram.iter().copied().fold(0.0, f64::max);
-        }
+        let (occupants, sums) = (&self.table[m].slots, &self.sums[m]);
+        let share = score_machine(self.problem, &self.series.slots, occupants, sums, |_| {});
+        // An empty machine's sums are all zero, and so are its peaks.
+        let peak = |v: &[f64]| v.iter().copied().fold(0.0, f64::max);
+        self.peaks[m] = (peak(&sums.cpu), peak(&sums.ram));
+        self.table.set_share(m, share);
     }
 
-    /// The objective with each machine in `subs` holding the share given
-    /// there instead of its cached one and `mig_moves` slots off the
-    /// baseline: the in-order sum over machines.
-    fn total_with(&self, subs: &[(usize, MachineScore)], mig_moves: usize) -> f64 {
-        let shares = self
-            .machines
-            .iter()
-            .enumerate()
-            .map(|(m, ms)| subs.iter().find(|s| s.0 == m).map_or(ms.share, |s| s.1));
-        // Pins are forced and every machine is below `k`: no placement term.
-        total_objective(self.problem, 0.0, shares, mig_moves).0
+    /// The objective with `subs` substituted and `moves` slots off the
+    /// baseline. No placement term: pins are forced, machines counted by `k`.
+    fn total_with(&self, subs: &[(usize, MachineScore)], moves: usize) -> f64 {
+        self.table.total_with(self.problem, 0.0, subs, moves).0
     }
 
     fn total_objective(&self) -> f64 {
-        self.total_with(&[], self.mig_moves)
-    }
-
-    fn violation_free(&self) -> bool {
-        let clean = |m: &MachineState| m.share.excess == 0.0 && m.share.colocation == 0.0;
-        self.machines.iter().all(clean)
+        self.total_with(&[], self.table.moves)
     }
 
     fn is_pinned(&self, slot: usize) -> bool {
-        let s = self.series.slots[slot];
-        s.replica == 0 && self.problem.workloads[s.workload].pinned.is_some()
+        self.problem.pin_of(self.series.slots[slot]).is_some()
     }
 
-    /// Apply `slot → dst`, updating caches.
+    /// Apply `slot → dst`, updating sums and shares.
     fn apply_move(&mut self, slot: usize, dst: usize) {
-        let src = self.assignment[slot];
-        if src == dst {
-            return;
-        }
-        let from = &mut self.machines[src];
-        let pos = from
-            .slots
-            .iter()
-            .position(|&s| s == slot)
-            .expect("slot tracked on its machine");
-        from.slots.swap_remove(pos);
-        if from.slots.is_empty() {
+        let src = self.table.machine_of[slot];
+        self.table.move_slot(self.problem, slot, dst);
+        if self.table[src].slots.is_empty() {
             // No subtraction residue: every empty machine is the same.
-            from.sums.clear(self.problem.windows);
+            self.sums[src].clear(self.problem.windows);
         } else {
-            from.sums.sub(&self.series, slot);
+            self.sums[src].sub(self.series, slot);
         }
-        let to = &mut self.machines[dst];
-        to.slots.push(slot);
-        to.sums.add(&self.series, slot);
-        self.mig_moves =
-            (self.mig_moves as isize + migration_delta(self.problem, slot, src, dst)) as usize;
-        self.assignment[slot] = dst;
-        for m in [src, dst] {
-            self.machines[m].stamp += 1;
-            self.refresh(m);
-        }
+        self.sums[dst].add(self.series, slot);
+        self.refresh(src);
+        self.refresh(dst);
     }
 
     /// Share of `slot`'s machine once the slot has left it: kept, or scored
     /// from the machine's sums minus the slot's series.
     fn share_without(&mut self, slot: usize) -> MachineScore {
-        let src = self.assignment[slot];
-        let from = &self.machines[src];
+        let src = self.table.machine_of[slot];
+        let from = &self.table[src];
         let at = (src, from.stamp);
         if let Some(score) = kept(&self.without, slot, at) {
             return score;
         }
-        let (problem, series) = (self.problem, &*self.series);
+        let (problem, series) = (self.problem, self.series);
         let score = if from.slots.len() == 1 {
             MachineScore::default()
         } else {
@@ -238,7 +167,7 @@ impl<'a> SearchState<'a> {
             for &b in from.slots.iter().filter(|&&b| b != slot) {
                 colocation -= colocation_violations(problem, &series.slots, &[slot, b]);
             }
-            let (sums, first) = (&from.sums, slot * problem.windows);
+            let (sums, first) = (&self.sums[src], slot * problem.windows);
             let sum_at = |t: usize| {
                 let i = first + t;
                 [
@@ -264,8 +193,8 @@ impl<'a> SearchState<'a> {
         extra: &[usize],
         give_up: impl FnMut(MachineScore) -> bool,
     ) -> Option<MachineScore> {
-        let (problem, series) = (self.problem, &*self.series);
-        let to = &self.machines[dst];
+        let (problem, series) = (self.problem, self.series);
+        let to = &self.table[dst];
         let slots = &series.slots;
         let mut colocation = to.share.colocation + colocation_violations(problem, slots, extra);
         for &a in extra {
@@ -273,7 +202,7 @@ impl<'a> SearchState<'a> {
                 colocation += colocation_violations(problem, slots, &[a, b]);
             }
         }
-        let (sums, windows) = (&to.sums, problem.windows);
+        let (sums, windows) = (&self.sums[dst], problem.windows);
         let sum_at = |t: usize| {
             let mut sum = [sums.cpu[t], sums.ram[t], sums.ws[t], sums.rate[t]];
             for &s in extra {
@@ -297,27 +226,25 @@ impl<'a> SearchState<'a> {
         partial.excess + partial.colocation > 0.0 && self.total_with(&subs, mig_moves) >= cutoff
     }
 
-    /// `mig_moves` after moving `slots` from `src` to `dst`.
+    /// Moves off the baseline after moving `slots` from `src` to `dst`.
     fn mig_moves_after(&self, slots: &[usize], src: usize, dst: usize) -> usize {
-        let delta: isize = slots
-            .iter()
-            .map(|&s| migration_delta(self.problem, s, src, dst))
-            .sum();
-        (self.mig_moves as isize + delta) as usize
+        let delta = |&s: &usize| migration_delta(self.problem, s, src, dst);
+        (self.table.moves as isize + slots.iter().map(delta).sum::<isize>()) as usize
     }
 
     /// The machine that strictly improves the objective most when `slot`
     /// alone moves to it, if any.
     fn best_move(&mut self, slot: usize) -> Option<usize> {
-        let k = self.machines.len();
+        let k = self.table.len();
         let current = self.total_objective();
-        let src = self.assignment[slot];
-        // Lower-bound pruning (sound only from a violation-free state,
-        // where any new violation costs ≥ PENALTY): if the best case —
-        // source contribution collapsing to its floor, destinations
-        // absorbing the slot for free, one migration move recovered —
-        // cannot improve on the incumbent, no destination needs scoring.
-        let feasible_now = self.violation_free() && current < PENALTY;
+        let src = self.table.machine_of[slot];
+        // Lower-bound pruning (sound only from a violation-free state —
+        // below PENALTY, as every other term is non-negative — where any
+        // new violation costs ≥ PENALTY): if the best case — source
+        // contribution collapsing to its floor, destinations absorbing the
+        // slot for free, one migration move recovered — cannot improve on
+        // the incumbent, no destination needs scoring.
+        let feasible_now = current < PENALTY;
         if feasible_now && current - self.single_move_gain_bound(slot) >= current - 1e-12 {
             self.pruned += k - 1;
             return None;
@@ -332,23 +259,22 @@ impl<'a> SearchState<'a> {
             }
             // Empty machines are interchangeable, bar the slot's baseline
             // home: the first one scored stands for the rest.
-            if self.machines[dst].slots.is_empty() && home != Some(dst) {
+            if self.table[dst].slots.is_empty() && home != Some(dst) {
                 if empty_scored {
                     self.pruned += 1;
                     continue;
                 }
                 empty_scored = true;
             }
-            // Capacity pruning: the cached destination peak plus the
-            // slot's minimum already exceeds CPU or RAM capacity, so the
-            // move is certainly infeasible and cannot beat a feasible
-            // incumbent.
-            if feasible_now && self.dst_certainly_violates(slot, dst) {
+            // Capacity pruning: a move certainly infeasible cannot beat a
+            // feasible incumbent.
+            let mins = (self.series.cpu_min[slot], self.series.ram_min[slot]);
+            if feasible_now && !self.table[dst].slots.is_empty() && self.certainly_over(dst, mins) {
                 self.pruned += 1;
                 continue;
             }
             let mig_moves = self.mig_moves_after(&[slot], src, dst);
-            let (i, at) = (slot * k + dst, self.machines[dst].stamp);
+            let (i, at) = (slot * k + dst, self.table[dst].stamp);
             let with = match kept(&self.with_slot, i, at) {
                 Some(with) => with,
                 None => {
@@ -376,37 +302,30 @@ impl<'a> SearchState<'a> {
     /// cannot see (the first slot moved off a balanced pair looks like a
     /// loss).
     fn best_merge(&mut self, src: usize) -> Option<usize> {
-        let k = self.machines.len();
-        let n = self.machines[src].slots.len();
-        if n == 0 || self.machines[src].slots.iter().any(|&s| self.is_pinned(s)) {
+        let k = self.table.len();
+        let n = self.table[src].slots.len();
+        if n == 0 || self.table[src].slots.iter().any(|&s| self.is_pinned(s)) {
             return None;
         }
         let current = self.total_objective();
-        let feasible_now = self.violation_free() && current < PENALTY;
+        let feasible_now = current < PENALTY;
         let min_of = |v: &[f64]| v.iter().copied().fold(f64::INFINITY, f64::min);
-        let src_cpu_min = min_of(&self.machines[src].sums.cpu);
-        let src_ram_min = min_of(&self.machines[src].sums.ram);
-        let cap = self.problem.machine;
-        let headroom = self.problem.headroom;
+        let src_mins = (min_of(&self.sums[src].cpu), min_of(&self.sums[src].ram));
         let mut best: Option<(f64, usize)> = None;
         for dst in 0..k {
-            if dst == src || self.machines[dst].slots.is_empty() {
+            if dst == src || self.table[dst].slots.is_empty() {
                 continue;
             }
-            // Same peak+min capacity bound, applied to the whole source
-            // machine being folded into `dst`.
-            if feasible_now
-                && (self.machines[dst].cpu_peak + src_cpu_min > cap.cpu_cores * headroom
-                    || self.machines[dst].ram_peak + src_ram_min > cap.ram_bytes * headroom)
-            {
+            // The same capacity bound, for the whole source machine.
+            if feasible_now && self.certainly_over(dst, src_mins) {
                 self.pruned += n;
                 continue;
             }
-            let src_slots = &self.machines[src].slots;
+            let src_slots = &self.table[src].slots;
             let mig_moves = self.mig_moves_after(src_slots, src, dst);
             let emptied = (src, MachineScore::default());
             let i = src * k + dst;
-            let at = (self.machines[src].stamp, self.machines[dst].stamp);
+            let at = (self.table[src].stamp, self.table[dst].stamp);
             let merged = match kept(&self.merged, i, at) {
                 Some(merged) => merged,
                 None => {
@@ -437,8 +356,8 @@ impl<'a> SearchState<'a> {
     /// and the migration term can recover at most one move's cost (when
     /// the slot is currently off its baseline).
     fn single_move_gain_bound(&self, slot: usize) -> f64 {
-        let src = self.assignment[slot];
-        let ms = &self.machines[src];
+        let src = self.table.machine_of[slot];
+        let ms = &self.table[src];
         let floor = if ms.slots.len() > 1 { 1.0 } else { 0.0 };
         let mig_relief = match (&self.problem.migration, self.problem.home_of(slot)) {
             (Some(m), Some(home)) if home != src => m.cost_per_move,
@@ -447,21 +366,17 @@ impl<'a> SearchState<'a> {
         (ms.share.contrib - floor) + mig_relief
     }
 
-    /// Would placing `slot` on `dst` provably violate a CPU or RAM
-    /// capacity constraint? Sound per-machine-peak bound:
-    /// `max_t(dst_t + slot_t) ≥ max_t(dst_t) + min_t(slot_t)`, so when
-    /// the cached destination peak plus the slot's cached minimum already
-    /// exceeds capacity·headroom, the combined series certainly does.
-    /// (Disk is non-linear and excluded — the bound stays conservative.)
-    fn dst_certainly_violates(&self, slot: usize, dst: usize) -> bool {
-        let ms = &self.machines[dst];
-        if ms.slots.is_empty() {
-            return false;
-        }
-        let cap = self.problem.machine;
-        let headroom = self.problem.headroom;
-        ms.cpu_peak + self.series.cpu_min[slot] > cap.cpu_cores * headroom
-            || ms.ram_peak + self.series.ram_min[slot] > cap.ram_bytes * headroom
+    /// Would machine `dst` provably exceed CPU or RAM capacity with a load
+    /// added whose minima over the horizon are `mins`? Sound peak bound:
+    /// `max_t(dst_t + x_t) ≥ max_t(dst_t) + min_t(x_t)`, so when the
+    /// cached peak plus the minimum already exceeds capacity·headroom, the
+    /// combined series certainly does. (Disk is non-linear and excluded —
+    /// the bound stays conservative.)
+    fn certainly_over(&self, dst: usize, (cpu_min, ram_min): (f64, f64)) -> bool {
+        let (cap, headroom) = (self.problem.machine, self.problem.headroom);
+        let (cpu_peak, ram_peak) = self.peaks[dst];
+        cpu_peak + cpu_min > cap.cpu_cores * headroom
+            || ram_peak + ram_min > cap.ram_bytes * headroom
     }
 }
 
@@ -524,7 +439,7 @@ fn polish_observed(
         for src in 0..k {
             if let Some(dst) = state.best_merge(src) {
                 let mut moving = std::mem::take(&mut state.moving);
-                moving.clone_from(&state.machines[src].slots);
+                moving.clone_from(&state.table[src].slots);
                 for &s in &moving {
                     state.apply_move(s, dst);
                 }
@@ -540,7 +455,7 @@ fn polish_observed(
     }
     applied(&state);
 
-    let assignment = Assignment::new(state.assignment.clone());
+    let assignment = Assignment::new(state.table.machine_of.clone());
     let evaluation = evaluate(problem, &assignment);
     PolishReport {
         assignment,
@@ -590,7 +505,7 @@ mod tests {
         let mut state = SearchState::new(&p, &a, 5);
         state.apply_move(0, 3);
         state.apply_move(4, 1);
-        let now = Assignment::new(state.assignment.clone());
+        let now = Assignment::new(state.table.machine_of.clone());
         let full = evaluate(&p, &now);
         assert!((state.total_objective() - full.objective).abs() < 1e-9);
     }
@@ -698,7 +613,7 @@ mod tests {
         ] {
             let mut checks = 0;
             let report = polish_observed(p, &Assignment::new(start), k, 50, |state| {
-                let full = evaluate(p, &Assignment::new(state.assignment.clone()));
+                let full = evaluate(p, &Assignment::new(state.table.machine_of.clone()));
                 assert!(
                     (state.total_objective() - full.objective).abs() < 1e-9,
                     "cached {} vs full {}",

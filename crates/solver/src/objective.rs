@@ -9,6 +9,7 @@
 //! assignment the minimum — exactly the landscape Fig 5 sketches,
 //! including the constraint-violation penalty spike.
 
+use crate::machines::Machines;
 use crate::problem::{Assignment, ConsolidationProblem, Slot, SlotSeries};
 use std::borrow::Borrow;
 use std::collections::HashMap;
@@ -223,24 +224,6 @@ pub(crate) fn total_objective(
     (objective, violation)
 }
 
-/// Machine-count violation of using machine `m` at all.
-fn overflow_violation(problem: &ConsolidationProblem, m: usize) -> f64 {
-    if m >= problem.max_machines {
-        1.0 + (m - problem.max_machines) as f64
-    } else {
-        0.0
-    }
-}
-
-/// Pin violation of `slot` on `machine`. The paper pins a workload to a
-/// node; we interpret it as "replica 0 must sit on the pinned machine".
-fn pin_violation(problem: &ConsolidationProblem, slot: Slot, machine: usize) -> f64 {
-    match problem.workloads[slot.workload].pinned {
-        Some(pin) if slot.replica == 0 && machine != pin => 1.0,
-        _ => 0.0,
-    }
-}
-
 /// Change in the moves-off-baseline count when `slot` goes `src → dst`.
 pub(crate) fn migration_delta(
     problem: &ConsolidationProblem,
@@ -284,8 +267,7 @@ pub(crate) fn colocation_violations(
 /// [`SlotSeries`]). Produces bit-identical results to
 /// [`evaluate_reference`] — the cache-coherence property tests assert it.
 pub fn evaluate(problem: &ConsolidationProblem, assignment: &Assignment) -> Evaluation {
-    let series = problem.slot_series().clone();
-    evaluate_with_series(problem, &series, assignment)
+    evaluate_with_series(problem, problem.slot_series(), assignment)
 }
 
 /// [`evaluate`] against an explicitly supplied slot cache. Exposed so
@@ -302,44 +284,33 @@ pub fn evaluate_with_series(
         assignment.machine_of.len(),
         "assignment must cover every placement slot"
     );
-    let by_machine = assignment.by_machine();
-    let mut placement: f64 = slots
-        .iter()
-        .zip(&assignment.machine_of)
-        .map(|(&slot, &m)| pin_violation(problem, slot, m))
-        .sum();
+    let mut table = Machines::default();
+    table.place(problem, &assignment.machine_of, 0);
+    let used = (0..table.len()).filter(|&m| !table[m].slots.is_empty());
+    let mut loads = Vec::with_capacity(used.count());
     let mut sums = MachineSums::default();
-    let mut scores = Vec::with_capacity(by_machine.len());
-    let mut loads = Vec::with_capacity(by_machine.len());
-    // Per used machine, slot-major over the cached series: each window
-    // accumulator receives its contributions in the same slot order the
-    // reference path uses, so the floating-point results are identical.
-    for (&m, slot_ids) in by_machine.iter() {
-        sums.sum_of(series, slot_ids);
+    // Each used machine summed from zero over its ascending list, as the
+    // reference sums it; an empty machine's zero share changes no bits.
+    for m in 0..table.len() {
+        let occupants = &table[m].slots;
+        if occupants.is_empty() {
+            continue;
+        }
+        sums.sum_of(series, occupants);
         let mut window_loads = Vec::with_capacity(problem.windows);
-        scores.push(score_machine(problem, slots, slot_ids, &sums, |load| {
+        let share = score_machine(problem, slots, occupants, &sums, |load| {
             window_loads.push(load)
-        }));
-        placement += overflow_violation(problem, m);
+        });
+        table.set_share(m, share);
         loads.push((m, window_loads));
     }
-
-    // Migration-cost term (§ online re-solve): each slot moved off its
-    // baseline machine costs a fixed objective increment, so plans with
-    // small placement deltas win among near-equals.
-    let moves_from_baseline = problem.moves_from_baseline(&assignment.machine_of);
-    let (objective, violation) = total_objective(
-        problem,
-        placement,
-        scores.iter().copied(),
-        moves_from_baseline,
-    );
+    let (objective, violation) = table.total_with(problem, table.placement, &[], table.moves);
     Evaluation {
         objective,
         feasible: violation == 0.0,
         violation,
-        machines_used: by_machine.len(),
-        moves_from_baseline,
+        machines_used: loads.len(),
+        moves_from_baseline: table.moves,
         loads,
     }
 }
@@ -449,12 +420,11 @@ impl ScoreMemo {
 /// asks for: each of its samples is a rectangle's centre with one
 /// coordinate changed, i.e. at most one slot on another machine.
 ///
-/// A scorer works [`on`](CentreScorer::on) one problem at a time.
-/// [`rebase`](Scoring::rebase) keeps, per machine, the centre's occupants
-/// as a slot bitset and their score; [`moved`](Scoring::moved) keys the
-/// source machine by its bitset with the slot's bit cleared and the
-/// destination by its bitset with the bit set, and re-forms the total in
-/// `evaluate`'s order with those two scores substituted.
+/// A scorer works [`on`](CentreScorer::on) one problem at a time. The
+/// centre is a machine table: [`rebase`](Scoring::rebase) places it and
+/// scores each machine by its occupant bitset; [`moved`](Scoring::moved)
+/// flips the slot's bit in both rows, looks both up, flips them back, and
+/// re-forms the total with those two scores substituted.
 ///
 /// **Every machine is scored through a memo** keyed by that bitset. A
 /// machine's score depends on the problem and on which slots it holds —
@@ -470,7 +440,7 @@ impl ScoreMemo {
 /// empty, every entry is scored against the one problem the `Scoring`
 /// borrows, and dropping the `Scoring` drops the entries *and their
 /// memory*. The search holds one `Scoring` per solve — every probe and the
-/// final run share it — so a scorer at rest holds its per-machine buffers
+/// final run share it — so a scorer at rest holds the centre's buffers
 /// and nothing that grew with a search.
 ///
 /// Updating the source machine by subtraction (`sums − slot`) instead is
@@ -481,53 +451,18 @@ impl ScoreMemo {
 /// it without an answer to that.
 #[derive(Default)]
 pub struct CentreScorer {
-    machine_of: Vec<usize>,
-    words: usize,
-    /// Per machine, its occupants as a bitset of `words` words (at least
-    /// two): machine `m`'s at `bits[m * words..]`. Sized to the largest
-    /// machine index seen on the problem; its capacity is reused.
-    bits: Vec<u64>,
-    scored: Vec<MachineScore>,
-    /// The centre's machine-count + pin violations.
-    placement: f64,
-    moves_from_baseline: usize,
-    centre: f64,
+    centre: Machines,
+    objective: f64,
     memo: ScoreMemo,
 }
 
 impl CentreScorer {
-    fn grow(&mut self, machines: usize) {
-        if self.scored.len() < machines {
-            self.scored.resize(machines, MachineScore::default());
-            self.bits.resize(machines * self.words, 0);
-        }
-    }
-
-    /// The score of `machine` with `slot` moved on or off it (the slot's
-    /// bit flipped, then back), and how many slots it then holds.
-    fn flipped(
-        &mut self,
-        problem: &ConsolidationProblem,
-        series: &SlotSeries,
-        machine: usize,
-        slot: usize,
-    ) -> (MachineScore, u32) {
-        let (row, bit) = (machine * self.words, 1 << (slot % 64));
-        self.bits[row + slot / 64] ^= bit;
-        let set = &self.bits[row..row + self.words];
-        let holds = set.iter().map(|word| word.count_ones()).sum();
-        let score = self.memo.score(problem, series, set);
-        self.bits[row + slot / 64] ^= bit;
-        (score, holds)
-    }
-
     /// Score placements of `problem` until the returned [`Scoring`] drops.
     pub fn on<'a>(&'a mut self, problem: &'a ConsolidationProblem) -> Scoring<'a> {
-        // Empty already, unless an earlier `Scoring` was leaked.
+        // Empty already, unless an earlier `Scoring` was leaked; and no
+        // machine of another problem's centre is kept.
         self.memo.scores = HashMap::default();
-        self.words = problem.slot_series().slots.len().div_ceil(64).max(2);
-        self.bits.clear();
-        self.scored.clear();
+        self.centre.place(problem, &[], 0);
         Scoring {
             series: problem.slot_series(),
             problem,
@@ -553,64 +488,36 @@ impl Scoring<'_> {
     pub fn rebase(&mut self, machine_of: &[usize]) -> f64 {
         let (problem, series, sc) = (self.problem, self.series, &mut *self.scorer);
         debug_assert_eq!(series.slots.len(), machine_of.len());
-        sc.grow(machine_of.iter().max().map_or(0, |m| m + 1));
-        sc.bits.fill(0);
-        sc.machine_of.clear();
-        sc.machine_of.extend_from_slice(machine_of);
-        sc.placement = 0.0;
-        for (s, &m) in machine_of.iter().enumerate() {
-            sc.bits[m * sc.words + s / 64] |= 1 << (s % 64);
-            sc.placement += pin_violation(problem, series.slots[s], m);
+        let centre = &mut sc.centre;
+        // Machines never go from the table while the `Scoring` lives.
+        centre.place(problem, machine_of, centre.len());
+        for m in 0..centre.len() {
+            let score = sc.memo.score(problem, series, centre.row(m));
+            centre.set_share(m, score);
         }
-        for (m, occ) in sc.bits.chunks_exact(sc.words).enumerate() {
-            sc.scored[m] = sc.memo.score(problem, series, occ);
-            if occ.iter().any(|&word| word != 0) {
-                sc.placement += overflow_violation(problem, m);
-            }
-        }
-        sc.moves_from_baseline = problem.moves_from_baseline(machine_of);
-        let machines = sc.scored.iter().copied();
-        sc.centre = total_objective(problem, sc.placement, machines, sc.moves_from_baseline).0;
-        sc.centre
+        (sc.objective, _) = centre.total_with(problem, centre.placement, &[], centre.moves);
+        sc.objective
     }
 
     /// The centre's objective.
     pub fn centre(&self) -> f64 {
-        self.scorer.centre
+        self.scorer.objective
     }
 
     /// Objective of the centre with `slot` on machine `dst` instead; the
     /// centre itself is unchanged.
     pub fn moved(&mut self, slot: usize, dst: usize) -> f64 {
         let (problem, series, sc) = (self.problem, self.series, &mut *self.scorer);
-        let src = sc.machine_of[slot];
+        let src = sc.centre.machine_of[slot];
         if src == dst {
-            return sc.centre;
+            return sc.objective;
         }
-        sc.grow(dst + 1);
-        let (src_score, src_holds) = sc.flipped(problem, series, src, slot);
-        let (dst_score, dst_holds) = sc.flipped(problem, series, dst, slot);
-
-        let mut placement = sc.placement
-            + (pin_violation(problem, series.slots[slot], dst)
-                - pin_violation(problem, series.slots[slot], src));
-        if src_holds == 0 {
-            placement -= overflow_violation(problem, src);
-        }
-        if dst_holds == 1 {
-            placement += overflow_violation(problem, dst);
-        }
-        let moves = sc.moves_from_baseline as isize + migration_delta(problem, slot, src, dst);
-        let machines = sc.scored.iter().enumerate().map(|(m, &score)| {
-            if m == src {
-                src_score
-            } else if m == dst {
-                dst_score
-            } else {
-                score
-            }
-        });
-        total_objective(problem, placement, machines, moves as usize).0
+        sc.centre.grow(dst + 1);
+        sc.centre.flip_move(slot, dst);
+        let subs = [src, dst].map(|m| (m, sc.memo.score(problem, series, sc.centre.row(m))));
+        let (placement, moves) = sc.centre.after(problem, slot, dst);
+        sc.centre.flip_move(slot, dst);
+        sc.centre.total_with(problem, placement, &subs, moves).0
     }
 }
 

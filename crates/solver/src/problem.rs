@@ -459,6 +459,13 @@ impl ConsolidationProblem {
         m.baseline.get(slot).copied().flatten()
     }
 
+    /// The machine `slot` is pinned to, if any. The paper pins a workload
+    /// to a node; we read it as "replica 0 must sit on the pinned machine".
+    pub(crate) fn pin_of(&self, slot: Slot) -> Option<usize> {
+        let pin = self.workloads[slot.workload].pinned;
+        pin.filter(|_| slot.replica == 0)
+    }
+
     /// Slots `machine_of` places off their baseline machine (0 without a
     /// migration term).
     pub(crate) fn moves_from_baseline(&self, machine_of: &[usize]) -> usize {

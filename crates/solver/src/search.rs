@@ -28,13 +28,13 @@ use crate::bounds::{fractional_lower_bound, identity_assignment, upper_bound};
 use crate::direct::{direct_minimize_objective, DirectConfig, DirectObjective};
 use crate::local::polish;
 use crate::objective::{evaluate, CentreScorer, Evaluation, Scoring, PENALTY};
-use crate::problem::{Assignment, ConsolidationProblem, Slot};
+use crate::problem::{Assignment, ConsolidationProblem};
 use kairos_types::{KairosError, Result};
 
 /// What an online re-solver keeps between solves: it calls
 /// [`solve_warm_with`] every drift event against similarly-sized problems,
 /// and one `SolveScratch` held across them keeps the [`CentreScorer`]'s
-/// per-machine bitsets. Its memo of machine scores is as large as a search
+/// machine table buffers. Its memo of machine scores is as large as a search
 /// was long, so it is *not* kept: it is released before a solve returns.
 /// What a solve still allocates grows by doubling (`tests/solve_alloc.rs`).
 #[derive(Default)]
@@ -115,13 +115,8 @@ pub fn decode_into(problem: &ConsolidationProblem, k: usize, x: &[f64], out: &mu
     out.clear();
     out.reserve(slots.len());
     let mut xi = 0usize;
-    for slot in slots {
-        let pinned = if slot.replica == 0 {
-            problem.workloads[slot.workload].pinned
-        } else {
-            None
-        };
-        match pinned {
+    for &slot in slots {
+        match problem.pin_of(slot) {
             Some(p) => out.push(p.min(k - 1)),
             None => {
                 out.push(decode_coord(x[xi], k));
@@ -153,7 +148,7 @@ impl<'a, 'p> DecodedObjective<'a, 'p> {
     fn new(k: usize, scoring: &'a mut Scoring<'p>) -> DecodedObjective<'a, 'p> {
         let slots = &scoring.series.slots;
         let free_slots = (0..slots.len())
-            .filter(|&s| is_free(scoring.problem, &slots[s]))
+            .filter(|&s| scoring.problem.pin_of(slots[s]).is_none())
             .collect();
         DecodedObjective {
             k,
@@ -184,15 +179,13 @@ impl DirectObjective for DecodedObjective<'_, '_> {
     }
 }
 
-/// Is `slot` a decision variable? Pinned replica-0 slots are not.
-fn is_free(problem: &ConsolidationProblem, slot: &Slot) -> bool {
-    !(slot.replica == 0 && problem.workloads[slot.workload].pinned.is_some())
-}
-
 /// Number of free decision variables (unpinned slots).
 pub fn free_dims(problem: &ConsolidationProblem) -> usize {
     let slots = &problem.slot_series().slots;
-    slots.iter().filter(|s| is_free(problem, s)).count()
+    slots
+        .iter()
+        .filter(|&&s| problem.pin_of(s).is_none())
+        .count()
 }
 
 /// Solve at a fixed machine count `k`: DIRECT over the decoded encoding,
