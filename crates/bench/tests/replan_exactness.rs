@@ -9,20 +9,27 @@
 //! from a plan the drift overloaded. Per case it pins the evaluations used,
 //! the probes, K′, the plan returned and the bits of its objective.
 //!
-//! Two cases are there for the path they take, and check it: `mild_rise`
-//! is accepted on the fast path (the polished warm plan already sits at
-//! the machine-count lower bound: no probe, no DIRECT), and `overloaded`'s
-//! warm polish loses to the greedy upper bound, so the search runs from
-//! greedy's incumbent. `hot_pair`'s bounds meet, so it runs the final
-//! DIRECT without a probe.
+//! A warm re-plan whose polished start beats greedy's bound returns its
+//! incumbent once the binary search ends, without the final DIRECT run at
+//! K′. Three cases are there for the path they take, and check it:
+//! `mild_rise`'s polished warm plan already sits at the machine-count lower
+//! bound, so the binary search has nothing to probe and the solve costs no
+//! evaluation; `hot_pair`'s bounds meet, so it too returns the warm plan
+//! without a probe; and `overloaded`'s warm polish loses to the greedy
+//! upper bound, so the search runs from greedy's incumbent and still ends
+//! with the final DIRECT run. `the_skipped_final_solve_rarely_wins` runs
+//! that skipped final solve by hand over seeded drifts and holds what it
+//! would have bought to ceilings.
 //!
-//! Every value was recorded at the commit before DIRECT's rectangles became
-//! flat rows and the score memo was keyed off the centre's bitsets.
+//! Every plan, probe, K′ and objective was recorded at the commit before
+//! DIRECT's rectangles became flat rows and the score memo was keyed off
+//! the centre's bitsets; the evaluation counts of the four warm cases that
+//! skip the final run were recorded when warm re-plans began to skip it.
 
 use kairos_bench::fleet_engine;
 use kairos_solver::{
-    evaluate, polish, solve, solve_warm, upper_bound, Assignment, ConsolidationProblem,
-    SolverConfig,
+    evaluate, polish, solve, solve_at_k, solve_warm, upper_bound, Assignment, ConsolidationProblem,
+    SolveReport, SolverConfig,
 };
 use kairos_types::{SplitMix64, TimeSeries, WorkloadProfile};
 use std::f64::consts::TAU;
@@ -47,7 +54,6 @@ fn online() -> SolverConfig {
         probe_evals: 400,
         final_evals: 2_000,
         polish_rounds: 60,
-        accept_warm_at_bound: true,
         ..Default::default()
     }
 }
@@ -87,11 +93,20 @@ struct Pinned {
 }
 
 /// Re-plan `drifted` warm from `warm`, priced against it as the baseline.
-fn replan(drifted: ConsolidationProblem, warm: &Assignment) -> (ConsolidationProblem, Pinned) {
+fn replan_report(
+    drifted: ConsolidationProblem,
+    warm: &Assignment,
+) -> (ConsolidationProblem, SolveReport) {
     let baseline = warm.machine_of.iter().map(|&m| Some(m)).collect();
     let problem = drifted.with_migration(baseline, 0.25);
     let report = solve_warm(&problem, &online(), warm).expect("a feasible plan");
     assert!(report.evaluation.feasible);
+    (problem, report)
+}
+
+/// [`replan_report`], pinned.
+fn replan(drifted: ConsolidationProblem, warm: &Assignment) -> (ConsolidationProblem, Pinned) {
+    let (problem, report) = replan_report(drifted, warm);
     let pinned = Pinned {
         evals_used: report.evals_used,
         probes: report.probes,
@@ -113,7 +128,7 @@ fn stationary() {
     assert_eq!(
         drift(0x5EED, |_| 1.0),
         Pinned {
-            evals_used: 2_398,
+            evals_used: 399,
             probes: vec![(3, false)],
             k_final: 4,
             plan: 10_099_120_174_374_951_926,
@@ -127,7 +142,7 @@ fn flash_crowd() {
     assert_eq!(
         drift(0x5EED, |i| if (4..8).contains(&i) { 2.5 } else { 1.0 }),
         Pinned {
-            evals_used: 2_398,
+            evals_used: 399,
             probes: vec![(4, false)],
             k_final: 5,
             plan: 4_138_107_763_091_628_135,
@@ -161,7 +176,7 @@ fn cooling() {
     assert_eq!(
         drift(11, |i| if i < 12 { 0.35 } else { 1.0 }),
         Pinned {
-            evals_used: 2_398,
+            evals_used: 399,
             probes: vec![(3, false)],
             k_final: 4,
             plan: 11_750_425_742_890_836_784,
@@ -175,7 +190,7 @@ fn hot_pair() {
     assert_eq!(
         drift(23, |i| if i == 3 || i == 17 { 2.5 } else { 1.0 }),
         Pinned {
-            evals_used: 1_999,
+            evals_used: 0,
             probes: vec![],
             k_final: 4,
             plan: 11_701_485_428_667_807_247,
@@ -208,4 +223,91 @@ fn overloaded() {
             objective_bits: 4_627_013_418_379_610_167,
         }
     );
+}
+
+/// Whether greedy's bound beats `warm` polished as the warm solve polishes
+/// it: the one case in which a warm re-plan still runs the final DIRECT.
+fn greedy_beats_the_warm_polish(problem: &ConsolidationProblem, warm: &Assignment) -> bool {
+    let greedy = evaluate(problem, &upper_bound(problem).0);
+    let polished = polish(problem, warm, problem.max_machines, online().polish_rounds);
+    greedy.feasible
+        && !(polished.evaluation.feasible && polished.evaluation.objective < greedy.objective)
+}
+
+/// The trade a warm re-plan makes. Over seeded drifts (a random share of
+/// tenants scaled by one random factor, from a rise of 2.6× to a cooling
+/// to 0.3×), each re-plan is run warm, and the final solve it skipped is
+/// then run by hand at its K′ with the online budget. What that solve would
+/// have bought is held to ceilings recorded when it was dropped, beside how
+/// far a returned plan may sit above the K′ its search proved feasible. A
+/// solve that also skipped the binary search's probes reports the lower
+/// bound as K′, and fails that last ceiling.
+#[test]
+fn the_skipped_final_solve_rarely_wins() {
+    const CASES: u64 = 64;
+    let cfg = online();
+    let mut rng = SplitMix64::new(0xF1A7);
+    let (mut wins, mut most_saved, mut worst_ratio, mut ran_final) = (0, 0, 1.0f64, 0);
+    let mut widest_gap = 0;
+    for case in 0..CASES {
+        let seed = 0xD21F7 + case;
+        let (warm, drifted): (Assignment, Vec<f64>) = if case % 4 == 3 {
+            // As in `overloaded`: a round-robin plan over too few machines
+            // under a fleet-wide rise, which greedy's bound may beat.
+            let (k, factor) = (4 + rng.next_range(4) as usize, rng.next_in(1.8, 3.0));
+            let plan = Assignment::new((0..TENANTS).map(|i| i % k).collect());
+            (plan, vec![factor; TENANTS])
+        } else {
+            let (share, factor) = (rng.next_in(0.05, 0.6), rng.next_in(0.3, 2.6));
+            let plan = solve(&fleet(seed, |_| 1.0), &cfg).expect("a cold plan");
+            let scales = (0..TENANTS)
+                .map(|_| if rng.next_f64() < share { factor } else { 1.0 })
+                .collect();
+            (plan.assignment, scales)
+        };
+        let (problem, report) = replan_report(fleet(seed, |i| drifted[i]), &warm);
+        let searched = report.evals_used > report.probes.len() * cfg.probe_evals;
+        assert_eq!(
+            searched,
+            greedy_beats_the_warm_polish(&problem, &warm),
+            "case {case}: the final solve runs exactly when greedy beats the warm polish"
+        );
+        if searched {
+            ran_final += 1;
+            continue;
+        }
+        let used = report.assignment.machines_used();
+        widest_gap = widest_gap.max(used - report.k_final);
+        let (plan, eval, _) = solve_at_k(
+            &problem,
+            report.k_final,
+            cfg.final_evals,
+            cfg.epsilon,
+            cfg.polish_rounds,
+            false,
+        );
+        if eval.feasible && eval.objective < report.evaluation.objective {
+            wins += 1;
+            most_saved = most_saved.max(used.saturating_sub(plan.machines_used()));
+            worst_ratio = worst_ratio.max(report.evaluation.objective / eval.objective);
+        }
+    }
+    // Ceilings: the values recorded when the final solve was dropped.
+    assert!(
+        wins <= 5,
+        "the skipped final solve would have won {wins} times"
+    );
+    assert!(
+        most_saved <= 1,
+        "the skipped final solve would have saved {most_saved} machines"
+    );
+    assert!(
+        worst_ratio <= 1.104,
+        "a returned plan scores {worst_ratio}× what the skipped final solve found"
+    );
+    assert!(
+        widest_gap <= 2,
+        "a returned plan uses {widest_gap} machines more than its K′"
+    );
+    assert_eq!(ran_final, 3, "re-plans that still ran the final solve");
 }

@@ -69,7 +69,6 @@ impl Default for ControllerConfig {
                 probe_evals: 400,
                 final_evals: 2_000,
                 polish_rounds: 60,
-                accept_warm_at_bound: true,
                 ..Default::default()
             },
             cold_resolves: false,

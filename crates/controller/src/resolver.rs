@@ -140,10 +140,11 @@ pub struct ReSolver {
     /// solver budgets, matching what `engine.consolidate` would run.
     pub bootstrap_solver: SolverConfig,
     /// Reusable solver allocation arena: successive re-solves against
-    /// similarly-sized problems reuse the same scorer buffers. A warm
-    /// re-solve still allocates — hundreds of times, growing its search
-    /// storage by doubling — but not per evaluation: `kairos-solver`'s
-    /// `solve_alloc` test holds 8,000 evaluations to 1.25× 2,000's count.
+    /// similarly-sized problems reuse the same scorer buffers. A solve
+    /// still allocates — hundreds of times, growing its search storage by
+    /// doubling — but not per evaluation: `kairos-solver`'s `solve_alloc`
+    /// test holds a solve of 8,000 final evaluations through one scratch
+    /// to 1.25× the count at 2,000.
     scratch: SolveScratch,
 }
 
@@ -154,14 +155,13 @@ impl ReSolver {
             engine,
             // Online re-solves run with tighter budgets than the one-shot
             // pipeline: the warm start carries most of the quality, and a
-            // warm plan already at the machine-count lower bound is
-            // accepted outright (near-stationary re-solves then cost one
-            // polish pass instead of a full DIRECT budget).
+            // polished warm plan that beats greedy ends the solve after
+            // the binary search (one polish pass when it already meets
+            // the machine-count lower bound).
             solver: SolverConfig {
                 probe_evals: 400,
                 final_evals: 2_000,
                 polish_rounds: 60,
-                accept_warm_at_bound: true,
                 ..Default::default()
             },
             cost_per_move: 0.25,

@@ -252,6 +252,10 @@ pub struct ShardController {
     /// [`ShardController::pack_estimate`] actually ran. Registry only —
     /// not part of [`ControllerStats`] or the snapshot.
     pack_estimates: Counter,
+    /// `kairos_shard_resolve_evals_total`: the objective evaluations
+    /// ([`SolveReport::evals_used`](kairos_solver::SolveReport)) of every
+    /// bootstrap and re-plan solve. Registry only, like `pack_estimates`.
+    resolve_evals: Counter,
     /// Registry-backed live counters; [`ControllerStats`] is a view.
     metrics: ShardMetrics,
     /// The deterministic decision trace (tick-stamped, ring-buffered).
@@ -295,6 +299,7 @@ impl ShardController {
             summary_digest: None,
             pack_memo: Cell::new(None),
             pack_estimates: registry.counter("kairos_shard_pack_estimates_total"),
+            resolve_evals: registry.counter("kairos_shard_resolve_evals_total"),
             metrics: ShardMetrics::new(registry),
             log: DecisionLog::new(),
             spans: SpanLog::new(0),
@@ -539,6 +544,7 @@ impl ShardController {
         let solve_secs = t0.elapsed().as_secs_f64();
         self.metrics.solve_secs_total.add(solve_secs);
         self.metrics.solve_usecs.record((solve_secs * 1e6) as u64);
+        self.resolve_evals.add(report.evals_used as u64);
 
         let slots = &problem.slot_series().slots;
         let from = vec![None; slots.len()];
@@ -800,6 +806,7 @@ impl ShardController {
         self.metrics.max_churn.max(churn);
         self.metrics.solve_secs_total.add(solve_secs);
         self.metrics.solve_usecs.record((solve_secs * 1e6) as u64);
+        self.resolve_evals.add(outcome.report.evals_used as u64);
 
         self.placement = outcome.placement;
         self.planned = profiles.into_iter().map(|p| (p.name.clone(), p)).collect();
@@ -1434,6 +1441,38 @@ mod tests {
         check(&s, "a replica change");
         s.add_anti_affinity("t02", "t03");
         check(&s, "an anti-affinity pair");
+    }
+
+    #[test]
+    fn resolve_evals_count_each_solves_report() {
+        fn evals(s: &ShardController) -> u64 {
+            s.metrics_registry()
+                .counter_value("kairos_shard_resolve_evals_total")
+                .unwrap_or(0)
+        }
+        let mut s = shard_with(8, 400.0);
+        run_until_planned(&mut s, 20);
+        let bootstrap = evals(&s);
+        assert!(bootstrap > 0, "the cold bootstrap solve ran no DIRECT");
+        // A pair that may not share a machine changes the problem, so the
+        // re-plan searches instead of accepting the deployed plan as is.
+        s.add_anti_affinity("t00", "t01");
+        let profiles = s.forecast_fleet();
+        let expected = s
+            .resolver
+            .resolve(&profiles, &s.placement)
+            .expect("a feasible plan")
+            .report
+            .evals_used as u64;
+        assert!(expected > 0, "the re-plan ran no search");
+        assert!(
+            matches!(
+                s.replan(ReplanReason::Membership),
+                TickOutcome::Replanned(_)
+            ),
+            "the re-plan failed"
+        );
+        assert_eq!(evals(&s), bootstrap + expected);
     }
 
     #[test]

@@ -25,7 +25,8 @@
 //!   ([`bounds`]);
 //! * the §6 search pipeline ([`search`]): bound K, binary-search the
 //!   minimal feasible K′, then a well-funded final solve — the
-//!   optimization the paper credits with up to 45× faster solves.
+//!   optimization the paper credits with up to 45× faster solves. A warm
+//!   re-plan whose polished start beats greedy ends at the binary search.
 //!
 //! The solver is deliberately independent of the rest of Kairos: disk
 //! non-linearity enters only through the [`problem::DiskCombiner`] trait,

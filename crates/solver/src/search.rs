@@ -1,6 +1,14 @@
 //! The full consolidation search (§6): bound K, binary-search the minimum
 //! feasible K′, then solve at K′ with a generous budget and polish.
 //!
+//! A warm re-plan whose polished start holds the incumbent stops after the
+//! binary search: the final run at K′ rarely beats a polished deployed
+//! plan, and it was most of a re-plan's time. It still runs for cold
+//! solves, and for warm ones whose polished start lost to greedy's bound,
+//! where greedy's plan may be a mass migration that run would beat. At the
+//! lower bound a warm incumbent leaves the binary search nothing to probe,
+//! so such a re-plan costs one polish.
+//!
 //! "Since upper and lower bounds are typically not too far apart, we can
 //! binary search to determine the lowest value K′ of K that leads to a
 //! viable solution. [...] We then re-run the solver, giving it a maximum
@@ -50,20 +58,13 @@ const FEASIBLE_BELOW: f64 = PENALTY;
 pub struct SolverConfig {
     /// DIRECT evaluations per K-feasibility probe.
     pub probe_evals: usize,
-    /// DIRECT evaluations for the final K′ solve.
+    /// DIRECT evaluations for the final K′ solve, which a warm solve runs
+    /// only when greedy's bound beat its polished start.
     pub final_evals: usize,
     /// DIRECT ε (local/global balance).
     pub epsilon: f64,
     /// Local-search rounds after DIRECT (0 disables polish).
     pub polish_rounds: usize,
-    /// Online re-solve fast path: when a warm start polishes into a
-    /// feasible plan that already meets the fractional lower bound on
-    /// machine count, accept it without running the binary search or the
-    /// final DIRECT solve (they cannot reduce K further; at most they
-    /// rebalance within the same K, which a near-stationary fleet does
-    /// not need every drift check). Off by default — one-shot solves keep
-    /// the paper's full pipeline.
-    pub accept_warm_at_bound: bool,
 }
 
 impl Default for SolverConfig {
@@ -73,7 +74,6 @@ impl Default for SolverConfig {
             final_evals: 8_000,
             epsilon: 1e-4,
             polish_rounds: 60,
-            accept_warm_at_bound: false,
         }
     }
 }
@@ -257,8 +257,11 @@ pub fn solve_with(
 
 /// Warm-started solve for online re-planning: `warm` (typically the
 /// placement currently deployed) is polished into the initial incumbent
-/// and tightens the binary search's upper bound, so a drifted-but-close
-/// problem re-solves in a fraction of the cold budget. Combine with
+/// and tightens the binary search's upper bound. When that polished plan
+/// beats greedy's bound it is the incumbent, and the solve ends after the
+/// binary search, without the final DIRECT run at K′: a drifted-but-close
+/// problem re-solves for its probes alone, and for one polish when the
+/// plan already meets the machine-count lower bound. Combine with
 /// [`ConsolidationProblem::with_migration`] to also *prefer* low-churn
 /// plans in the objective; without it the warm start only accelerates.
 pub fn solve_warm(
@@ -314,9 +317,8 @@ fn solve_inner(
             }
         }
     };
-    // Polish the warm start into a candidate incumbent. When the old plan
-    // is still (near-)optimal for the drifted loads, this alone produces
-    // the final answer and the search below merely confirms it.
+    // Polish the warm start into a candidate incumbent. When it beats
+    // greedy's bound, only a binary-search probe can still replace it.
     let mut warm_is_incumbent = false;
     if let Some(w) = warm {
         let polished = polish(problem, w, problem.max_machines, cfg.polish_rounds.max(20));
@@ -339,29 +341,6 @@ fn solve_inner(
         ));
     };
 
-    // Online fast path: the *warm-polished* incumbent already sits at
-    // the fractional lower bound — no search can use fewer machines, so
-    // skip straight to the answer (see
-    // `SolverConfig::accept_warm_at_bound`). Gated on the incumbent
-    // actually being the warm-derived plan: if the warm polish lost to
-    // the baseline-blind greedy bound (e.g. the old placement went
-    // infeasible under a spike), accepting greedy here could ship a
-    // mass-migration plan the skipped search would have beaten, so the
-    // full pipeline runs instead.
-    if cfg.accept_warm_at_bound && warm_is_incumbent {
-        let used = incumbent.0.machines_used();
-        if incumbent.1.feasible && used <= lower {
-            let (assignment, evaluation) = incumbent;
-            return Ok(SolveReport {
-                assignment,
-                evaluation,
-                k_bounds: (lower, upper),
-                k_final: used,
-                evals_used: 0,
-                probes: Vec::new(),
-            });
-        }
-    }
     let mut probes = Vec::new();
 
     // Binary search the smallest feasible K in [lower, upper].
@@ -396,18 +375,24 @@ fn solve_inner(
     }
     let k_final = lo;
 
-    // Final, well-funded solve at K′ with local-search emphasis.
-    let (a, eval, used) = solve_at_k_on(
-        scoring,
-        k_final,
-        cfg.final_evals,
-        cfg.epsilon,
-        cfg.polish_rounds,
-        false,
-    );
-    evals_used += used;
-    if eval.feasible && eval.objective < incumbent.1.objective {
-        incumbent = (a, eval);
+    // Final, well-funded solve at K′ with local-search emphasis: for cold
+    // solves, and for warm ones whose polished start lost to greedy's
+    // bound (say the old plan went infeasible under a spike), where
+    // greedy's plan may be a mass migration this run would beat. Behind a
+    // warm incumbent it rarely wins and costs most of the re-plan.
+    if !warm_is_incumbent {
+        let (a, eval, used) = solve_at_k_on(
+            scoring,
+            k_final,
+            cfg.final_evals,
+            cfg.epsilon,
+            cfg.polish_rounds,
+            false,
+        );
+        evals_used += used;
+        if eval.feasible && eval.objective < incumbent.1.objective {
+            incumbent = (a, eval);
+        }
     }
 
     let (assignment, evaluation) = incumbent;
