@@ -28,7 +28,7 @@ static ALL: LazyLock<(Vec<WorkloadProfile>, ConsolidationPlan)> = LazyLock::new(
 /// ALL, comparing:
 /// * reference (current deployment, 1 server per workload),
 /// * greedy single-resource first-fit,
-/// * Kairos (DIRECT + K' bounding + polish),
+/// * Kairos (K' bounding + seed and polish),
 /// * the fractional/idealized lower bound.
 ///
 /// The plan-quality guard for any change to the solver: every Kairos plan

@@ -3,28 +3,27 @@
 //! `fig07_exactness.rs` holds the cold solve to its trajectory; this suite
 //! does the same for the solve the online plane runs on every drift trip:
 //! `solve_warm` on a migration-priced problem, under the online re-solver's
-//! budgets (`ReSolver::new`). In five cases a seeded 24-tenant fleet is
+//! tuning (`ReSolver::new`). In five cases a seeded 24-tenant fleet is
 //! planned cold, then drifts, and the drifted problem is re-solved warm
 //! from that plan with the plan as its migration baseline; the sixth starts
-//! from a plan the drift overloaded. Per case it pins the evaluations used,
-//! the probes, K′, the plan returned and the bits of its objective.
+//! from a plan the drift overloaded. Per case it pins the searches run, the
+//! probes, K′, the plan returned and the bits of its objective.
 //!
 //! A warm re-plan whose polished start beats greedy's bound returns its
-//! incumbent once the binary search ends, without the final DIRECT run at
-//! K′. Three cases are there for the path they take, and check it:
+//! incumbent once the binary search ends, without the final run at K′.
+//! Three cases are there for the path they take, and check it:
 //! `mild_rise`'s polished warm plan already sits at the machine-count lower
-//! bound, so the binary search has nothing to probe and the solve costs no
-//! evaluation; `hot_pair`'s bounds meet, so it too returns the warm plan
+//! bound, so the binary search has nothing to probe and the solve runs no
+//! search; `hot_pair`'s bounds meet, so it too returns the warm plan
 //! without a probe; and `overloaded`'s warm polish loses to the greedy
 //! upper bound, so the search runs from greedy's incumbent and still ends
-//! with the final DIRECT run. `the_skipped_final_solve_rarely_wins` runs
-//! that skipped final solve by hand over seeded drifts and holds what it
-//! would have bought to ceilings.
+//! with the final run.
 //!
-//! Every plan, probe, K′ and objective was recorded at the commit before
-//! DIRECT's rectangles became flat rows and the score memo was keyed off
-//! the centre's bitsets; the evaluation counts of the four warm cases that
-//! skip the final run were recorded when warm re-plans began to skip it.
+//! Every search here polishes DIRECT's decoded centre (24 free slots).
+//! `what_direct_at_k_prime_would_buy_over_the_seeded_search` runs DIRECT
+//! at each solve's K′ by hand, cold and warm, and holds what it would buy
+//! to ceilings. Every value was recorded when the search began to polish
+//! the centre instead of DIRECT's best point.
 
 use kairos_bench::fleet_engine;
 use kairos_solver::{
@@ -48,15 +47,14 @@ fn plan_hash(machine_of: &[usize]) -> u64 {
 const TENANTS: usize = 24;
 const WINDOWS: usize = 12;
 
-/// The online re-solver's budgets.
+/// The online re-solver's tuning: the default.
 fn online() -> SolverConfig {
-    SolverConfig {
-        probe_evals: 400,
-        final_evals: 2_000,
-        polish_rounds: 60,
-        ..Default::default()
-    }
+    SolverConfig::default()
 }
+
+/// DIRECT's evaluations at K′ in the comparison: what the online plane's
+/// final run spent before the search polished the centre.
+const DIRECT_EVALS: usize = 2_000;
 
 /// `TENANTS` diurnal tenants from `seed`, tenant `i`'s CPU scaled by
 /// `scale(i)`, over a 12-window horizon.
@@ -85,7 +83,7 @@ fn fleet(seed: u64, scale: impl Fn(usize) -> f64) -> ConsolidationProblem {
 /// What one warm re-plan does.
 #[derive(Debug, PartialEq)]
 struct Pinned {
-    evals_used: usize,
+    searches: usize,
     probes: Vec<(usize, bool)>,
     k_final: usize,
     plan: u64,
@@ -108,7 +106,7 @@ fn replan_report(
 fn replan(drifted: ConsolidationProblem, warm: &Assignment) -> (ConsolidationProblem, Pinned) {
     let (problem, report) = replan_report(drifted, warm);
     let pinned = Pinned {
-        evals_used: report.evals_used,
+        searches: report.evals_used,
         probes: report.probes,
         k_final: report.k_final,
         plan: plan_hash(&report.assignment.machine_of),
@@ -128,11 +126,11 @@ fn stationary() {
     assert_eq!(
         drift(0x5EED, |_| 1.0),
         Pinned {
-            evals_used: 399,
+            searches: 1,
             probes: vec![(3, false)],
             k_final: 4,
-            plan: 10_099_120_174_374_951_926,
-            objective_bits: 4_618_866_038_824_962_014,
+            plan: 4_485_778_285_264_257_837,
+            objective_bits: 4_618_857_291_839_730_426,
         }
     );
 }
@@ -142,11 +140,11 @@ fn flash_crowd() {
     assert_eq!(
         drift(0x5EED, |i| if (4..8).contains(&i) { 2.5 } else { 1.0 }),
         Pinned {
-            evals_used: 399,
+            searches: 1,
             probes: vec![(4, false)],
             k_final: 5,
-            plan: 4_138_107_763_091_628_135,
-            objective_bits: 4_621_170_717_510_980_417,
+            plan: 10_462_626_693_180_909_779,
+            objective_bits: 4_620_938_998_866_985_102,
         }
     );
 }
@@ -155,18 +153,18 @@ fn flash_crowd() {
 fn mild_rise() {
     let observed = drift(7, |i| if i % 3 == 0 { 1.4 } else { 1.0 });
     assert_eq!(
-        (observed.evals_used, observed.probes.len()),
+        (observed.searches, observed.probes.len()),
         (0, 0),
         "the polished warm plan is accepted on the fast path"
     );
     assert_eq!(
         observed,
         Pinned {
-            evals_used: 0,
+            searches: 0,
             probes: vec![],
             k_final: 5,
-            plan: 3_106_105_735_386_259_734,
-            objective_bits: 4_621_313_240_219_666_902,
+            plan: 9_071_229_727_284_850_219,
+            objective_bits: 4_621_267_063_083_002_426,
         }
     );
 }
@@ -176,11 +174,11 @@ fn cooling() {
     assert_eq!(
         drift(11, |i| if i < 12 { 0.35 } else { 1.0 }),
         Pinned {
-            evals_used: 399,
+            searches: 1,
             probes: vec![(3, false)],
             k_final: 4,
-            plan: 11_750_425_742_890_836_784,
-            objective_bits: 4_619_026_292_771_087_043,
+            plan: 4_540_908_951_365_582_703,
+            objective_bits: 4_619_027_744_378_528_338,
         }
     );
 }
@@ -190,11 +188,11 @@ fn hot_pair() {
     assert_eq!(
         drift(23, |i| if i == 3 || i == 17 { 2.5 } else { 1.0 }),
         Pinned {
-            evals_used: 0,
+            searches: 0,
             probes: vec![],
             k_final: 4,
-            plan: 11_701_485_428_667_807_247,
-            objective_bits: 4_621_022_132_060_202_019,
+            plan: 10_925_152_270_762_170_378,
+            objective_bits: 4_621_007_220_234_751_624,
         }
     );
 }
@@ -216,7 +214,7 @@ fn overloaded() {
     assert_eq!(
         observed,
         Pinned {
-            evals_used: 2_398,
+            searches: 2,
             probes: vec![(10, false)],
             k_final: 11,
             plan: 14_657_905_460_258_280_927,
@@ -226,7 +224,7 @@ fn overloaded() {
 }
 
 /// Whether greedy's bound beats `warm` polished as the warm solve polishes
-/// it: the one case in which a warm re-plan still runs the final DIRECT.
+/// it: the one case in which a warm re-plan still runs the final search.
 fn greedy_beats_the_warm_polish(problem: &ConsolidationProblem, warm: &Assignment) -> bool {
     let greedy = evaluate(problem, &upper_bound(problem).0);
     let polished = polish(problem, warm, problem.max_machines, online().polish_rounds);
@@ -234,23 +232,40 @@ fn greedy_beats_the_warm_polish(problem: &ConsolidationProblem, warm: &Assignmen
         && !(polished.evaluation.feasible && polished.evaluation.objective < greedy.objective)
 }
 
-/// The trade a warm re-plan makes. Over seeded drifts (a random share of
-/// tenants scaled by one random factor, from a rise of 2.6× to a cooling
-/// to 0.3×), each re-plan is run warm, and the final solve it skipped is
-/// then run by hand at its K′ with the online budget. What that solve would
-/// have bought is held to ceilings recorded when it was dropped, beside how
-/// far a returned plan may sit above the K′ its search proved feasible. A
-/// solve that also skipped the binary search's probes reports the lower
-/// bound as K′, and fails that last ceiling.
+/// What DIRECT at K′ would buy over the seeded search. Over seeded drifts
+/// (a random share of tenants scaled by one random factor, from a rise of
+/// 2.6× to a cooling to 0.3×, and every fourth a round-robin plan under a
+/// fleet-wide rise), each fleet is solved cold and re-planned warm, and
+/// DIRECT is then run by hand at each solve's K′ with the online budget,
+/// and polished as the final run polishes. Its wins, the machines it saves
+/// and the worst objective ratio are held to ceilings recorded when the
+/// search began to polish the centre, per kind of solve, beside how far a
+/// returned warm plan may sit above its K′. A warm solve that also skipped
+/// the binary search's probes reports the lower bound as K′, and fails that
+/// last ceiling.
 #[test]
-fn the_skipped_final_solve_rarely_wins() {
+fn what_direct_at_k_prime_would_buy_over_the_seeded_search() {
     const CASES: u64 = 64;
     let cfg = online();
     let mut rng = SplitMix64::new(0xF1A7);
-    let (mut wins, mut most_saved, mut worst_ratio, mut ran_final) = (0, 0, 1.0f64, 0);
-    let mut widest_gap = 0;
+    // Per kind (cold, warm): wins, most machines saved, worst ratio.
+    let mut bought = [(0, 0, 1.0f64); 2];
+    let (mut widest_gap, mut ran_final) = (0, 0);
+    let mut compare = |kind: usize, problem: &ConsolidationProblem, report: &SolveReport| {
+        let used = report.assignment.machines_used();
+        let (plan, eval, _) = solve_at_k(problem, report.k_final, DIRECT_EVALS, cfg.polish_rounds);
+        if eval.feasible && eval.objective < report.evaluation.objective {
+            let (wins, saved, ratio) = &mut bought[kind];
+            *wins += 1;
+            *saved = (*saved).max(used.saturating_sub(plan.machines_used()));
+            *ratio = ratio.max(report.evaluation.objective / eval.objective);
+        }
+    };
     for case in 0..CASES {
         let seed = 0xD21F7 + case;
+        let cold_problem = fleet(seed, |_| 1.0);
+        let cold = solve(&cold_problem, &cfg).expect("a cold plan");
+        compare(0, &cold_problem, &cold);
         let (warm, drifted): (Assignment, Vec<f64>) = if case % 4 == 3 {
             // As in `overloaded`: a round-robin plan over too few machines
             // under a fleet-wide rise, which greedy's bound may beat.
@@ -259,55 +274,47 @@ fn the_skipped_final_solve_rarely_wins() {
             (plan, vec![factor; TENANTS])
         } else {
             let (share, factor) = (rng.next_in(0.05, 0.6), rng.next_in(0.3, 2.6));
-            let plan = solve(&fleet(seed, |_| 1.0), &cfg).expect("a cold plan");
             let scales = (0..TENANTS)
                 .map(|_| if rng.next_f64() < share { factor } else { 1.0 })
                 .collect();
-            (plan.assignment, scales)
+            (cold.assignment, scales)
         };
         let (problem, report) = replan_report(fleet(seed, |i| drifted[i]), &warm);
-        let searched = report.evals_used > report.probes.len() * cfg.probe_evals;
+        let searched = report.evals_used > report.probes.len();
         assert_eq!(
             searched,
             greedy_beats_the_warm_polish(&problem, &warm),
-            "case {case}: the final solve runs exactly when greedy beats the warm polish"
+            "case {case}: the final run happens exactly when greedy beats the warm polish"
         );
-        if searched {
-            ran_final += 1;
-            continue;
+        ran_final += usize::from(searched);
+        if !searched {
+            let used = report.assignment.machines_used();
+            widest_gap = widest_gap.max(used - report.k_final);
         }
-        let used = report.assignment.machines_used();
-        widest_gap = widest_gap.max(used - report.k_final);
-        let (plan, eval, _) = solve_at_k(
-            &problem,
-            report.k_final,
-            cfg.final_evals,
-            cfg.epsilon,
-            cfg.polish_rounds,
-            false,
-        );
-        if eval.feasible && eval.objective < report.evaluation.objective {
-            wins += 1;
-            most_saved = most_saved.max(used.saturating_sub(plan.machines_used()));
-            worst_ratio = worst_ratio.max(report.evaluation.objective / eval.objective);
-        }
+        compare(1, &problem, &report);
     }
-    // Ceilings: the values recorded when the final solve was dropped.
-    assert!(
-        wins <= 5,
-        "the skipped final solve would have won {wins} times"
-    );
-    assert!(
-        most_saved <= 1,
-        "the skipped final solve would have saved {most_saved} machines"
-    );
-    assert!(
-        worst_ratio <= 1.104,
-        "a returned plan scores {worst_ratio}× what the skipped final solve found"
-    );
+    // Ceilings: the values recorded when the search began to polish the centre.
+    let ceilings = [(34, 0, 1.008), (2, 0, 1.033)];
+    for (kind, (got, ceiling)) in ["cold", "warm"].iter().zip(bought.iter().zip(ceilings)) {
+        assert!(
+            got.0 <= ceiling.0,
+            "{kind}: DIRECT at K′ would have won {} times",
+            got.0
+        );
+        assert!(
+            got.1 <= ceiling.1,
+            "{kind}: DIRECT at K′ would have saved {} machines",
+            got.1
+        );
+        assert!(
+            got.2 <= ceiling.2,
+            "{kind}: a returned plan scores {}× DIRECT's at K′",
+            got.2
+        );
+    }
     assert!(
         widest_gap <= 2,
-        "a returned plan uses {widest_gap} machines more than its K′"
+        "a returned warm plan uses {widest_gap} machines more than its K′"
     );
-    assert_eq!(ran_final, 3, "re-plans that still ran the final solve");
+    assert_eq!(ran_final, 3, "re-plans that ran the final search");
 }

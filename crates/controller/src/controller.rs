@@ -65,12 +65,7 @@ impl Default for ControllerConfig {
             cooldown_ticks: 24,
             detector: DriftDetector::default(),
             cost_per_move: 0.25,
-            solver: SolverConfig {
-                probe_evals: 400,
-                final_evals: 2_000,
-                polish_rounds: 60,
-                ..Default::default()
-            },
+            solver: SolverConfig::default(),
             cold_resolves: false,
             profile_refresh_ticks: 24,
             sketch: kairos_traces::SketchConfig::default(),

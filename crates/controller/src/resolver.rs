@@ -19,8 +19,7 @@
 use crate::ingest::WorkloadTelemetry;
 use kairos_core::ConsolidationEngine;
 use kairos_solver::{
-    solve_warm_with, solve_with, Assignment, ConsolidationProblem, SolveReport, SolveScratch,
-    SolverConfig,
+    solve, solve_warm, Assignment, ConsolidationProblem, SolveReport, SolverConfig,
 };
 use kairos_traces::RollingWindow;
 use kairos_types::{Result, TimeSeries, WorkloadProfile};
@@ -135,40 +134,19 @@ pub struct ReSolver {
     /// are not both present in a given solve are ignored (a cross-shard
     /// pair is trivially satisfied by sharding).
     pub anti_affinity: Vec<(String, String)>,
-    /// Budgets for cold bootstrap solves (the first plan of a shard),
-    /// which have no warm start to lean on. Defaults to the engine's own
-    /// solver budgets, matching what `engine.consolidate` would run.
-    pub bootstrap_solver: SolverConfig,
-    /// Reusable solver allocation arena: successive re-solves against
-    /// similarly-sized problems reuse the same scorer buffers. A solve
-    /// still allocates — hundreds of times, growing its search storage by
-    /// doubling — but not per evaluation: `kairos-solver`'s `solve_alloc`
-    /// test holds a solve of 8,000 final evaluations through one scratch
-    /// to 1.25× the count at 2,000.
-    scratch: SolveScratch,
 }
 
 impl ReSolver {
     pub fn new(engine: ConsolidationEngine) -> ReSolver {
-        let bootstrap_solver = engine.solver_config();
         ReSolver {
             engine,
-            // Online re-solves run with tighter budgets than the one-shot
-            // pipeline: the warm start carries most of the quality, and a
-            // polished warm plan that beats greedy ends the solve after
-            // the binary search (one polish pass when it already meets
-            // the machine-count lower bound).
-            solver: SolverConfig {
-                probe_evals: 400,
-                final_evals: 2_000,
-                polish_rounds: 60,
-                ..Default::default()
-            },
+            // A polished warm plan that beats greedy ends the solve after
+            // the binary search (one polish pass when it already meets the
+            // machine-count lower bound).
+            solver: SolverConfig::default(),
             cost_per_move: 0.25,
             cold: false,
             anti_affinity: Vec::new(),
-            bootstrap_solver,
-            scratch: SolveScratch::default(),
         }
     }
 
@@ -194,14 +172,15 @@ impl ReSolver {
         Ok(problem)
     }
 
-    /// Cold bootstrap solve: no incumbent, full budgets, all constraints
-    /// (replicas, anti-affinity) applied.
+    /// Cold bootstrap solve (the first plan of a shard): no incumbent, all
+    /// constraints (replicas, anti-affinity) applied, under the engine's
+    /// tuning, as `engine.consolidate` would run it.
     pub fn plan_cold(
-        &mut self,
+        &self,
         profiles: &[WorkloadProfile],
     ) -> Result<(ConsolidationProblem, SolveReport)> {
         let problem = self.problem(profiles)?;
-        let report = solve_with(&problem, &self.bootstrap_solver, &mut self.scratch)?;
+        let report = solve(&problem, &self.engine.solver_config())?;
         Ok((problem, report))
     }
 
@@ -210,7 +189,7 @@ impl ReSolver {
     /// `current` are new arrivals (free to place); workloads in `current`
     /// but not in `profiles` have left and simply drop out.
     pub fn resolve(
-        &mut self,
+        &self,
         profiles: &[WorkloadProfile],
         current: &FleetPlacement,
     ) -> Result<ReSolveOutcome> {
@@ -258,7 +237,7 @@ impl ReSolver {
         let (problem, report) = if self.cold {
             // Baseline-blind: solve from scratch, then count how many
             // incumbents the oblivious plan would uproot.
-            let mut report = solve_with(&problem, &self.solver, &mut self.scratch)?;
+            let mut report = solve(&problem, &self.solver)?;
             report.evaluation.moves_from_baseline = report
                 .assignment
                 .machine_of
@@ -269,12 +248,7 @@ impl ReSolver {
             (problem, report)
         } else {
             let problem = problem.with_migration(baseline.clone(), self.cost_per_move);
-            let report = solve_warm_with(
-                &problem,
-                &self.solver,
-                &Assignment::new(warm),
-                &mut self.scratch,
-            )?;
+            let report = solve_warm(&problem, &self.solver, &Assignment::new(warm))?;
             (problem, report)
         };
 
@@ -479,7 +453,7 @@ mod tests {
         let profiles: Vec<WorkloadProfile> =
             (0..6).map(|i| profile(&format!("w{i}"), 1.0)).collect();
         let engine = ConsolidationEngine::builder().build();
-        let mut rs = ReSolver::new(engine);
+        let rs = ReSolver::new(engine);
         let cold = rs.engine.consolidate(&profiles).unwrap();
         let current = placement_of(&cold);
 
@@ -494,7 +468,7 @@ mod tests {
         let mut profiles: Vec<WorkloadProfile> =
             (0..5).map(|i| profile(&format!("w{i}"), 1.0)).collect();
         let engine = ConsolidationEngine::builder().build();
-        let mut rs = ReSolver::new(engine);
+        let rs = ReSolver::new(engine);
         let cold = rs.engine.consolidate(&profiles).unwrap();
         let current = placement_of(&cold);
 
@@ -514,7 +488,7 @@ mod tests {
         let profiles: Vec<WorkloadProfile> =
             (0..4).map(|i| profile(&format!("w{i}"), 2.5)).collect();
         let engine = ConsolidationEngine::builder().build();
-        let mut rs = ReSolver::new(engine);
+        let rs = ReSolver::new(engine);
         let cold = rs.engine.consolidate(&profiles).unwrap();
         assert_eq!(cold.machines_used(), 1);
         let current = placement_of(&cold);

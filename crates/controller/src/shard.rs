@@ -252,9 +252,11 @@ pub struct ShardController {
     /// [`ShardController::pack_estimate`] actually ran. Registry only —
     /// not part of [`ControllerStats`] or the snapshot.
     pack_estimates: Counter,
-    /// `kairos_shard_resolve_evals_total`: the objective evaluations
+    /// `kairos_shard_resolve_evals_total`: the searches
     /// ([`SolveReport::evals_used`](kairos_solver::SolveReport)) of every
-    /// bootstrap and re-plan solve. Registry only, like `pack_estimates`.
+    /// bootstrap and re-plan solve, one per binary-search probe and one per
+    /// final run; a re-plan that keeps its polished warm plan at the lower
+    /// bound adds none. Registry only, like `pack_estimates`.
     resolve_evals: Counter,
     /// Registry-backed live counters; [`ControllerStats`] is a view.
     metrics: ShardMetrics,
@@ -1453,7 +1455,7 @@ mod tests {
         let mut s = shard_with(8, 400.0);
         run_until_planned(&mut s, 20);
         let bootstrap = evals(&s);
-        assert!(bootstrap > 0, "the cold bootstrap solve ran no DIRECT");
+        assert!(bootstrap > 0, "the cold bootstrap solve ran no search");
         // A pair that may not share a machine changes the problem, so the
         // re-plan searches instead of accepting the deployed plan as is.
         s.add_anti_affinity("t00", "t01");

@@ -115,7 +115,8 @@ impl ConsolidationPlan {
 /// Alternative strategies for comparison experiments (Fig 7).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanStrategy {
-    /// Full Kairos: DIRECT + K′ bounding + polish.
+    /// Full Kairos: K′ bounding, then polish of a seed at each K (DIRECT's
+    /// best point on problems of at most a dozen free slots).
     Kairos,
     /// Single-resource greedy first-fit (§7.3 baseline).
     Greedy,

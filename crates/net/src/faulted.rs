@@ -18,11 +18,14 @@
 //!   stream, so a chaos schedule or a failure test replays bit-for-bit
 //!   over either backend.
 //!
-//! What differs between backends — deliberately — is what the *far
-//! side* does with an injected fault: a corrupted frame over TCP is
-//! rejected by the server's stream reader and the connection closes
-//! (the client sees an I/O error and redials), whereas loopback hands
-//! the damaged frame to the handler which answers an error response.
+//! Both backends hand a frame damaged past its header to the handler,
+//! which rejects it as it decodes (CRC) and answers an error response.
+//! What differs — deliberately — is a damaged *header*, which loopback
+//! still hands to the handler. Over TCP a bad magic or version closes the
+//! connection at once (the client sees an I/O error and redials). A
+//! damaged length field puts the stream out of step (see `tcp.rs`'s
+//! `serve_connection`): shrunk, the call is answered with an error and
+//! the connection closes under the next call; grown, the call times out.
 //! Both are legal transport behaviours; the chaos invariants hold under
 //! either, and same-seed fingerprints are byte-identical per backend.
 
@@ -248,18 +251,22 @@ mod tests {
     }
 
     #[test]
-    fn corruption_over_tcp_is_rejected_by_the_stream_reader() {
-        // Over real sockets a damaged frame never reaches the handler: the
-        // server's read_frame_with_trailer fails CRC and closes the
-        // connection — the client sees an error and redials clean.
-        let t = FaultedTransport::over_tcp(11);
+    fn corruption_over_tcp_reaches_the_handler_and_fails_its_crc() {
+        // The stream reader checks framing only, so a frame damaged past
+        // its header (seed 6 flips a bit of byte 24, in the payload)
+        // reaches the handler, here an echo, and decoding it fails its CRC;
+        // the connection stays up.
+        let t = FaultedTransport::over_tcp(6);
         let _h = t.serve("a", echo()).expect("serves");
         let mut conn = t.connect("a").expect("connects");
         let msg = frame::encode_frame(&(String::from("x"), 9u32));
         t.corrupt_next_calls("a", 1);
-        assert!(conn.call(&msg).is_err(), "damaged frame rejected");
-        let mut conn = t.connect("a").expect("reconnects");
-        assert_eq!(conn.call(&msg).expect("clean"), msg);
+        let echoed = conn.call(&msg).expect("a damaged body is still a frame");
+        assert!(matches!(
+            frame::decode_frame::<(String, u32)>(&echoed),
+            Err(NetError::ChecksumMismatch)
+        ));
+        assert_eq!(conn.call(&msg).expect("the same connection"), msg);
     }
 
     #[test]

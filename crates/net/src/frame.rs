@@ -183,13 +183,15 @@ pub fn write_frame(w: &mut impl Write, frame: &[u8]) -> Result<(), NetError> {
 }
 
 /// Read one complete frame from a blocking stream: header first (fixed
-/// 16 bytes → payload length), then payload + CRC, then full validation.
-/// Returns the whole validated frame so callers can decode (or forward)
-/// it. The length is sanity-capped *before* the payload read, so a
-/// damaged prefix cannot make the reader allocate or block unboundedly.
+/// 16 bytes → payload length), then the rest. Returns the whole frame,
+/// checked for framing only, so callers can decode (or forward) it: the
+/// CRC is checked once, where the frame is decoded ([`decode_frame`]), as
+/// for a loopback frame. The length is sanity-capped *before* the payload
+/// read, so a damaged prefix cannot make the reader allocate or block
+/// unboundedly.
 ///
 /// Frames carry `extra` trailer bytes *after* the CRC — the keyed-auth
-/// tag (see [`crate::auth`]), or none without a key. The CRC still covers
+/// tag (see [`crate::auth`]), or none without a key. The CRC covers
 /// exactly the header + payload; the extra trailer is read but left for
 /// the auth layer to verify, so framing stays recoverable from the byte
 /// stream whether or not a key is configured.
@@ -201,19 +203,26 @@ pub fn read_frame_with_trailer(r: &mut impl Read, extra: usize) -> Result<Vec<u8
     let mut frame = vec![0u8; HEADER_LEN + rest];
     frame[..HEADER_LEN].copy_from_slice(&header);
     r.read_exact(&mut frame[HEADER_LEN..])?;
-    let body_end = HEADER_LEN + span_len + payload_len as usize;
-    let crc_bytes: [u8; TRAILER_LEN] = frame[body_end..body_end + TRAILER_LEN]
-        .try_into()
-        .expect("sized slice");
-    if kairos_store::crc32(&frame[..body_end]) != u32::from_le_bytes(crc_bytes) {
-        return Err(NetError::ChecksumMismatch);
-    }
     Ok(frame)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_stream_reader_leaves_the_crc_to_decode() {
+        let mut frame = encode_frame(&(String::from("tenant"), 7u64));
+        let last = frame.len() - 1;
+        frame[last] ^= 0x01;
+        let mut stream: &[u8] = &frame;
+        let read = read_frame_with_trailer(&mut stream, 0).expect("still a frame");
+        assert_eq!(read, frame);
+        assert!(matches!(
+            decode_frame::<(String, u64)>(&read),
+            Err(NetError::ChecksumMismatch)
+        ));
+    }
 
     #[test]
     fn roundtrip_through_a_stream() {

@@ -6,7 +6,8 @@
 //! plane's RPC fan-in is a handful of long-lived connections (one
 //! balancer per shard node), not ten thousand ephemeral ones. An accept
 //! thread hands each connection to its own reader thread; each reader
-//! loops `read_frame_with_trailer → handler → write_frame` until the peer hangs up.
+//! loops `read_frame_with_trailer → handler → write_frame` until the peer
+//! hangs up.
 //! The handler mutex serializes dispatch, so a node behaves identically
 //! whether one balancer or several clients are connected.
 //!
@@ -95,10 +96,21 @@ impl Transport for TcpTransport {
 }
 
 /// One connection's server loop: frames in, frames out, until EOF or a
-/// damaged frame. A validation failure closes the connection — the
-/// stream offset is unrecoverable after a bad frame, and the client
-/// reconnects — but never touches node state: validation happens before
-/// dispatch.
+/// header that fails its magic, version or length cap, which closes the
+/// connection: the stream offset is unrecoverable after it, and the client
+/// reconnects. The CRC is the handler's to check, as it decodes, as over
+/// loopback: a request damaged past its length field is answered with
+/// `Response::Error("bad request frame: …")` on the same connection (under
+/// a key, "unauthenticated frame", as the tag no longer matches).
+///
+/// A damaged length field that passes the cap puts the stream out of step.
+/// Shrunk, the short frame is answered as above, and what is left of it
+/// is read as the next header: bad magic, so the connection closes under
+/// the next call, which fails with an I/O error that is not a timeout (a
+/// link redials and retries that at once; the server dispatched nothing).
+/// Grown, the server waits for bytes the client never sends, and the call
+/// times out, as it did when the reader checked the CRC. Either way node
+/// state is untouched: validation happens before dispatch.
 fn serve_connection(mut stream: TcpStream, handler: Handler) {
     let _ = stream.set_nodelay(true);
     loop {
@@ -157,6 +169,78 @@ mod tests {
         let endpoint = handle.endpoint.clone();
         handle.stop();
         assert!(t.connect(&endpoint).is_err());
+    }
+
+    /// `frame` with its length field `delta` bytes off what it carries:
+    /// what a bit flipped there leaves on the wire.
+    fn with_length(frame: &[u8], delta: i64) -> Vec<u8> {
+        let mut out = frame.to_vec();
+        let len = u64::from_le_bytes(out[8..16].try_into().expect("sized slice"));
+        out[8..16].copy_from_slice(&len.checked_add_signed(delta).expect("len").to_le_bytes());
+        out
+    }
+
+    fn echo_server(t: &TcpTransport) -> ServerHandle {
+        let handler: Handler = Arc::new(Mutex::new(|f: &[u8]| f.to_vec()));
+        t.serve("127.0.0.1:0", handler).expect("binds")
+    }
+
+    #[test]
+    fn a_shrunk_length_field_costs_the_next_call_its_connection() {
+        let t = TcpTransport::new();
+        let handle = echo_server(&t);
+        let mut conn = t.connect(&handle.endpoint).expect("connects");
+        let msg = frame::encode_frame(&(String::from("ping"), 1u64));
+        // The server reads 8 bytes short and answers the short frame, which
+        // fails its CRC where it is decoded.
+        let echoed = conn.call(&with_length(&msg, -8)).expect("answered");
+        assert!(matches!(
+            frame::decode_frame::<(String, u64)>(&echoed),
+            Err(NetError::ChecksumMismatch)
+        ));
+        // The 8 bytes left over start the next header: bad magic, and the
+        // server closes the connection under the next clean call, which
+        // fails with an I/O error that is not a timeout (the kind a link
+        // redials and retries at once).
+        let err = conn.call(&msg).expect_err("the stream is out of step");
+        assert!(
+            matches!(&err, NetError::Io(e) if e.kind() != ErrorKind::TimedOut
+                && e.kind() != ErrorKind::WouldBlock),
+            "{err:?}"
+        );
+        let mut conn = t.connect(&handle.endpoint).expect("redials");
+        assert_eq!(conn.call(&msg).expect("clean"), msg);
+        handle.stop();
+    }
+
+    #[test]
+    fn a_grown_length_field_stalls_its_call_until_more_bytes_come() {
+        let t = TcpTransport::new();
+        let handle = echo_server(&t);
+        let mut stream = TcpStream::connect(&handle.endpoint).expect("connects");
+        stream
+            .set_read_timeout(Some(Duration::from_millis(200)))
+            .expect("timeout");
+        let msg = frame::encode_frame(&(String::from("ping"), 1u64));
+        // The server waits for 8 bytes that never come: the call times out.
+        write_frame(&mut stream, &with_length(&msg, 8)).expect("sent");
+        let stalled = read_frame_with_trailer(&mut stream, wire_trailer_len());
+        assert!(
+            matches!(&stalled, Err(NetError::Io(e)) if matches!(e.kind(),
+                ErrorKind::WouldBlock | ErrorKind::TimedOut)),
+            "{stalled:?}"
+        );
+        // A clean call on the same connection completes the damaged frame,
+        // whose answer (failing its CRC) is what comes back; the rest of
+        // the clean frame is then a bad header, and the connection closes.
+        write_frame(&mut stream, &msg).expect("sent");
+        let answer = read_frame_with_trailer(&mut stream, wire_trailer_len()).expect("answered");
+        assert!(matches!(
+            frame::decode_frame::<(String, u64)>(&answer),
+            Err(NetError::ChecksumMismatch)
+        ));
+        assert!(read_frame_with_trailer(&mut stream, wire_trailer_len()).is_err());
+        handle.stop();
     }
 
     #[test]

@@ -24,7 +24,8 @@
 //! half-diagonal sums squared sides from a table of the `powi` values it
 //! once computed per call (`SideSquares`), so every `d` keeps its bits.
 //!
-//! The search is fully deterministic.
+//! The search is fully deterministic. `search` runs it to seed problems
+//! of at most a dozen free slots, and as §7.5's raw comparator.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -142,38 +143,13 @@ impl ClassHeaps {
     }
 }
 
-/// What DIRECT minimizes. Any `FnMut(&[f64]) -> f64` is one. An objective
-/// that can score a point cheaply when it differs from a known point in
-/// one coordinate — which is every point DIRECT samples after the first —
-/// implements [`rebase`](DirectObjective::rebase) and
-/// [`eval_axis`](DirectObjective::eval_axis) as well.
-pub trait DirectObjective {
-    /// Value at `x`.
-    fn eval(&mut self, x: &[f64]) -> f64;
-
-    /// `centre` is the point the following `eval_axis` calls sample around.
-    fn rebase(&mut self, _centre: &[f64]) {}
-
-    /// Value at `x`, which equals the last `rebase`d centre in every
-    /// coordinate but `axis`. Must return exactly what `eval(x)` would.
-    fn eval_axis(&mut self, x: &[f64], _axis: usize) -> f64 {
-        self.eval(x)
-    }
-}
-
-impl<F: FnMut(&[f64]) -> f64> DirectObjective for F {
-    fn eval(&mut self, x: &[f64]) -> f64 {
-        self(x)
-    }
-}
-
 /// Minimize `f` over the unit cube `[0,1]^dims`.
-pub fn direct_minimize_objective(
+pub fn direct_minimize(
     dims: usize,
     cfg: &DirectConfig,
-    f: &mut impl DirectObjective,
+    mut f: impl FnMut(&[f64]) -> f64,
 ) -> DirectResult {
-    minimize_selecting(dims, cfg, f, ClassHeaps::best_per_class)
+    minimize_selecting(dims, cfg, &mut f, ClassHeaps::best_per_class)
 }
 
 /// DIRECT, reading each class's best rectangle through `best_per_class`
@@ -181,13 +157,13 @@ pub fn direct_minimize_objective(
 fn minimize_selecting(
     dims: usize,
     cfg: &DirectConfig,
-    f: &mut impl DirectObjective,
+    f: &mut impl FnMut(&[f64]) -> f64,
     mut best_per_class: impl FnMut(&mut ClassHeaps, &Rects, &mut Vec<(f64, usize)>),
 ) -> DirectResult {
     assert!(dims > 0, "need at least one dimension");
     // The one point every sample is taken at: a centre, patched in place.
     let mut probe = vec![0.5; dims];
-    let f0 = f.eval(&probe);
+    let f0 = f(&probe);
     let mut evals = 1usize;
     let mut squares = SideSquares::default();
     squares.cover(0);
@@ -242,7 +218,6 @@ fn minimize_selecting(
             // (dimension, f(c−δ), f(c+δ), c_i−δ, c_i+δ).
             samples.clear();
             probe.copy_from_slice(&rects.centres[row..row + dims]);
-            f.rebase(&probe);
             for &i in &long_dims {
                 if evals + 2 > cfg.max_evals {
                     break;
@@ -251,7 +226,7 @@ fn minimize_selecting(
                 let (lo, hi) = ((c - delta).clamp(0.0, 1.0), (c + delta).clamp(0.0, 1.0));
                 let mut sample = |x: f64| {
                     probe[i] = x;
-                    let fx = f.eval_axis(&probe, i);
+                    let fx = f(&probe);
                     if fx < best_f {
                         best_f = fx;
                         best_x.copy_from_slice(&probe);
@@ -367,16 +342,6 @@ fn potentially_optimal(
 mod tests {
     use super::*;
     use kairos_types::SplitMix64;
-
-    /// [`direct_minimize_objective`] over a closure, whose arguments keep
-    /// their inferred types this way.
-    fn direct_minimize(
-        dims: usize,
-        cfg: &DirectConfig,
-        mut f: impl FnMut(&[f64]) -> f64,
-    ) -> DirectResult {
-        direct_minimize_objective(dims, cfg, &mut f)
-    }
 
     /// The selection [`ClassHeaps`] replaced — one pass over every
     /// rectangle per call — kept as its reference.
@@ -558,46 +523,6 @@ mod tests {
         );
         assert!(r.best_f < 0.5);
         assert!(count < 1000, "should stop early, used {count}");
-    }
-
-    #[test]
-    fn axis_samples_move_one_coordinate_off_the_rebased_centre() {
-        // An objective that checks DIRECT's side of the contract and
-        // answers exactly as the plain closure does.
-        struct Checked {
-            centre: Vec<f64>,
-            axis_samples: usize,
-        }
-        fn bowl(x: &[f64]) -> f64 {
-            (x[0] - 0.21).powi(2) + (x[1] - 0.77).powi(2) + x[2].sin()
-        }
-        impl DirectObjective for Checked {
-            fn eval(&mut self, x: &[f64]) -> f64 {
-                bowl(x)
-            }
-            fn rebase(&mut self, centre: &[f64]) {
-                self.centre = centre.to_vec();
-            }
-            fn eval_axis(&mut self, x: &[f64], axis: usize) -> f64 {
-                for (i, (a, b)) in x.iter().zip(&self.centre).enumerate() {
-                    assert_eq!(a == b, i != axis, "coordinate {i}, axis {axis}");
-                }
-                self.axis_samples += 1;
-                bowl(x)
-            }
-        }
-        let cfg = DirectConfig {
-            max_evals: 3000,
-            ..Default::default()
-        };
-        let mut checked = Checked {
-            centre: Vec::new(),
-            axis_samples: 0,
-        };
-        let a = direct_minimize_objective(3, &cfg, &mut checked);
-        let b = direct_minimize(3, &cfg, bowl);
-        assert_eq!(checked.axis_samples + 1, a.evals);
-        assert_eq!((a.best_x, a.best_f, a.evals), (b.best_x, b.best_f, b.evals));
     }
 
     #[test]

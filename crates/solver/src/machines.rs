@@ -1,7 +1,7 @@
 //! The one way a search holds a placement (§5's objective and §6's search
-//! both read it machine by machine). DIRECT's `CentreScorer`, `polish` and
-//! `evaluate` are [`Machines`]' clients; each scores machines itself, in its
-//! own summation order, and keeps what only it needs beside the table.
+//! both read it machine by machine). `polish` and `evaluate` are
+//! [`Machines`]' clients; each scores machines itself, in its own summation
+//! order, and keeps what only it needs beside the table.
 
 use crate::objective::{migration_delta, total_objective, MachineScore};
 use crate::problem::{ConsolidationProblem, Slot};
@@ -18,14 +18,10 @@ pub(crate) struct Machine {
     pub stamp: u64,
 }
 
-/// Per machine: occupant bitset, slot list, share and stamp. For the whole
-/// placement: `machine_of`, the placement violation and the moves.
+/// Per machine: slot list, share and stamp. For the whole placement:
+/// `machine_of`, the placement violation and the moves.
 #[derive(Default)]
 pub(crate) struct Machines {
-    /// Words per occupant row: at least two, as the score memo's keys are.
-    words: usize,
-    /// Machine `m`'s occupants as a slot bitset, at `bits[m * words..]`.
-    bits: Vec<u64>,
     machines: Vec<Machine>,
     pub machine_of: Vec<usize>,
     /// Pin violations, then machine-count violations in machine order.
@@ -50,35 +46,8 @@ impl Machines {
         self.machines.len()
     }
 
-    /// Machine `m`'s occupants as a bitset.
-    pub fn row(&self, m: usize) -> &[u64] {
-        &self.bits[m * self.words..][..self.words]
-    }
-
-    fn holds(&self, m: usize) -> usize {
-        self.row(m).iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    fn flip(&mut self, m: usize, slot: usize) {
-        self.bits[m * self.words + slot / 64] ^= 1 << (slot % 64);
-    }
-
-    /// Flip `slot`'s bit in its machine's row and in `dst`'s, and nothing
-    /// else: the rows as the move would leave them, or back as they were.
-    pub fn flip_move(&mut self, slot: usize, dst: usize) {
-        self.flip(self.machine_of[slot], slot);
-        self.flip(dst, slot);
-    }
-
     pub fn set_share(&mut self, m: usize, share: MachineScore) {
         self.machines[m].share = share;
-    }
-
-    /// At least `machines` machines: those added are empty, the rest kept.
-    pub fn grow(&mut self, machines: usize) {
-        let machines = machines.max(self.len());
-        self.machines.resize_with(machines, Machine::default);
-        self.bits.resize(machines * self.words, 0);
     }
 
     /// Make `machine_of` the placement, over `k` machines or as many as it
@@ -86,64 +55,49 @@ impl Machines {
     pub fn place(&mut self, problem: &ConsolidationProblem, machine_of: &[usize], k: usize) {
         let slots = &problem.slot_series().slots;
         let machines = machine_of.iter().max().map_or(0, |m| m + 1).max(k);
-        self.words = machine_of.len().div_ceil(64).max(2);
-        self.bits.clear();
         self.machines.truncate(machines);
-        self.grow(machines);
+        self.machines.resize_with(machines, Machine::default);
+        for machine in &mut self.machines {
+            machine.slots.clear();
+            (machine.share, machine.stamp) = (MachineScore::default(), 0);
+        }
         self.machine_of.clear();
         self.machine_of.extend_from_slice(machine_of);
         self.placement = 0.0;
         for (s, &m) in machine_of.iter().enumerate() {
-            self.flip(m, s);
+            self.machines[m].slots.push(s);
             self.placement += pin_violation(problem, slots[s], m);
         }
         for m in 0..machines {
-            let holds = self.holds(m);
-            let machine = &mut self.machines[m];
-            machine.slots.clear();
-            machine.slots.reserve(holds);
-            (machine.share, machine.stamp) = (MachineScore::default(), 0);
-            if holds > 0 {
+            if !self.machines[m].slots.is_empty() {
                 self.placement += overflow_violation(problem, m);
             }
-        }
-        for (s, &m) in machine_of.iter().enumerate() {
-            self.machines[m].slots.push(s);
         }
         self.moves = problem.moves_from_baseline(machine_of);
     }
 
-    /// Move `slot` to machine `dst`, not its own: its bits, the lists, the
-    /// placement terms and both machines' stamps follow. Shares are the
-    /// client's to refresh.
+    /// Move `slot` to machine `dst`, not its own: the lists, the placement
+    /// terms and both machines' stamps follow. Shares are the client's to
+    /// refresh.
     pub fn move_slot(&mut self, problem: &ConsolidationProblem, slot: usize, dst: usize) {
-        let src = self.machine_of[slot];
-        self.flip_move(slot, dst);
-        (self.placement, self.moves) = self.after(problem, slot, dst);
+        let (src, on) = (self.machine_of[slot], problem.slot_series().slots[slot]);
+        debug_assert_ne!(src, dst, "a move to the slot's own machine");
+        self.placement += pin_violation(problem, on, dst) - pin_violation(problem, on, src);
         let from = &mut self.machines[src].slots;
         let at = from.iter().position(|&s| s == slot);
         from.swap_remove(at.expect("a slot is listed on its machine"));
-        self.machines[dst].slots.push(slot);
+        if from.is_empty() {
+            self.placement -= overflow_violation(problem, src);
+        }
+        let to = &mut self.machines[dst].slots;
+        if to.is_empty() {
+            self.placement += overflow_violation(problem, dst);
+        }
+        to.push(slot);
+        self.moves = (self.moves as isize + migration_delta(problem, slot, src, dst)) as usize;
         self.machine_of[slot] = dst;
         self.machines[src].stamp += 1;
         self.machines[dst].stamp += 1;
-    }
-
-    /// The placement violation and the moves once `slot` has left its
-    /// machine for `dst`, read with the move's bits flipped (`flip_move`).
-    pub fn after(&self, problem: &ConsolidationProblem, slot: usize, dst: usize) -> (f64, usize) {
-        let (src, on) = (self.machine_of[slot], problem.slot_series().slots[slot]);
-        debug_assert_ne!(src, dst, "a move to the slot's own machine");
-        let pins = pin_violation(problem, on, dst) - pin_violation(problem, on, src);
-        let mut placement = self.placement + pins;
-        if self.holds(src) == 0 {
-            placement -= overflow_violation(problem, src);
-        }
-        if self.holds(dst) == 1 {
-            placement += overflow_violation(problem, dst);
-        }
-        let moves = self.moves as isize + migration_delta(problem, slot, src, dst);
-        (placement, moves as usize)
     }
 
     /// `total_objective` in machine order, each machine in `subs` holding
@@ -251,17 +205,12 @@ mod tests {
                 for m in 0..k {
                     let touched = u64::from(m == src || m == dst);
                     assert_eq!(table[m].stamp, stamps[m] + touched, "{at}: stamp of {m}");
-                    let mut row = vec![0; table.row(m).len()];
                     for &s in &table[m].slots {
                         seen[s] += 1;
-                        row[s / 64] |= 1 << (s % 64);
+                        assert_eq!(table.machine_of[s], m, "{at}: slot {s} listed on {m}");
                     }
-                    assert_eq!(table.row(m), row, "{at}: row {m} is not its list");
                 }
                 assert!(seen.iter().all(|&on| on == 1), "{at}: {seen:?}");
-                for (s, &m) in table.machine_of.iter().enumerate() {
-                    assert_ne!(table.row(m)[s / 64] & 1 << (s % 64), 0, "{at}: slot {s}");
-                }
 
                 let mut fresh = Machines::default();
                 fresh.place(&p, &table.machine_of, k);

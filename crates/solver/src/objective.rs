@@ -11,9 +11,6 @@
 
 use crate::machines::Machines;
 use crate::problem::{Assignment, ConsolidationProblem, Slot, SlotSeries};
-use std::borrow::Borrow;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Per-machine, per-window utilization triple (fractions of capacity).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -117,10 +114,10 @@ pub(crate) struct MachineScore {
 /// [`evaluate_reference`] that turns per-window sums into utilization,
 /// excess and `e^load`. From a machine's occupants and their summed series
 /// it returns the machine's [`MachineScore`] and hands every window's load
-/// to `on_window`. [`evaluate`], DIRECT's [`CentreScorer`] and `polish` all
-/// score through its window kernel, [`score_windows`], and add the parts
-/// up through [`total_objective`]; they differ only in how they form a
-/// window's sums (`polish` forms them in place, from cached ones).
+/// to `on_window`. [`evaluate`] and `polish` both score through its window
+/// kernel, [`score_windows`], and add the parts up through
+/// [`total_objective`]; they differ only in how they form a window's sums
+/// (`polish` forms them in place, from cached ones).
 pub(crate) fn score_machine(
     problem: &ConsolidationProblem,
     slots: &[Slot],
@@ -312,218 +309,6 @@ pub fn evaluate_with_series(
         machines_used: loads.len(),
         moves_from_baseline: table.moves,
         loads,
-    }
-}
-
-/// A set of slots as a bitset: the memo's key. Every key of one memo is
-/// the same number of words, at least two, so a derived `Eq` is the words'
-/// and a two-word key is kept inline: on problems of at most 128 slots no
-/// key is ever allocated.
-#[derive(PartialEq, Eq)]
-enum SlotSet {
-    Inline([u64; 2]),
-    Boxed(Box<[u64]>),
-}
-
-/// A key is looked up by its words, so a lookup builds no `SlotSet`.
-impl Borrow<[u64]> for SlotSet {
-    fn borrow(&self) -> &[u64] {
-        match self {
-            SlotSet::Inline(words) => words,
-            SlotSet::Boxed(words) => words,
-        }
-    }
-}
-
-impl Hash for SlotSet {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        Borrow::<[u64]>::borrow(self).hash(state)
-    }
-}
-
-/// Multiply-rotate hashing of the memo's keys. They are bitsets the solver
-/// builds itself, so SipHash's guard against chosen keys buys nothing; the
-/// rotations carry every bit of a word, the high ones too, into the low
-/// bits a table indexes by.
-#[derive(Default)]
-struct WordHasher(u64);
-
-const WORD_MIX: u64 = 0x517c_c1b7_2722_0a95;
-
-impl Hasher for WordHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(26) ^ word).wrapping_mul(WORD_MIX);
-    }
-
-    fn finish(&self) -> u64 {
-        let last = self.0.rotate_left(26).wrapping_mul(WORD_MIX);
-        last.rotate_left(26)
-    }
-}
-
-/// Machine scores already computed, by occupant set. Exact: a set and its
-/// ascending slot list determine each other, and a miss sums the list from
-/// zero in that order, as `evaluate` does.
-#[derive(Default)]
-struct ScoreMemo {
-    scores: HashMap<SlotSet, MachineScore, BuildHasherDefault<WordHasher>>,
-    /// Scratch: the slots of a set that missed.
-    members: Vec<usize>,
-    sums: MachineSums,
-}
-
-impl ScoreMemo {
-    /// The score of a machine holding exactly the slots of `set`: looked
-    /// up, or summed, scored and kept.
-    fn score(
-        &mut self,
-        problem: &ConsolidationProblem,
-        series: &SlotSeries,
-        set: &[u64],
-    ) -> MachineScore {
-        if set.iter().all(|&word| word == 0) {
-            return MachineScore::default();
-        }
-        if let Some(&known) = self.scores.get(set) {
-            return known;
-        }
-        self.members.clear();
-        for (i, &word) in set.iter().enumerate() {
-            let mut rest = word;
-            while rest != 0 {
-                self.members.push(i * 64 + rest.trailing_zeros() as usize);
-                rest &= rest - 1;
-            }
-        }
-        self.sums.sum_of(series, &self.members);
-        let score = score_machine(problem, &series.slots, &self.members, &self.sums, |_| {});
-        let key = match *set {
-            [a, b] => SlotSet::Inline([a, b]),
-            _ => SlotSet::Boxed(set.into()),
-        };
-        self.scores.insert(key, score);
-        score
-    }
-}
-
-/// Objective of every placement one slot move away from a *centre*
-/// placement, bit for bit what [`evaluate`] reports, without re-scoring
-/// the machines the move does not touch. This is what DIRECT's inner loop
-/// asks for: each of its samples is a rectangle's centre with one
-/// coordinate changed, i.e. at most one slot on another machine.
-///
-/// A scorer works [`on`](CentreScorer::on) one problem at a time. The
-/// centre is a machine table: [`rebase`](Scoring::rebase) places it and
-/// scores each machine by its occupant bitset; [`moved`](Scoring::moved)
-/// flips the slot's bit in both rows, looks both up, flips them back, and
-/// re-forms the total with those two scores substituted.
-///
-/// **Every machine is scored through a memo** keyed by that bitset. A
-/// machine's score depends on the problem and on which slots it holds —
-/// not on its index, on K, or on where the other slots sit — and a search
-/// scores the same few thousand occupant sets over and over: a sample's
-/// source machine is the same at both ends of an axis, a child rectangle's
-/// centre shares all but two machines with its parent's, and probes at
-/// different K revisit each other's machines almost exactly. So a score is
-/// computed once per distinct set (**summed from zero, in ascending slot
-/// order**, exactly as `evaluate` sums it) and then looked up; a lookup
-/// builds no slot list, and on a problem of at most 128 slots allocates
-/// nothing. The memo lives exactly as long as one [`Scoring`]: it starts
-/// empty, every entry is scored against the one problem the `Scoring`
-/// borrows, and dropping the `Scoring` drops the entries *and their
-/// memory*. The search holds one `Scoring` per solve — every probe and the
-/// final run share it — so a scorer at rest holds the centre's buffers
-/// and nothing that grew with a search.
-///
-/// Updating the source machine by subtraction (`sums − slot`) instead is
-/// about 5× cheaper per sample and was measured and rejected: it differs
-/// from the from-zero sum in the last ulp, and the search is chaotic
-/// enough that on one SecondLife draw the binary search then probed
-/// K′ = 21 instead of 20 and the plan used one machine more. Do not retry
-/// it without an answer to that.
-#[derive(Default)]
-pub struct CentreScorer {
-    centre: Machines,
-    objective: f64,
-    memo: ScoreMemo,
-}
-
-impl CentreScorer {
-    /// Score placements of `problem` until the returned [`Scoring`] drops.
-    pub fn on<'a>(&'a mut self, problem: &'a ConsolidationProblem) -> Scoring<'a> {
-        // Empty already, unless an earlier `Scoring` was leaked; and no
-        // machine of another problem's centre is kept.
-        self.memo.scores = HashMap::default();
-        self.centre.place(problem, &[], 0);
-        Scoring {
-            series: problem.slot_series(),
-            problem,
-            scorer: self,
-        }
-    }
-
-    /// Scores the memo has room for: 0 whenever no [`Scoring`] is alive.
-    pub fn memo_capacity(&self) -> usize {
-        self.memo.scores.capacity()
-    }
-}
-
-/// A [`CentreScorer`] at work on one problem, and the lifetime of its memo.
-pub struct Scoring<'a> {
-    pub(crate) problem: &'a ConsolidationProblem,
-    pub(crate) series: &'a SlotSeries,
-    scorer: &'a mut CentreScorer,
-}
-
-impl Scoring<'_> {
-    /// Make `machine_of` the centre and return its objective.
-    pub fn rebase(&mut self, machine_of: &[usize]) -> f64 {
-        let (problem, series, sc) = (self.problem, self.series, &mut *self.scorer);
-        debug_assert_eq!(series.slots.len(), machine_of.len());
-        let centre = &mut sc.centre;
-        // Machines never go from the table while the `Scoring` lives.
-        centre.place(problem, machine_of, centre.len());
-        for m in 0..centre.len() {
-            let score = sc.memo.score(problem, series, centre.row(m));
-            centre.set_share(m, score);
-        }
-        (sc.objective, _) = centre.total_with(problem, centre.placement, &[], centre.moves);
-        sc.objective
-    }
-
-    /// The centre's objective.
-    pub fn centre(&self) -> f64 {
-        self.scorer.objective
-    }
-
-    /// Objective of the centre with `slot` on machine `dst` instead; the
-    /// centre itself is unchanged.
-    pub fn moved(&mut self, slot: usize, dst: usize) -> f64 {
-        let (problem, series, sc) = (self.problem, self.series, &mut *self.scorer);
-        let src = sc.centre.machine_of[slot];
-        if src == dst {
-            return sc.objective;
-        }
-        sc.centre.grow(dst + 1);
-        sc.centre.flip_move(slot, dst);
-        let subs = [src, dst].map(|m| (m, sc.memo.score(problem, series, sc.centre.row(m))));
-        let (placement, moves) = sc.centre.after(problem, slot, dst);
-        sc.centre.flip_move(slot, dst);
-        sc.centre.total_with(problem, placement, &subs, moves).0
-    }
-}
-
-impl Drop for Scoring<'_> {
-    fn drop(&mut self) {
-        self.scorer.memo.scores = HashMap::default();
     }
 }
 

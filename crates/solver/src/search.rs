@@ -1,13 +1,5 @@
 //! The full consolidation search (§6): bound K, binary-search the minimum
-//! feasible K′, then solve at K′ with a generous budget and polish.
-//!
-//! A warm re-plan whose polished start holds the incumbent stops after the
-//! binary search: the final run at K′ rarely beats a polished deployed
-//! plan, and it was most of a re-plan's time. It still runs for cold
-//! solves, and for warm ones whose polished start lost to greedy's bound,
-//! where greedy's plan may be a mass migration that run would beat. At the
-//! lower bound a warm incumbent leaves the binary search nothing to probe,
-//! so such a re-plan costs one polish.
+//! feasible K′, then a longer final run at K′.
 //!
 //! "Since upper and lower bounds are typically not too far apart, we can
 //! binary search to determine the lowest value K′ of K that leads to a
@@ -16,65 +8,58 @@
 //! the number of variables, and thus explores a much smaller solution
 //! space."
 //!
-//! DIRECT does not see the decoded objective as a black box. Every sample
-//! it takes is a rectangle's centre with one coordinate moved, which
-//! decodes to at most one slot on another machine, so `DecodedObjective`
-//! scores the centre once and each sample as that one-slot move
-//! ([`CentreScorer`]): bit for bit the value a full `evaluate` of the
-//! decoded point reports, so the search takes the trajectory a
-//! from-scratch scorer would.
+//! **Seed and polish.** A search at K — each binary-search probe and the
+//! final run at K′ — polishes one seed: the centre of DIRECT's unit cube,
+//! decoded ([`centre`]). That is the first point DIRECT samples, and on the
+//! paper's datasets DIRECT found nothing better to hand polish: at K′ its
+//! best point on Wikipedia and SecondLife was still infeasible, so the
+//! plan was polish's. A probe polishes at most 40 rounds, the final run
+//! [`SolverConfig::polish_rounds`].
 //!
-//! The search pays once for each thing it learns. A machine's score does
-//! not depend on K, so one memo of them serves every probe and the final
-//! run of a solve and is dropped when the solve returns. A feasible probe
-//! at K whose plan uses fewer than K machines has shown that count
-//! feasible, so it lowers the binary search's upper end to the count, not
-//! just to K. And at K = 1 every point decodes to the same placement, so
-//! it is scored, not searched for.
+//! **DIRECT where it still wins.** A problem of at most
+//! `DIRECT_MAX_FREE_SLOTS` free slots is seeded from DIRECT's best point
+//! instead (per probe 1,500 evaluations cold and 400 warm, stopping at the
+//! first feasible point; 8,000 and 2,000 for the final run):
+//! `tests/optimality_gap.rs` measures both searches against exact optima
+//! on such instances, and there the polished centre is behind in every
+//! class; above a dozen free slots the two seeds were measured about even.
+//! DIRECT is also §7.5's raw comparator ([`solve_at_k`],
+//! [`solve_unbounded`]). A point scores what [`evaluate`] reports for its
+//! decoded placement, each distinct machine scored once per solve.
+//!
+//! A feasible probe at K whose plan uses fewer than K machines has shown
+//! that count feasible, so it lowers the binary search's upper end to the
+//! count, not just to K.
+//!
+//! A warm re-plan whose polished start holds the incumbent stops after the
+//! binary search: the final run at K′ rarely beats a polished deployed
+//! plan. It still runs for cold solves, and for warm ones whose polished
+//! start lost to greedy's bound, where greedy's plan may be a mass
+//! migration that run would beat. At the lower bound a warm incumbent
+//! leaves the binary search nothing to probe, so such a re-plan costs one
+//! polish.
 
 use crate::bounds::{fractional_lower_bound, identity_assignment, upper_bound};
-use crate::direct::{direct_minimize_objective, DirectConfig, DirectObjective};
+use crate::direct::{direct_minimize, DirectConfig};
 use crate::local::polish;
-use crate::objective::{evaluate, CentreScorer, Evaluation, Scoring, PENALTY};
+use crate::machines::Machines;
+use crate::objective::{evaluate, score_machine, Evaluation, MachineScore, MachineSums, PENALTY};
 use crate::problem::{Assignment, ConsolidationProblem};
 use kairos_types::{KairosError, Result};
-
-/// What an online re-solver keeps between solves: it calls
-/// [`solve_warm_with`] every drift event against similarly-sized problems,
-/// and one `SolveScratch` held across them keeps the [`CentreScorer`]'s
-/// machine table buffers. Its memo of machine scores is as large as a search
-/// was long, so it is *not* kept: it is released before a solve returns.
-/// What a solve still allocates grows by doubling (`tests/solve_alloc.rs`).
-#[derive(Default)]
-pub struct SolveScratch {
-    scorer: CentreScorer,
-}
-
-/// Any objective below this is feasible (the infeasibility penalty floor).
-const FEASIBLE_BELOW: f64 = PENALTY;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Solver tuning.
 #[derive(Debug, Clone, Copy)]
 pub struct SolverConfig {
-    /// DIRECT evaluations per K-feasibility probe.
-    pub probe_evals: usize,
-    /// DIRECT evaluations for the final K′ solve, which a warm solve runs
-    /// only when greedy's bound beat its polished start.
-    pub final_evals: usize,
-    /// DIRECT ε (local/global balance).
-    pub epsilon: f64,
-    /// Local-search rounds after DIRECT (0 disables polish).
+    /// Local-search rounds of the final run at K′; a probe polishes at most
+    /// 40, a warm start at least 20. 0 leaves every seed as it decodes.
     pub polish_rounds: usize,
 }
 
 impl Default for SolverConfig {
     fn default() -> SolverConfig {
-        SolverConfig {
-            probe_evals: 1_500,
-            final_evals: 8_000,
-            epsilon: 1e-4,
-            polish_rounds: 60,
-        }
+        SolverConfig { polish_rounds: 60 }
     }
 }
 
@@ -87,7 +72,9 @@ pub struct SolveReport {
     pub k_bounds: (usize, usize),
     /// The minimum feasible K found.
     pub k_final: usize,
-    /// Objective evaluations consumed in total.
+    /// Searches at a K run: one per probe and one for the final run. 0
+    /// means neither ran: a warm plan at the lower bound was returned.
+    /// For [`solve_unbounded`], DIRECT's evaluations.
     pub evals_used: usize,
     /// K values probed, with feasibility outcomes.
     pub probes: Vec<(usize, bool)>,
@@ -103,80 +90,21 @@ impl SolveReport {
 /// Decode a DIRECT point into an assignment over `k` machines. Pinned
 /// replica-0 slots are not variables: they sit on their pin.
 pub fn decode(problem: &ConsolidationProblem, k: usize, x: &[f64]) -> Assignment {
-    let mut machine_of = Vec::new();
-    decode_into(problem, k, x, &mut machine_of);
-    Assignment::new(machine_of)
+    let mut free = x.iter();
+    let machine_of = problem
+        .slot_series()
+        .slots
+        .iter()
+        .map(|&slot| match problem.pin_of(slot) {
+            Some(p) => p.min(k - 1),
+            None => machine_at(*free.next().expect("a coordinate per free slot"), k),
+        });
+    Assignment::new(machine_of.collect())
 }
 
-/// [`decode`] into a caller-owned buffer (cleared first) — the
-/// allocation-free variant DIRECT's inner loop uses.
-pub fn decode_into(problem: &ConsolidationProblem, k: usize, x: &[f64], out: &mut Vec<usize>) {
-    let slots = &problem.slot_series().slots;
-    out.clear();
-    out.reserve(slots.len());
-    let mut xi = 0usize;
-    for &slot in slots {
-        match problem.pin_of(slot) {
-            Some(p) => out.push(p.min(k - 1)),
-            None => {
-                out.push(decode_coord(x[xi], k));
-                xi += 1;
-            }
-        }
-    }
-    debug_assert_eq!(xi, free_dims(problem));
-}
-
-/// The machine one free coordinate decodes to.
-fn decode_coord(v: f64, k: usize) -> usize {
+/// The machine a free slot's coordinate `v` decodes to at `k`.
+fn machine_at(v: f64, k: usize) -> usize {
     ((v.clamp(0.0, 1.0) * k as f64).floor() as usize).min(k - 1)
-}
-
-/// The decoded objective as DIRECT sees it: a point is decoded and scored
-/// in full once per rectangle (`rebase`); each of the rectangle's samples
-/// moves one coordinate, so at most one slot, and is scored by
-/// [`Scoring::moved`] — bit for bit `evaluate(decode(x)).objective`.
-struct DecodedObjective<'a, 'p> {
-    k: usize,
-    scoring: &'a mut Scoring<'p>,
-    decode_buf: Vec<usize>,
-    /// DIRECT dimension → slot index (pinned replica-0 slots have none).
-    free_slots: Vec<usize>,
-}
-
-impl<'a, 'p> DecodedObjective<'a, 'p> {
-    fn new(k: usize, scoring: &'a mut Scoring<'p>) -> DecodedObjective<'a, 'p> {
-        let slots = &scoring.series.slots;
-        let free_slots = (0..slots.len())
-            .filter(|&s| scoring.problem.pin_of(slots[s]).is_none())
-            .collect();
-        DecodedObjective {
-            k,
-            scoring,
-            decode_buf: Vec::new(),
-            free_slots,
-        }
-    }
-}
-
-impl DirectObjective for DecodedObjective<'_, '_> {
-    fn eval(&mut self, x: &[f64]) -> f64 {
-        self.rebase(x);
-        self.scoring.centre()
-    }
-
-    fn rebase(&mut self, centre: &[f64]) {
-        decode_into(self.scoring.problem, self.k, centre, &mut self.decode_buf);
-        self.scoring.rebase(&self.decode_buf);
-    }
-
-    fn eval_axis(&mut self, x: &[f64], axis: usize) -> f64 {
-        // With every slot pinned DIRECT still gets one (ignored) dimension.
-        let Some(&slot) = self.free_slots.get(axis) else {
-            return self.scoring.centre();
-        };
-        self.scoring.moved(slot, decode_coord(x[axis], self.k))
-    }
 }
 
 /// Number of free decision variables (unpinned slots).
@@ -188,78 +116,204 @@ pub fn free_dims(problem: &ConsolidationProblem) -> usize {
         .count()
 }
 
-/// Solve at a fixed machine count `k`: DIRECT over the decoded encoding,
-/// then local polish. Returns the best assignment, its evaluation, and
-/// evaluations used.
+/// Problems with at most this many free slots keep DIRECT under polish at
+/// every K: where its seed stops paying. Cold solves seeded both ways
+/// (5–32 free slots, `tests/optimality_gap.rs`'s instance families, about
+/// 2,000 instances): up to 12, DIRECT's plan used fewer machines than the
+/// centre's in 11–14 % of instances and more in 0.5–2 %; from 13 on, fewer
+/// in 6–12 % and more in 10–13 %, at 5–8× the centre's time. On the
+/// oracle's instances the centre reaches the optimal machine count less
+/// often than DIRECT in every class.
+const DIRECT_MAX_FREE_SLOTS: usize = 12;
+
+/// DIRECT's first sample, the centre of the unit cube, decoded: every free
+/// slot on machine ⌊k/2⌋, every pinned one on its pin. Every search at a
+/// K polishes it, unless DIRECT is kept for the problem.
+pub fn centre(problem: &ConsolidationProblem, k: usize) -> Assignment {
+    decode(problem, k, &vec![0.5; free_dims(problem)])
+}
+
+/// Machine shares by occupant bitset, kept for one solve: a share does
+/// not depend on K, so the probes and the final run look up each other's.
+type Shares = HashMap<u128, MachineScore, BuildHasherDefault<BitsetHasher>>;
+
+/// Multiply-rotate hashing of [`Shares`]' keys: with SipHash a DIRECT
+/// point cost about a third more. The keys are bitsets the solver builds,
+/// so SipHash's guard against chosen keys buys nothing; the rotations
+/// carry every bit, the high ones too, into the low bits a table indexes
+/// by.
+#[derive(Default)]
+struct BitsetHasher(u64);
+
+const MIX: u64 = 0x517c_c1b7_2722_0a95;
+
+impl Hasher for BitsetHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(b.into()));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(26) ^ word).wrapping_mul(MIX);
+    }
+
+    fn write_u128(&mut self, bits: u128) {
+        self.write_u64(bits as u64);
+        self.write_u64((bits >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26).wrapping_mul(MIX).rotate_left(26)
+    }
+}
+
+/// DIRECT over the decoded encoding at `k`, `evals` evaluations, stopping
+/// at the first feasible point if `stop_on_feasible`: its best point,
+/// decoded, and the evaluations spent.
+///
+/// A point scores what [`evaluate`] reports for its decoded placement, bit
+/// for bit: each machine summed from zero over its ascending slot list,
+/// the same total. Consecutive points differ in a slot or two (a sample is
+/// its rectangle's centre with one coordinate moved), so the table follows
+/// the points by moving the slots whose machine changed, and only the
+/// machines they touch are scored again. A machine's share depends only on
+/// which slots it holds, and DIRECT revisits the same few machines
+/// thousands of times, so on problems of at most 128 slots each distinct
+/// set is scored once into `shares`, keyed by its bitset.
+fn direct_at(
+    problem: &ConsolidationProblem,
+    k: usize,
+    evals: usize,
+    stop_on_feasible: bool,
+    shares: &mut Shares,
+) -> (Assignment, usize) {
+    let cfg = DirectConfig {
+        max_evals: evals,
+        max_iters: usize::MAX,
+        stop_below: stop_on_feasible.then_some(PENALTY),
+        ..Default::default()
+    };
+    let series = problem.slot_series();
+    let placed = centre(problem, k).machine_of;
+    // The slot each coordinate places, and the point the table holds.
+    let free: Vec<usize> = (0..placed.len())
+        .filter(|&s| problem.pin_of(series.slots[s]).is_none())
+        .collect();
+    let mut at = vec![0.5; free.len()];
+    let mut table = Machines::default();
+    table.place(problem, &placed, k);
+    let keyed = placed.len() <= 128;
+    let mut sets = vec![0u128; k];
+    if keyed {
+        placed
+            .iter()
+            .enumerate()
+            .for_each(|(s, &m)| sets[m] |= 1 << s);
+    }
+    let (mut sums, mut sorted) = (MachineSums::default(), Vec::new());
+    let (mut touched, mut value): (Vec<usize>, _) = ((0..k).collect(), 0.0);
+    let objective = |x: &[f64]| {
+        for ((&s, &v), held) in free.iter().zip(x).zip(&mut at) {
+            if v == *held {
+                continue;
+            }
+            *held = v;
+            let (src, dst) = (table.machine_of[s], machine_at(v, k));
+            if src != dst {
+                table.move_slot(problem, s, dst);
+                if keyed {
+                    (sets[src], sets[dst]) = (sets[src] ^ 1 << s, sets[dst] ^ 1 << s);
+                }
+                touched.extend([src, dst]);
+            }
+        }
+        if touched.is_empty() {
+            return value;
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        for m in touched.drain(..) {
+            let known = keyed.then(|| shares.get(&sets[m]).copied()).flatten();
+            let share = known.unwrap_or_else(|| {
+                sorted.clear();
+                sorted.extend_from_slice(&table[m].slots);
+                sorted.sort_unstable();
+                sums.sum_of(series, &sorted);
+                let share = score_machine(problem, &series.slots, &sorted, &sums, |_| {});
+                if keyed {
+                    shares.insert(sets[m], share);
+                }
+                share
+            });
+            table.set_share(m, share);
+        }
+        value = (table.total_with(problem, table.placement, &[], table.moves)).0;
+        value
+    };
+    // With every slot pinned DIRECT still gets one (ignored) dimension.
+    let result = direct_minimize(free_dims(problem).max(1), &cfg, objective);
+    (decode(problem, k, &result.best_x), result.evals)
+}
+
+/// Where DIRECT is kept, its evaluations per probe and for the final run:
+/// a cold solve's, and a warm re-plan's (the deployed plan carries most of
+/// its quality).
+type DirectBudget = (usize, usize);
+const COLD_DIRECT: DirectBudget = (1_500, 8_000);
+const WARM_DIRECT: DirectBudget = (400, 2_000);
+
+/// DIRECT's budget for a solve of `problem`, if DIRECT seeds its searches.
+fn direct_budget(problem: &ConsolidationProblem, warm: bool) -> Option<DirectBudget> {
+    let budget = if warm { WARM_DIRECT } else { COLD_DIRECT };
+    (free_dims(problem) <= DIRECT_MAX_FREE_SLOTS).then_some(budget)
+}
+
+/// One search at `k` — a probe, or the final run at K′ — polished for
+/// `rounds`: from DIRECT's best point on `direct`'s budget, or from the
+/// [`centre`] without one. At K = 1 every point decodes to the centre.
+fn search_at(
+    problem: &ConsolidationProblem,
+    k: usize,
+    probe: bool,
+    direct: Option<DirectBudget>,
+    rounds: usize,
+    shares: &mut Shares,
+) -> (Assignment, Evaluation) {
+    let seed = match direct.filter(|_| k > 1) {
+        Some((per_probe, per_final)) => {
+            let evals = if probe { per_probe } else { per_final };
+            direct_at(problem, k, evals, probe, shares).0
+        }
+        None => centre(problem, k),
+    };
+    let polished = polish(problem, &seed, k, rounds);
+    (polished.assignment, polished.evaluation)
+}
+
+/// §7.5's comparator at a fixed machine count `k`: DIRECT over the decoded
+/// encoding with `evals` evaluations, then `polish_rounds` of local polish.
+/// Returns the best assignment, its evaluation, and evaluations used.
 pub fn solve_at_k(
     problem: &ConsolidationProblem,
     k: usize,
     evals: usize,
-    epsilon: f64,
     polish_rounds: usize,
-    stop_on_feasible: bool,
 ) -> (Assignment, Evaluation, usize) {
-    let mut scorer = CentreScorer::default();
-    let scoring = &mut scorer.on(problem);
-    solve_at_k_on(scoring, k, evals, epsilon, polish_rounds, stop_on_feasible)
-}
-
-/// [`solve_at_k`] on a [`Scoring`] the caller may hold across calls (a
-/// machine's score does not depend on `k`). DIRECT's inner loop scores each
-/// sample as a one-slot move off its rectangle's centre.
-fn solve_at_k_on(
-    scoring: &mut Scoring,
-    k: usize,
-    evals: usize,
-    epsilon: f64,
-    polish_rounds: usize,
-    stop_on_feasible: bool,
-) -> (Assignment, Evaluation, usize) {
-    let problem = scoring.problem;
     assert!(k >= 1);
-    let dims = free_dims(problem).max(1);
-    let (best_x, evals_used) = if k == 1 {
-        // Every point decodes to the one placement there is: no search.
-        (vec![0.5; dims], 1)
-    } else {
-        let cfg = DirectConfig {
-            max_evals: evals,
-            max_iters: usize::MAX,
-            epsilon,
-            stop_below: stop_on_feasible.then_some(FEASIBLE_BELOW),
-        };
-        let result = direct_minimize_objective(dims, &cfg, &mut DecodedObjective::new(k, scoring));
-        (result.best_x, result.evals)
-    };
-    let direct_best = decode(problem, k, &best_x);
-    if polish_rounds > 0 {
-        let polished = polish(problem, &direct_best, k, polish_rounds);
-        (polished.assignment, polished.evaluation, evals_used)
-    } else {
-        let eval = evaluate(problem, &direct_best);
-        (direct_best, eval, evals_used)
-    }
+    let (best, evals_used) = direct_at(problem, k, evals, false, &mut Shares::default());
+    let polished = polish(problem, &best, k, polish_rounds);
+    (polished.assignment, polished.evaluation, evals_used)
 }
 
-/// The §6-optimized solve: bounds → binary search for K′ → final solve.
+/// The §6-optimized solve: bounds → binary search for K′ → final run.
 pub fn solve(problem: &ConsolidationProblem, cfg: &SolverConfig) -> Result<SolveReport> {
-    solve_inner(problem, cfg, None, &mut SolveScratch::default())
-}
-
-/// [`solve`] with a caller-held scratch arena (see [`SolveScratch`]).
-pub fn solve_with(
-    problem: &ConsolidationProblem,
-    cfg: &SolverConfig,
-    scratch: &mut SolveScratch,
-) -> Result<SolveReport> {
-    solve_inner(problem, cfg, None, scratch)
+    solve_inner(problem, cfg, None, direct_budget(problem, false))
 }
 
 /// Warm-started solve for online re-planning: `warm` (typically the
 /// placement currently deployed) is polished into the initial incumbent
 /// and tightens the binary search's upper bound. When that polished plan
 /// beats greedy's bound it is the incumbent, and the solve ends after the
-/// binary search, without the final DIRECT run at K′: a drifted-but-close
+/// binary search, without the final run at K′: a drifted-but-close
 /// problem re-solves for its probes alone, and for one polish when the
 /// plan already meets the machine-count lower bound. Combine with
 /// [`ConsolidationProblem::with_migration`] to also *prefer* low-churn
@@ -269,37 +323,23 @@ pub fn solve_warm(
     cfg: &SolverConfig,
     warm: &Assignment,
 ) -> Result<SolveReport> {
-    solve_warm_with(problem, cfg, warm, &mut SolveScratch::default())
-}
-
-/// [`solve_warm`] with a caller-held scratch arena (see
-/// [`SolveScratch`]): the online re-solver's entry point.
-pub fn solve_warm_with(
-    problem: &ConsolidationProblem,
-    cfg: &SolverConfig,
-    warm: &Assignment,
-    scratch: &mut SolveScratch,
-) -> Result<SolveReport> {
     assert_eq!(
         warm.machine_of.len(),
         problem.slots().len(),
         "warm assignment must cover every placement slot"
     );
-    solve_inner(problem, cfg, Some(warm), scratch)
+    solve_inner(problem, cfg, Some(warm), direct_budget(problem, true))
 }
 
 fn solve_inner(
     problem: &ConsolidationProblem,
     cfg: &SolverConfig,
     warm: Option<&Assignment>,
-    scratch: &mut SolveScratch,
+    direct: Option<DirectBudget>,
 ) -> Result<SolveReport> {
-    // One memo of machine scores under every probe and the final run; it
-    // is dropped, memory and all, on every way out of this function.
-    let scoring = &mut scratch.scorer.on(problem);
     let lower = fractional_lower_bound(problem);
     let (ub_assignment, mut upper) = upper_bound(problem);
-    let mut evals_used = 0usize;
+    let mut searches = 0usize;
     let mut best: Option<(Assignment, Evaluation)> = {
         let eval = evaluate(problem, &ub_assignment);
         if eval.feasible {
@@ -342,25 +382,26 @@ fn solve_inner(
     };
 
     let mut probes = Vec::new();
+    let mut shares = Shares::default();
 
     // Binary search the smallest feasible K in [lower, upper].
     let (mut lo, mut hi) = (lower, upper.max(lower));
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        let (a, eval, used) = solve_at_k_on(
-            scoring,
+        let (a, eval) = search_at(
+            problem,
             mid,
-            cfg.probe_evals,
-            cfg.epsilon,
-            cfg.polish_rounds.min(40),
             true,
+            direct,
+            cfg.polish_rounds.min(40),
+            &mut shares,
         );
-        evals_used += used;
+        searches += 1;
         let feasible = eval.feasible;
         probes.push((mid, feasible));
         if feasible {
             // The plan is feasible at the machine count it uses, which
-            // DIRECT and polish may have brought below `mid`.
+            // polish may have brought below `mid`.
             hi = mid.min(eval.machines_used);
             // The objective is the sole authority: without a migration
             // term it already orders fewer machines first; with one, an
@@ -375,21 +416,20 @@ fn solve_inner(
     }
     let k_final = lo;
 
-    // Final, well-funded solve at K′ with local-search emphasis: for cold
-    // solves, and for warm ones whose polished start lost to greedy's
-    // bound (say the old plan went infeasible under a spike), where
-    // greedy's plan may be a mass migration this run would beat. Behind a
-    // warm incumbent it rarely wins and costs most of the re-plan.
+    // The final, longer run at K′: for cold solves, and for warm ones whose
+    // polished start lost to greedy's bound (say the old plan went
+    // infeasible under a spike), where greedy's plan may be a mass
+    // migration this run would beat. Behind a warm incumbent it rarely wins.
     if !warm_is_incumbent {
-        let (a, eval, used) = solve_at_k_on(
-            scoring,
+        let (a, eval) = search_at(
+            problem,
             k_final,
-            cfg.final_evals,
-            cfg.epsilon,
-            cfg.polish_rounds,
             false,
+            direct,
+            cfg.polish_rounds,
+            &mut shares,
         );
-        evals_used += used;
+        searches += 1;
         if eval.feasible && eval.objective < incumbent.1.objective {
             incumbent = (a, eval);
         }
@@ -401,19 +441,18 @@ fn solve_inner(
         evaluation,
         k_bounds: (lower, upper),
         k_final,
-        evals_used,
+        evals_used: searches,
         probes,
     })
 }
 
 /// The unoptimized comparator for §7.5's solver-performance experiment:
-/// a single raw DIRECT run over the full `max_machines` space — no
-/// bounding, no binary search, no local-search polish (the paper's naive
-/// Tomlab/DIRECT application).
-pub fn solve_unbounded(problem: &ConsolidationProblem, cfg: &SolverConfig) -> Result<SolveReport> {
+/// a single raw DIRECT run of `evals` evaluations over the full
+/// `max_machines` space — no bounding, no binary search, no local-search
+/// polish (the paper's naive Tomlab/DIRECT application).
+pub fn solve_unbounded(problem: &ConsolidationProblem, evals: usize) -> Result<SolveReport> {
     let k = problem.max_machines;
-    let (assignment, evaluation, evals_used) =
-        solve_at_k(problem, k, cfg.final_evals, cfg.epsilon, 0, false);
+    let (assignment, evaluation, evals_used) = solve_at_k(problem, k, evals, 0);
     if !evaluation.feasible {
         return Err(KairosError::Infeasible(
             "unbounded DIRECT run found no feasible assignment".into(),
@@ -433,6 +472,7 @@ pub fn solve_unbounded(problem: &ConsolidationProblem, cfg: &SolverConfig) -> Re
 mod tests {
     use super::*;
     use crate::problem::{LinearDiskCombiner, TargetMachine, WorkloadSpec};
+    use std::f64::consts::TAU;
     use std::sync::Arc;
 
     fn problem(cpus: &[f64]) -> ConsolidationProblem {
@@ -466,50 +506,86 @@ mod tests {
     }
 
     #[test]
-    fn direct_axis_samples_score_as_the_decoded_point_evaluates() {
-        // Workload 1 is pinned, so DIRECT's axes are slots 0, 2, 3 and 4.
-        let mut p = problem(&[5.0, 1.0, 6.0, 2.0, 4.0]);
+    fn direct_scores_every_point_as_evaluate_does() {
+        // A pinned workload, a replicated one and a migration baseline: the
+        // placement terms and the moves as well as the machines. The same
+        // trajectory as DIRECT over plain `evaluate` means the same values.
+        let mut p = problem(&[5.0, 1.0, 6.0, 2.0, 4.0, 3.0]);
         p.workloads[1].pinned = Some(2);
-        let mut scratch = SolveScratch::default();
-        let mut scoring = scratch.scorer.on(&p);
-        // One memo under every K, as under the probes of one solve: cold
-        // at 3, then warm at 2 and at 3 again.
-        for k in [3, 2, 3] {
-            let mut f = DecodedObjective::new(k, &mut scoring);
-            let exact = |x: &[f64]| evaluate(&p, &decode(&p, k, x)).objective.to_bits();
-            for centre in [[0.5; 4], [0.1, 0.9, 0.5, 0.5], [0.17, 0.5, 0.83, 0.0]] {
-                assert_eq!(f.eval(&centre).to_bits(), exact(&centre));
-                for axis in 0..4 {
-                    for v in [0.0, 1.0 / 6.0, 0.5, 5.0 / 6.0, 1.0] {
-                        let mut x = centre;
-                        x[axis] = v;
-                        assert_eq!(f.eval_axis(&x, axis).to_bits(), exact(&x), "k {k}: {x:?}");
-                    }
-                }
-            }
+        p.workloads[3].replicas = 2;
+        let baseline = (0..7).map(|s| (s % 3 != 0).then_some(s % 4)).collect();
+        let p = p.with_migration(baseline, 0.25);
+        for k in [2, 3, 5] {
+            let cfg = DirectConfig {
+                max_evals: 900,
+                max_iters: usize::MAX,
+                ..Default::default()
+            };
+            let plain = |x: &[f64]| evaluate(&p, &decode(&p, k, x)).objective;
+            let reference = direct_minimize(free_dims(&p), &cfg, plain);
+            let (best, evals) = direct_at(&p, k, 900, false, &mut Shares::default());
+            assert_eq!(best, decode(&p, k, &reference.best_x), "k {k}");
+            assert_eq!(evals, reference.evals, "k {k}");
         }
     }
 
+    /// `n` diurnal tenants over 48 windows, each with its own peak.
+    fn diurnal(rng: &mut kairos_types::SplitMix64, n: usize) -> ConsolidationProblem {
+        const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
+        let w = (0..n)
+            .map(|i| {
+                let (cpu, amp) = (rng.next_in(0.5, 4.5), rng.next_in(0.0, 0.6));
+                let (ram, ws) = (rng.next_in(4.0, 36.0) * GIB, rng.next_in(2.0, 16.0) * GIB);
+                let (rate, phase) = (rng.next_in(50.0, 900.0), rng.next_in(0.0, TAU));
+                let wave = |t: usize| 1.0 + amp * (phase + TAU * t as f64 / 48.0).sin();
+                let mut w = WorkloadSpec::flat(format!("w{i}"), 48, 0.0, ram, ws, 0.0);
+                w.cpu = (0..48).map(|t| cpu * wave(t)).collect();
+                w.rate = (0..48).map(|t| rate * wave(t)).collect();
+                w
+            })
+            .collect();
+        let disk = Arc::new(LinearDiskCombiner::default());
+        ConsolidationProblem::new(w, TargetMachine::paper_target(), n, disk)
+    }
+
     #[test]
-    fn one_scratch_serves_different_problems_and_keeps_nothing() {
-        // The same six slots under three loads, the last unplaceable:
-        // every occupant set recurs with another score.
-        let problems = [
-            problem(&[2.0, 3.0, 1.0, 4.0, 2.0, 3.0]),
-            problem(&[5.0, 5.5, 6.0, 4.0, 5.0, 3.0]),
-            problem(&[2.0, 3.0, 50.0, 4.0, 2.0, 3.0]),
-        ];
-        let cfg = SolverConfig::default();
-        let told = |r: Result<SolveReport>| {
-            r.ok()
-                .map(|r| (r.assignment, r.evaluation.objective.to_bits(), r.probes))
-        };
-        let mut scratch = SolveScratch::default();
-        for p in problems.iter().chain(problems.iter().rev()) {
-            let reused = solve_with(p, &cfg, &mut scratch);
-            assert_eq!(scratch.scorer.memo_capacity(), 0, "memo outlived its solve");
-            assert_eq!(told(reused), told(solve(p, &cfg)));
+    fn direct_earns_its_keep_up_to_a_dozen_free_slots() {
+        // Cold solves of 9–16 tenants, seeded both ways: per side of the
+        // threshold, those where DIRECT's seed plans on fewer machines than
+        // the centre's, and those where it plans on more.
+        let mut rng = kairos_types::SplitMix64::new(0xD1CE);
+        let mut tally = [[0usize; 2]; 2];
+        for n in 9..=16 {
+            for _ in 0..12 {
+                let p = diurnal(&mut rng, n);
+                let machines = |direct| {
+                    let report = solve_inner(&p, &SolverConfig::default(), None, direct);
+                    report.expect("a plan").evaluation.machines_used
+                };
+                let (seeded, centred) = (machines(Some(COLD_DIRECT)), machines(None));
+                let side = &mut tally[usize::from(n > DIRECT_MAX_FREE_SLOTS)];
+                side[0] += usize::from(seeded < centred);
+                side[1] += usize::from(seeded > centred);
+            }
         }
+        println!(
+            "DIRECT fewer, more: 9–12 {:?}, 13–16 {:?}",
+            tally[0], tally[1]
+        );
+        let [fewer, more] = tally[0];
+        assert!(
+            fewer >= 4 && fewer >= 3 * more,
+            "9–12 free slots: {:?}",
+            tally[0]
+        );
+    }
+
+    #[test]
+    fn the_centre_stacks_free_slots_on_the_middle_machine() {
+        let mut p = problem(&[1.0, 1.0, 1.0, 1.0]);
+        p.workloads[2].pinned = Some(3);
+        assert_eq!(centre(&p, 5).machine_of, vec![2, 2, 3, 2]);
+        assert_eq!(centre(&p, 1).machine_of, vec![0, 0, 0, 0]);
     }
 
     #[test]
@@ -568,7 +644,7 @@ mod tests {
         let p = problem(&[2.0, 3.0, 1.0, 4.0, 2.0, 3.0, 1.5, 2.5]);
         let cfg = SolverConfig::default();
         let bounded = solve(&p, &cfg).unwrap();
-        let unbounded = solve_unbounded(&p, &cfg).unwrap();
+        let unbounded = solve_unbounded(&p, 8_000).unwrap();
         assert!(bounded.evaluation.feasible && unbounded.evaluation.feasible);
         assert!(
             bounded.assignment.machines_used() <= unbounded.assignment.machines_used(),

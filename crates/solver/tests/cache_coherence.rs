@@ -109,16 +109,11 @@ fn cached_evaluate_matches_reference_on_random_problems() {
 #[test]
 fn cache_stays_coherent_across_warm_resolves() {
     // After any warm re-solve — whose problem carries a migration
-    // baseline and whose caches have been exercised by DIRECT + polish —
+    // baseline and whose caches have been exercised by the search —
     // a cached evaluation of the returned plan must equal the
     // from-scratch one bit-for-bit, and the cache must still verify.
     let mut rng = SplitMix64::from_env(0x5EED_CAFE);
-    let cfg = SolverConfig {
-        probe_evals: 200,
-        final_evals: 600,
-        polish_rounds: 20,
-        ..Default::default()
-    };
+    let cfg = SolverConfig { polish_rounds: 20 };
     for case in 0..8 {
         let base = random_problem(&mut rng);
         let start = random_assignment(&mut rng, &base);

@@ -1,15 +1,15 @@
 //! What the K′ search skips, and that skipping it changes no answer.
 //!
-//! * At K = 1 every DIRECT point decodes to the same placement, so it is
-//!   scored once instead of searched for 7,999 evaluations.
+//! * At K = 1 every DIRECT point decodes to the same placement, so the
+//!   search at K = 1 polishes that placement, even where DIRECT is kept.
 //! * A feasible probe at K whose plan uses fewer than K machines has shown
 //!   that count feasible, so the binary search continues below the count,
 //!   not just below K — with the K′ and the machine count the `hi = mid`
 //!   search reaches through more probes.
 
 use kairos_solver::{
-    evaluate, greedy_pack, solve, solve_at_k, ConsolidationProblem, LinearDiskCombiner,
-    SolverConfig, TargetMachine, WorkloadSpec,
+    centre, greedy_pack, polish, solve, ConsolidationProblem, LinearDiskCombiner, SolverConfig,
+    TargetMachine, WorkloadSpec,
 };
 use std::sync::Arc;
 
@@ -29,20 +29,11 @@ fn problem(cpus: &[f64]) -> ConsolidationProblem {
 
 #[test]
 fn one_machine_is_scored_not_searched() {
-    let mut p = problem(&[1.0, 2.0, 1.5]);
-    p.workloads[2].pinned = Some(4);
-    for rounds in [0, 60] {
-        let (a, eval, evals) = solve_at_k(&p, 1, 8_000, 1e-4, rounds, false);
-        assert_eq!(a.machine_of, vec![0, 0, 0]);
-        assert_eq!(evals, 1);
-        assert_eq!(
-            eval.objective.to_bits(),
-            evaluate(&p, &a).objective.to_bits()
-        );
-    }
-    // Five of the paper pipeline's seven solves end here.
+    // Five of the paper pipeline's seven solves end here: one search, the
+    // final run at K′ = 1, and no probe.
     let light = solve(&problem(&[1.0; 8]), &SolverConfig::default()).unwrap();
     assert_eq!((light.k_final, light.evals_used), (1, 1));
+    assert!(light.probes.is_empty());
     assert_eq!(light.assignment.machines_used(), 1);
 }
 
@@ -80,19 +71,9 @@ fn the_search_uses_what_a_probe_found() {
     assert_eq!(report.k_bounds.1, p.slots().len());
     assert!(report.evaluation.feasible);
 
-    // A probe is a pure function of K: replay each one for the
-    // machine count its plan used.
-    let probe = |k| {
-        solve_at_k(
-            &p,
-            k,
-            cfg.probe_evals,
-            cfg.epsilon,
-            cfg.polish_rounds.min(40),
-            true,
-        )
-        .1
-    };
+    // A probe is a pure function of K (14 free slots: the polished
+    // centre): replay each one for the machine count its plan used.
+    let probe = |k| polish(&p, &centre(&p, k), k, cfg.polish_rounds.min(40)).evaluation;
     let mut shown_feasible = usize::MAX;
     for &(k, feasible) in &report.probes {
         assert!(k < shown_feasible, "probed {k} in {:?}", report.probes);
@@ -116,10 +97,6 @@ fn the_search_uses_what_a_probe_found() {
             lo = mid + 1;
         }
     }
-    eprintln!(
-        "DBG {:?} {:?} probed {probed} lo {lo}",
-        report.k_bounds, report.probes
-    );
     assert_eq!(report.k_final, lo);
     assert!(report.probes.len() < probed, "{:?}", report.probes);
     assert_eq!(report.assignment.machines_used(), lo);

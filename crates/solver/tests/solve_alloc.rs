@@ -1,27 +1,31 @@
 //! Allocation as a gate that can fail: a counting global allocator (std
-//! only) holds a solve to a count that does not follow its budget.
+//! only) holds a solve to a count that does not follow its work.
 //!
-//! A solve through a reused `SolveScratch` runs the §6 pipeline — bounds,
-//! probes, the final DIRECT run — and DIRECT's storage and the score memo
-//! grow by doubling, so quadrupling `final_evals` may add a few allocations
-//! but never one per rectangle or per evaluation: the count at 8,000
-//! evaluations stays within 1.25× the count at 2,000. Planting a `Vec` per
-//! rectangle, or a boxed memo key per miss on a problem of at most 128
-//! slots, fails this. The solve is cold on the online re-solver's
-//! migration-priced problem: a warm one whose polished start beats greedy
-//! ends before the final run, so it would spend no `final_evals` at all.
+//! A solve runs the §6 pipeline — bounds, the probes, the final run — and
+//! each search at a K polishes one seed. Polishing more rounds may make a
+//! slot list outgrow its capacity once or twice more, but allocates
+//! nothing per round: a solve whose searches polish up to 60 rounds
+//! allocates within 4 of one whose searches polish one round each, at the
+//! same probes and K′. An allocation planted in polish's round loop fails
+//! this.
 //!
 //! Polish is held to the same rule on its own: sixty rounds from a stacked
 //! start allocate what one round does, give or take a slot list outgrowing
 //! its capacity. A copy of a machine's slot list per merge candidate fails
 //! this.
 //!
+//! DIRECT, which seeds the searches of problems of at most a dozen free
+//! slots, allocates nothing per point either: its rectangles and the
+//! memo of machine shares grow by doubling, so 8,000 evaluations may
+//! allocate at most 1.25× what 2,000 do. A decode into a fresh assignment
+//! per point, or a memo key allocated per new machine set, fails this.
+//!
 //! Counts are per thread, so the harness's parallel tests do not see
 //! each other's allocations.
 
 use kairos_solver::{
-    polish, solve_with, Assignment, ConsolidationProblem, LinearDiskCombiner, SolveReport,
-    SolveScratch, SolverConfig, TargetMachine, WorkloadSpec,
+    centre, free_dims, polish, solve, solve_at_k, Assignment, ConsolidationProblem,
+    LinearDiskCombiner, SolverConfig, TargetMachine, WorkloadSpec,
 };
 use kairos_types::SplitMix64;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -76,66 +80,69 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
     (out, ALLOCS.with(Cell::get) - before)
 }
 
-/// 24 tenants over a 12-window horizon, priced against a plan that packed
-/// them onto four machines before their CPU rose.
-fn drifted() -> ConsolidationProblem {
-    let mut rng = SplitMix64::new(0xA110C);
-    let workloads = (0..24)
-        .map(|i| {
-            let mut w = WorkloadSpec::flat(format!("t{i:02}"), 0, 0.0, 0.0, 0.0, 0.0);
-            let cpu = rng.next_in(0.8, 3.0);
-            w.cpu = (0..12).map(|_| cpu * rng.next_in(0.7, 1.3)).collect();
-            w.ram = vec![rng.next_in(2e9, 9e9); 12];
-            w.ws = w.ram.iter().map(|r| 0.3 * r).collect();
-            w.rate = (0..12).map(|_| rng.next_in(40.0, 900.0)).collect();
-            w
-        })
-        .collect();
-    ConsolidationProblem::new(
-        workloads,
-        TargetMachine::paper_target(),
-        24,
-        Arc::new(LinearDiskCombiner::default()),
-    )
-    .with_migration((0..24).map(|i| Some(i % 4)).collect(), 0.25)
-}
-
 #[test]
-fn a_solves_allocations_do_not_follow_its_budget() {
-    let problem = drifted();
-    let mut scratch = SolveScratch::default();
-    let mut solve = |final_evals: usize| -> (SolveReport, u64) {
-        let cfg = SolverConfig {
-            probe_evals: 400,
-            final_evals,
-            polish_rounds: 60,
-            ..Default::default()
-        };
-        let (report, allocs) = allocations(|| solve_with(&problem, &cfg, &mut scratch));
-        let report = report.expect("a feasible plan");
-        assert!(
-            report.evals_used >= final_evals - 1,
-            "the final DIRECT run spends its budget: {} evaluations",
-            report.evals_used
-        );
-        (report, allocs)
+fn a_solves_allocations_do_not_follow_its_rounds() {
+    // 60 free slots: every search polishes the centre.
+    let problem = stacked(0).0;
+    problem.slot_series();
+    let solve = |polish_rounds| {
+        let (report, allocs) = allocations(|| solve(&problem, &SolverConfig { polish_rounds }));
+        (report.expect("a feasible plan"), allocs)
     };
-    // The first solve sizes the scratch.
-    solve(2_000);
-    let (_, small) = solve(2_000);
-    let (_, large) = solve(8_000);
+    let (one, few) = solve(1);
+    let (all, many) = solve(60);
+    assert_eq!(
+        (&all.probes, all.k_final, all.evals_used),
+        (&one.probes, one.k_final, one.evals_used),
+        "the same searches at every K"
+    );
+    let k = all.k_final;
+    let rounds = polish(&problem, &centre(&problem, k), k, 60).rounds;
+    assert!(rounds >= 4, "the final run polished only {rounds} rounds");
+    // A slot list may outgrow its capacity once or twice more; nothing may
+    // allocate per round, machine or candidate.
     assert!(
-        large * 4 <= small * 5,
-        "allocations follow the budget: {small} at 2,000 evaluations, {large} at 8,000"
+        many <= few + 4,
+        "{few} allocations with one round per search, {many} with up to {rounds}"
     );
 }
 
+#[test]
+fn directs_allocations_do_not_follow_its_budget() {
+    // 12 free slots: the class whose searches DIRECT seeds.
+    let problem = tenants(12, 4).0;
+    assert_eq!(free_dims(&problem), 12);
+    problem.slot_series();
+    let run = |evals| allocations(|| solve_at_k(&problem, 4, evals, 0));
+    let (_, few) = run(2_000);
+    let ((_, _, evals), many) = run(8_000);
+    assert!(evals >= 7_999, "DIRECT spent {evals} of 8,000 evaluations");
+    assert!(
+        many as f64 <= 1.25 * few as f64,
+        "{few} allocations at 2,000 evaluations, {many} at 8,000"
+    );
+    // A solve whose final run is DIRECT's 8,000 points: a few hundred
+    // allocations (482 when this was written), not one per point.
+    let (report, allocs) = allocations(|| solve(&problem, &SolverConfig::default()));
+    let report = report.expect("a feasible plan");
+    assert!(
+        report.k_final > 1 && report.evals_used >= 1,
+        "DIRECT ran no search"
+    );
+    assert!(allocs < 1_000, "{allocs} allocations in one solve");
+}
+
 /// 60 tenants over a 288-window day, each with its own diurnal peak, all
-/// stacked on machine k/2 — DIRECT's first centre decodes every slot there
-/// — so polish has everything to spread.
+/// stacked on machine k/2 — the centre every search polishes puts every
+/// slot there — so polish has everything to spread.
 fn stacked(k: usize) -> (ConsolidationProblem, Assignment) {
+    tenants(60, k)
+}
+
+/// `n` such tenants, stacked on machine k/2.
+fn tenants(n: usize, k: usize) -> (ConsolidationProblem, Assignment) {
     let mut rng = SplitMix64::new(0x57AC);
-    let workloads = (0..60)
+    let workloads = (0..n)
         .map(|i| {
             let mut w = WorkloadSpec::flat(format!("t{i:02}"), 0, 0.0, 0.0, 0.0, 0.0);
             let (cpu, peak) = (rng.next_in(0.3, 3.0), rng.next_in(0.0, 288.0));
@@ -154,10 +161,10 @@ fn stacked(k: usize) -> (ConsolidationProblem, Assignment) {
     let problem = ConsolidationProblem::new(
         workloads,
         TargetMachine::paper_target(),
-        60,
+        n,
         Arc::new(LinearDiskCombiner::default()),
     );
-    (problem, Assignment::new(vec![k / 2; 60]))
+    (problem, Assignment::new(vec![k / 2; n]))
 }
 
 #[test]

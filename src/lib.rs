@@ -17,7 +17,7 @@
 //! | [`workloads`] | `kairos-workloads` | TPC-C-like, Wikipedia-like, synthetic generators |
 //! | [`monitor`] | `kairos-monitor` | resource monitor + buffer-pool gauging |
 //! | [`diskmodel`] | `kairos-diskmodel` | empirical disk profiler + LAR polynomial fit |
-//! | [`solver`] | `kairos-solver` | DIRECT, greedy baseline, fractional bound, warm restarts |
+//! | [`solver`] | `kairos-solver` | seed-and-polish search, DIRECT, greedy baseline, fractional bound, warm restarts |
 //! | [`traces`] | `kairos-traces` | rrd store + synthetic production fleets |
 //! | [`vmsim`] | `kairos-vmsim` | DB-in-VM / DB-per-process baselines |
 //! | [`core`] | `kairos-core` | combined-load estimator + consolidation engine |

@@ -47,12 +47,7 @@ fn solver_output_is_feasible_and_bounded() {
     let mut rng = SplitMix64::from_env(0xFEA51B1E);
     for case in 0..24 {
         let problem = random_problem(&mut rng);
-        let cfg = SolverConfig {
-            probe_evals: 300,
-            final_evals: 800,
-            polish_rounds: 20,
-            ..Default::default()
-        };
+        let cfg = SolverConfig { polish_rounds: 20 };
         if let Ok(report) = solve(&problem, &cfg) {
             assert!(report.evaluation.feasible, "case {case}");
             let again = evaluate(&problem, &report.assignment);
