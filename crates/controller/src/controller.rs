@@ -47,8 +47,9 @@ pub struct ControllerConfig {
     /// doesn't pay a solve). `0` disables the refresh.
     pub profile_refresh_ticks: u64,
     /// Sketch shape for balancer summaries and handoff frames (quantile
-    /// marks + verbatim tail). Part of the summary cache key: changing
-    /// it invalidates cached roll-ups even with no state change.
+    /// marks + verbatim tail). Changing it through
+    /// `ShardController::set_sketch_config` stales the cached summary
+    /// even with no other state change.
     pub sketch: kairos_traces::SketchConfig,
 }
 

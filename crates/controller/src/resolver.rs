@@ -93,11 +93,7 @@ pub struct ReSolveOutcome {
 impl ReSolveOutcome {
     /// Fraction of pre-existing workload slots the new plan relocates.
     pub fn churn(&self) -> f64 {
-        if self.preexisting_slots == 0 {
-            0.0
-        } else {
-            self.moves as f64 / self.preexisting_slots as f64
-        }
+        self.moves as f64 / self.preexisting_slots.max(1) as f64
     }
 }
 

@@ -143,7 +143,7 @@ pub struct Scenario {
 }
 
 /// What a scenario run produced.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ScenarioReport {
     pub label: String,
     pub ticks: u64,
@@ -172,11 +172,7 @@ impl ScenarioReport {
     }
 
     pub fn mean_resolve_secs(&self) -> f64 {
-        if self.resolve_secs.is_empty() {
-            0.0
-        } else {
-            self.resolve_secs.iter().sum::<f64>() / self.resolve_secs.len() as f64
-        }
+        self.resolve_secs.iter().sum::<f64>() / self.resolve_secs.len().max(1) as f64
     }
 }
 
@@ -192,17 +188,7 @@ pub fn run_scenario(cfg: &ControllerConfig, scenario: Scenario) -> ScenarioRepor
     let mut report = ScenarioReport {
         label: scenario.label,
         ticks: scenario.ticks,
-        initial_plan_tick: None,
-        initial_machines: 0,
-        final_machines: 0,
-        resolves: 0,
-        churns: Vec::new(),
-        total_moves: 0,
-        forced_steps: 0,
-        bytes_copied: 0.0,
-        final_feasible: false,
-        steady_tick_secs: 0.0,
-        resolve_secs: Vec::new(),
+        ..ScenarioReport::default()
     };
     let mut steady_secs = 0.0;
     let mut steady_ticks = 0u64;
@@ -254,15 +240,8 @@ pub fn run_scenario(cfg: &ControllerConfig, scenario: Scenario) -> ScenarioRepor
     }
 
     report.final_machines = controller.placement().machines_used();
-    report.final_feasible = controller
-        .verify_current()
-        .map(|e| e.feasible)
-        .unwrap_or(false);
-    report.steady_tick_secs = if steady_ticks > 0 {
-        steady_secs / steady_ticks as f64
-    } else {
-        0.0
-    };
+    report.final_feasible = controller.verify_current().is_some_and(|e| e.feasible);
+    report.steady_tick_secs = steady_secs / steady_ticks.max(1) as f64;
     report
 }
 

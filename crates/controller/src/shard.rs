@@ -41,6 +41,21 @@ use std::time::Instant;
 /// count) may coast on unchanged state between balance rounds.
 const SUMMARY_REFRESH_TICKS: u64 = 24;
 
+/// When a memo was filled: the shard's state epoch and its tick.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Stamp {
+    epoch: u64,
+    tick: u64,
+}
+
+/// The cached balancer summary, the stamp it was filled at, and its
+/// [`ShardSummary::digest`], computed on first demand.
+struct SummaryMemo {
+    at: Stamp,
+    summary: ShardSummary,
+    digest: Option<u64>,
+}
+
 /// One tenant's forecast peaks — what the balancer weighs when choosing
 /// handoff candidates.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -233,21 +248,17 @@ pub struct ShardController {
     /// failed solve so retries are paced, not per-tick).
     replan_backoff_until: u64,
     last_resolve_failed: bool,
-    /// Cached balancer summary plus the tick it was computed at and the
-    /// [`SketchConfig::digest`] it was sketched with; invalidated by
-    /// anything that changes what the balancer would see, by age (see
-    /// [`SUMMARY_REFRESH_TICKS`]) and by a sketch shape change — a
-    /// summary sketched with the old shape must never be served under a
-    /// new one.
-    summary_cache: Option<(u64, u64, ShardSummary)>,
-    /// [`ShardSummary::digest`] of the cached summary, computed on first
-    /// demand and dropped with every refill. Not checkpointed: a restored
-    /// shard recomputes it from the restored cache.
-    summary_digest: Option<u64>,
-    /// [`ShardController::pack_estimate`]`(&[])` for the current samples
-    /// and membership: cleared by every tick and wherever the summary
-    /// is invalidated. Not checkpointed.
-    pack_memo: Cell<Option<Option<usize>>>,
+    /// Bumped by every change a memo reads — plans, failed solves,
+    /// profile refreshes, membership, anti-affinity pairs, a new sketch
+    /// shape — so a memo stamped with an older epoch is stale. Not
+    /// checkpointed: a restore stamps what it keeps with its own.
+    epoch: u64,
+    /// The balancer summary: served while its epoch is current and it is
+    /// younger than [`SUMMARY_REFRESH_TICKS`].
+    summary_memo: Option<SummaryMemo>,
+    /// [`ShardController::pack_estimate`]`(&[])`: served only at the
+    /// stamp it was packed at. Not checkpointed.
+    pack_memo: Cell<Option<(Stamp, Option<usize>)>>,
     /// `kairos_shard_pack_estimates_total`: greedy packs
     /// [`ShardController::pack_estimate`] actually ran. Registry only —
     /// not part of [`ControllerStats`] or the snapshot.
@@ -297,8 +308,8 @@ impl ShardController {
             last_plan_tick: 0,
             replan_backoff_until: 0,
             last_resolve_failed: false,
-            summary_cache: None,
-            summary_digest: None,
+            epoch: 0,
+            summary_memo: None,
             pack_memo: Cell::new(None),
             pack_estimates: registry.counter("kairos_shard_pack_estimates_total"),
             resolve_evals: registry.counter("kairos_shard_resolve_evals_total"),
@@ -312,6 +323,28 @@ impl ShardController {
     /// The shard's current tick count (drives every cadence gate).
     fn ticks(&self) -> u64 {
         self.metrics.ticks.get()
+    }
+
+    /// What a memo filled now is stamped with.
+    fn stamp(&self) -> Stamp {
+        Stamp {
+            epoch: self.epoch,
+            tick: self.ticks(),
+        }
+    }
+
+    /// Stale every memo: called once by each change a memo reads.
+    fn bump_epoch(&mut self) {
+        self.epoch += 1;
+    }
+
+    /// A tenant arrived or left: a membership re-plan is due once the
+    /// shard has planned, and every memo is stale.
+    fn membership_moved(&mut self) {
+        if self.planned_once {
+            self.membership_changed = true;
+        }
+        self.bump_epoch();
     }
 
     /// The registry behind this shard's metrics (the `Metrics` RPC and
@@ -364,15 +397,6 @@ impl ShardController {
         self.spans.span_bytes()
     }
 
-    /// Drop the cached balancer summary and pack estimate — called on
-    /// every state change a summary reflects (membership, handoffs,
-    /// plans, solve failures, anti-affinity pairs).
-    fn invalidate_summary(&mut self) {
-        self.summary_cache = None;
-        self.summary_digest = None;
-        self.pack_memo.set(None);
-    }
-
     /// Attach a workload's telemetry stream. Arrival of a new workload
     /// after the initial plan triggers a membership re-plan once the
     /// newcomer has enough observed windows.
@@ -380,10 +404,7 @@ impl ShardController {
         let name = source.name().to_string();
         self.ingester.register(&name, self.cfg.telemetry);
         self.sources.insert(name, source);
-        if self.planned_once {
-            self.membership_changed = true;
-        }
-        self.invalidate_summary();
+        self.membership_moved();
     }
 
     /// Attach a replicated workload: `replicas` copies on distinct
@@ -401,7 +422,7 @@ impl ShardController {
     /// Idempotent in either orientation ([`add_anti_affinity_pair`]).
     pub fn add_anti_affinity(&mut self, a: &str, b: &str) {
         add_anti_affinity_pair(&mut self.resolver.anti_affinity, a, b);
-        self.invalidate_summary();
+        self.bump_epoch();
     }
 
     /// Detach a workload: telemetry dropped, tenant retired from the
@@ -415,10 +436,7 @@ impl ShardController {
         self.replicas.remove(name);
         self.placement.remove_workload(name);
         self.executor.retire(name);
-        if self.planned_once {
-            self.membership_changed = true;
-        }
-        self.invalidate_summary();
+        self.membership_moved();
     }
 
     pub fn stats(&self) -> ControllerStats {
@@ -478,7 +496,6 @@ impl ShardController {
     /// One monitoring interval: poll every source, then act.
     pub fn tick(&mut self) -> TickOutcome {
         self.metrics.ticks.inc();
-        self.pack_memo.set(None);
         for (name, source) in self.sources.iter_mut() {
             let sample = source.poll();
             self.ingester.ingest(name, &sample);
@@ -576,7 +593,7 @@ impl ShardController {
             },
         );
         self.note_envelopes(envelopes);
-        self.invalidate_summary();
+        self.bump_epoch();
         TickOutcome::InitialPlan {
             machines,
             solve_secs,
@@ -702,7 +719,7 @@ impl ShardController {
                         workloads: refreshed_names,
                     },
                 );
-                self.invalidate_summary();
+                self.bump_epoch();
                 TickOutcome::ProfileRefreshed { refreshed }
             }
             _ => TickOutcome::Idle,
@@ -786,7 +803,7 @@ impl ShardController {
                         backoff_until: self.replan_backoff_until,
                     },
                 );
-                self.invalidate_summary();
+                self.bump_epoch();
                 return TickOutcome::Stable;
             }
         };
@@ -829,7 +846,7 @@ impl ShardController {
         );
         self.last_objective_bits = objective_after_bits;
         self.note_envelopes(envelopes);
-        self.invalidate_summary();
+        self.bump_epoch();
 
         TickOutcome::Replanned(ReplanSummary {
             reason,
@@ -910,7 +927,11 @@ impl ShardController {
             last_plan_tick: self.last_plan_tick,
             replan_backoff_until: self.replan_backoff_until,
             last_resolve_failed: self.last_resolve_failed,
-            summary_cache: self.summary_cache.clone(),
+            summary_cache: self
+                .summary_memo
+                .as_ref()
+                .filter(|m| m.at.epoch == self.epoch)
+                .map(|m| (m.at.tick, self.cfg.sketch.digest(), m.summary.clone())),
             stats: self.metrics.stats(),
             routing: self.executor.routing_snapshot(),
             trace: {
@@ -926,8 +947,9 @@ impl ShardController {
 
     /// Rebuild a shard from a [`ShardSnapshot`]: telemetry windows are
     /// re-installed, the executor's routing entries are reinstated,
-    /// and all loop state (placement, planned profiles,
-    /// counters, caches) is restored verbatim. Internally inconsistent
+    /// and all loop state (placement, planned profiles, counters, the
+    /// cached summary) is restored verbatim — the summary only when
+    /// `cfg` sketches with the shape it was filled under. Internally inconsistent
     /// snapshots (placements or routing for tenants with no telemetry)
     /// are rejected — a partial restore must never come up half-silent.
     ///
@@ -947,34 +969,20 @@ impl ShardController {
                 "shard snapshot repeats a tenant".into(),
             ));
         }
-        let known = |name: &str| names.contains(name);
-        for ((w, _), _) in snapshot.placement.iter() {
-            if !known(w) {
-                return Err(KairosError::InvalidInput(format!(
-                    "shard snapshot places unknown tenant {w}"
-                )));
-            }
-        }
-        for w in snapshot.planned.keys().chain(snapshot.replicas.keys()) {
-            if !known(w) {
-                return Err(KairosError::InvalidInput(format!(
-                    "shard snapshot plans unknown tenant {w}"
-                )));
-            }
-        }
-        for w in &snapshot.envelope_planned {
-            if !known(w) {
-                return Err(KairosError::InvalidInput(format!(
-                    "shard snapshot envelope-plans unknown tenant {w}"
-                )));
-            }
-        }
-        for (w, _, _, _) in &snapshot.routing {
-            if !known(w) {
-                return Err(KairosError::InvalidInput(format!(
-                    "shard snapshot routes unknown tenant {w}"
-                )));
-            }
+        let unknown = {
+            let placed = snapshot.placement.iter().map(|((w, _), _)| ("places", w));
+            let planned = snapshot.planned.keys().chain(snapshot.replicas.keys());
+            let enveloped = snapshot.envelope_planned.iter();
+            let routed = snapshot.routing.iter().map(|(w, ..)| ("routes", w));
+            placed
+                .chain(planned.map(|w| ("plans", w)))
+                .chain(enveloped.map(|w| ("envelope-plans", w)))
+                .chain(routed)
+                .find(|(_, w)| !names.contains(w.as_str()))
+                .map(|(verb, w)| format!("shard snapshot {verb} unknown tenant {w}"))
+        };
+        if let Some(message) = unknown {
+            return Err(KairosError::InvalidInput(message));
         }
 
         let mut shard = ShardController::new(cfg, engine);
@@ -993,7 +1001,19 @@ impl ShardController {
         shard.last_plan_tick = snapshot.last_plan_tick;
         shard.replan_backoff_until = snapshot.replan_backoff_until;
         shard.last_resolve_failed = snapshot.last_resolve_failed;
-        shard.summary_cache = snapshot.summary_cache;
+        // A summary sketched under another shape is not kept.
+        let sketched_as = shard.cfg.sketch.digest();
+        shard.summary_memo = snapshot
+            .summary_cache
+            .filter(|(_, digest, _)| *digest == sketched_as)
+            .map(|(tick, _, summary)| SummaryMemo {
+                at: Stamp {
+                    tick,
+                    ..shard.stamp()
+                },
+                summary,
+                digest: None,
+            });
         shard.metrics.restore(&snapshot.stats);
         shard.log =
             DecisionLog::restore(snapshot.trace, kairos_obs::events::DEFAULT_TRACE_CAP, true);
@@ -1090,14 +1110,14 @@ impl ShardController {
 
     /// [`ShardController::summary`] through a staleness-bounded cache:
     /// recomputed whenever the shard's state actually changed (plan,
-    /// membership, handoff, failed solve — see the invalidation hooks) or
-    /// when the cached copy is `SUMMARY_REFRESH_TICKS` old. This is the
-    /// balance round's hot path: a quiet shard's summary is a clone, not
-    /// a fleet-wide forecast pass. Caveat: forecast-derived fields
-    /// (`feasible`, tenant peaks, `drifting`) have no invalidation hook
-    /// of their own — telemetry that drifts without tripping the
-    /// detector (so no replan happens) is only reflected once the
-    /// staleness bound expires.
+    /// membership, handoff, failed solve, sketch shape — every change
+    /// that bumps the epoch) or when the cached copy is
+    /// `SUMMARY_REFRESH_TICKS` old. This is the balance round's hot path:
+    /// a quiet shard's summary is a clone, not a fleet-wide forecast
+    /// pass. Caveat: telemetry that drifts without tripping the detector
+    /// (so no replan happens) moves the forecast-derived fields
+    /// (`feasible`, tenant peaks, `drifting`) only once the staleness
+    /// bound expires.
     pub fn summary_cached(&mut self) -> ShardSummary {
         self.summary_ref().clone()
     }
@@ -1106,22 +1126,7 @@ impl ShardController {
     /// summary, refilled first when stale, for readers that need only
     /// some of its fields (a zone's roll-up, its choice of shard).
     pub fn summary_ref(&mut self) -> &ShardSummary {
-        let digest = self.cfg.sketch.digest();
-        let now = self.ticks();
-        // A cached summary sketched under a different shape is stale
-        // regardless of age (the shape can change between computation
-        // and use via `set_sketch_config` or a restore under a new
-        // config).
-        let fresh = matches!(
-            &self.summary_cache,
-            Some((at, sketched_as, _))
-                if *sketched_as == digest && now.saturating_sub(*at) < SUMMARY_REFRESH_TICKS
-        );
-        if !fresh {
-            self.summary_cache = Some((now, digest, self.summary()));
-            self.summary_digest = None;
-        }
-        &self.summary_cache.as_ref().expect("filled above").2
+        &self.memoized_summary().summary
     }
 
     /// [`ShardSummary::digest`] of the summary
@@ -1129,9 +1134,26 @@ impl ShardController {
     /// once per cache fill — what a shard node answers `SummarySince`
     /// from without cloning or encoding on a match.
     pub fn summary_digest(&mut self) -> u64 {
-        self.summary_ref();
-        let cached = &self.summary_cache.as_ref().expect("just filled").2;
-        *self.summary_digest.get_or_insert_with(|| cached.digest())
+        let SummaryMemo {
+            summary, digest, ..
+        } = self.memoized_summary();
+        *digest.get_or_insert_with(|| summary.digest())
+    }
+
+    /// The summary memo, refilled first unless it is a hit.
+    fn memoized_summary(&mut self) -> &mut SummaryMemo {
+        let now = self.stamp();
+        let hit = |m: &SummaryMemo| {
+            m.at.epoch == now.epoch && now.tick.saturating_sub(m.at.tick) < SUMMARY_REFRESH_TICKS
+        };
+        if !self.summary_memo.as_ref().is_some_and(hit) {
+            self.summary_memo = Some(SummaryMemo {
+                at: now,
+                summary: self.summary(),
+                digest: None,
+            });
+        }
+        self.summary_memo.as_mut().expect("filled above")
     }
 
     /// The sketch shape this shard compresses summaries and handoff
@@ -1140,15 +1162,12 @@ impl ShardController {
         self.cfg.sketch
     }
 
-    /// Re-shape the telemetry sketches (mark count / verbatim tail).
-    /// Invalidates the summary cache eagerly; the digest check in
-    /// [`ShardController::summary_cached`] is the belt-and-braces
-    /// backstop for shape changes that bypass this setter (e.g. a
-    /// snapshot restored under a different config).
+    /// Re-shape the telemetry sketches (mark count / verbatim tail). A
+    /// new shape stales the cached summary; the same shape keeps it.
     pub fn set_sketch_config(&mut self, sketch: SketchConfig) {
         if self.cfg.sketch != sketch {
             self.cfg.sketch = sketch;
-            self.invalidate_summary();
+            self.bump_epoch();
         }
     }
 
@@ -1173,13 +1192,16 @@ impl ShardController {
     /// Machines this shard would need (greedy estimate) if the named
     /// tenants were evicted. `None` when even greedy cannot pack what
     /// remains; `Some(0)` when nothing remains. The estimate with nothing
-    /// excluded is packed at most once per tick and state change (the
-    /// summary's invalidation hooks): a zone's pack estimate asked again
-    /// after an evict repacks only the shards the evict touched.
+    /// excluded is packed at most once per tick and epoch: a zone's pack
+    /// estimate asked again after an evict repacks only the shards the
+    /// evict touched.
     pub fn pack_estimate(&self, exclude: &[&str]) -> Option<usize> {
+        let now = self.stamp();
         if exclude.is_empty() {
-            if let Some(memo) = self.pack_memo.get() {
-                return memo;
+            if let Some((at, estimate)) = self.pack_memo.get() {
+                if at == now {
+                    return estimate;
+                }
             }
         }
         let profiles: Vec<WorkloadProfile> = self
@@ -1196,7 +1218,7 @@ impl ShardController {
             })
         };
         if exclude.is_empty() {
-            self.pack_memo.set(Some(estimate));
+            self.pack_memo.set(Some((now, estimate)));
         }
         estimate
     }
@@ -1216,9 +1238,7 @@ impl ShardController {
         self.envelope_planned.remove(name);
         self.placement.remove_workload(name);
         self.executor.retire(name);
-        if self.planned_once {
-            self.membership_changed = true;
-        }
+        self.membership_moved();
         // Chain into the caller's trace: locally that's the balance
         // round's handoff span; over RPC it's the context the frame's
         // span section delivered. No installed context ⇒ no span.
@@ -1232,7 +1252,6 @@ impl ShardController {
                 tenant: name.to_string(),
             },
         );
-        self.invalidate_summary();
         Some(TenantHandoff {
             name: name.to_string(),
             replicas,
@@ -1269,10 +1288,7 @@ impl ShardController {
             },
         );
         self.sources.insert(name, source);
-        if self.planned_once {
-            self.membership_changed = true;
-        }
-        self.invalidate_summary();
+        self.membership_moved();
     }
 }
 
@@ -1411,38 +1427,296 @@ mod tests {
         );
     }
 
+    /// What a step must do to the shard's memos.
+    enum Effect {
+        /// It changed state a memo reads: both memos miss.
+        Stales(&'static str),
+        /// It changed nothing a memo reads: both memos hit.
+        Keeps,
+        /// A tick that neither planned nor refreshed: the pack estimate
+        /// misses, the summary ages.
+        Ticks,
+        /// A restore: the summary is the snapshot's unless the sketch
+        /// shape changed.
+        Restores,
+    }
+
     #[test]
-    fn pack_memo_matches_an_uncached_pack_after_every_change() {
+    fn every_memo_matches_a_fresh_one_after_every_step() {
         fn packs(s: &ShardController) -> u64 {
             s.metrics_registry()
                 .counter_value("kairos_shard_pack_estimates_total")
                 .unwrap_or(0)
         }
-        fn check(s: &ShardController, after: &str) {
-            let before = packs(s);
-            let memo = s.pack_estimate(&[]);
-            assert_eq!(packs(s), before + 1, "after {after}: no fresh pack");
-            assert_eq!(s.pack_estimate(&[]), memo);
-            assert_eq!(packs(s), before + 1, "after {after}: packed twice");
-            // Excluding nobody by name bypasses the memo: the same pack,
-            // uncached.
-            assert_eq!(memo, s.pack_estimate(&["nobody"]), "after {after}");
+        fn source(name: &str, tps: f64) -> Box<dyn TelemetrySource> {
+            Box::new(SyntheticSource::new(
+                name,
+                300.0,
+                Bytes::gib(4),
+                RatePattern::Flat { tps },
+            ))
         }
-        let mut s = shard_with(6, 400.0);
+        // Every source is noisy, so a summary held across a tick shows.
+        // `hot` changes regime at tick 24: a drift re-plan onto an
+        // envelope, then the envelope's refresh. `giant` fits no machine,
+        // so a re-plan with it aboard fails.
+        let cfg = |sketch| ControllerConfig {
+            profile_refresh_ticks: 8,
+            sketch,
+            ..quick_cfg()
+        };
+        let shapes = [SketchConfig::default(), SketchConfig { marks: 5, tail: 4 }];
+        let engine = || ConsolidationEngine::builder().build();
+        let mut rng = kairos_types::SplitMix64::from_env(0x57A3B);
+        let mut staled: BTreeMap<&str, usize> = BTreeMap::new();
+        for round in 0..6 {
+            // Every other round mostly ticks, long enough for `hot`'s
+            // envelope refresh to come due between membership changes.
+            let tick_share = [60, 90][round % 2];
+            let mut s = ShardController::new(cfg(shapes[0]), engine());
+            s.add_workload(Box::new(
+                SyntheticSource::new(
+                    "hot",
+                    300.0,
+                    Bytes::gib(4),
+                    RatePattern::Flat { tps: 200.0 },
+                )
+                .then_at(
+                    24,
+                    RatePattern::Sinusoid {
+                        mean: 260.0,
+                        amplitude: 140.0,
+                        period_secs: 8.0 * 300.0,
+                        phase: 0.0,
+                    },
+                ),
+            ));
+            for i in 0..5 {
+                s.add_workload(source(&format!("t{i}"), rng.next_in(150.0, 350.0)));
+            }
+            let mut parked: Vec<TenantHandoff> = Vec::new();
+            for step in 0..150 {
+                let before = s.summary_digest();
+                s.pack_estimate(&[]);
+                let packed = packs(&s);
+                let backoff = s.replan_backoff_until;
+                let movable: Vec<String> =
+                    s.workloads().into_iter().filter(|n| n != "hot").collect();
+                let pick = |rng: &mut kairos_types::SplitMix64| {
+                    movable[rng.next_range(movable.len() as u64) as usize].clone()
+                };
+                let fresh_name = format!("n{round}.{step}");
+                let mut original = None;
+                let roll = match rng.next_range(100) {
+                    roll if roll < tick_share => 0,
+                    _ => 60 + rng.next_range(40),
+                };
+                let effect = match roll {
+                    0..60 => match s.tick() {
+                        TickOutcome::InitialPlan { .. } => Effect::Stales("bootstrap"),
+                        TickOutcome::Replanned(_) => Effect::Stales("re-plan"),
+                        TickOutcome::ProfileRefreshed { .. } => Effect::Stales("profile refresh"),
+                        _ if s.replan_backoff_until != backoff => Effect::Stales("failed re-plan"),
+                        _ => Effect::Ticks,
+                    },
+                    60..64 => {
+                        s.add_workload(source(&fresh_name, rng.next_in(100.0, 300.0)));
+                        Effect::Stales("add_workload")
+                    }
+                    64..66 => {
+                        s.add_workload_with_replicas(source(&fresh_name, 100.0), 2);
+                        Effect::Stales("add_workload_with_replicas")
+                    }
+                    66..68 if s.has_workload("giant") => {
+                        s.remove_workload("giant");
+                        Effect::Stales("remove_workload")
+                    }
+                    66..68 if s.planned_once() => {
+                        s.add_workload(source("giant", 3_000.0));
+                        Effect::Stales("add_workload")
+                    }
+                    68..71 if !movable.is_empty() => {
+                        s.remove_workload(&pick(&mut rng));
+                        Effect::Stales("remove_workload")
+                    }
+                    71..74 if movable.len() >= 2 => {
+                        // A pair that shares a machine reads at once.
+                        let machine = |n: &String| s.placement().machine_of(n, 0);
+                        let pair = movable.iter().enumerate().find_map(|(i, a)| {
+                            let b = movable[i + 1..]
+                                .iter()
+                                .find(|b| machine(b).is_some() && machine(b) == machine(a))?;
+                            Some((a.clone(), b.clone()))
+                        });
+                        let (a, b) = pair.unwrap_or_else(|| (pick(&mut rng), pick(&mut rng)));
+                        s.add_anti_affinity(&a, &b);
+                        Effect::Stales("add_anti_affinity")
+                    }
+                    74..77 if !movable.is_empty() => {
+                        parked.push(s.evict(&pick(&mut rng)).expect("resident"));
+                        Effect::Stales("evict")
+                    }
+                    77..80 => match parked.pop() {
+                        Some(mut handoff) => {
+                            handoff.replicas = 1 + rng.next_range(2) as u32;
+                            s.admit(handoff);
+                            Effect::Stales("admit")
+                        }
+                        None => {
+                            assert!(s.evict("ghost").is_none());
+                            Effect::Keeps
+                        }
+                    },
+                    80..83 => {
+                        let shape = shapes[rng.next_range(2) as usize];
+                        let changed = shape != s.sketch_config();
+                        s.set_sketch_config(shape);
+                        if changed {
+                            Effect::Stales("set_sketch_config")
+                        } else {
+                            Effect::Keeps
+                        }
+                    }
+                    83..86 => {
+                        s.record_event(DecisionEvent::TenantAdmitted {
+                            tenant: "ghost".into(),
+                        });
+                        Effect::Keeps
+                    }
+                    86..88 => {
+                        s.set_tracing(rng.next_range(2) == 0);
+                        Effect::Keeps
+                    }
+                    88..90 => {
+                        s.configure_spans(1, rng.next_range(2) == 0);
+                        Effect::Keeps
+                    }
+                    90..93 if !movable.is_empty() => {
+                        let name = pick(&mut rng);
+                        s.attach_source(source(&name, 200.0)).expect("resident");
+                        assert!(s.attach_source(source("ghost", 1.0)).is_err());
+                        Effect::Keeps
+                    }
+                    93..100 => {
+                        let shape = shapes[rng.next_range(2) as usize];
+                        let mut restored =
+                            ShardController::restore(cfg(shape), engine(), s.snapshot())
+                                .expect("restores");
+                        for (_, src) in std::mem::take(&mut s.sources) {
+                            restored.attach_source(src).expect("restored tenant");
+                        }
+                        original = Some(std::mem::replace(&mut s, restored));
+                        Effect::Restores
+                    }
+                    _ => continue,
+                };
+                let at = format!("round {round} step {step}");
+                // The pack estimate: uncached, packed once per stamp.
+                let memo = s.pack_estimate(&[]);
+                // A restored shard's counter starts at zero.
+                let base = if matches!(effect, Effect::Restores) {
+                    0
+                } else {
+                    packed
+                };
+                let fresh_packs = packs(&s) - base;
+                assert_eq!(
+                    memo,
+                    s.pack_estimate(&["nobody"]),
+                    "{at}: stale pack estimate"
+                );
+                let after = packs(&s);
+                assert_eq!(s.pack_estimate(&[]), memo);
+                assert_eq!(packs(&s), after, "{at}: packed twice at one stamp");
+                let fresh = s.summary();
+                match effect {
+                    Effect::Stales(what) => {
+                        *staled.entry(what).or_default() += 1;
+                        assert_eq!(fresh_packs, 1, "{at}: {what} kept the pack estimate");
+                        assert_eq!(
+                            s.summary_cached().digest(),
+                            fresh.digest(),
+                            "{at}: {what} kept a stale summary"
+                        );
+                        assert_eq!(s.summary_digest(), fresh.digest(), "{at}: {what}");
+                    }
+                    Effect::Keeps => {
+                        assert_eq!(fresh_packs, 0, "{at}: a no-op repacked");
+                        assert_eq!(s.summary_digest(), before, "{at}: a no-op refilled");
+                    }
+                    Effect::Ticks => assert_eq!(fresh_packs, 1, "{at}: a tick kept the pack"),
+                    Effect::Restores => {
+                        let mut original = original.take().expect("restored");
+                        let expected = if s.sketch_config() == original.sketch_config() {
+                            original.summary_cached().digest()
+                        } else {
+                            fresh.digest()
+                        };
+                        assert_eq!(s.summary_digest(), expected, "{at}: restored summary");
+                        assert_eq!(s.summary_cached().digest(), expected, "{at}");
+                    }
+                }
+            }
+        }
+        // Every change a memo reads ran, so dropping any one bump fails.
+        let kinds = [
+            "bootstrap",
+            "re-plan",
+            "failed re-plan",
+            "profile refresh",
+            "add_workload",
+            "add_workload_with_replicas",
+            "remove_workload",
+            "add_anti_affinity",
+            "evict",
+            "admit",
+            "set_sketch_config",
+        ];
+        for kind in kinds {
+            assert!(staled.contains_key(kind), "no {kind} ran: {staled:?}");
+        }
+    }
+
+    #[test]
+    fn a_restored_summary_is_a_cache_hit() {
+        let mut s = ShardController::new(quick_cfg(), ConsolidationEngine::builder().build());
+        for i in 0..6 {
+            // Noisy: a summary computed afresh moves every tick.
+            s.add_workload(Box::new(
+                SyntheticSource::new(
+                    format!("t{i:02}"),
+                    300.0,
+                    Bytes::gib(4),
+                    RatePattern::Flat { tps: 210.0 },
+                )
+                .with_noise(0.05),
+            ));
+        }
         run_until_planned(&mut s, 20);
-        check(&s, "the plan");
-        s.tick();
-        check(&s, "a tick");
-        let mut handoff = s.evict("t00").expect("resident");
-        check(&s, "an evict");
-        s.admit(handoff);
-        check(&s, "an admit");
-        handoff = s.evict("t01").expect("resident");
-        handoff.replicas = 3;
-        s.admit(handoff);
-        check(&s, "a replica change");
-        s.add_anti_affinity("t02", "t03");
-        check(&s, "an anti-affinity pair");
+        let cached = s.summary_digest();
+        for age in 1..SUMMARY_REFRESH_TICKS {
+            let outcome = s.tick();
+            assert!(
+                matches!(outcome, TickOutcome::Stable | TickOutcome::Idle),
+                "the shard must stay quiet, got {outcome:?}"
+            );
+            let mut restored = ShardController::restore(
+                quick_cfg(),
+                ConsolidationEngine::builder().build(),
+                s.snapshot(),
+            )
+            .expect("restores");
+            assert_ne!(
+                restored.summary().digest(),
+                cached,
+                "the telemetry must have moved by age {age}"
+            );
+            assert_eq!(
+                restored.summary_digest(),
+                cached,
+                "a restored summary {age} ticks old must be served from cache"
+            );
+        }
     }
 
     #[test]

@@ -62,10 +62,21 @@ pub fn fractional_lower_bound(problem: &ConsolidationProblem) -> usize {
         .max(1)
 }
 
-/// The no-consolidation reference: each slot on its own machine.
+/// The no-consolidation reference: each pinned slot on its pin, every
+/// other slot alone on the lowest machine no pin names — slot *i* on
+/// machine *i* when every pin is its own slot's index, or nothing is pinned.
 pub fn identity_assignment(problem: &ConsolidationProblem) -> Assignment {
-    let n = problem.slots().len();
-    Assignment::new((0..n).collect())
+    let pins: Vec<Option<usize>> = problem
+        .slots()
+        .into_iter()
+        .map(|s| problem.pin_of(s))
+        .collect();
+    let mut free = (0..).filter(|m| !pins.contains(&Some(*m)));
+    Assignment::new(
+        pins.iter()
+            .map(|pin| pin.unwrap_or_else(|| free.next().expect("unbounded")))
+            .collect(),
+    )
 }
 
 /// Upper bound: greedy if it finds a feasible packing, else the identity

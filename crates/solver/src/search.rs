@@ -39,7 +39,7 @@
 //! leaves the binary search nothing to probe, so such a re-plan costs one
 //! polish.
 
-use crate::bounds::{fractional_lower_bound, identity_assignment, upper_bound};
+use crate::bounds::{fractional_lower_bound, upper_bound};
 use crate::direct::{direct_minimize, DirectConfig};
 use crate::local::polish;
 use crate::machines::Machines;
@@ -267,28 +267,6 @@ fn direct_budget(problem: &ConsolidationProblem, warm: bool) -> Option<DirectBud
     (free_dims(problem) <= DIRECT_MAX_FREE_SLOTS).then_some(budget)
 }
 
-/// One search at `k` — a probe, or the final run at K′ — polished for
-/// `rounds`: from DIRECT's best point on `direct`'s budget, or from the
-/// [`centre`] without one. At K = 1 every point decodes to the centre.
-fn search_at(
-    problem: &ConsolidationProblem,
-    k: usize,
-    probe: bool,
-    direct: Option<DirectBudget>,
-    rounds: usize,
-    shares: &mut Shares,
-) -> (Assignment, Evaluation) {
-    let seed = match direct.filter(|_| k > 1) {
-        Some((per_probe, per_final)) => {
-            let evals = if probe { per_probe } else { per_final };
-            direct_at(problem, k, evals, probe, shares).0
-        }
-        None => centre(problem, k),
-    };
-    let polished = polish(problem, &seed, k, rounds);
-    (polished.assignment, polished.evaluation)
-}
-
 /// §7.5's comparator at a fixed machine count `k`: DIRECT over the decoded
 /// encoding with `evals` evaluations, then `polish_rounds` of local polish.
 /// Returns the best assignment, its evaluation, and evaluations used.
@@ -338,25 +316,11 @@ fn solve_inner(
     direct: Option<DirectBudget>,
 ) -> Result<SolveReport> {
     let lower = fractional_lower_bound(problem);
+    // Greedy's pack, else the identity, which may be infeasible too (a
+    // single workload too big for the target machine).
     let (ub_assignment, mut upper) = upper_bound(problem);
-    let mut searches = 0usize;
-    let mut best: Option<(Assignment, Evaluation)> = {
-        let eval = evaluate(problem, &ub_assignment);
-        if eval.feasible {
-            Some((ub_assignment, eval))
-        } else {
-            // Even the identity may be infeasible (a single workload too
-            // big for the target machine).
-            let id = identity_assignment(problem);
-            let id_eval = evaluate(problem, &id);
-            if id_eval.feasible {
-                upper = id.machines_used();
-                Some((id, id_eval))
-            } else {
-                None
-            }
-        }
-    };
+    let ub_eval = evaluate(problem, &ub_assignment);
+    let mut best = ub_eval.feasible.then_some((ub_assignment, ub_eval));
     // Polish the warm start into a candidate incumbent. When it beats
     // greedy's bound, only a binary-search probe can still replace it.
     let mut warm_is_incumbent = false;
@@ -383,20 +347,32 @@ fn solve_inner(
 
     let mut probes = Vec::new();
     let mut shares = Shares::default();
+    // One search at `k` — a probe, or the final run at K′ — polished for at
+    // most 40 rounds or for the final run's: from DIRECT's best point on
+    // `direct`'s budget, or from the [`centre`] without one. At K = 1 every
+    // point decodes to the centre.
+    let mut search_at = |k: usize, probe: bool| {
+        let seed = match direct.filter(|_| k > 1) {
+            Some((per_probe, per_final)) => {
+                let evals = if probe { per_probe } else { per_final };
+                direct_at(problem, k, evals, probe, &mut shares).0
+            }
+            None => centre(problem, k),
+        };
+        let rounds = if probe {
+            cfg.polish_rounds.min(40)
+        } else {
+            cfg.polish_rounds
+        };
+        let polished = polish(problem, &seed, k, rounds);
+        (polished.assignment, polished.evaluation)
+    };
 
     // Binary search the smallest feasible K in [lower, upper].
     let (mut lo, mut hi) = (lower, upper.max(lower));
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        let (a, eval) = search_at(
-            problem,
-            mid,
-            true,
-            direct,
-            cfg.polish_rounds.min(40),
-            &mut shares,
-        );
-        searches += 1;
+        let (a, eval) = search_at(mid, true);
         let feasible = eval.feasible;
         probes.push((mid, feasible));
         if feasible {
@@ -421,15 +397,7 @@ fn solve_inner(
     // infeasible under a spike), where greedy's plan may be a mass
     // migration this run would beat. Behind a warm incumbent it rarely wins.
     if !warm_is_incumbent {
-        let (a, eval) = search_at(
-            problem,
-            k_final,
-            false,
-            direct,
-            cfg.polish_rounds,
-            &mut shares,
-        );
-        searches += 1;
+        let (a, eval) = search_at(k_final, false);
         if eval.feasible && eval.objective < incumbent.1.objective {
             incumbent = (a, eval);
         }
@@ -441,7 +409,7 @@ fn solve_inner(
         evaluation,
         k_bounds: (lower, upper),
         k_final,
-        evals_used: searches,
+        evals_used: probes.len() + usize::from(!warm_is_incumbent),
         probes,
     })
 }
@@ -527,6 +495,28 @@ mod tests {
             assert_eq!(best, decode(&p, k, &reference.best_x), "k {k}");
             assert_eq!(evals, reference.evals, "k {k}");
         }
+    }
+
+    #[test]
+    fn a_cold_solve_honours_a_pin_where_greedy_finds_no_pack() {
+        // Workload 0 is pinned to machine 1 and heavy in CPU and RAM. Each of
+        // greedy's passes puts a light slot beside it that overloads the
+        // resource the pass does not pack, so only the fallback can plan.
+        const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
+        let spec = |name, cpu, ram| WorkloadSpec::flat(name, 3, cpu, ram * GIB, 2e8, 50.0);
+        let mut w = vec![
+            spec("w0", 7.2, 57.6),
+            spec("w1", 6.0, 4.8),
+            spec("w2", 0.6, 48.0),
+        ];
+        w[0].pinned = Some(1);
+        let disk = Arc::new(LinearDiskCombiner::default());
+        let p = ConsolidationProblem::new(w, TargetMachine::paper_target(), 3, disk);
+        assert!(crate::greedy_pack(&p).is_none(), "greedy found a pack");
+        assert_eq!(crate::identity_assignment(&p).machine_of, vec![1, 0, 2]);
+        let report = solve(&p, &SolverConfig::default()).expect("a plan");
+        assert!(report.evaluation.feasible);
+        assert_eq!(report.assignment.machine_of[0], 1);
     }
 
     /// `n` diurnal tenants over 48 windows, each with its own peak.

@@ -424,7 +424,7 @@ impl Gap {
 const CEILINGS: [[Gap; 4]; 12] = [
     // 12w linear
     [
-        gap(14, 2, 1, 1.0000),
+        gap(16, 0, 1, 1.0000),
         gap(14, 0, 1, 1.0013),
         gap(6, 7, 1, 1.0243),
         gap(13, 5, 0, 1.0009),
@@ -438,7 +438,7 @@ const CEILINGS: [[Gap; 4]; 12] = [
     ],
     // 12w saturating
     [
-        gap(15, 1, 1, 1.0000),
+        gap(15, 0, 1, 1.0000),
         gap(12, 0, 1, 1.0046),
         gap(9, 5, 2, 1.0331),
         gap(11, 7, 0, 1.0037),
@@ -459,14 +459,14 @@ const CEILINGS: [[Gap; 4]; 12] = [
     ],
     // 48w linear +baseline
     [
-        gap(14, 2, 1, 1.0612),
+        gap(16, 0, 1, 1.0612),
         gap(7, 0, 1, 1.0000),
         gap(10, 6, 1, 1.2476),
         gap(16, 2, 0, 1.1862),
     ],
     // 48w saturating
     [
-        gap(17, 1, 0, 1.0000),
+        gap(18, 0, 0, 1.0000),
         gap(16, 0, 1, 1.0034),
         gap(6, 11, 1, 1.0392),
         gap(15, 3, 0, 1.0064),
@@ -480,14 +480,14 @@ const CEILINGS: [[Gap; 4]; 12] = [
     ],
     // 288w linear
     [
-        gap(15, 2, 1, 1.0000),
+        gap(16, 0, 1, 1.0000),
         gap(12, 0, 1, 1.0017),
         gap(11, 5, 1, 1.0141),
         gap(9, 9, 0, 1.0027),
     ],
     // 288w linear +baseline
     [
-        gap(15, 1, 1, 1.2381),
+        gap(16, 0, 1, 1.2381),
         gap(10, 0, 1, 1.0000),
         gap(9, 8, 1, 1.2467),
         gap(13, 5, 0, 1.2381),
@@ -501,7 +501,7 @@ const CEILINGS: [[Gap; 4]; 12] = [
     ],
     // 288w saturating +baseline
     [
-        gap(16, 1, 1, 1.0478),
+        gap(17, 0, 1, 1.0478),
         gap(8, 0, 1, 1.0050),
         gap(5, 10, 1, 1.2023),
         gap(14, 4, 0, 1.0544),

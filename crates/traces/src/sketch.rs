@@ -46,10 +46,10 @@ pub const MAX_SKETCH_TAIL: u32 = 65_536;
 /// Sketch shape: how many evenly spaced quantile marks summarize the
 /// distribution and how many most-recent samples travel verbatim.
 ///
-/// The config is part of the balancer's decision surface: the shard
-/// summary cache must be invalidated when it changes (see
-/// `ShardController::set_sketch_config`), which is what
-/// [`SketchConfig::digest`] keys.
+/// The config is part of the balancer's decision surface: a shard's
+/// cached summary refills when it changes (see
+/// `ShardController::set_sketch_config`), and a shard snapshot records
+/// the [`SketchConfig::digest`] its summary was sketched with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct SketchConfig {
     /// Evenly spaced quantile marks (first = min, last = max). At least 2.
@@ -80,8 +80,8 @@ impl SketchConfig {
     }
 
     /// Stable fingerprint of the quantile set + tail size (SplitMix64
-    /// finalizer over both fields). Summary caches key on it so a config
-    /// change — not just a state change — invalidates cached roll-ups.
+    /// finalizer over both fields). A shard snapshot stores it beside the
+    /// cached summary, so a restore under another shape drops that summary.
     pub fn digest(&self) -> u64 {
         let mut z =
             ((self.marks as u64) << 32 | self.tail as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);

@@ -37,24 +37,15 @@ impl CpuSpec {
     }
 }
 
-/// RAM description. `reserved` is memory the OS and DBMS binaries use and
-/// is unavailable for buffer pools (≈64 MB OS + ≈190 MB DBMS in §7.4).
+/// RAM description.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RamSpec {
     pub total: Bytes,
-    pub reserved: Bytes,
 }
 
 impl RamSpec {
     pub fn new(total: Bytes) -> RamSpec {
-        RamSpec {
-            total,
-            reserved: Bytes::mib(254),
-        }
-    }
-
-    pub fn with_reserved(total: Bytes, reserved: Bytes) -> RamSpec {
-        RamSpec { total, reserved }
+        RamSpec { total }
     }
 }
 

@@ -85,7 +85,7 @@ impl ComparisonConfig {
     /// deployment thrashes while the consolidated DBMS stays in memory.
     pub fn fig10(load: LoadShape) -> ComparisonConfig {
         let mut machine = MachineSpec::server1();
-        machine.ram = kairos_types::RamSpec::with_reserved(Bytes::mib(9728), OS_RAM_OVERHEAD);
+        machine.ram = kairos_types::RamSpec::new(Bytes::mib(9728));
         ComparisonConfig {
             machine,
             databases: 20,
@@ -292,7 +292,7 @@ mod tests {
     #[test]
     fn pool_budget_can_become_unrunnable() {
         let mut m = MachineSpec::server2(); // 2 GB RAM
-        m.ram = kairos_types::RamSpec::with_reserved(Bytes::gib(2), Bytes::mib(64));
+        m.ram = kairos_types::RamSpec::new(Bytes::gib(2));
         // 2 GB / 40 VMs with 254 MB overhead each: impossible.
         assert!(pool_budget(Strategy::HardwareVirtualization, &m, 40).is_err());
     }
