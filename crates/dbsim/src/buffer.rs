@@ -10,7 +10,7 @@
 //! the moment the combined footprint exceeds capacity, user pages start
 //! getting evicted and re-read — visible as physical reads.
 
-use crate::pages::PageId;
+use crate::pages::{PageId, PageRange};
 
 /// Result of touching a page in the cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,13 +22,6 @@ pub enum Touch {
     Miss { evicted: Option<(PageId, bool)> },
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Frame {
-    page: PageId,
-    refbit: bool,
-    dirty: bool,
-}
-
 /// Cumulative cache counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CacheStats {
@@ -36,18 +29,6 @@ pub struct CacheStats {
     pub misses: u64,
     pub evictions: u64,
     pub dirty_evictions: u64,
-}
-
-impl CacheStats {
-    /// Miss ratio over all accesses so far (0 when no accesses).
-    pub fn miss_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.misses as f64 / total as f64
-        }
-    }
 }
 
 /// Pages per page-table chunk: one 4 KiB block of frame indices.
@@ -83,13 +64,18 @@ impl PageTable {
         (idx != ABSENT).then_some(idx)
     }
 
-    /// Point `page` at frame `idx`, whether or not it was resident.
-    fn set(&mut self, page: PageId, idx: u32) {
-        let (c, slot) = split(page);
+    /// Chunk `c`, allocated (all [`ABSENT`]) if it never held a page.
+    fn chunk_mut(&mut self, c: usize) -> &mut Chunk {
         if c >= self.chunks.len() {
             self.chunks.resize_with(c + 1, || None);
         }
-        self.chunks[c].get_or_insert_with(|| Box::new([ABSENT; CHUNK_PAGES]))[slot] = idx;
+        self.chunks[c].get_or_insert_with(|| Box::new([ABSENT; CHUNK_PAGES]))
+    }
+
+    /// Point `page` at frame `idx`, whether or not it was resident.
+    fn set(&mut self, page: PageId, idx: u32) {
+        let (c, slot) = split(page);
+        self.chunk_mut(c)[slot] = idx;
     }
 
     /// Forget a resident page.
@@ -165,15 +151,20 @@ impl DirtyBits {
 /// Fixed-capacity clock cache with optional dirty tracking.
 ///
 /// Indexed by page id, not hashed: ids must come from a
-/// [`crate::pages::PageAllocator`] (dense from 0). Memory is 4 B per page
-/// of each 1,024-page chunk that has held a resident page, 8 B of
-/// directory per chunk of id space, and one dirty bit per page up to the
-/// highest id dirtied — nothing in proportion to `capacity` or to
-/// allocated-but-untouched pages. Making an id ≥ 2^32 resident panics.
+/// [`crate::pages::PageAllocator`] (dense from 0). Memory is 4 B per frame
+/// (its page id as a `u32`) and one reference bit per frame; 4 B per page
+/// of each 1,024-page chunk that has held a resident page and 8 B of
+/// directory per chunk of id space; and one dirty bit per page id up to
+/// the highest id dirtied — the only record of which pages are dirty.
+/// Nothing grows with an unfilled `capacity` or with allocated but
+/// untouched pages. Making an id ≥ 2^32 resident panics.
 #[derive(Debug)]
 pub struct ClockCache {
     capacity: usize,
-    frames: Vec<Frame>,
+    /// Page id held by each frame.
+    frames: Vec<u32>,
+    /// Reference bit of each frame, 64 a word; bits past the last frame stay clear.
+    refbits: Vec<u64>,
     table: PageTable,
     hand: usize,
     /// Dirty pages, walked in page-id order — the flusher's elevator queue.
@@ -189,14 +180,12 @@ impl ClockCache {
     pub fn new(capacity: usize) -> ClockCache {
         assert!(capacity > 0, "cache capacity must be positive");
         assert!(capacity < ABSENT as usize, "cache capacity too large");
-        // Pre-allocate only a modest prefix: consolidated pools are
-        // sized in the hundreds of thousands of frames, but most hosts
-        // in a simulated fleet never come close to filling them, and
-        // eagerly mapping tens of MB per instance dominates fleet-scale
-        // runs. The frames grow on demand past this.
+        // Frames grow on demand: a pool sized in the hundreds of
+        // thousands of frames is often never filled.
         ClockCache {
             capacity,
-            frames: Vec::with_capacity(capacity.min(1 << 14)),
+            frames: Vec::new(),
+            refbits: Vec::new(),
             table: PageTable::default(),
             hand: 0,
             dirty: DirtyBits::default(),
@@ -251,10 +240,8 @@ impl ClockCache {
         let Some(idx) = self.table.get(page) else {
             return false;
         };
-        let f = &mut self.frames[idx as usize];
-        f.refbit = true;
-        if make_dirty && !f.dirty {
-            f.dirty = true;
+        self.refbits[idx as usize / 64] |= 1 << (idx % 64);
+        if make_dirty && !self.dirty.contains(page) {
             self.dirty.insert(page);
         }
         true
@@ -264,48 +251,58 @@ impl ClockCache {
     /// any, with its dirty flag.
     fn insert_new(&mut self, page: PageId, dirty: bool) -> Option<(PageId, bool)> {
         debug_assert!(!self.contains(page));
-        // The one way in: refuse a stray id before the dirty bitmap or the
-        // chunk directory is sized from it.
-        assert!(
-            page.0 < PAGE_ID_LIMIT,
-            "{page:?} was not handed out by a PageAllocator"
-        );
         // Fresh pages enter cold (refbit clear), InnoDB-midpoint style:
         // a page must be re-referenced to survive a sweep, which keeps
         // one-shot scans from polluting the pool.
-        let fresh = Frame {
-            page,
-            refbit: false,
-            dirty,
-        };
+        let free = self.insert_run(PageRange::new(page, 1)) == 1;
         if dirty {
             self.dirty.insert(page);
         }
-        if self.frames.len() < self.capacity {
-            self.table.set(page, self.frames.len() as u32);
-            self.frames.push(fresh);
+        if free {
             return None;
         }
-        // Clock sweep: clear ref bits until a victim with refbit == false.
-        let victim_idx = loop {
-            let i = self.hand;
-            self.hand = (self.hand + 1) % self.frames.len();
-            let f = &mut self.frames[i];
-            if f.refbit {
-                f.refbit = false;
-            } else {
-                break i;
-            }
-        };
-        let victim = std::mem::replace(&mut self.frames[victim_idx], fresh);
-        self.table.remove(victim.page);
-        if victim.dirty {
-            self.dirty.remove(victim.page);
+        let idx = self.sweep();
+        let victim = PageId(u64::from(self.frames[idx]));
+        self.frames[idx] = page.0 as u32;
+        self.table.remove(victim);
+        let was_dirty = self.dirty.contains(victim);
+        if was_dirty {
+            self.dirty.remove(victim);
             self.stats.dirty_evictions += 1;
         }
         self.stats.evictions += 1;
-        self.table.set(page, victim_idx as u32);
-        Some((victim.page, victim.dirty))
+        self.table.set(page, idx as u32);
+        Some((victim, was_dirty))
+    }
+
+    /// Clock sweep over a full cache: from the hand, clear set reference
+    /// bits until a frame whose bit is clear, which is the victim; the
+    /// hand stops one past it. A word at a time: the bits the hand passes
+    /// are cleared together, and a sweep that finds every bit set clears
+    /// them all and comes back to the frame it started at.
+    fn sweep(&mut self) -> usize {
+        let n = self.frames.len();
+        let mut at = self.hand;
+        loop {
+            let w = at / 64;
+            let frames_in_word = (n - w * 64).min(64);
+            let valid = !0u64 >> (64 - frames_in_word);
+            let from = !0u64 << (at % 64);
+            let clear = !self.refbits[w] & valid & from;
+            if clear != 0 {
+                let bit = clear.trailing_zeros() as usize;
+                // Bits from the hand up to the victim's, which is clear.
+                self.refbits[w] &= !(from & (!0u64 >> (63 - bit)));
+                let victim = w * 64 + bit;
+                self.hand = (victim + 1) % n;
+                return victim;
+            }
+            self.refbits[w] &= !from;
+            at = (w + 1) * 64;
+            if at >= n {
+                at = 0;
+            }
+        }
     }
 
     /// Insert a freshly-allocated page (no read required, so no miss is
@@ -318,12 +315,47 @@ impl ClockCache {
         self.insert_new(page, dirty)
     }
 
+    /// [`ClockCache::insert`] of clean pages along `run`, in order, while
+    /// each is absent and a frame is free: one page-table chunk lookup per
+    /// 1,024 pages and one extension of the frames. Returns how many were
+    /// inserted; the caller inserts the rest page by page.
+    pub fn insert_run(&mut self, run: PageRange) -> u64 {
+        // The one way in: refuse a stray id before the dirty bitmap or the
+        // chunk directory is sized from it.
+        assert!(
+            run.start.0.saturating_add(run.len) <= PAGE_ID_LIMIT,
+            "{run:?} was not handed out by a PageAllocator"
+        );
+        let mut done = 0;
+        while done < run.len && self.frames.len() < self.capacity {
+            let first = run.start.0 + done;
+            let (c, slot) = split(PageId(first));
+            let n = (CHUNK_PAGES - slot)
+                .min((run.len - done) as usize)
+                .min(self.capacity - self.frames.len());
+            let base = self.frames.len() as u32;
+            let slots = &mut self.table.chunk_mut(c)[slot..slot + n];
+            let absent = slots.iter().position(|&f| f != ABSENT).unwrap_or(n);
+            for (idx, s) in (base..).zip(&mut slots[..absent]) {
+                *s = idx;
+            }
+            // Fresh frames enter with clear reference bits.
+            self.frames
+                .extend((first..first + absent as u64).map(|page| page as u32));
+            self.refbits.resize(self.frames.len().div_ceil(64), 0);
+            done += absent as u64;
+            if absent < n {
+                break;
+            }
+        }
+        done
+    }
+
     /// Mark a page clean (after write-back). No-op if absent or clean.
     pub fn mark_clean(&mut self, page: PageId) {
         if self.dirty.contains(page) {
+            debug_assert!(self.contains(page), "a dirty page is resident");
             self.dirty.remove(page);
-            let idx = self.table.get(page).expect("a dirty page is resident");
-            self.frames[idx as usize].dirty = false;
         }
     }
 
@@ -337,7 +369,7 @@ impl ClockCache {
             let Some(page) = self.dirty.next_from(from) else {
                 break;
             };
-            self.mark_clean(page);
+            self.dirty.remove(page);
             batch.push(page);
             from = page.0 + 1;
         }
@@ -360,7 +392,6 @@ mod tests {
         assert_eq!(c.touch(p(1), false), Touch::Hit);
         assert_eq!(c.stats().hits, 1);
         assert_eq!(c.stats().misses, 1);
-        assert!((c.stats().miss_ratio() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -30,10 +30,6 @@ impl CpuDevice {
         CpuDevice { spec }
     }
 
-    pub fn spec(&self) -> &CpuSpec {
-        &self.spec
-    }
-
     /// Standardized cores available.
     pub fn capacity_cores(&self) -> f64 {
         self.spec.standardized_cores()

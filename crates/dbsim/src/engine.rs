@@ -119,6 +119,15 @@ impl TableDef {
         ((rows * self.row_bytes as f64) / page.as_f64()).ceil() as u64
     }
 
+    /// Pages in the first `prefix_pages` of the table (0 = whole table).
+    fn prefix(&self, prefix_pages: u64) -> u64 {
+        if prefix_pages == 0 {
+            self.pages
+        } else {
+            prefix_pages.min(self.pages)
+        }
+    }
+
     /// Map a logical page index to its on-disk page id.
     fn page_at(&self, mut idx: u64) -> PageId {
         for seg in &self.segments {
@@ -424,32 +433,37 @@ impl DbmsInstance {
     /// Load only the first `pages` pages of a table into memory — warming
     /// the working-set prefix of a table much larger than RAM.
     pub fn prewarm_pages(&mut self, table: TableId, pages: u64) {
-        self.for_prefix_pages(table, pages, |inst, page| {
-            if let Some((victim, was_dirty)) = inst.pool.insert(page, false) {
-                inst.on_evicted(victim, was_dirty, 1.0);
+        // Each run fills free frames at once; from its first resident page,
+        // or once the tier is full, page by page. The tiers are independent
+        // caches, so one may finish a run before the other starts it.
+        self.for_prefix_runs(table, pages, |inst, run| {
+            for i in inst.pool.insert_run(run)..run.len {
+                if let Some((victim, was_dirty)) = inst.pool.insert(run.page(i), false) {
+                    inst.on_evicted(victim, was_dirty, 1.0);
+                }
             }
             if let Some(os) = inst.os_cache.as_mut() {
-                os.insert(page, false);
+                for i in os.insert_run(run)..run.len {
+                    os.insert(run.page(i), false);
+                }
             }
         });
     }
 
-    /// Call `f` on each of the first `pages` pages of `table` (clamped to
-    /// its size) in logical order, walking its segments.
-    fn for_prefix_pages(
+    /// Call `f` on each run of the first `pages` pages of `table` (clamped
+    /// to its size) in logical order, one run per segment.
+    fn for_prefix_runs(
         &mut self,
         table: TableId,
         pages: u64,
-        mut f: impl FnMut(&mut DbmsInstance, PageId),
+        mut f: impl FnMut(&mut DbmsInstance, PageRange),
     ) {
         let ti = table.0 as usize;
         let mut left = pages.min(self.tables[ti].pages);
         let mut segment = 0;
         while left > 0 {
             let run = self.tables[ti].segments[segment].prefix(left);
-            for i in 0..run.len {
-                f(self, run.page(i));
-            }
+            f(self, run);
             left -= run.len;
             segment += 1;
         }
@@ -460,17 +474,18 @@ impl DbmsInstance {
     /// what keeps the probe table memory-resident during gauging).
     pub fn scan_count(&mut self, table: TableId, upto_rows: u64) -> u64 {
         let ti = table.0 as usize;
-        let (pages, rows, row_bytes) = {
+        let (pages, rows) = {
             let t = &self.tables[ti];
             let rows = (t.rows as u64).min(upto_rows);
             let pages = t
                 .pages_for_rows(rows as f64, self.config.page_size)
                 .min(t.pages);
-            (pages, rows, t.row_bytes)
+            (pages, rows)
         };
-        let _ = row_bytes;
-        self.for_prefix_pages(table, pages, |inst, page| {
-            inst.touch_page(page, false, 1.0);
+        self.for_prefix_runs(table, pages, |inst, run| {
+            for i in 0..run.len {
+                inst.touch_page(run.page(i), false, 1.0);
+            }
         });
         self.pending_cpu += pages as f64 * SCAN_CPU_PER_PAGE;
         self.stats.rows_read += rows as f64;
@@ -536,14 +551,7 @@ impl DbmsInstance {
     /// Sampled uniform accesses over the table prefix.
     fn touch_sampled(&mut self, spec: AccessSpec) {
         let ti = spec.table.0 as usize;
-        let prefix = {
-            let t = &self.tables[ti];
-            if spec.prefix_pages == 0 {
-                t.pages
-            } else {
-                spec.prefix_pages.min(t.pages)
-            }
-        };
+        let prefix = self.tables[ti].prefix(spec.prefix_pages);
         if prefix == 0 || spec.accesses <= 0.0 {
             return;
         }
@@ -559,14 +567,7 @@ impl DbmsInstance {
     /// Apply a tick's updates with exact-expectation coalescing.
     fn apply_updates(&mut self, spec: UpdateSpec) -> f64 {
         let ti = spec.table.0 as usize;
-        let prefix = {
-            let t = &self.tables[ti];
-            if spec.prefix_pages == 0 {
-                t.pages
-            } else {
-                spec.prefix_pages.min(t.pages)
-            }
-        };
+        let prefix = self.tables[ti].prefix(spec.prefix_pages);
         if prefix == 0 || spec.rows <= 0.0 {
             return 0.0;
         }
@@ -668,8 +669,6 @@ impl DbmsInstance {
         let dirty_now = self.pool.dirty_count() as f64;
         let wb_request = decision.target_pages.min(dirty_now) + self.pending_evict_writes;
 
-        let reads_generated = self.pending_reads - reads_before;
-        let _ = reads_generated;
         let demand = InstanceDemand {
             cpu_core_secs: cpu,
             log_bytes: wal_out.bytes,
@@ -725,9 +724,19 @@ impl DbmsInstance {
         let flush_quota = (grant.writeback_pages - evict_served).max(0.0);
         let dirty_before = self.pool.dirty_count();
         let batch = self.pool.take_dirty_batch(flush_quota.floor() as usize);
+        // The batch ascends, so one forward cursor over the segment index
+        // finds each page's table, as `table_of` would.
+        let mut seg = 0;
         for &page in &batch {
-            if let Some(ti) = self.table_of(page) {
-                let t = &mut self.tables[ti];
+            while self
+                .segment_index
+                .get(seg)
+                .is_some_and(|&(start, _)| start <= page.0)
+            {
+                seg += 1;
+            }
+            if seg > 0 {
+                let t = &mut self.tables[self.segment_index[seg - 1].1 as usize];
                 t.dirty_pages = t.dirty_pages.saturating_sub(1);
             }
         }

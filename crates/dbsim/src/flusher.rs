@@ -73,10 +73,6 @@ impl Flusher {
         }
     }
 
-    pub fn config(&self) -> &FlusherConfig {
-        &self.config
-    }
-
     /// Feedback from the disk device after each tick.
     pub fn observe_disk_utilization(&mut self, utilization: f64) {
         self.last_disk_utilization = utilization.clamp(0.0, 1.0);
@@ -148,7 +144,7 @@ mod tests {
         f.observe_disk_utilization(0.0);
         let d = f.decide(1.0, 0.01 * POOL, POOL, 0.0);
         // Nearly all of max_io despite tiny dirty fraction.
-        assert!(d.target_pages > 0.8 * f.config().max_io_pages_per_sec * 0.85);
+        assert!(d.target_pages > 0.8 * f.config.max_io_pages_per_sec * 0.85);
         assert!(!d.checkpointing);
     }
 
@@ -158,7 +154,7 @@ mod tests {
         f.observe_disk_utilization(0.95);
         let d = f.decide(1.0, 0.05 * POOL, POOL, 0.0);
         assert!(
-            d.target_pages < 0.1 * f.config().max_io_pages_per_sec,
+            d.target_pages < 0.1 * f.config.max_io_pages_per_sec,
             "busy disk + clean pool should barely flush, got {}",
             d.target_pages
         );
@@ -169,7 +165,7 @@ mod tests {
         let mut f = flusher();
         f.observe_disk_utilization(1.0);
         let d = f.decide(1.0, 0.75 * POOL, POOL, 0.0);
-        assert!((d.target_pages - f.config().max_io_pages_per_sec).abs() < 1e-6);
+        assert!((d.target_pages - f.config.max_io_pages_per_sec).abs() < 1e-6);
     }
 
     #[test]
@@ -212,7 +208,7 @@ mod tests {
         let mut f = flusher();
         f.observe_disk_utilization(0.0);
         let d = f.decide(1.0, POOL, POOL, 1.0);
-        assert!(d.target_pages <= f.config().max_io_pages_per_sec + 1e-9);
+        assert!(d.target_pages <= f.config.max_io_pages_per_sec + 1e-9);
     }
 
     #[test]

@@ -77,12 +77,10 @@ pub struct HostTickReport {
 /// A physical machine running one or more DBMS instances.
 #[derive(Debug)]
 pub struct Host {
-    spec: MachineSpec,
     cpu: CpuDevice,
     disk: DiskDevice,
     instances: Vec<DbmsInstance>,
     overheads: VirtOverheads,
-    sim_secs: f64,
 }
 
 impl Host {
@@ -90,26 +88,16 @@ impl Host {
         let cpu = CpuDevice::new(spec.cpu);
         let disk = DiskDevice::new(spec.disk);
         Host {
-            spec,
             cpu,
             disk,
             instances: Vec::new(),
             overheads: VirtOverheads::none(),
-            sim_secs: 0.0,
         }
     }
 
     pub fn with_overheads(mut self, overheads: VirtOverheads) -> Host {
         self.overheads = overheads;
         self
-    }
-
-    pub fn spec(&self) -> &MachineSpec {
-        &self.spec
-    }
-
-    pub fn overheads(&self) -> &VirtOverheads {
-        &self.overheads
     }
 
     pub fn add_instance(&mut self, instance: DbmsInstance) -> usize {
@@ -195,7 +183,6 @@ impl Host {
             report.committed_txns += r.committed_txns;
             report.per_instance.push(r);
         }
-        self.sim_secs += dt;
         report
     }
 }

@@ -6,8 +6,6 @@
 //! so a page id also identifies the on-disk position — the flusher's
 //! "sorted write-back" is literally a sort by `PageId`.
 
-use kairos_types::Bytes;
-
 /// Globally-ordered page identifier within one DBMS instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PageId(pub u64);
@@ -32,17 +30,9 @@ impl PageRange {
         PageRange { start, len }
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Exclusive end page id.
     pub fn end(&self) -> PageId {
         PageId(self.start.0 + self.len)
-    }
-
-    pub fn contains(&self, p: PageId) -> bool {
-        p >= self.start && p < self.end()
     }
 
     /// The `i`-th page of the range.
@@ -52,11 +42,6 @@ impl PageRange {
     pub fn page(&self, i: u64) -> PageId {
         debug_assert!(i < self.len, "page index {i} out of range of {}", self.len);
         PageId(self.start.0 + i)
-    }
-
-    /// Size of the range in bytes for a given page size.
-    pub fn bytes(&self, page_size: Bytes) -> Bytes {
-        Bytes(self.len * page_size.0)
     }
 
     /// First `n` pages (or the whole range if shorter).
@@ -95,16 +80,7 @@ mod tests {
     fn range_basics() {
         let r = PageRange::new(PageId(10), 5);
         assert_eq!(r.end(), PageId(15));
-        assert!(r.contains(PageId(10)));
-        assert!(r.contains(PageId(14)));
-        assert!(!r.contains(PageId(15)));
         assert_eq!(r.page(2), PageId(12));
-    }
-
-    #[test]
-    fn range_bytes() {
-        let r = PageRange::new(PageId(0), 4);
-        assert_eq!(r.bytes(Bytes::kib(16)), Bytes::kib(64));
     }
 
     #[test]
@@ -114,7 +90,7 @@ mod tests {
         let r2 = a.allocate(3);
         assert_eq!(r1.start, PageId(0));
         assert_eq!(r2.start, PageId(10));
-        assert!(!r1.contains(r2.start));
+        assert_eq!(r1.end(), r2.start);
     }
 
     #[test]

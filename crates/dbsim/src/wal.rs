@@ -54,8 +54,6 @@ pub struct LogManager {
     pending_rows: f64,
     pending_commits: f64,
     bytes_since_checkpoint: f64,
-    total_bytes: f64,
-    total_forces: f64,
 }
 
 impl LogManager {
@@ -65,8 +63,6 @@ impl LogManager {
             pending_rows: 0.0,
             pending_commits: 0.0,
             bytes_since_checkpoint: 0.0,
-            total_bytes: 0.0,
-            total_forces: 0.0,
         }
     }
 
@@ -107,8 +103,6 @@ impl LogManager {
         self.pending_rows = 0.0;
         self.pending_commits = 0.0;
         self.bytes_since_checkpoint += bytes;
-        self.total_bytes += bytes;
-        self.total_forces += forces;
         WalTickOutput { bytes, forces }
     }
 

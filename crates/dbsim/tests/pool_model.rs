@@ -7,7 +7,7 @@
 //! must agree after every step, so a page table that lost a frame or a
 //! hand that moved differently shows up at the next eviction.
 
-use kairos_dbsim::{CacheStats, ClockCache, PageId, Touch};
+use kairos_dbsim::{CacheStats, ClockCache, PageId, PageRange, Touch};
 use kairos_types::SplitMix64;
 use std::collections::{BTreeSet, HashMap};
 
@@ -111,6 +111,20 @@ impl Model {
         self.insert_new(page, dirty)
     }
 
+    /// Insert clean pages along `run` while each is absent and a frame is
+    /// free; how many were inserted.
+    fn insert_run(&mut self, run: PageRange) -> u64 {
+        let mut done = 0;
+        while done < run.len
+            && self.frames.len() < self.capacity
+            && !self.map.contains_key(&run.page(done))
+        {
+            self.insert_new(run.page(done), false);
+            done += 1;
+        }
+        done
+    }
+
     fn mark_clean(&mut self, page: PageId) {
         if self.dirty.remove(&page) {
             if let Some(&idx) = self.map.get(&page) {
@@ -131,6 +145,8 @@ impl Model {
 /// Page-table chunk size the id layouts below are built around; the test
 /// stays valid (only less pointed) if the real constant changes.
 const CHUNK: u64 = 1024;
+/// Ids past every `draw_page` run: always absent, each used once.
+const FRESH_BASE: u64 = 40 * CHUNK + 5;
 
 /// Ids clustered in short runs around `runs` chunk-spread bases, one of
 /// them straddling a chunk boundary, so a small cache still sees hits and
@@ -167,17 +183,25 @@ fn check(real: &ClockCache, model: &Model, pages: &[PageId], at: &str) {
 fn clock_cache_matches_the_hashed_model_step_for_step() {
     let mut rng = SplitMix64::from_env(0xD1FF);
     for case in 0..48 {
-        let capacity = 1 + rng.next_range(64) as usize;
+        // A one-frame pool, whole words of reference bits and one frame
+        // past a word first, then sizes that mostly end a word part-way.
+        let capacity = match case {
+            0 => 1,
+            1 => 64,
+            2 => 65,
+            3 => 128,
+            _ => 1 + rng.next_range(300) as usize,
+        };
         let runs = 2 + rng.next_range(5);
         let run_len = 8 + rng.next_range(3 * capacity as u64 / 2 + 8);
         let mut real = ClockCache::new(capacity);
         let mut model = Model::new(capacity);
         let mut seen: Vec<PageId> = Vec::new();
-        for step in 0..600 {
+        for step in 0..1200 {
             let at = format!("case {case} (capacity {capacity}) step {step}");
             let page = draw_page(&mut rng, runs, run_len);
             seen.push(page);
-            match rng.next_range(86) {
+            match rng.next_range(92) {
                 0..=54 => {
                     let dirty = rng.next_range(3) == 0;
                     assert_eq!(
@@ -198,13 +222,41 @@ fn clock_cache_matches_the_hashed_model_step_for_step() {
                     real.mark_clean(page);
                     model.mark_clean(page);
                 }
-                _ => {
+                78..=85 => {
                     let n = rng.next_range(capacity as u64 + 2) as usize;
                     assert_eq!(
                         real.take_dirty_batch(n),
                         model.take_dirty_batch(n),
                         "{at}: dirty batch of {n}"
                     );
+                }
+                // A prewarm: the run path, then page by page from where
+                // it stopped, as `DbmsInstance::prewarm_pages` does.
+                86..=89 => {
+                    let run = PageRange::new(page, 1 + rng.next_range(2 * run_len));
+                    let done = real.insert_run(run);
+                    assert_eq!(done, model.insert_run(run), "{at}: run of {}", run.len);
+                    for i in done..run.len {
+                        let p = run.page(i);
+                        assert_eq!(real.insert(p, false), model.insert(p, false), "{at}: {p:?}");
+                    }
+                    seen.extend((0..run.len).map(|i| run.page(i)));
+                }
+                // Every reference bit set, then a miss: the sweep clears
+                // them all and comes back to where it started.
+                _ => {
+                    let resident: Vec<PageId> = model.frames.iter().map(|f| f.page).collect();
+                    for &p in &resident {
+                        assert_eq!(real.touch(p, false), Touch::Hit, "{at}: {p:?}");
+                        model.touch(p, false);
+                    }
+                    let fresh = PageId(FRESH_BASE + step);
+                    assert_eq!(
+                        real.touch(fresh, false),
+                        model.touch(fresh, false),
+                        "{at}: miss after every bit was set"
+                    );
+                    seen.push(fresh);
                 }
             }
             // Counts every step; the per-page scan of everything ever

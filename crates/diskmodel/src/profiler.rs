@@ -8,7 +8,7 @@
 //! working set size in bytes, and the overall disk throughput in bytes per
 //! second."
 //!
-//! Points are independent, so the sweep fans out over crossbeam scoped
+//! Points are independent, so the sweep fans out over std scoped
 //! threads. The real tool took ~2 hours for 7 000 points on hardware; the
 //! simulated sweep takes seconds for a few hundred.
 
