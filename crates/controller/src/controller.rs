@@ -132,7 +132,6 @@ pub struct ControllerStats {
     pub forced_steps: u64,
     pub bytes_copied: f64,
     pub max_churn: f64,
-    pub solve_secs_total: f64,
     /// Scheduled zero-move profile refreshes performed (no solver run).
     pub profile_refreshes: u64,
 }
@@ -155,6 +154,9 @@ pub struct ShardMetrics {
     pub profile_refreshes: kairos_obs::Counter,
     pub bytes_copied: kairos_obs::FloatCell,
     pub max_churn: kairos_obs::FloatCell,
+    /// Wall-clock solver seconds (bootstrap + re-solves). Registry only:
+    /// a wall clock in [`ControllerStats`] would make checkpoint bytes
+    /// differ between two runs of one seed.
     pub solve_secs_total: kairos_obs::FloatCell,
     /// Wall-clock solver latency (bootstrap + re-solves), microseconds.
     pub solve_usecs: kairos_obs::Histogram,
@@ -195,7 +197,6 @@ impl ShardMetrics {
             forced_steps: self.forced_steps.get(),
             bytes_copied: self.bytes_copied.get(),
             max_churn: self.max_churn.get(),
-            solve_secs_total: self.solve_secs_total.get(),
             profile_refreshes: self.profile_refreshes.get(),
         }
     }
@@ -210,7 +211,6 @@ impl ShardMetrics {
         self.forced_steps.set(stats.forced_steps);
         self.bytes_copied.set(stats.bytes_copied);
         self.max_churn.set(stats.max_churn);
-        self.solve_secs_total.set(stats.solve_secs_total);
         self.profile_refreshes.set(stats.profile_refreshes);
     }
 }

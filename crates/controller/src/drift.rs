@@ -19,6 +19,7 @@
 
 use kairos_traces::RollingWindow;
 use kairos_types::{TimeSeries, WorkloadProfile};
+use std::ptr;
 
 /// One resource's one-sided relative errors.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -118,11 +119,10 @@ impl DriftDetector {
             for &v in live_s.older.iter().chain(live_s.newer) {
                 let d = v - planned_s.values().get(p).copied().unwrap_or(0.0);
                 p = if p + 1 == horizon { 0 } else { p + 1 };
-                if d > 0.0 {
-                    over_sq += d * d;
-                } else {
-                    under_sq += d * d;
-                }
+                // Adding +0.0 to a sum of squares keeps its bits: no branch.
+                let (over, under) = if d > 0.0 { (d * d, 0.0) } else { (0.0, d * d) };
+                over_sq += over;
+                under_sq += under;
             }
             let mean = planned_s.mean().abs().max(1e-12);
             ResourceDrift {
@@ -132,9 +132,18 @@ impl DriftDetector {
         };
 
         let [cpu, ram, working_set, update_rate] = live;
+        // The shard reads RAM as the working set and plans the two as one
+        // forecast, so the pair scores once: one window against equal plans
+        // (`==` equates +0.0 and −0.0, which `drift_of` scores alike).
+        let one_pair = ptr::eq(ram.older, working_set.older)
+            && ptr::eq(ram.newer, working_set.newer)
+            && planned.ram_bytes == planned.disk_working_set_bytes;
         let cpu = drift_of(&planned.cpu_cores, cpu);
         let ram = drift_of(&planned.ram_bytes, ram);
-        let working_set = drift_of(&planned.disk_working_set_bytes, working_set);
+        let working_set = match one_pair {
+            true => ram,
+            false => drift_of(&planned.disk_working_set_bytes, working_set),
+        };
         let update_rate = drift_of(&planned.disk_update_rows_per_sec, update_rate);
         let max_overload = cpu
             .overload

@@ -8,10 +8,7 @@
 //! handoff sketches alike.
 
 use kairos_monitor::MonitorSample;
-use kairos_traces::{
-    sum_tail_aligned_refs, AggregateSketch, ArchiveSpec, Consolidation, RollingWindow, Rrd,
-    SeriesSketch, SketchConfig,
-};
+use kairos_traces::{ArchiveSpec, Consolidation, RollingWindow, Rrd, SeriesSketch, SketchConfig};
 use kairos_types::{Bytes, TimeSeries};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -251,25 +248,6 @@ impl TelemetryIngester {
     /// allocating — the per-tick readiness checks' accessor.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &WorkloadTelemetry)> + Clone {
         self.workloads.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Every workload's full rolling window summed tail-aligned per
-    /// resource and sketched under `cfg` — the shard summary's roll-up,
-    /// reading each ring in place. RAM is the working set, so its sum
-    /// and sketch serve both.
-    pub(crate) fn rollup(&self, fallback_interval: f64, cfg: &SketchConfig) -> AggregateSketch {
-        let sketch_sum = |r: usize| {
-            let windows = self.iter().map(move |(_, t)| t.history()[r]);
-            SeriesSketch::of(&sum_tail_aligned_refs(windows, fallback_interval), cfg)
-        };
-        let ram = sketch_sum(1);
-        AggregateSketch {
-            cpu_cores: sketch_sum(0),
-            ram_bytes: ram.clone(),
-            ws_bytes: ram,
-            rate_rows: sketch_sum(2),
-            tenants: self.len(),
-        }
     }
 
     pub fn len(&self) -> usize {

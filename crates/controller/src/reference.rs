@@ -8,12 +8,21 @@
 //! sample in a plain `Vec`, so "the last `n` samples" is a slice of
 //! that mirror, independent of how the ring is laid out.
 
+use crate::controller::ControllerConfig;
 use crate::drift::{DriftDetector, DriftReport, ResourceDrift};
 use crate::ingest::{TelemetryConfig, TelemetryIngester, TelemetrySketch, WorkloadTelemetry};
 use crate::resolver::{forecast_profile_flagged, forecast_profile_tail, forecast_series_flagged};
+use crate::scenarios::SyntheticSource;
+use crate::shard::{ShardController, ShardSummary, TenantHandoff, TenantLoad};
+use kairos_core::ConsolidationEngine;
 use kairos_monitor::MonitorSample;
-use kairos_traces::{AggregateSketch, SeriesSketch, ShardAggregate, SketchConfig};
-use kairos_types::{Bytes, SplitMix64, TimeSeries, WorkloadProfile};
+use kairos_solver::{evaluate, Assignment};
+use kairos_traces::{
+    regime_holds, AggregateSketch, RollingWindow, SeriesSketch, ShardAggregate, SketchConfig,
+    TailAlignedSums,
+};
+use kairos_types::{percentile_of_sorted, Bytes, SplitMix64, TimeSeries, WorkloadProfile};
+use kairos_workloads::RatePattern;
 
 /// The regime-change trip point the reference forecast was written with.
 const REGIME_CHANGE_THRESHOLD: f64 = 0.25;
@@ -187,6 +196,27 @@ fn rollup_copy(
         tenants: histories.len(),
     };
     AggregateSketch::of(&full, cfg)
+}
+
+/// The roll-up half of `ShardController::summary`'s walk, for the
+/// roll-up oracle: every tenant's full window fed to the production
+/// `TailAlignedSums` in canonical order, each sum sketched. RAM is the
+/// working set, so its sketch serves both.
+impl TelemetryIngester {
+    fn rollup(&self, fallback_interval: f64, cfg: &SketchConfig) -> AggregateSketch {
+        let mut sums = TailAlignedSums::default();
+        self.iter().for_each(|(_, t)| sums.add(t.history()));
+        let [cpu, ram, rate] = sums
+            .finish(fallback_interval)
+            .map(|sum| SeriesSketch::of(&sum, cfg));
+        AggregateSketch {
+            cpu_cores: cpu,
+            ram_bytes: ram.clone(),
+            ws_bytes: ram,
+            rate_rows: rate,
+            tenants: self.len(),
+        }
+    }
 }
 
 /// One workload's telemetry plus a plain mirror of every sample pushed.
@@ -436,4 +466,519 @@ fn in_place_rollup_encodes_the_same_aggregate_sketch_bytes() {
             AggregateSketch::of(&ShardAggregate::from_windows(&histories, fallback), &cfg);
         assert_eq!(serde::to_bytes(&wrapped), old, "case {case}: from_windows");
     }
+}
+
+// ---- The whole summary as `ShardController::summary` filled it before
+// one walk over the tenants fed the roll-up, the forecasts and the drift
+// count. Each kernel below is the pre-walk code verbatim, adapted only
+// to read a shard's snapshot instead of its private fields.
+
+/// `sum_tail_aligned_refs` as it was: one resource at a time.
+fn sum_tail_aligned_pre<'a, I>(windows: I, fallback_interval: f64) -> TimeSeries
+where
+    I: IntoIterator<Item = RollingWindow<'a>>,
+    I::IntoIter: Clone,
+{
+    let windows = windows.into_iter();
+    let len = windows.clone().map(|w| w.len()).max().unwrap_or(0);
+    let interval = windows
+        .clone()
+        .find(|w| !w.is_empty())
+        .map_or(fallback_interval, |w| w.interval_secs);
+    let mut out = vec![0.0f64; len];
+    for w in windows {
+        let (older, newer) = out[len - w.len()..].split_at_mut(w.older.len());
+        older.iter_mut().zip(w.older).for_each(|(o, v)| *o += v);
+        newer.iter_mut().zip(w.newer).for_each(|(o, v)| *o += v);
+    }
+    TimeSeries::new(interval, out)
+}
+
+/// `SeriesSketch::of` as it was: the marks of a stable sort (what its
+/// `sort_as_stable` reproduces), the sketch built through the codec.
+fn sketch_pre(series: &TimeSeries, cfg: &SketchConfig) -> SeriesSketch {
+    let values = series.values();
+    if values.is_empty() {
+        return SeriesSketch::empty(series.interval_secs());
+    }
+    let mut sorted = values.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in telemetry series"));
+    let m = cfg.marks as usize;
+    let mut marks = Vec::with_capacity(m);
+    for i in 0..m {
+        marks.push(percentile_of_sorted(
+            &sorted,
+            100.0 * i as f64 / (m - 1) as f64,
+        ));
+    }
+    let (min, max) = (sorted[0], sorted[sorted.len() - 1]);
+    let mut prev = min;
+    for mark in marks.iter_mut() {
+        *mark = mark.clamp(min, max).max(prev);
+        prev = *mark;
+    }
+    marks[0] = min;
+    marks[m - 1] = max;
+    let tail_len = (cfg.tail as usize).min(values.len());
+    let tail = values[values.len() - tail_len..].to_vec();
+    let head = (series.interval_secs(), values.len() as u64, series.mean());
+    serde::from_bytes(&serde::to_bytes(&(head, marks, tail))).expect("a sketch's fields")
+}
+
+/// `TelemetryIngester::rollup` as it was.
+fn rollup_pre(
+    telemetry: &[(String, WorkloadTelemetry)],
+    fallback_interval: f64,
+    cfg: &SketchConfig,
+) -> AggregateSketch {
+    let sketch_sum = |r: usize| {
+        let windows = telemetry.iter().map(move |(_, t)| t.history()[r]);
+        sketch_pre(&sum_tail_aligned_pre(windows, fallback_interval), cfg)
+    };
+    let ram = sketch_sum(1);
+    AggregateSketch {
+        cpu_cores: sketch_sum(0),
+        ram_bytes: ram.clone(),
+        ws_bytes: ram,
+        rate_rows: sketch_sum(2),
+        tenants: telemetry.len(),
+    }
+}
+
+fn add_by_phase_pre(sum: &mut [f64], count: &mut [usize], values: &[f64], mut p: usize) -> usize {
+    let mut rest = values;
+    while !rest.is_empty() {
+        let (run, tail) = rest.split_at((sum.len() - p).min(rest.len()));
+        for ((s, c), v) in sum[p..].iter_mut().zip(&mut count[p..]).zip(run) {
+            *s += v;
+            *c += 1;
+        }
+        p = (p + run.len()) % sum.len();
+        rest = tail;
+    }
+    p
+}
+fn forecast_window_pre(
+    history: RollingWindow<'_>,
+    horizon: usize,
+    start_index: u64,
+) -> (TimeSeries, bool) {
+    assert!(horizon > 0);
+    let interval = history.interval_secs;
+    if history.is_empty() {
+        return (TimeSeries::constant(interval, 0.0, horizon), false);
+    }
+    let phase_of = |index: u64| (index % horizon as u64) as usize;
+
+    // Per-phase occurrence means.
+    let mut sum = vec![0.0f64; horizon];
+    let mut count = vec![0usize; horizon];
+    let mut p = phase_of(start_index);
+    for half in [history.older, history.newer] {
+        p = add_by_phase_pre(&mut sum, &mut count, half, p);
+    }
+    let overall_mean = history.iter().sum::<f64>() / history.len() as f64;
+    for (s, &c) in sum.iter_mut().zip(&count) {
+        *s = if c > 0 { *s / c as f64 } else { overall_mean };
+    }
+    let phase_mean = sum;
+
+    // Regime test: the most recent (≤ horizon) samples against the
+    // phase-mean prediction.
+    let tail = history.last(horizon);
+    let mut p = phase_of(start_index + (history.len() - tail.len()) as u64);
+    let sq: f64 = tail
+        .iter()
+        .map(|v| {
+            let d = v - phase_mean[p];
+            p = if p + 1 == horizon { 0 } else { p + 1 };
+            d * d
+        })
+        .sum();
+    let rmse = (sq / tail.len() as f64).sqrt();
+    let mean_abs = overall_mean.abs().max(1e-12);
+
+    if rmse / mean_abs <= REGIME_CHANGE_THRESHOLD {
+        (TimeSeries::new(interval, phase_mean), false)
+    } else {
+        let peak = tail.iter().fold(f64::NEG_INFINITY, f64::max);
+        (TimeSeries::constant(interval, peak, horizon), true)
+    }
+}
+fn forecast_windows_pre(
+    name: &str,
+    [cpu, ram, rate]: [RollingWindow<'_>; 3],
+    samples_seen: u64,
+    horizon: usize,
+) -> (WorkloadProfile, bool) {
+    let start = samples_seen.saturating_sub(cpu.len() as u64);
+    let (cpu, e_cpu) = forecast_window_pre(cpu, horizon, start);
+    let (ram, e_ram) = forecast_window_pre(ram, horizon, start);
+    let (rate, e_rate) = forecast_window_pre(rate, horizon, start);
+    let profile = WorkloadProfile::new(name, cpu, ram.clone(), ram, rate);
+    (profile, e_cpu || e_ram || e_rate)
+}
+
+fn check_windows_pre(
+    detector: &DriftDetector,
+    planned: &WorkloadProfile,
+    live: [RollingWindow<'_>; 4],
+    now_index: u64,
+) -> DriftReport {
+    let horizon = planned.windows().max(1);
+    let m = live.iter().map(|w| w.len()).max().unwrap_or(0);
+    // Phase of the live window's first sample within the planned cycle.
+    let start = ((now_index + 1).saturating_sub(m as u64) % horizon as u64) as usize;
+    let drift_of = |planned_s: &TimeSeries, live_s: RollingWindow<'_>| {
+        let n = live_s.len();
+        if n == 0 {
+            return ResourceDrift::default();
+        }
+        let (mut over_sq, mut under_sq) = (0.0f64, 0.0f64);
+        let mut p = start;
+        for &v in live_s.older.iter().chain(live_s.newer) {
+            let d = v - planned_s.values().get(p).copied().unwrap_or(0.0);
+            p = if p + 1 == horizon { 0 } else { p + 1 };
+            if d > 0.0 {
+                over_sq += d * d;
+            } else {
+                under_sq += d * d;
+            }
+        }
+        let mean = planned_s.mean().abs().max(1e-12);
+        ResourceDrift {
+            overload: (over_sq / n as f64).sqrt() / mean,
+            slack: (under_sq / n as f64).sqrt() / mean,
+        }
+    };
+
+    let [cpu, ram, working_set, update_rate] = live;
+    let cpu = drift_of(&planned.cpu_cores, cpu);
+    let ram = drift_of(&planned.ram_bytes, ram);
+    let working_set = drift_of(&planned.disk_working_set_bytes, working_set);
+    let update_rate = drift_of(&planned.disk_update_rows_per_sec, update_rate);
+    let max_overload = cpu
+        .overload
+        .max(ram.overload)
+        .max(working_set.overload)
+        .max(update_rate.overload);
+    let max_slack = cpu
+        .slack
+        .max(ram.slack)
+        .max(working_set.slack)
+        .max(update_rate.slack);
+    DriftReport {
+        workload: String::new(),
+        cpu,
+        ram,
+        working_set,
+        update_rate,
+        max_overload,
+        max_slack,
+        drifted: m >= detector.min_windows
+            && (max_overload > detector.overload_threshold || max_slack > detector.slack_threshold),
+    }
+}
+
+/// `ShardController::summary` as it was, over the shard's snapshot: the
+/// roll-up, every tenant's forecast (replica counts applied), the
+/// placement check by one lookup per slot, the peaks and the drift count.
+fn summary_pre(shard: &ShardController, cfg: &ControllerConfig) -> ShardSummary {
+    let snap = shard.snapshot();
+    let aggregate = rollup_pre(&snap.telemetry, cfg.telemetry.interval_secs, &cfg.sketch);
+    let profiles: Vec<WorkloadProfile> = snap
+        .telemetry
+        .iter()
+        .map(|(name, t)| {
+            let (mut profile, _) =
+                forecast_windows_pre(name, t.history(), t.samples_seen(), cfg.horizon);
+            profile.replicas = snap.replicas.get(name).copied().unwrap_or(1);
+            profile
+        })
+        .collect();
+    let verify_with = |profiles: &[WorkloadProfile]| {
+        if !snap.planned_once || profiles.is_empty() {
+            return None;
+        }
+        let problem = shard.problem_for(profiles).ok()?;
+        let slots = &problem.slot_series().slots;
+        let mut machine_of = Vec::with_capacity(slots.len());
+        for slot in slots {
+            let name = &problem.workloads[slot.workload].name;
+            machine_of.push(snap.placement.machine_of(name, slot.replica)?);
+        }
+        Some(evaluate(&problem, &Assignment::new(machine_of)))
+    };
+    let (feasible, violation) = match verify_with(&profiles) {
+        Some(e) => (e.feasible, e.violation),
+        None => (!snap.planned_once, 0.0),
+    };
+    let peak = |s: &TimeSeries| if s.is_empty() { 0.0 } else { s.max() };
+    let tenant_loads = profiles
+        .iter()
+        .map(|p| TenantLoad {
+            name: p.name.clone(),
+            replicas: p.replicas,
+            cpu_peak: peak(&p.cpu_cores),
+            ram_peak: peak(&p.ram_bytes),
+            ws_peak: peak(&p.disk_working_set_bytes),
+            rate_peak: peak(&p.disk_update_rows_per_sec),
+        })
+        .collect();
+    let drift_reports = snap.telemetry.iter().filter_map(|(name, telemetry)| {
+        let planned = snap.planned.get(name)?;
+        if telemetry.window_len() == 0 {
+            return None;
+        }
+        let [cpu, ram, rate] = telemetry.windows(cfg.horizon);
+        let now = telemetry.samples_seen().saturating_sub(1);
+        let live = [cpu, ram, ram, rate];
+        Some(check_windows_pre(&cfg.detector, planned, live, now))
+    });
+    ShardSummary {
+        tenants: snap.telemetry.len(),
+        planned: snap.planned_once,
+        machines_used: snap.placement.machines_used(),
+        feasible,
+        violation,
+        resolve_failed: snap.last_resolve_failed,
+        drifting: drift_reports.filter(|d| d.drifted).count(),
+        aggregate,
+        tenant_loads,
+    }
+}
+
+/// `shard.summary()` against [`summary_pre`]: every field's bits, the
+/// codec bytes and the digest.
+fn assert_summary_matches(shard: &ShardController, cfg: &ControllerConfig, at: &str) {
+    let (new, old) = (shard.summary(), summary_pre(shard, cfg));
+    let loads = |s: &ShardSummary| {
+        let bits =
+            |l: &TenantLoad| [l.cpu_peak, l.ram_peak, l.ws_peak, l.rate_peak].map(f64::to_bits);
+        s.tenant_loads
+            .iter()
+            .map(|l| (l.name.clone(), l.replicas, bits(l)))
+            .collect::<Vec<_>>()
+    };
+    let head = |s: &ShardSummary| {
+        let bits = s.violation.to_bits();
+        (
+            s.tenants,
+            s.planned,
+            s.machines_used,
+            s.feasible,
+            bits,
+            s.resolve_failed,
+            s.drifting,
+        )
+    };
+    assert_eq!(head(&new), head(&old), "{at}: scalar fields");
+    assert_eq!(loads(&new), loads(&old), "{at}: tenant loads");
+    let aggregate = |s: &ShardSummary| serde::to_bytes(&s.aggregate);
+    assert_eq!(aggregate(&new), aggregate(&old), "{at}: aggregate sketch");
+    assert_eq!(
+        serde::to_bytes(&new),
+        serde::to_bytes(&old),
+        "{at}: summary bytes"
+    );
+    assert_eq!(new.digest(), old.digest(), "{at}: digest");
+}
+
+/// A sample of `cpu`, `rate` and `ram`.
+fn sample(cpu: f64, rate: f64, ram: Bytes) -> MonitorSample {
+    MonitorSample {
+        secs: 300.0,
+        cpu_cores: cpu,
+        ram_os_view: ram,
+        tps: 0.0,
+        rows_updated_per_sec: rate,
+        reads_per_sec: 0.0,
+        write_bytes_per_sec: 0.0,
+        bp_miss_ratio: 0.0,
+        mean_latency_secs: 0.0,
+    }
+}
+
+/// `value`, or now and then a negative normal sample.
+fn signed_value(rng: &mut SplitMix64, level: f64) -> f64 {
+    match rng.next_range(6) {
+        0 => -level * rng.next_in(0.1, 1.5),
+        _ => value(rng, level),
+    }
+}
+
+/// A tenant handed to `shard` with `telemetry` (its source is never polled).
+fn admit(shard: &mut ShardController, name: &str, replicas: u32, telemetry: WorkloadTelemetry) {
+    let pattern = RatePattern::Flat { tps: 100.0 };
+    shard.admit(TenantHandoff {
+        name: name.to_string(),
+        replicas,
+        source: Box::new(SyntheticSource::new(name, 300.0, Bytes::gib(2), pattern)),
+        telemetry,
+        sketch: shard.sketch_config(),
+    });
+}
+
+#[test]
+fn the_summary_matches_the_pre_walk_summary_bit_for_bit() {
+    let mut rng = SplitMix64::from_env(0x53_A1_7E);
+    for case in 0..24 {
+        let horizon = 1 + rng.next_range(16) as usize;
+        let cfg = ControllerConfig {
+            telemetry: TelemetryConfig {
+                window_capacity: horizon + rng.next_range(48) as usize,
+                ..TelemetryConfig::default()
+            },
+            horizon,
+            check_every: 1 + rng.next_range(4),
+            cooldown_ticks: horizon as u64,
+            detector: random_detector(&mut rng),
+            sketch: SketchConfig {
+                marks: 2 + rng.next_range(16) as u32,
+                tail: rng.next_range(48) as u32,
+            },
+            ..ControllerConfig::default()
+        };
+        let mut shard = ShardController::new(cfg, ConsolidationEngine::builder().build());
+        for i in 0..1 + rng.next_range(6) {
+            let tps = 50.0 + 400.0 * rng.next_f64();
+            let pattern = match rng.next_range(3) {
+                0 => RatePattern::Flat { tps },
+                _ => RatePattern::Sinusoid {
+                    mean: tps,
+                    amplitude: 0.5 * tps,
+                    period_secs: 300.0 * (2 + rng.next_range(30)) as f64,
+                    phase: 0.0,
+                },
+            };
+            let source = SyntheticSource::new(format!("t{i}"), 300.0, Bytes::gib(2), pattern);
+            shard.add_workload(Box::new(source.with_noise(0.2 * rng.next_f64())));
+        }
+        for _ in 0..rng.next_range(3 * cfg.telemetry.window_capacity as u64 + 2) {
+            shard.tick();
+        }
+        let at = format!("case {case} horizon {horizon}");
+        assert_summary_matches(&shard, &cfg, &format!("{at} ticked"));
+
+        // Admitted tenants: short histories under other window capacities,
+        // ±0.0, subnormal and negative samples, more than one replica.
+        for j in 0..1 + rng.next_range(3) {
+            let mut telemetry = WorkloadTelemetry::new(TelemetryConfig {
+                window_capacity: 1 + rng.next_range(2 * horizon as u64 + 8) as usize,
+                ..TelemetryConfig::default()
+            });
+            let level = [0.1, 1.0, 6.0][rng.next_range(3) as usize];
+            for _ in 0..rng.next_range(2 * horizon as u64 + 4) {
+                let (cpu, rate) = (signed_value(&mut rng, level), signed_value(&mut rng, 99.0));
+                let ram = Bytes((level * rng.next_in(0.5, 1.5) * 1e9) as u64);
+                telemetry.ingest(&sample(cpu, rate, ram));
+            }
+            admit(
+                &mut shard,
+                &format!("a{j}"),
+                1 + rng.next_range(2) as u32,
+                telemetry,
+            );
+        }
+        assert_summary_matches(&shard, &cfg, &format!("{at} admitted"));
+
+        // Restored without its sources: every tenant detached.
+        let restored = ShardController::restore(
+            cfg,
+            ConsolidationEngine::builder().build(),
+            shard.snapshot(),
+        )
+        .expect("a snapshot restores");
+        assert_eq!(
+            restored.detached_workloads().len(),
+            restored.workloads().len()
+        );
+        assert_summary_matches(&restored, &cfg, &format!("{at} detached"));
+    }
+    assert_a_near_tie_takes_the_serial_mean();
+}
+
+/// What `forecast_window` hands [`regime_holds`] for `values`, one
+/// unwrapped ring half whose first sample is at phase 0: the tail's RMSE
+/// against the phase means, the sample count, the sum of the phase sums
+/// (each phase summed in sample order) and `Σ|x|` as the kernel adds it,
+/// in eight lanes.
+fn regime_inputs(values: &[f64], horizon: usize) -> (f64, usize, f64, f64) {
+    let (mut sum, mut count) = (vec![0.0; horizon], vec![0; horizon]);
+    for (i, v) in values.iter().enumerate() {
+        sum[i % horizon] += v;
+        count[i % horizon] += 1;
+    }
+    let mut lanes = [0.0f64; 8];
+    let chunks = values.chunks_exact(8);
+    let rest: f64 = chunks.remainder().iter().map(|v| v.abs()).sum();
+    for chunk in chunks {
+        lanes.iter_mut().zip(chunk).for_each(|(l, v)| *l += v.abs());
+    }
+    let (regrouped, sum_abs) = (
+        sum.iter().sum::<f64>(),
+        lanes.iter().sum::<f64>() + rest + 0.0,
+    );
+    let tail = &values[values.len() - horizon..];
+    let first = values.len() - horizon;
+    let sq: f64 = tail
+        .iter()
+        .enumerate()
+        .map(|(i, v)| {
+            let p = (first + i) % horizon;
+            let d = v - sum[p] / count[p] as f64;
+            d * d
+        })
+        .sum();
+    (
+        (sq / horizon as f64).sqrt(),
+        values.len(),
+        regrouped,
+        sum_abs,
+    )
+}
+
+/// A near tie: CPU swings ±1e6 around a mean of about zero, with
+/// nanocore noise. The phase means fit to within the noise, so the regime
+/// ratio sits where the regrouped sum cannot tell which side of the
+/// threshold the serial mean lands, and the kernel adds the samples
+/// serially; the summary and the forecast still match bit for bit.
+fn assert_a_near_tie_takes_the_serial_mean() {
+    let (horizon, cycles) = (4, 6);
+    let mut rng = SplitMix64::from_env(0x71_E5);
+    let cpu = (0..64)
+        .map(|_| {
+            let swing = [1e6, -1e6, 1e6, -1e6];
+            let cpu: Vec<f64> = (0..horizon * cycles)
+                .map(|i| swing[i % horizon] + 1e-9 * rng.next_in(-1.0, 1.0))
+                .collect();
+            cpu
+        })
+        .find(|cpu| {
+            let (rmse, n, regrouped, sum_abs) = regime_inputs(cpu, horizon);
+            regime_holds(rmse, n, regrouped, sum_abs, REGIME_CHANGE_THRESHOLD).is_none()
+        })
+        .expect("a draw the bound cannot decide");
+    let cfg = ControllerConfig {
+        horizon,
+        ..ControllerConfig::default()
+    };
+    let mut shard = ShardController::new(cfg, ConsolidationEngine::builder().build());
+    let mut telemetry = WorkloadTelemetry::new(TelemetryConfig::default());
+    for &v in &cpu {
+        telemetry.ingest(&sample(v, 10.0, Bytes::gib(1)));
+    }
+    admit(&mut shard, "tie", 1, telemetry);
+    assert_summary_matches(&shard, &cfg, "near tie");
+    // The tenant's forecast is the pre-walk kernel's, flag included.
+    let snap = shard.snapshot();
+    let (_, telemetry) = snap
+        .telemetry
+        .iter()
+        .find(|(n, _)| n == "tie")
+        .expect("resident");
+    let new = forecast_profile_flagged("tie", telemetry, horizon);
+    let (history, seen) = (telemetry.history(), telemetry.samples_seen());
+    let old = forecast_windows_pre("tie", history, seen, horizon);
+    assert_eq!((profile_bits(&new.0), new.1), (profile_bits(&old.0), old.1));
 }

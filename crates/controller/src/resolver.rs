@@ -11,18 +11,18 @@
 //!   every slot moved off its current machine, so among near-equal plans
 //!   the low-churn one wins (Fig 5's landscape plus a per-move step).
 //!
-//! Forecasting reuses the Fig 13 predictability machinery: with at least
-//! two full horizons of history the next horizon is predicted as the
-//! element-wise mean of past horizons (`kairos_traces::predict`'s model);
-//! with less, the live window itself is tiled across the horizon.
+//! Forecasting reuses the Fig 13 predictability machinery: the next
+//! horizon is predicted as the per-phase mean of the rolling window
+//! ([`kairos_traces::forecast_window`], beside `predict`'s offline model),
+//! falling back to a flat envelope at the recent peak on a regime change.
 
 use crate::ingest::WorkloadTelemetry;
 use kairos_core::ConsolidationEngine;
 use kairos_solver::{
     solve, solve_warm, Assignment, ConsolidationProblem, SolveReport, SolverConfig,
 };
-use kairos_traces::RollingWindow;
-use kairos_types::{Result, TimeSeries, WorkloadProfile};
+use kairos_traces::{forecast_window, RollingWindow};
+use kairos_types::{Result, WorkloadProfile};
 use std::collections::BTreeMap;
 
 /// Where every replica of every workload currently runs.
@@ -43,6 +43,29 @@ impl FleetPlacement {
 
     pub fn machine_of(&self, workload: &str, replica: u32) -> Option<usize> {
         self.map.get(&(workload.to_string(), replica)).copied()
+    }
+
+    /// The machine of each of `n` `(workload, replica)` keys — one merge
+    /// walk over the sorted placement when the keys come sorted, a lookup
+    /// for any the walk has passed. `None` if a key is unplaced.
+    pub(crate) fn machines_of<'a>(
+        &self,
+        n: usize,
+        keys: impl IntoIterator<Item = (&'a str, u32)>,
+    ) -> Option<Vec<usize>> {
+        let mut placed = self.map.iter().peekable();
+        let mut machines = Vec::with_capacity(n);
+        for key in keys {
+            while placed
+                .next_if(|((w, r), _)| (w.as_str(), *r) < key)
+                .is_some()
+            {}
+            machines.push(match placed.peek() {
+                Some(((w, r), &m)) if (w.as_str(), *r) == key => m,
+                _ => self.machine_of(key.0, key.1)?,
+            });
+        }
+        Some(machines)
     }
 
     pub fn set(&mut self, workload: &str, replica: u32, machine: usize) {
@@ -273,103 +296,12 @@ const REGIME_CHANGE_THRESHOLD: f64 = 0.25;
 /// [`forecast_window`] over an owned series.
 #[cfg(test)]
 pub(crate) fn forecast_series_flagged(
-    history: &TimeSeries,
+    history: &kairos_types::TimeSeries,
     horizon: usize,
     start_index: u64,
-) -> (TimeSeries, bool) {
-    forecast_window(RollingWindow::of(history), horizon, start_index)
-}
-
-/// Add `values` into the per-phase sums and counts, `values[0]` at phase
-/// `p`; returns the phase after the last value. Each run up to the end of
-/// the horizon is one element-wise add, and every phase still receives
-/// its values in sample order.
-fn add_by_phase(sum: &mut [f64], count: &mut [usize], values: &[f64], mut p: usize) -> usize {
-    let mut rest = values;
-    while !rest.is_empty() {
-        let (run, tail) = rest.split_at((sum.len() - p).min(rest.len()));
-        for ((s, c), v) in sum[p..].iter_mut().zip(&mut count[p..]).zip(run) {
-            *s += v;
-            *c += 1;
-        }
-        p = (p + run.len()) % sum.len();
-        rest = tail;
-    }
-    p
-}
-
-/// Forecast the next planning horizon of one series from its rolling
-/// window, read in place — the one forecasting kernel.
-///
-/// The forecast is built in *phase space*: `start_index` is the global
-/// sample index of `history`'s first value, so element `p` of the result
-/// always corresponds to global phase `p` within the horizon — the same
-/// convention the drift detector uses for phase alignment.
-///
-/// * **Stationary** (possibly periodic) series: the per-phase mean of all
-///   observed occurrences — the Fig 13 predictor
-///   (`kairos_traces::predict`'s model), which averages measurement noise
-///   out.
-/// * **Regime change** (the most recent horizon deviates from that
-///   prediction beyond [`REGIME_CHANGE_THRESHOLD`]): stale history would
-///   systematically mislead, and the recent window itself still mixes
-///   both regimes. The forecast falls back to a conservative flat
-///   envelope at the recent window's *peak* — scale-up provisioning for
-///   the regime that is arriving; the lazier slack side of the drift
-///   detector repacks later if the envelope proves too generous.
-///
-/// The flag says whether the forecast fell back to the conservative
-/// flat envelope (regime change detected). The flag is what
-/// schedules the controller's zero-move horizon refresh: an
-/// envelope-planned profile is deliberately loose, and should be
-/// tightened once enough post-drift history re-accumulates instead of
-/// waiting for slack drift to trip.
-fn forecast_window(
-    history: RollingWindow<'_>,
-    horizon: usize,
-    start_index: u64,
-) -> (TimeSeries, bool) {
-    assert!(horizon > 0);
-    let interval = history.interval_secs;
-    if history.is_empty() {
-        return (TimeSeries::constant(interval, 0.0, horizon), false);
-    }
-    let phase_of = |index: u64| (index % horizon as u64) as usize;
-
-    // Per-phase occurrence means.
-    let mut sum = vec![0.0f64; horizon];
-    let mut count = vec![0usize; horizon];
-    let mut p = phase_of(start_index);
-    for half in [history.older, history.newer] {
-        p = add_by_phase(&mut sum, &mut count, half, p);
-    }
-    let overall_mean = history.iter().sum::<f64>() / history.len() as f64;
-    for (s, &c) in sum.iter_mut().zip(&count) {
-        *s = if c > 0 { *s / c as f64 } else { overall_mean };
-    }
-    let phase_mean = sum;
-
-    // Regime test: the most recent (≤ horizon) samples against the
-    // phase-mean prediction.
-    let tail = history.last(horizon);
-    let mut p = phase_of(start_index + (history.len() - tail.len()) as u64);
-    let sq: f64 = tail
-        .iter()
-        .map(|v| {
-            let d = v - phase_mean[p];
-            p = if p + 1 == horizon { 0 } else { p + 1 };
-            d * d
-        })
-        .sum();
-    let rmse = (sq / tail.len() as f64).sqrt();
-    let mean_abs = overall_mean.abs().max(1e-12);
-
-    if rmse / mean_abs <= REGIME_CHANGE_THRESHOLD {
-        (TimeSeries::new(interval, phase_mean), false)
-    } else {
-        let peak = tail.iter().fold(f64::NEG_INFINITY, f64::max);
-        (TimeSeries::constant(interval, peak, horizon), true)
-    }
+) -> (kairos_types::TimeSeries, bool) {
+    let history = RollingWindow::of(history);
+    forecast_window(history, horizon, start_index, REGIME_CHANGE_THRESHOLD)
 }
 
 /// Forecast a whole workload profile for the next horizon (phase-aligned;
@@ -385,16 +317,16 @@ pub fn forecast_profile_flagged(
 
 /// Forecast `[cpu, ram, rate]` windows whose newest sample is number
 /// `samples_seen`. RAM is the working set, so its forecast is used twice.
-fn forecast_windows(
+pub(crate) fn forecast_windows(
     name: &str,
     [cpu, ram, rate]: [RollingWindow<'_>; 3],
     samples_seen: u64,
     horizon: usize,
 ) -> (WorkloadProfile, bool) {
     let start = samples_seen.saturating_sub(cpu.len() as u64);
-    let (cpu, e_cpu) = forecast_window(cpu, horizon, start);
-    let (ram, e_ram) = forecast_window(ram, horizon, start);
-    let (rate, e_rate) = forecast_window(rate, horizon, start);
+    let forecast = |w| forecast_window(w, horizon, start, REGIME_CHANGE_THRESHOLD);
+    let ((cpu, e_cpu), (ram, e_ram), (rate, e_rate)) =
+        (forecast(cpu), forecast(ram), forecast(rate));
     let profile = WorkloadProfile::new(name, cpu, ram.clone(), ram, rate);
     (profile, e_cpu || e_ram || e_rate)
 }
@@ -422,7 +354,7 @@ pub fn forecast_profile_tail(
 mod tests {
     use super::*;
     use kairos_core::ConsolidationPlan;
-    use kairos_types::{Bytes, DiskDemand, Rate};
+    use kairos_types::{Bytes, DiskDemand, Rate, TimeSeries};
 
     /// The placement a one-shot plan recommends.
     fn placement_of(plan: &ConsolidationPlan) -> FleetPlacement {

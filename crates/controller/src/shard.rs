@@ -22,12 +22,12 @@ use crate::drift::DriftReport;
 use crate::executor::FleetExecutor;
 use crate::ingest::{TelemetryIngester, TelemetrySketch, TelemetrySource, WorkloadTelemetry};
 use crate::migration::plan_migration;
-use crate::resolver::{add_anti_affinity_pair, FleetPlacement, ReSolver};
+use crate::resolver::{add_anti_affinity_pair, forecast_windows, FleetPlacement, ReSolver};
 use crate::snapshot::{ShardSnapshot, TRACE_CHECKPOINT_CAP};
 use kairos_core::ConsolidationEngine;
 use kairos_obs::{Counter, DecisionEvent, DecisionLog, MetricsRegistry, SpanLog, TracedEvent};
 use kairos_solver::{evaluate, greedy_pack, Assignment, Evaluation};
-use kairos_traces::{AggregateSketch, SketchConfig};
+use kairos_traces::{AggregateSketch, RollingWindow, SeriesSketch, SketchConfig, TailAlignedSums};
 use kairos_types::{KairosError, WorkloadProfile};
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
@@ -263,6 +263,9 @@ pub struct ShardController {
     /// [`ShardController::pack_estimate`] actually ran. Registry only —
     /// not part of [`ControllerStats`] or the snapshot.
     pack_estimates: Counter,
+    /// `kairos_shard_summary_fills_total`: summaries the memo computed
+    /// afresh (registry only).
+    summary_fills: Counter,
     /// `kairos_shard_resolve_evals_total`: the searches
     /// ([`SolveReport::evals_used`](kairos_solver::SolveReport)) of every
     /// bootstrap and re-plan solve, one per binary-search probe and one per
@@ -312,6 +315,7 @@ impl ShardController {
             summary_memo: None,
             pack_memo: Cell::new(None),
             pack_estimates: registry.counter("kairos_shard_pack_estimates_total"),
+            summary_fills: registry.counter("kairos_shard_summary_fills_total"),
             resolve_evals: registry.counter("kairos_shard_resolve_evals_total"),
             metrics: ShardMetrics::new(registry),
             log: DecisionLog::new(),
@@ -608,8 +612,9 @@ impl ShardController {
 
     /// Forecast one workload's next horizon. `None` if unknown.
     pub fn forecast_workload(&self, name: &str) -> Option<WorkloadProfile> {
+        let t = self.ingester.get(name)?;
         Some(
-            self.forecast_workload_flagged(name, self.ingester.get(name)?)
+            self.forecast_workload_flagged(name, t.history(), t.samples_seen())
                 .0,
         )
     }
@@ -622,10 +627,11 @@ impl ShardController {
     fn forecast_workload_flagged(
         &self,
         name: &str,
-        telemetry: &WorkloadTelemetry,
+        history: [RollingWindow<'_>; 3],
+        samples_seen: u64,
     ) -> (WorkloadProfile, bool) {
         let (mut profile, envelope) =
-            crate::resolver::forecast_profile_flagged(name, telemetry, self.cfg.horizon);
+            forecast_windows(name, history, samples_seen, self.cfg.horizon);
         profile.replicas = self.replicas.get(name).copied().unwrap_or(1);
         (profile, envelope)
     }
@@ -637,7 +643,8 @@ impl ShardController {
         let mut profiles = Vec::with_capacity(self.ingester.len());
         let mut envelopes = Vec::new();
         for (name, telemetry) in self.ingester.iter() {
-            let (profile, envelope) = self.forecast_workload_flagged(name, telemetry);
+            let (profile, envelope) =
+                self.forecast_workload_flagged(name, telemetry.history(), telemetry.samples_seen());
             if envelope {
                 envelopes.push(name.to_string());
             }
@@ -733,15 +740,23 @@ impl ShardController {
     /// empty: a caller names only what it keeps.
     fn drift_reports(&self) -> impl Iterator<Item = (&str, DriftReport)> + '_ {
         self.ingester.iter().filter_map(|(name, telemetry)| {
-            let planned = self.planned.get(name)?;
-            if telemetry.window_len() == 0 {
-                return None;
-            }
-            let [cpu, ram, rate] = telemetry.windows(self.cfg.horizon);
-            let now = telemetry.samples_seen().saturating_sub(1);
-            let live = [cpu, ram, ram, rate];
-            Some((name, self.cfg.detector.check_windows(planned, live, now)))
+            Some((name, self.drift_report(self.planned.get(name)?, telemetry)?))
         })
+    }
+
+    /// One tenant's entry of [`ShardController::drift_reports`].
+    fn drift_report(
+        &self,
+        planned: &WorkloadProfile,
+        telemetry: &WorkloadTelemetry,
+    ) -> Option<DriftReport> {
+        if telemetry.window_len() == 0 {
+            return None;
+        }
+        let [cpu, ram, rate] = telemetry.windows(self.cfg.horizon);
+        let now = telemetry.samples_seen().saturating_sub(1);
+        let live = [cpu, ram, ram, rate];
+        Some(self.cfg.detector.check_windows(planned, live, now))
     }
 
     /// Compare each live window against its planned profile.
@@ -877,11 +892,10 @@ impl ShardController {
         }
         let problem = self.resolver.problem(profiles).ok()?;
         let slots = &problem.slot_series().slots;
-        let mut machine_of = Vec::with_capacity(slots.len());
-        for slot in slots {
-            let name = &problem.workloads[slot.workload].name;
-            machine_of.push(self.placement.machine_of(name, slot.replica)?);
-        }
+        let keys = slots
+            .iter()
+            .map(|slot| (problem.workloads[slot.workload].name.as_str(), slot.replica));
+        let machine_of = self.placement.machines_of(slots.len(), keys)?;
         Some(evaluate(&problem, &Assignment::new(machine_of)))
     }
 
@@ -1063,16 +1077,39 @@ impl ShardController {
     // ----- balancer surface -----
 
     /// The shard's state rolled up for the balancer: aggregate rolling
-    /// load (via [`kairos_traces::aggregate`]), machines in use,
-    /// placement health, and per-tenant forecast peaks.
+    /// load (every tenant's full window summed tail-aligned per resource
+    /// and sketched), machines in use, placement health, and per-tenant
+    /// forecast peaks. One walk over the tenants reads each one's windows
+    /// once, for the roll-up, the forecast and the drift count; the
+    /// forecasts then feed both the placement check and the peaks.
     pub fn summary(&self) -> ShardSummary {
-        let aggregate = self
-            .ingester
-            .rollup(self.cfg.telemetry.interval_secs, &self.cfg.sketch);
-        // One forecast pass feeds both the placement check and the
-        // per-tenant peaks (forecasting every tenant is the expensive
-        // part of a summary).
-        let profiles = self.forecast_fleet();
+        let mut sums = TailAlignedSums::default();
+        let mut profiles = Vec::with_capacity(self.ingester.len());
+        let mut drifting = 0;
+        // Plans are keyed by name like the telemetry: a merge walk finds each.
+        let mut planned = self.planned.iter().peekable();
+        for (name, telemetry) in self.ingester.iter() {
+            let history = telemetry.history();
+            sums.add(history);
+            let seen = telemetry.samples_seen();
+            profiles.push(self.forecast_workload_flagged(name, history, seen).0);
+            while planned.next_if(|(n, _)| n.as_str() < name).is_some() {}
+            if let Some((_, plan)) = planned.next_if(|(n, _)| n.as_str() == name) {
+                let report = self.drift_report(plan, telemetry);
+                drifting += usize::from(report.is_some_and(|d| d.drifted));
+            }
+        }
+        // RAM is the working set, so its sketch serves both.
+        let [cpu, ram, rate] = sums
+            .finish(self.cfg.telemetry.interval_secs)
+            .map(|sum| SeriesSketch::of(&sum, &self.cfg.sketch));
+        let aggregate = AggregateSketch {
+            cpu_cores: cpu,
+            ram_bytes: ram.clone(),
+            ws_bytes: ram,
+            rate_rows: rate,
+            tenants: self.ingester.len(),
+        };
         let (feasible, violation) = match self.verify_with(&profiles) {
             Some(e) => (e.feasible, e.violation),
             None => (!self.planned_once, 0.0),
@@ -1085,14 +1122,14 @@ impl ShardController {
             }
         };
         let tenant_loads = profiles
-            .iter()
+            .into_iter()
             .map(|p| TenantLoad {
-                name: p.name.clone(),
                 replicas: p.replicas,
                 cpu_peak: peak(&p.cpu_cores),
                 ram_peak: peak(&p.ram_bytes),
                 ws_peak: peak(&p.disk_working_set_bytes),
                 rate_peak: peak(&p.disk_update_rows_per_sec),
+                name: p.name,
             })
             .collect();
         ShardSummary {
@@ -1102,7 +1139,7 @@ impl ShardController {
             feasible,
             violation,
             resolve_failed: self.last_resolve_failed,
-            drifting: self.drift_reports().filter(|(_, d)| d.drifted).count(),
+            drifting,
             aggregate,
             tenant_loads,
         }
@@ -1147,6 +1184,7 @@ impl ShardController {
             m.at.epoch == now.epoch && now.tick.saturating_sub(m.at.tick) < SUMMARY_REFRESH_TICKS
         };
         if !self.summary_memo.as_ref().is_some_and(hit) {
+            self.summary_fills.inc();
             self.summary_memo = Some(SummaryMemo {
                 at: now,
                 summary: self.summary(),

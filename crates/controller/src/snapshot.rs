@@ -55,7 +55,11 @@ use std::collections::BTreeMap;
 /// `ShardAggregate`, and the summary cache records the
 /// [`kairos_traces::SketchConfig::digest`] it was sketched with so a
 /// restore under a different sketch shape invalidates it.
-pub const SHARD_SNAPSHOT_VERSION: u32 = 3;
+///
+/// v4: [`ControllerStats`] no longer carries the wall-clock
+/// `solve_secs_total` (the registry gauge keeps it), so two runs of one
+/// seed checkpoint the same bytes.
+pub const SHARD_SNAPSHOT_VERSION: u32 = 4;
 
 /// Most recent decision events a checkpoint persists per shard (the
 /// in-memory ring may be larger; see

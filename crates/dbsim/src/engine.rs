@@ -93,14 +93,6 @@ impl DbmsConfig {
     }
 }
 
-/// A logical database hosted by the instance.
-#[derive(Debug, Clone)]
-pub struct Database {
-    pub id: DatabaseId,
-    pub name: String,
-    pub tables: Vec<TableId>,
-}
-
 #[derive(Debug, Clone)]
 struct TableDef {
     segments: Vec<PageRange>,
@@ -239,7 +231,8 @@ pub struct DbmsInstance {
     os_cache: Option<ClockCache>,
     wal: LogManager,
     flusher: Flusher,
-    databases: Vec<Database>,
+    /// Logical databases created so far; `DatabaseId`s are `0..databases`.
+    databases: u32,
     tables: Vec<TableDef>,
     /// Sorted (segment start, table index) for victim attribution.
     segment_index: Vec<(u64, u32)>,
@@ -279,7 +272,7 @@ impl DbmsInstance {
             os_cache,
             wal,
             flusher,
-            databases: Vec::new(),
+            databases: 0,
             tables: Vec::new(),
             segment_index: Vec::new(),
             stats: InstanceStats::default(),
@@ -323,20 +316,15 @@ impl DbmsInstance {
     // ----- DDL / SQL surface (what the probing tool uses) -----
 
     /// Create a logical database.
-    pub fn create_database(&mut self, name: impl Into<String>) -> DatabaseId {
-        let id = DatabaseId(self.databases.len() as u32);
-        self.databases.push(Database {
-            id,
-            name: name.into(),
-            tables: Vec::new(),
-        });
-        id
+    pub fn create_database(&mut self) -> DatabaseId {
+        self.databases += 1;
+        DatabaseId(self.databases - 1)
     }
 
     /// Create a table pre-loaded with `rows` rows of `row_bytes` bytes.
     /// Pages start on disk (cold) — they enter the pool on first access.
     pub fn create_table(&mut self, db: DatabaseId, rows: u64, row_bytes: u64) -> Result<TableId> {
-        if db.0 as usize >= self.databases.len() {
+        if db.0 >= self.databases {
             return Err(KairosError::Sql(format!("unknown database {db:?}")));
         }
         assert!(row_bytes > 0, "rows must have a positive size");
@@ -357,7 +345,6 @@ impl DbmsInstance {
             table.pages = pages;
         }
         self.tables.push(table);
-        self.databases[db.0 as usize].tables.push(id);
         Ok(id)
     }
 
@@ -863,7 +850,7 @@ mod tests {
     #[test]
     fn create_database_and_table() {
         let mut inst = small_instance();
-        let db = inst.create_database("app");
+        let db = inst.create_database();
         let t = inst.create_table(db, 1000, 160).unwrap();
         assert_eq!(inst.table_rows(t), 1000);
         // 1000 rows * 160 B = 160000 B / 16 KiB pages = 10 pages.
@@ -879,7 +866,7 @@ mod tests {
     #[test]
     fn scan_warms_cache_then_hits() {
         let mut inst = small_instance();
-        let db = inst.create_database("app");
+        let db = inst.create_database();
         let t = inst.create_table(db, 10_000, 160).unwrap();
         let n = inst.scan_count(t, 10_000);
         assert_eq!(n, 10_000);
@@ -896,7 +883,7 @@ mod tests {
     #[test]
     fn scan_generates_pending_reads_served_by_tick() {
         let mut inst = small_instance();
-        let db = inst.create_database("app");
+        let db = inst.create_database();
         let t = inst.create_table(db, 10_000, 160).unwrap();
         inst.scan_count(t, 10_000);
         inst.prepare_tick(0.1, &[]);
@@ -908,7 +895,7 @@ mod tests {
     #[test]
     fn append_rows_grows_table_and_dirties_pages() {
         let mut inst = small_instance();
-        let db = inst.create_database("app");
+        let db = inst.create_database();
         let t = inst.create_table(db, 100, 16_384).unwrap();
         let before = inst.table_pages(t);
         inst.append_rows(t, 50.0);
@@ -920,7 +907,7 @@ mod tests {
     #[test]
     fn contiguous_growth_extends_the_last_segment() {
         let mut inst = small_instance();
-        let db = inst.create_database("app");
+        let db = inst.create_database();
         let page = inst.page_size().0;
         let t = inst.create_table(db, 4, page).unwrap();
         for _ in 0..10 {
@@ -943,7 +930,7 @@ mod tests {
     #[test]
     fn a_growth_step_that_evicts_its_own_page_charges_its_own_table() {
         let mut inst = small_instance();
-        let db = inst.create_database("app");
+        let db = inst.create_database();
         let page = inst.page_size().0;
         let cap = inst.pool.capacity() as u64;
         // `a` is allocated first, so its next run starts past `b`'s pages.
@@ -975,7 +962,7 @@ mod tests {
     #[test]
     fn updates_dirty_pages_with_coalescing() {
         let mut inst = small_instance();
-        let db = inst.create_database("app");
+        let db = inst.create_database();
         // 100-page working set.
         let t = inst.create_table(db, 10_000, 164).unwrap();
         inst.scan_count(t, 10_000); // warm
@@ -1008,7 +995,7 @@ mod tests {
     #[test]
     fn writeback_cleans_and_accounts() {
         let mut inst = small_instance();
-        let db = inst.create_database("app");
+        let db = inst.create_database();
         let t = inst.create_table(db, 10_000, 164).unwrap();
         inst.scan_count(t, 10_000);
         let batch = OpBatch {
@@ -1029,7 +1016,7 @@ mod tests {
     #[test]
     fn admission_fraction_scales_commits() {
         let mut inst = small_instance();
-        let db = inst.create_database("app");
+        let db = inst.create_database();
         let batch = OpBatch {
             txns: 100.0,
             cpu_core_secs: 0.01,
@@ -1051,7 +1038,7 @@ mod tests {
     #[test]
     fn latency_includes_base_and_grows_with_queueing() {
         let mut inst = small_instance();
-        let db = inst.create_database("app");
+        let db = inst.create_database();
         let mk = |lat_factor: f64, inst: &mut DbmsInstance| {
             let batch = OpBatch {
                 txns: 10.0,
@@ -1078,7 +1065,7 @@ mod tests {
     #[test]
     fn wal_activity_reported_via_demand() {
         let mut inst = small_instance();
-        let db = inst.create_database("app");
+        let db = inst.create_database();
         let t = inst.create_table(db, 10_000, 164).unwrap();
         let batch = OpBatch {
             txns: 50.0,
@@ -1109,7 +1096,7 @@ mod tests {
         let mut cfg = DbmsConfig::postgres(Bytes::mib(2), Bytes::mib(64));
         cfg.seed = 7;
         let mut inst = DbmsInstance::new(cfg);
-        let db = inst.create_database("pg");
+        let db = inst.create_database();
         // ~4 MiB table: exceeds the pool, fits the OS cache.
         let t = inst.create_table(db, 25_000, 164).unwrap();
         inst.scan_count(t, 25_000); // cold: misses to disk, fills OS cache
@@ -1133,7 +1120,7 @@ mod tests {
         // because more updates land on already-dirty pages.
         let steady_writes = |rows_per_tick: f64| -> f64 {
             let mut inst = DbmsInstance::new(DbmsConfig::mysql(Bytes::mib(64)));
-            let db = inst.create_database("app");
+            let db = inst.create_database();
             let t = inst.create_table(db, 100_000, 164).unwrap();
             inst.prewarm_table(t);
             let mut written = 0.0;

@@ -216,7 +216,7 @@ mod tests {
     fn host_with_one_instance() -> (Host, DatabaseId, crate::pages::TableId) {
         let mut host = Host::new(MachineSpec::server1());
         let mut inst = DbmsInstance::new(DbmsConfig::mysql(Bytes::mib(64)));
-        let db = inst.create_database("app");
+        let db = inst.create_database();
         let t = inst.create_table(db, 100_000, 164).unwrap();
         inst.prewarm_table(t);
         host.add_instance(inst);
@@ -287,7 +287,7 @@ mod tests {
                 let mut cfg = DbmsConfig::mysql(Bytes::mib(24));
                 cfg.seed = 42 + i as u64;
                 let mut inst = DbmsInstance::new(cfg);
-                let db = inst.create_database(format!("db{i}"));
+                let db = inst.create_database();
                 let t = inst.create_table(db, 50_000, 164).unwrap();
                 inst.prewarm_table(t);
                 host.add_instance(inst);

@@ -39,8 +39,8 @@ pub use buffer::{CacheStats, ClockCache, Touch};
 pub use cpu::{CpuDevice, CpuTickServed};
 pub use disk::{DiskDevice, DiskTickDemand, DiskTickServed};
 pub use engine::{
-    AccessSpec, Database, DbmsConfig, DbmsInstance, DeviceGrant, InstanceDemand, OpBatch,
-    TickResult, UpdateSpec,
+    AccessSpec, DbmsConfig, DbmsInstance, DeviceGrant, InstanceDemand, OpBatch, TickResult,
+    UpdateSpec,
 };
 pub use flusher::{FlushDecision, Flusher, FlusherConfig};
 pub use host::{Host, HostTickReport, VirtOverheads};

@@ -52,7 +52,11 @@ pub const HANDOFF_LOG_CHECKPOINT_CAP: usize = 4096;
 /// v4: sketched summaries — the embedded `ShardSnapshot`s moved to
 /// `SHARD_SNAPSHOT_VERSION` 3 (constant-size `AggregateSketch` roll-ups
 /// and a sketch-digest-keyed summary cache).
-pub const FLEET_SNAPSHOT_VERSION: u32 = 4;
+///
+/// v5: the embedded `ShardSnapshot`s moved to `SHARD_SNAPSHOT_VERSION` 4
+/// (no wall-clock solver seconds in `ControllerStats`): a checkpoint's
+/// bytes repeat across runs of one seed.
+pub const FLEET_SNAPSHOT_VERSION: u32 = 5;
 
 /// The whole control plane's checkpointable state. Construct via
 /// [`crate::FleetController::snapshot`] / persist via

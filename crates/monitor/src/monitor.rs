@@ -160,7 +160,7 @@ mod tests {
 
     fn busy_instance() -> (DbmsInstance, DatabaseId, kairos_dbsim::TableId) {
         let mut inst = DbmsInstance::new(DbmsConfig::mysql(Bytes::mib(64)));
-        let db = inst.create_database("app");
+        let db = inst.create_database();
         let t = inst.create_table(db, 100_000, 164).unwrap();
         inst.prewarm_table(t);
         (inst, db, t)

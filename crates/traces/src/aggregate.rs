@@ -17,10 +17,8 @@ use kairos_types::TimeSeries;
 use serde::{Deserialize, Serialize};
 
 /// Element-wise sum of borrowed windows, aligned at the most recent
-/// sample — the sharded control plane's summary path aggregates every
-/// tenant's rolling window each balance round, reading each `Rrd` ring in
-/// place rather than copying it first. Each bucket adds its inputs in
-/// iteration order.
+/// sample, reading each `Rrd` ring in place rather than copying it
+/// first. Each bucket adds its inputs in iteration order.
 ///
 /// The result has the length of the longest input; a shorter input
 /// contributes zero to buckets older than its history. Empty input (or
@@ -28,21 +26,63 @@ use serde::{Deserialize, Serialize};
 pub fn sum_tail_aligned_refs<'a, I>(windows: I, fallback_interval: f64) -> TimeSeries
 where
     I: IntoIterator<Item = RollingWindow<'a>>,
-    I::IntoIter: Clone,
 {
-    let windows = windows.into_iter();
-    let len = windows.clone().map(|w| w.len()).max().unwrap_or(0);
-    let interval = windows
-        .clone()
-        .find(|w| !w.is_empty())
-        .map_or(fallback_interval, |w| w.interval_secs);
-    let mut out = vec![0.0f64; len];
-    for w in windows {
-        let (older, newer) = out[len - w.len()..].split_at_mut(w.older.len());
-        older.iter_mut().zip(w.older).for_each(|(o, v)| *o += v);
-        newer.iter_mut().zip(w.newer).for_each(|(o, v)| *o += v);
+    let mut sums = TailAlignedSums::default();
+    windows.into_iter().for_each(|w| sums.add([w]));
+    let [sum] = sums.finish(fallback_interval);
+    sum
+}
+
+/// [`sum_tail_aligned_refs`] over `N` resources at once, fed one input's
+/// `N` windows at a time — so a caller that walks its tenants once (the
+/// shard summary: every tenant's `[cpu, ram, rate]`) builds each
+/// tenant's windows once. Every bucket still adds its inputs in the
+/// order they were fed, from `0.0`, so each sum is bit for bit what
+/// [`sum_tail_aligned_refs`] returns over that resource's windows.
+pub struct TailAlignedSums<const N: usize> {
+    sums: [Vec<f64>; N],
+    /// Each resource's first non-empty window's interval.
+    intervals: [Option<f64>; N],
+}
+
+impl<const N: usize> Default for TailAlignedSums<N> {
+    fn default() -> TailAlignedSums<N> {
+        TailAlignedSums {
+            sums: std::array::from_fn(|_| Vec::new()),
+            intervals: [None; N],
+        }
     }
-    TimeSeries::new(interval, out)
+}
+
+impl<const N: usize> TailAlignedSums<N> {
+    /// Add one input's windows, tail-aligned. A window longer than every
+    /// earlier one extends its sum at the old end with zeros: those
+    /// buckets had no input yet, so they start from `0.0` as if the sum
+    /// had been that long all along.
+    pub fn add(&mut self, windows: [RollingWindow<'_>; N]) {
+        for ((out, interval), w) in self.sums.iter_mut().zip(&mut self.intervals).zip(windows) {
+            if w.len() > out.len() {
+                out.splice(0..0, std::iter::repeat_n(0.0, w.len() - out.len()));
+            }
+            if !w.is_empty() {
+                interval.get_or_insert(w.interval_secs);
+            }
+            let len = out.len();
+            let (older, newer) = out[len - w.len()..].split_at_mut(w.older.len());
+            older.iter_mut().zip(w.older).for_each(|(o, v)| *o += v);
+            newer.iter_mut().zip(w.newer).for_each(|(o, v)| *o += v);
+        }
+    }
+
+    /// The sums, each at its first non-empty input's interval
+    /// (`fallback_interval` when it had none).
+    pub fn finish(self, fallback_interval: f64) -> [TimeSeries; N] {
+        let mut intervals = self.intervals.into_iter();
+        self.sums.map(|sum| {
+            let interval = intervals.next().flatten();
+            TimeSeries::new(interval.unwrap_or(fallback_interval), sum)
+        })
+    }
 }
 
 /// One shard's aggregate load over the rolling horizon: the four profile
@@ -116,6 +156,25 @@ mod tests {
         let sum = sum_tail_aligned(&[a, b], 300.0);
         assert_eq!(sum.values(), &[1.0, 2.0, 13.0, 24.0]);
         assert_eq!(sum.interval_secs(), 300.0);
+    }
+
+    #[test]
+    fn a_longer_window_fed_later_extends_the_old_end_from_zero() {
+        let a = ts(&[10.0, 20.0]);
+        let b = ts(&[1.0, 2.0, 3.0, 4.0]);
+        let c = ts(&[-0.0, 0.5, 0.5]);
+        let sum = sum_tail_aligned(&[a, b, c], 300.0);
+        assert_eq!(sum.values(), &[1.0, 2.0, 13.5, 24.5]);
+        let mut sums = TailAlignedSums::default();
+        let (empty, longer) = (ts(&[]), TimeSeries::new(60.0, vec![1.0; 3]));
+        sums.add([RollingWindow::of(&empty), RollingWindow::of(&empty)]);
+        sums.add([RollingWindow::of(&longer), RollingWindow::of(&empty)]);
+        let [first, second] = sums.finish(120.0);
+        assert_eq!(
+            (first.values(), first.interval_secs()),
+            (&[1.0; 3][..], 60.0)
+        );
+        assert_eq!((second.len(), second.interval_secs()), (0, 120.0));
     }
 
     #[test]

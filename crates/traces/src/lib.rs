@@ -12,7 +12,8 @@
 //!   statistical shape (sub-4 % mean utilization, diurnal/weekly cycles,
 //!   night-job pools, heterogeneous hardware);
 //! * [`predict`] — the Fig 13 predictability analysis (mean of past weeks
-//!   predicts the next week);
+//!   predicts the next week), and its online form: the per-phase forecast
+//!   of a rolling window the control plane plans on;
 //! * [`aggregate`] — shard-level roll-ups of per-tenant rolling windows,
 //!   the coarse signal the sharded control plane's balancer consumes;
 //! * [`sketch`] — fixed-size, peak-preserving quantile sketches of those
@@ -24,9 +25,11 @@ pub mod predict;
 pub mod rrd;
 pub mod sketch;
 
-pub use aggregate::{sum_tail_aligned_refs, ShardAggregate};
+pub use aggregate::{sum_tail_aligned_refs, ShardAggregate, TailAlignedSums};
 pub use fleet::{generate_all, generate_fleet, Dataset, FleetConfig, ServerTrace};
-pub use predict::{fleet_total_cpu, predict_last_period, Prediction};
+pub use predict::{
+    fleet_total_cpu, forecast_window, predict_last_period, regime_holds, Prediction,
+};
 pub use rrd::{ArchiveSpec, Consolidation, RollingWindow, Rrd};
 pub use sketch::{
     AggregateSketch, SeriesSketch, SketchConfig, MAX_SKETCH_MARKS, MAX_SKETCH_TAIL,

@@ -174,8 +174,7 @@ impl SeriesSketch {
         if values.is_empty() {
             return SeriesSketch::empty(series.interval_secs());
         }
-        let mut sorted = values.to_vec();
-        sort_as_stable(&mut sorted, values);
+        let sorted = sorted_as_stable(values);
         let m = cfg.marks as usize;
         let mut marks = Vec::with_capacity(m);
         for i in 0..m {
@@ -323,6 +322,20 @@ impl SeriesSketch {
             tail,
         }
     }
+}
+
+/// `values` ascending, exactly as a stable sort orders them. When every
+/// value is finite with its sign bit clear, bit patterns order as the
+/// values do and equal bits are equal values, so an unstable sort on the
+/// bits (integer compares) is the stable sort.
+fn sorted_as_stable(values: &[f64]) -> Vec<f64> {
+    let mut sorted = values.to_vec();
+    if values.iter().all(|v| v.to_bits() < f64::INFINITY.to_bits()) {
+        sorted.sort_unstable_by_key(|v| v.to_bits());
+    } else {
+        sort_as_stable(&mut sorted, values);
+    }
+    sorted
 }
 
 /// Sort `sorted` (a copy of `values`) ascending into exactly what a
@@ -565,6 +578,34 @@ mod tests {
             sort_as_stable(&mut sorted, &values);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&sorted), bits(&stable), "case {case}");
+        }
+    }
+
+    #[test]
+    fn sorted_as_stable_is_a_stable_sort_bit_for_bit() {
+        let mut rng = kairos_types::SplitMix64::from_env(0x50_28);
+        for case in 0..500 {
+            let len = rng.next_range(if case % 2 == 0 { 24 } else { 1_500 }) as usize;
+            // Non-negative windows (the bit-key path) and, one in four,
+            // windows with −0.0 or negatives (the general path).
+            let signed = case % 4 == 3;
+            let values: Vec<f64> = (0..len)
+                .map(|_| match rng.next_range(6) {
+                    0 => 0.0,
+                    1 if signed => -0.0,
+                    2 => f64::from_bits(1 + rng.next_range(1 << 52)),
+                    3 if signed => -rng.next_in(0.0, 2.0),
+                    _ => rng.next_in(0.0, 2.0).round() * 1e300_f64.powi(case % 2),
+                })
+                .collect();
+            let mut stable = values.clone();
+            stable.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&sorted_as_stable(&values)),
+                bits(&stable),
+                "case {case}"
+            );
         }
     }
 

@@ -87,7 +87,7 @@ impl Workload for SyntheticWorkload {
     }
 
     fn install(&mut self, inst: &mut DbmsInstance) -> WorkloadHandle {
-        let db = inst.create_database(self.spec.name.clone());
+        let db = inst.create_database();
         let rows = self.spec.db_size.0 / ROW_BYTES;
         let table = inst
             .create_table(db, rows, ROW_BYTES)

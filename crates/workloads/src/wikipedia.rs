@@ -82,7 +82,7 @@ impl Workload for WikipediaWorkload {
     }
 
     fn install(&mut self, inst: &mut DbmsInstance) -> WorkloadHandle {
-        let db = inst.create_database(self.name.clone());
+        let db = inst.create_database();
         let rows = self.db_size().0 / ROW_BYTES;
         let table = inst
             .create_table(db, rows, ROW_BYTES)

@@ -22,6 +22,8 @@
 //!   flat-envelope replanning — the restored rolling windows carry the
 //!   full planning horizon);
 //! * the handoff audit log is identical, tick stamps included;
+//! * a checkpoint is **deterministic**: a second run of the same seed,
+//!   checkpointed at the same tick, writes a byte-identical file;
 //! * a **truncated** snapshot and a **bit-flipped** snapshot are both
 //!   rejected with a clean error — never a panic, never a silent
 //!   partial restore;
@@ -166,6 +168,21 @@ fn main() {
     let prekill_trace = doomed.trace_events();
     dump_trace(&dir, "trace-prekill.txt", &prekill_trace);
     drop(doomed); // the crash: every in-memory window, placement and plan is gone
+
+    // A second run of the same seed checkpoints the same bytes.
+    let twin_path = dir.join("fleet-twin.ksnp");
+    let mut twin = build_fleet();
+    for _ in 0..crash_at {
+        twin.tick();
+    }
+    twin.checkpoint(&twin_path)
+        .expect("checkpoint written atomically");
+    assert!(
+        std::fs::read(&path).expect("snapshot readable")
+            == std::fs::read(&twin_path).expect("twin snapshot readable"),
+        "two runs of one seed must checkpoint byte-identical files"
+    );
+    println!("determinism       : a second run checkpoints byte-identical bytes");
 
     // --- restart: restore, re-bind sources, finish the run ----------------
     let mut restored =
