@@ -11,8 +11,19 @@
 //! once, when `ControllerStats` stopped carrying wall-clock solver seconds
 //! (`FLEET_SNAPSHOT_VERSION` 5): its bytes now repeat, so no field is
 //! zeroed before pinning.
+//!
+//! The first snapshot never fills a ring. The second pin is one shard's
+//! checkpoint after 40 ticks on 16-sample windows, so every ring has
+//! wrapped, and one tenant rebuilt from its handoff sketch has pushed
+//! fewer samples than it has seen. It was recorded the same way on a
+//! clone of 2671fac, before the three per-series round-robin stores
+//! became one shared ring per tenant.
 
-use kairos_controller::{ControllerConfig, SyntheticSource, TelemetrySource};
+use kairos_controller::{
+    ControllerConfig, ShardController, SyntheticSource, TelemetryConfig, TelemetrySource,
+    TenantHandoff, SHARD_SNAPSHOT_VERSION,
+};
+use kairos_core::ConsolidationEngine;
 use kairos_fleet::{
     BalancerConfig, FleetConfig, FleetController, Zone, ZoneSourceBinder, FLEET_SNAPSHOT_VERSION,
 };
@@ -64,4 +75,46 @@ fn frames_are_byte_identical_to_the_recorded_ones() {
     assert_eq!(pin(&admit), (716, 0x9c0b_4719_7edd_ae41), "admit");
     assert_eq!(pin(&tick), (24, 0x4f98_7233_8e3d_be7c), "tick");
     assert_eq!(pin(&snapshot), (8278, 0xe6a4_7055_6673_450e), "snapshot");
+}
+
+/// One shard's checkpoint after its rings have wrapped.
+#[test]
+fn a_wrapped_ring_checkpoints_to_the_recorded_bytes() {
+    let mut shard = ShardController::new(
+        ControllerConfig {
+            horizon: 8,
+            check_every: 4,
+            cooldown_ticks: 8,
+            telemetry: TelemetryConfig {
+                window_capacity: 16,
+                ..TelemetryConfig::default()
+            },
+            ..ControllerConfig::default()
+        },
+        ConsolidationEngine::builder().build(),
+    );
+    let noisy = |name: &str, tps: f64| -> Box<dyn TelemetrySource> {
+        Box::new(
+            SyntheticSource::new(name, 300.0, Bytes::gib(4), RatePattern::Flat { tps })
+                .with_noise(0.2),
+        )
+    };
+    for i in 0..4 {
+        shard.add_workload(noisy(&format!("t{i:02}"), 90.0 + 53.0 * i as f64));
+    }
+    for tick in 0..40 {
+        if tick == 20 {
+            // A tenant rebuilt from its handoff sketch: its rings have
+            // pushed fewer samples than it has seen.
+            let (bytes, source) = shard.evict("t01").expect("resident").into_wire();
+            shard.admit(TenantHandoff::from_wire(&bytes, source).expect("a clean frame"));
+        }
+        shard.tick();
+    }
+    let snapshot = kairos_store::encode_frame(SHARD_SNAPSHOT_VERSION, &shard.snapshot());
+    assert_eq!(
+        pin(&snapshot),
+        (4462, 0xd0b3_3613_5859_409e),
+        "wrapped-ring snapshot"
+    );
 }

@@ -1,17 +1,16 @@
 //! Streaming telemetry ingestion.
 //!
-//! Each workload's [`MonitorSample`] stream lands in three parallel
-//! rolling [`Rrd`] stores (CPU cores, RAM bytes — which doubles as the
-//! disk working set — and disk row-update rate). Each holds the one
-//! archive the plane reads: the *rolling window* at monitoring
-//! resolution, input to the drift detector, the forecasts and the
-//! handoff sketches alike.
+//! Each workload's [`MonitorSample`] stream lands in one flat
+//! [`WindowRing`] holding three series pushed together (CPU cores, RAM
+//! bytes — which doubles as the disk working set — and disk row-update
+//! rate): the *rolling window* at monitoring resolution, input to the
+//! drift detector, the forecasts and the handoff sketches alike.
 
 use kairos_monitor::MonitorSample;
-use kairos_traces::{ArchiveSpec, Consolidation, RollingWindow, Rrd, SeriesSketch, SketchConfig};
+use kairos_traces::{RollingWindow, SeriesSketch, SketchConfig, WindowRing};
 use kairos_types::{Bytes, TimeSeries};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap};
 
 /// Where live samples come from. Implemented by the synthetic drift
 /// scenarios ([`crate::scenarios::SyntheticSource`]); a production
@@ -28,14 +27,14 @@ pub trait TelemetrySource: Send {
     fn poll(&mut self) -> MonitorSample;
 }
 
-/// Rolling-store layout.
+/// Rolling-window shape.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TelemetryConfig {
     /// Monitoring interval (seconds of simulated time per sample).
     pub interval_secs: f64,
-    /// Capacity of the fine (rolling-window) archive, in samples. Must be
-    /// at least the planning horizon so a full live horizon is comparable
-    /// against the planned profile.
+    /// Capacity of the rolling window, in samples. Must be at least the
+    /// planning horizon so a full live horizon is comparable against the
+    /// planned profile.
     pub window_capacity: usize,
     /// Optional gauged working set overriding the OS RAM view (§3.1's
     /// correction; `None` = fall back to the OS view, as the historical
@@ -53,45 +52,31 @@ impl Default for TelemetryConfig {
     }
 }
 
-impl TelemetryConfig {
-    /// The rolling window itself, and nothing coarser: no reader of a
-    /// consolidated archive exists.
-    fn layout(&self) -> Vec<ArchiveSpec> {
-        vec![ArchiveSpec {
-            step: 1,
-            capacity: self.window_capacity,
-            cf: Consolidation::Average,
-        }]
-    }
-}
-
-/// One workload's rolling telemetry: the four profile series as RRDs.
+/// One workload's rolling telemetry: the four profile series in three
+/// stored windows.
 ///
 /// Serializable as part of the checkpoint/restore path (and of
-/// transport-encoded handoffs): the RRD rings, in-flight consolidation
-/// buckets and the phase-driving `samples_seen` counter all travel, so a
-/// restored copy ingests and forecasts exactly like the original.
+/// transport-encoded handoffs): the ring, which encodes each series as
+/// a single-archive `Rrd`, and the phase-driving `samples_seen` counter
+/// both travel, so a restored copy ingests and forecasts exactly like
+/// the original.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WorkloadTelemetry {
     cfg: TelemetryConfig,
-    cpu: Rrd,
-    /// RAM bytes — also serves as the disk-model working-set series:
-    /// without online gauging the two are the same number (the §6 "RAM
-    /// scaling" fallback), so storing them twice would only double
-    /// ingest cost. A future gauged-ingest path splits them again.
-    ram: Rrd,
-    rate: Rrd,
+    /// `[cpu, ram, rate]`, pushed together. RAM bytes also serve as the
+    /// disk-model working-set series: without online gauging the two are
+    /// the same number (the §6 "RAM scaling" fallback), so storing them
+    /// twice would only double ingest cost. A future gauged-ingest path
+    /// splits them again.
+    series: WindowRing<3>,
     samples_seen: u64,
 }
 
 impl WorkloadTelemetry {
     pub fn new(cfg: TelemetryConfig) -> WorkloadTelemetry {
-        let mk = || Rrd::new(cfg.interval_secs, cfg.layout());
         WorkloadTelemetry {
             cfg,
-            cpu: mk(),
-            ram: mk(),
-            rate: mk(),
+            series: WindowRing::new(cfg.interval_secs, cfg.window_capacity),
             samples_seen: 0,
         }
     }
@@ -102,9 +87,8 @@ impl WorkloadTelemetry {
             Some(g) => g.as_f64(),
             None => sample.ram_os_view.as_f64(),
         };
-        self.cpu.push(sample.cpu_cores);
-        self.ram.push(ram);
-        self.rate.push(sample.rows_updated_per_sec);
+        self.series
+            .push([sample.cpu_cores, ram, sample.rows_updated_per_sec]);
         self.samples_seen += 1;
     }
 
@@ -115,7 +99,7 @@ impl WorkloadTelemetry {
 
     /// Samples currently available in the rolling window.
     pub fn window_len(&self) -> usize {
-        self.cpu.rolling_len()
+        self.series.len()
     }
 
     /// The last `n` samples of each stored series, read in place, as
@@ -123,7 +107,7 @@ impl WorkloadTelemetry {
     /// the working-set series (see the field note), so a reader that
     /// needs both reads RAM once.
     pub(crate) fn windows(&self, n: usize) -> [RollingWindow<'_>; 3] {
-        [self.cpu.window(n), self.ram.window(n), self.rate.window(n)]
+        self.series.windows(n)
     }
 
     /// [`WorkloadTelemetry::windows`] over the full rolling window — what
@@ -135,7 +119,7 @@ impl WorkloadTelemetry {
     /// Compress the transportable telemetry to a [`TelemetrySketch`]:
     /// the three stored series at fixed size, however long the rolling
     /// window is. What a sketched handoff frame carries instead of the
-    /// full RRD rings.
+    /// full ring.
     pub fn sketch(&self, sketch_cfg: &SketchConfig) -> TelemetrySketch {
         let [cpu, ram, rate] = self
             .history()
@@ -150,7 +134,7 @@ impl WorkloadTelemetry {
     }
 
     /// Rebuild rolling telemetry from a sketch — the admit side of a
-    /// sketched handoff. Fresh RRDs are replayed from each series'
+    /// sketched handoff. A fresh ring is replayed from each series'
     /// reconstruction (exact recent tail, quantile staircase for the
     /// deeper past, peaks preserved verbatim), and `samples_seen` is
     /// restored exactly so the drift detector's phase alignment
@@ -165,9 +149,7 @@ impl WorkloadTelemetry {
         for i in 0..n {
             // Push directly: gauging (if any) was already applied when the
             // samples were first ingested on the donor side.
-            out.cpu.push(at(&cpu, i));
-            out.ram.push(at(&ram, i));
-            out.rate.push(at(&rate, i));
+            out.series.push([at(&cpu, i), at(&ram, i), at(&rate, i)]);
         }
         out.samples_seen = sketch.samples_seen;
         out
@@ -176,7 +158,7 @@ impl WorkloadTelemetry {
 
 /// Constant-size image of one workload's rolling telemetry — what a
 /// [`crate::TenantHandoff`] wire frame carries. Holds the telemetry
-/// layout (so the destination rebuilds identically-shaped RRDs), one
+/// shape (so the destination rebuilds an identically-shaped ring), one
 /// [`SeriesSketch`] per stored series, and the phase-driving sample
 /// counter. Size is independent of `cfg.window_capacity`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -226,14 +208,6 @@ impl TelemetryIngester {
         self.workloads.insert(name.to_string(), telemetry);
     }
 
-    /// Ingest one sample for `name`; the workload must be registered.
-    pub fn ingest(&mut self, name: &str, sample: &MonitorSample) {
-        self.workloads
-            .get_mut(name)
-            .unwrap_or_else(|| panic!("ingest for unregistered workload {name}"))
-            .ingest(sample);
-    }
-
     pub fn get(&self, name: &str) -> Option<&WorkloadTelemetry> {
         self.workloads.get(name)
     }
@@ -250,6 +224,11 @@ impl TelemetryIngester {
         self.workloads.iter().map(|(k, v)| (k.as_str(), v))
     }
 
+    /// [`TelemetryIngester::iter`], mutably — the tick's ingest walk.
+    pub fn iter_mut(&mut self) -> btree_map::IterMut<'_, String, WorkloadTelemetry> {
+        self.workloads.iter_mut()
+    }
+
     pub fn len(&self) -> usize {
         self.workloads.len()
     }
@@ -262,6 +241,7 @@ impl TelemetryIngester {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kairos_traces::{ArchiveSpec, Consolidation, Rrd};
 
     fn sample(cpu: f64, ram_mib: u64, rate: f64) -> MonitorSample {
         MonitorSample {
@@ -323,17 +303,12 @@ mod tests {
         ing.register("a", TelemetryConfig::default());
         ing.register("a", TelemetryConfig::default()); // idempotent
         assert_eq!(ing.names(), vec!["a".to_string(), "b".to_string()]);
-        ing.ingest("a", &sample(1.0, 1024, 50.0));
+        for (_, t) in ing.iter_mut() {
+            t.ingest(&sample(1.0, 1024, 50.0));
+        }
         assert_eq!(ing.get("a").unwrap().samples_seen(), 1);
         ing.deregister("b");
         assert_eq!(ing.len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "unregistered workload")]
-    fn ingest_unregistered_panics() {
-        let mut ing = TelemetryIngester::new();
-        ing.ingest("ghost", &sample(1.0, 1024, 50.0));
     }
 
     #[test]
@@ -403,7 +378,16 @@ mod tests {
             ];
             Rrd::new(cfg.interval_secs, layout)
         };
-        let mut old = WorkloadTelemetry {
+        // The telemetry as it was: one `Rrd` per stored series.
+        #[derive(Serialize)]
+        struct Old {
+            cfg: TelemetryConfig,
+            cpu: Rrd,
+            ram: Rrd,
+            rate: Rrd,
+            samples_seen: u64,
+        }
+        let mut old = Old {
             cfg,
             cpu: three_archives(),
             ram: three_archives(),
@@ -411,13 +395,16 @@ mod tests {
             samples_seen: 0,
         };
         let mut new = WorkloadTelemetry::new(cfg);
-        assert_eq!((old.cpu.archives(), new.cpu.archives()), (3, 1));
         // 50 samples wrap the 32-slot window and leave the old layout's
         // 12-sample buckets part-filled.
         let nth = |i: u64| sample(0.3 + (i % 11) as f64 * 0.07, 1024 + 3 * i, 20.0 * i as f64);
         for i in 0..50 {
-            old.ingest(&nth(i));
-            new.ingest(&nth(i));
+            let s = nth(i);
+            old.cpu.push(s.cpu_cores);
+            old.ram.push(s.ram_os_view.as_f64());
+            old.rate.push(s.rows_updated_per_sec);
+            old.samples_seen += 1;
+            new.ingest(&s);
         }
         let mut restored: WorkloadTelemetry =
             serde::from_bytes(&serde::to_bytes(&old)).expect("an old checkpoint decodes");

@@ -11,7 +11,7 @@
 //!        ┌────────────────────────────────────────────────────────┐
 //!        │                 ShardController::tick                  │
 //!        │                                                        │
-//!   telemetry → [ingest] → rolling RRD windows → [drift] ─ no ─►  │ (keep plan)
+//!   telemetry → [ingest] → rolling window ring → [drift] ─ no ─►  │ (keep plan)
 //!        │                                          │             │
 //!        │                                        drift           │
 //!        │                                          ▼             │
@@ -24,7 +24,7 @@
 //! ```
 //!
 //! * [`ingest`] — streaming telemetry: [`kairos_monitor::MonitorSample`]s
-//!   flow into per-workload rolling [`kairos_traces::Rrd`] windows;
+//!   flow into one rolling [`kairos_traces::WindowRing`] per workload;
 //! * [`drift`] — compares the live window against the profile the current
 //!   placement was solved for (phase-aligned relative RMSE);
 //! * [`resolver`] — on drift, re-solves **warm**: the incumbent placement

@@ -4,9 +4,15 @@
 //! copied it into a fresh [`TimeSeries`] first. A seeded property test
 //! holds the kernels to them `to_bits` for `to_bits`.
 //!
-//! The references never touch an `Rrd`: the test mirrors every pushed
+//! The references never touch the ring: the test mirrors every pushed
 //! sample in a plain `Vec`, so "the last `n` samples" is a slice of
 //! that mirror, independent of how the ring is laid out.
+//!
+//! The ring itself has a reference too: the telemetry as it was, one
+//! round-robin store per series, copied in with its store. A seeded
+//! stream (±0.0, subnormals, ±∞ and NaN among it) holds every window,
+//! sketch and checkpoint byte of the ring to it, through wraps, sketched
+//! handoffs and decoded three-archive checkpoints.
 
 use crate::controller::ControllerConfig;
 use crate::drift::{DriftDetector, DriftReport, ResourceDrift};
@@ -18,11 +24,13 @@ use kairos_core::ConsolidationEngine;
 use kairos_monitor::MonitorSample;
 use kairos_solver::{evaluate, Assignment};
 use kairos_traces::{
-    regime_holds, AggregateSketch, RollingWindow, SeriesSketch, ShardAggregate, SketchConfig,
-    TailAlignedSums,
+    regime_holds, AggregateSketch, ArchiveSpec, Consolidation, RollingWindow, SeriesSketch,
+    ShardAggregate, SketchConfig, TailAlignedSums,
 };
 use kairos_types::{percentile_of_sorted, Bytes, SplitMix64, TimeSeries, WorkloadProfile};
 use kairos_workloads::RatePattern;
+use serde::Serialize;
+use std::collections::VecDeque;
 
 /// The regime-change trip point the reference forecast was written with.
 const REGIME_CHANGE_THRESHOLD: f64 = 0.25;
@@ -981,4 +989,339 @@ fn assert_a_near_tie_takes_the_serial_mean() {
     let (history, seen) = (telemetry.history(), telemetry.samples_seen());
     let old = forecast_windows_pre("tie", history, seen, horizon);
     assert_eq!((profile_bits(&new.0), new.1), (profile_bits(&old.0), old.1));
+}
+
+// ---- The rolling telemetry as it was before one flat ring held its
+// three series: a round-robin store per series, each with the one
+// step-1 `Average` archive the window is. The store is copied in too,
+// since its window readers left `kairos-traces` with it; each derived
+// encoding is `Rrd`'s, field for field.
+
+#[derive(Clone, Serialize)]
+struct ArchivePre {
+    spec: ArchiveSpec,
+    ring: VecDeque<f64>,
+    acc: f64,
+    acc_n: usize,
+}
+
+impl ArchivePre {
+    fn new(spec: ArchiveSpec) -> ArchivePre {
+        assert!(spec.step >= 1 && spec.capacity >= 1);
+        ArchivePre {
+            spec,
+            ring: VecDeque::with_capacity(spec.capacity),
+            acc: initial_acc_pre(spec.cf),
+            acc_n: 0,
+        }
+    }
+
+    fn push(&mut self, v: f64) {
+        match self.spec.cf {
+            Consolidation::Average => self.acc += v,
+            Consolidation::Max => self.acc = self.acc.max(v),
+            Consolidation::Min => self.acc = self.acc.min(v),
+        }
+        self.acc_n += 1;
+        if self.acc_n == self.spec.step {
+            let point = match self.spec.cf {
+                Consolidation::Average => self.acc / self.spec.step as f64,
+                _ => self.acc,
+            };
+            if self.ring.len() == self.spec.capacity {
+                self.ring.pop_front();
+            }
+            self.ring.push_back(point);
+            self.acc = initial_acc_pre(self.spec.cf);
+            self.acc_n = 0;
+        }
+    }
+}
+
+fn initial_acc_pre(cf: Consolidation) -> f64 {
+    match cf {
+        Consolidation::Average => 0.0,
+        Consolidation::Max => f64::NEG_INFINITY,
+        Consolidation::Min => f64::INFINITY,
+    }
+}
+
+#[derive(Clone, Serialize)]
+struct RrdPre {
+    base_interval_secs: f64,
+    archives: Vec<ArchivePre>,
+    samples_pushed: u64,
+}
+
+impl RrdPre {
+    fn new(base_interval_secs: f64, specs: Vec<ArchiveSpec>) -> RrdPre {
+        assert!(base_interval_secs > 0.0);
+        assert!(!specs.is_empty(), "need at least one archive");
+        RrdPre {
+            base_interval_secs,
+            archives: specs.into_iter().map(ArchivePre::new).collect(),
+            samples_pushed: 0,
+        }
+    }
+
+    fn push(&mut self, v: f64) {
+        for a in &mut self.archives {
+            a.push(v);
+        }
+        self.samples_pushed += 1;
+    }
+
+    fn finest_idx(&self) -> usize {
+        (0..self.archives.len())
+            .min_by_key(|&i| self.archives[i].spec.step)
+            .expect("non-empty archives")
+    }
+
+    fn window(&self, n: usize) -> RollingWindow<'_> {
+        let a = &self.archives[self.finest_idx()];
+        let (older, newer) = a.ring.as_slices();
+        RollingWindow {
+            interval_secs: self.base_interval_secs * a.spec.step as f64,
+            older,
+            newer,
+        }
+        .last(n)
+    }
+
+    fn rolling_len(&self) -> usize {
+        self.archives[self.finest_idx()].ring.len()
+    }
+}
+
+/// `WorkloadTelemetry` as it was: one [`RrdPre`] per stored series.
+#[derive(Clone, Serialize)]
+struct TelemetryPre {
+    cfg: TelemetryConfig,
+    cpu: RrdPre,
+    ram: RrdPre,
+    rate: RrdPre,
+    samples_seen: u64,
+}
+
+impl TelemetryPre {
+    /// The layout `TelemetryConfig::layout` gave: the window alone.
+    fn new(cfg: TelemetryConfig) -> TelemetryPre {
+        TelemetryPre::with_layout(
+            cfg,
+            vec![ArchiveSpec {
+                step: 1,
+                capacity: cfg.window_capacity,
+                cf: Consolidation::Average,
+            }],
+        )
+    }
+
+    fn with_layout(cfg: TelemetryConfig, layout: Vec<ArchiveSpec>) -> TelemetryPre {
+        let mk = || RrdPre::new(cfg.interval_secs, layout.clone());
+        TelemetryPre {
+            cfg,
+            cpu: mk(),
+            ram: mk(),
+            rate: mk(),
+            samples_seen: 0,
+        }
+    }
+
+    fn ingest(&mut self, sample: &MonitorSample) {
+        let ram = match self.cfg.gauged_working_set {
+            Some(g) => g.as_f64(),
+            None => sample.ram_os_view.as_f64(),
+        };
+        self.cpu.push(sample.cpu_cores);
+        self.ram.push(ram);
+        self.rate.push(sample.rows_updated_per_sec);
+        self.samples_seen += 1;
+    }
+
+    fn window_len(&self) -> usize {
+        self.cpu.rolling_len()
+    }
+
+    fn windows(&self, n: usize) -> [RollingWindow<'_>; 3] {
+        [self.cpu.window(n), self.ram.window(n), self.rate.window(n)]
+    }
+
+    fn history(&self) -> [RollingWindow<'_>; 3] {
+        self.windows(self.cfg.window_capacity)
+    }
+
+    fn sketch(&self, sketch_cfg: &SketchConfig) -> TelemetrySketch {
+        let [cpu, ram, rate] = self
+            .history()
+            .map(|w| SeriesSketch::of(&w.to_series(), sketch_cfg));
+        TelemetrySketch {
+            cfg: self.cfg,
+            cpu,
+            ram,
+            rate,
+            samples_seen: self.samples_seen,
+        }
+    }
+
+    fn from_sketch(sketch: &TelemetrySketch) -> TelemetryPre {
+        let mut out = TelemetryPre::new(sketch.cfg);
+        let cpu = sketch.cpu.reconstruct();
+        let ram = sketch.ram.reconstruct();
+        let rate = sketch.rate.reconstruct();
+        let n = cpu.len().max(ram.len()).max(rate.len());
+        let at = |s: &TimeSeries, i: usize| s.values().get(i).copied().unwrap_or(0.0);
+        for i in 0..n {
+            out.cpu.push(at(&cpu, i));
+            out.ram.push(at(&ram, i));
+            out.rate.push(at(&rate, i));
+        }
+        out.samples_seen = sketch.samples_seen;
+        out
+    }
+}
+
+/// Each window's interval and sample bits.
+fn windows_bits(windows: [RollingWindow<'_>; 3]) -> Vec<(u64, Vec<u64>)> {
+    windows
+        .iter()
+        .map(|w| {
+            (
+                w.interval_secs.to_bits(),
+                w.iter().map(f64::to_bits).collect(),
+            )
+        })
+        .collect()
+}
+
+/// `signed_value`, or now and then ±∞ or, in a stream that carries
+/// them, a NaN of any sign and payload (quiet or signalling).
+fn wild_value(rng: &mut SplitMix64, level: f64, nan: bool) -> f64 {
+    match rng.next_range(16) {
+        0 => f64::INFINITY,
+        1 => f64::NEG_INFINITY,
+        2 if nan => {
+            let sign = rng.next_range(2) << 63;
+            f64::from_bits(sign | 0x7FF0_0000_0000_0000 | (1 + rng.next_range((1 << 52) - 1)))
+        }
+        _ => signed_value(rng, level),
+    }
+}
+
+/// `ring` against `pre` at one point of the stream: the window length,
+/// the live windows at every length that matters, the history, the
+/// sketch (where the window holds no NaN, which a sketch refuses) and
+/// the checkpoint bytes, which also decode back to themselves.
+fn assert_ring_matches(
+    ring: &WorkloadTelemetry,
+    pre: &TelemetryPre,
+    horizon: usize,
+    sketch_cfg: &SketchConfig,
+    at: &str,
+) {
+    assert_eq!(ring.samples_seen(), pre.samples_seen, "{at}: samples seen");
+    assert_eq!(ring.window_len(), pre.window_len(), "{at}: window length");
+    let cap = pre.cfg.window_capacity;
+    for n in [0, 1, horizon, cap - 1, cap, cap + 1] {
+        let (new, old) = (ring.windows(n), pre.windows(n));
+        assert_eq!(windows_bits(new), windows_bits(old), "{at}: last {n}");
+    }
+    let history = pre.history();
+    assert_eq!(
+        windows_bits(ring.history()),
+        windows_bits(history),
+        "{at}: history"
+    );
+    if history.iter().all(|w| w.iter().all(|v| !v.is_nan())) {
+        let (new, old) = (ring.sketch(sketch_cfg), pre.sketch(sketch_cfg));
+        assert_eq!(serde::to_bytes(&new), serde::to_bytes(&old), "{at}: sketch");
+    }
+    let bytes = serde::to_bytes(pre);
+    assert_eq!(serde::to_bytes(ring), bytes, "{at}: checkpoint bytes");
+    let back: WorkloadTelemetry = serde::from_bytes(&bytes).expect("a checkpoint decodes");
+    assert_eq!(serde::to_bytes(&back), bytes, "{at}: decoded checkpoint");
+}
+
+#[test]
+fn the_ring_matches_the_per_series_stores_bit_for_bit() {
+    let mut rng = SplitMix64::from_env(0x61_F1_A7);
+    let (mut rebuilt, mut decoded) = (0, 0);
+    for cap in [1usize, 2, 3, 5, 12, 16, 29] {
+        for _ in 0..3 {
+            let cfg = TelemetryConfig {
+                interval_secs: [300.0, 60.0, 0.5][rng.next_range(3) as usize],
+                window_capacity: cap,
+                gauged_working_set: None,
+            };
+            let horizon = 1 + rng.next_range(cap as u64) as usize;
+            let sketch_cfg = SketchConfig {
+                marks: 2 + rng.next_range(16) as u32,
+                tail: rng.next_range(2 * cap as u64) as u32,
+            };
+            // An old checkpoint's layout, its coarse buckets part-filled
+            // at most points of the stream, fed beside a window-only twin.
+            let coarse = |step, cf| ArchiveSpec {
+                step,
+                capacity: cap,
+                cf,
+            };
+            let three = vec![
+                coarse(1, Consolidation::Average),
+                coarse(12, Consolidation::Average),
+                coarse(12, Consolidation::Max),
+            ];
+            let mut old = TelemetryPre::with_layout(cfg, three);
+            let mut twin = TelemetryPre::new(cfg);
+            let (mut ring, mut pre) = (WorkloadTelemetry::new(cfg), twin.clone());
+            let (mut level, nan) = (1.0, rng.next_range(3) == 0);
+            // Not yet full, exactly full, then three wraps.
+            for pushed in 0..=4 * cap + 1 {
+                let at = format!("cap {cap} horizon {horizon} pushed {pushed}");
+                assert_ring_matches(&ring, &pre, horizon, &sketch_cfg, &at);
+                let nan_free = pre.history().iter().all(|w| w.iter().all(|v| !v.is_nan()));
+                match rng.next_range(10) {
+                    0 | 1 if nan_free => {
+                        // A sketched handoff: pushed and seen counts part.
+                        let sketch_cfg = SketchConfig {
+                            marks: 2 + rng.next_range(16) as u32,
+                            tail: rng.next_range(2 * cap as u64) as u32,
+                        };
+                        ring = WorkloadTelemetry::from_sketch(&ring.sketch(&sketch_cfg));
+                        pre = TelemetryPre::from_sketch(&pre.sketch(&sketch_cfg));
+                        rebuilt += 1;
+                        let at = format!("{at} rebuilt");
+                        assert_ring_matches(&ring, &pre, horizon, &sketch_cfg, &at);
+                    }
+                    2 => {
+                        ring = serde::from_bytes(&serde::to_bytes(&old))
+                            .expect("an old checkpoint decodes");
+                        pre = twin.clone();
+                        decoded += 1;
+                        let at = format!("{at} decoded");
+                        assert_ring_matches(&ring, &pre, horizon, &sketch_cfg, &at);
+                    }
+                    _ => {}
+                }
+                if rng.next_range(8) == 0 {
+                    level = [0.1, 1.0, 6.0][rng.next_range(3) as usize];
+                }
+                let ram = match rng.next_range(4) {
+                    0 => Bytes(rng.next_u64()),
+                    _ => Bytes((level * rng.next_in(0.5, 1.5) * 1e9) as u64),
+                };
+                let (cpu, rate) = (
+                    wild_value(&mut rng, level, nan),
+                    wild_value(&mut rng, 99.0, nan),
+                );
+                let s = sample(cpu, rate, ram);
+                for t in [&mut old, &mut twin, &mut pre] {
+                    t.ingest(&s);
+                }
+                ring.ingest(&s);
+            }
+        }
+    }
+    assert!(
+        rebuilt > 10 && decoded > 10,
+        "{rebuilt} rebuilt, {decoded} decoded"
+    );
 }

@@ -289,7 +289,13 @@ pub struct ShardController {
 }
 
 impl ShardController {
+    /// Panics if the telemetry window cannot hold the whole horizon the
+    /// bootstrap waits for.
     pub fn new(cfg: ControllerConfig, engine: ConsolidationEngine) -> ShardController {
+        assert!(
+            cfg.telemetry.window_capacity >= cfg.horizon,
+            "window under the horizon"
+        );
         let mut resolver = ReSolver::new(engine);
         resolver.solver = cfg.solver;
         resolver.cost_per_move = cfg.cost_per_move;
@@ -500,9 +506,14 @@ impl ShardController {
     /// One monitoring interval: poll every source, then act.
     pub fn tick(&mut self) -> TickOutcome {
         self.metrics.ticks.inc();
+        // Both maps run in name order: one walk pairs each source with its
+        // telemetry, skipping tenants without a source.
+        let mut telemetry = self.ingester.iter_mut();
         for (name, source) in self.sources.iter_mut() {
-            let sample = source.poll();
-            self.ingester.ingest(name, &sample);
+            let (_, t) = telemetry
+                .find(|(n, _)| *n == name)
+                .expect("a source's tenant has telemetry");
+            t.ingest(&source.poll());
         }
         self.metrics.samples_ingested.add(self.sources.len() as u64);
 
@@ -733,26 +744,30 @@ impl ShardController {
         }
     }
 
-    /// Each planned tenant's live window against its planned profile,
-    /// read in place, in canonical order. A workload with telemetry but
-    /// no plan yet (arrival still warming up) is membership, not drift,
-    /// and one with no samples has no verdict. The reports' `workload` is
-    /// empty: a caller names only what it keeps.
-    fn drift_reports(&self) -> impl Iterator<Item = (&str, DriftReport)> + '_ {
-        self.ingester.iter().filter_map(|(name, telemetry)| {
-            Some((name, self.drift_report(self.planned.get(name)?, telemetry)?))
+    /// Every tenant's telemetry with its plan, if it has one, in name
+    /// order: both maps are keyed by name, so one walk pairs them.
+    fn tenants_with_plans(
+        &self,
+    ) -> impl Iterator<Item = (&str, &WorkloadTelemetry, Option<&WorkloadProfile>)> + '_ {
+        let mut planned = self.planned.iter().peekable();
+        self.ingester.iter().map(move |(name, telemetry)| {
+            while planned.next_if(|(n, _)| n.as_str() < name).is_some() {}
+            let plan = planned.next_if(|(n, _)| n.as_str() == name);
+            (name, telemetry, plan.map(|(_, p)| p))
         })
     }
 
-    /// One tenant's entry of [`ShardController::drift_reports`].
+    /// A tenant's live window against its planned profile, read in
+    /// place. A workload with telemetry but no plan yet (arrival still
+    /// warming up) is membership, not drift, and one with no samples has
+    /// no verdict. The report's `workload` is empty: a caller names only
+    /// what it keeps.
     fn drift_report(
         &self,
-        planned: &WorkloadProfile,
+        planned: Option<&WorkloadProfile>,
         telemetry: &WorkloadTelemetry,
     ) -> Option<DriftReport> {
-        if telemetry.window_len() == 0 {
-            return None;
-        }
+        let planned = planned.filter(|_| telemetry.window_len() > 0)?;
         let [cpu, ram, rate] = telemetry.windows(self.cfg.horizon);
         let now = telemetry.samples_seen().saturating_sub(1);
         let live = [cpu, ram, ram, rate];
@@ -764,8 +779,8 @@ impl ShardController {
         self.metrics.drift_checks.inc();
         let mut drifted: Vec<String> = Vec::new();
         let (mut max_overload, mut max_slack) = (0.0f64, 0.0f64);
-        for (name, report) in self.drift_reports() {
-            if report.drifted {
+        for (name, telemetry, plan) in self.tenants_with_plans() {
+            if let Some(report) = self.drift_report(plan, telemetry).filter(|r| r.drifted) {
                 max_overload = max_overload.max(report.max_overload);
                 max_slack = max_slack.max(report.max_slack);
                 drifted.push(name.to_string());
@@ -965,7 +980,8 @@ impl ShardController {
     /// cached summary) is restored verbatim — the summary only when
     /// `cfg` sketches with the shape it was filled under. Internally inconsistent
     /// snapshots (placements or routing for tenants with no telemetry)
-    /// are rejected — a partial restore must never come up half-silent.
+    /// are rejected — a partial restore must never come up half-silent —
+    /// and so is a `cfg` that [`ShardController::new`] would refuse.
     ///
     /// Telemetry *sources* cannot be serialized; after restoring, re-bind
     /// one per tenant with [`ShardController::attach_source`] before
@@ -997,6 +1013,9 @@ impl ShardController {
         };
         if let Some(message) = unknown {
             return Err(KairosError::InvalidInput(message));
+        }
+        if cfg.telemetry.window_capacity < cfg.horizon {
+            return Err(KairosError::InvalidInput("window under the horizon".into()));
         }
 
         let mut shard = ShardController::new(cfg, engine);
@@ -1086,18 +1105,13 @@ impl ShardController {
         let mut sums = TailAlignedSums::default();
         let mut profiles = Vec::with_capacity(self.ingester.len());
         let mut drifting = 0;
-        // Plans are keyed by name like the telemetry: a merge walk finds each.
-        let mut planned = self.planned.iter().peekable();
-        for (name, telemetry) in self.ingester.iter() {
+        for (name, telemetry, plan) in self.tenants_with_plans() {
             let history = telemetry.history();
             sums.add(history);
             let seen = telemetry.samples_seen();
             profiles.push(self.forecast_workload_flagged(name, history, seen).0);
-            while planned.next_if(|(n, _)| n.as_str() < name).is_some() {}
-            if let Some((_, plan)) = planned.next_if(|(n, _)| n.as_str() == name) {
-                let report = self.drift_report(plan, telemetry);
-                drifting += usize::from(report.is_some_and(|d| d.drifted));
-            }
+            let report = self.drift_report(plan, telemetry);
+            drifting += usize::from(report.is_some_and(|d| d.drifted));
         }
         // RAM is the working set, so its sketch serves both.
         let [cpu, ram, rate] = sums
@@ -1333,6 +1347,7 @@ impl ShardController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ingest::TelemetryConfig;
     use crate::scenarios::SyntheticSource;
     use kairos_types::Bytes;
     use kairos_workloads::RatePattern;
@@ -1369,6 +1384,37 @@ mod tests {
             }
         }
         panic!("shard never bootstrapped");
+    }
+
+    /// [`quick_cfg`] with an 8-sample window under a 12-sample horizon.
+    fn short_window_cfg() -> ControllerConfig {
+        ControllerConfig {
+            horizon: 12,
+            telemetry: TelemetryConfig {
+                window_capacity: 8,
+                ..TelemetryConfig::default()
+            },
+            ..quick_cfg()
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "window under the horizon")]
+    fn a_window_shorter_than_the_horizon_is_refused() {
+        ShardController::new(short_window_cfg(), ConsolidationEngine::builder().build());
+    }
+
+    #[test]
+    fn restore_refuses_a_window_shorter_than_the_horizon() {
+        let mut s = shard_with(3, 150.0);
+        run_until_planned(&mut s, 20);
+        let engine = ConsolidationEngine::builder().build();
+        match ShardController::restore(short_window_cfg(), engine, s.snapshot()) {
+            Err(KairosError::InvalidInput(message)) => {
+                assert!(message.contains("under the horizon"), "{message}")
+            }
+            other => panic!("restored under a short window: {:?}", other.err()),
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! # kairos-store — durable snapshots for the control plane
 //!
 //! The fleet's planning horizon lives in rolling in-memory telemetry
-//! (`kairos_traces::Rrd`); a controller crash used to erase it and force
+//! (`kairos_traces::WindowRing`); a controller crash used to erase it and force
 //! conservative flat-envelope replanning. This crate is the persistence
 //! contract between the monitoring and management layers: a small,
 //! versioned, checksummed binary *frame* around the workspace codec

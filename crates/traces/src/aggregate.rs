@@ -17,7 +17,7 @@ use kairos_types::TimeSeries;
 use serde::{Deserialize, Serialize};
 
 /// Element-wise sum of borrowed windows, aligned at the most recent
-/// sample, reading each `Rrd` ring in place rather than copying it
+/// sample, reading each window in place rather than copying it
 /// first. Each bucket adds its inputs in iteration order.
 ///
 /// The result has the length of the longest input; a shorter input

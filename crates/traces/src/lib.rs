@@ -5,7 +5,8 @@
 //!
 //! * [`rrd`] — an rrdtool-style round-robin store with multi-resolution
 //!   archives and AVG/MAX/MIN consolidation, the format the four
-//!   organizations' monitoring systems (Cacti/Ganglia/Munin) recorded;
+//!   organizations' monitoring systems (Cacti/Ganglia/Munin) recorded,
+//!   and the flat rolling-window ring the control plane keeps per tenant;
 //! * [`fleet`] — calibrated synthetic fleets standing in for the
 //!   proprietary Internal (25), Wikia (34), Wikipedia (40) and
 //!   Second Life (97) server statistics, reproducing their documented
@@ -30,7 +31,7 @@ pub use fleet::{generate_all, generate_fleet, Dataset, FleetConfig, ServerTrace}
 pub use predict::{
     fleet_total_cpu, forecast_window, predict_last_period, regime_holds, Prediction,
 };
-pub use rrd::{ArchiveSpec, Consolidation, RollingWindow, Rrd};
+pub use rrd::{ArchiveSpec, Consolidation, RollingWindow, Rrd, WindowRing};
 pub use sketch::{
     AggregateSketch, SeriesSketch, SketchConfig, MAX_SKETCH_MARKS, MAX_SKETCH_TAIL,
     SKETCH_WIRE_VERSION,

@@ -9,6 +9,12 @@
 //! A [`Rrd`] holds several fixed-capacity archives at coarsening
 //! resolutions; pushing a base-resolution sample updates them all through
 //! their consolidation functions.
+//!
+//! A [`WindowRing`] is what the online control plane keeps instead: only
+//! the rolling window at base resolution, for several series pushed
+//! together, in one flat ring. It checkpoints as one single-archive
+//! [`Rrd`] per series, so the bytes are those of the per-series stores
+//! it replaced.
 
 use kairos_types::TimeSeries;
 use serde::{Deserialize, Serialize};
@@ -90,9 +96,10 @@ fn initial_acc(cf: Consolidation) -> f64 {
     }
 }
 
-/// A run of consecutive samples borrowed in place, oldest first: an
-/// [`Rrd`] ring's two contiguous halves (`newer` is empty when the ring
-/// has not wrapped, or for a window over one [`TimeSeries`]). Readers
+/// A run of consecutive samples borrowed in place, oldest first: one
+/// series' two contiguous halves of a [`WindowRing`] (`newer` is empty
+/// when the ring has not wrapped, or for a window over one
+/// [`TimeSeries`]). Readers
 /// walk `older` then `newer`, so every sum runs in the order a copied
 /// series would have and yields the same bits.
 #[derive(Debug, Clone, Copy)]
@@ -226,32 +233,6 @@ impl Rrd {
         )
     }
 
-    pub fn base_interval_secs(&self) -> f64 {
-        self.base_interval_secs
-    }
-
-    pub fn archives(&self) -> usize {
-        self.archives.len()
-    }
-
-    pub fn samples_pushed(&self) -> u64 {
-        self.samples_pushed
-    }
-
-    /// Serialize the whole store — ring contents, in-flight accumulator
-    /// state and sample counter — to the workspace wire format. The
-    /// restored store continues exactly where this one stops:
-    /// `decode(encode(r))` then `push(v)` equals `r.push(v)`.
-    pub fn encode(&self) -> Vec<u8> {
-        serde::to_bytes(self)
-    }
-
-    /// Inverse of [`Rrd::encode`], with full validation: truncated or
-    /// invariant-breaking bytes yield an error, never a panicking store.
-    pub fn decode(bytes: &[u8]) -> Result<Rrd, serde::Error> {
-        serde::from_bytes(bytes)
-    }
-
     /// Push one base-resolution sample into every archive.
     pub fn push(&mut self, v: f64) {
         for a in &mut self.archives {
@@ -274,35 +255,167 @@ impl Rrd {
             .min_by_key(|&i| self.archives[i].spec.step)
             .expect("non-empty archives")
     }
+}
 
-    /// The most recent `n` base-resolution points (fewer if the finest
-    /// archive holds less history), read in place — the *rolling window*
-    /// the drift detector, the forecasts and the summary roll-up read.
-    pub fn window(&self, n: usize) -> RollingWindow<'_> {
-        let a = &self.archives[self.finest_idx()];
-        let (older, newer) = a.ring.as_slices();
-        RollingWindow {
-            interval_secs: self.base_interval_secs * a.spec.step as f64,
-            older,
-            newer,
+/// `N` series pushed together, each keeping its most recent `capacity`
+/// samples: one allocation of `N × capacity` values, series after
+/// series, with one shared write position, length and push count. Each
+/// series reads in place as a [`RollingWindow`].
+///
+/// It checkpoints as `N` [`Rrd`]s back to back, each holding the one
+/// step-1 `Average` archive the window is, with no bucket in flight: the
+/// bytes `N` single-archive stores fed the same samples would write.
+/// Decoding takes each store's finest archive, which must be step 1 with
+/// no bucket in flight (coarser archives are dropped), requires the `N`
+/// to agree on interval, capacity, length and push count, and rejects
+/// whatever [`Rrd`]'s own decoder rejects.
+#[derive(Debug, Clone)]
+pub struct WindowRing<const N: usize> {
+    interval_secs: f64,
+    capacity: usize,
+    /// Series `s` is `values[s * capacity..(s + 1) * capacity]`.
+    values: Vec<f64>,
+    /// Where every series' next sample lands; the oldest sample's slot
+    /// once the ring is full.
+    head: usize,
+    len: usize,
+    /// Samples pushed since the ring was made. Checkpointed: a ring
+    /// rebuilt from a sketch has pushed a different count than its
+    /// tenant has been seen for.
+    pushed: u64,
+}
+
+impl<const N: usize> WindowRing<N> {
+    /// An empty ring of `capacity` samples per series.
+    ///
+    /// # Panics
+    /// Panics unless the interval is positive and the capacity at least 1.
+    pub fn new(interval_secs: f64, capacity: usize) -> WindowRing<N> {
+        assert!(interval_secs > 0.0);
+        assert!(capacity >= 1, "need room for one sample");
+        WindowRing {
+            interval_secs,
+            capacity,
+            values: vec![0.0; N * capacity],
+            head: 0,
+            len: 0,
+            pushed: 0,
         }
-        .last(n)
     }
 
-    /// Number of points currently held by the finest archive — how much
-    /// rolling-window history is available right now.
-    pub fn rolling_len(&self) -> usize {
-        self.archives[self.finest_idx()].ring.len()
+    /// Push one sample of every series. Each stores `0.0 + v`, as a
+    /// step-1 `Average` archive does, so −0.0 lands as +0.0.
+    pub fn push(&mut self, sample: [f64; N]) {
+        let head = self.head;
+        for (series, v) in self.values.chunks_exact_mut(self.capacity).zip(sample) {
+            series[head] = 0.0 + v;
+        }
+        self.head = if head + 1 == self.capacity {
+            0
+        } else {
+            head + 1
+        };
+        self.len = self.capacity.min(self.len + 1);
+        self.pushed += 1;
     }
 
-    /// Materialize archive `idx` as a [`TimeSeries`] (oldest first;
-    /// incomplete buckets excluded).
-    pub fn series(&self, idx: usize) -> TimeSeries {
-        let a = &self.archives[idx];
-        TimeSeries::new(
-            self.base_interval_secs * a.spec.step as f64,
-            a.ring.iter().copied().collect(),
-        )
+    /// Samples held per series.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The most recent `n` samples of every series (all held if fewer),
+    /// read in place.
+    pub fn windows(&self, n: usize) -> [RollingWindow<'_>; N] {
+        // Before the first wrap a series runs from slot 0; after it, from
+        // `head` round to the slot before it.
+        let wrap = if self.len == self.capacity {
+            self.head
+        } else {
+            0
+        };
+        std::array::from_fn(|s| {
+            let series = &self.values[s * self.capacity..][..self.len];
+            let (newer, older) = series.split_at(wrap);
+            RollingWindow {
+                interval_secs: self.interval_secs,
+                older,
+                newer,
+            }
+            .last(n)
+        })
+    }
+}
+
+impl<const N: usize> Serialize for WindowRing<N> {
+    fn encode_to(&self, out: &mut Vec<u8>) {
+        let spec = ArchiveSpec {
+            step: 1,
+            capacity: self.capacity,
+            cf: Consolidation::Average,
+        };
+        for window in self.windows(self.capacity) {
+            // An `Rrd`'s fields in order: the base interval, its one
+            // archive (spec, ring, empty accumulator), the push count.
+            self.interval_secs.encode_to(out);
+            1usize.encode_to(out);
+            spec.encode_to(out);
+            window.len().encode_to(out);
+            f64::encode_all(window.older, out);
+            f64::encode_all(window.newer, out);
+            0.0f64.encode_to(out);
+            0usize.encode_to(out);
+            self.pushed.encode_to(out);
+        }
+    }
+}
+
+impl<const N: usize> Deserialize for WindowRing<N> {
+    fn decode_from(input: &mut &[u8]) -> Result<WindowRing<N>, serde::Error> {
+        let mut stores = Vec::with_capacity(N);
+        for _ in 0..N {
+            let mut rrd = Rrd::decode_from(input)?;
+            let window = rrd.archives.swap_remove(rrd.finest_idx());
+            let plain = (window.spec.step, window.spec.cf, window.acc.to_bits())
+                == (1, Consolidation::Average, 0);
+            if !plain {
+                return Err(serde::Error::msg(
+                    "window ring: finest archive is not a plain step-1 window",
+                ));
+            }
+            stores.push((rrd.base_interval_secs, rrd.samples_pushed, window));
+        }
+        let Some(&(interval_secs, pushed, ref first)) = stores.first() else {
+            return Err(serde::Error::msg("window ring: no series"));
+        };
+        let (capacity, len) = (first.spec.capacity, first.ring.len());
+        let in_step = |&(interval, count, ref w): &(f64, u64, Archive)| {
+            (interval.to_bits(), count, w.spec.capacity, w.ring.len())
+                == (interval_secs.to_bits(), pushed, capacity, len)
+        };
+        if !stores.iter().all(in_step) {
+            return Err(serde::Error::msg("window ring: series out of step"));
+        }
+        let mut values = Vec::new();
+        N.checked_mul(capacity)
+            .and_then(|total| values.try_reserve_exact(total).ok())
+            .ok_or(serde::Error::msg("window ring: capacity too large"))?;
+        for (_, _, window) in &stores {
+            values.extend(&window.ring);
+            values.resize(values.len() + capacity - len, 0.0);
+        }
+        Ok(WindowRing {
+            interval_secs,
+            capacity,
+            values,
+            head: len % capacity,
+            len,
+            pushed,
+        })
     }
 }
 
@@ -318,13 +431,22 @@ mod tests {
         }
     }
 
+    /// Archive `idx`'s stored points, oldest first, at its resolution.
+    fn series(rrd: &Rrd, idx: usize) -> TimeSeries {
+        let a = &rrd.archives[idx];
+        TimeSeries::new(
+            rrd.base_interval_secs * a.spec.step as f64,
+            a.ring.iter().copied().collect(),
+        )
+    }
+
     #[test]
     fn base_archive_stores_raw_samples() {
         let mut rrd = Rrd::new(1.0, vec![avg_archive(1, 5)]);
         for i in 0..3 {
             rrd.push(i as f64);
         }
-        assert_eq!(rrd.series(0).values(), &[0.0, 1.0, 2.0]);
+        assert_eq!(series(&rrd, 0).values(), &[0.0, 1.0, 2.0]);
     }
 
     #[test]
@@ -333,7 +455,7 @@ mod tests {
         for i in 0..5 {
             rrd.push(i as f64);
         }
-        assert_eq!(rrd.series(0).values(), &[2.0, 3.0, 4.0]);
+        assert_eq!(series(&rrd, 0).values(), &[2.0, 3.0, 4.0]);
     }
 
     #[test]
@@ -343,8 +465,8 @@ mod tests {
             rrd.push(v);
         }
         // One complete bucket (mean 2.5); the 10s are still accumulating.
-        assert_eq!(rrd.series(0).values(), &[2.5]);
-        assert_eq!(rrd.series(0).interval_secs(), 4.0);
+        assert_eq!(series(&rrd, 0).values(), &[2.5]);
+        assert_eq!(series(&rrd, 0).interval_secs(), 4.0);
     }
 
     #[test]
@@ -360,7 +482,7 @@ mod tests {
         for v in [1.0, 5.0, 2.0, 0.0, 0.5, 0.25] {
             rrd.push(v);
         }
-        assert_eq!(rrd.series(0).values(), &[5.0, 0.5]);
+        assert_eq!(series(&rrd, 0).values(), &[5.0, 0.5]);
     }
 
     #[test]
@@ -376,7 +498,7 @@ mod tests {
         for v in [3.0, 1.0, 8.0, 9.0] {
             rrd.push(v);
         }
-        assert_eq!(rrd.series(0).values(), &[1.0, 8.0]);
+        assert_eq!(series(&rrd, 0).values(), &[1.0, 8.0]);
     }
 
     #[test]
@@ -385,8 +507,8 @@ mod tests {
         for i in 0..100 {
             rrd.push(i as f64);
         }
-        let fine = rrd.series(0);
-        let coarse = rrd.series(1);
+        let fine = series(&rrd, 0);
+        let coarse = series(&rrd, 1);
         assert_eq!(fine.len(), 100);
         assert_eq!(coarse.len(), 10);
         // Consolidation preserves the overall mean.
@@ -396,8 +518,8 @@ mod tests {
     #[test]
     fn monitoring_default_layout() {
         let rrd = Rrd::monitoring_default();
-        assert_eq!(rrd.archives(), 3);
-        assert_eq!(rrd.base_interval_secs(), 300.0);
+        assert_eq!(rrd.archives.len(), 3);
+        assert_eq!(rrd.base_interval_secs, 300.0);
     }
 
     #[test]
@@ -408,38 +530,9 @@ mod tests {
             a.push(i as f64);
         }
         b.extend((0..9).map(|i| i as f64));
-        assert_eq!(a.series(0).values(), b.series(0).values());
-        assert_eq!(a.series(1).values(), b.series(1).values());
-        assert_eq!(b.samples_pushed(), 9);
-    }
-
-    #[test]
-    fn rolling_window_returns_most_recent_points() {
-        let mut rrd = Rrd::new(1.0, vec![avg_archive(1, 5), avg_archive(10, 10)]);
-        rrd.extend((0..8).map(|i| i as f64));
-        // Finest archive caps at 5 points: values 3..8.
-        assert_eq!(rrd.rolling_len(), 5);
-        assert_eq!(rrd.window(3).to_series().values(), &[5.0, 6.0, 7.0]);
-        // Asking for more than held returns what exists.
-        let all = rrd.window(99).to_series();
-        assert_eq!(all.values(), &[3.0, 4.0, 5.0, 6.0, 7.0]);
-        assert_eq!(rrd.window(3).interval_secs, 1.0);
-    }
-
-    #[test]
-    fn window_reads_a_wrapped_ring_in_order_at_every_length() {
-        for pushed in 0..12usize {
-            let mut rrd = Rrd::new(1.0, vec![avg_archive(1, 5)]);
-            rrd.extend((0..pushed).map(|i| i as f64));
-            let held: Vec<f64> = (pushed.saturating_sub(5)..pushed)
-                .map(|i| i as f64)
-                .collect();
-            for n in 0..=7 {
-                let w = rrd.window(n);
-                assert_eq!(w.len(), n.min(held.len()));
-                assert_eq!(w.iter().collect::<Vec<_>>(), held[held.len() - w.len()..]);
-            }
-        }
+        assert_eq!(series(&a, 0).values(), series(&b, 0).values());
+        assert_eq!(series(&a, 1).values(), series(&b, 1).values());
+        assert_eq!(b.samples_pushed, 9);
     }
 
     #[test]
@@ -458,40 +551,171 @@ mod tests {
             ],
         );
         original.extend((0..5).map(|i| i as f64));
-        let mut restored = Rrd::decode(&original.encode()).expect("clean bytes decode");
-        assert_eq!(restored.samples_pushed(), original.samples_pushed());
+        let mut restored: Rrd =
+            serde::from_bytes(&serde::to_bytes(&original)).expect("clean bytes decode");
+        assert_eq!(restored.samples_pushed, original.samples_pushed);
         for v in [9.0, 1.0, 7.0, 2.0] {
             original.push(v);
             restored.push(v);
         }
-        for idx in 0..original.archives() {
-            assert_eq!(restored.series(idx).values(), original.series(idx).values());
+        for idx in 0..original.archives.len() {
+            assert_eq!(
+                series(&restored, idx).values(),
+                series(&original, idx).values()
+            );
         }
         // Byte-level determinism: same state, same encoding.
-        assert_eq!(restored.encode(), original.encode());
+        assert_eq!(serde::to_bytes(&restored), serde::to_bytes(&original));
     }
 
     #[test]
     fn decode_rejects_corrupt_invariants() {
         let mut rrd = Rrd::new(1.0, vec![avg_archive(2, 3)]);
         rrd.extend([1.0, 2.0, 3.0]);
-        let bytes = rrd.encode();
+        let bytes = serde::to_bytes(&rrd);
         // Truncations at every byte boundary fail cleanly.
         for cut in 0..bytes.len() {
-            assert!(Rrd::decode(&bytes[..cut]).is_err(), "cut at {cut}");
+            assert!(
+                serde::from_bytes::<Rrd>(&bytes[..cut]).is_err(),
+                "cut at {cut}"
+            );
         }
         // A zero-length interval violates the constructor invariant.
         let mut bad = bytes.clone();
         bad[..8].copy_from_slice(&0.0f64.to_bits().to_le_bytes());
-        assert!(Rrd::decode(&bad).is_err(), "zero interval must be rejected");
+        assert!(
+            serde::from_bytes::<Rrd>(&bad).is_err(),
+            "zero interval must be rejected"
+        );
+    }
+
+    /// Each series of `ring`, copied oldest first.
+    fn held<const N: usize>(ring: &WindowRing<N>, n: usize) -> [Vec<f64>; N] {
+        ring.windows(n).map(|w| w.iter().collect())
     }
 
     #[test]
-    fn rolling_window_uses_finest_archive_regardless_of_order() {
-        // Coarse archive listed first: the window must still read the
-        // fine one.
-        let mut rrd = Rrd::new(1.0, vec![avg_archive(10, 10), avg_archive(1, 5)]);
-        rrd.extend((0..20).map(|i| i as f64));
-        assert_eq!(rrd.window(2).to_series().values(), &[18.0, 19.0]);
+    fn a_window_ring_reads_a_wrapped_ring_in_order_at_every_length() {
+        for pushed in 0..12usize {
+            let mut ring = WindowRing::<2>::new(1.0, 5);
+            for i in 0..pushed {
+                ring.push([i as f64, -(i as f64) - 1.0]);
+            }
+            let first = pushed.saturating_sub(5);
+            assert_eq!(ring.len(), pushed - first);
+            for n in 0..=7 {
+                let [a, b] = held(&ring, n);
+                let from = pushed - n.min(pushed - first);
+                let want: Vec<f64> = (from..pushed).map(|i| i as f64).collect();
+                assert_eq!(a, want, "pushed {pushed} n {n}");
+                assert_eq!(b, want.iter().map(|v| -v - 1.0).collect::<Vec<_>>());
+            }
+            assert!(ring.windows(3).iter().all(|w| w.interval_secs == 1.0));
+        }
+    }
+
+    #[test]
+    fn a_window_ring_stores_what_a_step_1_average_archive_stores() {
+        let mut ring = WindowRing::<1>::new(1.0, 2);
+        ring.push([-0.0]);
+        let [w] = ring.windows(1);
+        assert_eq!(
+            w.iter().next().map(f64::to_bits),
+            Some(0),
+            "−0.0 lands as +0.0"
+        );
+    }
+
+    /// `N` single-archive stores fed what `ring` was fed.
+    fn stores<const N: usize>(samples: &[[f64; N]], cap: usize) -> Vec<u8> {
+        let mut rrds: [Rrd; N] = std::array::from_fn(|_| Rrd::new(2.0, vec![avg_archive(1, cap)]));
+        for sample in samples {
+            rrds.iter_mut().zip(sample).for_each(|(r, &v)| r.push(v));
+        }
+        rrds.iter().flat_map(serde::to_bytes).collect()
+    }
+
+    #[test]
+    fn a_window_ring_encodes_and_decodes_as_single_archive_stores() {
+        let samples: Vec<[f64; 3]> = (0..11)
+            .map(|i| [i as f64 * 0.5, -0.0, 1e9 + i as f64])
+            .collect();
+        let mut ring = WindowRing::<3>::new(2.0, 4);
+        for (i, &sample) in samples.iter().enumerate() {
+            ring.push(sample);
+            let bytes = serde::to_bytes(&ring);
+            assert_eq!(bytes, stores(&samples[..=i], 4), "after {} pushes", i + 1);
+            let back: WindowRing<3> = serde::from_bytes(&bytes).expect("clean bytes decode");
+            assert_eq!(held(&back, 9), held(&ring, 9));
+            assert_eq!(serde::to_bytes(&back), bytes);
+        }
+    }
+
+    #[test]
+    fn a_window_ring_decodes_from_the_finest_archive_of_each_store() {
+        // Coarse archives listed first and part-filled buckets in them.
+        let layout = || vec![avg_archive(10, 10), avg_archive(1, 5), avg_archive(3, 2)];
+        let mut rrds = [Rrd::new(1.0, layout()), Rrd::new(1.0, layout())];
+        for i in 0..20 {
+            rrds[0].push(i as f64);
+            rrds[1].push(100.0 + i as f64);
+        }
+        let bytes: Vec<u8> = rrds.iter().flat_map(serde::to_bytes).collect();
+        let mut ring: WindowRing<2> = serde::from_bytes(&bytes).expect("old layout decodes");
+        assert_eq!(held(&ring, 2), [vec![18.0, 19.0], vec![118.0, 119.0]]);
+        ring.push([20.0, 120.0]);
+        assert_eq!(held(&ring, 9)[0], vec![16.0, 17.0, 18.0, 19.0, 20.0]);
+    }
+
+    #[test]
+    fn a_window_ring_decode_rejects_what_it_cannot_hold() {
+        let one = |interval: f64, spec: ArchiveSpec, pushes: usize| {
+            let mut rrd = Rrd::new(1.0, vec![avg_archive(1, 1)]);
+            rrd.base_interval_secs = interval;
+            rrd.archives[0].spec = spec;
+            (0..pushes).for_each(|i| rrd.archives[0].ring.push_back(i as f64));
+            rrd.samples_pushed = pushes as u64;
+            serde::to_bytes(&rrd)
+        };
+        let decode = |parts: &[Vec<u8>]| serde::from_bytes::<WindowRing<2>>(&parts.concat());
+        let good = one(1.0, avg_archive(1, 3), 2);
+        assert!(decode(&[good.clone(), good.clone()]).is_ok());
+        let both = [good.clone(), good.clone()].concat();
+        for cut in 0..both.len() {
+            assert!(
+                serde::from_bytes::<WindowRing<2>>(&both[..cut]).is_err(),
+                "cut at {cut}"
+            );
+        }
+        let bad = [
+            ("a zero interval", one(0.0, avg_archive(1, 3), 2)),
+            ("a NaN interval", one(f64::NAN, avg_archive(1, 3), 2)),
+            ("zero capacity", one(1.0, avg_archive(1, 0), 0)),
+            ("a ring past its capacity", one(1.0, avg_archive(1, 3), 4)),
+            ("a coarse finest archive", one(1.0, avg_archive(2, 3), 2)),
+            (
+                "a step-1 Max archive",
+                one(
+                    1.0,
+                    ArchiveSpec {
+                        cf: Consolidation::Max,
+                        ..avg_archive(1, 3)
+                    },
+                    2,
+                ),
+            ),
+            ("another capacity", one(1.0, avg_archive(1, 4), 2)),
+            ("another length", one(1.0, avg_archive(1, 3), 1)),
+            ("another interval", one(2.0, avg_archive(1, 3), 2)),
+        ];
+        for (what, second) in bad {
+            assert!(decode(&[good.clone(), second]).is_err(), "{what}");
+        }
+        // Rings too large to allocate fail before any allocation.
+        let huge = one(1.0, avg_archive(1, usize::MAX / 2), 2);
+        assert!(
+            decode(&[huge.clone(), huge]).is_err(),
+            "an unallocatable capacity"
+        );
     }
 }

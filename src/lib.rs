@@ -43,7 +43,7 @@
 //! ## Quickstart: the online loop
 //!
 //! The paper's pipeline is one-shot; [`controller`] turns it into a
-//! continuous control loop — stream telemetry into rolling RRD windows,
+//! continuous control loop — stream telemetry into rolling windows,
 //! detect drift against the planned profiles, re-solve *warm* with a
 //! migration-cost objective, and execute a capacity-safe move list
 //! against the simulated fleet. `examples/online_consolidation.rs` runs
@@ -73,8 +73,8 @@
 //!
 //! Building blocks, individually reusable:
 //!
-//! * [`controller::TelemetryIngester`] — [`monitor`] samples → rolling
-//!   [`traces::Rrd`] windows per workload;
+//! * [`controller::TelemetryIngester`] — [`monitor`] samples → one
+//!   rolling [`traces::WindowRing`] per workload;
 //! * [`controller::DriftDetector`] — phase-aligned, one-sided relative
 //!   RMSE against the planned horizon (overload trips fast, slack lazily);
 //! * [`controller::ReSolver`] — [`solver::solve_warm`] +
