@@ -1,12 +1,9 @@
-//! The scale sweep: the two fleet measurements `kbench` cannot make
-//! (it pins itself to one processor and fixes its sizes), each checked
-//! against its own claim.
+//! The scale sweep: fleet shapes `kbench` does not run (it fixes its
+//! sizes), each checked against its own claim.
 //!
-//! * **Strong scaling** — the largest flat fleet under a regional spike,
-//!   `tick_threads = 1` against the machine's parallelism, alternating
-//!   sides, median of [`RUNS_PER_SIDE`] runs with the spread beside it.
-//!   The speed-up is reported, not gated (read it next to `cores`); what
-//!   is gated is that both sides made the same decisions.
+//! * **The flat fleet** — the largest flat fleet under a regional spike,
+//!   one run, its wall time and decisions reported. The claim: its final
+//!   audit is clean.
 //! * **The hierarchy** — [`ZONES`] zones behind loopback RPC under one
 //!   [`RootBalancer`], shards per zone 10 → 40 (250 → 1,000 shards).
 //!   Zone 0 runs hot and the root budget sits between its machine count
@@ -20,16 +17,12 @@
 //!
 //! ```text
 //! cargo run --release -p kairos-bench --bin fleet_scale
-//! KAIROS_FLEET_THREADS=4 cargo run --release -p kairos-bench --bin fleet_scale
 //! ```
 
 use kairos_bench::{print_table, section};
 use kairos_controller::{ControllerConfig, SyntheticSource, TelemetryConfig, TelemetrySource};
 use kairos_fleet::balancer::ShardHandle;
-use kairos_fleet::{
-    default_tick_threads, BalancerConfig, FleetConfig, FleetController, RootBalancer, RootConfig,
-    Zone,
-};
+use kairos_fleet::{BalancerConfig, FleetConfig, FleetController, RootBalancer, RootConfig, Zone};
 use kairos_net::{LoopbackTransport, RemoteZone, ZoneNode};
 use kairos_types::Bytes;
 use kairos_workloads::RatePattern;
@@ -38,7 +31,6 @@ use std::time::Instant;
 
 /// Machines a shard may use, in the flat fleet and inside every zone.
 const BUDGET: usize = 8;
-const RUNS_PER_SIDE: usize = 3;
 const FLAT_SHARDS: usize = 8;
 const FLAT_TENANTS_PER_SHARD: usize = 25;
 const FLAT_TICKS: u64 = 150;
@@ -57,11 +49,10 @@ const MAX_ROOT_COST_RATIO: f64 = 2.0;
 /// One run of the flat fleet.
 #[derive(Debug, Clone, Copy)]
 struct FlatRun {
-    /// Every tick of the run, bootstrap and re-solves included — the
-    /// ticks the thread fan-out exists for.
+    /// Every tick of the run, bootstrap and re-solves included.
     wall_ms: f64,
-    /// What the run decided — `(resolves, handoffs_completed,
-    /// total_machines)` — identical at every thread count.
+    /// What the run decided: `(resolves, handoffs_completed,
+    /// total_machines)`.
     decisions: (u64, u64, usize),
     /// The final audit found no violation and no shard over [`BUDGET`].
     audit_clean: bool,
@@ -83,8 +74,7 @@ struct HierarchyScale {
 }
 
 struct Report {
-    serial: Vec<FlatRun>,
-    threaded: Vec<FlatRun>,
+    flat: FlatRun,
     hierarchy: Vec<HierarchyScale>,
 }
 
@@ -111,14 +101,8 @@ impl Report {
 /// breaks; empty means it holds.
 fn check(report: &Report) -> Vec<String> {
     let mut findings = Vec::new();
-    let flat = || report.serial.iter().chain(&report.threaded);
-    if !flat().all(|r| r.audit_clean) {
-        findings.push("audit: a flat fleet is not clean".to_string());
-    }
-    let mut decisions = flat().map(|r| r.decisions);
-    let first = decisions.next();
-    if let Some(other) = decisions.find(|d| Some(*d) != first) {
-        findings.push(format!("determinism: runs decided {first:?} and {other:?}"));
+    if !report.flat.audit_clean {
+        findings.push("audit: the flat fleet is not clean".to_string());
     }
     for h in report.hierarchy.iter().filter(|h| h.groups_moved == 0) {
         findings.push(format!(
@@ -139,7 +123,7 @@ fn check(report: &Report) -> Vec<String> {
 }
 
 /// The one fleet shape of the sweep, flat or inside a zone.
-fn fleet_config(shards: usize, tick_threads: usize) -> FleetConfig {
+fn fleet_config(shards: usize) -> FleetConfig {
     FleetConfig {
         shards,
         shard: ControllerConfig {
@@ -160,15 +144,14 @@ fn fleet_config(shards: usize, tick_threads: usize) -> FleetConfig {
             max_moves_per_round: 2,
             ..BalancerConfig::default()
         },
-        tick_threads,
+        ..FleetConfig::default()
     }
 }
 
 /// The flat fleet: shard 0 takes a regional spike in the middle third of
-/// the run, the rest stay flat, so the run has re-solves and handoffs
-/// for the threads to share.
-fn run_flat(tick_threads: usize) -> FlatRun {
-    let mut fleet = FleetController::new(fleet_config(FLAT_SHARDS, tick_threads));
+/// the run, the rest stay flat, so the run has re-solves and handoffs.
+fn run_flat() -> FlatRun {
+    let mut fleet = FleetController::new(fleet_config(FLAT_SHARDS));
     for shard in 0..FLAT_SHARDS {
         for i in 0..FLAT_TENANTS_PER_SHARD {
             let base = 190.0 + 10.0 * (i % 4) as f64;
@@ -216,11 +199,11 @@ fn hier_source(name: &str) -> Box<dyn TelemetrySource> {
     )
 }
 
-fn run_hierarchy(shards_per_zone: usize, tick_threads: usize) -> HierarchyScale {
+fn run_hierarchy(shards_per_zone: usize) -> HierarchyScale {
     let transport = LoopbackTransport::new();
     let (mut nodes, mut handles, mut remotes) = (Vec::new(), Vec::new(), Vec::new());
     for z in 0..ZONES {
-        let mut fleet = FleetController::new(fleet_config(shards_per_zone, tick_threads));
+        let mut fleet = FleetController::new(fleet_config(shards_per_zone));
         fleet.set_tracing(false);
         for s in 0..shards_per_zone {
             for i in 0..HIER_TENANTS_PER_SHARD {
@@ -288,33 +271,14 @@ fn run_hierarchy(shards_per_zone: usize, tick_threads: usize) -> HierarchyScale 
     }
 }
 
-/// `(median, min, max)` of the runs' wall times.
-fn wall_spread(runs: &[FlatRun]) -> (f64, f64, f64) {
-    let mut walls: Vec<f64> = runs.iter().map(|r| r.wall_ms).collect();
-    walls.sort_by(f64::total_cmp);
-    let median = kairos_types::percentile_of_sorted(&walls, 50.0);
-    (median, walls[0], walls[walls.len() - 1])
-}
-
 fn main() -> ExitCode {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // At least two threads, so the scoped fan-out is what runs even
-    // where the machine offers one core.
-    let threads = default_tick_threads().max(cores).max(2);
-
-    let (mut serial, mut threaded) = (Vec::new(), Vec::new());
-    for _ in 0..RUNS_PER_SIDE {
-        serial.push(run_flat(1));
-        threaded.push(run_flat(threads));
-    }
-    let hierarchy = SHARDS_PER_ZONE
-        .iter()
-        .map(|&spz| run_hierarchy(spz, threads))
-        .collect();
     let report = Report {
-        serial,
-        threaded,
-        hierarchy,
+        flat: run_flat(),
+        hierarchy: SHARDS_PER_ZONE
+            .iter()
+            .map(|&spz| run_hierarchy(spz))
+            .collect(),
     };
 
     let profile = if cfg!(debug_assertions) {
@@ -322,20 +286,21 @@ fn main() -> ExitCode {
     } else {
         "release"
     };
-    println!("env: cores={cores} tick_threads={threads} profile={profile}");
+    println!("env: cores={cores} profile={profile}");
     section(&format!(
-        "strong scaling: {FLAT_SHARDS} shards x {FLAT_TENANTS_PER_SHARD} tenants, {FLAT_TICKS} ticks, median of {RUNS_PER_SIDE}"
+        "flat fleet: {FLAT_SHARDS} shards x {FLAT_TENANTS_PER_SHARD} tenants, {FLAT_TICKS} ticks"
     ));
-    let (serial_ms, ..) = wall_spread(&report.serial);
-    let rows = [(1, &report.serial), (threads, &report.threaded)].map(|(n, runs)| {
-        let (median, min, max) = wall_spread(runs);
-        let (resolves, handoffs, machines) = runs[0].decisions;
-        let speedup = serial_ms / median;
-        format!("{n}|{median:.1}|{min:.1}..{max:.1}|{speedup:.2}|{resolves}|{handoffs}|{machines}")
-    });
-    let header =
-        "tick_threads|run_wall_ms|min..max|speedup|resolves|handoffs_completed|total_machines";
-    print_table(header, &rows);
+    let FlatRun {
+        wall_ms,
+        decisions: (resolves, handoffs, machines),
+        audit_clean,
+    } = report.flat;
+    print_table(
+        "run_wall_ms|resolves|handoffs_completed|total_machines|audit_clean",
+        &[format!(
+            "{wall_ms:.1}|{resolves}|{handoffs}|{machines}|{audit_clean}"
+        )],
+    );
 
     section(&format!(
         "hierarchy: {ZONES} zones x {GROUPS} groups over loopback RPC, {HIER_TENANTS_PER_SHARD} tenants per shard, {HIER_ROUNDS} rounds"
@@ -381,11 +346,6 @@ mod tests {
     use super::*;
 
     fn passing() -> Report {
-        let run = FlatRun {
-            wall_ms: 40.0,
-            decisions: (3, 2, 12),
-            audit_clean: true,
-        };
         let scale = |shards_per_zone, root_round_mean_usecs, zone_rollup_bytes| HierarchyScale {
             shards_per_zone,
             root_round_mean_usecs,
@@ -395,8 +355,11 @@ mod tests {
             groups_moved: 8,
         };
         Report {
-            serial: vec![run; RUNS_PER_SIDE],
-            threaded: vec![run; RUNS_PER_SIDE],
+            flat: FlatRun {
+                wall_ms: 40.0,
+                decisions: (3, 2, 12),
+                audit_clean: true,
+            },
             hierarchy: vec![scale(10, 2_000.0, 3_600.0), scale(40, 3_000.0, 3_690.0)],
         }
     }
@@ -409,7 +372,7 @@ mod tests {
     #[test]
     fn each_broken_claim_yields_exactly_its_finding() {
         type Break = fn(&mut Report);
-        let cases: [(Break, &str); 8] = [
+        let cases: [(Break, &str); 5] = [
             (|r| r.hierarchy[1].groups_moved = 0, "groups_moved 0 at 40"),
             (
                 |r| r.hierarchy[1].zone_rollup_bytes = 4_320.0,
@@ -423,10 +386,7 @@ mod tests {
                 |r| r.hierarchy[0].root_round_mean_usecs = 0.0,
                 "root_cost_ratio inf ",
             ),
-            (|r| r.threaded[2].audit_clean = false, "audit: a flat"),
-            (|r| r.threaded[1].decisions.0 += 1, "determinism: "),
-            (|r| r.threaded[0].decisions.1 += 1, "determinism: "),
-            (|r| r.serial[2].decisions.2 += 1, "determinism: "),
+            (|r| r.flat.audit_clean = false, "audit: the flat"),
         ];
         for (break_it, finding) in cases {
             let mut report = passing();

@@ -16,10 +16,8 @@ use std::collections::{btree_map, BTreeMap};
 /// scenarios ([`crate::scenarios::SyntheticSource`]); a production
 /// implementation would poll `SHOW STATUS` / `iostat` like §6 describes.
 ///
-/// `Send` is a supertrait because a sharded control plane fans shard
-/// ticks — each polling its own sources — out across worker threads
-/// (`kairos-fleet`'s `FleetConfig::tick_threads`); sources move to
-/// whichever thread ticks their shard this interval.
+/// `Send` is a supertrait because a shard, sources and all, may be
+/// moved to another thread, such as the one that serves it over RPC.
 pub trait TelemetrySource: Send {
     /// Stable workload identifier.
     fn name(&self) -> &str;

@@ -475,11 +475,9 @@ impl ShardController {
 
     /// Could the *next* tick do more than poll telemetry? Mirrors the
     /// gating in [`ShardController::tick`]: bootstrap still pending, a
-    /// membership replan due, or a drift check on cadence. The fleet's
-    /// tick fan-out uses this to keep quiet ticks on one thread (thread
-    /// spawns cost more than polling) while solve-capable ticks — the
-    /// ones worth parallelizing — go wide. Purely a scheduling hint: the
-    /// tick's behaviour is identical either way.
+    /// membership replan due, or a drift check on cadence. A hint only:
+    /// its one reader is kbench's online capture, which snapshots a
+    /// shard's forecasts before a tick that may re-plan.
     pub fn tick_may_solve(&self) -> bool {
         let next = self.ticks() + 1;
         // Lookahead 1 everywhere: one more sample lands before the next
@@ -549,7 +547,7 @@ impl ShardController {
     /// `lookahead` of which will only have landed by the time the
     /// predicted check runs (0 = check now, 1 = predict the next tick).
     /// The single source of truth for the bootstrap, membership and
-    /// fan-out-hint gates — they must not drift apart.
+    /// `tick_may_solve` gates — they must not drift apart.
     fn windows_ready(&self, needed: usize, lookahead: usize) -> bool {
         self.ingester
             .iter()
@@ -1846,5 +1844,59 @@ mod tests {
             s.pack_estimate(&["t00", "t01", "t02", "t03", "t04", "t05"]),
             Some(0)
         );
+    }
+
+    /// The hint is set before every tick that plans or re-plans: the four
+    /// scenarios, at the default tuning and at a short horizon.
+    #[test]
+    fn tick_may_solve_is_set_before_every_solving_tick() {
+        use crate::scenarios::{
+            scenario_churn, scenario_diurnal_shift, scenario_flash_crowd, scenario_stationary,
+            FleetEvent,
+        };
+        let short = ControllerConfig {
+            horizon: 12,
+            check_every: 4,
+            cooldown_ticks: 12,
+            ..ControllerConfig::default()
+        };
+        let mut solving = 0;
+        for cfg in [ControllerConfig::default(), short] {
+            for scenario in [
+                scenario_stationary(6, 120),
+                scenario_diurnal_shift(8, 240),
+                scenario_flash_crowd(8, 240),
+                scenario_churn(6, 240),
+            ] {
+                let mut s = ShardController::new(cfg, ConsolidationEngine::builder().build());
+                for source in scenario.sources {
+                    s.add_workload(Box::new(source));
+                }
+                let mut events = scenario.events;
+                for tick in 0..scenario.ticks {
+                    for event in std::mem::take(&mut events) {
+                        match event {
+                            FleetEvent::Add { at_tick, source } if at_tick == tick => {
+                                s.add_workload(Box::new(source))
+                            }
+                            FleetEvent::Remove { at_tick, name } if at_tick == tick => {
+                                s.remove_workload(&name);
+                            }
+                            pending => events.push(pending),
+                        }
+                    }
+                    let hint = s.tick_may_solve();
+                    let outcome = s.tick();
+                    if matches!(
+                        outcome,
+                        TickOutcome::InitialPlan { .. } | TickOutcome::Replanned(_)
+                    ) {
+                        assert!(hint, "{} tick {tick}: {outcome:?} unhinted", scenario.label);
+                        solving += 1;
+                    }
+                }
+            }
+        }
+        assert!(solving >= 30, "only {solving} solving ticks");
     }
 }

@@ -16,7 +16,7 @@
 
 use crate::balancer::BalancerConfig;
 use crate::handoff::HandoffRecord;
-use crate::plane::{fan_out, BalancePlane, FleetAudit, FleetMetrics};
+use crate::plane::{BalancePlane, FleetAudit, FleetMetrics};
 use crate::shardmap::ShardMap;
 use crate::snapshot::{FleetSnapshot, FLEET_SNAPSHOT_VERSION};
 use kairos_controller::{
@@ -38,27 +38,16 @@ pub struct FleetConfig {
     /// Per-shard loop tuning.
     pub shard: ControllerConfig,
     pub balancer: BalancerConfig,
-    /// Worker threads for the per-shard tick fan-out (and the per-shard
-    /// audit evaluations). Shard ticks — including any re-solves they
-    /// trigger — are independent, so a drift burst hitting N shards costs
-    /// one solve's latency instead of N on a machine with enough cores.
-    /// `1` = fully serial (the reference behaviour; results are
-    /// tick-for-tick identical at any thread count). Defaults to
-    /// `KAIROS_FLEET_THREADS` if set, else the machine's available
-    /// parallelism.
+    /// Read by nothing: a fleet ticks its shards and evaluates its audit
+    /// serially, on the calling thread. Kept only because kbench sets it;
+    /// ROADMAP item 17 deletes it.
     pub tick_threads: usize,
 }
 
-/// Default tick-thread count: the `KAIROS_FLEET_THREADS` environment
-/// override (the CI determinism matrix pins it to 1 and 4), else
-/// whatever parallelism the machine offers.
+/// The one thread count the fleet uses: 1 (see
+/// [`FleetConfig::tick_threads`]).
 pub fn default_tick_threads() -> usize {
-    if let Ok(v) = std::env::var("KAIROS_FLEET_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    1
 }
 
 impl Default for FleetConfig {
@@ -81,9 +70,9 @@ pub struct FleetTickReport {
     pub handoffs: Vec<HandoffRecord>,
 }
 
-/// The top-level control plane, hosted in one process: the members and
-/// the tick threads are its own; everything around the balance round is
-/// the [`BalancePlane`] it derefs to. See module docs.
+/// The top-level control plane, hosted in one process: the members are
+/// its own; everything around the balance round is the [`BalancePlane`]
+/// it derefs to. See module docs.
 pub struct FleetController {
     cfg: FleetConfig,
     shards: Vec<ShardController>,
@@ -304,21 +293,19 @@ impl FleetController {
         self.shards.iter().map(|s| s.pack_estimate(&[])).sum()
     }
 
-    /// One monitoring interval: every shard ticks — concurrently when
-    /// `tick_threads > 1` — then, on the balance cadence, one balance
-    /// round runs **on the calling thread**, driving the shards through
-    /// [`ShardController`]'s direct [`crate::balancer::ShardHandle`]
-    /// implementation. Shards share no state, so the fan-out is
-    /// embarrassingly parallel; everything that mutates cross-shard
-    /// structures (the `ShardMap`, handoff transfers, the handoff log,
-    /// fleet stats) stays single-threaded and runs after the join, which
-    /// is why reports are tick-for-tick identical at any thread count.
+    /// One monitoring interval: every shard ticks in shard order, then,
+    /// on the balance cadence, one balance round drives the shards
+    /// through [`ShardController`]'s direct
+    /// [`crate::balancer::ShardHandle`] implementation. Everything that
+    /// mutates cross-shard structures (the `ShardMap`, handoff transfers,
+    /// the handoff log, fleet stats) runs after every shard has ticked.
     /// The watchdog, when armed, observes once per tick over the fleet +
     /// shard registries.
     pub fn tick(&mut self) -> FleetTickReport {
         let started = Instant::now();
         let tick = self.plane.begin_tick();
-        let outcomes = self.tick_shards();
+        let outcomes: Vec<TickOutcome> =
+            self.shards.iter_mut().map(ShardController::tick).collect();
         let shards = &self.shards;
         let handoffs = if self
             .plane
@@ -338,35 +325,6 @@ impl FleetController {
         self.plane
             .observe_health(self.shards.iter().map(|s| s.metrics_registry()));
         FleetTickReport { outcomes, handoffs }
-    }
-
-    /// Fan the per-shard ticks out across the configured worker threads.
-    /// Shards are split into contiguous chunks, one scoped thread per
-    /// chunk; each tick's outcome lands in its shard's slot, so the
-    /// merged vector is in shard order regardless of which thread
-    /// finished first (the determinism property tests pin this down).
-    fn tick_shards(&mut self) -> Vec<TickOutcome> {
-        // Fan out only when at least two shards might solve this tick
-        // (bootstrap, drift-check cadence, pending membership): spawning
-        // scoped threads costs tens of microseconds, which dwarfs a
-        // quiet poll-and-ingest tick but vanishes against a re-solve.
-        // The decision depends only on shard-local deterministic state,
-        // so it is identical at every thread count.
-        let solvers = self.shards.iter().filter(|s| s.tick_may_solve()).count();
-        let threads = if solvers < 2 {
-            1
-        } else {
-            self.cfg.tick_threads
-        };
-        let mut outcomes: Vec<Option<TickOutcome>> = Vec::new();
-        outcomes.resize_with(self.shards.len(), || None);
-        fan_out(threads, &mut self.shards, &mut outcomes, |shard, out| {
-            *out = Some(shard.tick())
-        });
-        outcomes
-            .into_iter()
-            .map(|o| o.expect("every shard ticked"))
-            .collect()
     }
 
     // ----- checkpoint / restore -----
@@ -528,19 +486,14 @@ impl FleetController {
     /// Global audit ([`BalancePlane::audit`]) over direct reads of every
     /// shard, the global problem built by shard 0's real engine — every
     /// shard carries the full fleet anti-affinity list, so the shard's
-    /// own constraint plumbing applies the pairs by name. The per-shard
-    /// evaluations fan out across the tick worker threads.
+    /// own constraint plumbing applies the pairs by name.
     pub fn audit(&self) -> FleetAudit {
         let members = self
             .shards
             .iter()
             .map(|s| (s.forecast_fleet(), Some(s.placement()), s.planned_once()))
             .collect();
-        BalancePlane::audit(
-            members,
-            |profiles| self.shards[0].problem_for(profiles),
-            self.cfg.tick_threads,
-        )
+        BalancePlane::audit(members, |profiles| self.shards[0].problem_for(profiles))
     }
 
     /// Explain an audit in terms of the decision trace
@@ -582,10 +535,27 @@ mod tests {
         SyntheticSource::new(name, 300.0, Bytes::gib(4), RatePattern::Flat { tps }).with_noise(0.0)
     }
 
-    fn run(fleet: &mut FleetController, ticks: u64) {
-        for _ in 0..ticks {
-            fleet.tick();
+    /// Tick `ticks` times, checking that [`ShardController::tick_may_solve`]
+    /// was set before every shard tick that planned or re-planned; returns
+    /// how many did.
+    fn run(fleet: &mut FleetController, ticks: u64) -> usize {
+        let mut solving = 0;
+        for tick in 0..ticks {
+            let hints: Vec<bool> = fleet.shards().iter().map(|s| s.tick_may_solve()).collect();
+            for (shard, outcome) in fleet.tick().outcomes.iter().enumerate() {
+                if matches!(
+                    outcome,
+                    TickOutcome::InitialPlan { .. } | TickOutcome::Replanned(_)
+                ) {
+                    assert!(
+                        hints[shard],
+                        "tick {tick}, shard {shard}: {outcome:?} unhinted"
+                    );
+                    solving += 1;
+                }
+            }
         }
+        solving
     }
 
     #[test]
@@ -748,5 +718,29 @@ mod tests {
             once,
             "a repeated registration must not grow the checkpoint"
         );
+    }
+
+    /// [`run`]'s hint check on a three-shard fleet whose tenants spike and
+    /// move between shards.
+    #[test]
+    fn tick_may_solve_is_set_before_every_solving_shard_tick() {
+        let mut fleet = FleetController::new(quick_cfg(3, 2));
+        for shard in 0..3 {
+            for i in 0..5 {
+                let src = flat(
+                    format!("s{shard}-t{i}"),
+                    if shard == 0 { 200.0 } else { 100.0 },
+                );
+                let src = if shard == 0 && i < 3 {
+                    src.then_at(20 + 4 * i as u64, RatePattern::Flat { tps: 640.0 })
+                } else {
+                    src
+                };
+                fleet.add_workload_to(shard, Box::new(src));
+            }
+        }
+        let solving = run(&mut fleet, 80);
+        assert!(fleet.stats().handoffs_completed > 0, "no tenant moved");
+        assert!(solving >= 6, "only {solving} solving ticks");
     }
 }

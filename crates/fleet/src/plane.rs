@@ -8,7 +8,7 @@
 //! here once, as [`BalancePlane`]. The three hosts own only what is
 //! genuinely theirs and reach the plane by `Deref`:
 //!
-//! * [`crate::FleetController`] — in-process members and tick threads;
+//! * [`crate::FleetController`] — in-process members, ticked in order;
 //! * `kairos-net`'s `BalancerNode` — links, leases and standbys;
 //! * [`crate::RootBalancer`] — the zone roll-up pass.
 
@@ -24,38 +24,6 @@ use kairos_solver::{evaluate, Assignment, ConsolidationProblem, Evaluation};
 use kairos_types::WorkloadProfile;
 use std::collections::BTreeMap;
 use std::time::Instant;
-
-/// Run `f` over `(job, out)` pairs, fanned across up to `threads` scoped
-/// worker threads in contiguous chunks. Each result lands in its own
-/// slot, so the merged `outs` is in job order regardless of which thread
-/// finished first — the invariant the determinism property tests pin
-/// down. `threads <= 1` runs inline with zero spawn overhead.
-pub(crate) fn fan_out<J: Send, O: Send>(
-    threads: usize,
-    jobs: &mut [J],
-    outs: &mut [O],
-    f: impl Fn(&mut J, &mut O) + Sync,
-) {
-    debug_assert_eq!(jobs.len(), outs.len());
-    let threads = threads.clamp(1, jobs.len().max(1));
-    if threads <= 1 {
-        for (job, out) in jobs.iter_mut().zip(outs.iter_mut()) {
-            f(job, out);
-        }
-        return;
-    }
-    let chunk = jobs.len().div_ceil(threads);
-    let f = &f;
-    std::thread::scope(|scope| {
-        for (job_chunk, out_chunk) in jobs.chunks_mut(chunk).zip(outs.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                for (job, out) in job_chunk.iter_mut().zip(out_chunk.iter_mut()) {
-                    f(job, out);
-                }
-            });
-        }
-    });
-}
 
 /// Fleet-level counters. Serializable: the tick counter drives the
 /// balance cadence, so a restored fleet must resume from the
@@ -218,10 +186,10 @@ pub struct BalancePlane {
     handoff_log: Vec<HandoffRecord>,
     metrics: FleetMetrics,
     /// The host's decision trace: balancer-round events via the shared
-    /// round, recorded on the host's tick thread (cross-member work is
-    /// single-threaded, so the stream is deterministic at any thread
-    /// count and byte-identical between the in-process and RPC hosts),
-    /// plus whatever only that host can see ([`BalancePlane::record`]).
+    /// round, recorded on the calling thread (one writer, so the stream
+    /// is deterministic and byte-identical between the in-process and
+    /// RPC hosts), plus whatever only that host can see
+    /// ([`BalancePlane::record`]).
     /// Member-loop events live in each member's own log.
     log: DecisionLog,
     /// Balancer-side causal span log (`balance_round` roots plus
@@ -557,7 +525,6 @@ impl BalancePlane {
     pub fn audit(
         mut members: Vec<(Vec<WorkloadProfile>, Option<&FleetPlacement>, bool)>,
         problem: impl FnOnce(&[WorkloadProfile]) -> kairos_types::Result<ConsolidationProblem>,
-        threads: usize,
     ) -> FleetAudit {
         let machines_used = members
             .iter()
@@ -583,22 +550,13 @@ impl BalancePlane {
             };
         };
 
-        // Phase 1 (serial): build each member's restriction. Phase 2
-        // (parallel): read its placement into the restriction's slot
-        // order and evaluate it — the expensive part, independent per
-        // member — fanned out across the worker threads.
-        let mut jobs: Vec<Option<(ConsolidationProblem, &FleetPlacement)>> = members
-            .iter()
-            .zip(&member_indices)
-            .map(|((_, placement, planned), keep)| {
-                let placement = placement.filter(|_| *planned && !keep.is_empty())?;
-                Some((global.restrict(keep), placement))
-            })
-            .collect();
-        fan_out(threads, &mut jobs, &mut per_shard, |job, out| {
-            let Some((sub, placement)) = job.take() else {
-                return;
+        for (((_, placement, planned), keep), out) in
+            members.iter().zip(&member_indices).zip(&mut per_shard)
+        {
+            let Some(placement) = placement.filter(|_| *planned && !keep.is_empty()) else {
+                continue;
             };
+            let sub = global.restrict(keep);
             let machine_of = sub
                 .slot_series()
                 .slots
@@ -608,7 +566,7 @@ impl BalancePlane {
             if let Some(machine_of) = machine_of {
                 *out = Some(evaluate(&sub, &Assignment::new(machine_of)));
             }
-        });
+        }
         FleetAudit {
             per_shard,
             machines_used,

@@ -213,9 +213,8 @@ struct StandbyLink {
 
 impl BalancerNode {
     /// Connect to one shard-node endpoint per configured shard. The
-    /// audit judges placements with a default engine. (`cfg.tick_threads` only fans out the audit's local evaluations:
-    /// RPC dispatch is strictly serial — that is what makes delivery
-    /// order deterministic.)
+    /// audit judges placements with a default engine. RPC dispatch is
+    /// strictly serial — that is what makes delivery order deterministic.
     pub fn connect(
         cfg: FleetConfig,
         lease: LeaseConfig,
@@ -705,9 +704,7 @@ impl BalancerNode {
     /// shard's forecasts, placement and planned flag, and build the
     /// global problem from the audit resolver's engine and the fleet
     /// anti-affinity list — bit-identical to `FleetController::audit`
-    /// when the engines match. Down shards audit as `None`. The RPCs are
-    /// strictly serial; only the local evaluations fan out across
-    /// `cfg.tick_threads`.
+    /// when the engines match. Down shards audit as `None`.
     pub fn audit(&mut self) -> FleetAudit {
         let mut pulled: Vec<(Vec<_>, Option<FleetPlacement>, bool)> = self
             .links
@@ -734,11 +731,7 @@ impl BalancerNode {
                 (std::mem::take(forecasts), placement.as_ref(), *planned)
             })
             .collect();
-        BalancePlane::audit(
-            members,
-            |profiles| self.audit_resolver.problem(profiles),
-            self.cfg.tick_threads,
-        )
+        BalancePlane::audit(members, |profiles| self.audit_resolver.problem(profiles))
     }
 
     /// Explain an audit in terms of the decision traces

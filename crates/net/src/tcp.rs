@@ -2,8 +2,7 @@
 //! connection.
 //!
 //! No async runtime, by design — the whole workspace is built on
-//! synchronous loops and `std::thread::scope` fan-out, and the control
-//! plane's RPC fan-in is a handful of long-lived connections (one
+//! synchronous loops, and the control plane's RPC fan-in is a handful of long-lived connections (one
 //! balancer per shard node), not ten thousand ephemeral ones. An accept
 //! thread hands each connection to its own reader thread; each reader
 //! loops `read_frame_with_trailer → handler → write_frame` until the peer

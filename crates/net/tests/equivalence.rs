@@ -331,12 +331,10 @@ fn rpc_fleet_is_tick_for_tick_identical_to_in_process() {
 }
 
 /// The audit is one construction ([`kairos_fleet::BalancePlane::audit`])
-/// fed by direct reads in-process and by RPCs over the wire, with the
-/// per-shard evaluations fanned across `tick_threads` on both hosts — so
-/// the two hosts' audits must agree in **every** field, bit for bit, at
-/// any thread count, and the thread count itself must change nothing.
+/// fed by direct reads in-process and by RPCs over the wire — so the two
+/// hosts' audits must agree in **every** field, bit for bit.
 #[test]
-fn audits_are_bit_identical_across_hosts_at_any_thread_count() {
+fn audits_are_bit_identical_across_hosts() {
     fn full_bits(audit: &kairos_fleet::FleetAudit) -> String {
         let per_shard: Vec<String> = audit
             .per_shard
@@ -358,78 +356,67 @@ fn audits_are_bit_identical_across_hosts_at_any_thread_count() {
     }
 
     let specs = tenant_specs(&mut SplitMix64::from_env(0x4E7F_1EE7));
-    let mut across_threads: Vec<Vec<String>> = Vec::new();
-    for threads in [1, 4] {
-        let cfg = FleetConfig {
-            tick_threads: threads,
-            ..config()
-        };
-        let mut reference = FleetController::new(cfg);
-        let transport = transport();
-        let escrow = SourceEscrow::new();
-        let mut nodes = Vec::new();
-        let mut handles = Vec::new();
-        for shard in 0..SHARDS {
-            let node = ShardNode::new(
-                cfg.shard,
-                kairos_core::ConsolidationEngine::builder().build(),
-                Box::new(escrow.clone()),
-            );
-            handles.push(
-                node.serve(transport.as_ref(), &bind_endpoint(shard))
-                    .expect("shard node serves"),
-            );
-            nodes.push(node);
-        }
-        let endpoints: Vec<String> = handles.iter().map(|h| h.endpoint.clone()).collect();
-        let mut balancer =
-            BalancerNode::connect(cfg, LeaseConfig::default(), transport.clone(), &endpoints)
-                .expect("balancer connects");
-        for spec in &specs {
-            let src = Box::new(make_source(spec));
-            if spec.replicas > 1 {
-                reference.add_workload_with_replicas(spec.shard, src, spec.replicas);
-            } else {
-                reference.add_workload_to(spec.shard, src);
-            }
-            escrow.park(Box::new(make_source(spec)));
-            balancer
-                .add_workload_to(spec.shard, &spec.name, spec.replicas)
-                .expect("registration");
-        }
-        for shard in 0..SHARDS {
-            let (a, b) = (format!("s{shard}-t1"), format!("s{shard}-t2"));
-            reference.add_anti_affinity(&a, &b);
-            balancer.add_anti_affinity(&a, &b).expect("anti-affinity");
-        }
-
-        let mut audits = Vec::new();
-        for tick in 0..40u64 {
-            reference.tick();
-            balancer.tick();
-            // Before the first plan (unevaluated shards), mid flash
-            // crowd, and after the handoffs settle.
-            if [3, 19, 29, 39].contains(&tick) {
-                let (in_process, over_rpc) = (reference.audit(), balancer.audit());
-                assert_eq!(
-                    full_bits(&in_process),
-                    full_bits(&over_rpc),
-                    "tick {tick}, {threads} threads: the hosts' audits diverged"
-                );
-                audits.push(full_bits(&in_process));
-            }
-        }
-        assert!(
-            audits.iter().any(|a| !a.contains("none")),
-            "no audit ever evaluated every shard; the equality is vacuous"
+    let cfg = config();
+    let mut reference = FleetController::new(cfg);
+    let transport = transport();
+    let escrow = SourceEscrow::new();
+    let mut nodes = Vec::new();
+    let mut handles = Vec::new();
+    for shard in 0..SHARDS {
+        let node = ShardNode::new(
+            cfg.shard,
+            kairos_core::ConsolidationEngine::builder().build(),
+            Box::new(escrow.clone()),
         );
-        across_threads.push(audits);
-        drop(handles);
+        handles.push(
+            node.serve(transport.as_ref(), &bind_endpoint(shard))
+                .expect("shard node serves"),
+        );
+        nodes.push(node);
     }
-    assert_eq!(
-        across_threads[0], across_threads[1],
-        "the audit thread count changed an audit"
+    let endpoints: Vec<String> = handles.iter().map(|h| h.endpoint.clone()).collect();
+    let mut balancer =
+        BalancerNode::connect(cfg, LeaseConfig::default(), transport.clone(), &endpoints)
+            .expect("balancer connects");
+    for spec in &specs {
+        let src = Box::new(make_source(spec));
+        if spec.replicas > 1 {
+            reference.add_workload_with_replicas(spec.shard, src, spec.replicas);
+        } else {
+            reference.add_workload_to(spec.shard, src);
+        }
+        escrow.park(Box::new(make_source(spec)));
+        balancer
+            .add_workload_to(spec.shard, &spec.name, spec.replicas)
+            .expect("registration");
+    }
+    for shard in 0..SHARDS {
+        let (a, b) = (format!("s{shard}-t1"), format!("s{shard}-t2"));
+        reference.add_anti_affinity(&a, &b);
+        balancer.add_anti_affinity(&a, &b).expect("anti-affinity");
+    }
+
+    let mut audits = Vec::new();
+    for tick in 0..40u64 {
+        reference.tick();
+        balancer.tick();
+        // Before the first plan (unevaluated shards), mid flash
+        // crowd, and after the handoffs settle.
+        if [3, 19, 29, 39].contains(&tick) {
+            let (in_process, over_rpc) = (reference.audit(), balancer.audit());
+            assert_eq!(
+                full_bits(&in_process),
+                full_bits(&over_rpc),
+                "tick {tick}: the hosts' audits diverged"
+            );
+            audits.push(full_bits(&in_process));
+        }
+    }
+    assert!(
+        audits.iter().any(|a| !a.contains("none")),
+        "no audit ever evaluated every shard; the equality is vacuous"
     );
+    drop(handles);
 }
 
 /// One faulted run of the equivalence fleet: a skipped balance round, a

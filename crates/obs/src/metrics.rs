@@ -5,7 +5,7 @@
 //! `Arc`-shared atomics, so the hot path — a tick loop bumping a counter
 //! or recording a latency — is a single relaxed atomic op with no lock
 //! and no allocation. Handles stay valid across threads and clones, which
-//! is what lets the transport layer and the fan-out tick workers feed the
+//! is what lets the transport layer's threads and the tick loop feed the
 //! same registry a `ShardNode` serves over the `Metrics` RPC.
 //!
 //! Everything here is wall-clock / run-variant territory: latencies,
